@@ -14,7 +14,8 @@ import sys
 from pathlib import Path
 
 from . import analysis, data as data_mod, model as model_mod
-from .config import AttentionConfig, RunConfig, parse_config_file, resolve_run_config
+from .config import (_RUN_FIELD_TYPES, AttentionConfig, RunConfig, parse_config_file,
+                     resolve_run_config)
 from .errors import CheckpointError, ConfigError, DataError
 from .stis import build_power_mask
 
@@ -29,9 +30,8 @@ _CONFIG_FLAGS = [name for name in RunConfig.__dataclass_fields__ if name != "dat
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     for name in _CONFIG_FLAGS:
-        kind = RunConfig.__dataclass_fields__[name].type
         parser.add_argument(f"--{name.replace('_', '-')}", dest=name, default=None,
-                            type={"int": int, "float": float, "str": str}.get(kind, str))
+                            type=_RUN_FIELD_TYPES[name])
     parser.add_argument("--config", default=None, help="flat key = value config file")
 
 
@@ -128,8 +128,9 @@ def cmd_dump_mask(args: argparse.Namespace) -> int:
     try:
         with out.open("w") as fh:
             fh.write("row,visible_index\n")
-            for i, j in mask.pairs():
-                fh.write(f"{i},{j}\n")
+            for i, row in enumerate(mask.rows):
+                for j in row:
+                    fh.write(f"{i},{j}\n")
     except OSError as exc:
         print(f"cannot write {out}: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -71,33 +72,6 @@ class AttentionConfig:
         return head // self.heads_per_group
 
 
-_RUN_FIELD_TYPES = {
-    "dataset": str,
-    "d_model": int,
-    "layers": int,
-    "heads": int,
-    "kv_groups": int,
-    "d_head": int,
-    "block_size": int,
-    "stride": int,
-    "sel_block_size": int,
-    "top_k": int,
-    "win": int,
-    "blk": int,
-    "max_len": int,
-    "lr": float,
-    "batch_size": int,
-    "dropout": float,
-    "seed": int,
-    "epochs": int,
-    "patience": int,
-    "eval_k": int,
-    "negatives": int,
-    "min_len": int,
-    "pathway": str,
-}
-
-
 @dataclass
 class RunConfig:
     """Flat key-value configuration for the CLI. Defaults follow the
@@ -130,18 +104,8 @@ class RunConfig:
     pathway: str = "both"  # both | ltis | stis
 
     def attention(self) -> AttentionConfig:
-        return AttentionConfig(
-            block_size=self.block_size,
-            stride=self.stride,
-            sel_block_size=self.sel_block_size,
-            top_k=self.top_k,
-            win=self.win,
-            blk=self.blk,
-            heads=self.heads,
-            kv_groups=self.kv_groups,
-            d_model=self.d_model,
-            d_head=self.d_head,
-        )
+        return AttentionConfig(**{f.name: getattr(self, f.name)
+                                  for f in dataclasses.fields(AttentionConfig)})
 
     def validate(self) -> "RunConfig":
         self.attention()  # raises ConfigError on bad geometry
@@ -150,6 +114,10 @@ class RunConfig:
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
         return self
+
+
+# Field name -> type, which also parses a config-file or command-line value.
+_RUN_FIELD_TYPES = typing.get_type_hints(RunConfig)
 
 
 def parse_config_file(path: str | Path) -> dict:

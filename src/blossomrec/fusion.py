@@ -36,7 +36,6 @@ __all__ = [
     "BlossomLayerParams",
     "SeqContext",
     "grouped_attention",
-    "gqa",
     "gated_fuse",
     "encoder_layer",
     "encode",
@@ -53,27 +52,16 @@ def split_heads(x: Tensor, num: int) -> Tensor:
     return transpose(reshape(x, (b, length, num, total // num)), (0, 2, 1, 3))
 
 
-def _ensure_batched(x: Tensor) -> tuple[Tensor, bool]:
-    if x.ndim == 3:
-        return reshape(x, (1,) + x.shape), False
-    if x.ndim == 4:
-        return x, True
-    raise ValueError(f"expected 3-D or 4-D attention input, got shape {x.shape}")
-
-
 def grouped_attention(q: Tensor, k: Tensor, v: Tensor, cfg: AttentionConfig,
                       mask: np.ndarray | None = None, w_o: Tensor | None = None) -> Tensor:
     """Scaled dot-product attention with K/V shared across head groups.
 
-    q: (B, heads, L, d_head); k, v: (B, kv_groups, Lk, d_head) (the leading
-    batch axis may be omitted). ``mask`` is a boolean array broadcastable to
-    (B, kv_groups, heads_per_group, L, Lk); queries with nothing visible
-    yield zero rows. Heads are concatenated and, when ``w_o`` is given,
-    projected back to model width.
+    q: (B, heads, L, d_head); k, v: (B, kv_groups, Lk, d_head). ``mask`` is
+    a boolean array broadcastable to (B, kv_groups, heads_per_group, L, Lk);
+    queries with nothing visible yield zero rows. Heads are concatenated
+    into (B, L, heads * d_head) and, when ``w_o`` is given, projected back
+    to model width.
     """
-    q, batched = _ensure_batched(q)
-    k, _ = _ensure_batched(k)
-    v, _ = _ensure_batched(v)
     b, h, length, dk = q.shape
     g = k.shape[1]
     if h != cfg.heads or g != cfg.kv_groups:
@@ -88,15 +76,7 @@ def grouped_attention(q: Tensor, k: Tensor, v: Tensor, cfg: AttentionConfig,
     weights = masked_softmax(logits, mask, axis=-1)
     ctxv = matmul(weights, v5)  # (b, g, hpg, L, dk)
     merged = reshape(transpose(reshape(ctxv, (b, h, length, dk)), (0, 2, 1, 3)), (b, length, h * dk))
-    out = merged if w_o is None else matmul(merged, w_o)
-    return out if batched else reshape(out, out.shape[1:])
-
-
-def gqa(q: Tensor, k: Tensor, v: Tensor, cfg: AttentionConfig,
-        mask: np.ndarray | None = None, w_o: Tensor | None = None) -> Tensor:
-    """Grouped-query attention: head i reads the K/V of group
-    i // (heads / kv_groups); heads are concatenated then output-projected."""
-    return grouped_attention(q, k, v, cfg, mask=mask, w_o=w_o)
+    return merged if w_o is None else matmul(merged, w_o)
 
 
 def gated_fuse(o_ltis: Tensor, o_stis: Tensor, gate_w: Tensor, gate_b: Tensor) -> tuple[Tensor, Tensor]:

@@ -1,5 +1,5 @@
 """Long-term interest pathway: compress key blocks, score them against each
-query, and gather only the top-k selection blocks into attention.
+query, and let attention see only the top-k selection blocks.
 
 Pipeline per sequence and KV group:
 
@@ -14,11 +14,12 @@ Pipeline per sequence and KV group:
      a group share one ranking;
   6. take the top-k causally started selection blocks per query (ties go to
      the lower block index; fewer than k valid blocks means take them all);
-  7. attend over the gathered block positions (causal inside the gathered
-     set).
+  7. expand the chosen blocks into a causal visibility mask, under which
+     ``fusion.grouped_attention`` attends.
 
-Selection is discrete, so gradients reach the compression MLPs only
-through step 2's own output, never through the top-k choice.
+On the model path no gradient reaches the compression MLPs: selection is
+discrete, ``build_ltis_masks`` runs the whole pipeline under ``no_grad``,
+and the value MLP (``cmp_val``) is never called. See ROADMAP open item 3.
 """
 
 from __future__ import annotations
@@ -30,20 +31,13 @@ from .tensor import Tensor, concat, masked_softmax, matmul, no_grad, parameter, 
 
 __all__ = [
     "CompressionMLP",
-    "CompressedKV",
-    "BlockScores",
     "split_blocks",
-    "compress_block",
     "compress_sequence",
-    "compress_kv",
     "importance_scores",
-    "score_blocks",
     "remap_matrix",
     "remap_scores",
-    "aggregate_group_scores",
     "select_topk",
     "selection_to_visibility",
-    "ltis_attention",
     "build_ltis_masks",
 ]
 
@@ -78,31 +72,6 @@ class CompressionMLP:
         return matmul(hidden, self.w2) + self.b2
 
 
-class CompressedKV:
-    """Compressed keys and values of one sequence, both (M, d_head).
-
-    M follows the block-count law floor((L - block_size) / stride) + 1;
-    sequences shorter than one block compress to M = 1.
-    """
-
-    def __init__(self, keys: Tensor, values: Tensor):
-        if keys.shape != values.shape:
-            raise ValueError(f"compressed keys/values disagree: {keys.shape} vs {values.shape}")
-        self.keys = keys
-        self.values = values
-
-    @property
-    def num_blocks(self) -> int:
-        return self.keys.shape[0]
-
-
-def compress_kv(keys: Tensor, values: Tensor, phi_key: "CompressionMLP",
-                phi_val: "CompressionMLP", cfg: AttentionConfig) -> CompressedKV:
-    """Compress a sequence's keys and values with their separate MLPs."""
-    return CompressedKV(compress_sequence(keys, phi_key, cfg),
-                        compress_sequence(values, phi_val, cfg))
-
-
 def split_blocks(keys: Tensor, cfg: AttentionConfig) -> list[Tensor]:
     """Cut (L, d_head) keys into overlapping (block_size, d_head) blocks.
 
@@ -116,13 +85,6 @@ def split_blocks(keys: Tensor, cfg: AttentionConfig) -> list[Tensor]:
         return [concat([pad, keys], axis=0)]
     count = cfg.num_cmp_blocks(length)
     return [keys[i * cfg.stride: i * cfg.stride + cfg.block_size] for i in range(count)]
-
-
-def compress_block(block: Tensor, phi: CompressionMLP) -> Tensor:
-    """Compress one (block_size, d_head) block to a (d_head,) vector."""
-    if block.shape != (phi.block_size, phi.d_head):
-        raise ValueError(f"block shape {block.shape} does not match MLP ({phi.block_size}, {phi.d_head})")
-    return reshape(phi.apply_stack(reshape(block, (1,) + block.shape)), (phi.d_head,))
 
 
 def compress_sequence(keys: Tensor, phi: CompressionMLP, cfg: AttentionConfig) -> Tensor:
@@ -158,27 +120,6 @@ def importance_scores(q: Tensor, cmp_keys: Tensor, cfg: AttentionConfig,
     return masked_softmax(logits, valid, axis=-1)
 
 
-class BlockScores:
-    """Per-query importance over compression blocks and, remapped, over
-    selection blocks.
-
-    cmp_scores rows are softmax-normalized over the causally valid blocks
-    (all-zero when none is valid); sel_scores entries are nonnegative sums
-    of cmp_scores entries.
-    """
-
-    def __init__(self, cmp_scores: Tensor, sel_scores: Tensor):
-        self.cmp_scores = cmp_scores
-        self.sel_scores = sel_scores
-
-
-def score_blocks(q: Tensor, cmp_keys: Tensor, cfg: AttentionConfig,
-                 seq_len: int | None = None, num_sel: int | None = None) -> BlockScores:
-    """Importance scoring plus selection-block remapping in one step."""
-    cmp_scores = importance_scores(q, cmp_keys, cfg, seq_len=seq_len)
-    return BlockScores(cmp_scores, remap_scores(cmp_scores, cfg, num_sel=num_sel))
-
-
 def remap_matrix(num_cmp: int, num_sel: int, cfg: AttentionConfig) -> np.ndarray:
     """(M, N_sel) linear map from compression-block scores to selection-block
     scores.
@@ -209,19 +150,6 @@ def remap_scores(cmp_scores: Tensor, cfg: AttentionConfig, num_sel: int | None =
         span = (m - 1) * cfg.stride + cfg.block_size
         num_sel = cfg.num_sel_blocks(span)
     return matmul(cmp_scores, Tensor(remap_matrix(m, num_sel, cfg)))
-
-
-def aggregate_group_scores(sel_scores: Tensor, cfg: AttentionConfig) -> Tensor:
-    """Sum per-head scores within each KV group.
-
-    sel_scores: (heads, L, N) -> (kv_groups, L, N). Head i belongs to group
-    i // (heads / kv_groups).
-    """
-    h, length, n = sel_scores.shape
-    if h != cfg.heads:
-        raise ValueError(f"expected {cfg.heads} head score planes, got {h}")
-    grouped = reshape(sel_scores, (cfg.kv_groups, cfg.heads_per_group, length, n))
-    return grouped.sum(axis=1)
 
 
 def select_topk(shared_scores, cfg: AttentionConfig, seq_len: int | None = None) -> np.ndarray:
@@ -256,32 +184,6 @@ def selection_to_visibility(selected: np.ndarray, length: int, cfg: AttentionCon
     per_pos = np.repeat(selected, cfg.sel_block_size, axis=1)[:, :length]
     causal = np.tril(np.ones((length, length), dtype=bool))
     return per_pos & causal
-
-
-def ltis_attention(q: Tensor, k: Tensor, v: Tensor, selected: np.ndarray,
-                   cfg: AttentionConfig, w_o: Tensor | None = None) -> Tensor:
-    """Attention restricted to each query's gathered selection blocks.
-
-    q: (heads, L, d_head) or (B, heads, L, d_head); k/v analogous with
-    kv_groups planes. ``selected``: bool (kv_groups, L, N_sel) (optionally
-    with a leading batch axis) as produced by ``select_topk`` per group.
-    Softmax runs over the gathered positions only, causally.
-    """
-    from .fusion import grouped_attention  # local import to avoid a cycle
-
-    length = q.shape[-2]
-    selected = np.asarray(selected, dtype=bool)
-    vis_shape = selected.shape[:-2] + (length, length)
-    vis = np.zeros(vis_shape, dtype=bool)
-    flat = selected.reshape((-1,) + selected.shape[-2:])
-    flat_vis = vis.reshape((-1, length, length))
-    for plane in range(flat.shape[0]):
-        flat_vis[plane] = selection_to_visibility(flat[plane], length, cfg)
-    if vis.ndim == 3:  # (g, L, L) -> broadcast over heads-per-group
-        mask = vis[None, :, None, :, :]
-    else:  # (B, g, L, L)
-        mask = vis[:, :, None, :, :]
-    return grouped_attention(q, k, v, cfg, mask, w_o=w_o)
 
 
 def build_ltis_masks(q_data: np.ndarray, k_data: np.ndarray, lengths: np.ndarray,

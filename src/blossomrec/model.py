@@ -10,7 +10,7 @@ observed next item, with early stopping on validation NDCG@k.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -79,13 +79,7 @@ class Model:
             "dropout": self.dropout,
             "pathway": self.pathway,
             "seed": self.seed,
-            "attention": {
-                "block_size": self.cfg.block_size, "stride": self.cfg.stride,
-                "sel_block_size": self.cfg.sel_block_size, "top_k": self.cfg.top_k,
-                "win": self.cfg.win, "blk": self.cfg.blk, "heads": self.cfg.heads,
-                "kv_groups": self.cfg.kv_groups, "d_model": self.cfg.d_model,
-                "d_head": self.cfg.d_head,
-            },
+            "attention": asdict(self.cfg),
         }
 
     @classmethod

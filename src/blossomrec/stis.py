@@ -16,9 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from .config import AttentionConfig
-from .tensor import Tensor
 
-__all__ = ["SparseMask", "build_power_mask", "stis_attention", "batch_stis_masks"]
+__all__ = ["SparseMask", "build_power_mask", "batch_stis_masks"]
 
 
 class SparseMask:
@@ -37,12 +36,6 @@ class SparseMask:
         for i, row in enumerate(self.rows):
             dense[i, row] = True
         return dense
-
-    def pairs(self):
-        """Yield (row, visible_index) pairs in row-major order."""
-        for i, row in enumerate(self.rows):
-            for j in row:
-                yield i, int(j)
 
     def num_pairs(self) -> int:
         return int(self.visible_counts().sum())
@@ -105,19 +98,3 @@ def batch_stis_masks(lengths: np.ndarray, total_len: int, cfg: AttentionConfig) 
         pad = total_len - n
         out[b, 0, 0, pad:, pad:] = cache[n]
     return out
-
-
-def stis_attention(q: Tensor, k: Tensor, v: Tensor, mask: SparseMask, cfg: AttentionConfig,
-                   w_o: Tensor | None = None) -> Tensor:
-    """Masked grouped-query attention over the full key/value set.
-
-    q: (B, heads, L, d_head) or (heads, L, d_head); k, v analogous with
-    kv_groups in place of heads. Queries whose mask row is empty produce
-    zero vectors.
-    """
-    from .fusion import grouped_attention  # local import to avoid a cycle
-
-    if mask.length != q.shape[-2]:
-        raise ValueError(f"mask built for length {mask.length}, queries have length {q.shape[-2]}")
-    dense = mask.to_dense()
-    return grouped_attention(q, k, v, cfg, dense, w_o=w_o)

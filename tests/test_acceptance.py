@@ -7,27 +7,15 @@ line per criterion.
 import json
 import time
 
-import numpy as np
 import pytest
 
 from blossomrec.analysis import count_participating
 from blossomrec.cli import main
 from blossomrec.config import AttentionConfig, RunConfig
 from blossomrec.data import leave_one_out_split, make_synthetic, write_interactions
-from blossomrec.fusion import dense_causal_gqa, gated_fuse
-from blossomrec.gradcheck import grad_check
-from blossomrec.ltis import ltis_attention
-from blossomrec.model import (
-    Model,
-    evaluate,
-    evaluate_popularity,
-    sequence_loss,
-    train,
-)
-from blossomrec.stis import build_power_mask, stis_attention
-from blossomrec.tensor import Tensor
-from blossomrec.verify import brute_force_power_mask
-from blossomrec.data import SeqBatch
+from blossomrec.model import Model, evaluate, evaluate_popularity, train
+from blossomrec.stis import build_power_mask
+from blossomrec.verify import dense_equivalence_error, gradient_error, mask_law_holds
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -89,50 +77,26 @@ def test_criterion_1_published_interaction_totals(capsys):
 
 def test_criterion_2_dense_oracle_equivalence():
     start = time.time()
-    worst = 0.0
-    for seed in range(20):
-        rng = np.random.default_rng(seed)
-        for length in (16, 32, 64):
-            for d_head in (4, 8):
-                cfg = AttentionConfig(block_size=8, stride=4, sel_block_size=4,
-                                      top_k=10_000, win=10_000, blk=1, heads=4,
-                                      kv_groups=2, d_model=16, d_head=d_head)
-                q = rng.normal(size=(cfg.heads, length, d_head))
-                k = rng.normal(size=(cfg.kv_groups, length, d_head))
-                v = rng.normal(size=(cfg.kv_groups, length, d_head))
-                full = np.ones((cfg.kv_groups, length, cfg.num_sel_blocks(length)), dtype=bool)
-                o_l = ltis_attention(Tensor(q), Tensor(k), Tensor(v), full, cfg)
-                o_s = stis_attention(Tensor(q), Tensor(k), Tensor(v),
-                                     build_power_mask(length, cfg, causal=True), cfg)
-                width = cfg.heads * d_head
-                gate_w = Tensor(rng.normal(size=(2 * width, width)))
-                gate_b = Tensor(rng.normal(size=width))
-                fused, _ = gated_fuse(o_l, o_s, gate_w, gate_b)
-                err = float(np.abs(fused.data - dense_causal_gqa(q, k, v, cfg)).max())
-                worst = max(worst, err)
+    worst, padding = dense_equivalence_error(range(20), (16, 32, 64))
     elapsed = time.time() - start
-    ok = worst < 1e-8 and elapsed < 30.0
-    _report(2, "dense-oracle equivalence", ok, f"max abs err {worst:.3e}, {elapsed:.1f}s")
+    ok = worst < 1e-8 and padding == 0.0 and elapsed < 30.0
+    _report(2, "dense-oracle equivalence", ok,
+            f"max abs err {worst:.3e}, padding rows {padding:.1e}, {elapsed:.1f}s")
     assert worst < 1e-8
+    assert padding == 0.0
     assert elapsed < 30.0
 
 
 def test_criterion_3_gradient_correctness():
     start = time.time()
-    cfg = AttentionConfig(block_size=4, stride=2, sel_block_size=2, top_k=1,
-                          win=1, blk=1, heads=2, kv_groups=1, d_model=6, d_head=4)
-    model = Model(num_items=9, cfg=cfg, num_layers=1, seed=5, max_len=16)
-    batch = SeqBatch.from_sequences([[1, 4, 2, 7, 3, 5, 9, 6, 4, 8],
-                                     [2, 2, 8, 1, 7, 5]], max_len=16)
-    params = model.parameters()
+    err, names = gradient_error()
     groups = {"embedding", "w_q", "w_k", "w_v", "cmp_key", "cmp_val", "gate",
               "ffn", "ln1", "ln2", "w_n", "b_n", "w_o"}
-    covered = {g for g in groups if any(g in name for name in params)}
-    err = grad_check(lambda: sequence_loss(model, batch), params, h=1e-5)
+    covered = {g for g in groups if any(g in name for name in names)}
     elapsed = time.time() - start
     ok = err <= 1e-4 and covered == groups and elapsed < 120.0
     _report(3, "gradient correctness", ok,
-            f"max rel err {err:.3e} over {len(params)} groups, {elapsed:.1f}s")
+            f"max rel err {err:.3e} over {len(names)} groups, {elapsed:.1f}s")
     assert covered == groups, "a parameter group is missing from the check"
     assert err <= 1e-4
     assert elapsed < 120.0
@@ -140,14 +104,7 @@ def test_criterion_3_gradient_correctness():
 
 def test_criterion_4_mask_law_suite():
     start = time.time()
-    rng = np.random.default_rng(1234)
-    for _ in range(50):
-        length = int(rng.integers(1, 120))
-        cfg = AttentionConfig(blk=int(rng.integers(1, 6)), win=int(rng.integers(1, 6)))
-        causal = bool(rng.integers(0, 2))
-        fast = build_power_mask(length, cfg, causal).to_dense()
-        slow = brute_force_power_mask(length, cfg, causal)
-        assert np.array_equal(fast, slow), (length, cfg.blk, cfg.win, causal)
+    assert mask_law_holds(50)
     growth_ok = True
     for blk, win in ((1, 2), (2, 2), (4, 1)):
         cfg = AttentionConfig(blk=blk, win=win)

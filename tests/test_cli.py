@@ -190,6 +190,8 @@ class TestDefaults:
         assert set(_RUN_FIELD_TYPES) | {"dataset"} == fields
 
     def test_published_training_defaults(self):
+        from blossomrec.config import AttentionConfig
+
         run = RunConfig()
         assert (run.d_model, run.layers, run.heads) == (128, 2, 8)
         assert (run.lr, run.batch_size, run.dropout) == (0.001, 2048, 0.2)
@@ -197,6 +199,7 @@ class TestDefaults:
         assert (run.block_size, run.stride, run.sel_block_size) == (32, 16, 16)
         assert (run.top_k, run.win, run.blk) == (4, 8, 1)
         assert (run.eval_k, run.negatives) == (10, 100)
+        assert run.attention() == AttentionConfig()
 
 
 class TestEvalAgainstRandomBaseline:

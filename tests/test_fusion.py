@@ -13,10 +13,11 @@ from blossomrec.fusion import (
     encode,
     encoder_layer,
     gated_fuse,
-    gqa,
+    grouped_attention,
     split_heads,
 )
 from blossomrec.gradcheck import grad_check
+from blossomrec.ltis import CompressionMLP, build_ltis_masks
 from blossomrec.stis import batch_stis_masks
 from blossomrec.tensor import Tensor, layer_norm, parameter
 
@@ -37,45 +38,46 @@ class TestGqa:
         rng = np.random.default_rng(0)
         cfg = make_cfg(heads=4, kv_groups=4)
         length = 10
-        q = rng.normal(size=(4, length, 4))
-        k = rng.normal(size=(4, length, 4))
-        v = rng.normal(size=(4, length, 4))
-        out = gqa(Tensor(q), Tensor(k), Tensor(v), cfg, causal_mask(length))
+        q = rng.normal(size=(1, 4, length, 4))
+        k = rng.normal(size=(1, 4, length, 4))
+        v = rng.normal(size=(1, 4, length, 4))
+        out = grouped_attention(Tensor(q), Tensor(k), Tensor(v), cfg, causal_mask(length))
         # per-head naive attention, each head with its own k/v
-        want = dense_causal_gqa(q, k, v, cfg)
-        assert np.abs(out.data - want).max() < 1e-12
+        want = dense_causal_gqa(q[0], k[0], v[0], cfg)
+        assert np.abs(out.data[0] - want).max() < 1e-12
 
     def test_single_group_shares_kv(self):
         rng = np.random.default_rng(1)
         cfg = make_cfg(heads=2, kv_groups=1)
         length = 6
-        q = rng.normal(size=(2, length, 4))
-        kv = rng.normal(size=(1, length, 4))
-        out = gqa(Tensor(q), Tensor(kv), Tensor(kv), cfg, causal_mask(length)).data
+        q = rng.normal(size=(1, 2, length, 4))
+        kv = rng.normal(size=(1, 1, length, 4))
+        out = grouped_attention(Tensor(q), Tensor(kv), Tensor(kv), cfg, causal_mask(length)).data
         # identical queries in both heads -> identical head outputs
-        q2 = np.stack([q[0], q[0]])
-        out2 = gqa(Tensor(q2), Tensor(kv), Tensor(kv), cfg, causal_mask(length)).data
-        assert np.abs(out2[:, :4] - out2[:, 4:]).max() < 1e-14
-        assert out.shape == (length, 8)
+        q2 = np.stack([q[:, 0], q[:, 0]], axis=1)
+        out2 = grouped_attention(Tensor(q2), Tensor(kv), Tensor(kv), cfg, causal_mask(length)).data
+        assert np.abs(out2[..., :4] - out2[..., 4:]).max() < 1e-14
+        assert out.shape == (1, length, 8)
 
     def test_random_vs_naive_oracle(self):
         rng = np.random.default_rng(2)
         cfg = make_cfg(heads=4, kv_groups=2)
         length = 13
-        q = rng.normal(size=(4, length, 4))
-        k = rng.normal(size=(2, length, 4))
-        v = rng.normal(size=(2, length, 4))
+        q = rng.normal(size=(1, 4, length, 4))
+        k = rng.normal(size=(1, 2, length, 4))
+        v = rng.normal(size=(1, 2, length, 4))
         w_o = rng.normal(size=(16, cfg.d_model))
-        out = gqa(Tensor(q), Tensor(k), Tensor(v), cfg, causal_mask(length), w_o=Tensor(w_o))
-        want = dense_causal_gqa(q, k, v, cfg, w_o=w_o)
-        assert np.abs(out.data - want).max() < 1e-10
+        out = grouped_attention(Tensor(q), Tensor(k), Tensor(v), cfg, causal_mask(length),
+                                w_o=Tensor(w_o))
+        want = dense_causal_gqa(q[0], k[0], v[0], cfg, w_o=w_o)
+        assert np.abs(out.data[0] - want).max() < 1e-10
 
     def test_band_config_rejected(self):
         cfg = make_cfg(heads=4, kv_groups=2)
-        q = Tensor(np.zeros((3, 5, 4)))
-        kv = Tensor(np.zeros((2, 5, 4)))
+        q = Tensor(np.zeros((1, 3, 5, 4)))
+        kv = Tensor(np.zeros((1, 2, 5, 4)))
         with pytest.raises(ConfigError, match="heads"):
-            gqa(q, kv, kv, cfg)
+            grouped_attention(q, kv, kv, cfg)
 
 
 class TestGatedFuse:
@@ -234,22 +236,21 @@ class TestFullDensityCollapse:
             rng = np.random.default_rng(100 + seed)
             cfg = make_cfg(top_k=1000, win=1000, heads=2, kv_groups=2, d_head=4)
             length = 12
-            q = rng.normal(size=(cfg.heads, length, cfg.d_head))
-            k = rng.normal(size=(cfg.kv_groups, length, cfg.d_head))
-            v = rng.normal(size=(cfg.kv_groups, length, cfg.d_head))
-            from blossomrec.ltis import ltis_attention
-            from blossomrec.stis import build_power_mask, stis_attention
-
-            full = np.ones((cfg.kv_groups, length, cfg.num_sel_blocks(length)), dtype=bool)
-            o_l = ltis_attention(Tensor(q), Tensor(k), Tensor(v), full, cfg)
-            o_s = stis_attention(Tensor(q), Tensor(k), Tensor(v),
-                                 build_power_mask(length, cfg, causal=True), cfg)
+            q = rng.normal(size=(1, cfg.heads, length, cfg.d_head))
+            k = rng.normal(size=(1, cfg.kv_groups, length, cfg.d_head))
+            v = rng.normal(size=(1, cfg.kv_groups, length, cfg.d_head))
+            lengths = np.array([length])
+            phi = CompressionMLP(cfg.block_size, cfg.d_head, rng)
+            o_l = grouped_attention(Tensor(q), Tensor(k), Tensor(v), cfg,
+                                    build_ltis_masks(q, k, lengths, cfg, phi))
+            o_s = grouped_attention(Tensor(q), Tensor(k), Tensor(v), cfg,
+                                    batch_stis_masks(lengths, length, cfg))
             width = cfg.heads * cfg.d_head
             gate_w = Tensor(rng.normal(scale=3.0, size=(2 * width, width)))
             gate_b = Tensor(rng.normal(size=width))
             fused, _ = gated_fuse(o_l, o_s, gate_w, gate_b)
-            oracle = dense_causal_gqa(q, k, v, cfg)
-            assert np.abs(fused.data - oracle).max() < 1e-8
+            oracle = dense_causal_gqa(q[0], k[0], v[0], cfg)
+            assert np.abs(fused.data[0] - oracle).max() < 1e-8
 
 
 def test_split_heads_round_trip():

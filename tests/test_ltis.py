@@ -1,21 +1,18 @@
 """Long-term interest selection: block splitting, compression, scoring,
-remapping, group aggregation, top-k, and gathered attention."""
+remapping, group aggregation, top-k, and attention under the selection."""
 
 import numpy as np
 import pytest
 
 from blossomrec.config import AttentionConfig
 from blossomrec.errors import ConfigError
-from blossomrec.fusion import dense_causal_gqa
+from blossomrec.fusion import dense_causal_gqa, grouped_attention
 from blossomrec.gradcheck import grad_check
 from blossomrec.ltis import (
     CompressionMLP,
-    aggregate_group_scores,
     build_ltis_masks,
-    compress_block,
-    compress_kv,
+    compress_sequence,
     importance_scores,
-    ltis_attention,
     remap_matrix,
     remap_scores,
     select_topk,
@@ -79,43 +76,42 @@ class TestCompression:
         phi = CompressionMLP(4, 4, np.random.default_rng(0))
         phi.w2.data[:] = 0.0
         phi.b2.data[:] = 0.0
-        out = compress_block(Tensor(np.zeros((4, 4))), phi)
+        out = phi.apply_stack(Tensor(np.zeros((1, 4, 4))))
         assert np.all(out.data == 0.0)
 
     def test_row_permutation_changes_output(self):
         rng = np.random.default_rng(1)
+        cfg = small_cfg()
         phi = CompressionMLP(4, 4, rng)
         block = rng.normal(size=(4, 4))
-        out = compress_block(Tensor(block), phi).data
-        permuted = compress_block(Tensor(block[::-1].copy()), phi).data
+        out = compress_sequence(Tensor(block), phi, cfg).data
+        permuted = compress_sequence(Tensor(block[::-1].copy()), phi, cfg).data
         assert np.abs(out - permuted).max() > 1e-6
 
     def test_bad_block_shape(self):
         phi = CompressionMLP(4, 4, np.random.default_rng(2))
-        with pytest.raises(ValueError, match="block shape"):
-            compress_block(Tensor(np.zeros((3, 4))), phi)
+        with pytest.raises(ValueError, match="broadcast"):
+            phi.apply_stack(Tensor(np.zeros((1, 3, 4))))
 
     def test_gradient_wrt_phi(self):
         rng = np.random.default_rng(3)
-        phi = CompressionMLP(3, 4, rng)
-        block = parameter(rng.normal(size=(3, 4)))
-        w = rng.normal(size=4)
+        cfg = small_cfg()
+        phi = CompressionMLP(cfg.block_size, cfg.d_head, rng)
+        keys = parameter(rng.normal(size=(8, cfg.d_head)))
+        w = rng.normal(size=(cfg.num_cmp_blocks(8), cfg.d_head))
 
         params = dict(phi.parameters())
-        params["block"] = block
-        err = grad_check(lambda: (compress_block(block, phi) * Tensor(w)).sum(), params, h=1e-5)
+        params["keys"] = keys
+        err = grad_check(lambda: (compress_sequence(keys, phi, cfg) * Tensor(w)).sum(), params, h=1e-5)
         assert err < 1e-5
 
-    def test_compressed_kv_shapes(self):
+    def test_compress_sequence_shape(self):
         rng = np.random.default_rng(4)
         cfg = small_cfg()
-        phi_k = CompressionMLP(4, 4, rng)
-        phi_v = CompressionMLP(4, 4, rng)
-        keys = Tensor(rng.normal(size=(10, 4)))
-        values = Tensor(rng.normal(size=(10, 4)))
-        ckv = compress_kv(keys, values, phi_k, phi_v, cfg)
-        assert ckv.num_blocks == cfg.num_cmp_blocks(10)
-        assert ckv.keys.shape == ckv.values.shape == (4, 4)
+        phi = CompressionMLP(4, 4, rng)
+        out = compress_sequence(Tensor(rng.normal(size=(10, 4))), phi, cfg)
+        assert out.shape == (cfg.num_cmp_blocks(10), 4) == (4, 4)
+        assert compress_sequence(Tensor(np.ones((2, 4))), phi, cfg).shape == (1, 4)
 
 
 class TestImportanceScores:
@@ -147,26 +143,6 @@ class TestImportanceScores:
         has_valid = np.arange(10) >= 3  # first block ends at position 3
         assert np.abs(sums[:, has_valid] - 1.0).max() < 1e-12
         assert np.all(sums[:, ~has_valid] == 0.0)
-
-
-class TestBlockScores:
-    def test_paired_invariants(self):
-        from blossomrec.ltis import compress_sequence, score_blocks
-
-        rng = np.random.default_rng(30)
-        cfg = small_cfg()
-        length = 12
-        q = Tensor(rng.normal(size=(length, cfg.d_head)))
-        phi = CompressionMLP(cfg.block_size, cfg.d_head, rng)
-        cmp_keys = compress_sequence(Tensor(rng.normal(size=(length, cfg.d_head))), phi, cfg)
-        scores = score_blocks(q, cmp_keys, cfg, num_sel=cfg.num_sel_blocks(length))
-        sums = scores.cmp_scores.data.sum(axis=-1)
-        assert np.all((np.abs(sums - 1.0) < 1e-12) | (sums == 0.0))
-        assert np.all(scores.sel_scores.data >= 0.0)
-        # every selection score is a (weighted) sum of compression scores
-        mat = remap_matrix(scores.cmp_scores.shape[-1], cfg.num_sel_blocks(length), cfg)
-        want = scores.cmp_scores.data @ mat
-        assert np.abs(scores.sel_scores.data - want).max() < 1e-15
 
 
 class TestRemap:
@@ -210,23 +186,36 @@ class TestGroupAggregation:
         assert cfg.group_of_head(3) == 0
         assert cfg.group_of_head(4) == 1
 
-    def test_sum_within_group(self):
-        cfg = small_cfg(heads=2, kv_groups=1)
-        a = np.random.default_rng(7).normal(size=(5, 3))
-        b = np.random.default_rng(8).normal(size=(5, 3))
-        out = aggregate_group_scores(Tensor(np.stack([a, b])), cfg).data
-        assert np.abs(out[0] - (a + b)).max() < 1e-15
+    @pytest.mark.parametrize("heads, kv_groups", [(4, 2), (2, 2)])
+    def test_build_ltis_masks_matches_per_step_rebuild(self, heads, kv_groups):
+        """Rebuild every row of a left-padded batch one head at a time: each
+        head's selection scores are summed into its KV group's ranking, and
+        the chosen blocks land in the bottom-right corner of the frame."""
+        rng = np.random.default_rng(30)
+        cfg = small_cfg(sel_block_size=2, top_k=2, heads=heads, kv_groups=kv_groups)
+        lengths, total = np.array([3, 9, 14, 0]), 14
+        q = rng.normal(size=(len(lengths), heads, total, cfg.d_head))
+        k = rng.normal(size=(len(lengths), kv_groups, total, cfg.d_head))
+        phi = CompressionMLP(cfg.block_size, cfg.d_head, rng)
+        masks = build_ltis_masks(q, k, lengths, cfg, phi)
 
-    def test_one_head_per_group_is_identity(self):
-        cfg = small_cfg(heads=2, kv_groups=2)
-        scores = np.random.default_rng(9).normal(size=(2, 4, 3))
-        out = aggregate_group_scores(Tensor(scores), cfg).data
-        assert np.array_equal(out, scores)
-
-    def test_wrong_head_count(self):
-        cfg = small_cfg(heads=2, kv_groups=1)
-        with pytest.raises(ValueError, match="head"):
-            aggregate_group_scores(Tensor(np.zeros((3, 4, 2))), cfg)
+        want = np.zeros((len(lengths), kv_groups, 1, total, total), dtype=bool)
+        for b, n in enumerate(lengths):
+            if n == 0:
+                continue
+            pad = total - n
+            shared = np.zeros((kv_groups, n, cfg.num_sel_blocks(n)))
+            for head in range(heads):
+                g = cfg.group_of_head(head)
+                cmp_keys = compress_sequence(Tensor(k[b, g, pad:]), phi, cfg)
+                cmp_scores = importance_scores(Tensor(q[b, head, pad:]), cmp_keys, cfg)
+                sums = cmp_scores.data.sum(axis=-1)
+                assert np.all((np.abs(sums - 1.0) < 1e-12) | (sums == 0.0))
+                shared[g] += remap_scores(cmp_scores, cfg, num_sel=cfg.num_sel_blocks(n)).data
+            for g in range(kv_groups):
+                chosen = select_topk(shared[g], cfg, seq_len=n)
+                want[b, g, 0, pad:, pad:] = selection_to_visibility(chosen, n, cfg)
+        assert np.array_equal(masks, want)
 
 
 class TestSelectTopK:
@@ -296,59 +285,67 @@ def gather_oracle(q, k, v, selected, cfg):
     return out
 
 
+def attend_selected(q, k, v, selected, cfg):
+    """The model's LTIS attention for one unpadded sequence: grouped_attention
+    under the visibility of per-group block choices (kv_groups, L, N_sel)."""
+    length = q.shape[-2]
+    vis = np.stack([selection_to_visibility(plane, length, cfg) for plane in selected])
+    return grouped_attention(q, k, v, cfg, vis[None, :, None])
+
+
 class TestLtisAttention:
     def test_full_selection_equals_dense(self):
         for seed in range(20):
             rng = np.random.default_rng(seed)
             length = int(rng.integers(8, 65))
             cfg = small_cfg(top_k=64, heads=2, kv_groups=2)
-            q = rng.normal(size=(cfg.heads, length, cfg.d_head))
-            k = rng.normal(size=(cfg.kv_groups, length, cfg.d_head))
-            v = rng.normal(size=(cfg.kv_groups, length, cfg.d_head))
+            q = rng.normal(size=(1, cfg.heads, length, cfg.d_head))
+            k = rng.normal(size=(1, cfg.kv_groups, length, cfg.d_head))
+            v = rng.normal(size=(1, cfg.kv_groups, length, cfg.d_head))
             full = np.ones((cfg.kv_groups, length, cfg.num_sel_blocks(length)), dtype=bool)
-            out = ltis_attention(Tensor(q), Tensor(k), Tensor(v), full, cfg)
-            oracle = dense_causal_gqa(q, k, v, cfg)
-            assert np.abs(out.data - oracle).max() < 1e-10, seed
+            out = attend_selected(Tensor(q), Tensor(k), Tensor(v), full, cfg)
+            oracle = dense_causal_gqa(q[0], k[0], v[0], cfg)
+            assert np.abs(out.data[0] - oracle).max() < 1e-10, seed
 
     def test_own_position_block_returns_one_hot(self):
         cfg = small_cfg(sel_block_size=1, stride=1, top_k=1, heads=1, kv_groups=1, d_head=4)
         length = 4
         rng = np.random.default_rng(12)
-        q = rng.normal(size=(1, length, 4))
-        k = rng.normal(size=(1, length, 4))
-        v = np.eye(4)[None]  # one-hot value rows
+        q = rng.normal(size=(1, 1, length, 4))
+        k = rng.normal(size=(1, 1, length, 4))
+        v = np.eye(4)[None, None]  # one-hot value rows
         selected = np.zeros((1, length, length), dtype=bool)
         selected[0, np.arange(length), np.arange(length)] = True  # own block only
-        out = ltis_attention(Tensor(q), Tensor(k), Tensor(v), selected, cfg)
-        assert np.abs(out.data - v[0]).max() < 1e-12
+        out = attend_selected(Tensor(q), Tensor(k), Tensor(v), selected, cfg)
+        assert np.abs(out.data[0] - v[0, 0]).max() < 1e-12
 
     def test_partial_selection_matches_gather_oracle(self):
         rng = np.random.default_rng(13)
         cfg = small_cfg(sel_block_size=2, top_k=2, heads=4, kv_groups=2)
         length = 11
-        q = rng.normal(size=(cfg.heads, length, cfg.d_head))
-        k = rng.normal(size=(cfg.kv_groups, length, cfg.d_head))
-        v = rng.normal(size=(cfg.kv_groups, length, cfg.d_head))
+        q = rng.normal(size=(1, cfg.heads, length, cfg.d_head))
+        k = rng.normal(size=(1, cfg.kv_groups, length, cfg.d_head))
+        v = rng.normal(size=(1, cfg.kv_groups, length, cfg.d_head))
         scores = rng.normal(size=(cfg.kv_groups, length, cfg.num_sel_blocks(length)))
         selected = np.stack([select_topk(scores[g], cfg, seq_len=length)
                              for g in range(cfg.kv_groups)])
-        out = ltis_attention(Tensor(q), Tensor(k), Tensor(v), selected, cfg)
-        oracle = gather_oracle(q, k, v, selected, cfg)
-        assert np.abs(out.data - oracle).max() < 1e-12
+        out = attend_selected(Tensor(q), Tensor(k), Tensor(v), selected, cfg)
+        oracle = gather_oracle(q[0], k[0], v[0], selected, cfg)
+        assert np.abs(out.data[0] - oracle).max() < 1e-12
 
     def test_gradient(self):
         rng = np.random.default_rng(14)
         cfg = small_cfg(sel_block_size=2, top_k=1, heads=2, kv_groups=1)
         length = 6
-        q = parameter(rng.normal(size=(cfg.heads, length, cfg.d_head)))
-        k = parameter(rng.normal(size=(cfg.kv_groups, length, cfg.d_head)))
-        v = parameter(rng.normal(size=(cfg.kv_groups, length, cfg.d_head)))
+        q = parameter(rng.normal(size=(1, cfg.heads, length, cfg.d_head)))
+        k = parameter(rng.normal(size=(1, cfg.kv_groups, length, cfg.d_head)))
+        v = parameter(rng.normal(size=(1, cfg.kv_groups, length, cfg.d_head)))
         scores = rng.normal(size=(length, cfg.num_sel_blocks(length)))
         selected = select_topk(scores, cfg, seq_len=length)[None]
         w = rng.normal(size=(length, cfg.heads * cfg.d_head))
 
         def f():
-            return (ltis_attention(q, k, v, selected, cfg) * Tensor(w)).sum()
+            return (attend_selected(q, k, v, selected, cfg) * Tensor(w)).sum()
 
         assert grad_check(f, {"q": q, "k": k, "v": v}) < 1e-4
 

@@ -1,12 +1,12 @@
-"""Power-mask construction and short-term attention."""
+"""Power-mask construction and attention under the power mask."""
 
 import numpy as np
 import pytest
 
 from blossomrec.config import AttentionConfig
-from blossomrec.fusion import dense_causal_gqa
+from blossomrec.fusion import dense_causal_gqa, grouped_attention
 from blossomrec.gradcheck import grad_check
-from blossomrec.stis import batch_stis_masks, build_power_mask, stis_attention
+from blossomrec.stis import SparseMask, batch_stis_masks, build_power_mask
 from blossomrec.tensor import Tensor, parameter
 from blossomrec.verify import brute_force_power_mask
 
@@ -93,47 +93,45 @@ class TestStisAttention:
         rng = np.random.default_rng(12)
         cfg = cfg_with(blk=1, win=64, heads=4, kv_groups=2)
         length = 24
-        q = rng.normal(size=(cfg.heads, length, cfg.d_head))
-        k = rng.normal(size=(cfg.kv_groups, length, cfg.d_head))
-        v = rng.normal(size=(cfg.kv_groups, length, cfg.d_head))
-        mask = build_power_mask(length, cfg, causal=True)
-        out = stis_attention(Tensor(q), Tensor(k), Tensor(v), mask, cfg)
-        oracle = dense_causal_gqa(q, k, v, cfg)
-        assert np.abs(out.data - oracle).max() < 1e-10
+        q = rng.normal(size=(1, cfg.heads, length, cfg.d_head))
+        k = rng.normal(size=(1, cfg.kv_groups, length, cfg.d_head))
+        v = rng.normal(size=(1, cfg.kv_groups, length, cfg.d_head))
+        mask = batch_stis_masks(np.array([length]), length, cfg)
+        out = grouped_attention(Tensor(q), Tensor(k), Tensor(v), cfg, mask)
+        oracle = dense_causal_gqa(q[0], k[0], v[0], cfg)
+        assert np.abs(out.data[0] - oracle).max() < 1e-10
 
     def test_self_only_mask_returns_values(self):
-        from blossomrec.stis import SparseMask
-
         rng = np.random.default_rng(13)
         cfg = cfg_with(heads=1, kv_groups=1)
         length = 6
         mask = SparseMask(length, [np.array([i]) for i in range(length)], causal=True)
-        q = rng.normal(size=(1, length, cfg.d_head))
-        k = rng.normal(size=(1, length, cfg.d_head))
-        v = rng.normal(size=(1, length, cfg.d_head))
-        out = stis_attention(Tensor(q), Tensor(k), Tensor(v), mask, cfg)
-        assert np.abs(out.data - v[0]).max() < 1e-12
+        q = rng.normal(size=(1, 1, length, cfg.d_head))
+        k = rng.normal(size=(1, 1, length, cfg.d_head))
+        v = rng.normal(size=(1, 1, length, cfg.d_head))
+        out = grouped_attention(Tensor(q), Tensor(k), Tensor(v), cfg, mask.to_dense())
+        assert np.abs(out.data[0] - v[0, 0]).max() < 1e-12
 
     def test_length_mismatch(self):
         cfg = cfg_with()
-        mask = build_power_mask(5, cfg, causal=True)
-        q = Tensor(np.zeros((2, 6, 4)))
-        kv = Tensor(np.zeros((1, 6, 4)))
-        with pytest.raises(ValueError, match="length"):
-            stis_attention(q, kv, kv, mask, cfg)
+        mask = batch_stis_masks(np.array([5]), 5, cfg)
+        q = Tensor(np.zeros((1, 2, 6, 4)))
+        kv = Tensor(np.zeros((1, 1, 6, 4)))
+        with pytest.raises(ValueError, match="broadcast"):
+            grouped_attention(q, kv, kv, cfg, mask)
 
     def test_gradient(self):
         rng = np.random.default_rng(14)
         cfg = cfg_with(blk=1, win=2, heads=2, kv_groups=2)
         length = 7
-        q = parameter(rng.normal(size=(cfg.heads, length, cfg.d_head)))
-        k = parameter(rng.normal(size=(cfg.kv_groups, length, cfg.d_head)))
-        v = parameter(rng.normal(size=(cfg.kv_groups, length, cfg.d_head)))
-        mask = build_power_mask(length, cfg, causal=True)
+        q = parameter(rng.normal(size=(1, cfg.heads, length, cfg.d_head)))
+        k = parameter(rng.normal(size=(1, cfg.kv_groups, length, cfg.d_head)))
+        v = parameter(rng.normal(size=(1, cfg.kv_groups, length, cfg.d_head)))
+        mask = batch_stis_masks(np.array([length]), length, cfg)
         w = rng.normal(size=(length, cfg.heads * cfg.d_head))
 
         def f():
-            return (stis_attention(q, k, v, mask, cfg) * Tensor(w)).sum()
+            return (grouped_attention(q, k, v, cfg, mask) * Tensor(w)).sum()
 
         assert grad_check(f, {"q": q, "k": k, "v": v}) < 1e-4
 
