@@ -145,6 +145,25 @@ class TestImportanceScores:
         assert np.all(sums[:, ~has_valid] == 0.0)
 
 
+class TestBlockScores:
+    def test_paired_invariants(self):
+        rng = np.random.default_rng(30)
+        cfg = small_cfg()
+        length = 12
+        q = Tensor(rng.normal(size=(length, cfg.d_head)))
+        phi = CompressionMLP(cfg.block_size, cfg.d_head, rng)
+        cmp_keys = compress_sequence(Tensor(rng.normal(size=(length, cfg.d_head))), phi, cfg)
+        cmp_scores = importance_scores(q, cmp_keys, cfg)
+        sel_scores = remap_scores(cmp_scores, cfg, num_sel=cfg.num_sel_blocks(length))
+        sums = cmp_scores.data.sum(axis=-1)
+        assert np.all((np.abs(sums - 1.0) < 1e-12) | (sums == 0.0))
+        assert np.all(sel_scores.data >= 0.0)
+        # every selection score is a (weighted) sum of compression scores
+        mat = remap_matrix(cmp_scores.shape[-1], cfg.num_sel_blocks(length), cfg)
+        want = cmp_scores.data @ mat
+        assert np.abs(sel_scores.data - want).max() < 1e-15
+
+
 class TestRemap:
     def test_degenerate_identity(self):
         cfg = AttentionConfig(block_size=16, stride=16, sel_block_size=16)
@@ -185,6 +204,27 @@ class TestGroupAggregation:
         cfg = AttentionConfig(heads=8, kv_groups=2)
         assert cfg.group_of_head(3) == 0
         assert cfg.group_of_head(4) == 1
+
+    def test_sum_within_group(self):
+        """Two heads share one KV group: the group's selection ranks the sum
+        of both heads' selection scores, so swapping the heads changes
+        nothing."""
+        rng = np.random.default_rng(7)
+        cfg = small_cfg(sel_block_size=2, top_k=2, heads=2, kv_groups=1)
+        n = 12
+        q = rng.normal(size=(1, 2, n, cfg.d_head))
+        k = rng.normal(size=(1, 1, n, cfg.d_head))
+        phi = CompressionMLP(cfg.block_size, cfg.d_head, rng)
+        lengths = np.array([n])
+        masks = build_ltis_masks(q, k, lengths, cfg, phi)
+
+        cmp_keys = compress_sequence(Tensor(k[0, 0]), phi, cfg)
+        a, b = (remap_scores(importance_scores(Tensor(q[0, h]), cmp_keys, cfg), cfg,
+                             num_sel=cfg.num_sel_blocks(n)).data for h in range(2))
+        chosen = select_topk(a + b, cfg, seq_len=n)
+        assert np.array_equal(masks[0, 0, 0], selection_to_visibility(chosen, n, cfg))
+        swapped = build_ltis_masks(q[:, ::-1].copy(), k, lengths, cfg, phi)
+        assert np.array_equal(swapped, masks)
 
     @pytest.mark.parametrize("heads, kv_groups", [(4, 2), (2, 2)])
     def test_build_ltis_masks_matches_per_step_rebuild(self, heads, kv_groups):
