@@ -5,6 +5,13 @@ runs the long-term (block selection) and short-term (power mask) pathways
 over the same Q/K/V, fuses the two outputs through a learnable per-entry
 sigmoid gate, and finishes with the usual post-norm residual + feed-forward
 sandwich. A stack of layers ends with one affine output projection.
+
+Each pathway reduces to an attention index: K key positions per query
+(``ltis.ltis_index``, ``stis.stis_index``). When the frame is at least
+``GATHER_MIN_RATIO`` times K, the layer gathers those K/V rows
+(``tensor.gathered_attention``, O(L * K) work); on shorter frames the
+gather costs more than it saves, and the layer attends densely under the
+same index scattered into an L x L mask (``grouped_attention``).
 """
 
 from __future__ import annotations
@@ -17,11 +24,13 @@ from .config import AttentionConfig
 from .embedding import RoPECache, apply_rope
 from .errors import ConfigError
 from . import ltis as ltis_mod
+from . import stis as stis_mod
 from .tensor import (
     Tensor,
     affine,
     concat,
     dropout,
+    gathered_attention,
     layer_norm,
     masked_softmax,
     matmul,
@@ -41,7 +50,14 @@ __all__ = [
     "encode",
     "dense_causal_gqa",
     "split_heads",
+    "GATHER_MIN_RATIO",
 ]
+
+# A pathway gathers K/V once the frame is at least this many times its
+# index width K. Forward plus backward on one BLAS thread, gathering
+# overtook the dense masked softmax at L/K of about 2-3 for K from 11
+# to 64, so 4 leaves a margin.
+GATHER_MIN_RATIO = 4
 
 
 def split_heads(x: Tensor, num: int) -> Tensor:
@@ -75,8 +91,23 @@ def grouped_attention(q: Tensor, k: Tensor, v: Tensor, cfg: AttentionConfig,
     logits = matmul(q5, transpose(k5, (0, 1, 2, 4, 3))) * (1.0 / np.sqrt(dk))
     weights = masked_softmax(logits, mask, axis=-1)
     ctxv = matmul(weights, v5)  # (b, g, hpg, L, dk)
-    merged = reshape(transpose(reshape(ctxv, (b, h, length, dk)), (0, 2, 1, 3)), (b, length, h * dk))
+    return _merge_heads(reshape(ctxv, (b, h, length, dk)), w_o)
+
+
+def _merge_heads(x: Tensor, w_o: Tensor | None) -> Tensor:
+    """(B, heads, L, d_head) -> (B, L, heads * d_head), then ``w_o`` if given."""
+    b, h, length, dk = x.shape
+    merged = reshape(transpose(x, (0, 2, 1, 3)), (b, length, h * dk))
     return merged if w_o is None else matmul(merged, w_o)
+
+
+def _gathers(total_len: int, width: int) -> bool:
+    return total_len >= GATHER_MIN_RATIO * width
+
+
+def _gathered(q: Tensor, k: Tensor, v: Tensor, index: tuple[np.ndarray, np.ndarray],
+              w_o: Tensor) -> Tensor:
+    return _merge_heads(gathered_attention(q, k, v, *index), w_o)
 
 
 def gated_fuse(o_ltis: Tensor, o_stis: Tensor, gate_w: Tensor, gate_b: Tensor) -> tuple[Tensor, Tensor]:
@@ -169,13 +200,14 @@ class SeqContext:
 
 
 def encoder_layer(h_prev: Tensor, params: BlossomLayerParams, cfg: AttentionConfig,
-                  ctx: SeqContext, stis_mask: np.ndarray, rope: RoPECache,
+                  ctx: SeqContext, rope: RoPECache,
                   dropout_rate: float = 0.0, training: bool = False,
                   rng: np.random.Generator | None = None, pathway: str = "both") -> Tensor:
     """One post-norm encoder layer with gated dual-pathway attention.
 
-    ``stis_mask`` is the batched power mask, bool (B, 1, 1, L, L). Dropout
-    is identity unless ``training`` is set.
+    Each pathway gathers K/V or attends under a dense mask by the
+    ``GATHER_MIN_RATIO`` rule. Dropout is identity unless ``training`` is
+    set.
     """
     q = split_heads(matmul(h_prev, params.w_q), cfg.heads)
     k = split_heads(matmul(h_prev, params.w_k), cfg.kv_groups)
@@ -186,11 +218,19 @@ def encoder_layer(h_prev: Tensor, params: BlossomLayerParams, cfg: AttentionConf
     need_ltis = pathway in ("both", "ltis")
     need_stis = pathway in ("both", "stis")
     o_ltis = o_stis = None
+    length = ctx.total_len
     if need_ltis:
-        ltis_mask = ltis_mod.build_ltis_masks(q.data, k.data, ctx.lengths, cfg, params.cmp_key)
-        o_ltis = grouped_attention(q, k, v, cfg, ltis_mask, w_o=params.w_o)
+        select = (q.data, k.data, ctx.lengths, cfg, params.cmp_key)
+        if _gathers(length, ltis_mod.gather_width(cfg)):
+            o_ltis = _gathered(q, k, v, ltis_mod.ltis_index(*select), params.w_o)
+        else:
+            o_ltis = grouped_attention(q, k, v, cfg, ltis_mod.build_ltis_masks(*select), w_o=params.w_o)
     if need_stis:
-        o_stis = grouped_attention(q, k, v, cfg, stis_mask, w_o=params.w_o)
+        frame = (ctx.lengths, length, cfg)
+        if _gathers(length, stis_mod.gather_width(cfg, length)):
+            o_stis = _gathered(q, k, v, stis_mod.stis_index(*frame), params.w_o)
+        else:
+            o_stis = grouped_attention(q, k, v, cfg, stis_mod.batch_stis_masks(*frame), w_o=params.w_o)
 
     if pathway == "both":
         fused, _ = gated_fuse(o_ltis, o_stis, params.gate_w, params.gate_b)
@@ -205,7 +245,7 @@ def encoder_layer(h_prev: Tensor, params: BlossomLayerParams, cfg: AttentionConf
 
 
 def encode(embedded: Tensor, layers: list[BlossomLayerParams], w_n: Tensor, b_n: Tensor,
-           cfg: AttentionConfig, ctx: SeqContext, stis_mask: np.ndarray, rope: RoPECache,
+           cfg: AttentionConfig, ctx: SeqContext, rope: RoPECache,
            dropout_rate: float = 0.0, training: bool = False,
            rng: np.random.Generator | None = None, pathway: str = "both") -> Tensor:
     """Run the layer stack and the final affine projection, (B, L, d) -> (B, L, d)."""
@@ -213,7 +253,7 @@ def encode(embedded: Tensor, layers: list[BlossomLayerParams], w_n: Tensor, b_n:
         raise ConfigError("encode needs at least one layer")
     hidden = embedded
     for params in layers:
-        hidden = encoder_layer(hidden, params, cfg, ctx, stis_mask, rope,
+        hidden = encoder_layer(hidden, params, cfg, ctx, rope,
                                dropout_rate=dropout_rate, training=training,
                                rng=rng, pathway=pathway)
     return affine(hidden, w_n, b_n)

@@ -14,12 +14,19 @@ Pipeline per sequence and KV group:
      a group share one ranking;
   6. take the top-k causally started selection blocks per query (ties go to
      the lower block index; fewer than k valid blocks means take them all);
-  7. expand the chosen blocks into a causal visibility mask, under which
-     ``fusion.grouped_attention`` attends.
+  7. expand the chosen blocks into an attention index, ``ltis_index``:
+     each query's top_k * sel_block_size key positions, causally cut. The
+     encoder gathers K/V by this index (``tensor.gathered_attention``);
+     on short frames it attends densely under the same index scattered
+     into a mask (``build_ltis_masks``, ``fusion.grouped_attention``).
+
+A sequence with at most top_k selection blocks skips steps 1-6: every
+started block is selected whatever the scores, so each query sees its
+causal prefix.
 
 On the model path no gradient reaches the compression MLPs: selection is
-discrete, ``build_ltis_masks`` runs the whole pipeline under ``no_grad``,
-and the value MLP (``cmp_val``) is never called. See ROADMAP open item 3.
+discrete, ``ltis_index`` runs the whole pipeline under ``no_grad``, and
+the value MLP (``cmp_val``) is never called. See ROADMAP open item 3.
 """
 
 from __future__ import annotations
@@ -27,7 +34,8 @@ from __future__ import annotations
 import numpy as np
 
 from .config import AttentionConfig
-from .tensor import Tensor, concat, masked_softmax, matmul, no_grad, parameter, reshape, tanh
+from .tensor import (Tensor, concat, index_mask, masked_softmax, matmul, no_grad, parameter,
+                     reshape, tanh)
 
 __all__ = [
     "CompressionMLP",
@@ -38,6 +46,8 @@ __all__ = [
     "remap_scores",
     "select_topk",
     "selection_to_visibility",
+    "gather_width",
+    "ltis_index",
     "build_ltis_masks",
 ]
 
@@ -105,8 +115,7 @@ def _cmp_block_valid(length: int, num_blocks: int, cfg: AttentionConfig) -> np.n
     return last[None, :] <= t
 
 
-def importance_scores(q: Tensor, cmp_keys: Tensor, cfg: AttentionConfig,
-                      seq_len: int | None = None) -> Tensor:
+def importance_scores(q: Tensor, cmp_keys: Tensor, cfg: AttentionConfig) -> Tensor:
     """Softmax attention of each query over the compressed keys.
 
     q: (..., L, d_head), cmp_keys: (M, d_head). Scores are scaled by
@@ -115,7 +124,7 @@ def importance_scores(q: Tensor, cmp_keys: Tensor, cfg: AttentionConfig,
     """
     length = q.shape[-2]
     m = cmp_keys.shape[0]
-    valid = _cmp_block_valid(seq_len if seq_len is not None else length, m, cfg)[-length:]
+    valid = _cmp_block_valid(length, m, cfg)
     logits = matmul(q, reshape(cmp_keys, (m, cfg.d_head)).transpose((1, 0))) * (1.0 / np.sqrt(cfg.d_head))
     return masked_softmax(logits, valid, axis=-1)
 
@@ -141,29 +150,22 @@ def remap_matrix(num_cmp: int, num_sel: int, cfg: AttentionConfig) -> np.ndarray
     return mat
 
 
-def remap_scores(cmp_scores: Tensor, cfg: AttentionConfig, num_sel: int | None = None) -> Tensor:
+def remap_scores(cmp_scores: Tensor, cfg: AttentionConfig, num_sel: int) -> Tensor:
     """Convert (..., M) compression-block scores to (..., N_sel) selection-block
     scores; out-of-range compression indices contribute zero."""
     m = cmp_scores.shape[-1]
-    if num_sel is None:
-        # enough selection blocks to cover every compression block
-        span = (m - 1) * cfg.stride + cfg.block_size
-        num_sel = cfg.num_sel_blocks(span)
     return matmul(cmp_scores, Tensor(remap_matrix(m, num_sel, cfg)))
 
 
-def select_topk(shared_scores, cfg: AttentionConfig, seq_len: int | None = None) -> np.ndarray:
+def select_topk(scores: np.ndarray, cfg: AttentionConfig, seq_len: int) -> np.ndarray:
     """Boolean (L, N_sel) selection of the top-k blocks per query.
 
-    A block is a candidate once it has started (first position <= query).
-    Ties break toward the lower block index; when fewer than top_k blocks
-    are valid, all of them are selected. Selection is discrete, so the
-    input may be a Tensor or a plain array; only values are used.
+    ``scores`` rows are the last L queries of a length-``seq_len``
+    sequence. A block is a candidate once it has started (first position
+    <= query). Ties break toward the lower block index; when fewer than
+    top_k blocks are valid, all of them are selected.
     """
-    scores = shared_scores.data if isinstance(shared_scores, Tensor) else np.asarray(shared_scores)
     length, num_sel = scores.shape
-    if seq_len is None:
-        seq_len = length
     t = np.arange(seq_len)[-length:, None]
     valid = (np.arange(num_sel)[None, :] * cfg.sel_block_size) <= t
     ranked = np.where(valid, scores, -np.inf)
@@ -180,43 +182,71 @@ def select_topk(shared_scores, cfg: AttentionConfig, seq_len: int | None = None)
 
 
 def selection_to_visibility(selected: np.ndarray, length: int, cfg: AttentionConfig) -> np.ndarray:
-    """Expand (L, N_sel) block choices into a causal (L, L) position mask."""
+    """Expand (L, N_sel) block choices into a causal (L, L) position mask:
+    step 7 done densely, the reference ``ltis_index`` is checked against."""
     per_pos = np.repeat(selected, cfg.sel_block_size, axis=1)[:, :length]
     causal = np.tril(np.ones((length, length), dtype=bool))
     return per_pos & causal
 
 
-def build_ltis_masks(q_data: np.ndarray, k_data: np.ndarray, lengths: np.ndarray,
-                     cfg: AttentionConfig, phi_key: CompressionMLP) -> np.ndarray:
-    """Run the whole selection pipeline, batched, and return visibility masks.
+def gather_width(cfg: AttentionConfig) -> int:
+    """Key slots per query in the LTIS attention index: top_k whole blocks."""
+    return cfg.top_k * cfg.sel_block_size
+
+
+def ltis_index(q_data: np.ndarray, k_data: np.ndarray, lengths: np.ndarray,
+               cfg: AttentionConfig, phi_key: CompressionMLP) -> tuple[np.ndarray, np.ndarray]:
+    """Run the whole selection pipeline, batched, and return the positions
+    each query attends.
 
     q_data: (B, heads, L, d_head) and k_data: (B, kv_groups, L, d_head)
     values (plain arrays; selection carries no gradient). ``lengths`` gives
-    each sequence's real length inside its left-padded frame. Returns bool
-    (B, kv_groups, 1, L, L).
+    each sequence's real length inside its left-padded frame. Returns int
+    frame positions and their validity, each (B, kv_groups, L, K) with
+    K = ``gather_width(cfg)``: the chosen blocks in ascending order,
+    causally cut (K is the frame length when that is smaller). Padding
+    queries see nothing.
+
+    A sequence with at most top_k selection blocks selects every started
+    block whatever the scores, so each query sees exactly its causal
+    prefix; compression, scoring and top-k are skipped for it.
     """
     batch, _, total_len, _ = q_data.shape
-    out = np.zeros((batch, cfg.kv_groups, 1, total_len, total_len), dtype=bool)
+    # a frame no wider than top_k blocks holds only saturated sequences
+    width = min(gather_width(cfg), total_len)
+    idx = np.zeros((batch, cfg.kv_groups, total_len, width), dtype=np.int64)
+    valid = np.zeros(idx.shape, dtype=bool)
+    slots = np.arange(width)
     hpg = cfg.heads_per_group
-    with no_grad():
-        _fill_ltis_masks(out, q_data, k_data, lengths, cfg, phi_key, hpg, total_len)
-    return out
-
-
-def _fill_ltis_masks(out, q_data, k_data, lengths, cfg, phi_key, hpg, total_len):
-    batch = out.shape[0]
     for b in range(batch):
         n = int(lengths[b])
         if n == 0:
             continue
         pad = total_len - n
-        for g in range(cfg.kv_groups):
-            keys = Tensor(k_data[b, g, pad:, :])
-            cmp_keys = compress_sequence(keys, phi_key, cfg)
-            queries = Tensor(q_data[b, g * hpg: (g + 1) * hpg, pad:, :])
-            cmp_scores = importance_scores(queries, cmp_keys, cfg, seq_len=n)
-            sel_scores = remap_scores(cmp_scores, cfg, num_sel=cfg.num_sel_blocks(n))
-            shared = sel_scores.data.sum(axis=0)
-            chosen = select_topk(shared, cfg, seq_len=n)
-            out[b, g, 0, pad:, pad:] = selection_to_visibility(chosen, n, cfg)
-    return out
+        t = np.arange(n)[:, None]
+        if cfg.num_sel_blocks(n) <= cfg.top_k:
+            idx[b, :, pad:] = pad + np.where(slots <= t, slots, 0)
+            valid[b, :, pad:] = slots <= t
+            continue
+        with no_grad():
+            for g in range(cfg.kv_groups):
+                cmp_keys = compress_sequence(Tensor(k_data[b, g, pad:, :]), phi_key, cfg)
+                queries = Tensor(q_data[b, g * hpg: (g + 1) * hpg, pad:, :])
+                cmp_scores = importance_scores(queries, cmp_keys, cfg)
+                sel_scores = remap_scores(cmp_scores, cfg, cfg.num_sel_blocks(n))
+                chosen = select_topk(sel_scores.data.sum(axis=0), cfg, n)
+                # chosen block ids first, ascending; fewer than top_k only early on
+                blocks = np.argsort(~chosen, axis=1, kind="stable")[:, :cfg.top_k]
+                pos = (blocks[:, :, None] * cfg.sel_block_size
+                       + np.arange(cfg.sel_block_size)).reshape(n, width)
+                ok = (slots // cfg.sel_block_size < chosen.sum(axis=1)[:, None]) & (pos <= t)
+                idx[b, g, pad:] = pad + np.where(ok, pos, 0)
+                valid[b, g, pad:] = ok
+    return idx, valid
+
+
+def build_ltis_masks(q_data: np.ndarray, k_data: np.ndarray, lengths: np.ndarray,
+                     cfg: AttentionConfig, phi_key: CompressionMLP) -> np.ndarray:
+    """``ltis_index`` scattered into dense visibility masks, bool
+    (B, kv_groups, 1, L, L)."""
+    return index_mask(*ltis_index(q_data, k_data, lengths, cfg, phi_key), q_data.shape[2])

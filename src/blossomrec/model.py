@@ -21,7 +21,6 @@ from .embedding import EmbeddingTable, RoPECache, embed
 from .errors import CheckpointError, DataError
 from .fusion import BlossomLayerParams, SeqContext, encode
 from .metrics import EvalResult, aggregate, rank_metrics, sample_negatives
-from .stis import batch_stis_masks
 from .tensor import Tensor, log_sum_exp, matmul, no_grad, take_along_last, transpose, zero_grads
 
 __all__ = ["Model", "TrainState", "Adam", "item_scores", "sequence_loss", "train",
@@ -60,10 +59,9 @@ class Model:
                 rng: np.random.Generator | None = None) -> Tensor:
         """Hidden states for every position, (B, L, d_model)."""
         ctx = SeqContext.from_lengths(batch.lengths, batch.total_len)
-        stis_mask = batch_stis_masks(batch.lengths, batch.total_len, self.cfg)
         embedded = embed(batch.ids, self.table)
         return encode(embedded, self.layers, self.w_n, self.b_n, self.cfg, ctx,
-                      stis_mask, self.rope, dropout_rate=self.dropout,
+                      self.rope, dropout_rate=self.dropout,
                       training=training, rng=rng, pathway=self.pathway)
 
     def last_hidden(self, batch: SeqBatch) -> np.ndarray:

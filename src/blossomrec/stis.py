@@ -9,15 +9,24 @@ A query at position i may attend position j when any of three cases holds:
 In causal mode the pattern is intersected with j <= i. Per-row visible
 counts grow logarithmically in the sequence length, which is the point:
 masks are stored as per-row index lists, not dense L x L bytes.
+
+The model runs the causal pattern as an attention index: ``power_table``
+holds every row once per (config, length), cached across batches, and
+``stis_index`` shifts it into each sequence's left-padded frame.
+``batch_stis_masks`` is the same index scattered into a dense mask.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .config import AttentionConfig
+from .tensor import index_mask
 
-__all__ = ["SparseMask", "build_power_mask", "batch_stis_masks"]
+__all__ = ["SparseMask", "build_power_mask", "power_table", "gather_width", "stis_index",
+           "batch_stis_masks"]
 
 
 class SparseMask:
@@ -79,22 +88,61 @@ def build_power_mask(length: int, cfg: AttentionConfig, causal: bool = True) -> 
     return SparseMask(length, rows, causal)
 
 
+@functools.lru_cache(maxsize=256)
+def power_table(cfg: AttentionConfig, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Causal power-mask rows 0..length-1 as an (L, K) index and validity.
+
+    Row i lists the positions query i sees, ascending, in its first
+    ``valid[i].sum()`` slots; K is the longest row. Causally, row i does
+    not depend on the sequence length: case 3 (the final blk positions)
+    lies inside every window that may see it, because blk <= win * blk.
+    So row i here is ``build_power_mask(n).rows[i]`` for every n > i.
+    """
+    span = cfg.window_span
+    width = min(span, length)
+    i = np.arange(length)[:, None]
+    window = i - width + 1 + np.arange(width)                      # case 1
+    powers = _power_distances(-(-length // cfg.blk))
+    starts = ((i // cfg.blk - powers) * cfg.blk)[:, :, None]      # case 2, earlier blocks only
+    blocks = (starts + np.arange(cfg.blk)).reshape(length, -1)
+    blocks_ok = (blocks >= 0) & (blocks <= i - span)               # outside the window
+    cand = np.concatenate([window, blocks], axis=1)
+    ok = np.concatenate([window >= 0, blocks_ok], axis=1)
+    keyed = np.sort(np.where(ok, cand, length), axis=1)
+    k = int(ok.sum(axis=1).max())
+    idx, valid = keyed[:, :k], keyed[:, :k] < length
+    idx = np.where(valid, idx, 0)
+    idx.flags.writeable = valid.flags.writeable = False
+    return idx, valid
+
+
+def gather_width(cfg: AttentionConfig, length: int) -> int:
+    """Key slots per query in the STIS attention index of a length-L frame."""
+    return power_table(cfg, length)[0].shape[1]
+
+
+def stis_index(lengths: np.ndarray, total_len: int,
+               cfg: AttentionConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The causal power mask of a left-padded batch as an attention index.
+
+    Returns int positions and their validity, each (B, 1, L, K): query
+    slot p of a length-n sequence is real position p - (L - n), its row of
+    ``power_table`` shifted by the padding. Padding queries see nothing.
+    """
+    table, ok = power_table(cfg, total_len)
+    pad = total_len - np.asarray(lengths, dtype=np.int64)[:, None]
+    pos = np.arange(total_len)[None, :] - pad                      # real position, < 0 on padding
+    rows = np.maximum(pos, 0)
+    valid = ok[rows] & (pos >= 0)[:, :, None]
+    idx = np.where(valid, table[rows] + pad[:, :, None], 0)
+    return idx[:, None], valid[:, None]
+
+
 def batch_stis_masks(lengths: np.ndarray, total_len: int, cfg: AttentionConfig) -> np.ndarray:
     """Causal power masks for a left-padded batch.
 
     Returns bool (B, 1, 1, L, L): each sequence's mask sits in the bottom
     right corner of its padded frame, so padding positions are neither
-    queries nor keys. Masks are cached per distinct real length.
+    queries nor keys. It is ``stis_index`` scattered into dense form.
     """
-    batch = len(lengths)
-    out = np.zeros((batch, 1, 1, total_len, total_len), dtype=bool)
-    cache: dict[int, np.ndarray] = {}
-    for b, n in enumerate(lengths):
-        n = int(n)
-        if n == 0:
-            continue
-        if n not in cache:
-            cache[n] = build_power_mask(n, cfg, causal=True).to_dense()
-        pad = total_len - n
-        out[b, 0, 0, pad:, pad:] = cache[n]
-    return out
+    return index_mask(*stis_index(lengths, total_len, cfg), total_len)

@@ -10,6 +10,9 @@ Design points:
   * float64 only, so finite-difference checks are decisive.
   * a fully masked softmax slice yields zeros, not NaN (a query with no
     visible keys contributes nothing).
+  * sparse attention has two equivalent forms: ``gathered_attention``
+    over a per-query index of key positions, and ``masked_softmax`` under
+    the dense mask ``index_mask`` builds from that same index.
   * forward ops are deterministic: identical inputs give bit-identical
     outputs.
 """
@@ -31,6 +34,8 @@ __all__ = [
     "matmul",
     "concat",
     "masked_softmax",
+    "gathered_attention",
+    "index_mask",
     "log_sum_exp",
     "layer_norm",
     "sigmoid",
@@ -537,6 +542,76 @@ def masked_softmax(logits, mask: Array | None = None, axis: int = -1) -> Tensor:
         _accumulate(logits, p * (g - inner))
 
     return _make(p, (logits,), backward)
+
+
+def gathered_attention(q, k, v, idx: Array, valid: Array) -> Tensor:
+    """Grouped attention of each query over its own gathered key slots.
+
+    q: (B, heads, L, d); k, v: (B, groups, Lk, d), with the heads of a
+    group consecutive and sharing its K/V. ``idx`` (int, key positions in
+    [0, Lk)) and ``valid`` (bool) are (B, groups or 1, L, K): slot s of
+    query i holds key ``idx[..., i, s]`` when ``valid[..., i, s]``; a
+    leading group axis of 1 gives every group the same positions. K/V are
+    gathered once per group and shared by its heads, the softmax runs over
+    the valid slots only, and a query with no valid slot comes back as
+    exact zeros. Returns (B, heads, L, d), equal to scaled dot-product
+    attention under ``index_mask(idx, valid, Lk)`` at O(L * K * d) cost.
+
+    The backward pass is written out: K/V gradients are scattered back
+    onto their rows with one ``np.bincount`` per feature column.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    b, h, length, d = q.shape
+    g, lk = k.shape[1], k.shape[2]
+    hpg = h // g
+    idx = np.broadcast_to(idx, (b, g, length, idx.shape[-1]))
+    mask = np.broadcast_to(valid, idx.shape)[:, :, :, None, :]   # (b, g, L, 1, K)
+    rows = idx + (np.arange(b * g) * lk).reshape(b, g, 1, 1)       # row of k.reshape(-1, d)
+
+    def gather(x: Array) -> Array:
+        return np.take(x.reshape(b * g * lk, d), rows, axis=0)   # (b, g, L, K, d)
+
+    def by_head(x: Array) -> Array:
+        return x.reshape(b, g, hpg, length, d).transpose(0, 1, 3, 2, 4)   # (b, g, L, hpg, d)
+
+    def scatter(x: Array) -> Array:
+        flat, x = rows.reshape(-1), x.reshape(-1, d)
+        cols = [np.bincount(flat, weights=x[:, c], minlength=b * g * lk) for c in range(d)]
+        return np.stack(cols, axis=1).reshape(b, g, lk, d)
+
+    scale = 1.0 / np.sqrt(d)
+    qg, kg, vg = by_head(q.data), gather(k.data), gather(v.data)
+    shifted = np.where(mask, (qg @ kg.swapaxes(-1, -2)) * scale, -np.inf)   # (b, g, L, hpg, K)
+    mx = shifted.max(axis=-1, keepdims=True)
+    z = np.exp(shifted - np.where(np.isfinite(mx), mx, 0.0))
+    s = z.sum(axis=-1, keepdims=True)
+    p = np.divide(z, s, out=np.zeros_like(z), where=s > 0)
+    out = (p @ vg).transpose(0, 1, 3, 2, 4).reshape(b, h, length, d)
+
+    def backward(grad: Array) -> None:
+        go = by_head(grad)
+        dp = go @ vg.swapaxes(-1, -2)
+        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * scale
+        if q.requires_grad:
+            _accumulate(q, (ds @ kg).transpose(0, 1, 3, 2, 4).reshape(b, h, length, d))
+        if k.requires_grad:
+            _accumulate(k, scatter(ds.swapaxes(-1, -2) @ qg))
+        if v.requires_grad:
+            _accumulate(v, scatter(p.swapaxes(-1, -2) @ go))
+
+    return _make(out, (q, k, v), backward)
+
+
+def index_mask(idx: Array, valid: Array, length: int) -> Array:
+    """The dense visibility an attention index stands for: bool
+    (B, G, 1, L, length) with entry [b, g, 0, i, j] set when some valid
+    slot of query i holds key j. It broadcasts over the heads of a group
+    as a ``masked_softmax`` mask."""
+    b, groups, rows, _ = idx.shape
+    out = np.zeros((b, groups, rows, length), dtype=bool)
+    bb, gg, ii, ss = np.nonzero(valid)
+    out[bb, gg, ii, idx[bb, gg, ii, ss]] = True
+    return out[:, :, None]
 
 
 def log_sum_exp(a, axis: int = -1, keepdims: bool = False) -> Tensor:

@@ -2,8 +2,9 @@
 
 Each check runs the code the model runs and compares it with an oracle
 that is deliberately independent of it: the published totals, naive
-per-head dense attention, central differences, brute-force mask
-evaluation. ``run_verification`` prints one PASS/FAIL line per check.
+per-head dense attention, naive per-query block selection, the dense
+masked form of the gathered attention, central differences, brute-force
+mask evaluation. ``run_verification`` prints one PASS/FAIL line per check.
 """
 
 from __future__ import annotations
@@ -15,13 +16,14 @@ from .config import AttentionConfig
 from .data import SeqBatch
 from .fusion import dense_causal_gqa, gated_fuse, grouped_attention
 from .gradcheck import grad_check
-from .ltis import CompressionMLP, build_ltis_masks
+from .ltis import CompressionMLP, build_ltis_masks, ltis_index
 from .model import Model, sequence_loss
-from .stis import batch_stis_masks, build_power_mask
-from .tensor import Tensor
+from .stis import batch_stis_masks, build_power_mask, stis_index
+from .tensor import Tensor, gathered_attention, index_mask, parameter
 
 __all__ = ["brute_force_power_mask", "counts_match", "dense_equivalence_error",
-           "gradient_error", "mask_law_holds", "run_verification"]
+           "ltis_selection_error", "gathered_equivalence_error", "gradient_error",
+           "mask_law_holds", "run_verification"]
 
 PUBLISHED_TOTALS = {256: 103, 512: 120, 1024: 153, 2048: 218}
 
@@ -53,12 +55,14 @@ def dense_equivalence_error(seeds: range, lengths: tuple[int, ...]) -> tuple[flo
     """Fused model-path output vs naive dense causal attention.
 
     With top_k and win saturated both pathways see the whole causal prefix,
-    so the gated fusion of ``build_ltis_masks`` + ``batch_stis_masks`` +
-    ``grouped_attention`` must equal dense attention for any gate. Each seed
-    and head width (4 and 8) runs one batch holding every length, left-padded to the
-    longest, with random values in the padding slots. Returns the max abs
-    error over the real rows and the max abs value over the padding query
-    rows, which must be exactly zero. A NaN anywhere comes back as NaN.
+    so their gated fusion must equal dense attention for any gate, on both
+    branches the encoder may take: ``grouped_attention`` under
+    ``build_ltis_masks`` and ``batch_stis_masks``, and ``gathered_attention``
+    over ``ltis_index`` and ``stis_index``. Each seed and head width (4 and
+    8) runs one batch holding every length, left-padded to the longest,
+    with random values in the padding slots. Returns the max abs error over
+    the real rows and the max abs value over the padding query rows, which
+    must be exactly zero. A NaN anywhere comes back as NaN.
     """
     lengths_arr = np.array(lengths)
     frame = int(lengths_arr.max())
@@ -69,23 +73,143 @@ def dense_equivalence_error(seeds: range, lengths: tuple[int, ...]) -> tuple[flo
             cfg = AttentionConfig(block_size=8, stride=4, sel_block_size=4, top_k=10_000,
                                   win=10_000, blk=1, heads=4, kv_groups=2,
                                   d_model=16, d_head=d_head)
-            q = rng.normal(size=(len(lengths), cfg.heads, frame, d_head))
-            k = rng.normal(size=(len(lengths), cfg.kv_groups, frame, d_head))
-            v = rng.normal(size=(len(lengths), cfg.kv_groups, frame, d_head))
+            q, k, v = (Tensor(rng.normal(size=(len(lengths), n, frame, d_head)))
+                       for n in (cfg.heads, cfg.kv_groups, cfg.kv_groups))
             phi = CompressionMLP(cfg.block_size, d_head, rng)
-            ltis_mask = build_ltis_masks(q, k, lengths_arr, cfg, phi)
-            stis_mask = batch_stis_masks(lengths_arr, frame, cfg)
-            o_l = grouped_attention(Tensor(q), Tensor(k), Tensor(v), cfg, ltis_mask)
-            o_s = grouped_attention(Tensor(q), Tensor(k), Tensor(v), cfg, stis_mask)
             width = cfg.heads * d_head
-            fused, _ = gated_fuse(o_l, o_s, Tensor(rng.normal(size=(2 * width, width))),
-                                  Tensor(rng.normal(size=width)))
-            for b, n in enumerate(lengths):
-                pad = frame - n
-                oracle = dense_causal_gqa(q[b, :, pad:], k[b, :, pad:], v[b, :, pad:], cfg)
-                errors.append(np.abs(fused.data[b, pad:] - oracle).max())
-                padding.append(np.abs(fused.data[b, :pad]).max(initial=0.0))
+            gate = (Tensor(rng.normal(size=(2 * width, width))), Tensor(rng.normal(size=width)))
+            select = (q.data, k.data, lengths_arr, cfg, phi)
+            dense = [grouped_attention(q, k, v, cfg, build_ltis_masks(*select)),
+                     grouped_attention(q, k, v, cfg, batch_stis_masks(lengths_arr, frame, cfg))]
+            gathered = [gathered_attention(q, k, v, *index).transpose(0, 2, 1, 3)
+                        .reshape(len(lengths), frame, width)
+                        for index in (ltis_index(*select), stis_index(lengths_arr, frame, cfg))]
+            for o_l, o_s in (dense, gathered):
+                fused, _ = gated_fuse(o_l, o_s, *gate)
+                for b, n in enumerate(lengths):
+                    pad = frame - n
+                    q_b, k_b, v_b = (x.data[b, :, pad:] for x in (q, k, v))
+                    oracle = dense_causal_gqa(q_b, k_b, v_b, cfg)
+                    errors.append(np.abs(fused.data[b, pad:] - oracle).max())
+                    padding.append(np.abs(fused.data[b, :pad]).max(initial=0.0))
     return float(np.max(errors)), float(np.max(padding))
+
+
+# Unsaturated geometry for the selection and gather checks: two of up to
+# ten selection blocks, and a compression block longer than two selection
+# blocks, so short sequences also take the single left-padded block path.
+SPARSE_CFG = AttentionConfig(block_size=12, stride=2, sel_block_size=4, top_k=2, win=2, blk=1,
+                             heads=4, kv_groups=2, d_model=16, d_head=4)
+
+
+def _padded_batch(rng: np.random.Generator, lengths: tuple[int, ...], cfg: AttentionConfig):
+    """Random q, k, v for a batch left-padded to its longest length; the
+    padding slots hold noise, like any other values."""
+    frame = max(lengths)
+    q = rng.normal(size=(len(lengths), cfg.heads, frame, cfg.d_head))
+    k = rng.normal(size=(len(lengths), cfg.kv_groups, frame, cfg.d_head))
+    v = rng.normal(size=(len(lengths), cfg.kv_groups, frame, cfg.d_head))
+    return q, k, v, np.array(lengths)
+
+
+def _naive_selection(q: np.ndarray, k: np.ndarray, phi: CompressionMLP,
+                     cfg: AttentionConfig) -> list[list[set[int]]]:
+    """Chosen selection blocks of every query of one unpadded sequence, per
+    KV group, computed one query at a time: q (heads, n, d), k (groups, n, d)."""
+    n, d = q.shape[1], cfg.d_head
+    w = {name: t.data for name, t in phi.parameters().items()}
+    if n < cfg.block_size:  # one block: the keys behind block_size - n zero rows
+        k = np.concatenate([np.zeros((cfg.kv_groups, cfg.block_size - n, d)), k], axis=1)
+        starts, ends = [0], [n - 1]
+    else:
+        starts = list(range(0, n - cfg.block_size + 1, cfg.stride))
+        ends = [start + cfg.block_size - 1 for start in starts]
+    a, b = cfg.sel_block_size // cfg.stride, cfg.block_size // cfg.stride
+    num_sel = -(-n // cfg.sel_block_size)
+    chosen = []
+    for g in range(cfg.kv_groups):
+        cmp = [np.tanh((k[g, start: start + cfg.block_size] + w["pos_bias"]).reshape(-1) @ w["w1"]
+                       + w["b1"]) @ w["w2"] + w["b2"] for start in starts]
+        per_query = []
+        for t in range(n):
+            seen = [m for m, end in enumerate(ends) if end <= t]
+            shared = np.zeros(num_sel)
+            for head in range(g * cfg.heads_per_group, (g + 1) * cfg.heads_per_group):
+                if not seen:
+                    break
+                logits = np.array([cmp[m] @ q[head, t] / np.sqrt(d) for m in seen])
+                p = np.exp(logits - logits.max())
+                p /= p.sum()
+                for m, pm in zip(seen, p):
+                    for j in range(num_sel):
+                        pairs = sum(1 for x in range(a) for y in range(b) if a * j - x - y == m)
+                        shared[j] += pairs * pm
+            started = [j for j in range(num_sel) if j * cfg.sel_block_size <= t]
+            per_query.append(set(sorted(started, key=lambda j: (-shared[j], j))[: cfg.top_k]))
+        chosen.append(per_query)
+    return chosen
+
+
+def ltis_selection_error(seeds: range, lengths: tuple[int, ...]) -> int:
+    """Query rows whose LTIS blocks differ from a naive per-query selection.
+
+    Runs ``ltis_index`` at top_k=2 (``SPARSE_CFG``) on one left-padded
+    batch per seed and, for every real query, compares the set of blocks
+    its valid slots fall in with ``_naive_selection`` on the unpadded
+    inputs. A padding query that sees anything counts as a mismatch too.
+    """
+    cfg = SPARSE_CFG
+    bad = 0
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        q, k, _, lens = _padded_batch(rng, lengths, cfg)
+        phi = CompressionMLP(cfg.block_size, cfg.d_head, rng)
+        idx, valid = ltis_index(q, k, lens, cfg, phi)
+        frame = q.shape[2]
+        for b, n in enumerate(lengths):
+            pad = frame - n
+            bad += int(valid[b, :, :pad].any(axis=-1).sum())
+            if n == 0:
+                continue
+            want = _naive_selection(q[b, :, pad:], k[b, :, pad:], phi, cfg)
+            for g in range(cfg.kv_groups):
+                for t in range(n):
+                    got = set(((idx[b, g, pad + t][valid[b, g, pad + t]] - pad)
+                               // cfg.sel_block_size).tolist())
+                    bad += got != want[g][t]
+    return bad
+
+
+def gathered_equivalence_error(seeds: range, lengths: tuple[int, ...]) -> float:
+    """Gathered attention vs dense masked attention under the same index.
+
+    For each seed, one left-padded batch at ``SPARSE_CFG`` (unsaturated:
+    selection is top-2 and the window 2 wide) runs both pathways' indices
+    through ``gathered_attention`` and through ``grouped_attention`` under
+    ``index_mask``, with a random weighting of the outputs as the loss.
+    Returns the max abs difference over outputs and q/k/v gradients.
+    """
+    cfg = SPARSE_CFG
+    worst = 0.0
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        q, k, v, lens = _padded_batch(rng, lengths, cfg)
+        frame = q.shape[2]
+        phi = CompressionMLP(cfg.block_size, cfg.d_head, rng)
+        w = rng.normal(size=(len(lengths), cfg.heads, frame, cfg.d_head))
+        for idx, valid in (ltis_index(q, k, lens, cfg, phi), stis_index(lens, frame, cfg)):
+            runs = []
+            for gather in (True, False):
+                qt, kt, vt = parameter(q.copy()), parameter(k.copy()), parameter(v.copy())
+                if gather:
+                    out = gathered_attention(qt, kt, vt, idx, valid)
+                else:
+                    merged = grouped_attention(qt, kt, vt, cfg, index_mask(idx, valid, frame))
+                    out = merged.reshape(len(lengths), frame, cfg.heads, cfg.d_head).transpose(0, 2, 1, 3)
+                (out * Tensor(w)).sum().backward()
+                runs.append([out.data, qt.grad, kt.grad, vt.grad])
+            worst = max([worst] + [float(np.abs(x - y).max()) for x, y in zip(*runs)])
+    return worst
 
 
 def gradient_error() -> tuple[float, list[str]]:
@@ -127,8 +251,19 @@ def run_verification(quick: bool = False) -> bool:
         err, pad = dense_equivalence_error(range(3), (16, 32))
     else:
         err, pad = dense_equivalence_error(range(20), (16, 32, 64))
-    checks.append(("fused output == dense causal attention (saturated selection, padded batch)",
+    checks.append(("fused output == dense causal attention, dense and gathered branches "
+                   "(saturated selection, padded batch)",
                    err < 1e-8 and pad == 0.0, f"max abs err {err:.3e}, padding rows {pad:.1e}"))
+
+    seeds, lengths = (range(3), (0, 10, 24, 32)) if quick else (range(10), (0, 6, 10, 19, 40))
+    bad = ltis_selection_error(seeds, lengths)
+    checks.append(("LTIS blocks == naive per-query selection (top_k=2, padded batch)",
+                   bad == 0, f"{bad} mismatched rows"))
+
+    seeds, lengths = (range(3), (3, 17, 32)) if quick else (range(10), (3, 17, 40, 64))
+    err = gathered_equivalence_error(seeds, lengths)
+    checks.append(("gathered attention == dense masked attention (values and gradients, unsaturated)",
+                   err < 1e-8, f"max abs err {err:.3e}"))
 
     err, _ = gradient_error()
     checks.append(("tape gradients vs central differences", err < 1e-4, f"max rel err {err:.3e}"))

@@ -179,7 +179,7 @@ class TestVerifyCommand:
         assert main(["verify", "--quick"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert out.count("PASS") == 4
+        assert out.count("PASS") == 6
 
 
 class TestDefaults:

@@ -6,6 +6,7 @@ import pytest
 from blossomrec.config import AttentionConfig
 from blossomrec.embedding import RoPECache
 from blossomrec.errors import ConfigError
+from blossomrec import fusion
 from blossomrec.fusion import (
     BlossomLayerParams,
     SeqContext,
@@ -18,8 +19,9 @@ from blossomrec.fusion import (
 )
 from blossomrec.gradcheck import grad_check
 from blossomrec.ltis import CompressionMLP, build_ltis_masks
-from blossomrec.stis import batch_stis_masks
-from blossomrec.tensor import Tensor, layer_norm, parameter
+from blossomrec.stis import batch_stis_masks, gather_width
+from blossomrec.tensor import Tensor, layer_norm, parameter, zero_grads
+from blossomrec.verify import gathered_equivalence_error
 
 
 def make_cfg(**kw):
@@ -133,10 +135,9 @@ class TestGatedFuse:
 def layer_inputs(cfg, lengths, rng, total=None):
     total = total or int(max(lengths))
     ctx = SeqContext.from_lengths(np.array(lengths), total)
-    stis_mask = batch_stis_masks(ctx.lengths, total, cfg)
     rope = RoPECache(cfg.d_head, total + 1)
     h = Tensor(rng.normal(size=(len(lengths), total, cfg.d_model)))
-    return h, ctx, stis_mask, rope
+    return h, ctx, rope
 
 
 class TestEncoderLayer:
@@ -147,8 +148,8 @@ class TestEncoderLayer:
         params.w_o.data[:] = 0.0          # attention contribution vanishes
         params.ffn_w2.data[:] = 0.0       # feed-forward contribution vanishes
         params.ffn_b2.data[:] = 0.0
-        h, ctx, stis_mask, rope = layer_inputs(cfg, [8, 8], rng)
-        out = encoder_layer(h, params, cfg, ctx, stis_mask, rope)
+        h, ctx, rope = layer_inputs(cfg, [8, 8], rng)
+        out = encoder_layer(h, params, cfg, ctx, rope)
         ones, zeros = Tensor(np.ones(cfg.d_model)), Tensor(np.zeros(cfg.d_model))
         want = layer_norm(layer_norm(h, ones, zeros), ones, zeros)
         assert np.abs(out.data - want.data).max() < 1e-12
@@ -157,20 +158,20 @@ class TestEncoderLayer:
         rng = np.random.default_rng(8)
         cfg = make_cfg()
         params = BlossomLayerParams.init(cfg, rng)
-        h, ctx, stis_mask, rope = layer_inputs(cfg, [6, 9], rng)
-        a = encoder_layer(h, params, cfg, ctx, stis_mask, rope).data
-        b = encoder_layer(h, params, cfg, ctx, stis_mask, rope).data
+        h, ctx, rope = layer_inputs(cfg, [6, 9], rng)
+        a = encoder_layer(h, params, cfg, ctx, rope).data
+        b = encoder_layer(h, params, cfg, ctx, rope).data
         assert np.array_equal(a, b)
 
     def test_full_layer_gradient(self):
         rng = np.random.default_rng(9)
         cfg = make_cfg()
         params = BlossomLayerParams.init(cfg, rng)
-        h, ctx, stis_mask, rope = layer_inputs(cfg, [7], rng)
+        h, ctx, rope = layer_inputs(cfg, [7], rng)
         w = rng.normal(size=(1, 7, cfg.d_model))
 
         def f():
-            return (encoder_layer(h, params, cfg, ctx, stis_mask, rope) * Tensor(w)).sum()
+            return (encoder_layer(h, params, cfg, ctx, rope) * Tensor(w)).sum()
 
         assert grad_check(f, params.parameters(), h=1e-5) < 1e-4
 
@@ -178,11 +179,62 @@ class TestEncoderLayer:
         rng = np.random.default_rng(10)
         cfg = make_cfg()
         params = BlossomLayerParams.init(cfg, rng)
-        h, ctx, stis_mask, rope = layer_inputs(cfg, [8], rng)
-        outs = {p: encoder_layer(h, params, cfg, ctx, stis_mask, rope, pathway=p).data
+        h, ctx, rope = layer_inputs(cfg, [8], rng)
+        outs = {p: encoder_layer(h, params, cfg, ctx, rope, pathway=p).data
                 for p in ("both", "ltis", "stis")}
         assert not np.array_equal(outs["ltis"], outs["stis"])
         assert not np.array_equal(outs["both"], outs["ltis"])
+
+
+class TestGatherOrDense:
+    """Both pathways run gathered or dense by the frame/width rule; the two
+    branches must agree in values and every parameter gradient."""
+
+    CFG = make_cfg(block_size=8, stride=4, sel_block_size=4, top_k=2, win=2,
+                   heads=4, kv_groups=2, d_model=8, d_head=4)
+
+    def run_layer(self, monkeypatch, ratio, lengths, pathway="both", seed=16):
+        """Layer output and gradients with GATHER_MIN_RATIO set to ``ratio``
+        (0: always gather; None: the module's own rule)."""
+        if ratio is not None:
+            monkeypatch.setattr(fusion, "GATHER_MIN_RATIO", ratio)
+        rng = np.random.default_rng(seed)
+        params = BlossomLayerParams.init(self.CFG, rng)
+        h, ctx, rope = layer_inputs(self.CFG, lengths, rng)
+        w = rng.normal(size=h.shape)
+        named = params.parameters()
+        zero_grads(named)
+        out = encoder_layer(h, params, self.CFG, ctx, rope, pathway=pathway)
+        (out * Tensor(w)).sum().backward()
+        monkeypatch.undo()
+        grads = {name: p.grad for name, p in named.items() if p.grad is not None}
+        return out.data, grads
+
+    @pytest.mark.parametrize("lengths", [[20, 13, 1], [48, 30, 9], [64, 64]])
+    def test_branches_agree(self, monkeypatch, lengths):
+        out_g, grads_g = self.run_layer(monkeypatch, 0, lengths)
+        out_d, grads_d = self.run_layer(monkeypatch, 10**9, lengths)
+        assert np.abs(out_g - out_d).max() < 1e-8
+        assert grads_g.keys() == grads_d.keys()
+        for name in grads_g:
+            assert np.abs(grads_g[name] - grads_d[name]).max() < 1e-8, name
+
+    @pytest.mark.parametrize("frame, pathway, gathers", [
+        (28, "ltis", False), (32, "ltis", True), (20, "stis", False), (28, "stis", True)])
+    def test_rule_picks_branch_by_frame(self, monkeypatch, frame, pathway, gathers):
+        """The LTIS index is 2 x 4 = 8 wide, so LTIS gathers from a frame of
+        32; the STIS index is 6 wide up to 32, so STIS gathers from 24."""
+        assert [gather_width(self.CFG, n) for n in (20, 28, 32)] == [6, 6, 6]
+        lengths = [frame, frame // 2]
+        default, _ = self.run_layer(monkeypatch, None, lengths, pathway)
+        forced, _ = self.run_layer(monkeypatch, 0 if gathers else 10**9, lengths, pathway)
+        other, _ = self.run_layer(monkeypatch, 10**9 if gathers else 0, lengths, pathway)
+        assert np.array_equal(default, forced)
+        assert not np.array_equal(default, other)
+
+    @pytest.mark.parametrize("lengths", [(0, 3, 17, 20), (0, 3, 17, 40)])  # frames below/above 4K
+    def test_gathered_equivalence_check(self, lengths):
+        assert gathered_equivalence_error(range(3), lengths) < 1e-8
 
 
 class TestEncode:
@@ -190,42 +242,42 @@ class TestEncode:
         rng = np.random.default_rng(11)
         cfg = make_cfg()
         params = BlossomLayerParams.init(cfg, rng)
-        h, ctx, stis_mask, rope = layer_inputs(cfg, [6], rng)
+        h, ctx, rope = layer_inputs(cfg, [6], rng)
         w_n = Tensor(np.eye(cfg.d_model))
         b_n = Tensor(np.zeros(cfg.d_model))
-        full = encode(h, [params], w_n, b_n, cfg, ctx, stis_mask, rope)
-        single = encoder_layer(h, params, cfg, ctx, stis_mask, rope)
+        full = encode(h, [params], w_n, b_n, cfg, ctx, rope)
+        single = encoder_layer(h, params, cfg, ctx, rope)
         assert np.abs(full.data - single.data).max() < 1e-15
 
     def test_identity_projection(self):
         rng = np.random.default_rng(12)
         cfg = make_cfg()
         layers = [BlossomLayerParams.init(cfg, rng) for _ in range(2)]
-        h, ctx, stis_mask, rope = layer_inputs(cfg, [5, 5], rng)
+        h, ctx, rope = layer_inputs(cfg, [5, 5], rng)
         w_n = Tensor(np.eye(cfg.d_model))
         b_n = Tensor(np.zeros(cfg.d_model))
-        out = encode(h, layers, w_n, b_n, cfg, ctx, stis_mask, rope)
+        out = encode(h, layers, w_n, b_n, cfg, ctx, rope)
         stacked = h
         for lp in layers:
-            stacked = encoder_layer(stacked, lp, cfg, ctx, stis_mask, rope)
+            stacked = encoder_layer(stacked, lp, cfg, ctx, rope)
         assert np.abs(out.data - stacked.data).max() < 1e-15
 
     def test_output_shape(self):
         rng = np.random.default_rng(13)
         cfg = make_cfg(d_model=8, d_head=4, heads=2)
         layers = [BlossomLayerParams.init(cfg, rng) for _ in range(2)]
-        h, ctx, stis_mask, rope = layer_inputs(cfg, [16, 12], rng, total=16)
+        h, ctx, rope = layer_inputs(cfg, [16, 12], rng, total=16)
         out = encode(h, layers, parameter(rng.normal(size=(8, 8))),
-                     Tensor(np.zeros(8)), cfg, ctx, stis_mask, rope)
+                     Tensor(np.zeros(8)), cfg, ctx, rope)
         assert out.shape == (2, 16, 8)
 
     def test_empty_stack_rejected(self):
         cfg = make_cfg()
         rng = np.random.default_rng(14)
-        h, ctx, stis_mask, rope = layer_inputs(cfg, [4], rng)
+        h, ctx, rope = layer_inputs(cfg, [4], rng)
         with pytest.raises(ConfigError, match="layer"):
             encode(h, [], Tensor(np.eye(cfg.d_model)), Tensor(np.zeros(cfg.d_model)),
-                   cfg, ctx, stis_mask, rope)
+                   cfg, ctx, rope)
 
 
 class TestFullDensityCollapse:

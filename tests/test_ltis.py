@@ -20,6 +20,7 @@ from blossomrec.ltis import (
     split_blocks,
 )
 from blossomrec.tensor import Tensor, parameter
+from blossomrec.verify import ltis_selection_error
 
 
 def small_cfg(**kw):
@@ -238,24 +239,51 @@ class TestGroupAggregation:
         k = rng.normal(size=(len(lengths), kv_groups, total, cfg.d_head))
         phi = CompressionMLP(cfg.block_size, cfg.d_head, rng)
         masks = build_ltis_masks(q, k, lengths, cfg, phi)
+        assert np.array_equal(masks, per_step_masks(q, k, lengths, cfg, phi))
 
-        want = np.zeros((len(lengths), kv_groups, 1, total, total), dtype=bool)
+    def test_saturated_shortcut_equals_full_pipeline(self):
+        """Up to top_k * sel_block_size = 8 items every started block is
+        selected, so the shortcut (no scoring) must equal running every step."""
+        rng = np.random.default_rng(31)
+        cfg = small_cfg(sel_block_size=4, top_k=2, heads=4, kv_groups=2)
+        lengths = np.arange(0, 11)
+        total = int(lengths.max())
+        q = rng.normal(size=(len(lengths), cfg.heads, total, cfg.d_head))
+        k = rng.normal(size=(len(lengths), cfg.kv_groups, total, cfg.d_head))
+        phi = CompressionMLP(cfg.block_size, cfg.d_head, rng)
+        masks = build_ltis_masks(q, k, lengths, cfg, phi)
+        assert np.array_equal(masks, per_step_masks(q, k, lengths, cfg, phi))
         for b, n in enumerate(lengths):
-            if n == 0:
-                continue
-            pad = total - n
-            shared = np.zeros((kv_groups, n, cfg.num_sel_blocks(n)))
-            for head in range(heads):
-                g = cfg.group_of_head(head)
-                cmp_keys = compress_sequence(Tensor(k[b, g, pad:]), phi, cfg)
-                cmp_scores = importance_scores(Tensor(q[b, head, pad:]), cmp_keys, cfg)
-                sums = cmp_scores.data.sum(axis=-1)
-                assert np.all((np.abs(sums - 1.0) < 1e-12) | (sums == 0.0))
-                shared[g] += remap_scores(cmp_scores, cfg, num_sel=cfg.num_sel_blocks(n)).data
-            for g in range(kv_groups):
-                chosen = select_topk(shared[g], cfg, seq_len=n)
-                want[b, g, 0, pad:, pad:] = selection_to_visibility(chosen, n, cfg)
-        assert np.array_equal(masks, want)
+            if n <= 8:  # the causal prefix, whatever the scores
+                pad = total - n
+                prefix = np.tril(np.ones((n, n), dtype=bool))
+                assert all(np.array_equal(m, prefix) for m in masks[b, :, 0, pad:, pad:])
+
+    def test_selection_matches_naive_oracle(self):
+        assert ltis_selection_error(range(3), (0, 10, 24, 32)) == 0
+
+
+def per_step_masks(q, k, lengths, cfg, phi):
+    """``build_ltis_masks`` rebuilt from the per-step functions, one head at
+    a time, each head's selection scores summed into its KV group."""
+    total = q.shape[2]
+    want = np.zeros((len(lengths), cfg.kv_groups, 1, total, total), dtype=bool)
+    for b, n in enumerate(lengths):
+        if n == 0:
+            continue
+        pad = total - n
+        shared = np.zeros((cfg.kv_groups, n, cfg.num_sel_blocks(n)))
+        for head in range(cfg.heads):
+            g = cfg.group_of_head(head)
+            cmp_keys = compress_sequence(Tensor(k[b, g, pad:]), phi, cfg)
+            cmp_scores = importance_scores(Tensor(q[b, head, pad:]), cmp_keys, cfg)
+            sums = cmp_scores.data.sum(axis=-1)
+            assert np.all((np.abs(sums - 1.0) < 1e-12) | (sums == 0.0))
+            shared[g] += remap_scores(cmp_scores, cfg, num_sel=cfg.num_sel_blocks(n)).data
+        for g in range(cfg.kv_groups):
+            chosen = select_topk(shared[g], cfg, seq_len=n)
+            want[b, g, 0, pad:, pad:] = selection_to_visibility(chosen, n, cfg)
+    return want
 
 
 class TestSelectTopK:

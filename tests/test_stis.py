@@ -6,7 +6,7 @@ import pytest
 from blossomrec.config import AttentionConfig
 from blossomrec.fusion import dense_causal_gqa, grouped_attention
 from blossomrec.gradcheck import grad_check
-from blossomrec.stis import SparseMask, batch_stis_masks, build_power_mask
+from blossomrec.stis import SparseMask, batch_stis_masks, build_power_mask, power_table, stis_index
 from blossomrec.tensor import Tensor, parameter
 from blossomrec.verify import brute_force_power_mask
 
@@ -148,3 +148,34 @@ class TestBatchMasks:
         assert np.array_equal(masks[0, 0, 0, 2:, 2:], inner)
         full = build_power_mask(5, cfg, causal=True).to_dense()
         assert np.array_equal(masks[1, 0, 0], full)
+
+
+class TestPowerTable:
+    @pytest.mark.parametrize("blk, win", [(1, 1), (1, 2), (1, 8), (2, 2), (3, 1), (4, 3)])
+    def test_table_rows_equal_mask_rows(self, blk, win):
+        """Causal rows depend only on the query position, so the table for a
+        length-n frame holds ``build_power_mask(n).rows`` for every n."""
+        cfg = cfg_with(blk=blk, win=win)
+        for n in range(1, 131):
+            idx, valid = power_table(cfg, n)
+            rows = build_power_mask(n, cfg, causal=True).rows
+            assert idx.shape[1] == max(len(r) for r in rows)
+            for i in range(n):
+                assert idx[i][valid[i]].tolist() == rows[i].tolist(), (n, i)
+
+    def test_table_is_cached_and_read_only(self):
+        cfg = cfg_with(blk=2, win=3)
+        assert power_table(cfg, 40) is power_table(cfg, 40)
+        with pytest.raises(ValueError):
+            power_table(cfg, 40)[0][0, 0] = 1
+
+    def test_index_shifts_rows_into_frame(self):
+        cfg = cfg_with(blk=1, win=2)
+        idx, valid = stis_index(np.array([3, 5, 0]), 5, cfg)
+        assert idx.shape == valid.shape == (3, 1, 5, power_table(cfg, 5)[0].shape[1])
+        assert not valid[0, 0, :2].any() and not valid[2].any()
+        for b, n in ((0, 3), (1, 5)):
+            pad = 5 - n
+            rows = build_power_mask(n, cfg, causal=True).rows
+            for i in range(n):
+                assert (idx[b, 0, pad + i][valid[b, 0, pad + i]] - pad).tolist() == rows[i].tolist()

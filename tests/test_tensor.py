@@ -11,6 +11,8 @@ from blossomrec.tensor import (
     GradTape,
     Tensor,
     concat,
+    gathered_attention,
+    index_mask,
     layer_norm,
     log_sum_exp,
     masked_softmax,
@@ -119,6 +121,70 @@ class TestMaskedSoftmax:
             return (masked_softmax(x, mask) * Tensor(w)).sum()
 
         assert grad_check(f, [x]) < 1e-7
+
+
+def random_index(rng, batch, groups, pads, length, width):
+    """Distinct causal key slots for a left-padded batch, (batch, groups,
+    length, width): padding queries and one real query per sequence see
+    nothing, the others up to ``width`` random keys at or before them."""
+    idx = np.zeros((batch, groups, length, width), dtype=np.int64)
+    valid = np.zeros(idx.shape, dtype=bool)
+    for b, pad in enumerate(pads):
+        for g in range(groups):
+            for i in range(pad + 1, length):  # query ``pad`` sees nothing
+                keys = rng.permutation(np.arange(pad, i + 1))[: rng.integers(1, width + 1)]
+                idx[b, g, i, : len(keys)] = keys
+                valid[b, g, i, : len(keys)] = True
+    return idx, valid
+
+
+class TestGatheredAttention:
+    @pytest.mark.parametrize("groups", [1, 2])  # one index for all groups (STIS), or one each (LTIS)
+    def test_gradient(self, groups):
+        rng = np.random.default_rng(40)
+        q = parameter(rng.normal(size=(2, 4, 6, 2)))
+        k = parameter(rng.normal(size=(2, 2, 6, 2)))
+        v = parameter(rng.normal(size=(2, 2, 6, 2)))
+        idx, valid = random_index(rng, 2, groups, (2, 0), 6, 3)
+        w = rng.normal(size=q.shape)
+
+        def f():
+            return (gathered_attention(q, k, v, idx, valid) * Tensor(w)).sum()
+
+        assert grad_check(f, {"q": q, "k": k, "v": v}) < 1e-6
+
+    def test_matches_dense_masked_softmax(self):
+        rng = np.random.default_rng(41)
+        q = rng.normal(size=(2, 4, 7, 3))
+        k = rng.normal(size=(2, 2, 7, 3))
+        v = rng.normal(size=(2, 2, 7, 3))
+        idx, valid = random_index(rng, 2, 2, (3, 0), 7, 4)
+        mask = index_mask(idx, valid, 7)  # (2, 2, 1, 7, 7)
+        logits = q.reshape(2, 2, 2, 7, 3) @ k[:, :, None].swapaxes(-1, -2) / np.sqrt(3)
+        want = masked_softmax(Tensor(logits), mask).data @ v[:, :, None]
+        got = gathered_attention(Tensor(q), Tensor(k), Tensor(v), idx, valid).data
+        assert np.abs(got - want.reshape(2, 4, 7, 3)).max() < 1e-12
+
+    def test_rows_with_nothing_visible_are_exact_zeros(self):
+        rng = np.random.default_rng(42)
+        q = parameter(rng.normal(size=(2, 2, 5, 4)))
+        k = parameter(rng.normal(size=(2, 1, 5, 4)))
+        v = parameter(rng.normal(size=(2, 1, 5, 4)))
+        idx, valid = random_index(rng, 2, 1, (2, 0), 5, 2)
+        out = gathered_attention(q, k, v, idx, valid)
+        out.sum().backward()
+        empty = ~valid.any(axis=-1)[:, 0]  # (batch, length)
+        assert empty[0, :3].all() and empty[1, 0]
+        assert np.all(out.data.transpose(0, 2, 1, 3)[empty] == 0.0)
+        assert np.all(q.grad.transpose(0, 2, 1, 3)[empty] == 0.0)
+
+    def test_index_mask(self):
+        idx = np.array([[[[0, 0], [0, 1], [2, 0]]]])
+        valid = np.array([[[[False, False], [True, True], [True, False]]]])
+        mask = index_mask(idx, valid, 3)
+        assert mask.shape == (1, 1, 1, 3, 3)
+        assert mask[0, 0, 0].tolist() == [[False, False, False], [True, True, False],
+                                          [False, False, True]]
 
 
 class TestLayerNorm:
