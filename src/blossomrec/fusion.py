@@ -125,7 +125,8 @@ def gated_fuse(o_ltis: Tensor, o_stis: Tensor, gate_w: Tensor, gate_b: Tensor) -
 
 @dataclass
 class BlossomLayerParams:
-    """Learnable tensors of one encoder layer."""
+    """Weights of one encoder layer: the learnable tensors ``parameters()``
+    names, plus the fixed random projection LTIS selection scores with."""
 
     w_q: Tensor
     w_k: Tensor
@@ -142,7 +143,6 @@ class BlossomLayerParams:
     ln2_gamma: Tensor
     ln2_beta: Tensor
     cmp_key: ltis_mod.CompressionMLP
-    cmp_val: ltis_mod.CompressionMLP
 
     @classmethod
     def init(cls, cfg: AttentionConfig, rng: np.random.Generator) -> "BlossomLayerParams":
@@ -163,11 +163,10 @@ class BlossomLayerParams:
             ln2_gamma=Tensor(np.ones(d), requires_grad=True),
             ln2_beta=Tensor(np.zeros(d), requires_grad=True),
             cmp_key=ltis_mod.CompressionMLP(cfg.block_size, dk, rng),
-            cmp_val=ltis_mod.CompressionMLP(cfg.block_size, dk, rng),
         )
 
     def parameters(self) -> dict[str, Tensor]:
-        named = {
+        return {
             "w_q": self.w_q, "w_k": self.w_k, "w_v": self.w_v, "w_o": self.w_o,
             "gate_w": self.gate_w, "gate_b": self.gate_b,
             "ffn_w1": self.ffn_w1, "ffn_b1": self.ffn_b1,
@@ -175,10 +174,6 @@ class BlossomLayerParams:
             "ln1_gamma": self.ln1_gamma, "ln1_beta": self.ln1_beta,
             "ln2_gamma": self.ln2_gamma, "ln2_beta": self.ln2_beta,
         }
-        for prefix, mlp in (("cmp_key", self.cmp_key), ("cmp_val", self.cmp_val)):
-            for name, p in mlp.parameters().items():
-                named[f"{prefix}.{name}"] = p
-        return named
 
 
 @dataclass

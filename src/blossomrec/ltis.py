@@ -1,11 +1,11 @@
 """Long-term interest pathway: compress key blocks, score them against each
 query, and let attention see only the top-k selection blocks.
 
-Pipeline per sequence and KV group:
+Pipeline per sequence, all KV groups at once:
 
   1. split keys into overlapping compression blocks (size block_size,
      stride ``stride``);
-  2. compress each block to one vector with a learnable MLP;
+  2. compress each block to one vector with a fixed random MLP;
   3. softmax importance of each compressed block per query position
      (only blocks lying entirely at or before the query are scored);
   4. remap compression-block scores onto selection-block scores by summing
@@ -24,9 +24,10 @@ A sequence with at most top_k selection blocks skips steps 1-6: every
 started block is selected whatever the scores, so each query sees its
 causal prefix.
 
-On the model path no gradient reaches the compression MLPs: selection is
-discrete, ``ltis_index`` runs the whole pipeline under ``no_grad``, and
-the value MLP (``cmp_val``) is never called. See ROADMAP open item 3.
+Selection is a discrete ranking, so no gradient flows through it: by
+design the blocks are scored through a fixed random projection
+(``CompressionMLP``), drawn once from the model's seed and never trained.
+The whole pipeline runs on plain arrays.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import AttentionConfig
-from .tensor import (Tensor, concat, index_mask, masked_softmax, matmul, no_grad, parameter,
-                     reshape, tanh)
+from .tensor import index_mask, masked_softmax
 
 __all__ = [
     "CompressionMLP",
@@ -53,55 +53,50 @@ __all__ = [
 
 
 class CompressionMLP:
-    """Maps an entire (block_size x d_head) block to a single d_head vector.
+    """Fixed random map from an entire (block_size x d_head) block to a
+    single d_head vector.
 
-    A learned intra-block position bias is added before flattening, so the
+    A random intra-block position bias is added before flattening, so the
     compression is sensitive to the order of rows within a block, then a
     single tanh hidden layer of width d_head produces the compressed key.
+    The weights are drawn from ``rng`` (Glorot uniform; the bias small
+    normal) and never trained.
     """
 
     def __init__(self, block_size: int, d_head: int, rng: np.random.Generator):
-        self.block_size = block_size
-        self.d_head = d_head
-        self.pos_bias = parameter((block_size, d_head), rng, scale=0.02)
-        self.w1 = parameter((block_size * d_head, d_head), rng)
-        self.b1 = Tensor(np.zeros(d_head), requires_grad=True)
-        self.w2 = parameter((d_head, d_head), rng)
-        self.b2 = Tensor(np.zeros(d_head), requires_grad=True)
+        self.pos_bias = rng.normal(0.0, 0.02, (block_size, d_head))
+        self.w1 = _glorot(rng, (block_size * d_head, d_head))
+        self.w2 = _glorot(rng, (d_head, d_head))
 
-    def parameters(self) -> dict[str, Tensor]:
-        return {"pos_bias": self.pos_bias, "w1": self.w1, "b1": self.b1,
-                "w2": self.w2, "b2": self.b2}
-
-    def apply_stack(self, blocks: Tensor) -> Tensor:
-        """Compress a stack of blocks, (M, block_size, d_head) -> (M, d_head)."""
-        m = blocks.shape[0]
-        biased = blocks + reshape(self.pos_bias, (1, self.block_size, self.d_head))
-        flat = reshape(biased, (m, self.block_size * self.d_head))
-        hidden = tanh(matmul(flat, self.w1) + self.b1)
-        return matmul(hidden, self.w2) + self.b2
+    def apply_stack(self, blocks: np.ndarray) -> np.ndarray:
+        """Compress stacked blocks, (..., M, block_size, d_head) -> (..., M, d_head)."""
+        flat = (blocks + self.pos_bias).reshape(blocks.shape[:-2] + (-1,))
+        return np.tanh(flat @ self.w1) @ self.w2
 
 
-def split_blocks(keys: Tensor, cfg: AttentionConfig) -> list[Tensor]:
-    """Cut (L, d_head) keys into overlapping (block_size, d_head) blocks.
+def _glorot(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+    limit = np.sqrt(6.0 / (shape[0] + shape[1]))
+    return rng.uniform(-limit, limit, shape)
+
+
+def split_blocks(keys: np.ndarray, cfg: AttentionConfig) -> np.ndarray:
+    """Cut (..., L, d_head) keys into overlapping blocks, (..., M, block_size, d_head).
 
     Block i covers positions [i*stride, i*stride + block_size); consecutive
     blocks overlap by block_size - stride positions. Sequences shorter than
     one block are left-padded with zeros into a single block.
     """
-    length = keys.shape[0]
+    length = keys.shape[-2]
     if length < cfg.block_size:
-        pad = Tensor(np.zeros((cfg.block_size - length, keys.shape[1])))
-        return [concat([pad, keys], axis=0)]
-    count = cfg.num_cmp_blocks(length)
-    return [keys[i * cfg.stride: i * cfg.stride + cfg.block_size] for i in range(count)]
+        pad = np.zeros(keys.shape[:-2] + (cfg.block_size - length, keys.shape[-1]))
+        return np.concatenate([pad, keys], axis=-2)[..., None, :, :]
+    starts = np.arange(cfg.num_cmp_blocks(length)) * cfg.stride
+    return keys[..., starts[:, None] + np.arange(cfg.block_size), :]
 
 
-def compress_sequence(keys: Tensor, phi: CompressionMLP, cfg: AttentionConfig) -> Tensor:
-    """All compression blocks of an (L, d_head) sequence, stacked (M, d_head)."""
-    blocks = split_blocks(keys, cfg)
-    stacked = concat([reshape(b, (1,) + b.shape) for b in blocks], axis=0)
-    return phi.apply_stack(stacked)
+def compress_sequence(keys: np.ndarray, phi: CompressionMLP, cfg: AttentionConfig) -> np.ndarray:
+    """All compression blocks of (..., L, d_head) keys, compressed: (..., M, d_head)."""
+    return phi.apply_stack(split_blocks(keys, cfg))
 
 
 def _cmp_block_valid(length: int, num_blocks: int, cfg: AttentionConfig) -> np.ndarray:
@@ -115,18 +110,17 @@ def _cmp_block_valid(length: int, num_blocks: int, cfg: AttentionConfig) -> np.n
     return last[None, :] <= t
 
 
-def importance_scores(q: Tensor, cmp_keys: Tensor, cfg: AttentionConfig) -> Tensor:
+def importance_scores(q: np.ndarray, cmp_keys: np.ndarray, cfg: AttentionConfig) -> np.ndarray:
     """Softmax attention of each query over the compressed keys.
 
-    q: (..., L, d_head), cmp_keys: (M, d_head). Scores are scaled by
-    1/sqrt(d_head) and normalized over the causally valid blocks only;
-    invalid blocks (and rows with no valid block) score exactly zero.
+    q: (..., L, d_head), cmp_keys: (..., M, d_head), leading axes
+    broadcasting. Scores are scaled by 1/sqrt(d_head) and normalized over
+    the causally valid blocks only; invalid blocks (and rows with no valid
+    block) score exactly zero. Returns (..., L, M).
     """
-    length = q.shape[-2]
-    m = cmp_keys.shape[0]
-    valid = _cmp_block_valid(length, m, cfg)
-    logits = matmul(q, reshape(cmp_keys, (m, cfg.d_head)).transpose((1, 0))) * (1.0 / np.sqrt(cfg.d_head))
-    return masked_softmax(logits, valid, axis=-1)
+    valid = _cmp_block_valid(q.shape[-2], cmp_keys.shape[-2], cfg)
+    logits = (q @ np.swapaxes(cmp_keys, -1, -2)) * (1.0 / np.sqrt(cfg.d_head))
+    return masked_softmax(logits, valid, axis=-1).data
 
 
 def remap_matrix(num_cmp: int, num_sel: int, cfg: AttentionConfig) -> np.ndarray:
@@ -150,34 +144,31 @@ def remap_matrix(num_cmp: int, num_sel: int, cfg: AttentionConfig) -> np.ndarray
     return mat
 
 
-def remap_scores(cmp_scores: Tensor, cfg: AttentionConfig, num_sel: int) -> Tensor:
+def remap_scores(cmp_scores: np.ndarray, cfg: AttentionConfig, num_sel: int) -> np.ndarray:
     """Convert (..., M) compression-block scores to (..., N_sel) selection-block
     scores; out-of-range compression indices contribute zero."""
-    m = cmp_scores.shape[-1]
-    return matmul(cmp_scores, Tensor(remap_matrix(m, num_sel, cfg)))
+    return cmp_scores @ remap_matrix(cmp_scores.shape[-1], num_sel, cfg)
 
 
 def select_topk(scores: np.ndarray, cfg: AttentionConfig, seq_len: int) -> np.ndarray:
-    """Boolean (L, N_sel) selection of the top-k blocks per query.
+    """Boolean (..., L, N_sel) selection of the top-k blocks per query.
 
     ``scores`` rows are the last L queries of a length-``seq_len``
-    sequence. A block is a candidate once it has started (first position
-    <= query). Ties break toward the lower block index; when fewer than
-    top_k blocks are valid, all of them are selected.
+    sequence; leading axes (KV groups) are ranked independently. A block
+    is a candidate once it has started (first position <= query). Ties
+    break toward the lower block index; when fewer than top_k blocks are
+    valid, all of them are selected.
     """
-    length, num_sel = scores.shape
+    length, num_sel = scores.shape[-2:]
     t = np.arange(seq_len)[-length:, None]
     valid = (np.arange(num_sel)[None, :] * cfg.sel_block_size) <= t
     ranked = np.where(valid, scores, -np.inf)
     # stable argsort of descending scores == ties resolved to lower index
-    order = np.argsort(-ranked, axis=1, kind="stable")
-    n_valid = valid.sum(axis=1)
-    take = np.minimum(cfg.top_k, n_valid)
-    chosen = np.zeros_like(valid)
-    cols = order[:, : cfg.top_k]
-    keep = np.arange(min(cfg.top_k, num_sel))[None, :] < take[:, None]
-    rows = np.broadcast_to(np.arange(length)[:, None], cols.shape)
-    chosen[rows[keep], cols[keep]] = True
+    cols = np.argsort(-ranked, axis=-1, kind="stable")[..., : cfg.top_k]
+    take = np.minimum(cfg.top_k, valid.sum(axis=1))
+    keep = np.arange(cols.shape[-1]) < take[:, None]
+    chosen = np.zeros(ranked.shape, dtype=bool)
+    np.put_along_axis(chosen, cols, np.broadcast_to(keep, cols.shape), axis=-1)
     return chosen
 
 
@@ -224,24 +215,22 @@ def ltis_index(q_data: np.ndarray, k_data: np.ndarray, lengths: np.ndarray,
             continue
         pad = total_len - n
         t = np.arange(n)[:, None]
-        if cfg.num_sel_blocks(n) <= cfg.top_k:
+        num_sel = cfg.num_sel_blocks(n)
+        if num_sel <= cfg.top_k:
             idx[b, :, pad:] = pad + np.where(slots <= t, slots, 0)
             valid[b, :, pad:] = slots <= t
             continue
-        with no_grad():
-            for g in range(cfg.kv_groups):
-                cmp_keys = compress_sequence(Tensor(k_data[b, g, pad:, :]), phi_key, cfg)
-                queries = Tensor(q_data[b, g * hpg: (g + 1) * hpg, pad:, :])
-                cmp_scores = importance_scores(queries, cmp_keys, cfg)
-                sel_scores = remap_scores(cmp_scores, cfg, cfg.num_sel_blocks(n))
-                chosen = select_topk(sel_scores.data.sum(axis=0), cfg, n)
-                # chosen block ids first, ascending; fewer than top_k only early on
-                blocks = np.argsort(~chosen, axis=1, kind="stable")[:, :cfg.top_k]
-                pos = (blocks[:, :, None] * cfg.sel_block_size
-                       + np.arange(cfg.sel_block_size)).reshape(n, width)
-                ok = (slots // cfg.sel_block_size < chosen.sum(axis=1)[:, None]) & (pos <= t)
-                idx[b, g, pad:] = pad + np.where(ok, pos, 0)
-                valid[b, g, pad:] = ok
+        cmp_keys = compress_sequence(k_data[b, :, pad:], phi_key, cfg)        # (g, M, d)
+        queries = q_data[b, :, pad:].reshape(cfg.kv_groups, hpg, n, cfg.d_head)
+        cmp_scores = importance_scores(queries, cmp_keys[:, None], cfg)       # (g, hpg, n, M)
+        chosen = select_topk(remap_scores(cmp_scores, cfg, num_sel).sum(axis=1), cfg, n)
+        # chosen block ids first, ascending; fewer than top_k only early on
+        blocks = np.argsort(~chosen, axis=-1, kind="stable")[..., :cfg.top_k]
+        pos = (blocks[..., None] * cfg.sel_block_size
+               + np.arange(cfg.sel_block_size)).reshape(cfg.kv_groups, n, width)
+        ok = (slots // cfg.sel_block_size < chosen.sum(axis=-1)[..., None]) & (pos <= t)
+        idx[b, :, pad:] = pad + np.where(ok, pos, 0)
+        valid[b, :, pad:] = ok
     return idx, valid
 
 

@@ -26,7 +26,7 @@ from .tensor import Tensor, log_sum_exp, matmul, no_grad, take_along_last, trans
 __all__ = ["Model", "TrainState", "Adam", "item_scores", "sequence_loss", "train",
            "evaluate", "evaluate_popularity", "save_checkpoint", "load_checkpoint"]
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class Model:
@@ -310,7 +310,8 @@ def _evaluate_with(scorer, dataset: SplitDataset, split: str, k: int,
 
 
 def save_checkpoint(model: Model, path: str | Path) -> None:
-    """Write parameters + config as a versioned npz archive."""
+    """Write parameters + config as a versioned npz archive. The fixed LTIS
+    selection projection is not stored: loading redraws it from the seed."""
     arrays = {f"param:{k}": p.data for k, p in model.parameters().items()}
     meta = {"version": CHECKPOINT_VERSION, "config": model.config_dict()}
     np.savez(Path(path), __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)

@@ -117,7 +117,6 @@ def _naive_selection(q: np.ndarray, k: np.ndarray, phi: CompressionMLP,
     """Chosen selection blocks of every query of one unpadded sequence, per
     KV group, computed one query at a time: q (heads, n, d), k (groups, n, d)."""
     n, d = q.shape[1], cfg.d_head
-    w = {name: t.data for name, t in phi.parameters().items()}
     if n < cfg.block_size:  # one block: the keys behind block_size - n zero rows
         k = np.concatenate([np.zeros((cfg.kv_groups, cfg.block_size - n, d)), k], axis=1)
         starts, ends = [0], [n - 1]
@@ -128,8 +127,8 @@ def _naive_selection(q: np.ndarray, k: np.ndarray, phi: CompressionMLP,
     num_sel = -(-n // cfg.sel_block_size)
     chosen = []
     for g in range(cfg.kv_groups):
-        cmp = [np.tanh((k[g, start: start + cfg.block_size] + w["pos_bias"]).reshape(-1) @ w["w1"]
-                       + w["b1"]) @ w["w2"] + w["b2"] for start in starts]
+        cmp = [np.tanh((k[g, start: start + cfg.block_size] + phi.pos_bias).reshape(-1) @ phi.w1)
+               @ phi.w2 for start in starts]
         per_query = []
         for t in range(n):
             seen = [m for m, end in enumerate(ends) if end <= t]
@@ -212,12 +211,14 @@ def gathered_equivalence_error(seeds: range, lengths: tuple[int, ...]) -> float:
     return worst
 
 
-def gradient_error() -> tuple[float, list[str]]:
+def gradient_error() -> tuple[float, list[str], list[str]]:
     """Tape gradients of a whole model's loss vs central differences.
 
     Selection block of 2 with top-1 and a width-1 window make the two
     pathways disagree at loss-bearing positions, so the gate gets signal.
-    Returns the max relative error and the names of the parameters checked.
+    Returns the max relative error, the names of the parameters checked,
+    and the names of those whose tape gradient is missing or all zero: a
+    parameter the loss never reaches would pass the comparison vacuously.
     """
     cfg = AttentionConfig(block_size=4, stride=2, sel_block_size=2, top_k=1,
                           win=1, blk=1, heads=2, kv_groups=1, d_model=6, d_head=4)
@@ -225,7 +226,10 @@ def gradient_error() -> tuple[float, list[str]]:
     batch = SeqBatch.from_sequences([[1, 4, 2, 7, 3, 5, 9, 6, 4, 8],
                                      [2, 2, 8, 1, 7, 5]], max_len=16)
     params = model.parameters()
-    return grad_check(lambda: sequence_loss(model, batch), params, h=1e-5), list(params)
+    sequence_loss(model, batch).backward()
+    dead = [name for name, p in params.items() if p.grad is None or not p.grad.any()]
+    err = grad_check(lambda: sequence_loss(model, batch), params, h=1e-5)
+    return err, list(params), dead
 
 
 def mask_law_holds(num_cases: int) -> bool:
@@ -265,8 +269,9 @@ def run_verification(quick: bool = False) -> bool:
     checks.append(("gathered attention == dense masked attention (values and gradients, unsaturated)",
                    err < 1e-8, f"max abs err {err:.3e}"))
 
-    err, _ = gradient_error()
-    checks.append(("tape gradients vs central differences", err < 1e-4, f"max rel err {err:.3e}"))
+    err, _, dead = gradient_error()
+    checks.append(("tape gradients vs central differences, every parameter reached",
+                   err < 1e-6 and not dead, f"max rel err {err:.3e}, unreached {dead or 'none'}"))
 
     ok = mask_law_holds(10 if quick else 50)
     checks.append(("power mask matches brute-force case evaluation", ok, ""))

@@ -35,33 +35,34 @@ PAPER = AttentionConfig()  # block 32, stride 16, selection 16, top-4
 
 class TestSplitBlocks:
     def test_block_count_200(self):
-        keys = Tensor(np.zeros((200, 16)))
-        assert len(split_blocks(keys, PAPER)) == 11
+        assert split_blocks(np.zeros((200, 16)), PAPER).shape == (11, 32, 16)
 
     def test_block_count_2048(self):
         assert PAPER.num_cmp_blocks(2048) == 127
 
     def test_single_block_boundary(self):
-        keys = Tensor(np.arange(32 * 16, dtype=float).reshape(32, 16))
+        keys = np.arange(32 * 16, dtype=float).reshape(32, 16)
         blocks = split_blocks(keys, PAPER)
         assert len(blocks) == 1
-        assert np.array_equal(blocks[0].data, keys.data)
+        assert np.array_equal(blocks[0], keys)
 
     def test_overlap_and_coverage(self):
         cfg = small_cfg()
-        keys = Tensor(np.arange(10 * 4, dtype=float).reshape(10, 4))
+        keys = np.arange(10 * 4, dtype=float).reshape(10, 4)
         blocks = split_blocks(keys, cfg)
         assert len(blocks) == cfg.num_cmp_blocks(10) == 4
         for i, block in enumerate(blocks):
-            assert np.array_equal(block.data, keys.data[i * 2: i * 2 + 4])
+            assert np.array_equal(block, keys[i * 2: i * 2 + 4])
+        # a leading (KV group) axis is split group by group
+        stacked = split_blocks(np.stack([keys, -keys]), cfg)
+        assert np.array_equal(stacked, np.stack([blocks, -blocks]))
 
     def test_short_sequence_left_pad(self):
         cfg = small_cfg()
-        keys = Tensor(np.ones((2, 4)))
-        blocks = split_blocks(keys, cfg)
+        blocks = split_blocks(np.ones((2, 4)), cfg)
         assert len(blocks) == 1
-        assert np.all(blocks[0].data[:2] == 0.0)
-        assert np.all(blocks[0].data[2:] == 1.0)
+        assert np.all(blocks[0, :2] == 0.0)
+        assert np.all(blocks[0, 2:] == 1.0)
 
     def test_block_count_law(self):
         for length in range(32, 2049, 61):
@@ -75,53 +76,52 @@ class TestSplitBlocks:
 class TestCompression:
     def test_zero_block_zero_output_layer(self):
         phi = CompressionMLP(4, 4, np.random.default_rng(0))
-        phi.w2.data[:] = 0.0
-        phi.b2.data[:] = 0.0
-        out = phi.apply_stack(Tensor(np.zeros((1, 4, 4))))
-        assert np.all(out.data == 0.0)
+        phi.w2[:] = 0.0
+        out = phi.apply_stack(np.zeros((1, 4, 4)))
+        assert np.all(out == 0.0)
+
+    def test_draws_match_parameter_initializers(self):
+        """The fixed projection is drawn like learnable weights are, in the
+        same order: position bias, then w1, then w2."""
+        ours, ref = np.random.default_rng(8), np.random.default_rng(8)
+        phi = CompressionMLP(4, 3, ours)
+        want = [parameter((4, 3), ref, scale=0.02), parameter((12, 3), ref), parameter((3, 3), ref)]
+        for got, w in zip((phi.pos_bias, phi.w1, phi.w2), want):
+            assert np.array_equal(got, w.data)
+        assert ours.random() == ref.random()
 
     def test_row_permutation_changes_output(self):
         rng = np.random.default_rng(1)
         cfg = small_cfg()
         phi = CompressionMLP(4, 4, rng)
         block = rng.normal(size=(4, 4))
-        out = compress_sequence(Tensor(block), phi, cfg).data
-        permuted = compress_sequence(Tensor(block[::-1].copy()), phi, cfg).data
+        out = compress_sequence(block, phi, cfg)
+        permuted = compress_sequence(block[::-1].copy(), phi, cfg)
         assert np.abs(out - permuted).max() > 1e-6
 
     def test_bad_block_shape(self):
         phi = CompressionMLP(4, 4, np.random.default_rng(2))
         with pytest.raises(ValueError, match="broadcast"):
-            phi.apply_stack(Tensor(np.zeros((1, 3, 4))))
-
-    def test_gradient_wrt_phi(self):
-        rng = np.random.default_rng(3)
-        cfg = small_cfg()
-        phi = CompressionMLP(cfg.block_size, cfg.d_head, rng)
-        keys = parameter(rng.normal(size=(8, cfg.d_head)))
-        w = rng.normal(size=(cfg.num_cmp_blocks(8), cfg.d_head))
-
-        params = dict(phi.parameters())
-        params["keys"] = keys
-        err = grad_check(lambda: (compress_sequence(keys, phi, cfg) * Tensor(w)).sum(), params, h=1e-5)
-        assert err < 1e-5
+            phi.apply_stack(np.zeros((1, 3, 4)))
 
     def test_compress_sequence_shape(self):
         rng = np.random.default_rng(4)
         cfg = small_cfg()
         phi = CompressionMLP(4, 4, rng)
-        out = compress_sequence(Tensor(rng.normal(size=(10, 4))), phi, cfg)
-        assert out.shape == (cfg.num_cmp_blocks(10), 4) == (4, 4)
-        assert compress_sequence(Tensor(np.ones((2, 4))), phi, cfg).shape == (1, 4)
+        keys = rng.normal(size=(2, 10, 4))
+        out = compress_sequence(keys, phi, cfg)
+        assert out.shape == (2, cfg.num_cmp_blocks(10), 4) == (2, 4, 4)
+        assert np.array_equal(out[1], compress_sequence(keys[1], phi, cfg))
+        assert compress_sequence(np.ones((2, 4)), phi, cfg).shape == (1, 4)
 
 
 class TestImportanceScores:
     def test_orthogonal_is_uniform_over_valid(self):
         cfg = small_cfg(block_size=4, stride=4, sel_block_size=4)
         # blocks cover [0,4), [4,8): block 1 only fully past position 7
-        q = Tensor(np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (8, 1)))
-        cmp_keys = Tensor(np.array([[0, 1, 0, 0], [0, 0, 1, 0]], dtype=float))
-        scores = importance_scores(q, cmp_keys, cfg).data
+        q = np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (8, 1))
+        cmp_keys = np.array([[0, 1, 0, 0], [0, 0, 1, 0]], dtype=float)
+        scores = importance_scores(q, cmp_keys, cfg)
         assert np.allclose(scores[3], [1.0, 0.0])
         assert np.allclose(scores[7], [0.5, 0.5])
         assert np.all(scores[:3] == 0.0)  # no block fully at/before queries 0..2
@@ -129,17 +129,17 @@ class TestImportanceScores:
     def test_dominant_key_wins(self):
         cfg = small_cfg(block_size=4, stride=4, sel_block_size=4, d_head=8)
         e = np.eye(8)
-        q = Tensor(np.tile(e[0], (12, 1)))
-        cmp_keys = Tensor(np.stack([e[1], 10.0 * e[0], e[2]]))
-        scores = importance_scores(q, cmp_keys, cfg).data
+        q = np.tile(e[0], (12, 1))
+        cmp_keys = np.stack([e[1], 10.0 * e[0], e[2]])
+        scores = importance_scores(q, cmp_keys, cfg)
         assert scores[11, 1] > 0.9
 
     def test_rows_sum_to_one_over_valid(self):
         rng = np.random.default_rng(5)
         cfg = small_cfg()
-        q = Tensor(rng.normal(size=(2, 10, 4)))  # two heads
-        cmp_keys = Tensor(rng.normal(size=(4, 4)))
-        scores = importance_scores(q, cmp_keys, cfg).data
+        q = rng.normal(size=(2, 10, 4))  # two heads
+        cmp_keys = rng.normal(size=(4, 4))
+        scores = importance_scores(q, cmp_keys, cfg)
         sums = scores.sum(axis=-1)
         has_valid = np.arange(10) >= 3  # first block ends at position 3
         assert np.abs(sums[:, has_valid] - 1.0).max() < 1e-12
@@ -151,18 +151,18 @@ class TestBlockScores:
         rng = np.random.default_rng(30)
         cfg = small_cfg()
         length = 12
-        q = Tensor(rng.normal(size=(length, cfg.d_head)))
+        q = rng.normal(size=(length, cfg.d_head))
         phi = CompressionMLP(cfg.block_size, cfg.d_head, rng)
-        cmp_keys = compress_sequence(Tensor(rng.normal(size=(length, cfg.d_head))), phi, cfg)
+        cmp_keys = compress_sequence(rng.normal(size=(length, cfg.d_head)), phi, cfg)
         cmp_scores = importance_scores(q, cmp_keys, cfg)
         sel_scores = remap_scores(cmp_scores, cfg, num_sel=cfg.num_sel_blocks(length))
-        sums = cmp_scores.data.sum(axis=-1)
+        sums = cmp_scores.sum(axis=-1)
         assert np.all((np.abs(sums - 1.0) < 1e-12) | (sums == 0.0))
-        assert np.all(sel_scores.data >= 0.0)
+        assert np.all(sel_scores >= 0.0)
         # every selection score is a (weighted) sum of compression scores
         mat = remap_matrix(cmp_scores.shape[-1], cfg.num_sel_blocks(length), cfg)
-        want = cmp_scores.data @ mat
-        assert np.abs(sel_scores.data - want).max() < 1e-15
+        want = cmp_scores @ mat
+        assert np.abs(sel_scores - want).max() < 1e-15
 
 
 class TestRemap:
@@ -173,12 +173,12 @@ class TestRemap:
 
     def test_paper_geometry_sums_adjacent(self):
         # selection 16, compression 32, stride 16: sel[j] = cmp[j] + cmp[j-1]
-        cmp_scores = Tensor(np.array([[0.1, 0.2, 0.3, 0.4]]))
-        out = remap_scores(cmp_scores, PAPER, num_sel=4).data
+        cmp_scores = np.array([[0.1, 0.2, 0.3, 0.4]])
+        out = remap_scores(cmp_scores, PAPER, num_sel=4)
         assert np.allclose(out, [[0.1, 0.1 + 0.2, 0.2 + 0.3, 0.3 + 0.4]])
 
     def test_zero_in_zero_out(self):
-        out = remap_scores(Tensor(np.zeros((3, 7))), PAPER, num_sel=8).data
+        out = remap_scores(np.zeros((3, 7)), PAPER, num_sel=8)
         assert np.all(out == 0.0)
 
     def test_linearity(self):
@@ -187,9 +187,8 @@ class TestRemap:
         a = rng.normal(size=(5, 6))
         b = rng.normal(size=(5, 6))
         alpha, beta = 1.7, -0.4
-        lhs = remap_scores(Tensor(alpha * a + beta * b), cfg, num_sel=4).data
-        rhs = alpha * remap_scores(Tensor(a), cfg, num_sel=4).data \
-            + beta * remap_scores(Tensor(b), cfg, num_sel=4).data
+        lhs = remap_scores(alpha * a + beta * b, cfg, num_sel=4)
+        rhs = alpha * remap_scores(a, cfg, num_sel=4) + beta * remap_scores(b, cfg, num_sel=4)
         assert np.abs(lhs - rhs).max() < 1e-12
 
     def test_multiplicity_counts_offset_pairs(self):
@@ -219,9 +218,9 @@ class TestGroupAggregation:
         lengths = np.array([n])
         masks = build_ltis_masks(q, k, lengths, cfg, phi)
 
-        cmp_keys = compress_sequence(Tensor(k[0, 0]), phi, cfg)
-        a, b = (remap_scores(importance_scores(Tensor(q[0, h]), cmp_keys, cfg), cfg,
-                             num_sel=cfg.num_sel_blocks(n)).data for h in range(2))
+        cmp_keys = compress_sequence(k[0, 0], phi, cfg)
+        a, b = (remap_scores(importance_scores(q[0, h], cmp_keys, cfg), cfg,
+                             num_sel=cfg.num_sel_blocks(n)) for h in range(2))
         chosen = select_topk(a + b, cfg, seq_len=n)
         assert np.array_equal(masks[0, 0, 0], selection_to_visibility(chosen, n, cfg))
         swapped = build_ltis_masks(q[:, ::-1].copy(), k, lengths, cfg, phi)
@@ -275,11 +274,11 @@ def per_step_masks(q, k, lengths, cfg, phi):
         shared = np.zeros((cfg.kv_groups, n, cfg.num_sel_blocks(n)))
         for head in range(cfg.heads):
             g = cfg.group_of_head(head)
-            cmp_keys = compress_sequence(Tensor(k[b, g, pad:]), phi, cfg)
-            cmp_scores = importance_scores(Tensor(q[b, head, pad:]), cmp_keys, cfg)
-            sums = cmp_scores.data.sum(axis=-1)
+            cmp_keys = compress_sequence(k[b, g, pad:], phi, cfg)
+            cmp_scores = importance_scores(q[b, head, pad:], cmp_keys, cfg)
+            sums = cmp_scores.sum(axis=-1)
             assert np.all((np.abs(sums - 1.0) < 1e-12) | (sums == 0.0))
-            shared[g] += remap_scores(cmp_scores, cfg, num_sel=cfg.num_sel_blocks(n)).data
+            shared[g] += remap_scores(cmp_scores, cfg, num_sel=cfg.num_sel_blocks(n))
         for g in range(cfg.kv_groups):
             chosen = select_topk(shared[g], cfg, seq_len=n)
             want[b, g, 0, pad:, pad:] = selection_to_visibility(chosen, n, cfg)
@@ -320,6 +319,10 @@ class TestSelectTopK:
         for t in range(length):
             valid = np.arange(cfg.num_sel_blocks(length)) * 2 <= t
             assert chosen[t].sum() == min(cfg.top_k, valid.sum())
+        # leading (KV group) planes are ranked independently
+        stacked = select_topk(np.stack([scores, -scores]), cfg, seq_len=length)
+        assert np.array_equal(stacked[0], chosen)
+        assert np.array_equal(stacked[1], select_topk(-scores, cfg, seq_len=length))
 
     def test_deterministic(self):
         rng = np.random.default_rng(11)

@@ -1,5 +1,7 @@
 """Scoring, loss, training loop, checkpointing, evaluation."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,16 @@ class TestSequenceLoss:
         err = grad_check(lambda: sequence_loss(model, batch), model.parameters(), h=1e-5)
         assert err <= 1e-4
 
+    def test_every_parameter_gets_gradient(self):
+        """On an unsaturated batch (more selection blocks than top_k, longer
+        than the window) the loss reaches every learnable tensor."""
+        model = tiny_model(num_items=14, layers=2, seed=3)
+        batch = SeqBatch.from_sequences([[3, 1, 8, 5, 2, 9, 14, 7, 6, 11, 4, 12],
+                                         [2, 6, 10, 13, 1, 7, 3]], max_len=16)
+        sequence_loss(model, batch).backward()
+        dead = [k for k, p in model.parameters().items() if p.grad is None or not p.grad.any()]
+        assert dead == []
+
 
 class TestAdam:
     def test_zero_lr_keeps_parameters(self):
@@ -228,15 +240,34 @@ class TestEvaluate:
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
-        model = tiny_model(num_items=14, seed=6)
+        """Two layers and 12 items (6 selection blocks > top_k 2), so both
+        sides score blocks through each layer's fixed projection, which the
+        checkpoint does not store but redraws from the seed."""
+        model = tiny_model(num_items=14, layers=2, seed=6)
+        for p in model.parameters().values():
+            p.data += 0.01  # stored values, not a fresh init, must come back
         path = tmp_path / "model.npz"
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
         assert loaded.num_items == model.num_items
+        with np.load(path) as archive:
+            assert not any("cmp_" in k for k in archive.files)
         for k, p in model.parameters().items():
             assert np.array_equal(p.data, loaded.parameters()[k].data), k
-        batch = SeqBatch.from_sequences([[3, 1, 8, 5]], max_len=8)
+        batch = SeqBatch.from_sequences([[3, 1, 8, 5, 2, 9, 14, 7, 6, 11, 4, 12]], max_len=16)
         assert np.array_equal(model.forward(batch).data, loaded.forward(batch).data)
+
+    def test_version_1_refused(self, tmp_path):
+        path = tmp_path / "v1.npz"
+        save_checkpoint(tiny_model(), path)
+        with np.load(path) as archive:
+            arrays = dict(archive)
+        meta = json.loads(arrays["__meta__"].tobytes().decode())
+        meta["version"] = 1
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(path, **arrays)
+        with pytest.raises(CheckpointError, match="version 1 unsupported"):
+            load_checkpoint(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="not found"):
