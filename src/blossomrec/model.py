@@ -4,7 +4,8 @@ over the item vocabulary, with next-item cross-entropy training.
 Scoring ties the output weights to the input embedding table: the score of
 item v at step t is the dot product of the step-t hidden state with v's
 embedding row. Training is Adam on the softmax cross-entropy of every
-observed next item, with early stopping on validation NDCG@k.
+observed next item, computed only at real transitions (padding slots never
+form a logit row), with early stopping on validation NDCG@k.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from .embedding import EmbeddingTable, RoPECache, embed
 from .errors import CheckpointError, DataError
 from .fusion import BlossomLayerParams, SeqContext, encode
 from .metrics import EvalResult, aggregate, rank_metrics, sample_negatives
-from .tensor import Tensor, log_sum_exp, matmul, no_grad, take_along_last, transpose, zero_grads
+from .tensor import (Tensor, matmul, no_grad, softmax_cross_entropy, take_rows, transpose,
+                     zero_grads)
 
 __all__ = ["Model", "TrainState", "Adam", "item_scores", "sequence_loss", "train",
            "evaluate", "evaluate_popularity", "save_checkpoint", "load_checkpoint"]
@@ -105,8 +107,7 @@ def cross_entropy(scores: Tensor, target_item: int) -> Tensor:
     """
     if target_item < 1 or target_item > scores.shape[0]:
         raise DataError(f"loss target must be a real item id, got {target_item}")
-    lse = log_sum_exp(scores.reshape((1, scores.shape[0])), axis=-1)
-    return (lse - scores[target_item - 1: target_item]).reshape(())
+    return softmax_cross_entropy(scores.reshape((1, scores.shape[0])), [target_item - 1])
 
 
 def sequence_loss(model: Model, batch: SeqBatch, training: bool = False,
@@ -115,19 +116,19 @@ def sequence_loss(model: Model, batch: SeqBatch, training: bool = False,
 
     Position p contributes -log softmax(h_p . E)[id at p+1] whenever both
     positions hold real items; the final real position of each sequence has
-    no in-batch successor and is skipped.
+    no in-batch successor and is skipped. Only the hidden rows of those
+    transitions are scored, so padding never forms a (V,) logit row.
     """
     hidden = model.forward(batch, training=training, rng=rng)
     ids = batch.ids
     valid = (ids[:, :-1] > 0) & (ids[:, 1:] > 0)
     if not valid.any():
         raise DataError("batch contains no next-item transitions")
-    logits = matmul(hidden, transpose(model.table.item_vectors(), (1, 0)))  # (B, L, V)
-    next_ids = np.where(valid, ids[:, 1:] - 1, 0)
-    picked = take_along_last(logits[:, :-1, :], next_ids)      # (B, L-1)
-    lse = log_sum_exp(logits[:, :-1, :], axis=-1)              # (B, L-1)
-    per_pos = (lse - picked) * Tensor(valid.astype(np.float64))
-    return per_pos.sum() * (1.0 / float(valid.sum()))
+    b, p = np.nonzero(valid)
+    length, d = ids.shape[1], hidden.shape[-1]
+    rows = take_rows(hidden.reshape((-1, d)), b * length + p)                 # (N, d)
+    logits = matmul(rows, transpose(model.table.item_vectors(), (1, 0)))       # (N, V)
+    return softmax_cross_entropy(logits, ids[b, p + 1] - 1)
 
 
 class Adam:

@@ -15,6 +15,11 @@ Design points:
     the dense mask ``index_mask`` builds from that same index.
   * forward ops are deterministic: identical inputs give bit-identical
     outputs.
+  * a tensor owns the first gradient it receives (no zeroed buffer is
+    allocated); later contributions are added out of place, so an array
+    handed to two parents (``add`` gives both the same ``g``) is never
+    written through, and no backward closure writes into an array it
+    received.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ __all__ = [
     "masked_softmax",
     "gathered_attention",
     "index_mask",
-    "log_sum_exp",
+    "softmax_cross_entropy",
     "layer_norm",
     "sigmoid",
     "tanh",
@@ -44,7 +49,6 @@ __all__ = [
     "log",
     "power",
     "take_rows",
-    "take_along_last",
     "zero_grads",
 ]
 
@@ -192,7 +196,8 @@ class GradTape:
                     f"got shape {root.shape}"
                 )
             grad = np.ones_like(root.data)
-        _accumulate(root, np.asarray(grad, dtype=np.float64))
+        # A copy: the root owns its seed, which may reach a parameter's .grad.
+        _accumulate(root, np.array(grad, dtype=np.float64))
         for node in reversed(self.ops):
             if node.grad is None or node._backward is None:
                 continue
@@ -268,8 +273,9 @@ def _accumulate(t: Tensor, g: Array) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = g
+    else:
+        t.grad = t.grad + g
 
 
 def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
@@ -371,7 +377,8 @@ def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
     x = a.data
     # Branch on sign to avoid overflow in exp.
-    out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    out_data = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def backward(g: Array) -> None:
         _accumulate(a, g * out_data * (1.0 - out_data))
@@ -442,19 +449,6 @@ def take_rows(table, ids: Array) -> Tensor:
         _accumulate(table, buf)
 
     return _make(table.data[ids], (table,), backward)
-
-
-def take_along_last(a, idx: Array) -> Tensor:
-    """Pick one entry per row along the last axis (``idx`` shaped like a[..., 0])."""
-    a = _as_tensor(a)
-    idx = np.asarray(idx, dtype=np.int64)[..., None]
-
-    def backward(g: Array) -> None:
-        buf = np.zeros_like(a.data)
-        np.put_along_axis(buf, idx, g[..., None], axis=-1)
-        _accumulate(a, buf)
-
-    return _make(np.take_along_axis(a.data, idx, axis=-1)[..., 0], (a,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -614,14 +608,33 @@ def index_mask(idx: Array, valid: Array, length: int) -> Array:
     return out[:, :, None]
 
 
-def log_sum_exp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
-    """Numerically stable log(sum(exp(a))) along ``axis``."""
-    a = _as_tensor(a)
-    shift = np.max(a.data, axis=axis, keepdims=True)  # constant shift, no grad needed
-    out = add(log(tsum(exp(sub(a, Tensor(shift))), axis=axis, keepdims=True)), Tensor(shift))
-    if not keepdims:
-        out = reshape(out, tuple(n for i, n in enumerate(out.shape) if i != (axis % a.ndim)))
-    return out
+def softmax_cross_entropy(logits, targets: Array) -> Tensor:
+    """Mean over rows of -log softmax(logits[n])[targets[n]].
+
+    ``logits`` is (N, V) and ``targets`` holds N column indices in [0, V).
+    Only the per-row log-sum-exp is kept for the backward pass, which
+    recomputes the softmax from it and writes out
+    ``(softmax - onehot) * g / N`` as one (N, V) array.
+    """
+    logits = _as_tensor(logits)
+    x = logits.data
+    n = x.shape[0]
+    rows = np.arange(n)
+    targets = np.asarray(targets, dtype=np.int64)
+    mx = x.max(axis=1, keepdims=True)
+    z = x - mx
+    np.exp(z, out=z)
+    lse = np.log(z.sum(axis=1, keepdims=True)) + mx   # (N, 1)
+    loss = (lse[:, 0] - x[rows, targets]).sum() * (1.0 / n)
+
+    def backward(g: Array) -> None:
+        grad = x - lse
+        np.exp(grad, out=grad)
+        grad[rows, targets] -= 1.0
+        grad *= g * (1.0 / n)
+        _accumulate(logits, grad)
+
+    return _make(np.asarray(loss), (logits,), backward)
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:

@@ -22,7 +22,7 @@ from blossomrec.model import (
     sequence_loss,
     train,
 )
-from blossomrec.tensor import Tensor, parameter
+from blossomrec.tensor import Tensor, parameter, zero_grads
 
 
 def tiny_cfg(**kw):
@@ -132,6 +132,47 @@ class TestSequenceLoss:
         sequence_loss(model, batch).backward()
         dead = [k for k, p in model.parameters().items() if p.grad is None or not p.grad.any()]
         assert dead == []
+
+    def test_matches_per_transition_loop(self):
+        """Loss and every parameter gradient equal a naive loop of
+        single-row cross-entropies over the real transitions."""
+        model = tiny_model(num_items=14, layers=2, seed=3)
+        seqs = [[3, 1, 8, 5, 2, 9, 14, 7, 6, 11, 4, 12], [2, 6], [2, 6, 10, 13, 1, 7, 3],
+                [9, 4, 4, 12, 1]]
+        batch = SeqBatch.from_sequences(seqs, max_len=16)
+        params = model.parameters()
+        loss = sequence_loss(model, batch)
+        loss.backward()
+        fused = {k: p.grad.copy() for k, p in params.items()}
+
+        zero_grads(params)
+        hidden, ids = model.forward(batch), batch.ids
+        terms = [cross_entropy(item_scores(hidden[b, p], model.table), int(ids[b, p + 1]))
+                 for b in range(ids.shape[0]) for p in range(ids.shape[1] - 1)
+                 if ids[b, p] > 0 and ids[b, p + 1] > 0]
+        assert len(terms) == sum(len(s) - 1 for s in seqs)
+        naive = sum(terms) * (1.0 / len(terms))
+        naive.backward()
+        assert abs(float(loss.data) - float(naive.data)) < 1e-12
+        for k, p in params.items():
+            assert np.abs(fused[k] - p.grad).max() < 1e-10, k
+
+    def test_clamp_padding_changes_only_the_embedding_gradient(self):
+        model = tiny_model(num_items=14, layers=2, seed=3)
+        batch = SeqBatch.from_sequences([[3, 1, 8, 5, 2, 9, 14, 7], [2, 6, 10]], max_len=16)
+        sequence_loss(model, batch).backward()
+        params = model.parameters()
+        # Padding never reaches the loss, so row 0's gradient is zero; give
+        # the clamp something to clear.
+        params["embedding"].grad[0] = 1.0
+        before = {k: p.grad.copy() for k, p in params.items()}
+        model.table.clamp_padding()
+        for k, p in params.items():
+            if k == "embedding":
+                assert np.all(p.grad[0] == 0.0)
+                assert np.array_equal(p.grad[1:], before[k][1:])
+            else:
+                assert np.array_equal(p.grad, before[k]), k
 
 
 class TestAdam:

@@ -14,12 +14,11 @@ from blossomrec.tensor import (
     gathered_attention,
     index_mask,
     layer_norm,
-    log_sum_exp,
     masked_softmax,
     matmul,
     parameter,
     sigmoid,
-    take_along_last,
+    softmax_cross_entropy,
     take_rows,
     tanh,
 )
@@ -279,23 +278,57 @@ class TestPrimitiveGradients:
         assert np.any(table.grad[1] != 0.0)
 
     def test_take_along_last_grad(self):
-        x = parameter(self.rng.normal(size=(3, 4, 5)))
-        idx = self.rng.integers(0, 5, size=(3, 4))
-        self.check(lambda: (take_along_last(x, idx) ** 2.0).sum(), [x])
+        """The picked-target term of softmax_cross_entropy, through an
+        upstream op, with a target column repeated across rows."""
+        x = parameter(self.rng.normal(size=(4, 5)))
+        targets = np.array([2, 0, 2, 4])
+        self.check(lambda: softmax_cross_entropy(x * x, targets) * 3.0, [x])
 
     def test_sum_mean_axes(self):
         x = parameter(self.rng.normal(size=(3, 4, 2)))
         self.check(lambda: (x.sum(axis=1) * x.mean(axis=(0, 2), keepdims=True).sum()).sum(), [x])
 
     def test_log_sum_exp_matches_numpy(self):
+        """softmax_cross_entropy is the row-mean of log-sum-exp minus the
+        target logit."""
         x = self.rng.normal(scale=10.0, size=(4, 9))
-        got = log_sum_exp(Tensor(x), axis=-1).data
-        want = np.log(np.exp(x - x.max(-1, keepdims=True)).sum(-1)) + x.max(-1)
-        assert np.abs(got - want).max() < 1e-12
+        targets = np.array([0, 8, 3, 3])
+        got = float(softmax_cross_entropy(Tensor(x), targets).data)
+        lse = np.log(np.exp(x - x.max(-1, keepdims=True)).sum(-1)) + x.max(-1)
+        want = (lse - x[np.arange(4), targets]).mean()
+        assert abs(got - want) < 1e-12
 
     def test_log_sum_exp_grad(self):
         x = parameter(self.rng.normal(size=(2, 5)))
-        self.check(lambda: log_sum_exp(x, axis=-1).sum(), [x])
+        self.check(lambda: softmax_cross_entropy(x, np.array([1, 4])), [x])
+
+
+class TestSoftmaxCrossEntropy:
+    def test_gradcheck_with_extreme_rows(self):
+        rng = np.random.default_rng(11)
+        x = parameter(rng.normal(scale=3.0, size=(5, 7)))
+        x.data[1] = rng.uniform(-1e3, 1e3, 7)
+        x.data[3] = np.array([1e3, -1e3, 0.0, 999.0, -999.0, 1.0, 2.0])
+        targets = np.array([6, 2, 0, 3, 5])
+        loss = softmax_cross_entropy(x, targets)
+        loss.backward()
+        assert np.isfinite(float(loss.data)) and np.all(np.isfinite(x.grad))
+        assert grad_check(lambda: softmax_cross_entropy(x, targets), [x], h=1e-6) < 1e-6
+
+    def test_saturated_target(self):
+        x = Tensor(np.array([[1e3, -1e3, 0.0, 1.0], [-1e3, 2.0, 1e3, -5.0]]))
+        loss = softmax_cross_entropy(x, np.array([0, 2]))
+        assert 0.0 <= float(loss.data) < 1e-12
+
+    def test_gradient_is_softmax_minus_onehot_over_n(self):
+        rng = np.random.default_rng(12)
+        x = parameter(rng.normal(size=(3, 6)))
+        targets = np.array([5, 0, 5])
+        softmax_cross_entropy(x, targets).backward()
+        p = np.exp(x.data - x.data.max(1, keepdims=True))
+        p /= p.sum(1, keepdims=True)
+        p[np.arange(3), targets] -= 1.0
+        assert np.abs(x.grad - p / 3.0).max() < 1e-15
 
 
 class TestTapeMechanics:
@@ -305,6 +338,39 @@ class TestTapeMechanics:
         z = y + y  # two paths to y
         z.backward(np.ones(1))
         assert x.grad.tolist() == [6.0]
+
+    @pytest.mark.parametrize("interior_first", [True, False])
+    def test_shared_gradient_array_is_not_written_through(self, interior_first):
+        """``add`` hands one array to both operands and each owns it as its
+        first gradient. Interior h feeds both operands of an add, so its
+        second contribution lands on an array that the other branch w still
+        holds; adding in place would change w's gradient too."""
+        x = parameter(np.array([1.0, 2.0]))
+        y = parameter(np.array([-3.0, 0.5]))
+        h = x * y
+        w = x * 5.0
+        s = h + h
+        loss = ((s + w) if interior_first else (w + s)).sum()
+        loss.backward()
+        assert np.array_equal(x.grad, 2.0 * y.data + 5.0)
+        assert np.array_equal(y.grad, 2.0 * x.data)
+
+    @pytest.mark.parametrize("shared_first", [True, False])
+    def test_leaves_sharing_one_array_stay_apart(self, shared_first):
+        a = parameter(np.array([1.0, 2.0]))
+        b = parameter(np.array([3.0, 4.0]))
+        shared, extra = (a + b).sum(), (b * 2.0).sum()
+        loss = (shared + extra) if shared_first else (extra + shared)
+        loss.backward()
+        assert a.grad.tolist() == [1.0, 1.0]
+        assert b.grad.tolist() == [3.0, 3.0]
+
+    def test_seed_gradient_is_copied(self):
+        x = parameter(np.array([1.0, 2.0]))
+        seed = np.ones(2)
+        (x + 0.0).backward(seed)
+        seed[:] = 9.0
+        assert x.grad.tolist() == [1.0, 1.0]
 
     def test_gradtape_gradients_helper(self):
         x = parameter(np.array([1.0, 2.0]))
@@ -327,6 +393,13 @@ class TestTapeMechanics:
         a = masked_softmax(Tensor(x), np.tril(np.ones((8, 8), dtype=bool))).data
         b = masked_softmax(Tensor(x), np.tril(np.ones((8, 8), dtype=bool))).data
         assert np.array_equal(a, b)
+
+    def test_sigmoid_bit_identical_to_three_exp_formula(self):
+        x = np.concatenate([[0.0, 1e-300, -1e-300, 30.0, -30.0, 800.0, -800.0],
+                            np.linspace(-40.0, 40.0, 801)])
+        old = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                       np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+        assert np.array_equal(sigmoid(Tensor(x)).data, old)
 
     def test_no_nan_inf_under_extreme_logits(self):
         x = Tensor(np.array([[1e8, -1e8, 0.0]]))
