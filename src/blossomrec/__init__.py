@@ -13,7 +13,6 @@ from .errors import CheckpointError, ConfigError, DataError
 from .gradcheck import grad_check
 from .metrics import EvalResult, rank_metrics, sample_negatives
 from .model import Model, evaluate, load_checkpoint, save_checkpoint, train
-from .stis import SparseMask, build_power_mask
 from .tensor import GradTape, Tensor
 
 __version__ = "0.1.0"
@@ -38,8 +37,6 @@ __all__ = [
     "load_checkpoint",
     "save_checkpoint",
     "train",
-    "SparseMask",
-    "build_power_mask",
     "GradTape",
     "Tensor",
     "__version__",

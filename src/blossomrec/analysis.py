@@ -11,13 +11,12 @@ query's actually visible positions is always reported alongside it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
+from dataclasses import asdict, dataclass
 
 from .config import AttentionConfig
-from .stis import SparseMask, build_power_mask
+from .stis import power_table
 
-__all__ = ["SparsityReport", "count_participating", "complexity_report", "mask_density"]
+__all__ = ["SparsityReport", "count_participating", "complexity_report"]
 
 
 @dataclass
@@ -36,20 +35,7 @@ class SparsityReport:
     flops_blossom: int
 
     def as_dict(self) -> dict:
-        return {
-            "length": self.length,
-            "num_cmp_blocks": self.num_cmp_blocks,
-            "compressed": self.compressed,
-            "selected": self.selected,
-            "window": self.window,
-            "power": self.power,
-            "last_block": self.last_block,
-            "total": self.total,
-            "dedup_union": self.dedup_union,
-            "reduction": self.reduction,
-            "flops_dense": self.flops_dense,
-            "flops_blossom": self.flops_blossom,
-        }
+        return asdict(self)
 
 
 def _dedup_union(length: int, cfg: AttentionConfig) -> int:
@@ -60,8 +46,8 @@ def _dedup_union(length: int, cfg: AttentionConfig) -> int:
     score-based choice), plus the compressed keys, which are extra
     participants rather than sequence positions.
     """
-    mask = build_power_mask(length, cfg, causal=True)
-    visible = set(int(j) for j in mask.rows[-1])
+    idx, valid = power_table(cfg, length)
+    visible = set(idx[-1][valid[-1]].tolist())
     num_sel = cfg.num_sel_blocks(length)
     take = min(cfg.top_k, num_sel)
     for j in range(num_sel - take, num_sel):
@@ -96,16 +82,8 @@ def count_participating(length: int, cfg: AttentionConfig) -> SparsityReport:
         dedup_union=_dedup_union(length, cfg),
         reduction=1.0 - total / length,
         flops_dense=length * length * cfg.d_model,
-        flops_blossom=_blossom_flops(length, cfg),
+        flops_blossom=complexity_report(length, cfg)["blossom_total_stated"],
     )
-
-
-def _blossom_flops(length: int, cfg: AttentionConfig) -> int:
-    m = cfg.num_cmp_blocks(length)
-    d = cfg.d_model
-    stated = m * m * d + cfg.kv_groups * (cfg.sel_block_size * cfg.top_k) ** 2 * d
-    stated += int(math.log2(max(2, length // cfg.blk))) * d
-    return stated
 
 
 def complexity_report(length: int, cfg: AttentionConfig) -> dict:
@@ -123,7 +101,7 @@ def complexity_report(length: int, cfg: AttentionConfig) -> dict:
     ltis_stated = cfg.kv_groups * sel_k**2 * d
     ltis_actual = length * sel_k * d
     stis_stated = int(math.log2(max(2, length // cfg.blk))) * d
-    stis_actual = _stis_total_cost(length, cfg)
+    stis_actual = int(power_table(cfg, length)[1].sum()) * d
     dense = length * length * d
     blossom_total = ltis_scoring + ltis_stated + stis_stated
     return {
@@ -141,19 +119,3 @@ def complexity_report(length: int, cfg: AttentionConfig) -> dict:
                  "visible count, not total cost"),
     }
 
-
-def _stis_total_cost(length: int, cfg: AttentionConfig) -> int:
-    mask = build_power_mask(length, cfg, causal=True)
-    return int(mask.visible_counts().sum()) * cfg.d_model
-
-
-def mask_density(mask: SparseMask) -> dict:
-    """Per-row visible counts plus summary statistics."""
-    counts = mask.visible_counts()
-    return {
-        "length": mask.length,
-        "per_row_counts": counts,
-        "mean_density": float(counts.sum()) / (mask.length * mask.length),
-        "max_row_count": int(counts.max()),
-        "total_visible": int(counts.sum()),
-    }

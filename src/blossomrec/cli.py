@@ -17,7 +17,7 @@ from . import analysis, data as data_mod, model as model_mod
 from .config import (_RUN_FIELD_TYPES, AttentionConfig, RunConfig, parse_config_file,
                      resolve_run_config)
 from .errors import CheckpointError, ConfigError, DataError
-from .stis import build_power_mask
+from .stis import power_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -95,9 +95,19 @@ def _report_config(args: argparse.Namespace) -> AttentionConfig:
     return _resolve(args).attention()
 
 
+def _check_length(length: int) -> int:
+    if length < 1:
+        raise ConfigError(f"sequence length must be at least 1, got {length}")
+    return length
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     cfg = _report_config(args)
-    lengths = [int(x) for x in args.lengths.split(",") if x]
+    try:
+        lengths = [int(x) for x in args.lengths.split(",") if x]
+    except ValueError:
+        raise ConfigError(f"--lengths takes comma-separated integers, got {args.lengths!r}") from None
+    lengths = [_check_length(length) for length in lengths]
     reports = [analysis.count_participating(length, cfg) for length in lengths]
     complexities = [analysis.complexity_report(length, cfg) for length in lengths]
     if args.format == "json":
@@ -123,18 +133,17 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_dump_mask(args: argparse.Namespace) -> int:
     cfg = _resolve(args).attention()
-    mask = build_power_mask(args.length, cfg, causal=not args.non_causal)
+    idx, valid = power_table(cfg, _check_length(args.length))
+    rows = valid.nonzero()[0]
     out = Path(args.out)
     try:
         with out.open("w") as fh:
             fh.write("row,visible_index\n")
-            for i, row in enumerate(mask.rows):
-                for j in row:
-                    fh.write(f"{i},{j}\n")
+            fh.writelines(f"{i},{j}\n" for i, j in zip(rows.tolist(), idx[valid].tolist()))
     except OSError as exc:
         print(f"cannot write {out}: {exc}", file=sys.stderr)
         return EXIT_IO
-    print(f"wrote {mask.num_pairs()} visible pairs for L={args.length} to {out}")
+    print(f"wrote {len(rows)} visible pairs for L={args.length} to {out}")
     return EXIT_OK
 
 
@@ -180,10 +189,10 @@ def main(argv: list[str] | None = None) -> int:
     _add_config_flags(p_report)
     p_report.set_defaults(func=cmd_report)
 
-    p_dump = sub.add_parser("dump-mask", help="write the power mask as row,visible_index CSV")
+    p_dump = sub.add_parser("dump-mask",
+                            help="write the causal power mask as row,visible_index CSV")
     p_dump.add_argument("--length", type=int, required=True)
     p_dump.add_argument("--out", required=True)
-    p_dump.add_argument("--non-causal", action="store_true")
     _add_config_flags(p_dump)
     p_dump.set_defaults(func=cmd_dump_mask)
 

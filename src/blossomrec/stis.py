@@ -1,19 +1,21 @@
-"""Short-term interest pathway: power-law attention mask over full K/V.
+"""Short-term interest pathway: causal power-law attention mask over full K/V.
 
-A query at position i may attend position j when any of three cases holds:
+A query at position i may attend position j <= i when any of three cases
+holds:
 
-  1. |i - j| < win * blk                          (local window)
-  2. |i//blk - j//blk| is a power of two (2^t, t >= 0)  (power distances)
+  1. i - j < win * blk                            (local window)
+  2. i//blk - j//blk is a power of two (2^t, t >= 0)  (power distances)
   3. j lies in the final blk positions            (freshest interactions)
 
-In causal mode the pattern is intersected with j <= i. Per-row visible
+The pattern is causal only; the model never looks ahead. Per-row visible
 counts grow logarithmically in the sequence length, which is the point:
-masks are stored as per-row index lists, not dense L x L bytes.
+the mask is stored as a per-row key index, not dense L x L bytes.
 
-The model runs the causal pattern as an attention index: ``power_table``
-holds every row once per (config, length), cached across batches, and
-``stis_index`` shifts it into each sequence's left-padded frame.
-``batch_stis_masks`` is the same index scattered into a dense mask.
+``power_table`` is the one construction of the mask: it holds every row
+once per (config, length), cached across batches. ``stis_index`` shifts
+it into each sequence's left-padded frame, and ``batch_stis_masks`` is
+that index scattered into a dense mask. ``verify.brute_force_power_mask``
+evaluates the three cases literally and is its oracle.
 """
 
 from __future__ import annotations
@@ -25,29 +27,7 @@ import numpy as np
 from .config import AttentionConfig
 from .tensor import index_mask
 
-__all__ = ["SparseMask", "build_power_mask", "power_table", "gather_width", "stis_index",
-           "batch_stis_masks"]
-
-
-class SparseMask:
-    """Per-row visible-position lists for an L x L visibility pattern."""
-
-    def __init__(self, length: int, rows: list[np.ndarray], causal: bool):
-        self.length = length
-        self.rows = rows  # rows[i]: sorted unique int64 positions visible to query i
-        self.causal = causal
-
-    def visible_counts(self) -> np.ndarray:
-        return np.array([len(r) for r in self.rows], dtype=np.int64)
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.length, self.length), dtype=bool)
-        for i, row in enumerate(self.rows):
-            dense[i, row] = True
-        return dense
-
-    def num_pairs(self) -> int:
-        return int(self.visible_counts().sum())
+__all__ = ["power_table", "gather_width", "stis_index", "batch_stis_masks"]
 
 
 def _power_distances(max_blocks: int) -> np.ndarray:
@@ -58,36 +38,6 @@ def _power_distances(max_blocks: int) -> np.ndarray:
     return 2 ** np.arange(top + 1, dtype=np.int64)
 
 
-def build_power_mask(length: int, cfg: AttentionConfig, causal: bool = True) -> SparseMask:
-    """Build the three-case visibility pattern for a length-L sequence."""
-    if length < 1:
-        raise ValueError(f"mask length must be positive, got {length}")
-    blk, span = cfg.blk, cfg.window_span
-    num_blocks = -(-length // blk)
-    powers = _power_distances(num_blocks)
-    last_start = max(0, length - blk)
-    rows: list[np.ndarray] = []
-    for i in range(length):
-        lo = max(0, i - span + 1)
-        hi = i if causal else min(length - 1, i + span - 1)
-        visible = [np.arange(lo, hi + 1, dtype=np.int64)]
-        bi = i // blk
-        for dist in powers:
-            for bk in (bi - dist, bi + dist):
-                if bk < 0 or bk * blk >= length:
-                    continue
-                start, stop = bk * blk, min((bk + 1) * blk, length)
-                if causal:
-                    stop = min(stop, i + 1)
-                if start < stop:
-                    visible.append(np.arange(start, stop, dtype=np.int64))
-        stop = i + 1 if causal else length
-        if last_start < stop:
-            visible.append(np.arange(last_start, stop, dtype=np.int64))
-        rows.append(np.unique(np.concatenate(visible)))
-    return SparseMask(length, rows, causal)
-
-
 @functools.lru_cache(maxsize=256)
 def power_table(cfg: AttentionConfig, length: int) -> tuple[np.ndarray, np.ndarray]:
     """Causal power-mask rows 0..length-1 as an (L, K) index and validity.
@@ -96,7 +46,7 @@ def power_table(cfg: AttentionConfig, length: int) -> tuple[np.ndarray, np.ndarr
     ``valid[i].sum()`` slots; K is the longest row. Causally, row i does
     not depend on the sequence length: case 3 (the final blk positions)
     lies inside every window that may see it, because blk <= win * blk.
-    So row i here is ``build_power_mask(n).rows[i]`` for every n > i.
+    So the first n rows of any longer table are the length-n table's rows.
     """
     span = cfg.window_span
     width = min(span, length)

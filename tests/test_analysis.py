@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from blossomrec.analysis import complexity_report, count_participating, mask_density
+from blossomrec.analysis import complexity_report, count_participating
 from blossomrec.config import AttentionConfig
-from blossomrec.stis import build_power_mask
+from blossomrec.stis import power_table
 
 PAPER = AttentionConfig()
 PUBLISHED_TOTALS = {256: 103, 512: 120, 1024: 153, 2048: 218}
@@ -56,24 +56,29 @@ class TestComplexityReport:
         assert "differs" in rep["note"]
 
 
+def row_counts(length, cfg):
+    return power_table(cfg, length)[1].sum(axis=1)
+
+
 class TestMaskDensity:
+    """Visible counts of the causal power mask, as ``complexity_report`` sums them."""
+
     def test_saturated_mask(self):
         cfg = AttentionConfig(win=8, blk=1)
-        stats = mask_density(build_power_mask(8, cfg, causal=False))
-        assert stats["mean_density"] == 1.0
+        assert row_counts(8, cfg).tolist() == list(range(1, 9))
+        assert complexity_report(8, cfg)["stis_total_actual"] == 8 * 9 // 2 * cfg.d_model
 
     def test_row_bound_brute_force(self):
         cfg = AttentionConfig(win=1, blk=1)
-        stats = mask_density(build_power_mask(1024, cfg, causal=False))
-        assert stats["max_row_count"] <= 1 + 2 * int(np.log2(1024)) + 1
+        assert row_counts(1024, cfg).max() <= 1 + int(np.log2(1024)) + 1
 
     def test_density_shrinks_with_length(self):
-        d_small = mask_density(build_power_mask(256, PAPER, causal=True))["mean_density"]
-        d_large = mask_density(build_power_mask(2048, PAPER, causal=True))["mean_density"]
+        d_small = row_counts(256, PAPER).sum() / 256**2
+        d_large = row_counts(2048, PAPER).sum() / 2048**2
         assert d_large < d_small
 
     def test_log_growth_of_row_counts(self):
         for length in (128, 256, 512, 1024, 2048):
-            a = mask_density(build_power_mask(length, PAPER, causal=True))["max_row_count"]
-            b = mask_density(build_power_mask(2 * length, PAPER, causal=True))["max_row_count"]
+            a = row_counts(length, PAPER).max()
+            b = row_counts(2 * length, PAPER).max()
             assert b - a <= 2 * PAPER.blk

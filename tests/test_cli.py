@@ -112,6 +112,14 @@ class TestReportCommand:
         assert row["selected"] == 2 * 4
 
 
+    @pytest.mark.parametrize("lengths", ["0", "-5", "256,0", "abc"])
+    def test_bad_lengths_exit_2(self, capsys, lengths):
+        assert main(["report", "--paper-defaults", "--lengths", lengths]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ")
+        assert captured.out == ""
+
+
 class TestDumpMaskCommand:
     def test_pair_count_matches_brute_force(self, tmp_path, capsys):
         out = tmp_path / "mask.csv"
@@ -122,7 +130,7 @@ class TestDumpMaskCommand:
         from blossomrec.config import AttentionConfig
 
         cfg = AttentionConfig(blk=1, win=2)
-        expected = int(brute_force_power_mask(8, cfg, causal=True).sum())
+        expected = int(brute_force_power_mask(8, cfg).sum())
         assert len(lines) - 1 == expected
 
     def test_length_one(self, tmp_path):
@@ -140,6 +148,13 @@ class TestDumpMaskCommand:
     def test_unwritable_path_exits_5(self, tmp_path):
         assert main(["dump-mask", "--length", "4",
                      "--out", str(tmp_path / "no" / "dir" / "m.csv")]) == 5
+
+    @pytest.mark.parametrize("length", ["0", "-3"])
+    def test_nonpositive_length_exits_2(self, tmp_path, capsys, length):
+        out = tmp_path / "m.csv"
+        assert main(["dump-mask", "--length", length, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
 
 
 class TestConfigPrecedence:

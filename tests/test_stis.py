@@ -1,4 +1,4 @@
-"""Power-mask construction and attention under the power mask."""
+"""Power-mask construction (``power_table``) and attention under the power mask."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from blossomrec.config import AttentionConfig
 from blossomrec.fusion import dense_causal_gqa, grouped_attention
 from blossomrec.gradcheck import grad_check
-from blossomrec.stis import SparseMask, batch_stis_masks, build_power_mask, power_table, stis_index
+from blossomrec.stis import batch_stis_masks, power_table, stis_index
 from blossomrec.tensor import Tensor, parameter
 from blossomrec.verify import brute_force_power_mask
 
@@ -18,32 +18,43 @@ def cfg_with(blk=1, win=2, **kw):
     return AttentionConfig(blk=blk, win=win, **base)
 
 
+def mask_rows(length, cfg):
+    """Row i of the length-L power mask as ``power_table`` holds it."""
+    idx, valid = power_table(cfg, length)
+    return [idx[i][valid[i]].tolist() for i in range(length)]
+
+
+def dense_mask(length, cfg):
+    return batch_stis_masks(np.array([length]), length, cfg)[0, 0, 0]
+
+
+def brute_rows(length, cfg):
+    return [np.flatnonzero(row).tolist() for row in brute_force_power_mask(length, cfg)]
+
+
 class TestBuildPowerMask:
+    """The causal power mask as ``power_table`` builds it."""
+
     def test_spec_row_example(self):
-        # L=8, blk=1, win=2, causal: row 7 sees window {6,7}, power
+        # L=8, blk=1, win=2: row 7 sees window {6,7}, power
         # distances {1,2,4} -> {6,5,3}, and the last block {7}
-        mask = build_power_mask(8, cfg_with(blk=1, win=2), causal=True)
-        assert mask.rows[7].tolist() == [3, 5, 6, 7]
+        assert mask_rows(8, cfg_with(blk=1, win=2))[7] == [3, 5, 6, 7]
 
     def test_length_one(self):
-        mask = build_power_mask(1, cfg_with(), causal=True)
-        assert mask.rows[0].tolist() == [0]
+        assert mask_rows(1, cfg_with()) == [[0]]
 
     def test_window_saturation(self):
         length = 16
-        mask = build_power_mask(length, cfg_with(blk=1, win=length), causal=True)
-        for i, row in enumerate(mask.rows):
-            assert row.tolist() == list(range(i + 1))
+        for i, row in enumerate(mask_rows(length, cfg_with(blk=1, win=length))):
+            assert row == list(range(i + 1))
 
-    @pytest.mark.parametrize("causal", [True, False])
-    def test_matches_brute_force(self, causal):
+    def test_matches_brute_force(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
             length = int(rng.integers(1, 80))
             cfg = cfg_with(blk=int(rng.integers(1, 5)), win=int(rng.integers(1, 4)))
-            fast = build_power_mask(length, cfg, causal).to_dense()
-            slow = brute_force_power_mask(length, cfg, causal)
-            assert np.array_equal(fast, slow), (length, cfg.blk, cfg.win, causal)
+            assert np.array_equal(dense_mask(length, cfg), brute_force_power_mask(length, cfg)), \
+                (length, cfg.blk, cfg.win)
 
     def test_window_power_subset_symmetric(self):
         # the last-block case breaks symmetry; window + power alone do not
@@ -58,33 +69,28 @@ class TestBuildPowerMask:
 
     def test_last_block_always_visible(self):
         length, cfg = 33, cfg_with(blk=3, win=1)
-        mask = build_power_mask(length, cfg, causal=True)
-        for i, row in enumerate(mask.rows):
+        for i, row in enumerate(mask_rows(length, cfg)):
             expected = set(range(max(0, length - cfg.blk), min(i + 1, length)))
-            assert expected.issubset(set(row.tolist()))
-        noncausal = build_power_mask(length, cfg, causal=False)
-        for row in noncausal.rows:
-            assert set(range(length - cfg.blk, length)).issubset(set(row.tolist()))
+            assert expected.issubset(row)
 
     def test_row_count_bound(self):
         for length in (64, 256, 1024, 4096):
             for blk, win in ((1, 2), (4, 2), (8, 1)):
-                cfg = cfg_with(blk=blk, win=win)
-                mask = build_power_mask(length, cfg, causal=False)
-                bound = (2 * win * blk - 1) + 2 * int(np.floor(np.log2(max(1, length // blk)))) * blk + blk
-                assert mask.visible_counts().max() <= bound, (length, blk, win)
+                _, valid = power_table(cfg_with(blk=blk, win=win), length)
+                bound = win * blk + int(np.floor(np.log2(max(1, length // blk)))) * blk + blk
+                assert valid.sum(axis=1).max() <= bound, (length, blk, win)
 
     def test_monotone_in_win(self):
         length = 50
-        small = build_power_mask(length, cfg_with(blk=2, win=1), causal=True).to_dense()
-        large = build_power_mask(length, cfg_with(blk=2, win=3), causal=True).to_dense()
-        assert np.all(large[small])
+        small = dense_mask(length, cfg_with(blk=2, win=1))
+        large = dense_mask(length, cfg_with(blk=2, win=3))
+        assert small.any() and np.all(large[small])
 
     def test_log_growth_per_row(self):
         cfg = cfg_with(blk=1, win=2)
         for length in (64, 128, 256, 512):
-            a = build_power_mask(length, cfg, causal=True).visible_counts().max()
-            b = build_power_mask(2 * length, cfg, causal=True).visible_counts().max()
+            a = power_table(cfg, length)[1].sum(axis=1).max()
+            b = power_table(cfg, 2 * length)[1].sum(axis=1).max()
             assert b - a <= 2 * cfg.blk
 
 
@@ -105,11 +111,11 @@ class TestStisAttention:
         rng = np.random.default_rng(13)
         cfg = cfg_with(heads=1, kv_groups=1)
         length = 6
-        mask = SparseMask(length, [np.array([i]) for i in range(length)], causal=True)
+        mask = np.eye(length, dtype=bool)
         q = rng.normal(size=(1, 1, length, cfg.d_head))
         k = rng.normal(size=(1, 1, length, cfg.d_head))
         v = rng.normal(size=(1, 1, length, cfg.d_head))
-        out = grouped_attention(Tensor(q), Tensor(k), Tensor(v), cfg, mask.to_dense())
+        out = grouped_attention(Tensor(q), Tensor(k), Tensor(v), cfg, mask)
         assert np.abs(out.data[0] - v[0, 0]).max() < 1e-12
 
     def test_length_mismatch(self):
@@ -144,24 +150,22 @@ class TestBatchMasks:
         # first sequence: two leading pad slots never visible, never queried
         assert not masks[0, 0, 0, :2].any()
         assert not masks[0, 0, 0, :, :2].any()
-        inner = build_power_mask(3, cfg, causal=True).to_dense()
-        assert np.array_equal(masks[0, 0, 0, 2:, 2:], inner)
-        full = build_power_mask(5, cfg, causal=True).to_dense()
-        assert np.array_equal(masks[1, 0, 0], full)
+        assert np.array_equal(masks[0, 0, 0, 2:, 2:], brute_force_power_mask(3, cfg))
+        assert np.array_equal(masks[1, 0, 0], brute_force_power_mask(5, cfg))
 
 
 class TestPowerTable:
     @pytest.mark.parametrize("blk, win", [(1, 1), (1, 2), (1, 8), (2, 2), (3, 1), (4, 3)])
     def test_table_rows_equal_mask_rows(self, blk, win):
         """Causal rows depend only on the query position, so the table for a
-        length-n frame holds ``build_power_mask(n).rows`` for every n."""
+        length-n frame holds the brute-force mask rows for every n."""
         cfg = cfg_with(blk=blk, win=win)
         for n in range(1, 131):
             idx, valid = power_table(cfg, n)
-            rows = build_power_mask(n, cfg, causal=True).rows
+            rows = brute_rows(n, cfg)
             assert idx.shape[1] == max(len(r) for r in rows)
             for i in range(n):
-                assert idx[i][valid[i]].tolist() == rows[i].tolist(), (n, i)
+                assert idx[i][valid[i]].tolist() == rows[i], (n, i)
 
     def test_table_is_cached_and_read_only(self):
         cfg = cfg_with(blk=2, win=3)
@@ -176,6 +180,6 @@ class TestPowerTable:
         assert not valid[0, 0, :2].any() and not valid[2].any()
         for b, n in ((0, 3), (1, 5)):
             pad = 5 - n
-            rows = build_power_mask(n, cfg, causal=True).rows
+            rows = brute_rows(n, cfg)
             for i in range(n):
-                assert (idx[b, 0, pad + i][valid[b, 0, pad + i]] - pad).tolist() == rows[i].tolist()
+                assert (idx[b, 0, pad + i][valid[b, 0, pad + i]] - pad).tolist() == rows[i]
