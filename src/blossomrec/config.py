@@ -113,6 +113,11 @@ class RunConfig:
             raise ConfigError(f"pathway must be both|ltis|stis, got {self.pathway!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
+        for name in ("batch_size", "epochs", "max_len", "layers", "eval_k", "negatives"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not self.lr > 0.0:
+            raise ConfigError(f"lr must be positive, got {self.lr}")
         return self
 
 

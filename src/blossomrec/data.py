@@ -191,19 +191,17 @@ def leave_one_out_split(log: InteractionLog, min_len: int = 3) -> SplitDataset:
 
 @dataclass
 class SeqBatch:
-    """Left-padded id matrix with true lengths and per-sequence targets."""
+    """Left-padded id matrix with true lengths."""
 
     ids: np.ndarray       # (B, L) int64, 0-padded at the front
     lengths: np.ndarray   # (B,) int64
-    targets: np.ndarray   # (B,) int64, 0 when absent
 
     @property
     def total_len(self) -> int:
         return self.ids.shape[1]
 
     @classmethod
-    def from_sequences(cls, seqs: list[list[int]], max_len: int,
-                       targets: list[int] | None = None) -> "SeqBatch":
+    def from_sequences(cls, seqs: list[list[int]], max_len: int) -> "SeqBatch":
         """Pad/truncate sequences, keeping the most recent ``max_len`` items."""
         trimmed = [s[-max_len:] for s in seqs]
         width = max((len(s) for s in trimmed), default=1)
@@ -214,8 +212,7 @@ class SeqBatch:
             if s:
                 ids[row, width - len(s):] = s
             lengths[row] = len(s)
-        tgt = np.zeros(len(trimmed), dtype=np.int64) if targets is None else np.asarray(targets, dtype=np.int64)
-        return cls(ids=ids, lengths=lengths, targets=tgt)
+        return cls(ids=ids, lengths=lengths)
 
 
 def make_synthetic(num_users: int, num_items: int, blocks_per_user: int,

@@ -7,11 +7,12 @@ sigmoid gate, and finishes with the usual post-norm residual + feed-forward
 sandwich. A stack of layers ends with one affine output projection.
 
 Each pathway reduces to an attention index: K key positions per query
-(``ltis.ltis_index``, ``stis.stis_index``). When the frame is at least
-``GATHER_MIN_RATIO`` times K, the layer gathers those K/V rows
+(``ltis.ltis_index``, ``stis.stis_index``), built once per layer. One
+dispatch, ``_attend``, reads K off the index: when the frame is at least
+``GATHER_MIN_RATIO`` times K it gathers those K/V rows
 (``tensor.gathered_attention``, O(L * K) work); on shorter frames the
-gather costs more than it saves, and the layer attends densely under the
-same index scattered into an L x L mask (``grouped_attention``).
+gather costs more than it saves, and it attends densely under the same
+index scattered into an L x L mask (``grouped_attention``).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .tensor import (
     concat,
     dropout,
     gathered_attention,
+    index_mask,
     layer_norm,
     masked_softmax,
     matmul,
@@ -101,13 +103,16 @@ def _merge_heads(x: Tensor, w_o: Tensor | None) -> Tensor:
     return merged if w_o is None else matmul(merged, w_o)
 
 
-def _gathers(total_len: int, width: int) -> bool:
-    return total_len >= GATHER_MIN_RATIO * width
-
-
-def _gathered(q: Tensor, k: Tensor, v: Tensor, index: tuple[np.ndarray, np.ndarray],
-              w_o: Tensor) -> Tensor:
-    return _merge_heads(gathered_attention(q, k, v, *index), w_o)
+def _attend(q: Tensor, k: Tensor, v: Tensor, index: tuple[np.ndarray, np.ndarray],
+            cfg: AttentionConfig, w_o: Tensor) -> Tensor:
+    """Attend over an (idx, valid) index: gather its K/V rows when the
+    frame is at least ``GATHER_MIN_RATIO`` times the index width, else
+    attend densely under the index scattered into an L x L mask."""
+    idx, valid = index
+    length = q.shape[2]
+    if length >= GATHER_MIN_RATIO * idx.shape[-1]:
+        return _merge_heads(gathered_attention(q, k, v, idx, valid), w_o)
+    return grouped_attention(q, k, v, cfg, index_mask(idx, valid, length), w_o=w_o)
 
 
 def gated_fuse(o_ltis: Tensor, o_stis: Tensor, gate_w: Tensor, gate_b: Tensor) -> tuple[Tensor, Tensor]:
@@ -200,9 +205,9 @@ def encoder_layer(h_prev: Tensor, params: BlossomLayerParams, cfg: AttentionConf
                   rng: np.random.Generator | None = None, pathway: str = "both") -> Tensor:
     """One post-norm encoder layer with gated dual-pathway attention.
 
-    Each pathway gathers K/V or attends under a dense mask by the
-    ``GATHER_MIN_RATIO`` rule. Dropout is identity unless ``training`` is
-    set.
+    Each pathway's index goes to ``_attend``, which gathers K/V or
+    attends under a dense mask by the index width. Dropout is identity
+    unless ``training`` is set.
     """
     q = split_heads(matmul(h_prev, params.w_q), cfg.heads)
     k = split_heads(matmul(h_prev, params.w_k), cfg.kv_groups)
@@ -210,22 +215,13 @@ def encoder_layer(h_prev: Tensor, params: BlossomLayerParams, cfg: AttentionConf
     q = apply_rope(q, ctx.positions, rope)
     k = apply_rope(k, ctx.positions, rope)
 
-    need_ltis = pathway in ("both", "ltis")
-    need_stis = pathway in ("both", "stis")
     o_ltis = o_stis = None
-    length = ctx.total_len
-    if need_ltis:
-        select = (q.data, k.data, ctx.lengths, cfg, params.cmp_key)
-        if _gathers(length, ltis_mod.gather_width(cfg)):
-            o_ltis = _gathered(q, k, v, ltis_mod.ltis_index(*select), params.w_o)
-        else:
-            o_ltis = grouped_attention(q, k, v, cfg, ltis_mod.build_ltis_masks(*select), w_o=params.w_o)
-    if need_stis:
-        frame = (ctx.lengths, length, cfg)
-        if _gathers(length, stis_mod.gather_width(cfg, length)):
-            o_stis = _gathered(q, k, v, stis_mod.stis_index(*frame), params.w_o)
-        else:
-            o_stis = grouped_attention(q, k, v, cfg, stis_mod.batch_stis_masks(*frame), w_o=params.w_o)
+    if pathway in ("both", "ltis"):
+        index = ltis_mod.ltis_index(q.data, k.data, ctx.lengths, cfg, params.cmp_key)
+        o_ltis = _attend(q, k, v, index, cfg, params.w_o)
+    if pathway in ("both", "stis"):
+        index = stis_mod.stis_index(ctx.lengths, ctx.total_len, cfg)
+        o_stis = _attend(q, k, v, index, cfg, params.w_o)
 
     if pathway == "both":
         fused, _ = gated_fuse(o_ltis, o_stis, params.gate_w, params.gate_b)

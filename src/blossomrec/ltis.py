@@ -16,9 +16,10 @@ Pipeline per sequence, all KV groups at once:
      the lower block index; fewer than k valid blocks means take them all);
   7. expand the chosen blocks into an attention index, ``ltis_index``:
      each query's top_k * sel_block_size key positions, causally cut. The
-     encoder gathers K/V by this index (``tensor.gathered_attention``);
-     on short frames it attends densely under the same index scattered
-     into a mask (``build_ltis_masks``, ``fusion.grouped_attention``).
+     encoder attends over this index, gathering its K/V rows or, on
+     short frames, masking densely (``fusion`` explains the choice).
+     ``build_ltis_masks`` is the index as a dense mask, a reference for
+     checks and tests that the model does not call.
 
 A sequence with at most top_k selection blocks skips steps 1-6: every
 started block is selected whatever the scores, so each query sees its
@@ -46,7 +47,6 @@ __all__ = [
     "remap_scores",
     "select_topk",
     "selection_to_visibility",
-    "gather_width",
     "ltis_index",
     "build_ltis_masks",
 ]
@@ -180,11 +180,6 @@ def selection_to_visibility(selected: np.ndarray, length: int, cfg: AttentionCon
     return per_pos & causal
 
 
-def gather_width(cfg: AttentionConfig) -> int:
-    """Key slots per query in the LTIS attention index: top_k whole blocks."""
-    return cfg.top_k * cfg.sel_block_size
-
-
 def ltis_index(q_data: np.ndarray, k_data: np.ndarray, lengths: np.ndarray,
                cfg: AttentionConfig, phi_key: CompressionMLP) -> tuple[np.ndarray, np.ndarray]:
     """Run the whole selection pipeline, batched, and return the positions
@@ -194,7 +189,7 @@ def ltis_index(q_data: np.ndarray, k_data: np.ndarray, lengths: np.ndarray,
     values (plain arrays; selection carries no gradient). ``lengths`` gives
     each sequence's real length inside its left-padded frame. Returns int
     frame positions and their validity, each (B, kv_groups, L, K) with
-    K = ``gather_width(cfg)``: the chosen blocks in ascending order,
+    K = top_k * sel_block_size: the chosen blocks in ascending order,
     causally cut (K is the frame length when that is smaller). Padding
     queries see nothing.
 
@@ -204,7 +199,7 @@ def ltis_index(q_data: np.ndarray, k_data: np.ndarray, lengths: np.ndarray,
     """
     batch, _, total_len, _ = q_data.shape
     # a frame no wider than top_k blocks holds only saturated sequences
-    width = min(gather_width(cfg), total_len)
+    width = min(cfg.top_k * cfg.sel_block_size, total_len)
     idx = np.zeros((batch, cfg.kv_groups, total_len, width), dtype=np.int64)
     valid = np.zeros(idx.shape, dtype=bool)
     slots = np.arange(width)

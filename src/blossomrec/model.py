@@ -280,8 +280,7 @@ class _ModelScorer:
         for lo in range(0, len(users), batch_size):
             chunk = users[lo: lo + batch_size]
             contexts = [dataset.context(u, split) for u in chunk]
-            batch = SeqBatch.from_sequences(contexts, model.max_len,
-                                            targets=[dataset.target(u, split) for u in chunk])
+            batch = SeqBatch.from_sequences(contexts, model.max_len)
             h = self.model.last_hidden(batch)
             for row, u in enumerate(chunk):
                 self.hidden[u] = h[row]
@@ -326,19 +325,28 @@ def load_checkpoint(path: str | Path) -> Model:
         archive = np.load(path)
     except Exception as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    if "__meta__" not in archive:
+    if not isinstance(archive, np.lib.npyio.NpzFile):
         raise CheckpointError(f"{path} is not a recognized checkpoint (missing header)")
-    meta = json.loads(archive["__meta__"].tobytes().decode())
-    if meta.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(f"checkpoint version {meta.get('version')} unsupported")
-    model = Model.from_config_dict(meta["config"])
-    params = model.parameters()
-    for name, p in params.items():
-        key = f"param:{name}"
-        if key not in archive:
-            raise CheckpointError(f"checkpoint missing parameter {name}")
-        stored = archive[key]
-        if stored.shape != p.data.shape:
-            raise CheckpointError(f"parameter {name} has shape {stored.shape}, expected {p.data.shape}")
-        p.data = stored.astype(np.float64).copy()
+    with archive:
+        if "__meta__" not in archive:
+            raise CheckpointError(f"{path} is not a recognized checkpoint (missing header)")
+        try:
+            meta = json.loads(archive["__meta__"].tobytes().decode())
+            version = meta.get("version")
+        except (ValueError, AttributeError) as exc:
+            raise CheckpointError(f"{path} has an unreadable header: {exc}") from exc
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(f"checkpoint version {version} unsupported")
+        try:
+            model = Model.from_config_dict(meta["config"])
+        except KeyError as exc:
+            raise CheckpointError(f"{path} header lacks config field {exc}") from exc
+        for name, p in model.parameters().items():
+            key = f"param:{name}"
+            if key not in archive:
+                raise CheckpointError(f"checkpoint missing parameter {name}")
+            stored = archive[key]
+            if stored.shape != p.data.shape:
+                raise CheckpointError(f"parameter {name} has shape {stored.shape}, expected {p.data.shape}")
+            p.data = stored.astype(np.float64).copy()
     return model

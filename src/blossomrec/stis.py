@@ -13,9 +13,12 @@ the mask is stored as a per-row key index, not dense L x L bytes.
 
 ``power_table`` is the one construction of the mask: it holds every row
 once per (config, length), cached across batches. ``stis_index`` shifts
-it into each sequence's left-padded frame, and ``batch_stis_masks`` is
-that index scattered into a dense mask. ``verify.brute_force_power_mask``
-evaluates the three cases literally and is its oracle.
+it into each sequence's left-padded frame; the encoder attends over that
+index, and its width (the table's) decides whether it gathers
+(``fusion``). ``batch_stis_masks`` is the index as a dense mask, a
+reference for checks and tests that the model does not call.
+``verify.brute_force_power_mask`` evaluates the three cases literally
+and is the table's oracle.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 from .config import AttentionConfig
 from .tensor import index_mask
 
-__all__ = ["power_table", "gather_width", "stis_index", "batch_stis_masks"]
+__all__ = ["power_table", "stis_index", "batch_stis_masks"]
 
 
 def _power_distances(max_blocks: int) -> np.ndarray:
@@ -64,11 +67,6 @@ def power_table(cfg: AttentionConfig, length: int) -> tuple[np.ndarray, np.ndarr
     idx = np.where(valid, idx, 0)
     idx.flags.writeable = valid.flags.writeable = False
     return idx, valid
-
-
-def gather_width(cfg: AttentionConfig, length: int) -> int:
-    """Key slots per query in the STIS attention index of a length-L frame."""
-    return power_table(cfg, length)[0].shape[1]
 
 
 def stis_index(lengths: np.ndarray, total_len: int,

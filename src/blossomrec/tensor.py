@@ -111,12 +111,6 @@ class Tensor:
 
     # -- graph plumbing --------------------------------------------------
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self, grad: Array | None = None) -> None:
         GradTape(self).replay(grad)
 

@@ -54,9 +54,10 @@ def dense_equivalence_error(seeds: range, lengths: tuple[int, ...]) -> tuple[flo
 
     With top_k and win saturated both pathways see the whole causal prefix,
     so their gated fusion must equal dense attention for any gate, on both
-    branches the encoder may take: ``grouped_attention`` under
-    ``build_ltis_masks`` and ``batch_stis_masks``, and ``gathered_attention``
-    over ``ltis_index`` and ``stis_index``. Each seed and head width (4 and
+    branches the encoder may take: ``gathered_attention`` over
+    ``ltis_index`` and ``stis_index``, and ``grouped_attention`` under those
+    indices scattered into dense masks (``build_ltis_masks``,
+    ``batch_stis_masks``). Each seed and head width (4 and
     8) runs one batch holding every length, left-padded to the longest,
     with random values in the padding slots. Returns the max abs error over
     the real rows and the max abs value over the padding query rows, which

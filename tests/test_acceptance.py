@@ -14,7 +14,7 @@ from blossomrec.cli import main
 from blossomrec.config import AttentionConfig, RunConfig
 from blossomrec.data import leave_one_out_split, make_synthetic, write_interactions
 from blossomrec.model import Model, evaluate, evaluate_popularity, train
-from blossomrec.stis import gather_width
+from blossomrec.stis import power_table
 from blossomrec.verify import dense_equivalence_error, gradient_error, mask_law_holds
 
 
@@ -111,8 +111,8 @@ def test_criterion_4_mask_law_suite():
     for blk, win in ((1, 2), (2, 2), (4, 1)):
         cfg = AttentionConfig(blk=blk, win=win)
         for length in (128, 256, 512, 1024):
-            a = gather_width(cfg, length)
-            b = gather_width(cfg, 2 * length)
+            a = power_table(cfg, length)[0].shape[1]
+            b = power_table(cfg, 2 * length)[0].shape[1]
             growth_ok &= (b - a) <= 2 * blk
     elapsed = time.time() - start
     ok = growth_ok and elapsed < 30.0

@@ -6,14 +6,18 @@ import numpy as np
 import pytest
 
 from blossomrec.cli import main
-from blossomrec.config import RunConfig, parse_config_file, resolve_run_config
+from blossomrec.config import AttentionConfig, RunConfig, parse_config_file, resolve_run_config
+from blossomrec.data import leave_one_out_split, load_interactions
 from blossomrec.errors import ConfigError
+from blossomrec.model import Model, save_checkpoint
 from blossomrec.verify import brute_force_power_mask
 
 TINY = ["--d-model", "8", "--d-head", "4", "--heads", "2", "--kv-groups", "1",
         "--block-size", "4", "--stride", "2", "--sel-block-size", "2", "--top-k", "2",
         "--win", "2", "--blk", "1", "--max-len", "16", "--batch-size", "16",
         "--negatives", "10", "--layers", "1"]
+TINY_ATTENTION = AttentionConfig(d_model=8, d_head=4, heads=2, kv_groups=1, block_size=4,
+                                 stride=2, sel_block_size=2, top_k=2, win=2, blk=1)
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +61,17 @@ class TestTrainCommand:
                      "--config", str(cfg_file), *TINY])
         assert code == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--batch-size", "0"), ("--epochs", "0"), ("--max-len", "0"), ("--layers", "0"),
+        ("--eval-k", "0"), ("--negatives", "0"), ("--lr", "0"), ("--lr", "-0.01")])
+    def test_out_of_range_setting_exits_2(self, synth_path, tmp_path, capsys, flag, value):
+        out_dir = tmp_path / "z"
+        assert run_train(synth_path, out_dir, extra=(flag, value)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert flag[2:].replace("-", "_") in err
+        assert not (out_dir / "checkpoint.npz").exists()
+
 
 class TestEvalCommand:
     def test_eval_trained_checkpoint(self, synth_path, tmp_path, capsys):
@@ -78,10 +93,25 @@ class TestEvalCommand:
                      "--dataset", str(other), "--negatives", "10"])
         assert code == 4
 
-    def test_unreadable_checkpoint_exits_4(self, synth_path, tmp_path):
+    def test_unreadable_checkpoint_exits_4(self, synth_path, tmp_path, capsys):
         code = main(["eval", "--checkpoint", str(tmp_path / "ghost.npz"),
                      "--dataset", str(synth_path)])
         assert code == 4
+        assert run_train(synth_path, tmp_path / "run") == 0
+        with np.load(tmp_path / "run" / "checkpoint.npz") as archive:
+            arrays = dict(archive)
+        meta = json.loads(arrays["__meta__"].tobytes())
+        del meta["config"]["attention"]
+        headers = {"not-json": b"{version: 2",
+                   "no-config": json.dumps({"version": meta["version"]}).encode(),
+                   "no-field": json.dumps(meta).encode()}
+        capsys.readouterr()
+        for name, header in headers.items():
+            path = tmp_path / f"{name}.npz"
+            np.savez(path, **{**arrays, "__meta__": np.frombuffer(header, dtype=np.uint8)})
+            code = main(["eval", "--checkpoint", str(path), "--dataset", str(synth_path)])
+            assert code == 4, name
+            assert capsys.readouterr().err.startswith("checkpoint error: "), name
 
 
 class TestReportCommand:
@@ -127,8 +157,6 @@ class TestDumpMaskCommand:
                      "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "row,visible_index"
-        from blossomrec.config import AttentionConfig
-
         cfg = AttentionConfig(blk=1, win=2)
         expected = int(brute_force_power_mask(8, cfg).sum())
         assert len(lines) - 1 == expected
@@ -205,8 +233,6 @@ class TestDefaults:
         assert set(_RUN_FIELD_TYPES) | {"dataset"} == fields
 
     def test_published_training_defaults(self):
-        from blossomrec.config import AttentionConfig
-
         run = RunConfig()
         assert (run.d_model, run.layers, run.heads) == (128, 2, 8)
         assert (run.lr, run.batch_size, run.dropout) == (0.001, 2048, 0.2)
@@ -225,12 +251,10 @@ class TestEvalAgainstRandomBaseline:
         main(["synth", "--users", "200", "--items", "300", "--blocks", "1",
               "--block-len", "12", "--noise", "1.0", "--seed", "17", "--out", str(path)])
         capsys.readouterr()
-        # lr 0 leaves the freshly initialized parameters untouched
-        code = main(["train", "--dataset", str(path), "--out-dir", str(tmp_path / "r"),
-                     "--epochs", "1", "--lr", "0.0", "--seed", "1", *TINY])
-        assert code == 0
-        capsys.readouterr()
-        assert main(["eval", "--checkpoint", str(tmp_path / "r" / "checkpoint.npz"),
+        num_items = leave_one_out_split(load_interactions(path)).num_items
+        save_checkpoint(Model(num_items, TINY_ATTENTION, 1, seed=1, max_len=16),
+                        tmp_path / "checkpoint.npz")
+        assert main(["eval", "--checkpoint", str(tmp_path / "checkpoint.npz"),
                      "--dataset", str(path), "--split", "test", "--negatives", "100",
                      "--seed", "1"]) == 0
         out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])

@@ -19,7 +19,7 @@ from blossomrec.fusion import (
 )
 from blossomrec.gradcheck import grad_check
 from blossomrec.ltis import CompressionMLP, build_ltis_masks
-from blossomrec.stis import batch_stis_masks, gather_width
+from blossomrec.stis import batch_stis_masks, power_table
 from blossomrec.tensor import Tensor, layer_norm, parameter, zero_grads
 from blossomrec.verify import gathered_equivalence_error
 
@@ -224,7 +224,7 @@ class TestGatherOrDense:
     def test_rule_picks_branch_by_frame(self, monkeypatch, frame, pathway, gathers):
         """The LTIS index is 2 x 4 = 8 wide, so LTIS gathers from a frame of
         32; the STIS index is 6 wide up to 32, so STIS gathers from 24."""
-        assert [gather_width(self.CFG, n) for n in (20, 28, 32)] == [6, 6, 6]
+        assert [power_table(self.CFG, n)[0].shape[1] for n in (20, 28, 32)] == [6, 6, 6]
         lengths = [frame, frame // 2]
         default, _ = self.run_layer(monkeypatch, None, lengths, pathway)
         forced, _ = self.run_layer(monkeypatch, 0 if gathers else 10**9, lengths, pathway)
