@@ -13,6 +13,13 @@ dispatch, ``_attend``, reads K off the index: when the frame is at least
 (``tensor.gathered_attention``, O(L * K) work); on shorter frames the
 gather costs more than it saves, and it attends densely under the same
 index scattered into an L x L mask (``grouped_attention``).
+
+Inference needs only the newest position's output. ``encode(rows=1)``
+runs every layer but the last in full, since the next layer reads all of
+their rows as K/V; the last layer projects K/V over the whole frame but
+Q, both indices, both attentions, the gate, the residuals, the layer
+norms, the FFN and the output affine over the newest row alone, through
+the same ``_attend``.
 """
 
 from __future__ import annotations
@@ -106,10 +113,11 @@ def _merge_heads(x: Tensor, w_o: Tensor | None) -> Tensor:
 def _attend(q: Tensor, k: Tensor, v: Tensor, index: tuple[np.ndarray, np.ndarray],
             cfg: AttentionConfig, w_o: Tensor) -> Tensor:
     """Attend over an (idx, valid) index: gather its K/V rows when the
-    frame is at least ``GATHER_MIN_RATIO`` times the index width, else
-    attend densely under the index scattered into an L x L mask."""
+    frame (the key length, which the query rows may be a suffix of) is at
+    least ``GATHER_MIN_RATIO`` times the index width, else attend densely
+    under the index scattered into an Lq x L mask."""
     idx, valid = index
-    length = q.shape[2]
+    length = k.shape[2]
     if length >= GATHER_MIN_RATIO * idx.shape[-1]:
         return _merge_heads(gathered_attention(q, k, v, idx, valid), w_o)
     return grouped_attention(q, k, v, cfg, index_mask(idx, valid, length), w_o=w_o)
@@ -202,17 +210,24 @@ class SeqContext:
 def encoder_layer(h_prev: Tensor, params: BlossomLayerParams, cfg: AttentionConfig,
                   ctx: SeqContext, rope: RoPECache,
                   dropout_rate: float = 0.0, training: bool = False,
-                  rng: np.random.Generator | None = None, pathway: str = "both") -> Tensor:
+                  rng: np.random.Generator | None = None, pathway: str = "both",
+                  rows: int | None = None) -> Tensor:
     """One post-norm encoder layer with gated dual-pathway attention.
 
     Each pathway's index goes to ``_attend``, which gathers K/V or
     attends under a dense mask by the index width. Dropout is identity
-    unless ``training`` is set.
+    unless ``training`` is set. K/V always span the frame; with ``rows``
+    set, only the newest ``rows`` slots are queries and every later step
+    runs on them alone, so the output is (B, rows, d), the last rows of
+    the full (B, L, d) output.
     """
-    q = split_heads(matmul(h_prev, params.w_q), cfg.heads)
+    h_q, positions = h_prev, ctx.positions
+    if rows is not None:
+        h_q, positions = h_prev[:, -rows:], ctx.positions[:, -rows:]
+    q = split_heads(matmul(h_q, params.w_q), cfg.heads)
     k = split_heads(matmul(h_prev, params.w_k), cfg.kv_groups)
     v = split_heads(matmul(h_prev, params.w_v), cfg.kv_groups)
-    q = apply_rope(q, ctx.positions, rope)
+    q = apply_rope(q, positions, rope)
     k = apply_rope(k, ctx.positions, rope)
 
     o_ltis = o_stis = None
@@ -220,15 +235,16 @@ def encoder_layer(h_prev: Tensor, params: BlossomLayerParams, cfg: AttentionConf
         index = ltis_mod.ltis_index(q.data, k.data, ctx.lengths, cfg, params.cmp_key)
         o_ltis = _attend(q, k, v, index, cfg, params.w_o)
     if pathway in ("both", "stis"):
-        index = stis_mod.stis_index(ctx.lengths, ctx.total_len, cfg)
-        o_stis = _attend(q, k, v, index, cfg, params.w_o)
+        idx, valid = stis_mod.stis_index(ctx.lengths, ctx.total_len, cfg)
+        lq = q.shape[2]
+        o_stis = _attend(q, k, v, (idx[:, :, -lq:], valid[:, :, -lq:]), cfg, params.w_o)
 
     if pathway == "both":
         fused, _ = gated_fuse(o_ltis, o_stis, params.gate_w, params.gate_b)
     else:
         fused = o_ltis if pathway == "ltis" else o_stis
 
-    mixed = layer_norm(h_prev + dropout(fused, dropout_rate, rng, training),
+    mixed = layer_norm(h_q + dropout(fused, dropout_rate, rng, training),
                        params.ln1_gamma, params.ln1_beta)
     ff = affine(tanh(affine(mixed, params.ffn_w1, params.ffn_b1)), params.ffn_w2, params.ffn_b2)
     return layer_norm(mixed + dropout(ff, dropout_rate, rng, training),
@@ -238,15 +254,22 @@ def encoder_layer(h_prev: Tensor, params: BlossomLayerParams, cfg: AttentionConf
 def encode(embedded: Tensor, layers: list[BlossomLayerParams], w_n: Tensor, b_n: Tensor,
            cfg: AttentionConfig, ctx: SeqContext, rope: RoPECache,
            dropout_rate: float = 0.0, training: bool = False,
-           rng: np.random.Generator | None = None, pathway: str = "both") -> Tensor:
-    """Run the layer stack and the final affine projection, (B, L, d) -> (B, L, d)."""
+           rng: np.random.Generator | None = None, pathway: str = "both",
+           rows: int | None = None) -> Tensor:
+    """Run the layer stack and the final affine projection, (B, L, d) -> (B, L, d).
+
+    With ``rows`` set, the last layer and the projection compute only the
+    newest ``rows`` slots, (B, L, d) -> (B, rows, d); earlier layers run
+    every row, because the next layer reads them all as K/V.
+    """
     if not layers:
         raise ConfigError("encode needs at least one layer")
     hidden = embedded
-    for params in layers:
+    for depth, params in enumerate(layers, start=1):
         hidden = encoder_layer(hidden, params, cfg, ctx, rope,
                                dropout_rate=dropout_rate, training=training,
-                               rng=rng, pathway=pathway)
+                               rng=rng, pathway=pathway,
+                               rows=rows if depth == len(layers) else None)
     return affine(hidden, w_n, b_n)
 
 

@@ -16,8 +16,11 @@ Pipeline per sequence, all KV groups at once:
      the lower block index; fewer than k valid blocks means take them all);
   7. expand the chosen blocks into an attention index, ``ltis_index``:
      each query's top_k * sel_block_size key positions, causally cut. The
-     encoder attends over this index, gathering its K/V rows or, on
-     short frames, masking densely (``fusion`` explains the choice).
+     queries may be only the newest rows of the frame the keys span (the
+     last layer at inference asks for one), and steps 3-6 then run on
+     those rows alone. The encoder attends over this index, gathering its
+     K/V rows or, on short frames, masking densely (``fusion`` explains
+     the choice).
      ``build_ltis_masks`` is the index as a dense mask, a reference for
      checks and tests that the model does not call.
 
@@ -110,15 +113,17 @@ def _cmp_block_valid(length: int, num_blocks: int, cfg: AttentionConfig) -> np.n
     return last[None, :] <= t
 
 
-def importance_scores(q: np.ndarray, cmp_keys: np.ndarray, cfg: AttentionConfig) -> np.ndarray:
+def importance_scores(q: np.ndarray, cmp_keys: np.ndarray, cfg: AttentionConfig,
+                      seq_len: int) -> np.ndarray:
     """Softmax attention of each query over the compressed keys.
 
     q: (..., L, d_head), cmp_keys: (..., M, d_head), leading axes
-    broadcasting. Scores are scaled by 1/sqrt(d_head) and normalized over
-    the causally valid blocks only; invalid blocks (and rows with no valid
+    broadcasting. The q rows are the last L queries of a length-``seq_len``
+    sequence. Scores are scaled by 1/sqrt(d_head) and normalized over the
+    causally valid blocks only; invalid blocks (and rows with no valid
     block) score exactly zero. Returns (..., L, M).
     """
-    valid = _cmp_block_valid(q.shape[-2], cmp_keys.shape[-2], cfg)
+    valid = _cmp_block_valid(seq_len, cmp_keys.shape[-2], cfg)[seq_len - q.shape[-2]:]
     logits = (q @ np.swapaxes(cmp_keys, -1, -2)) * (1.0 / np.sqrt(cfg.d_head))
     return masked_softmax(logits, valid, axis=-1).data
 
@@ -185,52 +190,55 @@ def ltis_index(q_data: np.ndarray, k_data: np.ndarray, lengths: np.ndarray,
     """Run the whole selection pipeline, batched, and return the positions
     each query attends.
 
-    q_data: (B, heads, L, d_head) and k_data: (B, kv_groups, L, d_head)
-    values (plain arrays; selection carries no gradient). ``lengths`` gives
-    each sequence's real length inside its left-padded frame. Returns int
-    frame positions and their validity, each (B, kv_groups, L, K) with
-    K = top_k * sel_block_size: the chosen blocks in ascending order,
-    causally cut (K is the frame length when that is smaller). Padding
-    queries see nothing.
+    k_data: (B, kv_groups, L, d_head) spans the left-padded frame, and
+    q_data: (B, heads, Lq, d_head) holds the queries of its last Lq slots
+    (Lq = L for every query). Both are plain arrays: selection carries no
+    gradient. ``lengths`` gives each sequence's real length inside the
+    frame. Returns int frame positions and their validity, each
+    (B, kv_groups, Lq, K) with K = top_k * sel_block_size: the chosen
+    blocks in ascending order, causally cut (K is the frame length when
+    that is smaller). Padding queries see nothing.
 
     A sequence with at most top_k selection blocks selects every started
     block whatever the scores, so each query sees exactly its causal
     prefix; compression, scoring and top-k are skipped for it.
     """
-    batch, _, total_len, _ = q_data.shape
+    batch, _, rows, _ = q_data.shape
+    total_len = k_data.shape[2]
     # a frame no wider than top_k blocks holds only saturated sequences
     width = min(cfg.top_k * cfg.sel_block_size, total_len)
-    idx = np.zeros((batch, cfg.kv_groups, total_len, width), dtype=np.int64)
+    idx = np.zeros((batch, cfg.kv_groups, rows, width), dtype=np.int64)
     valid = np.zeros(idx.shape, dtype=bool)
     slots = np.arange(width)
     hpg = cfg.heads_per_group
     for b in range(batch):
         n = int(lengths[b])
-        if n == 0:
+        m = min(n, rows)                     # real queries, the last m rows
+        if m == 0:
             continue
         pad = total_len - n
-        t = np.arange(n)[:, None]
+        t = np.arange(n - m, n)[:, None]
         num_sel = cfg.num_sel_blocks(n)
         if num_sel <= cfg.top_k:
-            idx[b, :, pad:] = pad + np.where(slots <= t, slots, 0)
-            valid[b, :, pad:] = slots <= t
+            idx[b, :, rows - m:] = pad + np.where(slots <= t, slots, 0)
+            valid[b, :, rows - m:] = slots <= t
             continue
         cmp_keys = compress_sequence(k_data[b, :, pad:], phi_key, cfg)        # (g, M, d)
-        queries = q_data[b, :, pad:].reshape(cfg.kv_groups, hpg, n, cfg.d_head)
-        cmp_scores = importance_scores(queries, cmp_keys[:, None], cfg)       # (g, hpg, n, M)
+        queries = q_data[b, :, rows - m:].reshape(cfg.kv_groups, hpg, m, cfg.d_head)
+        cmp_scores = importance_scores(queries, cmp_keys[:, None], cfg, n)    # (g, hpg, m, M)
         chosen = select_topk(remap_scores(cmp_scores, cfg, num_sel).sum(axis=1), cfg, n)
         # chosen block ids first, ascending; fewer than top_k only early on
         blocks = np.argsort(~chosen, axis=-1, kind="stable")[..., :cfg.top_k]
         pos = (blocks[..., None] * cfg.sel_block_size
-               + np.arange(cfg.sel_block_size)).reshape(cfg.kv_groups, n, width)
+               + np.arange(cfg.sel_block_size)).reshape(cfg.kv_groups, m, width)
         ok = (slots // cfg.sel_block_size < chosen.sum(axis=-1)[..., None]) & (pos <= t)
-        idx[b, :, pad:] = pad + np.where(ok, pos, 0)
-        valid[b, :, pad:] = ok
+        idx[b, :, rows - m:] = pad + np.where(ok, pos, 0)
+        valid[b, :, rows - m:] = ok
     return idx, valid
 
 
 def build_ltis_masks(q_data: np.ndarray, k_data: np.ndarray, lengths: np.ndarray,
                      cfg: AttentionConfig, phi_key: CompressionMLP) -> np.ndarray:
     """``ltis_index`` scattered into dense visibility masks, bool
-    (B, kv_groups, 1, L, L)."""
-    return index_mask(*ltis_index(q_data, k_data, lengths, cfg, phi_key), q_data.shape[2])
+    (B, kv_groups, 1, Lq, L)."""
+    return index_mask(*ltis_index(q_data, k_data, lengths, cfg, phi_key), k_data.shape[2])

@@ -39,16 +39,20 @@ def sample_negatives(history: set[int], vocab_size: int, target: int,
                      n: int, seed: int, user: int) -> np.ndarray:
     """Draw n distinct unseen items, excluding history and the target.
 
-    Deterministic in (seed, user). Raises ValueError when fewer than n
-    candidates exist; callers skip such users with a diagnostic.
+    The candidates are ids 1..vocab_size in ascending order; history ids
+    outside that range are ignored. Deterministic in (seed, user). Raises
+    ValueError when fewer than n candidates exist; callers skip such users
+    with a diagnostic.
     """
-    excluded = set(history)
-    excluded.add(target)
-    candidates = [i for i in range(1, vocab_size + 1) if i not in excluded]
+    excluded = np.fromiter([*history, target], dtype=np.int64)
+    keep = np.ones(vocab_size + 1, dtype=bool)
+    keep[0] = False
+    keep[excluded[(excluded >= 1) & (excluded <= vocab_size)]] = False
+    candidates = np.flatnonzero(keep)
     if len(candidates) < n:
         raise ValueError(f"user {user}: only {len(candidates)} candidates for {n} negatives")
     rng = np.random.default_rng([seed, user])
-    return rng.choice(np.array(candidates, dtype=np.int64), size=n, replace=False)
+    return rng.choice(candidates, size=n, replace=False)
 
 
 def rank_metrics(target_score: float, negative_scores: np.ndarray, k: int) -> tuple[float, float, float]:

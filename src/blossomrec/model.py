@@ -11,7 +11,7 @@ form a logit row), with early stopping on validation NDCG@k.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -58,18 +58,25 @@ class Model:
         return named
 
     def forward(self, batch: SeqBatch, training: bool = False,
-                rng: np.random.Generator | None = None) -> Tensor:
-        """Hidden states for every position, (B, L, d_model)."""
+                rng: np.random.Generator | None = None, rows: int | None = None) -> Tensor:
+        """Hidden states for every position, (B, L, d_model), or with
+        ``rows`` set for the newest ``rows`` frame slots only, (B, rows, d_model)."""
         ctx = SeqContext.from_lengths(batch.lengths, batch.total_len)
         embedded = embed(batch.ids, self.table)
         return encode(embedded, self.layers, self.w_n, self.b_n, self.cfg, ctx,
                       self.rope, dropout_rate=self.dropout,
-                      training=training, rng=rng, pathway=self.pathway)
+                      training=training, rng=rng, pathway=self.pathway, rows=rows)
 
     def last_hidden(self, batch: SeqBatch) -> np.ndarray:
-        """Evaluation-mode hidden state of each sequence's newest position."""
+        """Evaluation-mode hidden state of each sequence's newest position, (B, d_model).
+
+        Equal to ``forward(batch).data[:, -1]`` (left padding puts every
+        newest position in the frame's last slot), but the last layer
+        computes only that slot: its keys and values span the frame, and
+        everything else runs on one row.
+        """
         with no_grad():
-            return self.forward(batch).data[:, -1, :]
+            return self.forward(batch, rows=1).data[:, -1, :]
 
     def config_dict(self) -> dict:
         return {
@@ -84,6 +91,13 @@ class Model:
 
     @classmethod
     def from_config_dict(cls, meta: dict) -> "Model":
+        """Rebuild a model from ``config_dict()``; the attention config must
+        name every ``AttentionConfig`` field and nothing else."""
+        given = set(meta["attention"])
+        names = {f.name for f in fields(AttentionConfig)}
+        if given != names:
+            raise CheckpointError(f"attention config lacks fields {sorted(names - given)} "
+                                  f"and has unknown fields {sorted(given - names)}")
         cfg = AttentionConfig(**meta["attention"])
         return cls(meta["num_items"], cfg, meta["num_layers"], meta["seed"],
                    max_len=meta["max_len"], dropout=meta["dropout"], pathway=meta["pathway"])

@@ -3,8 +3,9 @@
 Each check runs the code the model runs and compares it with an oracle
 that is deliberately independent of it: the published totals, naive
 per-head dense attention, naive per-query block selection, the dense
-masked form of the gathered attention, central differences, brute-force
-mask evaluation. ``run_verification`` prints one PASS/FAIL line per check.
+masked form of the gathered attention, the full forward pass that
+last-row inference shortcuts, central differences, brute-force mask
+evaluation. ``run_verification`` prints one PASS/FAIL line per check.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ from .gradcheck import grad_check
 from .ltis import CompressionMLP, build_ltis_masks, ltis_index
 from .model import Model, sequence_loss
 from .stis import batch_stis_masks, stis_index
-from .tensor import Tensor, gathered_attention, index_mask, parameter
+from .tensor import Tensor, gathered_attention, index_mask, no_grad, parameter
 
 __all__ = ["brute_force_power_mask", "counts_match", "dense_equivalence_error",
-           "ltis_selection_error", "gathered_equivalence_error", "gradient_error",
-           "mask_law_holds", "run_verification"]
+           "ltis_selection_error", "gathered_equivalence_error", "last_row_error",
+           "gradient_error", "mask_law_holds", "run_verification"]
 
 PUBLISHED_TOTALS = {256: 103, 512: 120, 1024: 153, 2048: 218}
 
@@ -210,6 +211,38 @@ def gathered_equivalence_error(seeds: range, lengths: tuple[int, ...]) -> float:
     return worst
 
 
+# Left-padded batches for the last-row check at ``SPARSE_CFG``: LTIS
+# gathers from a frame of 4 * 8 = 32 and STIS (7 slots wide at 40) from
+# 28, so the 20-slot frame attends densely and the 40-slot one gathers.
+# Each batch holds a length-1 sequence and one that fills its frame.
+LAST_ROW_BATCHES = ((1, 9, 20), (1, 13, 27, 40))
+
+
+def last_row_error(seeds: range, batches: tuple[tuple[int, ...], ...]) -> float:
+    """``Model.last_hidden`` vs the last row of the full forward pass.
+
+    For each seed, models of 1 and 2 layers at ``SPARSE_CFG``, with every
+    weight perturbed off its initial value, run each batch of random item
+    ids (one tuple of lengths per batch, left-padded to the longest) both
+    ways. Returns the max abs difference; a NaN comes back as NaN.
+    """
+    errors = [0.0]
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        for layers in (1, 2):
+            model = Model(num_items=30, cfg=SPARSE_CFG, num_layers=layers, seed=seed, max_len=64)
+            for p in model.parameters().values():
+                p.data += rng.normal(0.0, 0.3, p.data.shape)
+            model.table.clamp_padding()
+            for lengths in batches:
+                batch = SeqBatch.from_sequences([rng.integers(1, 31, n).tolist() for n in lengths],
+                                                model.max_len)
+                with no_grad():
+                    full = model.forward(batch).data[:, -1]
+                errors.append(np.abs(model.last_hidden(batch) - full).max())
+    return float(np.max(errors))
+
+
 def gradient_error() -> tuple[float, list[str], list[str]]:
     """Tape gradients of a whole model's loss vs central differences.
 
@@ -268,6 +301,10 @@ def run_verification(quick: bool = False) -> bool:
     err = gathered_equivalence_error(seeds, lengths)
     checks.append(("gathered attention == dense masked attention (values and gradients, unsaturated)",
                    err < 1e-8, f"max abs err {err:.3e}"))
+
+    err = last_row_error(range(2) if quick else range(10), LAST_ROW_BATCHES)
+    checks.append(("last-row inference == full forward's last row (1 and 2 layers, padded batch)",
+                   err < 1e-10, f"max abs err {err:.3e}"))
 
     err, _, dead = gradient_error()
     checks.append(("tape gradients vs central differences, every parameter reached",

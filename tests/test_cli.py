@@ -101,17 +101,24 @@ class TestEvalCommand:
         with np.load(tmp_path / "run" / "checkpoint.npz") as archive:
             arrays = dict(archive)
         meta = json.loads(arrays["__meta__"].tobytes())
-        del meta["config"]["attention"]
-        headers = {"not-json": b"{version: 2",
-                   "no-config": json.dumps({"version": meta["version"]}).encode(),
-                   "no-field": json.dumps(meta).encode()}
+        attention = meta["config"].pop("attention")
+        no_win = {**meta, "config": {**meta["config"],
+                                     "attention": {k: v for k, v in attention.items() if k != "win"}}}
+        extra = {**meta, "config": {**meta["config"], "attention": {**attention, "window": 3}}}
+        headers = {"not-json": (b"{version: 2", None),
+                   "no-config": (json.dumps({"version": meta["version"]}).encode(), None),
+                   "no-field": (json.dumps(meta).encode(), None),
+                   "no-attention-field": (json.dumps(no_win).encode(), "'win'"),
+                   "unknown-attention-field": (json.dumps(extra).encode(), "'window'")}
         capsys.readouterr()
-        for name, header in headers.items():
+        for name, (header, named) in headers.items():
             path = tmp_path / f"{name}.npz"
             np.savez(path, **{**arrays, "__meta__": np.frombuffer(header, dtype=np.uint8)})
             code = main(["eval", "--checkpoint", str(path), "--dataset", str(synth_path)])
             assert code == 4, name
-            assert capsys.readouterr().err.startswith("checkpoint error: "), name
+            err = capsys.readouterr().err
+            assert err.startswith("checkpoint error: "), name
+            assert named is None or named in err, name
 
 
 class TestReportCommand:
@@ -222,7 +229,7 @@ class TestVerifyCommand:
         assert main(["verify", "--quick"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert out.count("PASS") == 6
+        assert out.count("PASS") == 7
 
 
 class TestDefaults:

@@ -18,9 +18,9 @@ from blossomrec.fusion import (
     split_heads,
 )
 from blossomrec.gradcheck import grad_check
-from blossomrec.ltis import CompressionMLP, build_ltis_masks
-from blossomrec.stis import batch_stis_masks, power_table
-from blossomrec.tensor import Tensor, layer_norm, parameter, zero_grads
+from blossomrec.ltis import CompressionMLP, build_ltis_masks, ltis_index
+from blossomrec.stis import batch_stis_masks, power_table, stis_index
+from blossomrec.tensor import Tensor, gathered_attention, layer_norm, parameter, zero_grads
 from blossomrec.verify import gathered_equivalence_error
 
 
@@ -231,6 +231,33 @@ class TestGatherOrDense:
         other, _ = self.run_layer(monkeypatch, 10**9 if gathers else 0, lengths, pathway)
         assert np.array_equal(default, forced)
         assert not np.array_equal(default, other)
+
+    @pytest.mark.parametrize("frame, gathers", [(20, False), (40, True)])
+    def test_one_query_row_is_last_row_of_full_frame(self, monkeypatch, frame, gathers):
+        """A 1-row query over the whole frame's K/V equals the full frame's
+        last row, for both pathways; the gather rule reads the frame length
+        from the keys (LTIS gathers from 32 slots, STIS, 7 wide at 40, from 28)."""
+        cfg = self.CFG
+        rng = np.random.default_rng(18)
+        lengths = np.array([frame, frame // 2, 1])
+        q = Tensor(rng.normal(size=(3, cfg.heads, frame, cfg.d_head)))
+        k, v = (Tensor(rng.normal(size=(3, cfg.kv_groups, frame, cfg.d_head))) for _ in "kv")
+        w_o = Tensor(rng.normal(size=(cfg.heads * cfg.d_head, cfg.d_model)))
+        phi = CompressionMLP(cfg.block_size, cfg.d_head, rng)
+        last = Tensor(q.data[:, :, -1:])
+        stis_full = stis_index(lengths, frame, cfg)
+        indices = [(ltis_index(q.data, k.data, lengths, cfg, phi),
+                    ltis_index(last.data, k.data, lengths, cfg, phi)),
+                   (stis_full, tuple(a[:, :, -1:] for a in stis_full))]
+        gathered = []
+        monkeypatch.setattr(fusion, "gathered_attention",
+                            lambda *a: gathered.append(a[0].shape[2]) or gathered_attention(*a))
+        for full_index, row_index in indices:
+            full = fusion._attend(q, k, v, full_index, cfg, w_o).data
+            one = fusion._attend(last, k, v, row_index, cfg, w_o).data
+            assert one.shape == (3, 1, cfg.d_model)
+            assert np.abs(one[:, 0] - full[:, -1]).max() < 1e-12
+        assert gathered == ([frame, 1] * 2 if gathers else [])
 
     @pytest.mark.parametrize("lengths", [(0, 3, 17, 20), (0, 3, 17, 40)])  # frames below/above 4K
     def test_gathered_equivalence_check(self, lengths):

@@ -13,6 +13,7 @@ from blossomrec.ltis import (
     build_ltis_masks,
     compress_sequence,
     importance_scores,
+    ltis_index,
     remap_matrix,
     remap_scores,
     select_topk,
@@ -121,17 +122,19 @@ class TestImportanceScores:
         # blocks cover [0,4), [4,8): block 1 only fully past position 7
         q = np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (8, 1))
         cmp_keys = np.array([[0, 1, 0, 0], [0, 0, 1, 0]], dtype=float)
-        scores = importance_scores(q, cmp_keys, cfg)
+        scores = importance_scores(q, cmp_keys, cfg, seq_len=8)
         assert np.allclose(scores[3], [1.0, 0.0])
         assert np.allclose(scores[7], [0.5, 0.5])
         assert np.all(scores[:3] == 0.0)  # no block fully at/before queries 0..2
+        # the last rows alone score as they do among all rows
+        assert np.array_equal(importance_scores(q[2:], cmp_keys, cfg, seq_len=8), scores[2:])
 
     def test_dominant_key_wins(self):
         cfg = small_cfg(block_size=4, stride=4, sel_block_size=4, d_head=8)
         e = np.eye(8)
         q = np.tile(e[0], (12, 1))
         cmp_keys = np.stack([e[1], 10.0 * e[0], e[2]])
-        scores = importance_scores(q, cmp_keys, cfg)
+        scores = importance_scores(q, cmp_keys, cfg, seq_len=12)
         assert scores[11, 1] > 0.9
 
     def test_rows_sum_to_one_over_valid(self):
@@ -139,7 +142,7 @@ class TestImportanceScores:
         cfg = small_cfg()
         q = rng.normal(size=(2, 10, 4))  # two heads
         cmp_keys = rng.normal(size=(4, 4))
-        scores = importance_scores(q, cmp_keys, cfg)
+        scores = importance_scores(q, cmp_keys, cfg, seq_len=10)
         sums = scores.sum(axis=-1)
         has_valid = np.arange(10) >= 3  # first block ends at position 3
         assert np.abs(sums[:, has_valid] - 1.0).max() < 1e-12
@@ -154,7 +157,7 @@ class TestBlockScores:
         q = rng.normal(size=(length, cfg.d_head))
         phi = CompressionMLP(cfg.block_size, cfg.d_head, rng)
         cmp_keys = compress_sequence(rng.normal(size=(length, cfg.d_head)), phi, cfg)
-        cmp_scores = importance_scores(q, cmp_keys, cfg)
+        cmp_scores = importance_scores(q, cmp_keys, cfg, seq_len=length)
         sel_scores = remap_scores(cmp_scores, cfg, num_sel=cfg.num_sel_blocks(length))
         sums = cmp_scores.sum(axis=-1)
         assert np.all((np.abs(sums - 1.0) < 1e-12) | (sums == 0.0))
@@ -219,7 +222,7 @@ class TestGroupAggregation:
         masks = build_ltis_masks(q, k, lengths, cfg, phi)
 
         cmp_keys = compress_sequence(k[0, 0], phi, cfg)
-        a, b = (remap_scores(importance_scores(q[0, h], cmp_keys, cfg), cfg,
+        a, b = (remap_scores(importance_scores(q[0, h], cmp_keys, cfg, n), cfg,
                              num_sel=cfg.num_sel_blocks(n)) for h in range(2))
         chosen = select_topk(a + b, cfg, seq_len=n)
         assert np.array_equal(masks[0, 0, 0], selection_to_visibility(chosen, n, cfg))
@@ -262,6 +265,31 @@ class TestGroupAggregation:
         assert ltis_selection_error(range(3), (0, 10, 24, 32)) == 0
 
 
+class TestQueryRows:
+    """``ltis_index`` given only the newest Lq query rows of the frame."""
+
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    def test_last_rows_equal_last_rows_of_full_index(self, rows):
+        """Lengths 16 and 9 are scored over several compression blocks, 6
+        in one left-padded block, 4 and 2 are saturated (at most top_k
+        selection blocks), and 0 is empty."""
+        rng = np.random.default_rng(32)
+        cfg = small_cfg(block_size=8, stride=2, sel_block_size=2, top_k=2, heads=4, kv_groups=2)
+        lengths, total = np.array([16, 9, 6, 4, 2, 0]), 16
+        q = rng.normal(size=(len(lengths), cfg.heads, total, cfg.d_head))
+        k = rng.normal(size=(len(lengths), cfg.kv_groups, total, cfg.d_head))
+        phi = CompressionMLP(cfg.block_size, cfg.d_head, rng)
+        full_idx, full_valid = ltis_index(q, k, lengths, cfg, phi)
+        idx, valid = ltis_index(q[:, :, -rows:], k, lengths, cfg, phi)
+        assert idx.shape == (len(lengths), cfg.kv_groups, rows, full_idx.shape[-1])
+        assert np.array_equal(valid, full_valid[:, :, -rows:])
+        assert np.array_equal(idx, full_idx[:, :, -rows:])
+        for b, n in enumerate(lengths):
+            # query rows before a short sequence starts are padding
+            assert not valid[b, :, : max(rows - n, 0)].any()
+            assert valid[b, :, max(rows - n, 0):].any(axis=-1).all()
+
+
 def per_step_masks(q, k, lengths, cfg, phi):
     """``build_ltis_masks`` rebuilt from the per-step functions, one head at
     a time, each head's selection scores summed into its KV group."""
@@ -275,7 +303,7 @@ def per_step_masks(q, k, lengths, cfg, phi):
         for head in range(cfg.heads):
             g = cfg.group_of_head(head)
             cmp_keys = compress_sequence(k[b, g, pad:], phi, cfg)
-            cmp_scores = importance_scores(q[b, head, pad:], cmp_keys, cfg)
+            cmp_scores = importance_scores(q[b, head, pad:], cmp_keys, cfg, n)
             sums = cmp_scores.sum(axis=-1)
             assert np.all((np.abs(sums - 1.0) < 1e-12) | (sums == 0.0))
             shared[g] += remap_scores(cmp_scores, cfg, num_sel=cfg.num_sel_blocks(n))

@@ -26,6 +26,36 @@ class TestSampleNegatives:
         with pytest.raises(ValueError, match="candidates"):
             sample_negatives(set(range(1, 60)), 100, 60, n=100, seed=0, user=2)
 
+    @staticmethod
+    def _reference(history, vocab_size, target, n, seed, user):
+        """The per-item list the sampler draws from, built one id at a time."""
+        excluded = set(history) | {target}
+        candidates = [i for i in range(1, vocab_size + 1) if i not in excluded]
+        if len(candidates) < n:
+            raise ValueError(f"user {user}: only {len(candidates)} candidates for {n} negatives")
+        rng = np.random.default_rng([seed, user])
+        return rng.choice(np.array(candidates, dtype=np.int64), size=n, replace=False)
+
+    def test_matches_per_item_reference(self):
+        rng = np.random.default_rng(17)
+        vocab = 150
+        for user in range(200):
+            history = set(rng.integers(-3, vocab + 5, size=int(rng.integers(0, 60))).tolist())
+            history |= set(rng.choice([0, -1, 999], size=int(rng.integers(0, 3))).tolist())
+            target = int(rng.integers(-1, vocab + 3))
+            want = self._reference(history, vocab, target, 40, 5, user)
+            got = sample_negatives(history, vocab, target, 40, seed=5, user=user)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), user
+
+    def test_shortage_message_matches_reference(self):
+        history = set(range(-2, 58)) | {999}
+        with pytest.raises(ValueError) as want:
+            self._reference(history, 100, 0, 100, 0, 3)
+        with pytest.raises(ValueError) as got:
+            sample_negatives(history, 100, 0, n=100, seed=0, user=3)
+        assert str(got.value) == str(want.value) == "user 3: only 43 candidates for 100 negatives"
+
 
 class TestRankMetrics:
     def test_best_rank(self):

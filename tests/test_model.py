@@ -22,7 +22,7 @@ from blossomrec.model import (
     sequence_loss,
     train,
 )
-from blossomrec.tensor import Tensor, parameter, zero_grads
+from blossomrec.tensor import Tensor, no_grad, parameter, zero_grads
 
 
 def tiny_cfg(**kw):
@@ -277,6 +277,27 @@ class TestEvaluate:
         res = evaluate(model, dataset, k=10, n_negatives=200, seed=1)
         assert res.num_skipped == len(dataset.users)
         assert res.num_users == 0
+
+
+class TestLastHidden:
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("pathway", ["both", "ltis", "stis"])
+    def test_equals_last_row_of_full_forward(self, pathway, layers):
+        """On frames below (10) and above (40) the gather rule's 16 slots,
+        with every weight moved off its initial value."""
+        rng = np.random.default_rng(4)
+        model = Model(20, tiny_cfg(), layers, seed=1, max_len=40, pathway=pathway)
+        for p in model.parameters().values():
+            p.data += rng.normal(0.0, 0.3, p.data.shape)
+        model.table.clamp_padding()
+        for lengths in ((1, 6, 10), (1, 6, 17, 40)):
+            batch = SeqBatch.from_sequences([rng.integers(1, 21, n).tolist() for n in lengths],
+                                            model.max_len)
+            with no_grad():
+                full = model.forward(batch).data
+            hidden = model.last_hidden(batch)
+            assert hidden.shape == (len(lengths), model.cfg.d_model)
+            assert np.abs(hidden - full[:, -1]).max() < 1e-10
 
 
 class TestCheckpoint:
