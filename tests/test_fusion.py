@@ -250,8 +250,12 @@ class TestGatherOrDense:
                     ltis_index(last.data, k.data, lengths, cfg, phi)),
                    (stis_full, tuple(a[:, :, -1:] for a in stis_full))]
         gathered = []
-        monkeypatch.setattr(fusion, "gathered_attention",
-                            lambda *a: gathered.append(a[0].shape[2]) or gathered_attention(*a))
+
+        def spy(*args):
+            gathered.append(args[0].shape[2])
+            return gathered_attention(*args)
+
+        monkeypatch.setattr(fusion, "gathered_attention", spy)
         for full_index, row_index in indices:
             full = fusion._attend(q, k, v, full_index, cfg, w_o).data
             one = fusion._attend(last, k, v, row_index, cfg, w_o).data

@@ -283,8 +283,9 @@ class TestLastHidden:
     @pytest.mark.parametrize("layers", [1, 2])
     @pytest.mark.parametrize("pathway", ["both", "ltis", "stis"])
     def test_equals_last_row_of_full_forward(self, pathway, layers):
-        """On frames below (10) and above (40) the gather rule's 16 slots,
-        with every weight moved off its initial value."""
+        """On frames where both pathways attend densely (10) and gather
+        (40; LTIS from 16 slots, STIS from 28), with every weight moved
+        off its initial value."""
         rng = np.random.default_rng(4)
         model = Model(20, tiny_cfg(), layers, seed=1, max_len=40, pathway=pathway)
         for p in model.parameters().values():
