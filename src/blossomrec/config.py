@@ -11,7 +11,10 @@ from pathlib import Path
 
 from .errors import ConfigError
 
-__all__ = ["AttentionConfig", "RunConfig", "parse_config_file", "resolve_run_config"]
+__all__ = ["AttentionConfig", "RunConfig", "PATHWAYS", "parse_config_file", "resolve_run_config"]
+
+# Which attention pathways an encoder layer runs: both, gated, or one alone.
+PATHWAYS = ("both", "ltis", "stis")
 
 
 @dataclass(frozen=True)
@@ -35,10 +38,9 @@ class AttentionConfig:
     d_head: int = 16
 
     def __post_init__(self):
-        for name in ("block_size", "stride", "sel_block_size", "top_k", "win", "blk",
-                     "heads", "kv_groups", "d_model", "d_head"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        for f in dataclasses.fields(AttentionConfig):
+            if getattr(self, f.name) < 1:
+                raise ConfigError(f"{f.name} must be positive, got {getattr(self, f.name)}")
         if self.stride > self.block_size:
             raise ConfigError(f"stride ({self.stride}) must not exceed block_size ({self.block_size})")
         if self.block_size % self.stride != 0:
@@ -72,25 +74,16 @@ class AttentionConfig:
         return head // self.heads_per_group
 
 
-@dataclass
-class RunConfig:
-    """Flat key-value configuration for the CLI. Defaults follow the
+@dataclass(frozen=True)
+class RunConfig(AttentionConfig):
+    """Flat key-value configuration for the CLI: ``AttentionConfig``'s
+    fields and checks plus the run settings below. Defaults follow the
     published training setup where one is stated (embedding dim 128, two
     layers, eight heads, Adam lr 1e-3, batch 2048, dropout 0.2, patience 15,
     max length 200)."""
 
     dataset: str = ""
-    d_model: int = 128
     layers: int = 2
-    heads: int = 8
-    kv_groups: int = 2
-    d_head: int = 16
-    block_size: int = 32
-    stride: int = 16
-    sel_block_size: int = 16
-    top_k: int = 4
-    win: int = 8
-    blk: int = 1
     max_len: int = 200
     lr: float = 0.001
     batch_size: int = 2048
@@ -101,16 +94,16 @@ class RunConfig:
     eval_k: int = 10
     negatives: int = 100
     min_len: int = 3
-    pathway: str = "both"  # both | ltis | stis
+    pathway: str = "both"  # one of PATHWAYS
 
     def attention(self) -> AttentionConfig:
+        """The attention fields alone, as the model and its checkpoint take them."""
         return AttentionConfig(**{f.name: getattr(self, f.name)
                                   for f in dataclasses.fields(AttentionConfig)})
 
     def validate(self) -> "RunConfig":
-        self.attention()  # raises ConfigError on bad geometry
-        if self.pathway not in ("both", "ltis", "stis"):
-            raise ConfigError(f"pathway must be both|ltis|stis, got {self.pathway!r}")
+        if self.pathway not in PATHWAYS:
+            raise ConfigError(f"pathway must be {'|'.join(PATHWAYS)}, got {self.pathway!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
         for name in ("batch_size", "epochs", "max_len", "layers", "eval_k", "negatives"):

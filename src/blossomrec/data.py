@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 __all__ = [
     "InteractionLog",
@@ -169,7 +169,10 @@ class SplitDataset:
 
 def leave_one_out_split(log: InteractionLog, min_len: int = 3) -> SplitDataset:
     """Hold out each user's last item for test and second-to-last for
-    validation; users with fewer than ``min_len`` interactions are dropped."""
+    validation; users with fewer than ``min_len`` interactions are dropped.
+    ``min_len`` must be at least 2, the two held-out items."""
+    if min_len < 2:
+        raise ConfigError(f"min_len must be at least 2, got {min_len}")
     train: dict[int, list[int]] = {}
     valid_t: dict[int, int] = {}
     test_t: dict[int, int] = {}

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .tensor import Tensor, concat, mul, take_rows
+from .tensor import Tensor, matmul, take_rows
 
 __all__ = ["EmbeddingTable", "RoPECache", "embed", "apply_rope"]
 
@@ -50,12 +50,14 @@ def embed(ids: np.ndarray, table: EmbeddingTable) -> Tensor:
 
 
 class RoPECache:
-    """Precomputed cos/sin tables for rotary position encoding.
+    """Precomputed tables for rotary position encoding.
 
     The head dimension is split in halves; coordinate pair (j, j + d/2)
     rotates by angle position * base**(-2j/d). Rotations are orthogonal, so
     vector norms are preserved and post-rotation dot products depend only on
-    the position difference.
+    the position difference. ``cos`` and ``sin`` are (max_len, d_head), each
+    pair's angle written at both of its coordinates, and ``rotate`` is the
+    signed permutation with ``x @ rotate == concat(-x[d/2:], x[:d/2])``.
     """
 
     def __init__(self, d_head: int, max_len: int, base: float = 10000.0):
@@ -67,12 +69,15 @@ class RoPECache:
         half = d_head // 2
         inv_freq = base ** (-np.arange(half, dtype=np.float64) * 2.0 / d_head)
         angles = np.arange(max_len, dtype=np.float64)[:, None] * inv_freq[None, :]
-        self.cos = np.cos(angles)  # (max_len, d_head/2)
-        self.sin = np.sin(angles)
+        self.cos = np.tile(np.cos(angles), 2)
+        self.sin = np.tile(np.sin(angles), 2)
+        eye = np.eye(half)
+        self.rotate = Tensor(np.block([[0 * eye, eye], [-eye, 0 * eye]]))
 
 
 def apply_rope(x: Tensor, positions: np.ndarray, cache: RoPECache) -> Tensor:
-    """Rotate query/key vectors by their position-dependent angles.
+    """Rotate query/key vectors by their position-dependent angles, as
+    ``x * cos + (x @ rotate) * sin``: four tape ops.
 
     x: (..., L, d_head); positions: int array of shape (L,) or (B, L) for a
     4-D (B, heads, L, d_head) input.
@@ -86,12 +91,7 @@ def apply_rope(x: Tensor, positions: np.ndarray, cache: RoPECache) -> Tensor:
     cos = cache.cos[positions]
     sin = cache.sin[positions]
     if positions.ndim == 2 and x.ndim == 4:
-        # (B, L, d/2) -> (B, 1, L, d/2) so tables broadcast across heads.
+        # (B, L, d) -> (B, 1, L, d) so tables broadcast across heads.
         cos = cos[:, None, :, :]
         sin = sin[:, None, :, :]
-    half = d // 2
-    x1 = x[..., :half]
-    x2 = x[..., half:]
-    out1 = mul(x1, Tensor(cos)) - mul(x2, Tensor(sin))
-    out2 = mul(x1, Tensor(sin)) + mul(x2, Tensor(cos))
-    return concat([out1, out2], axis=x.ndim - 1)
+    return x * cos + matmul(x, cache.rotate) * sin

@@ -24,7 +24,7 @@ the same ``_attend``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -179,14 +179,8 @@ class BlossomLayerParams:
         )
 
     def parameters(self) -> dict[str, Tensor]:
-        return {
-            "w_q": self.w_q, "w_k": self.w_k, "w_v": self.w_v, "w_o": self.w_o,
-            "gate_w": self.gate_w, "gate_b": self.gate_b,
-            "ffn_w1": self.ffn_w1, "ffn_b1": self.ffn_b1,
-            "ffn_w2": self.ffn_w2, "ffn_b2": self.ffn_b2,
-            "ln1_gamma": self.ln1_gamma, "ln1_beta": self.ln1_beta,
-            "ln2_gamma": self.ln2_gamma, "ln2_beta": self.ln2_beta,
-        }
+        """Every field but ``cmp_key``, in declaration order."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "cmp_key"}
 
 
 @dataclass

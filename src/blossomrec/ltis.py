@@ -39,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import AttentionConfig
-from .tensor import index_mask, masked_softmax
+from .tensor import index_mask, masked_softmax, parameter
 
 __all__ = [
     "CompressionMLP",
@@ -62,14 +62,15 @@ class CompressionMLP:
     A random intra-block position bias is added before flattening, so the
     compression is sensitive to the order of rows within a block, then a
     single tanh hidden layer of width d_head produces the compressed key.
-    The weights are drawn from ``rng`` (Glorot uniform; the bias small
-    normal) and never trained.
+    The weights are drawn from ``rng`` as ``tensor.parameter`` draws
+    learnable ones (Glorot uniform; the bias small normal) and never
+    trained.
     """
 
     def __init__(self, block_size: int, d_head: int, rng: np.random.Generator):
         self.pos_bias = rng.normal(0.0, 0.02, (block_size, d_head))
-        self.w1 = _glorot(rng, (block_size * d_head, d_head))
-        self.w2 = _glorot(rng, (d_head, d_head))
+        self.w1 = parameter((block_size * d_head, d_head), rng).data
+        self.w2 = parameter((d_head, d_head), rng).data
 
     def apply_stack(self, blocks: np.ndarray) -> np.ndarray:
         """Compress stacked blocks, (..., M, block_size, d_head) -> (..., M, d_head)."""
@@ -77,40 +78,29 @@ class CompressionMLP:
         return np.tanh(flat @ self.w1) @ self.w2
 
 
-def _glorot(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
-    limit = np.sqrt(6.0 / (shape[0] + shape[1]))
-    return rng.uniform(-limit, limit, shape)
+def _block_starts(length: int, cfg: AttentionConfig) -> np.ndarray:
+    """(M,) first position of each compression block: i * stride, or for a
+    sequence shorter than one block, L - block_size for its single block,
+    whose positions before 0 are zeros."""
+    shift = min(length - cfg.block_size, 0)
+    return np.arange(cfg.num_cmp_blocks(length)) * cfg.stride + shift
 
 
 def split_blocks(keys: np.ndarray, cfg: AttentionConfig) -> np.ndarray:
-    """Cut (..., L, d_head) keys into overlapping blocks, (..., M, block_size, d_head).
-
-    Block i covers positions [i*stride, i*stride + block_size); consecutive
-    blocks overlap by block_size - stride positions. Sequences shorter than
-    one block are left-padded with zeros into a single block.
-    """
-    length = keys.shape[-2]
-    if length < cfg.block_size:
-        pad = np.zeros(keys.shape[:-2] + (cfg.block_size - length, keys.shape[-1]))
-        return np.concatenate([pad, keys], axis=-2)[..., None, :, :]
-    starts = np.arange(cfg.num_cmp_blocks(length)) * cfg.stride
-    return keys[..., starts[:, None] + np.arange(cfg.block_size), :]
+    """Cut (..., L, d_head) keys into the blocks ``_block_starts`` gives,
+    (..., M, block_size, d_head); consecutive blocks overlap by
+    block_size - stride positions."""
+    starts = _block_starts(keys.shape[-2], cfg)
+    pad = -starts[0]
+    if pad:
+        zeros = np.zeros(keys.shape[:-2] + (pad, keys.shape[-1]))
+        keys = np.concatenate([zeros, keys], axis=-2)
+    return keys[..., (starts + pad)[:, None] + np.arange(cfg.block_size), :]
 
 
 def compress_sequence(keys: np.ndarray, phi: CompressionMLP, cfg: AttentionConfig) -> np.ndarray:
     """All compression blocks of (..., L, d_head) keys, compressed: (..., M, d_head)."""
     return phi.apply_stack(split_blocks(keys, cfg))
-
-
-def _cmp_block_valid(length: int, num_blocks: int, cfg: AttentionConfig) -> np.ndarray:
-    """(L, M) bool: compression block m lies entirely at or before query t."""
-    t = np.arange(length)[:, None]
-    if length < cfg.block_size:
-        # single padded block covering the whole sequence
-        last = np.full((1,), length - 1)
-    else:
-        last = np.arange(num_blocks) * cfg.stride + cfg.block_size - 1
-    return last[None, :] <= t
 
 
 def importance_scores(q: np.ndarray, cmp_keys: np.ndarray, cfg: AttentionConfig,
@@ -123,7 +113,8 @@ def importance_scores(q: np.ndarray, cmp_keys: np.ndarray, cfg: AttentionConfig,
     causally valid blocks only; invalid blocks (and rows with no valid
     block) score exactly zero. Returns (..., L, M).
     """
-    valid = _cmp_block_valid(seq_len, cmp_keys.shape[-2], cfg)[seq_len - q.shape[-2]:]
+    t = np.arange(seq_len)[-q.shape[-2]:, None]
+    valid = _block_starts(seq_len, cfg) + cfg.block_size - 1 <= t
     logits = (q @ np.swapaxes(cmp_keys, -1, -2)) * (1.0 / np.sqrt(cfg.d_head))
     return masked_softmax(logits, valid, axis=-1).data
 

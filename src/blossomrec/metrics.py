@@ -2,7 +2,9 @@
 
 The true next item is ranked against n uniformly sampled unseen negatives.
 Ties are handled pessimistically: a negative scoring exactly the target's
-score counts as ranked above it, so a constant scorer earns zero.
+score counts as ranked above it, so a constant scorer earns zero. NaN
+counts the same way: a NaN target ranks below every negative, and a NaN
+negative above the target.
 """
 
 from __future__ import annotations
@@ -58,11 +60,11 @@ def sample_negatives(history: set[int], vocab_size: int, target: int,
 def rank_metrics(target_score: float, negative_scores: np.ndarray, k: int) -> tuple[float, float, float]:
     """Per-user (recall, reciprocal rank, ndcg) at cutoff k.
 
-    rank = 1 + #(negatives scoring >= target); a miss (rank > k) zeroes all
-    three.
+    rank = 1 + #(negatives not scoring strictly below the target); a miss
+    (rank > k) zeroes all three.
     """
     negative_scores = np.asarray(negative_scores, dtype=np.float64)
-    rank = 1 + int((negative_scores >= target_score).sum())
+    rank = 1 + int((~(negative_scores < target_score)).sum())
     if rank > k:
         return 0.0, 0.0, 0.0
     return 1.0, 1.0 / rank, 1.0 / np.log2(rank + 1.0)

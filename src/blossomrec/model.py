@@ -16,10 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import AttentionConfig, RunConfig
+from .config import PATHWAYS, AttentionConfig, RunConfig
 from .data import SeqBatch, SplitDataset
 from .embedding import EmbeddingTable, RoPECache, embed
-from .errors import CheckpointError, DataError
+from .errors import CheckpointError, ConfigError, DataError
 from .fusion import BlossomLayerParams, SeqContext, encode
 from .metrics import EvalResult, aggregate, rank_metrics, sample_negatives
 from .tensor import (Tensor, matmul, no_grad, softmax_cross_entropy, take_rows, transpose,
@@ -36,6 +36,10 @@ class Model:
 
     def __init__(self, num_items: int, cfg: AttentionConfig, num_layers: int,
                  seed: int, max_len: int = 200, dropout: float = 0.0, pathway: str = "both"):
+        if pathway not in PATHWAYS:
+            raise ConfigError(f"pathway must be {'|'.join(PATHWAYS)}, got {pathway!r}")
+        if num_layers < 1:
+            raise ConfigError(f"a model needs at least one layer, got {num_layers}")
         rng = np.random.default_rng(seed)
         self.cfg = cfg
         self.num_items = num_items
@@ -92,15 +96,19 @@ class Model:
     @classmethod
     def from_config_dict(cls, meta: dict) -> "Model":
         """Rebuild a model from ``config_dict()``; the attention config must
-        name every ``AttentionConfig`` field and nothing else."""
+        name every ``AttentionConfig`` field and nothing else. A value the
+        config checks reject is a checkpoint error."""
         given = set(meta["attention"])
         names = {f.name for f in fields(AttentionConfig)}
         if given != names:
             raise CheckpointError(f"attention config lacks fields {sorted(names - given)} "
                                   f"and has unknown fields {sorted(given - names)}")
-        cfg = AttentionConfig(**meta["attention"])
-        return cls(meta["num_items"], cfg, meta["num_layers"], meta["seed"],
-                   max_len=meta["max_len"], dropout=meta["dropout"], pathway=meta["pathway"])
+        try:
+            cfg = AttentionConfig(**meta["attention"])
+            return cls(meta["num_items"], cfg, meta["num_layers"], meta["seed"],
+                       max_len=meta["max_len"], dropout=meta["dropout"], pathway=meta["pathway"])
+        except ConfigError as exc:
+            raise CheckpointError(f"checkpoint config is invalid: {exc}") from exc
 
 
 def item_scores(hidden: Tensor | np.ndarray, table: EmbeddingTable) -> Tensor:

@@ -45,8 +45,6 @@ __all__ = [
     "layer_norm",
     "sigmoid",
     "tanh",
-    "exp",
-    "log",
     "power",
     "take_rows",
     "zero_grads",
@@ -134,12 +132,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(other, self)
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
     def __neg__(self):
         return mul(self, -1.0)
 
@@ -196,13 +188,6 @@ class GradTape:
             if node.grad is None or node._backward is None:
                 continue
             node._backward(node.grad)
-
-    def gradients(self, params: dict[str, Tensor]) -> dict[str, Array]:
-        """Gradient arrays per named parameter (zeros when unreached)."""
-        return {
-            name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-            for name, p in params.items()
-        }
 
 
 def _linearize(root: Tensor) -> list[Tensor]:
@@ -317,16 +302,6 @@ def mul(a, b) -> Tensor:
     return _make(a.data * b.data, (a, b), backward)
 
 
-def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-
-    def backward(g: Array) -> None:
-        _accumulate(a, _unbroadcast(g / b.data, a.shape))
-        _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return _make(a.data / b.data, (a, b), backward)
-
-
 def power(a, p: float) -> Tensor:
     a = _as_tensor(a)
     p = float(p)
@@ -336,25 +311,6 @@ def power(a, p: float) -> Tensor:
         _accumulate(a, g * p * a.data ** (p - 1.0))
 
     return _make(out_data, (a,), backward)
-
-
-def exp(a) -> Tensor:
-    a = _as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def backward(g: Array) -> None:
-        _accumulate(a, g * out_data)
-
-    return _make(out_data, (a,), backward)
-
-
-def log(a) -> Tensor:
-    a = _as_tensor(a)
-
-    def backward(g: Array) -> None:
-        _accumulate(a, g / a.data)
-
-    return _make(np.log(a.data), (a,), backward)
 
 
 def tanh(a) -> Tensor:

@@ -1,5 +1,6 @@
 """CLI behavior: commands, exit codes, config precedence, determinism."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -63,7 +64,8 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("flag, value", [
         ("--batch-size", "0"), ("--epochs", "0"), ("--max-len", "0"), ("--layers", "0"),
-        ("--eval-k", "0"), ("--negatives", "0"), ("--lr", "0"), ("--lr", "-0.01")])
+        ("--eval-k", "0"), ("--negatives", "0"), ("--lr", "0"), ("--lr", "-0.01"),
+        ("--min-len", "1"), ("--min-len", "0")])
     def test_out_of_range_setting_exits_2(self, synth_path, tmp_path, capsys, flag, value):
         out_dir = tmp_path / "z"
         assert run_train(synth_path, out_dir, extra=(flag, value)) == 2
@@ -105,11 +107,17 @@ class TestEvalCommand:
         no_win = {**meta, "config": {**meta["config"],
                                      "attention": {k: v for k, v in attention.items() if k != "win"}}}
         extra = {**meta, "config": {**meta["config"], "attention": {**attention, "window": 3}}}
+        geometry = {**meta, "config": {**meta["config"], "attention": {**attention, "stride": 3}}}
+        bogus = {**meta, "config": {**meta["config"], "attention": attention, "pathway": "bogus"}}
+        no_layers = {**meta, "config": {**meta["config"], "attention": attention, "num_layers": 0}}
         headers = {"not-json": (b"{version: 2", None),
                    "no-config": (json.dumps({"version": meta["version"]}).encode(), None),
                    "no-field": (json.dumps(meta).encode(), None),
                    "no-attention-field": (json.dumps(no_win).encode(), "'win'"),
-                   "unknown-attention-field": (json.dumps(extra).encode(), "'window'")}
+                   "unknown-attention-field": (json.dumps(extra).encode(), "'window'"),
+                   "bad-geometry": (json.dumps(geometry).encode(), "stride (3)"),
+                   "unknown-pathway": (json.dumps(bogus).encode(), "'bogus'"),
+                   "no-layers": (json.dumps(no_layers).encode(), "at least one layer")}
         capsys.readouterr()
         for name, (header, named) in headers.items():
             path = tmp_path / f"{name}.npz"
@@ -248,6 +256,24 @@ class TestDefaults:
         assert (run.top_k, run.win, run.blk) == (4, 8, 1)
         assert (run.eval_k, run.negatives) == (10, 100)
         assert run.attention() == AttentionConfig()
+
+    def test_run_config_fields_unchanged(self):
+        """The flat config keys (config file, flags) with their types and
+        defaults, written out so that moving where a field is declared
+        cannot change one."""
+        want = {
+            "dataset": ("str", ""), "d_model": ("int", 128), "layers": ("int", 2),
+            "heads": ("int", 8), "kv_groups": ("int", 2), "d_head": ("int", 16),
+            "block_size": ("int", 32), "stride": ("int", 16), "sel_block_size": ("int", 16),
+            "top_k": ("int", 4), "win": ("int", 8), "blk": ("int", 1),
+            "max_len": ("int", 200), "lr": ("float", 0.001), "batch_size": ("int", 2048),
+            "dropout": ("float", 0.2), "seed": ("int", 0), "epochs": ("int", 200),
+            "patience": ("int", 15), "eval_k": ("int", 10), "negatives": ("int", 100),
+            "min_len": ("int", 3), "pathway": ("str", "both"),
+        }
+        got = {f.name: (f.type, f.default) for f in dataclasses.fields(RunConfig)}
+        assert got == want
+        assert RunConfig().attention() == AttentionConfig()
 
 
 class TestEvalAgainstRandomBaseline:

@@ -11,7 +11,7 @@ from blossomrec.data import (
     make_synthetic,
     write_interactions,
 )
-from blossomrec.errors import DataError
+from blossomrec.errors import ConfigError, DataError
 
 
 def write(tmp_path, text, name="log.tsv"):
@@ -132,6 +132,18 @@ class TestLeaveOneOut:
         for u in ds.users:
             full = log.sequences()[u]
             assert ds.train[u] + [ds.valid_target[u], ds.test_target[u]] == full
+
+    @pytest.mark.parametrize("min_len", [1, 0, -1])
+    def test_min_len_below_two_rejected(self, tmp_path, min_len):
+        """Two items are held out, so a shorter user has nothing to split."""
+        log = self.make_log(tmp_path, [("u", "a", 1), ("v", "a", 1), ("v", "b", 2)])
+        with pytest.raises(ConfigError, match="min_len"):
+            leave_one_out_split(log, min_len=min_len)
+
+    def test_min_len_two_keeps_empty_prefix(self, tmp_path):
+        log = self.make_log(tmp_path, [("u", "a", 1), ("v", "a", 1), ("v", "b", 2)])
+        ds = leave_one_out_split(log, min_len=2)
+        assert ds.users == [log.user_map["v"]] and ds.train[ds.users[0]] == []
 
     def test_all_users_too_short(self, tmp_path):
         log = self.make_log(tmp_path, [("u", "a", 1)])

@@ -101,6 +101,35 @@ class TestRope:
         one = apply_rope(Tensor(x[1:, :, :1, :]), np.array([0]), cache).data
         assert np.abs(out[1, :, 0] - one[0, :, 0]).max() < 1e-15
 
+    @pytest.mark.parametrize("shape, positions", [
+        ((3, 7, 8), np.array([0, 1, 2, 3, 5, 8, 13])),
+        ((2, 3, 6, 8), np.array([[0, 0, 0, 1, 2, 3], [0, 1, 2, 3, 4, 5]]))])
+    def test_matches_half_split_rotation(self, shape, positions):
+        """One signed-permutation rotation gives the textbook half-split
+        formula's outputs and input gradients exactly."""
+        from blossomrec.tensor import concat, parameter
+
+        cache = RoPECache(d_head=8, max_len=16)
+        rng = np.random.default_rng(6)
+        data, seed = rng.normal(size=shape), rng.normal(size=shape)
+        cos, sin = cache.cos[positions][..., :4], cache.sin[positions][..., :4]
+        if positions.ndim == 2:
+            cos, sin = cos[:, None], sin[:, None]
+
+        def half_split(x):
+            x1, x2 = x[..., :4], x[..., 4:]
+            return concat([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=x.ndim - 1)
+
+        outs, grads = [], []
+        for rotate in (half_split, lambda x: apply_rope(x, positions, cache)):
+            x = parameter(data)
+            out = rotate(x)
+            out.backward(seed)
+            outs.append(out.data)
+            grads.append(x.grad)
+        assert np.array_equal(outs[0], outs[1])
+        assert np.array_equal(grads[0], grads[1])
+
     def test_gradient_flows(self):
         from blossomrec.gradcheck import grad_check
         from blossomrec.tensor import parameter

@@ -102,6 +102,12 @@ class TestRankMetrics:
             assert ndcg <= rec + 1e-12
             assert rr <= rec + 1e-12
 
+    def test_nan_scores_rank_pessimistically(self):
+        """A NaN target misses; a NaN negative outranks the target."""
+        assert rank_metrics(float("nan"), np.arange(20.0), k=10) == (0.0, 0.0, 0.0)
+        rec, rr, _ = rank_metrics(2.0, np.array([np.nan, 1.0]), k=10)
+        assert (rec, rr) == (1.0, 0.5)
+
 
 class TestAggregate:
     def test_means_and_range(self):
