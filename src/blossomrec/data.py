@@ -24,6 +24,7 @@ __all__ = [
     "write_interactions",
     "leave_one_out_split",
     "make_synthetic",
+    "newest_slots",
 ]
 
 
@@ -216,6 +217,13 @@ class SeqBatch:
                 ids[row, width - len(s):] = s
             lengths[row] = len(s)
         return cls(ids=ids, lengths=lengths)
+
+
+def newest_slots(lengths: np.ndarray, width: int) -> np.ndarray:
+    """(B, width) bool: which of a left-padded frame's newest ``width``
+    slots hold one of each sequence's ``lengths`` real items."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    return np.arange(width) >= width - np.minimum(lengths, width)[:, None]
 
 
 def make_synthetic(num_users: int, num_items: int, blocks_per_user: int,

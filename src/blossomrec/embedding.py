@@ -1,8 +1,9 @@
 """Item-id embeddings and rotary position encoding.
 
 Id 0 is the padding token: its embedding row is pinned to zero and never
-receives gradient. Positions are 0-indexed within each real (unpadded)
-sequence, so left padding does not advance position.
+receives gradient (the model packs batches and embeds only real ids).
+Positions are 0-indexed within each sequence, so they restart at every
+segment of a packed stream.
 """
 
 from __future__ import annotations

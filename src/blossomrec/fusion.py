@@ -6,20 +6,25 @@ over the same Q/K/V, fuses the two outputs through a learnable per-entry
 sigmoid gate, and finishes with the usual post-norm residual + feed-forward
 sandwich. A stack of layers ends with one affine output projection.
 
-Each pathway reduces to an attention index: K key positions per query
-(``ltis.ltis_index``, ``stis.stis_index``), built once per layer. One
-dispatch, ``_attend``, reads K off the index: when the frame is at least
-``GATHER_MIN_RATIO`` times K it gathers those K/V rows
-(``tensor.gathered_attention``, O(L * K) work); on shorter frames the
-gather costs more than it saves, and it attends densely under the same
-index scattered into an L x L mask (``grouped_attention``).
+The encoder runs on a packed stream, (1, N, d): a batch's real rows, one
+sequence's segment after another, with N the sum of the lengths, as in
+the ``cu_seqlens`` layout of varlen attention kernels. ``SeqContext``
+holds each segment's start and length and each row's position within its
+segment. No padding slot is embedded, projected, attended or normalized.
+
+Each pathway reduces to an attention index over stream rows: K key rows
+per query (``ltis.ltis_index``, ``stis.stis_index``), built once per
+layer, whose K/V rows ``_attend`` gathers (``tensor.gathered_attention``,
+O(N * K) work). ``grouped_attention`` under the index scattered into a
+dense mask computes the same thing; it is the reference ``verify`` checks
+the gather against.
 
 Inference needs only the newest position's output. ``encode(rows=1)``
 runs every layer but the last in full, since the next layer reads all of
-their rows as K/V; the last layer projects K/V over the whole frame but
+their rows as K/V; the last layer projects K/V over the whole stream but
 Q, both indices, both attentions, the gate, the residuals, the layer
-norms, the FFN and the output affine over the newest row alone, through
-the same ``_attend``.
+norms, the FFN and the output affine over each segment's newest row
+alone, through the same ``_attend``.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .config import AttentionConfig
+from .data import newest_slots
 from .embedding import RoPECache, apply_rope
 from .errors import ConfigError
 from . import ltis as ltis_mod
@@ -37,15 +43,14 @@ from .tensor import (
     Tensor,
     affine,
     concat,
-    dropout,
     gathered_attention,
-    index_mask,
     layer_norm,
     masked_softmax,
     matmul,
     parameter,
     reshape,
     sigmoid,
+    take_rows,
     tanh,
     transpose,
 )
@@ -59,14 +64,7 @@ __all__ = [
     "encode",
     "dense_causal_gqa",
     "split_heads",
-    "GATHER_MIN_RATIO",
 ]
-
-# A pathway gathers K/V once the frame is at least this many times its
-# index width K. Forward plus backward on one BLAS thread, gathering
-# overtook the dense masked softmax at L/K of about 2-3 for K from 11
-# to 64, so 4 leaves a margin.
-GATHER_MIN_RATIO = 4
 
 
 def split_heads(x: Tensor, num: int) -> Tensor:
@@ -111,16 +109,9 @@ def _merge_heads(x: Tensor, w_o: Tensor | None) -> Tensor:
 
 
 def _attend(q: Tensor, k: Tensor, v: Tensor, index: tuple[np.ndarray, np.ndarray],
-            cfg: AttentionConfig, w_o: Tensor) -> Tensor:
-    """Attend over an (idx, valid) index: gather its K/V rows when the
-    frame (the key length, which the query rows may be a suffix of) is at
-    least ``GATHER_MIN_RATIO`` times the index width, else attend densely
-    under the index scattered into an Lq x L mask."""
-    idx, valid = index
-    length = k.shape[2]
-    if length >= GATHER_MIN_RATIO * idx.shape[-1]:
-        return _merge_heads(gathered_attention(q, k, v, idx, valid), w_o)
-    return grouped_attention(q, k, v, cfg, index_mask(idx, valid, length), w_o=w_o)
+            w_o: Tensor) -> Tensor:
+    """Attend over an (idx, valid) index by gathering its K/V rows."""
+    return _merge_heads(gathered_attention(q, k, v, *index), w_o)
 
 
 def gated_fuse(o_ltis: Tensor, o_stis: Tensor, gate_w: Tensor, gate_b: Tensor) -> tuple[Tensor, Tensor]:
@@ -185,20 +176,50 @@ class BlossomLayerParams:
 
 @dataclass
 class SeqContext:
-    """Per-batch geometry shared by every layer: real lengths inside the
-    left-padded frame and the 0-indexed real position of each slot."""
+    """Per-batch geometry of the packed stream. Segment b holds sequence
+    b's real rows, oldest first; reading the left-padded (B, L) frame's
+    real slots row by row gives the stream's order."""
 
-    lengths: np.ndarray       # (B,)
-    positions: np.ndarray     # (B, L), 0 for padding slots
-    total_len: int
+    lengths: np.ndarray       # (B,) segment lengths
+    starts: np.ndarray        # (B,) stream row of each segment's oldest item
+    positions: np.ndarray     # (N,) position of each stream row within its segment
+    total_len: int            # width L of the left-padded frame
 
     @classmethod
     def from_lengths(cls, lengths: np.ndarray, total_len: int) -> "SeqContext":
         lengths = np.asarray(lengths, dtype=np.int64)
-        idx = np.arange(total_len, dtype=np.int64)[None, :]
-        pad = (total_len - lengths)[:, None]
-        positions = np.maximum(idx - pad, 0)
-        return cls(lengths=lengths, positions=positions, total_len=total_len)
+        starts = np.cumsum(lengths) - lengths
+        positions = np.arange(int(lengths.sum())) - np.repeat(starts, lengths)
+        return cls(lengths=lengths, starts=starts, positions=positions, total_len=total_len)
+
+    def newest(self, rows: int | None) -> np.ndarray:
+        """(B, Lq) bool: the real slots among the frame's newest Lq =
+        min(rows, L) slots (all L for None). Read row by row, they are the
+        stream rows ``query_rows(rows)``."""
+        return newest_slots(self.lengths, self.total_len if rows is None
+                            else min(rows, self.total_len))
+
+    def query_rows(self, rows: int | None) -> np.ndarray:
+        """Stream rows of each segment's newest ``rows`` items, in stream
+        order (every row for None)."""
+        if rows is None:
+            return np.arange(len(self.positions))
+        return np.flatnonzero(self.positions >= np.repeat(self.lengths - rows, self.lengths))
+
+
+def _dropout(x: Tensor, ctx: SeqContext, rows: int | None, rate: float,
+             rng: np.random.Generator | None, training: bool) -> Tensor:
+    """Inverted dropout of stream rows; identity unless training with a
+    positive rate. The keep-mask is drawn over the left-padded frame and
+    then cut to its real slots, so a batch draws the same random numbers
+    whatever the layout."""
+    if not training or rate <= 0.0:
+        return x
+    if rng is None:
+        raise ValueError("training-mode dropout needs an RNG")
+    slots = ctx.newest(rows)
+    keep = (rng.random(slots.shape + x.shape[-1:]) >= rate)[slots]
+    return x * Tensor(keep[None] / (1.0 - rate))
 
 
 def encoder_layer(h_prev: Tensor, params: BlossomLayerParams, cfg: AttentionConfig,
@@ -206,18 +227,20 @@ def encoder_layer(h_prev: Tensor, params: BlossomLayerParams, cfg: AttentionConf
                   dropout_rate: float = 0.0, training: bool = False,
                   rng: np.random.Generator | None = None, pathway: str = "both",
                   rows: int | None = None) -> Tensor:
-    """One post-norm encoder layer with gated dual-pathway attention.
+    """One post-norm encoder layer with gated dual-pathway attention on
+    the packed stream, (1, N, d) -> (1, N, d).
 
-    Each pathway's index goes to ``_attend``, which gathers K/V or
-    attends under a dense mask by the index width. Dropout is identity
-    unless ``training`` is set. K/V always span the frame; with ``rows``
-    set, only the newest ``rows`` slots are queries and every later step
-    runs on them alone, so the output is (B, rows, d), the last rows of
-    the full (B, L, d) output.
+    Each pathway's index goes to ``_attend``, which gathers its K/V rows.
+    Dropout is identity unless ``training`` is set. K/V always span the
+    stream; with ``rows`` set, only each segment's newest ``rows`` rows
+    are queries and every later step runs on them alone, so the output is
+    (1, Nq, d): those rows of the full output, in stream order.
     """
-    h_q, positions = h_prev, ctx.positions
+    q_rows = ctx.query_rows(rows)
+    positions = ctx.positions[q_rows]
+    h_q, d = h_prev, h_prev.shape[-1]
     if rows is not None:
-        h_q, positions = h_prev[:, -rows:], ctx.positions[:, -rows:]
+        h_q = take_rows(h_prev.reshape((-1, d)), q_rows).reshape((1, len(q_rows), d))
     q = split_heads(matmul(h_q, params.w_q), cfg.heads)
     k = split_heads(matmul(h_prev, params.w_k), cfg.kv_groups)
     v = split_heads(matmul(h_prev, params.w_v), cfg.kv_groups)
@@ -226,22 +249,22 @@ def encoder_layer(h_prev: Tensor, params: BlossomLayerParams, cfg: AttentionConf
 
     o_ltis = o_stis = None
     if pathway in ("both", "ltis"):
-        index = ltis_mod.ltis_index(q.data, k.data, ctx.lengths, cfg, params.cmp_key)
-        o_ltis = _attend(q, k, v, index, cfg, params.w_o)
+        index = ltis_mod.ltis_index(q.data, k.data, ctx.lengths, cfg, params.cmp_key, rows=rows)
+        o_ltis = _attend(q, k, v, index, params.w_o)
     if pathway in ("both", "stis"):
-        idx, valid = stis_mod.stis_index(ctx.lengths, ctx.total_len, cfg)
-        lq = q.shape[2]
-        o_stis = _attend(q, k, v, (idx[:, :, -lq:], valid[:, :, -lq:]), cfg, params.w_o)
+        # a row's segment starts ``position`` rows before it
+        o_stis = _attend(q, k, v, stis_mod.stis_index(positions, q_rows - positions, cfg),
+                         params.w_o)
 
     if pathway == "both":
         fused, _ = gated_fuse(o_ltis, o_stis, params.gate_w, params.gate_b)
     else:
         fused = o_ltis if pathway == "ltis" else o_stis
 
-    mixed = layer_norm(h_q + dropout(fused, dropout_rate, rng, training),
+    mixed = layer_norm(h_q + _dropout(fused, ctx, rows, dropout_rate, rng, training),
                        params.ln1_gamma, params.ln1_beta)
     ff = affine(tanh(affine(mixed, params.ffn_w1, params.ffn_b1)), params.ffn_w2, params.ffn_b2)
-    return layer_norm(mixed + dropout(ff, dropout_rate, rng, training),
+    return layer_norm(mixed + _dropout(ff, ctx, rows, dropout_rate, rng, training),
                       params.ln2_gamma, params.ln2_beta)
 
 
@@ -250,11 +273,12 @@ def encode(embedded: Tensor, layers: list[BlossomLayerParams], w_n: Tensor, b_n:
            dropout_rate: float = 0.0, training: bool = False,
            rng: np.random.Generator | None = None, pathway: str = "both",
            rows: int | None = None) -> Tensor:
-    """Run the layer stack and the final affine projection, (B, L, d) -> (B, L, d).
+    """Run the layer stack and the final affine projection on the packed
+    stream, (1, N, d) -> (1, N, d).
 
-    With ``rows`` set, the last layer and the projection compute only the
-    newest ``rows`` slots, (B, L, d) -> (B, rows, d); earlier layers run
-    every row, because the next layer reads them all as K/V.
+    With ``rows`` set, the last layer and the projection compute only each
+    segment's newest ``rows`` rows, (1, N, d) -> (1, Nq, d); earlier layers
+    run every row, because the next layer reads them all as K/V.
     """
     if not layers:
         raise ConfigError("encode needs at least one layer")

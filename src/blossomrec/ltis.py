@@ -15,14 +15,13 @@ Pipeline per sequence, all KV groups at once:
   6. take the top-k causally started selection blocks per query (ties go to
      the lower block index; fewer than k valid blocks means take them all);
   7. expand the chosen blocks into an attention index, ``ltis_index``:
-     each query's top_k * sel_block_size key positions, causally cut. The
-     queries may be only the newest rows of the frame the keys span (the
-     last layer at inference asks for one), and steps 3-6 then run on
-     those rows alone. The encoder attends over this index, gathering its
-     K/V rows or, on short frames, masking densely (``fusion`` explains
-     the choice).
-     ``build_ltis_masks`` is the index as a dense mask, a reference for
-     checks and tests that the model does not call.
+     each query's top_k * sel_block_size key rows, causally cut, offset
+     by its segment's start in the packed stream (``fusion``). The
+     queries may be only each segment's newest rows (the last layer at
+     inference asks for one), and steps 3-6 then run on those rows
+     alone. The encoder gathers the K/V rows of this index.
+     ``build_ltis_masks`` is the index of a left-padded batch as a dense
+     mask, a reference for checks and tests that the model does not call.
 
 A sequence with at most top_k selection blocks skips steps 1-6: every
 started block is selected whatever the scores, so each query sees its
@@ -39,7 +38,8 @@ from __future__ import annotations
 import numpy as np
 
 from .config import AttentionConfig
-from .tensor import index_mask, masked_softmax, parameter
+from .data import newest_slots
+from .tensor import masked_softmax, parameter
 
 __all__ = [
     "CompressionMLP",
@@ -177,59 +177,75 @@ def selection_to_visibility(selected: np.ndarray, length: int, cfg: AttentionCon
 
 
 def ltis_index(q_data: np.ndarray, k_data: np.ndarray, lengths: np.ndarray,
-               cfg: AttentionConfig, phi_key: CompressionMLP) -> tuple[np.ndarray, np.ndarray]:
-    """Run the whole selection pipeline, batched, and return the positions
-    each query attends.
+               cfg: AttentionConfig, phi_key: CompressionMLP,
+               rows: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Run the whole selection pipeline on a packed stream and return the
+    rows each query attends.
 
-    k_data: (B, kv_groups, L, d_head) spans the left-padded frame, and
-    q_data: (B, heads, Lq, d_head) holds the queries of its last Lq slots
-    (Lq = L for every query). Both are plain arrays: selection carries no
-    gradient. ``lengths`` gives each sequence's real length inside the
-    frame. Returns int frame positions and their validity, each
-    (B, kv_groups, Lq, K) with K = top_k * sel_block_size: the chosen
-    blocks in ascending order, causally cut (K is the frame length when
-    that is smaller). Padding queries see nothing.
+    k_data: (1, kv_groups, N, d_head) is the stream: one segment per entry
+    of ``lengths``, back to back, each sequence's rows oldest first.
+    q_data: (1, heads, Nq, d_head) holds the queries of each segment's
+    newest ``rows`` rows (all of them for None), segment after segment.
+    Both are plain arrays: selection carries no gradient. Returns int
+    stream rows and their validity, each (1, kv_groups, Nq, K) with
+    K = top_k * sel_block_size: the chosen blocks in ascending order,
+    causally cut and offset by the segment's start (K is the longest
+    length when that is smaller).
 
     A sequence with at most top_k selection blocks selects every started
     block whatever the scores, so each query sees exactly its causal
     prefix; compression, scoring and top-k are skipped for it.
     """
-    batch, _, rows, _ = q_data.shape
-    total_len = k_data.shape[2]
-    # a frame no wider than top_k blocks holds only saturated sequences
-    width = min(cfg.top_k * cfg.sel_block_size, total_len)
-    idx = np.zeros((batch, cfg.kv_groups, rows, width), dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    # no segment longer than top_k blocks means only saturated sequences
+    width = min(cfg.top_k * cfg.sel_block_size, int(lengths.max(initial=0)))
+    idx = np.zeros((1, cfg.kv_groups, q_data.shape[2], width), dtype=np.int64)
     valid = np.zeros(idx.shape, dtype=bool)
     slots = np.arange(width)
     hpg = cfg.heads_per_group
-    for b in range(batch):
-        n = int(lengths[b])
-        m = min(n, rows)                     # real queries, the last m rows
-        if m == 0:
-            continue
-        pad = total_len - n
+    start = lo = 0                           # segment's first key row, first query row
+    for n in lengths.tolist():
+        m = n if rows is None else min(n, rows)      # queries: the newest m rows
         t = np.arange(n - m, n)[:, None]
+        out = (0, slice(None), slice(lo, lo + m))
         num_sel = cfg.num_sel_blocks(n)
         if num_sel <= cfg.top_k:
-            idx[b, :, rows - m:] = pad + np.where(slots <= t, slots, 0)
-            valid[b, :, rows - m:] = slots <= t
-            continue
-        cmp_keys = compress_sequence(k_data[b, :, pad:], phi_key, cfg)        # (g, M, d)
-        queries = q_data[b, :, rows - m:].reshape(cfg.kv_groups, hpg, m, cfg.d_head)
-        cmp_scores = importance_scores(queries, cmp_keys[:, None], cfg, n)    # (g, hpg, m, M)
-        chosen = select_topk(remap_scores(cmp_scores, cfg, num_sel).sum(axis=1), cfg, n)
-        # chosen block ids first, ascending; fewer than top_k only early on
-        blocks = np.argsort(~chosen, axis=-1, kind="stable")[..., :cfg.top_k]
-        pos = (blocks[..., None] * cfg.sel_block_size
-               + np.arange(cfg.sel_block_size)).reshape(cfg.kv_groups, m, width)
-        ok = (slots // cfg.sel_block_size < chosen.sum(axis=-1)[..., None]) & (pos <= t)
-        idx[b, :, rows - m:] = pad + np.where(ok, pos, 0)
-        valid[b, :, rows - m:] = ok
+            idx[out] = start + np.where(slots <= t, slots, 0)
+            valid[out] = slots <= t
+        else:
+            cmp_keys = compress_sequence(k_data[0, :, start:start + n], phi_key, cfg)  # (g, M, d)
+            queries = q_data[0, :, lo:lo + m].reshape(cfg.kv_groups, hpg, m, cfg.d_head)
+            cmp_scores = importance_scores(queries, cmp_keys[:, None], cfg, n)  # (g, hpg, m, M)
+            chosen = select_topk(remap_scores(cmp_scores, cfg, num_sel).sum(axis=1), cfg, n)
+            # chosen block ids first, ascending; fewer than top_k only early on
+            blocks = np.argsort(~chosen, axis=-1, kind="stable")[..., :cfg.top_k]
+            pos = (blocks[..., None] * cfg.sel_block_size
+                   + np.arange(cfg.sel_block_size)).reshape(cfg.kv_groups, m, width)
+            ok = (slots // cfg.sel_block_size < chosen.sum(axis=-1)[..., None]) & (pos <= t)
+            idx[out] = start + np.where(ok, pos, 0)
+            valid[out] = ok
+        start, lo = start + n, lo + m
     return idx, valid
 
 
 def build_ltis_masks(q_data: np.ndarray, k_data: np.ndarray, lengths: np.ndarray,
                      cfg: AttentionConfig, phi_key: CompressionMLP) -> np.ndarray:
-    """``ltis_index`` scattered into dense visibility masks, bool
-    (B, kv_groups, 1, Lq, L)."""
-    return index_mask(*ltis_index(q_data, k_data, lengths, cfg, phi_key), k_data.shape[2])
+    """``ltis_index`` of a left-padded batch as dense visibility masks,
+    bool (B, kv_groups, 1, Lq, L).
+
+    k_data (B, kv_groups, L, d_head) spans the frame and q_data (B, heads,
+    Lq, d_head) holds the queries of its last Lq slots. Their real slots
+    are packed into a stream, and the stream index is scattered back to
+    frame slots; padding slots are neither queries nor keys.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    rows, total = q_data.shape[2], k_data.shape[2]
+    qb, q_slot = np.nonzero(newest_slots(lengths, rows))
+    kb, k_slot = np.nonzero(newest_slots(lengths, total))
+    idx, valid = ltis_index(q_data[qb, :, q_slot].transpose(1, 0, 2)[None],
+                            k_data[kb, :, k_slot].transpose(1, 0, 2)[None],
+                            lengths, cfg, phi_key, rows=rows)
+    g, r, s = np.nonzero(valid[0])
+    out = np.zeros((len(lengths), cfg.kv_groups, rows, total), dtype=bool)
+    out[qb[r], g, q_slot[r], k_slot[idx[0, g, r, s]]] = True
+    return out[:, :, None]

@@ -1,16 +1,21 @@
 """The full sequential recommender: embedding -> encoder stack -> scoring
 over the item vocabulary, with next-item cross-entropy training.
 
+Each batch runs packed: its sequences' real rows, back to back in one
+stream (``fusion.SeqContext``), so padding is never computed; ``forward``
+returns the left-padded frame with zeros in the padding slots.
+
 Scoring ties the output weights to the input embedding table: the score of
 item v at step t is the dot product of the step-t hidden state with v's
 embedding row. Training is Adam on the softmax cross-entropy of every
-observed next item, computed only at real transitions (padding slots never
-form a logit row), with early stopping on validation NDCG@k.
+observed next item, computed only at real transitions, with early stopping
+on validation NDCG@k.
 """
 
 from __future__ import annotations
 
 import json
+import typing
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -22,8 +27,8 @@ from .embedding import EmbeddingTable, RoPECache, embed
 from .errors import CheckpointError, ConfigError, DataError
 from .fusion import BlossomLayerParams, SeqContext, encode
 from .metrics import EvalResult, aggregate, rank_metrics, sample_negatives
-from .tensor import (Tensor, matmul, no_grad, softmax_cross_entropy, take_rows, transpose,
-                     zero_grads)
+from .tensor import (Tensor, matmul, no_grad, scatter_rows, softmax_cross_entropy, take_rows,
+                     transpose, zero_grads)
 
 __all__ = ["Model", "TrainState", "Adam", "item_scores", "sequence_loss", "train",
            "evaluate", "evaluate_popularity", "save_checkpoint", "load_checkpoint"]
@@ -40,6 +45,14 @@ class Model:
             raise ConfigError(f"pathway must be {'|'.join(PATHWAYS)}, got {pathway!r}")
         if num_layers < 1:
             raise ConfigError(f"a model needs at least one layer, got {num_layers}")
+        if num_items < 1:
+            raise ConfigError(f"num_items must be at least 1, got {num_items}")
+        if max_len < 1:
+            raise ConfigError(f"max_len must be at least 1, got {max_len}")
+        if not 0.0 <= dropout < 1.0:
+            raise ConfigError(f"dropout must lie in [0, 1), got {dropout}")
+        if seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {seed}")
         rng = np.random.default_rng(seed)
         self.cfg = cfg
         self.num_items = num_items
@@ -61,23 +74,36 @@ class Model:
                 named[f"layer{i}.{name}"] = p
         return named
 
+    def _stream(self, batch: SeqBatch, training: bool = False,
+                rng: np.random.Generator | None = None,
+                rows: int | None = None) -> tuple[Tensor, SeqContext]:
+        """The encoder's output on the batch packed into one stream of real
+        rows, (1, N, d_model) (or each segment's newest ``rows`` rows,
+        (1, Nq, d_model)), and the stream's geometry."""
+        ctx = SeqContext.from_lengths(batch.lengths, batch.total_len)
+        embedded = embed(batch.ids[ctx.newest(None)][None], self.table)
+        hidden = encode(embedded, self.layers, self.w_n, self.b_n, self.cfg, ctx,
+                        self.rope, dropout_rate=self.dropout,
+                        training=training, rng=rng, pathway=self.pathway, rows=rows)
+        return hidden, ctx
+
     def forward(self, batch: SeqBatch, training: bool = False,
                 rng: np.random.Generator | None = None, rows: int | None = None) -> Tensor:
-        """Hidden states for every position, (B, L, d_model), or with
-        ``rows`` set for the newest ``rows`` frame slots only, (B, rows, d_model)."""
-        ctx = SeqContext.from_lengths(batch.lengths, batch.total_len)
-        embedded = embed(batch.ids, self.table)
-        return encode(embedded, self.layers, self.w_n, self.b_n, self.cfg, ctx,
-                      self.rope, dropout_rate=self.dropout,
-                      training=training, rng=rng, pathway=self.pathway, rows=rows)
+        """Hidden states in the left-padded frame, (B, L, d_model), or with
+        ``rows`` set for the newest ``rows`` frame slots only,
+        (B, rows, d_model). The encoder runs on the packed stream of real
+        rows; padding slots are zeros."""
+        hidden, ctx = self._stream(batch, training=training, rng=rng, rows=rows)
+        return scatter_rows(hidden, ctx.newest(rows))
 
     def last_hidden(self, batch: SeqBatch) -> np.ndarray:
         """Evaluation-mode hidden state of each sequence's newest position, (B, d_model).
 
         Equal to ``forward(batch).data[:, -1]`` (left padding puts every
-        newest position in the frame's last slot), but the last layer
-        computes only that slot: its keys and values span the frame, and
-        everything else runs on one row.
+        newest position in the frame's last slot; an empty sequence gets
+        zeros), but the last layer computes only each segment's newest
+        row: its keys and values span the stream, and everything else runs
+        on one row per sequence.
         """
         with no_grad():
             return self.forward(batch, rows=1).data[:, -1, :]
@@ -96,17 +122,25 @@ class Model:
     @classmethod
     def from_config_dict(cls, meta: dict) -> "Model":
         """Rebuild a model from ``config_dict()``; the attention config must
-        name every ``AttentionConfig`` field and nothing else. A value the
-        config checks reject is a checkpoint error."""
+        name every ``AttentionConfig`` field and nothing else. A value of
+        another type than the constructor's or the config's annotation (an
+        int passes as a float), or one their checks reject, is a
+        checkpoint error."""
         given = set(meta["attention"])
         names = {f.name for f in fields(AttentionConfig)}
         if given != names:
             raise CheckpointError(f"attention config lacks fields {sorted(names - given)} "
                                   f"and has unknown fields {sorted(given - names)}")
+        hints = typing.get_type_hints(cls.__init__)
+        values = {name: meta[name] for name in hints if name != "cfg"}
+        hints.update(typing.get_type_hints(AttentionConfig))
+        wrong = [f"{name}={value!r}" for name, value in {**values, **meta["attention"]}.items()
+                 if type(value) is not hints[name]
+                 and not (hints[name] is float and type(value) is int)]
+        if wrong:
+            raise CheckpointError(f"checkpoint config has values of the wrong type: {', '.join(wrong)}")
         try:
-            cfg = AttentionConfig(**meta["attention"])
-            return cls(meta["num_items"], cfg, meta["num_layers"], meta["seed"],
-                       max_len=meta["max_len"], dropout=meta["dropout"], pathway=meta["pathway"])
+            return cls(cfg=AttentionConfig(**meta["attention"]), **values)
         except ConfigError as exc:
             raise CheckpointError(f"checkpoint config is invalid: {exc}") from exc
 
@@ -136,21 +170,20 @@ def sequence_loss(model: Model, batch: SeqBatch, training: bool = False,
                   rng: np.random.Generator | None = None) -> Tensor:
     """Mean next-item cross-entropy over every observed transition.
 
-    Position p contributes -log softmax(h_p . E)[id at p+1] whenever both
-    positions hold real items; the final real position of each sequence has
-    no in-batch successor and is skipped. Only the hidden rows of those
-    transitions are scored, so padding never forms a (V,) logit row.
+    Stream row r contributes -log softmax(h_r . E)[id of row r + 1]
+    whenever row r + 1 continues r's segment: the last row of each
+    sequence has no in-batch successor and is skipped. Only those rows
+    are scored, so no (V,) logit row is formed for anything else.
     """
-    hidden = model.forward(batch, training=training, rng=rng)
-    ids = batch.ids
-    valid = (ids[:, :-1] > 0) & (ids[:, 1:] > 0)
-    if not valid.any():
+    hidden, ctx = model._stream(batch, training=training, rng=rng)
+    ids = batch.ids[ctx.newest(None)]
+    rows = np.flatnonzero(ctx.positions[1:] > 0)   # row r + 1 is not a segment's first
+    if not rows.size:
         raise DataError("batch contains no next-item transitions")
-    b, p = np.nonzero(valid)
-    length, d = ids.shape[1], hidden.shape[-1]
-    rows = take_rows(hidden.reshape((-1, d)), b * length + p)                 # (N, d)
-    logits = matmul(rows, transpose(model.table.item_vectors(), (1, 0)))       # (N, V)
-    return softmax_cross_entropy(logits, ids[b, p + 1] - 1)
+    d = hidden.shape[-1]
+    picked = take_rows(hidden.reshape((-1, d)), rows)                          # (T, d)
+    logits = matmul(picked, transpose(model.table.item_vectors(), (1, 0)))     # (T, V)
+    return softmax_cross_entropy(logits, ids[rows + 1] - 1)
 
 
 class Adam:

@@ -12,11 +12,12 @@ counts grow logarithmically in the sequence length, which is the point:
 the mask is stored as a per-row key index, not dense L x L bytes.
 
 ``power_table`` is the one construction of the mask: it holds every row
-once per (config, length), cached across batches. ``stis_index`` shifts
-it into each sequence's left-padded frame; the encoder attends over that
-index, and its width (the table's) decides whether it gathers
-(``fusion``). ``batch_stis_masks`` is the index as a dense mask, a
-reference for checks and tests that the model does not call.
+once per (config, length), cached across batches. ``stis_index`` reads
+each query's row and shifts it by its segment's start in the packed
+stream (``fusion``), for all queries at once; the encoder gathers the
+K/V rows of that index. ``batch_stis_masks`` is the index of a
+left-padded batch as a dense mask, a reference for checks and tests
+that the model does not call.
 ``verify.brute_force_power_mask`` evaluates the three cases literally
 and is the table's oracle.
 """
@@ -28,7 +29,7 @@ import functools
 import numpy as np
 
 from .config import AttentionConfig
-from .tensor import index_mask
+from .data import newest_slots
 
 __all__ = ["power_table", "stis_index", "batch_stis_masks"]
 
@@ -69,21 +70,22 @@ def power_table(cfg: AttentionConfig, length: int) -> tuple[np.ndarray, np.ndarr
     return idx, valid
 
 
-def stis_index(lengths: np.ndarray, total_len: int,
+def stis_index(positions: np.ndarray, starts: np.ndarray,
                cfg: AttentionConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The causal power mask of a left-padded batch as an attention index.
+    """The causal power mask of a packed stream as an attention index.
 
-    Returns int positions and their validity, each (B, 1, L, K): query
-    slot p of a length-n sequence is real position p - (L - n), its row of
-    ``power_table`` shifted by the padding. Padding queries see nothing.
+    ``positions`` gives each query's position within its segment and
+    ``starts`` the row its segment starts at. A query at position p sees
+    row p of ``power_table`` shifted by its start. One table serves every
+    segment: it is built for the longest segment (the newest query of
+    the longest is at position length - 1), and the first n rows of a
+    longer table are the length-n table. Returns int rows and their
+    validity, each (1, 1, Nq, K).
     """
-    table, ok = power_table(cfg, total_len)
-    pad = total_len - np.asarray(lengths, dtype=np.int64)[:, None]
-    pos = np.arange(total_len)[None, :] - pad                      # real position, < 0 on padding
-    rows = np.maximum(pos, 0)
-    valid = ok[rows] & (pos >= 0)[:, :, None]
-    idx = np.where(valid, table[rows] + pad[:, :, None], 0)
-    return idx[:, None], valid[:, None]
+    positions = np.asarray(positions, dtype=np.int64)
+    table, ok = power_table(cfg, int(positions.max(initial=0)) + 1)
+    idx = table[positions] + np.asarray(starts, dtype=np.int64)[:, None]
+    return idx[None, None], ok[positions][None, None]
 
 
 def batch_stis_masks(lengths: np.ndarray, total_len: int, cfg: AttentionConfig) -> np.ndarray:
@@ -91,6 +93,14 @@ def batch_stis_masks(lengths: np.ndarray, total_len: int, cfg: AttentionConfig) 
 
     Returns bool (B, 1, 1, L, L): each sequence's mask sits in the bottom
     right corner of its padded frame, so padding positions are neither
-    queries nor keys. It is ``stis_index`` scattered into dense form.
+    queries nor keys. It is ``stis_index`` over the frame's real slots,
+    each shifted by its sequence's padding, scattered into dense form.
     """
-    return index_mask(*stis_index(lengths, total_len, cfg), total_len)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    b, slot = np.nonzero(newest_slots(lengths, total_len))
+    pad = total_len - lengths[b]
+    idx, valid = stis_index(slot - pad, pad, cfg)
+    r, s = np.nonzero(valid[0, 0])
+    out = np.zeros((len(lengths), total_len, total_len), dtype=bool)
+    out[b[r], slot[r], idx[0, 0, r, s]] = True
+    return out[:, None, None]

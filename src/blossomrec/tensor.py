@@ -20,6 +20,9 @@ Design points:
     handed to two parents (``add`` gives both the same ``g``) is never
     written through, and no backward closure writes into an array it
     received.
+  * ``mul`` and ``matmul`` form an operand's gradient product only when
+    that operand requires a gradient, so constant tables and masks cost
+    no backward work.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ __all__ = [
     "tanh",
     "power",
     "take_rows",
+    "scatter_rows",
     "zero_grads",
 ]
 
@@ -296,8 +300,10 @@ def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
 
     def backward(g: Array) -> None:
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
     return _make(a.data * b.data, (a, b), backward)
 
@@ -401,6 +407,21 @@ def take_rows(table, ids: Array) -> Tensor:
     return _make(table.data[ids], (table,), backward)
 
 
+def scatter_rows(x, slots: Array) -> Tensor:
+    """Write the rows of ``x`` (..., d), in order, into the set cells of the
+    boolean ``slots``: shape slots.shape + (d,), zeros elsewhere. The
+    inverse of ``y[slots]``; backward gathers those cells back."""
+    x = _as_tensor(x)
+    d = x.shape[-1]
+    out = np.zeros(slots.shape + (d,))
+    out[slots] = x.data.reshape(-1, d)
+
+    def backward(g: Array) -> None:
+        _accumulate(x, g[slots].reshape(x.shape))
+
+    return _make(out, (x,), backward)
+
+
 # ---------------------------------------------------------------------------
 # reductions
 
@@ -443,8 +464,10 @@ def matmul(a, b) -> Tensor:
         raise ValueError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
 
     def backward(g: Array) -> None:
-        _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
-        _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
     return _make(a.data @ b.data, (a, b), backward)
 
@@ -526,7 +549,7 @@ def gathered_attention(q, k, v, idx: Array, valid: Array) -> Tensor:
     scale = 1.0 / np.sqrt(d)
     qg, kg, vg = by_head(q.data), gather(k.data), gather(v.data)
     shifted = np.where(mask, (qg @ kg.swapaxes(-1, -2)) * scale, -np.inf)   # (b, g, L, hpg, K)
-    mx = shifted.max(axis=-1, keepdims=True)
+    mx = shifted.max(axis=-1, keepdims=True, initial=-np.inf)   # K may be 0
     z = np.exp(shifted - np.where(np.isfinite(mx), mx, 0.0))
     s = z.sum(axis=-1, keepdims=True)
     p = np.divide(z, s, out=np.zeros_like(z), where=s > 0)
@@ -602,13 +625,3 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
 def affine(x, w, b=None) -> Tensor:
     out = matmul(x, w)
     return out if b is None else add(out, b)
-
-
-def dropout(x, rate: float, rng: np.random.Generator | None, training: bool) -> Tensor:
-    """Inverted dropout; identity when not training or rate is zero."""
-    if not training or rate <= 0.0:
-        return _as_tensor(x)
-    if rng is None:
-        raise ValueError("training-mode dropout needs an RNG")
-    keep = (rng.random(x.shape) >= rate).astype(np.float64) / (1.0 - rate)
-    return mul(x, Tensor(keep))

@@ -4,8 +4,9 @@ Each check runs the code the model runs and compares it with an oracle
 that is deliberately independent of it: the published totals, naive
 per-head dense attention, naive per-query block selection, the dense
 masked form of the gathered attention, the full forward pass that
-last-row inference shortcuts, central differences, brute-force mask
-evaluation. ``run_verification`` prints one PASS/FAIL line per check.
+last-row inference shortcuts, each sequence of a packed batch run
+alone, central differences, brute-force mask evaluation.
+``run_verification`` prints one PASS/FAIL line per check.
 """
 
 from __future__ import annotations
@@ -14,17 +15,17 @@ import numpy as np
 
 from .analysis import count_participating
 from .config import AttentionConfig
-from .data import SeqBatch
-from .fusion import dense_causal_gqa, gated_fuse, grouped_attention
+from .data import SeqBatch, newest_slots
+from .fusion import SeqContext, dense_causal_gqa, gated_fuse, grouped_attention
 from .gradcheck import grad_check
 from .ltis import CompressionMLP, build_ltis_masks, ltis_index
 from .model import Model, sequence_loss
 from .stis import batch_stis_masks, stis_index
-from .tensor import Tensor, gathered_attention, index_mask, no_grad, parameter
+from .tensor import Tensor, gathered_attention, index_mask, no_grad, parameter, zero_grads
 
 __all__ = ["brute_force_power_mask", "counts_match", "dense_equivalence_error",
            "ltis_selection_error", "gathered_equivalence_error", "last_row_error",
-           "gradient_error", "mask_law_holds", "run_verification"]
+           "packed_batch_error", "gradient_error", "mask_law_holds", "run_verification"]
 
 PUBLISHED_TOTALS = {256: 103, 512: 120, 1024: 153, 2048: 218}
 
@@ -50,22 +51,30 @@ def counts_match() -> bool:
                for length, total in PUBLISHED_TOTALS.items())
 
 
+def _stis_stream_index(lengths: np.ndarray, cfg: AttentionConfig) -> tuple[np.ndarray, np.ndarray]:
+    """``stis_index`` for every row of a packed stream, as the encoder builds it."""
+    ctx = SeqContext.from_lengths(lengths, int(np.max(lengths)))
+    return stis_index(ctx.positions, np.arange(len(ctx.positions)) - ctx.positions, cfg)
+
+
 def dense_equivalence_error(seeds: range, lengths: tuple[int, ...]) -> tuple[float, float]:
-    """Fused model-path output vs naive dense causal attention.
+    """Fused pathway outputs vs naive dense causal attention.
 
     With top_k and win saturated both pathways see the whole causal prefix,
-    so their gated fusion must equal dense attention for any gate, on both
-    branches the encoder may take: ``gathered_attention`` over
-    ``ltis_index`` and ``stis_index``, and ``grouped_attention`` under those
-    indices scattered into dense masks (``build_ltis_masks``,
-    ``batch_stis_masks``). Each seed and head width (4 and
-    8) runs one batch holding every length, left-padded to the longest,
-    with random values in the padding slots. Returns the max abs error over
-    the real rows and the max abs value over the padding query rows, which
+    so their gated fusion must equal dense attention for any gate, in both
+    forms: the model's, ``gathered_attention`` over ``ltis_index`` and
+    ``stis_index`` on the packed stream, and the reference,
+    ``grouped_attention`` under the dense masks of the left-padded frame
+    (``build_ltis_masks``, ``batch_stis_masks``). Each seed and head width
+    (4 and 8) runs one batch holding every length, with random values in
+    the frame's padding slots. Returns the max abs error over the real
+    rows and the max abs value over the frame's padding query rows, which
     must be exactly zero. A NaN anywhere comes back as NaN.
     """
     lengths_arr = np.array(lengths)
     frame = int(lengths_arr.max())
+    real = newest_slots(lengths_arr, frame)
+    starts = SeqContext.from_lengths(lengths_arr, frame).starts
     errors, padding = [0.0], [0.0]
     for seed in seeds:
         rng = np.random.default_rng(seed)
@@ -81,17 +90,20 @@ def dense_equivalence_error(seeds: range, lengths: tuple[int, ...]) -> tuple[flo
             select = (q.data, k.data, lengths_arr, cfg, phi)
             dense = [grouped_attention(q, k, v, cfg, build_ltis_masks(*select)),
                      grouped_attention(q, k, v, cfg, batch_stis_masks(lengths_arr, frame, cfg))]
-            gathered = [gathered_attention(q, k, v, *index).transpose(0, 2, 1, 3)
-                        .reshape(len(lengths), frame, width)
-                        for index in (ltis_index(*select), stis_index(lengths_arr, frame, cfg))]
-            for o_l, o_s in (dense, gathered):
-                fused, _ = gated_fuse(o_l, o_s, *gate)
-                for b, n in enumerate(lengths):
-                    pad = frame - n
-                    q_b, k_b, v_b = (x.data[b, :, pad:] for x in (q, k, v))
-                    oracle = dense_causal_gqa(q_b, k_b, v_b, cfg)
-                    errors.append(np.abs(fused.data[b, pad:] - oracle).max())
-                    padding.append(np.abs(fused.data[b, :pad]).max(initial=0.0))
+            qs, ks, vs = (Tensor(x.data.transpose(1, 0, 2, 3)[:, real][None]) for x in (q, k, v))
+            stream = [gathered_attention(qs, ks, vs, *index).transpose(0, 2, 1, 3)
+                      .reshape(1, -1, width)
+                      for index in (ltis_index(qs.data, ks.data, lengths_arr, cfg, phi),
+                                    _stis_stream_index(lengths_arr, cfg))]
+            fused_dense = gated_fuse(*dense, *gate)[0].data
+            fused_stream = gated_fuse(*stream, *gate)[0].data[0]
+            for b, n in enumerate(lengths):
+                pad = frame - n
+                q_b, k_b, v_b = (x.data[b, :, pad:] for x in (q, k, v))
+                oracle = dense_causal_gqa(q_b, k_b, v_b, cfg)
+                errors.append(np.abs(fused_dense[b, pad:] - oracle).max(initial=0.0))
+                errors.append(np.abs(fused_stream[starts[b]:starts[b] + n] - oracle).max(initial=0.0))
+                padding.append(np.abs(fused_dense[b, :pad]).max(initial=0.0))
     return float(np.max(errors)), float(np.max(padding))
 
 
@@ -102,13 +114,14 @@ SPARSE_CFG = AttentionConfig(block_size=12, stride=2, sel_block_size=4, top_k=2,
                              heads=4, kv_groups=2, d_model=16, d_head=4)
 
 
-def _padded_batch(rng: np.random.Generator, lengths: tuple[int, ...], cfg: AttentionConfig):
-    """Random q, k, v for a batch left-padded to its longest length; the
-    padding slots hold noise, like any other values."""
-    frame = max(lengths)
-    q = rng.normal(size=(len(lengths), cfg.heads, frame, cfg.d_head))
-    k = rng.normal(size=(len(lengths), cfg.kv_groups, frame, cfg.d_head))
-    v = rng.normal(size=(len(lengths), cfg.kv_groups, frame, cfg.d_head))
+def _stream_batch(rng: np.random.Generator, lengths: tuple[int, ...], cfg: AttentionConfig):
+    """Random q, k, v for one packed stream of segments of ``lengths``:
+    each segment's neighbours hold values like any other, which a query
+    must never see."""
+    total = sum(lengths)
+    q = rng.normal(size=(1, cfg.heads, total, cfg.d_head))
+    k = rng.normal(size=(1, cfg.kv_groups, total, cfg.d_head))
+    v = rng.normal(size=(1, cfg.kv_groups, total, cfg.d_head))
     return q, k, v, np.array(lengths)
 
 
@@ -152,37 +165,37 @@ def _naive_selection(q: np.ndarray, k: np.ndarray, phi: CompressionMLP,
 def ltis_selection_error(seeds: range, lengths: tuple[int, ...]) -> int:
     """Query rows whose LTIS blocks differ from a naive per-query selection.
 
-    Runs ``ltis_index`` at top_k=2 (``SPARSE_CFG``) on one left-padded
-    batch per seed and, for every real query, compares the set of blocks
-    its valid slots fall in with ``_naive_selection`` on the unpadded
-    inputs. A padding query that sees anything counts as a mismatch too.
+    Runs ``ltis_index`` at top_k=2 (``SPARSE_CFG``) on one packed stream
+    per seed and, for every query, compares the set of blocks its valid
+    slots fall in with ``_naive_selection`` on its segment alone. A query
+    that sees a row outside its own segment counts as a mismatch too.
     """
     cfg = SPARSE_CFG
     bad = 0
     for seed in seeds:
         rng = np.random.default_rng(seed)
-        q, k, _, lens = _padded_batch(rng, lengths, cfg)
+        q, k, _, lens = _stream_batch(rng, lengths, cfg)
         phi = CompressionMLP(cfg.block_size, cfg.d_head, rng)
         idx, valid = ltis_index(q, k, lens, cfg, phi)
-        frame = q.shape[2]
-        for b, n in enumerate(lengths):
-            pad = frame - n
-            bad += int(valid[b, :, :pad].any(axis=-1).sum())
-            if n == 0:
-                continue
-            want = _naive_selection(q[b, :, pad:], k[b, :, pad:], phi, cfg)
+        start = 0
+        for n in lengths:
+            rows = slice(start, start + n)
+            outside = valid[0, :, rows] & ((idx[0, :, rows] < start) | (idx[0, :, rows] >= start + n))
+            bad += int(outside.any(axis=-1).sum())
+            want = _naive_selection(q[0, :, rows], k[0, :, rows], phi, cfg) if n else []
             for g in range(cfg.kv_groups):
                 for t in range(n):
-                    got = set(((idx[b, g, pad + t][valid[b, g, pad + t]] - pad)
+                    got = set(((idx[0, g, start + t][valid[0, g, start + t]] - start)
                                // cfg.sel_block_size).tolist())
                     bad += got != want[g][t]
+            start += n
     return bad
 
 
 def gathered_equivalence_error(seeds: range, lengths: tuple[int, ...]) -> float:
     """Gathered attention vs dense masked attention under the same index.
 
-    For each seed, one left-padded batch at ``SPARSE_CFG`` (unsaturated:
+    For each seed, one packed stream at ``SPARSE_CFG`` (unsaturated:
     selection is top-2 and the window 2 wide) runs both pathways' indices
     through ``gathered_attention`` and through ``grouped_attention`` under
     ``index_mask``, with a random weighting of the outputs as the loss.
@@ -192,54 +205,108 @@ def gathered_equivalence_error(seeds: range, lengths: tuple[int, ...]) -> float:
     worst = 0.0
     for seed in seeds:
         rng = np.random.default_rng(seed)
-        q, k, v, lens = _padded_batch(rng, lengths, cfg)
-        frame = q.shape[2]
+        q, k, v, lens = _stream_batch(rng, lengths, cfg)
+        total = q.shape[2]
         phi = CompressionMLP(cfg.block_size, cfg.d_head, rng)
-        w = rng.normal(size=(len(lengths), cfg.heads, frame, cfg.d_head))
-        for idx, valid in (ltis_index(q, k, lens, cfg, phi), stis_index(lens, frame, cfg)):
+        w = rng.normal(size=q.shape)
+        for idx, valid in (ltis_index(q, k, lens, cfg, phi), _stis_stream_index(lens, cfg)):
             runs = []
             for gather in (True, False):
                 qt, kt, vt = parameter(q.copy()), parameter(k.copy()), parameter(v.copy())
                 if gather:
                     out = gathered_attention(qt, kt, vt, idx, valid)
                 else:
-                    merged = grouped_attention(qt, kt, vt, cfg, index_mask(idx, valid, frame))
-                    out = merged.reshape(len(lengths), frame, cfg.heads, cfg.d_head).transpose(0, 2, 1, 3)
+                    merged = grouped_attention(qt, kt, vt, cfg, index_mask(idx, valid, total))
+                    out = merged.reshape(1, total, cfg.heads, cfg.d_head).transpose(0, 2, 1, 3)
                 (out * Tensor(w)).sum().backward()
                 runs.append([out.data, qt.grad, kt.grad, vt.grad])
             worst = max([worst] + [float(np.abs(x - y).max()) for x, y in zip(*runs)])
     return worst
 
 
-# Left-padded batches for the last-row check at ``SPARSE_CFG``: LTIS
-# gathers from a frame of 4 * 8 = 32 and STIS (7 slots wide at 40) from
-# 28, so the 20-slot frame attends densely and the 40-slot one gathers.
-# Each batch holds a length-1 sequence and one that fills its frame.
+# Batches for the last-row and packing checks at ``SPARSE_CFG``, one tuple
+# of lengths each: every batch holds a length-1 sequence and one as long
+# as its frame, and the sequences longer than top_k * sel_block_size = 8
+# are scored over several selection blocks.
 LAST_ROW_BATCHES = ((1, 9, 20), (1, 13, 27, 40))
+
+
+def _perturbed_model(rng: np.random.Generator, layers: int, seed: int) -> Model:
+    """A ``SPARSE_CFG`` model over 30 items with every weight moved off its
+    initial value."""
+    model = Model(num_items=30, cfg=SPARSE_CFG, num_layers=layers, seed=seed, max_len=64)
+    for p in model.parameters().values():
+        p.data += rng.normal(0.0, 0.3, p.data.shape)
+    model.table.clamp_padding()
+    return model
 
 
 def last_row_error(seeds: range, batches: tuple[tuple[int, ...], ...]) -> float:
     """``Model.last_hidden`` vs the last row of the full forward pass.
 
-    For each seed, models of 1 and 2 layers at ``SPARSE_CFG``, with every
-    weight perturbed off its initial value, run each batch of random item
-    ids (one tuple of lengths per batch, left-padded to the longest) both
-    ways. Returns the max abs difference; a NaN comes back as NaN.
+    For each seed, perturbed models of 1 and 2 layers run each batch of
+    random item ids (one tuple of lengths per batch) both ways. Returns
+    the max abs difference; a NaN comes back as NaN.
     """
     errors = [0.0]
     for seed in seeds:
         rng = np.random.default_rng(seed)
         for layers in (1, 2):
-            model = Model(num_items=30, cfg=SPARSE_CFG, num_layers=layers, seed=seed, max_len=64)
-            for p in model.parameters().values():
-                p.data += rng.normal(0.0, 0.3, p.data.shape)
-            model.table.clamp_padding()
+            model = _perturbed_model(rng, layers, seed)
             for lengths in batches:
                 batch = SeqBatch.from_sequences([rng.integers(1, 31, n).tolist() for n in lengths],
                                                 model.max_len)
                 with no_grad():
                     full = model.forward(batch).data[:, -1]
                 errors.append(np.abs(model.last_hidden(batch) - full).max())
+    return float(np.max(errors))
+
+
+def packed_batch_error(seeds: range, batches: tuple[tuple[int, ...], ...]) -> float:
+    """A packed batch vs each of its sequences run alone.
+
+    For each seed, perturbed models of 1 and 2 layers run each batch of
+    random item ids (one tuple of lengths per batch) as one batch and
+    each sequence as a batch of one, comparing ``forward``'s real rows,
+    ``last_hidden`` and every parameter gradient of ``sequence_loss``.
+    The batch loss is the mean over all transitions, so its gradient is
+    the transition-weighted mean of the sequences' own. The frame's
+    padding rows must be zeros. Returns the max abs difference; a NaN
+    comes back as NaN.
+    """
+    errors = [0.0]
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        for layers in (1, 2):
+            model = _perturbed_model(rng, layers, seed)
+            params = model.parameters()
+
+            def loss_grads(batch: SeqBatch) -> dict[str, np.ndarray]:
+                zero_grads(params)
+                sequence_loss(model, batch).backward()
+                return {k: 0.0 if p.grad is None else p.grad for k, p in params.items()}
+
+            for lengths in batches:
+                seqs = [rng.integers(1, 31, n).tolist() for n in lengths]
+                batch = SeqBatch.from_sequences(seqs, model.max_len)
+                with no_grad():
+                    frame = model.forward(batch).data
+                hidden = model.last_hidden(batch)
+                got = loss_grads(batch)
+                want = dict.fromkeys(params, 0.0)
+                transitions = sum(n - 1 for n in lengths)
+                for b, seq in enumerate(seqs):
+                    alone = SeqBatch.from_sequences([seq], model.max_len)
+                    with no_grad():
+                        rows = model.forward(alone).data[0]
+                    pad = frame.shape[1] - len(seq)
+                    errors += [np.abs(frame[b, pad:] - rows).max(),
+                               np.abs(frame[b, :pad]).max(initial=0.0),
+                               np.abs(hidden[b] - model.last_hidden(alone)[0]).max()]
+                    if len(seq) > 1:
+                        for k, g in loss_grads(alone).items():
+                            want[k] = want[k] + g * ((len(seq) - 1) / transitions)
+                errors += [np.abs(got[k] - want[k]).max() for k in params]
     return float(np.max(errors))
 
 
@@ -288,13 +355,13 @@ def run_verification(quick: bool = False) -> bool:
         err, pad = dense_equivalence_error(range(3), (16, 32))
     else:
         err, pad = dense_equivalence_error(range(20), (16, 32, 64))
-    checks.append(("fused output == dense causal attention, dense and gathered branches "
-                   "(saturated selection, padded batch)",
+    checks.append(("fused output == dense causal attention, packed gathered path and "
+                   "padded dense masks (saturated selection)",
                    err < 1e-8 and pad == 0.0, f"max abs err {err:.3e}, padding rows {pad:.1e}"))
 
     seeds, lengths = (range(3), (0, 10, 24, 32)) if quick else (range(10), (0, 6, 10, 19, 40))
     bad = ltis_selection_error(seeds, lengths)
-    checks.append(("LTIS blocks == naive per-query selection (top_k=2, padded batch)",
+    checks.append(("LTIS blocks == naive per-query selection (top_k=2, packed batch)",
                    bad == 0, f"{bad} mismatched rows"))
 
     seeds, lengths = (range(3), (3, 17, 32)) if quick else (range(10), (3, 17, 40, 64))
@@ -305,6 +372,10 @@ def run_verification(quick: bool = False) -> bool:
     err = last_row_error(range(2) if quick else range(10), LAST_ROW_BATCHES)
     checks.append(("last-row inference == full forward's last row (1 and 2 layers, padded batch)",
                    err < 1e-10, f"max abs err {err:.3e}"))
+
+    err = packed_batch_error(range(2) if quick else range(10), LAST_ROW_BATCHES)
+    checks.append(("packed batch == each sequence alone (values, last_hidden, parameter "
+                   "gradients; 1 and 2 layers)", err < 1e-10, f"max abs err {err:.3e}"))
 
     err, _, dead = gradient_error()
     checks.append(("tape gradients vs central differences, every parameter reached",

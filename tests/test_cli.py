@@ -129,6 +129,29 @@ class TestEvalCommand:
             assert named is None or named in err, name
 
 
+    @pytest.mark.parametrize("key, value", [
+        ("num_layers", "2"), ("win", "8"), ("max_len", -5), ("dropout", 1.5), ("num_items", 0),
+        ("seed", -1)])
+    def test_bad_header_value_exits_4(self, synth_path, tmp_path, capsys, key, value):
+        """A header value of the wrong type or out of range is a checkpoint
+        error naming the field, not a traceback or a model that loads."""
+        num_items = leave_one_out_split(load_interactions(synth_path)).num_items
+        path = tmp_path / "model.npz"
+        save_checkpoint(Model(num_items, TINY_ATTENTION, 1, seed=0, max_len=16), path)
+        with np.load(path) as archive:
+            arrays = dict(archive)
+        meta = json.loads(arrays["__meta__"].tobytes())
+        config = meta["config"]
+        (config["attention"] if key in config["attention"] else config)[key] = value
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(path, **arrays)
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(path), "--dataset", str(synth_path)])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("checkpoint error: ") and key in err
+
+
 class TestReportCommand:
     def test_paper_default_totals(self, capsys):
         assert main(["report", "--paper-defaults", "--lengths", "256,512,1024,2048",
@@ -237,7 +260,7 @@ class TestVerifyCommand:
         assert main(["verify", "--quick"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert out.count("PASS") == 7
+        assert out.count("PASS") == 8
 
 
 class TestDefaults:

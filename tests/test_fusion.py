@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from blossomrec.config import AttentionConfig
-from blossomrec.embedding import RoPECache
+from blossomrec.embedding import RoPECache, apply_rope
 from blossomrec.errors import ConfigError
 from blossomrec import fusion
 from blossomrec.fusion import (
@@ -18,8 +18,8 @@ from blossomrec.fusion import (
     split_heads,
 )
 from blossomrec.gradcheck import grad_check
-from blossomrec.ltis import CompressionMLP, build_ltis_masks, ltis_index
-from blossomrec.stis import batch_stis_masks, power_table, stis_index
+from blossomrec.ltis import CompressionMLP, build_ltis_masks
+from blossomrec.stis import batch_stis_masks
 from blossomrec.tensor import Tensor, gathered_attention, layer_norm, parameter, zero_grads
 from blossomrec.verify import gathered_equivalence_error
 
@@ -133,10 +133,11 @@ class TestGatedFuse:
 
 
 def layer_inputs(cfg, lengths, rng, total=None):
+    """A packed stream of segments of ``lengths``, (1, N, d_model)."""
     total = total or int(max(lengths))
     ctx = SeqContext.from_lengths(np.array(lengths), total)
     rope = RoPECache(cfg.d_head, total + 1)
-    h = Tensor(rng.normal(size=(len(lengths), total, cfg.d_model)))
+    h = Tensor(rng.normal(size=(1, sum(lengths), cfg.d_model)))
     return h, ctx, rope
 
 
@@ -186,84 +187,97 @@ class TestEncoderLayer:
         assert not np.array_equal(outs["both"], outs["ltis"])
 
 
-class TestGatherOrDense:
-    """Both pathways run gathered or dense by the frame/width rule; the two
-    branches must agree in values and every parameter gradient."""
+class TestPackedStream:
+    """The encoder layer on a packed stream: segments never see each
+    other, positions restart in each, and both pathways always gather."""
 
     CFG = make_cfg(block_size=8, stride=4, sel_block_size=4, top_k=2, win=2,
                    heads=4, kv_groups=2, d_model=8, d_head=4)
 
-    def run_layer(self, monkeypatch, ratio, lengths, pathway="both", seed=16):
-        """Layer output and gradients with GATHER_MIN_RATIO set to ``ratio``
-        (0: always gather; None: the module's own rule)."""
-        if ratio is not None:
-            monkeypatch.setattr(fusion, "GATHER_MIN_RATIO", ratio)
-        rng = np.random.default_rng(seed)
+    def test_positions_restart_at_each_segment(self, monkeypatch):
+        ctx = SeqContext.from_lengths(np.array([3, 0, 2, 4]), 4)
+        assert ctx.starts.tolist() == [0, 3, 3, 5]
+        assert ctx.positions.tolist() == [0, 1, 2, 0, 1, 0, 1, 2, 3]
+        assert ctx.query_rows(None).tolist() == list(range(9))
+        assert ctx.query_rows(1).tolist() == [2, 4, 8]
+        assert ctx.query_rows(2).tolist() == [1, 2, 3, 4, 7, 8]
+        assert ctx.newest(2).tolist() == [[True, True], [False, False],
+                                          [True, True], [True, True]]
+        seen = []
+
+        def spy(x, positions, cache):
+            seen.append(np.asarray(positions).tolist())
+            return apply_rope(x, positions, cache)
+
+        monkeypatch.setattr(fusion, "apply_rope", spy)
+        rng = np.random.default_rng(16)
         params = BlossomLayerParams.init(self.CFG, rng)
-        h, ctx, rope = layer_inputs(self.CFG, lengths, rng)
-        w = rng.normal(size=h.shape)
+        h = Tensor(rng.normal(size=(1, 9, self.CFG.d_model)))
+        rope = RoPECache(self.CFG.d_head, 5)
+        encoder_layer(h, params, self.CFG, ctx, rope)
+        encoder_layer(h, params, self.CFG, ctx, rope, rows=1)
+        assert seen == [ctx.positions.tolist()] * 2 + [[2, 1, 3], ctx.positions.tolist()]
+
+    @pytest.mark.parametrize("pathway", ["both", "ltis", "stis"])
+    def test_segments_equal_each_sequence_alone(self, pathway):
+        """Lengths 1 and 40 (the longest), and 13 and 27, scored over
+        several selection blocks: each segment's rows and its share of
+        every parameter gradient equal the sequence run alone."""
+        cfg = self.CFG
+        rng = np.random.default_rng(17)
+        params = BlossomLayerParams.init(cfg, rng)
         named = params.parameters()
-        zero_grads(named)
-        out = encoder_layer(h, params, self.CFG, ctx, rope, pathway=pathway)
-        (out * Tensor(w)).sum().backward()
-        monkeypatch.undo()
-        grads = {name: p.grad for name, p in named.items() if p.grad is not None}
-        return out.data, grads
+        lengths = [1, 13, 27, 40]
+        h, ctx, rope = layer_inputs(cfg, lengths, rng)
+        w = rng.normal(size=h.shape)
 
-    @pytest.mark.parametrize("lengths", [[20, 13, 1], [48, 30, 9], [64, 64]])
-    def test_branches_agree(self, monkeypatch, lengths):
-        out_g, grads_g = self.run_layer(monkeypatch, 0, lengths)
-        out_d, grads_d = self.run_layer(monkeypatch, 10**9, lengths)
-        assert np.abs(out_g - out_d).max() < 1e-8
-        assert grads_g.keys() == grads_d.keys()
-        for name in grads_g:
-            assert np.abs(grads_g[name] - grads_d[name]).max() < 1e-8, name
+        def run(x, context, weights):
+            zero_grads(named)
+            out = encoder_layer(x, params, cfg, context, rope, pathway=pathway)
+            (out * Tensor(weights)).sum().backward()
+            return out.data, {k: p.grad for k, p in named.items() if p.grad is not None}
 
-    @pytest.mark.parametrize("frame, pathway, gathers", [
-        (28, "ltis", False), (32, "ltis", True), (20, "stis", False), (28, "stis", True)])
-    def test_rule_picks_branch_by_frame(self, monkeypatch, frame, pathway, gathers):
-        """The LTIS index is 2 x 4 = 8 wide, so LTIS gathers from a frame of
-        32; the STIS index is 6 wide up to 32, so STIS gathers from 24."""
-        assert [power_table(self.CFG, n)[0].shape[1] for n in (20, 28, 32)] == [6, 6, 6]
-        lengths = [frame, frame // 2]
-        default, _ = self.run_layer(monkeypatch, None, lengths, pathway)
-        forced, _ = self.run_layer(monkeypatch, 0 if gathers else 10**9, lengths, pathway)
-        other, _ = self.run_layer(monkeypatch, 10**9 if gathers else 0, lengths, pathway)
-        assert np.array_equal(default, forced)
-        assert not np.array_equal(default, other)
+        packed, grads = run(h, ctx, w)
+        summed = {}
+        for start, n in zip(ctx.starts, lengths):
+            rows = slice(start, start + n)
+            alone = SeqContext.from_lengths(np.array([n]), n)
+            out, part = run(Tensor(h.data[:, rows]), alone, w[:, rows])
+            assert np.abs(packed[:, rows] - out).max() < 1e-12
+            for k, g in part.items():
+                summed[k] = summed.get(k, 0.0) + g
+        assert grads.keys() == summed.keys()
+        for k in grads:
+            assert np.abs(grads[k] - summed[k]).max() < 1e-12, k
 
-    @pytest.mark.parametrize("frame, gathers", [(20, False), (40, True)])
-    def test_one_query_row_is_last_row_of_full_frame(self, monkeypatch, frame, gathers):
-        """A 1-row query over the whole frame's K/V equals the full frame's
-        last row, for both pathways; the gather rule reads the frame length
-        from the keys (LTIS gathers from 32 slots, STIS, 7 wide at 40, from 28)."""
+    def test_one_row_per_segment_is_each_segment_last_row(self):
         cfg = self.CFG
         rng = np.random.default_rng(18)
-        lengths = np.array([frame, frame // 2, 1])
-        q = Tensor(rng.normal(size=(3, cfg.heads, frame, cfg.d_head)))
-        k, v = (Tensor(rng.normal(size=(3, cfg.kv_groups, frame, cfg.d_head))) for _ in "kv")
-        w_o = Tensor(rng.normal(size=(cfg.heads * cfg.d_head, cfg.d_model)))
-        phi = CompressionMLP(cfg.block_size, cfg.d_head, rng)
-        last = Tensor(q.data[:, :, -1:])
-        stis_full = stis_index(lengths, frame, cfg)
-        indices = [(ltis_index(q.data, k.data, lengths, cfg, phi),
-                    ltis_index(last.data, k.data, lengths, cfg, phi)),
-                   (stis_full, tuple(a[:, :, -1:] for a in stis_full))]
-        gathered = []
+        params = BlossomLayerParams.init(cfg, rng)
+        h, ctx, rope = layer_inputs(cfg, [40, 20, 1, 0, 9], rng)
+        full = encoder_layer(h, params, cfg, ctx, rope).data
+        one = encoder_layer(h, params, cfg, ctx, rope, rows=1).data
+        assert one.shape == (1, 4, cfg.d_model)
+        assert np.abs(one[0] - full[0, ctx.query_rows(1)]).max() < 1e-12
+
+    def test_both_pathways_gather_on_short_streams(self, monkeypatch):
+        """Even a 3-row stream, narrower than either index, gathers."""
+        calls = []
 
         def spy(*args):
-            gathered.append(args[0].shape[2])
+            calls.append(args[3].shape)
             return gathered_attention(*args)
 
         monkeypatch.setattr(fusion, "gathered_attention", spy)
-        for full_index, row_index in indices:
-            full = fusion._attend(q, k, v, full_index, cfg, w_o).data
-            one = fusion._attend(last, k, v, row_index, cfg, w_o).data
-            assert one.shape == (3, 1, cfg.d_model)
-            assert np.abs(one[:, 0] - full[:, -1]).max() < 1e-12
-        assert gathered == ([frame, 1] * 2 if gathers else [])
+        rng = np.random.default_rng(19)
+        params = BlossomLayerParams.init(self.CFG, rng)
+        h, ctx, rope = layer_inputs(self.CFG, [3], rng)
+        encoder_layer(h, params, self.CFG, ctx, rope)
+        assert calls == [(1, 2, 3, 3), (1, 1, 3, 3)]
 
-    @pytest.mark.parametrize("lengths", [(0, 3, 17, 20), (0, 3, 17, 40)])  # frames below/above 4K
+
+class TestGatheredEquivalence:
+    @pytest.mark.parametrize("lengths", [(0, 3, 17, 20), (0, 3, 17, 40)])
     def test_gathered_equivalence_check(self, lengths):
         assert gathered_equivalence_error(range(3), lengths) < 1e-8
 
@@ -300,7 +314,10 @@ class TestEncode:
         h, ctx, rope = layer_inputs(cfg, [16, 12], rng, total=16)
         out = encode(h, layers, parameter(rng.normal(size=(8, 8))),
                      Tensor(np.zeros(8)), cfg, ctx, rope)
-        assert out.shape == (2, 16, 8)
+        assert out.shape == (1, 28, 8)
+        last = encode(h, layers, parameter(rng.normal(size=(8, 8))),
+                      Tensor(np.zeros(8)), cfg, ctx, rope, rows=1)
+        assert last.shape == (1, 2, 8)
 
     def test_empty_stack_rejected(self):
         cfg = make_cfg()

@@ -266,28 +266,33 @@ class TestGroupAggregation:
 
 
 class TestQueryRows:
-    """``ltis_index`` given only the newest Lq query rows of the frame."""
+    """``ltis_index`` given only each segment's newest query rows."""
 
     @pytest.mark.parametrize("rows", [1, 3, 7])
     def test_last_rows_equal_last_rows_of_full_index(self, rows):
-        """Lengths 16 and 9 are scored over several compression blocks, 6
-        in one left-padded block, 4 and 2 are saturated (at most top_k
-        selection blocks), and 0 is empty."""
+        """Packed segments: lengths 16 and 9 are scored over several
+        compression blocks, 6 in one left-padded block, 4 and 2 are
+        saturated (at most top_k selection blocks), and 0 is empty."""
         rng = np.random.default_rng(32)
         cfg = small_cfg(block_size=8, stride=2, sel_block_size=2, top_k=2, heads=4, kv_groups=2)
-        lengths, total = np.array([16, 9, 6, 4, 2, 0]), 16
-        q = rng.normal(size=(len(lengths), cfg.heads, total, cfg.d_head))
-        k = rng.normal(size=(len(lengths), cfg.kv_groups, total, cfg.d_head))
+        lengths = np.array([16, 9, 6, 4, 2, 0])
+        starts = np.cumsum(lengths) - lengths
+        q = rng.normal(size=(1, cfg.heads, lengths.sum(), cfg.d_head))
+        k = rng.normal(size=(1, cfg.kv_groups, lengths.sum(), cfg.d_head))
         phi = CompressionMLP(cfg.block_size, cfg.d_head, rng)
         full_idx, full_valid = ltis_index(q, k, lengths, cfg, phi)
-        idx, valid = ltis_index(q[:, :, -rows:], k, lengths, cfg, phi)
-        assert idx.shape == (len(lengths), cfg.kv_groups, rows, full_idx.shape[-1])
-        assert np.array_equal(valid, full_valid[:, :, -rows:])
-        assert np.array_equal(idx, full_idx[:, :, -rows:])
-        for b, n in enumerate(lengths):
-            # query rows before a short sequence starts are padding
-            assert not valid[b, :, : max(rows - n, 0)].any()
-            assert valid[b, :, max(rows - n, 0):].any(axis=-1).all()
+        newest = np.concatenate([np.arange(max(n - rows, 0), n) + start
+                                 for start, n in zip(starts, lengths)])
+        idx, valid = ltis_index(q[:, :, newest], k, lengths, cfg, phi, rows=rows)
+        assert idx.shape == (1, cfg.kv_groups, len(newest), full_idx.shape[-1])
+        assert np.array_equal(valid, full_valid[:, :, newest])
+        assert np.array_equal(idx, full_idx[:, :, newest])
+        assert valid.any(axis=-1).all()
+        for start, n in zip(starts, lengths):
+            rows_of = (full_idx >= start) & (full_idx < start + n)
+            segment = full_valid[:, :, start:start + n]
+            # every valid slot holds a row of the query's own segment
+            assert np.array_equal(segment & rows_of[:, :, start:start + n], segment)
 
 
 def per_step_masks(q, k, lengths, cfg, phi):

@@ -22,7 +22,9 @@ from blossomrec.model import (
     sequence_loss,
     train,
 )
+from blossomrec import model as model_mod
 from blossomrec.tensor import Tensor, no_grad, parameter, zero_grads
+from blossomrec.verify import LAST_ROW_BATCHES, packed_batch_error
 
 
 def tiny_cfg(**kw):
@@ -173,6 +175,68 @@ class TestSequenceLoss:
                 assert np.array_equal(p.grad[1:], before[k][1:])
             else:
                 assert np.array_equal(p.grad, before[k]), k
+
+
+class TestPacking:
+    """The model runs each batch as one packed stream of real rows."""
+
+    SEQS = [[3, 1, 8, 5, 2, 9, 14, 7, 6, 11, 4, 12], [2], [2, 6, 10, 13, 1, 7, 3], [],
+            [9, 4, 4, 12, 1]]
+
+    @pytest.mark.parametrize("batches", [LAST_ROW_BATCHES, ((12, 1, 7, 2), (1, 1, 5))])
+    def test_batch_equals_each_sequence_alone(self, batches):
+        """Forward rows, ``last_hidden`` and every parameter gradient of
+        ``sequence_loss``, at 1 and 2 layers; each batch holds a length-1
+        sequence and its longest."""
+        assert packed_batch_error(range(2), batches) < 1e-10
+
+    def test_loss_skips_the_last_row_of_each_segment(self, monkeypatch):
+        """Stream rows 11, 12, 19 and 24 end their segments (the empty
+        sequence has none) and are not scored; every other row is scored
+        against the next row's id."""
+        seen = {}
+        real_take, real_loss = model_mod.take_rows, model_mod.softmax_cross_entropy
+
+        def take(table, ids):
+            seen["rows"] = np.asarray(ids).tolist()
+            return real_take(table, ids)
+
+        def loss(logits, targets):
+            seen["targets"] = (np.asarray(targets) + 1).tolist()
+            return real_loss(logits, targets)
+
+        monkeypatch.setattr(model_mod, "take_rows", take)
+        monkeypatch.setattr(model_mod, "softmax_cross_entropy", loss)
+        sequence_loss(tiny_model(num_items=14), SeqBatch.from_sequences(self.SEQS, max_len=16))
+        assert seen["rows"] == [r for r in range(25) if r not in (11, 12, 19, 24)]
+        assert seen["targets"] == [item for seq in self.SEQS for item in seq[1:]]
+
+    def test_dropout_mask_is_drawn_over_the_frame(self):
+        """Two layers draw four (B, L, d) masks, the padded frame's shape,
+        so the RNG ends where a padded run's would."""
+        model = tiny_model(num_items=14, layers=2, dropout=0.3)
+        batch = SeqBatch.from_sequences(self.SEQS, max_len=16)
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        sequence_loss(model, batch, training=True, rng=rng)
+        for _ in range(4):
+            ref.random(batch.ids.shape + (model.cfg.d_model,))
+        assert rng.random() == ref.random()
+
+    def test_padding_slots_and_empty_sequences_are_zero(self):
+        """With every weight moved off its initial value (the norms'
+        shifts too), padding slots are still exact zeros."""
+        model = tiny_model(num_items=14, layers=2)
+        rng = np.random.default_rng(6)
+        for p in model.parameters().values():
+            p.data += rng.normal(0.0, 0.3, p.data.shape)
+        batch = SeqBatch.from_sequences(self.SEQS, max_len=16)
+        frame = model.forward(batch).data
+        for b, seq in enumerate(self.SEQS):
+            assert not frame[b, : frame.shape[1] - len(seq)].any()
+            assert frame[b, frame.shape[1] - len(seq):].all(axis=-1).all()
+        assert not model.last_hidden(batch)[3].any()
+        empty = SeqBatch.from_sequences([[], []], max_len=16)
+        assert not model.last_hidden(empty).any() and not model.forward(empty).data.any()
 
 
 class TestAdam:

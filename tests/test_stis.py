@@ -163,12 +163,32 @@ class TestPowerTable:
             power_table(cfg, 40)[0][0, 0] = 1
 
     def test_index_shifts_rows_into_frame(self):
+        """Offset by each sequence's padding, the index lands in the
+        left-padded frame, as ``batch_stis_masks`` uses it."""
         cfg = cfg_with(blk=1, win=2)
-        idx, valid = stis_index(np.array([3, 5, 0]), 5, cfg)
-        assert idx.shape == valid.shape == (3, 1, 5, power_table(cfg, 5)[0].shape[1])
-        assert not valid[0, 0, :2].any() and not valid[2].any()
-        for b, n in ((0, 3), (1, 5)):
-            pad = 5 - n
-            rows = brute_rows(n, cfg)
-            for i in range(n):
-                assert (idx[b, 0, pad + i][valid[b, 0, pad + i]] - pad).tolist() == rows[i]
+        positions = np.array([0, 1, 2, 0, 1, 2, 3, 4])
+        pads = np.array([2, 2, 2, 0, 0, 0, 0, 0])
+        idx, valid = stis_index(positions, pads, cfg)
+        assert idx.shape == valid.shape == (1, 1, 8, power_table(cfg, 5)[0].shape[1])
+        for row, (p, pad) in enumerate(zip(positions, pads)):
+            n = 5 - pad
+            assert (idx[0, 0, row][valid[0, 0, row]] - pad).tolist() == brute_rows(n, cfg)[p]
+
+    @pytest.mark.parametrize("blk, win", [(1, 2), (2, 3)])
+    def test_stream_index_is_shifted_table_rows(self, blk, win):
+        """Packed segments of lengths 3, 1, 9, 0 and 5: each row's index is
+        its position's row of the longest segment's table, plus its
+        segment's start, so it sees only its own segment's causal rows."""
+        cfg = cfg_with(blk=blk, win=win)
+        lengths = np.array([3, 1, 9, 0, 5])
+        starts = np.cumsum(lengths) - lengths
+        positions = np.concatenate([np.arange(n) for n in lengths])
+        row_starts = np.repeat(starts, lengths)
+        idx, valid = stis_index(positions, row_starts, cfg)
+        table, ok = power_table(cfg, 9)
+        assert np.array_equal(idx[0, 0], table[positions] + row_starts[:, None])
+        assert np.array_equal(valid[0, 0], ok[positions])
+        for row, (p, start) in enumerate(zip(positions, row_starts)):
+            n = lengths[np.searchsorted(starts, start, side="right") - 1]
+            seen = idx[0, 0, row][valid[0, 0, row]] - start
+            assert seen.tolist() == brute_rows(n, cfg)[p]

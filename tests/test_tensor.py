@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blossomrec import tensor as tensor_mod
 from blossomrec.gradcheck import grad_check
 from blossomrec.tensor import (
     Tensor,
@@ -15,8 +16,10 @@ from blossomrec.tensor import (
     layer_norm,
     masked_softmax,
     matmul,
+    mul,
     parameter,
     power,
+    scatter_rows,
     sigmoid,
     softmax_cross_entropy,
     take_rows,
@@ -277,6 +280,17 @@ class TestPrimitiveGradients:
         assert np.all(table.grad[[2, 3, 5]] == 0.0)
         assert np.any(table.grad[1] != 0.0)
 
+    def test_scatter_rows_grad_and_placement(self):
+        """Rows land in the set cells in row-major order, zeros elsewhere,
+        and ``y[slots]`` of the result gives the rows back."""
+        x = parameter(self.rng.normal(size=(1, 4, 3)))
+        slots = np.array([[False, True, True], [False, False, False], [True, False, True]])
+        out = scatter_rows(x, slots)
+        assert out.shape == (3, 3, 3)
+        assert np.array_equal(out.data[slots], x.data[0])
+        assert not out.data[~slots].any()
+        self.check(lambda: (scatter_rows(x, slots) ** 2.0).sum(), [x])
+
     def test_take_along_last_grad(self):
         """The picked-target term of softmax_cross_entropy, through an
         upstream op, with a target column repeated across rows."""
@@ -395,6 +409,31 @@ class TestTapeMechanics:
         x = Tensor(np.array([[1e8, -1e8, 0.0]]))
         out = masked_softmax(x, np.array([[True, True, True]]))
         assert np.all(np.isfinite(out.data))
+
+    @pytest.mark.parametrize("op", [mul, matmul])
+    @pytest.mark.parametrize("learn_first", [True, False])
+    def test_constant_operand_product_is_never_formed(self, monkeypatch, op, learn_first):
+        """Backward reduces a product only for the operand that learns, and
+        that operand's gradient is bit-identical to a run where both learn."""
+        rng = np.random.default_rng(11)
+        x, c = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
+        reduced = []
+        real = tensor_mod._unbroadcast
+
+        def spy(g, shape):
+            reduced.append(shape)
+            return real(g, shape)
+
+        def grad_of_x(constant):
+            xt, ct = parameter(x), (Tensor(c) if constant else parameter(c))
+            (op(xt, ct) if learn_first else op(ct, xt)).sum().backward()
+            return xt.grad
+
+        both = grad_of_x(constant=False)
+        monkeypatch.setattr(tensor_mod, "_unbroadcast", spy)
+        alone = grad_of_x(constant=True)
+        assert len(reduced) == 1
+        assert np.array_equal(alone, both)
 
     def test_no_grad_suppresses_recording(self):
         from blossomrec.tensor import no_grad
