@@ -20,7 +20,9 @@ from blossomrec.fusion import (
 from blossomrec.gradcheck import grad_check
 from blossomrec.ltis import CompressionMLP, build_ltis_masks
 from blossomrec.stis import batch_stis_masks
-from blossomrec.tensor import Tensor, gathered_attention, layer_norm, parameter, zero_grads
+from blossomrec.tensor import (
+    Tensor, gathered_attention, index_mask, layer_norm, parameter, zero_grads,
+)
 from blossomrec.verify import gathered_equivalence_error
 
 
@@ -276,7 +278,44 @@ class TestPackedStream:
         assert calls == [(1, 2, 3, 3), (1, 1, 3, 3)]
 
 
-class TestGatheredEquivalence:
+class TestGatherOrDense:
+    """The encoder layer gathers on every pathway; attending under the same
+    index as a dense mask (``grouped_attention`` + ``index_mask``, the
+    reference ``verify`` keeps) must agree in values and every gradient."""
+
+    CFG = make_cfg(block_size=8, stride=4, sel_block_size=4, top_k=2, win=2,
+                   heads=4, kv_groups=2, d_model=8, d_head=4)
+
+    def run_layer(self, monkeypatch, dense, lengths, seed=16):
+        """Layer output and gradients, with ``fusion._attend`` swapped for
+        the dense-mask form when ``dense``."""
+        cfg = self.CFG
+        if dense:
+            def masked(q, k, v, index, w_o):
+                return grouped_attention(q, k, v, cfg, index_mask(*index, k.shape[2]), w_o)
+
+            monkeypatch.setattr(fusion, "_attend", masked)
+        rng = np.random.default_rng(seed)
+        params = BlossomLayerParams.init(cfg, rng)
+        h, ctx, rope = layer_inputs(cfg, lengths, rng)
+        w = rng.normal(size=h.shape)
+        named = params.parameters()
+        zero_grads(named)
+        out = encoder_layer(h, params, cfg, ctx, rope)
+        (out * Tensor(w)).sum().backward()
+        monkeypatch.undo()
+        grads = {name: p.grad for name, p in named.items() if p.grad is not None}
+        return out.data, grads
+
+    @pytest.mark.parametrize("lengths", [[20, 13, 1], [48, 30, 9], [64, 64]])
+    def test_branches_agree(self, monkeypatch, lengths):
+        out_g, grads_g = self.run_layer(monkeypatch, False, lengths)
+        out_d, grads_d = self.run_layer(monkeypatch, True, lengths)
+        assert np.abs(out_g - out_d).max() < 1e-8
+        assert grads_g.keys() == grads_d.keys()
+        for name in grads_g:
+            assert np.abs(grads_g[name] - grads_d[name]).max() < 1e-8, name
+
     @pytest.mark.parametrize("lengths", [(0, 3, 17, 20), (0, 3, 17, 40)])
     def test_gathered_equivalence_check(self, lengths):
         assert gathered_equivalence_error(range(3), lengths) < 1e-8
