@@ -15,7 +15,7 @@ segment. No padding slot is embedded, projected, attended or normalized.
 Each pathway reduces to an attention index over stream rows: K key rows
 per query (``ltis.ltis_index``, ``stis.stis_index``), built once per
 layer, whose K/V rows ``_attend`` gathers (``tensor.gathered_attention``,
-O(N * K) work). ``grouped_attention`` under the index scattered into a
+O(N * K) work) on every stream, however short. ``grouped_attention`` under the index scattered into a
 dense mask computes the same thing; it is the reference ``verify`` checks
 the gather against.
 

@@ -1,7 +1,7 @@
 """Long-term interest pathway: compress key blocks, score them against each
 query, and let attention see only the top-k selection blocks.
 
-Pipeline per sequence, all KV groups at once:
+Pipeline, all KV groups at once:
 
   1. split keys into overlapping compression blocks (size block_size,
      stride ``stride``);
@@ -22,6 +22,12 @@ Pipeline per sequence, all KV groups at once:
      alone. The encoder gathers the K/V rows of this index.
      ``build_ltis_masks`` is the index of a left-padded batch as a dense
      mask, a reference for checks and tests that the model does not call.
+
+The functions of steps 1-6 each take one sequence. ``ltis_index`` runs
+them for every segment of a stream in one pass, with no loop over
+segments: it compresses all segments' blocks back to back, and each
+query scores its own segment's blocks, padded to the most blocks any
+segment has with blocks the causal check drops.
 
 A sequence with at most top_k selection blocks skips steps 1-6: every
 started block is selected whatever the scores, so each query sees its
@@ -78,12 +84,21 @@ class CompressionMLP:
         return np.tanh(flat @ self.w1) @ self.w2
 
 
-def _block_starts(length: int, cfg: AttentionConfig) -> np.ndarray:
-    """(M,) first position of each compression block: i * stride, or for a
+def _cmp_geometry(lengths, cfg: AttentionConfig) -> tuple[np.ndarray, np.ndarray]:
+    """For each length, its number of compression blocks
+    (``cfg.num_cmp_blocks``) and its first block's start: 0, or for a
     sequence shorter than one block, L - block_size for its single block,
     whose positions before 0 are zeros."""
-    shift = min(length - cfg.block_size, 0)
-    return np.arange(cfg.num_cmp_blocks(length)) * cfg.stride + shift
+    lengths = np.asarray(lengths, dtype=np.int64)
+    count = np.where(lengths < cfg.block_size, 1, (lengths - cfg.block_size) // cfg.stride + 1)
+    return count, np.minimum(lengths - cfg.block_size, 0)
+
+
+def _block_starts(length: int, cfg: AttentionConfig) -> np.ndarray:
+    """(M,) first position of each compression block: i * stride after
+    the first block's start (``_cmp_geometry``)."""
+    count, shift = _cmp_geometry(length, cfg)
+    return np.arange(count) * cfg.stride + shift
 
 
 def split_blocks(keys: np.ndarray, cfg: AttentionConfig) -> np.ndarray:
@@ -155,17 +170,28 @@ def select_topk(scores: np.ndarray, cfg: AttentionConfig, seq_len: int) -> np.nd
     break toward the lower block index; when fewer than top_k blocks are
     valid, all of them are selected.
     """
-    length, num_sel = scores.shape[-2:]
-    t = np.arange(seq_len)[-length:, None]
-    valid = (np.arange(num_sel)[None, :] * cfg.sel_block_size) <= t
-    ranked = np.where(valid, scores, -np.inf)
-    # stable argsort of descending scores == ties resolved to lower index
-    cols = np.argsort(-ranked, axis=-1, kind="stable")[..., : cfg.top_k]
-    take = np.minimum(cfg.top_k, valid.sum(axis=1))
-    keep = np.arange(cols.shape[-1]) < take[:, None]
-    chosen = np.zeros(ranked.shape, dtype=bool)
-    np.put_along_axis(chosen, cols, np.broadcast_to(keep, cols.shape), axis=-1)
-    return chosen
+    cols, keep = _rank(scores, np.arange(seq_len)[-scores.shape[-2]:, None], cfg)
+    # a dropped pick lands in an extra column, cut off again
+    chosen = np.zeros(scores.shape[:-1] + (scores.shape[-1] + 1,), dtype=bool)
+    np.put_along_axis(chosen, np.where(keep, cols, scores.shape[-1]), True, axis=-1)
+    return chosen[..., :-1]
+
+
+def _rank(scores: np.ndarray, t: np.ndarray, cfg: AttentionConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The top-k blocks of (..., L, N_sel) scores whose rows are queries
+    at positions ``t``, (L, 1): their ids, best first (..., L, top_k), and
+    which of those picks count, (L, top_k); a row with fewer than top_k
+    started blocks counts only that many."""
+    valid = (np.arange(scores.shape[-1]) * cfg.sel_block_size) <= t
+    ranked = np.where(valid, scores, -np.inf).reshape(-1, scores.shape[-1])
+    rows = np.arange(len(ranked))
+    cols = np.empty((len(ranked), cfg.top_k), dtype=np.int64)
+    for pick in range(cfg.top_k):
+        # argmax takes the first of equal maxima: ties go to the lower block
+        cols[:, pick] = ranked.argmax(axis=-1)
+        ranked[rows, cols[:, pick]] = -np.inf
+    cols = cols.reshape(scores.shape[:-1] + (cfg.top_k,))
+    return cols, np.arange(cfg.top_k) < valid.sum(axis=-1)[:, None]
 
 
 def selection_to_visibility(selected: np.ndarray, length: int, cfg: AttentionConfig) -> np.ndarray:
@@ -194,38 +220,68 @@ def ltis_index(q_data: np.ndarray, k_data: np.ndarray, lengths: np.ndarray,
 
     A sequence with at most top_k selection blocks selects every started
     block whatever the scores, so each query sees exactly its causal
-    prefix; compression, scoring and top-k are skipped for it.
+    prefix; compression, scoring and top-k are skipped for it. All other
+    segments are scored in one pass (``_top_blocks``).
     """
     lengths = np.asarray(lengths, dtype=np.int64)
-    # no segment longer than top_k blocks means only saturated sequences
+    m = lengths if rows is None else np.minimum(lengths, rows)   # queries per segment
+    seg = np.repeat(np.arange(len(lengths)), m)                  # each query's segment
+    # each query's position: the newest m of its segment's n rows
+    t = (np.arange(len(seg)) - np.repeat(np.cumsum(m) - lengths, m))[:, None]
+    starts = np.cumsum(lengths) - lengths
+    # a saturated query takes the first top_k blocks, causally cut below
+    blocks = np.tile(np.arange(cfg.top_k), (cfg.kv_groups, len(seg), 1))
+    count = np.full(len(seg), cfg.top_k)
+    # queries of segments with more than top_k selection blocks
+    scored = np.flatnonzero(lengths[seg] > cfg.top_k * cfg.sel_block_size)
+    if scored.size:
+        q = np.take(q_data[0], scored, axis=1).reshape(
+            cfg.kv_groups, cfg.heads_per_group, -1, cfg.d_head)
+        blocks[:, scored], count[scored] = _top_blocks(
+            q.swapaxes(1, 2), k_data[0], lengths, starts, seg[scored], t[scored], cfg, phi_key)
     width = min(cfg.top_k * cfg.sel_block_size, int(lengths.max(initial=0)))
-    idx = np.zeros((1, cfg.kv_groups, q_data.shape[2], width), dtype=np.int64)
-    valid = np.zeros(idx.shape, dtype=bool)
-    slots = np.arange(width)
-    hpg = cfg.heads_per_group
-    start = lo = 0                           # segment's first key row, first query row
-    for n in lengths.tolist():
-        m = n if rows is None else min(n, rows)      # queries: the newest m rows
-        t = np.arange(n - m, n)[:, None]
-        out = (0, slice(None), slice(lo, lo + m))
-        num_sel = cfg.num_sel_blocks(n)
-        if num_sel <= cfg.top_k:
-            idx[out] = start + np.where(slots <= t, slots, 0)
-            valid[out] = slots <= t
-        else:
-            cmp_keys = compress_sequence(k_data[0, :, start:start + n], phi_key, cfg)  # (g, M, d)
-            queries = q_data[0, :, lo:lo + m].reshape(cfg.kv_groups, hpg, m, cfg.d_head)
-            cmp_scores = importance_scores(queries, cmp_keys[:, None], cfg, n)  # (g, hpg, m, M)
-            chosen = select_topk(remap_scores(cmp_scores, cfg, num_sel).sum(axis=1), cfg, n)
-            # chosen block ids first, ascending; fewer than top_k only early on
-            blocks = np.argsort(~chosen, axis=-1, kind="stable")[..., :cfg.top_k]
-            pos = (blocks[..., None] * cfg.sel_block_size
-                   + np.arange(cfg.sel_block_size)).reshape(cfg.kv_groups, m, width)
-            ok = (slots // cfg.sel_block_size < chosen.sum(axis=-1)[..., None]) & (pos <= t)
-            idx[out] = start + np.where(ok, pos, 0)
-            valid[out] = ok
-        start, lo = start + n, lo + m
-    return idx, valid
+    pos = (blocks[..., None] * cfg.sel_block_size + np.arange(cfg.sel_block_size)).reshape(
+        cfg.kv_groups, len(seg), cfg.top_k * cfg.sel_block_size)[..., :width]
+    valid = (np.arange(width) // cfg.sel_block_size < count[:, None]) & (pos <= t)
+    return (starts[seg, None] + np.where(valid, pos, 0))[None], valid[None]
+
+
+def _top_blocks(q: np.ndarray, k: np.ndarray, lengths: np.ndarray, starts: np.ndarray,
+                seg: np.ndarray, t: np.ndarray, cfg: AttentionConfig,
+                phi_key: CompressionMLP) -> tuple[np.ndarray, np.ndarray]:
+    """Steps 1-6 for the queries of many segments at once: R queries
+    (kv_groups, R, heads_per_group, d_head) of segments ``seg`` at
+    positions ``t`` (R, 1), over stream keys k (kv_groups, N, d_head) whose
+    segments start at rows ``starts``. Returns the chosen blocks,
+    (kv_groups, R, top_k), ascending in each row's first ``count`` slots,
+    and ``count``, (R,).
+
+    Every segment's compression blocks are cut and compressed back to
+    back. Each query then scores its own segment's blocks, padded to the
+    most any segment has by repeating its last block: a padding block
+    would end past its segment's end, so the causal check drops it and it
+    scores 0. ``remap_matrix`` of that many blocks holds every shorter
+    segment's as its top-left corner, and N_sel is padded likewise.
+    """
+    used, seg = np.unique(seg, return_inverse=True)
+    n = lengths[used]
+    num_cmp, shift = _cmp_geometry(n, cfg)
+    offset = np.cumsum(num_cmp) - num_cmp              # each segment's first block
+    owner = np.repeat(np.arange(len(n)), num_cmp)
+    first = (np.arange(num_cmp.sum()) - offset[owner]) * cfg.stride + shift[owner]
+    at = first[:, None] + np.arange(cfg.block_size)    # (blocks, block_size) positions
+    key_rows = np.where(at >= 0, starts[used][owner, None] + at, 0)
+    blocks = np.where((at >= 0)[..., None], np.take(k, key_rows, axis=1), 0.0)
+    cmp_keys = phi_key.apply_stack(blocks)
+    block = np.arange(num_cmp.max())
+    seen = block * cfg.stride + shift[seg, None] + cfg.block_size - 1 <= t   # (R, M)
+    own = offset[seg, None] + np.minimum(block, num_cmp[seg, None] - 1)
+    logits = (q @ np.take(cmp_keys, own, axis=1).swapaxes(-1, -2)) * (1.0 / np.sqrt(cfg.d_head))
+    cmp_scores = masked_softmax(logits, seen[:, None]).data         # (g, R, hpg, M)
+    num_sel = cfg.num_sel_blocks(int(n.max()))
+    cols, keep = _rank(remap_scores(cmp_scores, cfg, num_sel).sum(axis=2), t, cfg)
+    # the counted picks first, ascending; num_sel is past every block
+    return np.sort(np.where(keep, cols, num_sel), axis=-1), keep.sum(axis=-1)
 
 
 def build_ltis_masks(q_data: np.ndarray, k_data: np.ndarray, lengths: np.ndarray,

@@ -278,6 +278,61 @@ class TestPackedStream:
         assert calls == [(1, 2, 3, 3), (1, 1, 3, 3)]
 
 
+def reference_layer(h, params, cfg, rope_base=10000.0):
+    """One encoder layer on one sequence, h (n, d_model), dense and
+    tape-free: the textbook half-split RoPE at positions 0..n-1,
+    ``dense_causal_gqa`` for both pathways, then the gate, the post-norms
+    and the tanh FFN. It is the layer only where both pathways see the
+    whole causal prefix."""
+    p = {name: t.data for name, t in params.parameters().items()}
+    n, half = len(h), cfg.d_head // 2
+
+    def heads(x, num):
+        return x.reshape(n, num, cfg.d_head).transpose(1, 0, 2)
+
+    def rope(x):
+        angle = np.arange(n)[:, None] * rope_base ** (-np.arange(half) * 2.0 / cfg.d_head)
+        x1, x2 = x[..., :half], x[..., half:]
+        return np.concatenate([x1 * np.cos(angle) - x2 * np.sin(angle),
+                               x1 * np.sin(angle) + x2 * np.cos(angle)], axis=-1)
+
+    def norm(x, gamma, beta):
+        centered = x - x.mean(axis=-1, keepdims=True)
+        return centered / np.sqrt((centered ** 2).mean(axis=-1, keepdims=True) + 1e-5) * gamma + beta
+
+    q, k = rope(heads(h @ p["w_q"], cfg.heads)), rope(heads(h @ p["w_k"], cfg.kv_groups))
+    o = dense_causal_gqa(q, k, heads(h @ p["w_v"], cfg.kv_groups), cfg, p["w_o"])
+    alpha = 1.0 / (1.0 + np.exp(-(np.concatenate([o, o], axis=-1) @ p["gate_w"] + p["gate_b"])))
+    mixed = norm(h + alpha * o + (1.0 - alpha) * o, p["ln1_gamma"], p["ln1_beta"])
+    ff = np.tanh(mixed @ p["ffn_w1"] + p["ffn_b1"]) @ p["ffn_w2"] + p["ffn_b2"]
+    return norm(mixed + ff, p["ln2_gamma"], p["ln2_beta"])
+
+
+class TestDenseReference:
+    """The encoder layer on a packed stream against ``reference_layer``,
+    which rotates every query and key at its real position."""
+
+    # win * blk = 8 and top_k * sel_block_size = 8: up to length 8 both
+    # pathways see the whole causal prefix
+    CFG = make_cfg(block_size=8, stride=4, sel_block_size=4, top_k=2, win=8,
+                   heads=4, kv_groups=2, d_model=8, d_head=4)
+
+    @pytest.mark.parametrize("rows", [None, 1])
+    def test_packed_layer_matches_dense_reference(self, rows):
+        cfg = self.CFG
+        rng = np.random.default_rng(21)
+        params = BlossomLayerParams.init(cfg, rng)
+        for p in params.parameters().values():   # no zero bias or unit gain
+            p.data += rng.normal(0.0, 0.3, p.shape)
+        lengths = [5, 1, 8]
+        h, ctx, rope = layer_inputs(cfg, lengths, rng)
+        out = encoder_layer(h, params, cfg, ctx, rope, rows=rows).data[0]
+        want = np.concatenate([reference_layer(h.data[0, s:s + n], params, cfg)[-(rows or n):]
+                               for s, n in zip(ctx.starts, lengths)])
+        assert out.shape == want.shape
+        assert np.abs(out - want).max() < 1e-10
+
+
 class TestGatherOrDense:
     """The encoder layer gathers on every pathway; attending under the same
     index as a dense mask (``grouped_attention`` + ``index_mask``, the

@@ -295,6 +295,74 @@ class TestQueryRows:
             assert np.array_equal(segment & rows_of[:, :, start:start + n], segment)
 
 
+def loop_ltis_index(q, k, lengths, cfg, phi, rows=None):
+    """``ltis_index`` one segment at a time, from the per-step functions:
+    the reference the batched pass must equal exactly."""
+    width = min(cfg.top_k * cfg.sel_block_size, int(max(lengths, default=0)))
+    idx = np.zeros((1, cfg.kv_groups, q.shape[2], width), dtype=np.int64)
+    valid = np.zeros(idx.shape, dtype=bool)
+    slots = np.arange(width)
+    start = lo = 0                           # segment's first key row, first query row
+    for n in lengths:
+        m = n if rows is None else min(n, rows)
+        t = np.arange(n - m, n)[:, None]
+        out = (0, slice(None), slice(lo, lo + m))
+        num_sel = cfg.num_sel_blocks(n)
+        if num_sel <= cfg.top_k:
+            idx[out] = start + np.where(slots <= t, slots, 0)
+            valid[out] = slots <= t
+        else:
+            cmp_keys = compress_sequence(k[0, :, start:start + n], phi, cfg)
+            queries = q[0, :, lo:lo + m].reshape(cfg.kv_groups, cfg.heads_per_group, m, -1)
+            cmp_scores = importance_scores(queries, cmp_keys[:, None], cfg, n)
+            chosen = select_topk(remap_scores(cmp_scores, cfg, num_sel).sum(axis=1), cfg, n)
+            blocks = np.argsort(~chosen, axis=-1, kind="stable")[..., :cfg.top_k]
+            pos = (blocks[..., None] * cfg.sel_block_size
+                   + np.arange(cfg.sel_block_size)).reshape(cfg.kv_groups, m, width)
+            ok = (slots // cfg.sel_block_size < chosen.sum(axis=-1)[..., None]) & (pos <= t)
+            idx[out] = start + np.where(ok, pos, 0)
+            valid[out] = ok
+        start, lo = start + n, lo + m
+    return idx, valid
+
+
+class TestBatchedSelection:
+    """``ltis_index`` scores every segment in one pass; it must pick
+    exactly what scoring each segment alone picks."""
+
+    @pytest.mark.parametrize("rows", [None, 1])
+    @pytest.mark.parametrize("cfg", [
+        AttentionConfig(heads=4, kv_groups=2, d_model=32, d_head=8),
+        # compression blocks longer than the saturation length, so scored
+        # segments of up to 63 rows take the single left-padded block
+        AttentionConfig(block_size=64, stride=8, sel_block_size=16, top_k=1,
+                        heads=4, kv_groups=1, d_model=16, d_head=4),
+    ], ids=["desk", "long-block"])
+    def test_equals_per_segment_loop(self, monkeypatch, cfg, rows):
+        """Lengths 1, 31, 64, 65, 200 and 512, shuffled: saturated and
+        scored segments interleave, and 512 pads every other segment's
+        compression and selection blocks."""
+        rng = np.random.default_rng(33)
+        lengths = rng.permutation([1, 31, 64, 65, 200, 512]).tolist()
+        starts = np.cumsum(lengths) - lengths
+        newest = np.concatenate([np.arange(n - min(n, rows or n), n) + s
+                                 for s, n in zip(starts, lengths)])
+        q = rng.normal(size=(1, cfg.heads, sum(lengths), cfg.d_head))[:, :, newest]
+        k = rng.normal(size=(1, cfg.kv_groups, sum(lengths), cfg.d_head))
+        phi = CompressionMLP(cfg.block_size, cfg.d_head, rng)
+        want = loop_ltis_index(q, k, lengths, cfg, phi, rows=rows)
+        calls = []
+        compress = phi.apply_stack
+        monkeypatch.setattr(phi, "apply_stack", lambda blocks: calls.append(1) or compress(blocks))
+        idx, valid = ltis_index(q, k, lengths, cfg, phi, rows=rows)
+        assert calls == [1]                      # every segment's blocks at once
+        assert np.array_equal(valid, want[1])
+        assert np.array_equal(idx, want[0])
+        # not vacuous: some query picks a block past its first top_k
+        pos = idx - np.repeat(starts, [min(n, rows or n) for n in lengths])[:, None]
+        assert pos[valid].max() >= idx.shape[-1]
+
+
 def per_step_masks(q, k, lengths, cfg, phi):
     """``build_ltis_masks`` rebuilt from the per-step functions, one head at
     a time, each head's selection scores summed into its KV group."""
