@@ -41,6 +41,8 @@ The whole pipeline runs on plain arrays.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .config import AttentionConfig
@@ -134,9 +136,10 @@ def importance_scores(q: np.ndarray, cmp_keys: np.ndarray, cfg: AttentionConfig,
     return masked_softmax(logits, valid, axis=-1).data
 
 
+@functools.lru_cache(maxsize=256)
 def remap_matrix(num_cmp: int, num_sel: int, cfg: AttentionConfig) -> np.ndarray:
     """(M, N_sel) linear map from compression-block scores to selection-block
-    scores.
+    scores, read-only and cached across batches.
 
     Entry (i, j) counts how many (m, n) offset pairs with
     m < sel_block_size/stride and n < block_size/stride satisfy
@@ -152,6 +155,7 @@ def remap_matrix(num_cmp: int, num_sel: int, cfg: AttentionConfig) -> np.ndarray
                 i = a * j - m - n
                 if 0 <= i < num_cmp:
                     mat[i, j] += 1.0
+    mat.flags.writeable = False
     return mat
 
 
@@ -224,26 +228,30 @@ def ltis_index(q_data: np.ndarray, k_data: np.ndarray, lengths: np.ndarray,
     segments are scored in one pass (``_top_blocks``).
     """
     lengths = np.asarray(lengths, dtype=np.int64)
-    m = lengths if rows is None else np.minimum(lengths, rows)   # queries per segment
-    seg = np.repeat(np.arange(len(lengths)), m)                  # each query's segment
+    cap = cfg.top_k * cfg.sel_block_size       # longer segments are scored
+    m = lengths if rows is None else lengths.clip(max=rows)     # queries per segment
+    starts = lengths.cumsum() - lengths
     # each query's position: the newest m of its segment's n rows
-    t = (np.arange(len(seg)) - np.repeat(np.cumsum(m) - lengths, m))[:, None]
-    starts = np.cumsum(lengths) - lengths
-    # a saturated query takes the first top_k blocks, causally cut below
-    blocks = np.tile(np.arange(cfg.top_k), (cfg.kv_groups, len(seg), 1))
-    count = np.full(len(seg), cfg.top_k)
-    # queries of segments with more than top_k selection blocks
-    scored = np.flatnonzero(lengths[seg] > cfg.top_k * cfg.sel_block_size)
-    if scored.size:
+    t = (np.arange(m.sum()) + (lengths - m.cumsum()).repeat(m))[:, None]
+    longest = max(lengths.tolist(), default=0)
+    width = min(cap, longest)
+    # a saturated query takes every started slot: its causal prefix
+    pos, taken = np.arange(width)[None, None].repeat(cfg.kv_groups, axis=0), True
+    if longest > cap:
+        seg = np.arange(len(lengths)).repeat(m)                   # each query's segment
+        scored = (lengths[seg] > cap).nonzero()[0]
         q = np.take(q_data[0], scored, axis=1).reshape(
             cfg.kv_groups, cfg.heads_per_group, -1, cfg.d_head)
+        blocks = np.empty((cfg.kv_groups, len(t), cfg.top_k), dtype=np.int64)
+        blocks[:] = np.arange(cfg.top_k)
+        count = np.full(len(t), cfg.top_k)
         blocks[:, scored], count[scored] = _top_blocks(
             q.swapaxes(1, 2), k_data[0], lengths, starts, seg[scored], t[scored], cfg, phi_key)
-    width = min(cfg.top_k * cfg.sel_block_size, int(lengths.max(initial=0)))
-    pos = (blocks[..., None] * cfg.sel_block_size + np.arange(cfg.sel_block_size)).reshape(
-        cfg.kv_groups, len(seg), cfg.top_k * cfg.sel_block_size)[..., :width]
-    valid = (np.arange(width) // cfg.sel_block_size < count[:, None]) & (pos <= t)
-    return (starts[seg, None] + np.where(valid, pos, 0))[None], valid[None]
+        pos = (blocks[..., None] * cfg.sel_block_size
+               + np.arange(cfg.sel_block_size)).reshape(cfg.kv_groups, len(t), width)
+        taken = np.arange(width) // cfg.sel_block_size < count[:, None]
+    valid = taken & (pos <= t)
+    return (starts.repeat(m)[:, None] + np.where(valid, pos, 0))[None], valid[None]
 
 
 def _top_blocks(q: np.ndarray, k: np.ndarray, lengths: np.ndarray, starts: np.ndarray,
@@ -252,7 +260,8 @@ def _top_blocks(q: np.ndarray, k: np.ndarray, lengths: np.ndarray, starts: np.nd
     """Steps 1-6 for the queries of many segments at once: R queries
     (kv_groups, R, heads_per_group, d_head) of segments ``seg`` at
     positions ``t`` (R, 1), over stream keys k (kv_groups, N, d_head) whose
-    segments start at rows ``starts``. Returns the chosen blocks,
+    segments start at rows ``starts``. Every segment longer than top_k
+    selection blocks must have a query. Returns the chosen blocks,
     (kv_groups, R, top_k), ascending in each row's first ``count`` slots,
     and ``count``, (R,).
 
@@ -263,14 +272,15 @@ def _top_blocks(q: np.ndarray, k: np.ndarray, lengths: np.ndarray, starts: np.nd
     scores 0. ``remap_matrix`` of that many blocks holds every shorter
     segment's as its top-left corner, and N_sel is padded likewise.
     """
-    used, seg = np.unique(seg, return_inverse=True)
-    n = lengths[used]
+    long = lengths > cfg.top_k * cfg.sel_block_size
+    seg = (long.cumsum() - 1)[seg]                     # among the long segments
+    n, starts = lengths[long], starts[long]
     num_cmp, shift = _cmp_geometry(n, cfg)
-    offset = np.cumsum(num_cmp) - num_cmp              # each segment's first block
+    offset = num_cmp.cumsum() - num_cmp                # each segment's first block
     owner = np.repeat(np.arange(len(n)), num_cmp)
     first = (np.arange(num_cmp.sum()) - offset[owner]) * cfg.stride + shift[owner]
     at = first[:, None] + np.arange(cfg.block_size)    # (blocks, block_size) positions
-    key_rows = np.where(at >= 0, starts[used][owner, None] + at, 0)
+    key_rows = np.where(at >= 0, starts[owner, None] + at, 0)
     blocks = np.where((at >= 0)[..., None], np.take(k, key_rows, axis=1), 0.0)
     cmp_keys = phi_key.apply_stack(blocks)
     block = np.arange(num_cmp.max())
