@@ -91,9 +91,8 @@ def _cmp_geometry(lengths, cfg: AttentionConfig) -> tuple[np.ndarray, np.ndarray
     (``cfg.num_cmp_blocks``) and its first block's start: 0, or for a
     sequence shorter than one block, L - block_size for its single block,
     whose positions before 0 are zeros."""
-    lengths = np.asarray(lengths, dtype=np.int64)
-    count = np.where(lengths < cfg.block_size, 1, (lengths - cfg.block_size) // cfg.stride + 1)
-    return count, np.minimum(lengths - cfg.block_size, 0)
+    past = np.asarray(lengths, dtype=np.int64) - cfg.block_size
+    return np.maximum(past // cfg.stride, 0) + 1, np.minimum(past, 0)
 
 
 def _block_starts(length: int, cfg: AttentionConfig) -> np.ndarray:
@@ -236,7 +235,7 @@ def ltis_index(q_data: np.ndarray, k_data: np.ndarray, lengths: np.ndarray,
     longest = max(lengths.tolist(), default=0)
     width = min(cap, longest)
     # a saturated query takes every started slot: its causal prefix
-    pos, taken = np.arange(width)[None, None].repeat(cfg.kv_groups, axis=0), True
+    pos = np.arange(width)[None, None].repeat(cfg.kv_groups, axis=0)
     if longest > cap:
         seg = np.arange(len(lengths)).repeat(m)                   # each query's segment
         scored = (lengths[seg] > cap).nonzero()[0]
@@ -244,26 +243,24 @@ def ltis_index(q_data: np.ndarray, k_data: np.ndarray, lengths: np.ndarray,
             cfg.kv_groups, cfg.heads_per_group, -1, cfg.d_head)
         blocks = np.empty((cfg.kv_groups, len(t), cfg.top_k), dtype=np.int64)
         blocks[:] = np.arange(cfg.top_k)
-        count = np.full(len(t), cfg.top_k)
-        blocks[:, scored], count[scored] = _top_blocks(
+        blocks[:, scored] = _top_blocks(
             q.swapaxes(1, 2), k_data[0], lengths, starts, seg[scored], t[scored], cfg, phi_key)
         pos = (blocks[..., None] * cfg.sel_block_size
                + np.arange(cfg.sel_block_size)).reshape(cfg.kv_groups, len(t), width)
-        taken = np.arange(width) // cfg.sel_block_size < count[:, None]
-    valid = taken & (pos <= t)
+    valid = pos <= t
     return (starts.repeat(m)[:, None] + np.where(valid, pos, 0))[None], valid[None]
 
 
 def _top_blocks(q: np.ndarray, k: np.ndarray, lengths: np.ndarray, starts: np.ndarray,
                 seg: np.ndarray, t: np.ndarray, cfg: AttentionConfig,
-                phi_key: CompressionMLP) -> tuple[np.ndarray, np.ndarray]:
+                phi_key: CompressionMLP) -> np.ndarray:
     """Steps 1-6 for the queries of many segments at once: R queries
     (kv_groups, R, heads_per_group, d_head) of segments ``seg`` at
     positions ``t`` (R, 1), over stream keys k (kv_groups, N, d_head) whose
     segments start at rows ``starts``. Every segment longer than top_k
     selection blocks must have a query. Returns the chosen blocks,
-    (kv_groups, R, top_k), ascending in each row's first ``count`` slots,
-    and ``count``, (R,).
+    (kv_groups, R, top_k), ascending; a row with fewer than top_k started
+    blocks fills its last slots with a block past every segment's end.
 
     Every segment's compression blocks are cut and compressed back to
     back. Each query then scores its own segment's blocks, padded to the
@@ -277,12 +274,12 @@ def _top_blocks(q: np.ndarray, k: np.ndarray, lengths: np.ndarray, starts: np.nd
     n, starts = lengths[long], starts[long]
     num_cmp, shift = _cmp_geometry(n, cfg)
     offset = num_cmp.cumsum() - num_cmp                # each segment's first block
-    owner = np.repeat(np.arange(len(n)), num_cmp)
+    owner = np.arange(len(n)).repeat(num_cmp)
     first = (np.arange(num_cmp.sum()) - offset[owner]) * cfg.stride + shift[owner]
     at = first[:, None] + np.arange(cfg.block_size)    # (blocks, block_size) positions
-    key_rows = np.where(at >= 0, starts[owner, None] + at, 0)
-    blocks = np.where((at >= 0)[..., None], np.take(k, key_rows, axis=1), 0.0)
-    cmp_keys = phi_key.apply_stack(blocks)
+    inside = at >= 0
+    blocks = np.take(k, np.where(inside, starts[owner, None] + at, 0), axis=1)
+    cmp_keys = phi_key.apply_stack(np.where(inside[..., None], blocks, 0.0))
     block = np.arange(num_cmp.max())
     seen = block * cfg.stride + shift[seg, None] + cfg.block_size - 1 <= t   # (R, M)
     own = offset[seg, None] + np.minimum(block, num_cmp[seg, None] - 1)
@@ -290,8 +287,8 @@ def _top_blocks(q: np.ndarray, k: np.ndarray, lengths: np.ndarray, starts: np.nd
     cmp_scores = masked_softmax(logits, seen[:, None]).data         # (g, R, hpg, M)
     num_sel = cfg.num_sel_blocks(int(n.max()))
     cols, keep = _rank(remap_scores(cmp_scores, cfg, num_sel).sum(axis=2), t, cfg)
-    # the counted picks first, ascending; num_sel is past every block
-    return np.sort(np.where(keep, cols, num_sel), axis=-1), keep.sum(axis=-1)
+    # block num_sel starts past every segment's end, so nothing sees it
+    return np.sort(np.where(keep, cols, num_sel), axis=-1)
 
 
 def build_ltis_masks(q_data: np.ndarray, k_data: np.ndarray, lengths: np.ndarray,
