@@ -315,7 +315,14 @@ def loop_ltis_index(q, k, lengths, cfg, phi, rows=None):
             cmp_keys = compress_sequence(k[0, :, start:start + n], phi, cfg)
             queries = q[0, :, lo:lo + m].reshape(cfg.kv_groups, cfg.heads_per_group, m, -1)
             cmp_scores = importance_scores(queries, cmp_keys[:, None], cfg, n)
-            chosen = select_topk(remap_scores(cmp_scores, cfg, num_sel).sum(axis=1), cfg, n)
+            scores = remap_scores(cmp_scores, cfg, num_sel).sum(axis=1)
+            # top-k by a stable sort, apart from ltis's own ranking
+            started = np.arange(num_sel) * cfg.sel_block_size <= t
+            cols = np.argsort(-np.where(started, scores, -np.inf), axis=-1,
+                              kind="stable")[..., :cfg.top_k]
+            keep = np.arange(cfg.top_k) < started.sum(axis=1)[:, None]
+            chosen = np.zeros(scores.shape, dtype=bool)
+            np.put_along_axis(chosen, cols, np.broadcast_to(keep, cols.shape), axis=-1)
             blocks = np.argsort(~chosen, axis=-1, kind="stable")[..., :cfg.top_k]
             pos = (blocks[..., None] * cfg.sel_block_size
                    + np.arange(cfg.sel_block_size)).reshape(cfg.kv_groups, m, width)
