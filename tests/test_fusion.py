@@ -252,16 +252,6 @@ class TestPackedStream:
         for k in grads:
             assert np.abs(grads[k] - summed[k]).max() < 1e-12, k
 
-    def test_one_row_per_segment_is_each_segment_last_row(self):
-        cfg = self.CFG
-        rng = np.random.default_rng(18)
-        params = BlossomLayerParams.init(cfg, rng)
-        h, ctx, rope = layer_inputs(cfg, [40, 20, 1, 0, 9], rng)
-        full = encoder_layer(h, params, cfg, ctx, rope).data
-        one = encoder_layer(h, params, cfg, ctx, rope, rows=1).data
-        assert one.shape == (1, 4, cfg.d_model)
-        assert np.abs(one[0] - full[0, ctx.query_rows(1)]).max() < 1e-12
-
     def test_both_pathways_gather_on_short_streams(self, monkeypatch):
         """Even a 3-row stream, narrower than either index, gathers."""
         calls = []
@@ -370,6 +360,25 @@ class TestGatherOrDense:
         assert grads_g.keys() == grads_d.keys()
         for name in grads_g:
             assert np.abs(grads_g[name] - grads_d[name]).max() < 1e-8, name
+
+    @pytest.mark.parametrize("frame, dense", [(20, False), (40, True)])
+    def test_one_query_row_is_last_row_of_full_frame(self, monkeypatch, frame, dense):
+        """A layer computing one query row per segment equals the last row
+        of each segment of the full layer, gathered or under the dense
+        mask; an empty segment contributes no row."""
+        cfg = self.CFG
+        if dense:
+            def masked(q, k, v, index, w_o):
+                return grouped_attention(q, k, v, cfg, index_mask(*index, k.shape[2]), w_o)
+
+            monkeypatch.setattr(fusion, "_attend", masked)
+        rng = np.random.default_rng(18)
+        params = BlossomLayerParams.init(cfg, rng)
+        h, ctx, rope = layer_inputs(cfg, [frame, frame // 2, 1, 0, 9], rng)
+        full = encoder_layer(h, params, cfg, ctx, rope).data
+        one = encoder_layer(h, params, cfg, ctx, rope, rows=1).data
+        assert one.shape == (1, 4, cfg.d_model)
+        assert np.abs(one[0] - full[0, ctx.query_rows(1)]).max() < 1e-12
 
     @pytest.mark.parametrize("lengths", [(0, 3, 17, 20), (0, 3, 17, 40)])
     def test_gathered_equivalence_check(self, lengths):
