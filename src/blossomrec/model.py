@@ -27,8 +27,8 @@ from .embedding import EmbeddingTable, RoPECache, embed
 from .errors import CheckpointError, ConfigError, DataError
 from .fusion import BlossomLayerParams, SeqContext, encode
 from .metrics import EvalResult, aggregate, rank_metrics, sample_negatives
-from .tensor import (Tensor, matmul, no_grad, scatter_rows, softmax_cross_entropy, take_rows,
-                     transpose, zero_grads)
+from .tensor import (Tensor, linear_cross_entropy, matmul, no_grad, scatter_rows, take_rows,
+                     zero_grads)
 
 __all__ = ["Model", "TrainState", "Adam", "item_scores", "sequence_loss", "train",
            "evaluate", "evaluate_popularity", "save_checkpoint", "load_checkpoint"]
@@ -156,16 +156,6 @@ def item_scores(hidden: Tensor | np.ndarray, table: EmbeddingTable) -> Tensor:
     return matmul(table.item_vectors(), col).reshape((table.num_items,))
 
 
-def cross_entropy(scores: Tensor, target_item: int) -> Tensor:
-    """Negative log-likelihood of the target under a softmax over all items.
-
-    ``scores`` indexes items 1..num_items at offsets 0..num_items-1.
-    """
-    if target_item < 1 or target_item > scores.shape[0]:
-        raise DataError(f"loss target must be a real item id, got {target_item}")
-    return softmax_cross_entropy(scores.reshape((1, scores.shape[0])), [target_item - 1])
-
-
 def sequence_loss(model: Model, batch: SeqBatch, training: bool = False,
                   rng: np.random.Generator | None = None) -> Tensor:
     """Mean next-item cross-entropy over every observed transition.
@@ -173,7 +163,9 @@ def sequence_loss(model: Model, batch: SeqBatch, training: bool = False,
     Stream row r contributes -log softmax(h_r . E)[id of row r + 1]
     whenever row r + 1 continues r's segment: the last row of each
     sequence has no in-batch successor and is skipped. Only those rows
-    are scored, so no (V,) logit row is formed for anything else.
+    are scored, so no (V,) logit row is formed for anything else, and
+    ``linear_cross_entropy`` forms the scored rows' logits a chunk at a
+    time, so the graph holds no (T, V) logit matrix.
     """
     hidden, ctx = model._stream(batch, training=training, rng=rng)
     ids = batch.ids[ctx.newest(None)]
@@ -181,9 +173,8 @@ def sequence_loss(model: Model, batch: SeqBatch, training: bool = False,
     if not rows.size:
         raise DataError("batch contains no next-item transitions")
     d = hidden.shape[-1]
-    picked = take_rows(hidden.reshape((-1, d)), rows)                          # (T, d)
-    logits = matmul(picked, transpose(model.table.item_vectors(), (1, 0)))     # (T, V)
-    return softmax_cross_entropy(logits, ids[rows + 1] - 1)
+    picked = take_rows(hidden.reshape((-1, d)), rows)   # (T, d)
+    return linear_cross_entropy(picked, model.table.item_vectors(), ids[rows + 1] - 1)
 
 
 class Adam:

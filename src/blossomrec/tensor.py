@@ -23,6 +23,12 @@ Design points:
   * ``mul`` and ``matmul`` form an operand's gradient product only when
     that operand requires a gradient, so constant tables and masks cost
     no backward work.
+  * the two large ops keep for backward only what is small next to what
+    they compute, and recompute the rest: ``gathered_attention`` keeps
+    its softmax weights and key-row index, not the (B, G, L, K, d)
+    gathered K/V, which backward gathers again one at a time;
+    ``linear_cross_entropy`` keeps one log-sum-exp per row, not the
+    (N, V) logits, which both passes form a chunk of rows at a time.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ __all__ = [
     "masked_softmax",
     "gathered_attention",
     "index_mask",
-    "softmax_cross_entropy",
+    "linear_cross_entropy",
     "layer_norm",
     "sigmoid",
     "tanh",
@@ -55,6 +61,12 @@ __all__ = [
 ]
 
 _STATE = threading.local()
+
+# Logit bytes ``linear_cross_entropy`` forms at a time. Over the bench's
+# train-vocab steps (about 5800 items, 64 sequences, one BLAS thread),
+# 512 KB chunks ran about 30% slower per step than 2 MB ones, and 8 MB
+# chunks took about 2200 minor page faults per step against under 100.
+LOSS_CHUNK_BYTES = 2 << 20
 
 
 def _grad_enabled() -> bool:
@@ -524,8 +536,12 @@ def gathered_attention(q, k, v, idx: Array, valid: Array) -> Tensor:
     exact zeros. Returns (B, heads, L, d), equal to scaled dot-product
     attention under ``index_mask(idx, valid, Lk)`` at O(L * K * d) cost.
 
-    The backward pass is written out: K/V gradients are scattered back
-    onto their rows with one ``np.bincount`` per feature column.
+    Only the softmax weights (B, G, L, heads per group, K) and the index
+    stay on the tape. Each gathered (B, G, L, K, d) copy lives inside one
+    step: the forward frees gathered K before it gathers V, and the
+    backward gathers V again for the weights' gradient, then K for the
+    query gradient. K/V gradients are scattered back onto their rows with
+    one ``np.bincount`` per feature column.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     b, h, length, d = q.shape
@@ -547,22 +563,25 @@ def gathered_attention(q, k, v, idx: Array, valid: Array) -> Tensor:
         return np.stack(cols, axis=1).reshape(b, g, lk, d)
 
     scale = 1.0 / np.sqrt(d)
-    qg, kg, vg = by_head(q.data), gather(k.data), gather(v.data)
-    shifted = np.where(mask, (qg @ kg.swapaxes(-1, -2)) * scale, -np.inf)   # (b, g, L, hpg, K)
-    mx = shifted.max(axis=-1, keepdims=True, initial=-np.inf)   # K may be 0
-    z = np.exp(shifted - np.where(np.isfinite(mx), mx, 0.0))
-    s = z.sum(axis=-1, keepdims=True)
-    p = np.divide(z, s, out=np.zeros_like(z), where=s > 0)
-    out = (p @ vg).transpose(0, 1, 3, 2, 4).reshape(b, h, length, d)
+    qd, kd, vd = q.data, k.data, v.data   # the arrays backward gathers from again
+    p = by_head(qd) @ gather(kd).swapaxes(-1, -2)   # (b, g, L, hpg, K); gathered K dies here
+    p *= scale
+    np.copyto(p, -np.inf, where=~mask)
+    mx = p.max(axis=-1, keepdims=True, initial=-np.inf)   # K may be 0
+    p -= np.where(np.isfinite(mx), mx, 0.0)
+    np.exp(p, out=p)
+    s = p.sum(axis=-1, keepdims=True)
+    np.divide(p, s, out=p, where=s > 0)   # a row with nothing visible is already zeros
+    out = (p @ gather(vd)).transpose(0, 1, 3, 2, 4).reshape(b, h, length, d)
 
     def backward(grad: Array) -> None:
         go = by_head(grad)
-        dp = go @ vg.swapaxes(-1, -2)
+        dp = go @ gather(vd).swapaxes(-1, -2)
         ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * scale
         if q.requires_grad:
-            _accumulate(q, (ds @ kg).transpose(0, 1, 3, 2, 4).reshape(b, h, length, d))
+            _accumulate(q, (ds @ gather(kd)).transpose(0, 1, 3, 2, 4).reshape(b, h, length, d))
         if k.requires_grad:
-            _accumulate(k, scatter(ds.swapaxes(-1, -2) @ qg))
+            _accumulate(k, scatter(ds.swapaxes(-1, -2) @ by_head(qd)))
         if v.requires_grad:
             _accumulate(v, scatter(p.swapaxes(-1, -2) @ go))
 
@@ -581,33 +600,68 @@ def index_mask(idx: Array, valid: Array, length: int) -> Array:
     return out[:, :, None]
 
 
-def softmax_cross_entropy(logits, targets: Array) -> Tensor:
-    """Mean over rows of -log softmax(logits[n])[targets[n]].
+def _chunk_rows(vocab: int) -> int:
+    """Logit rows per chunk of ``linear_cross_entropy``: about
+    ``LOSS_CHUNK_BYTES`` of float64 logits, and at least one row."""
+    return max(1, LOSS_CHUNK_BYTES // (8 * vocab))
 
-    ``logits`` is (N, V) and ``targets`` holds N column indices in [0, V).
-    Only the per-row log-sum-exp is kept for the backward pass, which
-    recomputes the softmax from it and writes out
-    ``(softmax - onehot) * g / N`` as one (N, V) array.
+
+def linear_cross_entropy(h, w, targets: Array) -> Tensor:
+    """Mean over rows of -log softmax(h @ w.T)[n, targets[n]].
+
+    ``h`` is (N, d), ``w`` is (V, d) and ``targets`` holds N column
+    indices in [0, V); any other target is a ValueError. The (N, V) logit
+    matrix is never formed whole: the forward works through the rows in
+    chunks of ``_chunk_rows(V)`` and keeps only each row's log-sum-exp;
+    the backward recomputes each chunk's logits, turns them into
+    ``(softmax - onehot) * g / N`` in place, writes that chunk's rows of
+    the ``h`` gradient and adds its share into the ``w`` gradient.
     """
-    logits = _as_tensor(logits)
-    x = logits.data
-    n = x.shape[0]
-    rows = np.arange(n)
+    h, w = _as_tensor(h), _as_tensor(w)
+    n, vocab = h.shape[0], w.shape[0]
     targets = np.asarray(targets, dtype=np.int64)
-    mx = x.max(axis=1, keepdims=True)
-    z = x - mx
-    np.exp(z, out=z)
-    lse = np.log(z.sum(axis=1, keepdims=True)) + mx   # (N, 1)
-    loss = (lse[:, 0] - x[rows, targets]).sum() * (1.0 / n)
+    if h.ndim != 2 or w.ndim != 2 or h.shape[1] != w.shape[1]:
+        raise ValueError(f"linear_cross_entropy needs (N, d) and (V, d) operands, got "
+                         f"{h.shape} and {w.shape}")
+    if n == 0 or targets.shape != (n,):
+        raise ValueError(f"need one target for each of N >= 1 rows, got shape "
+                         f"{targets.shape} for N = {n}")
+    if targets.min() < 0 or targets.max() >= vocab:
+        bad = targets[(targets < 0) | (targets >= vocab)][0]
+        raise ValueError(f"target {int(bad)} outside [0, {vocab})")
+    step = _chunk_rows(vocab)
+    chunks = [slice(lo, lo + step) for lo in range(0, n, step)]
+    lse = np.empty(n)
+    picked = np.empty(n)
+    for sl in chunks:
+        x = h.data[sl] @ w.data.T
+        picked[sl] = x[np.arange(x.shape[0]), targets[sl]]
+        mx = x.max(axis=1, keepdims=True)
+        x -= mx
+        np.exp(x, out=x)
+        lse[sl] = np.log(x.sum(axis=1)) + mx[:, 0]
+    loss = (lse - picked).sum() * (1.0 / n)
 
     def backward(g: Array) -> None:
-        grad = x - lse
-        np.exp(grad, out=grad)
-        grad[rows, targets] -= 1.0
-        grad *= g * (1.0 / n)
-        _accumulate(logits, grad)
+        dh = np.empty_like(h.data) if h.requires_grad else None
+        dw = np.zeros_like(w.data) if w.requires_grad else None
+        for sl in chunks:
+            hs = h.data[sl]
+            x = hs @ w.data.T
+            x -= lse[sl, None]
+            np.exp(x, out=x)
+            x[np.arange(x.shape[0]), targets[sl]] -= 1.0
+            x *= g * (1.0 / n)
+            if dh is not None:
+                dh[sl] = x @ w.data
+            if dw is not None:
+                dw += x.T @ hs
+        if dh is not None:
+            _accumulate(h, dh)
+        if dw is not None:
+            _accumulate(w, dw)
 
-    return _make(np.asarray(loss), (logits,), backward)
+    return _make(np.asarray(loss), (h, w), backward)
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:

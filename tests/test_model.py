@@ -1,6 +1,7 @@
 """Scoring, loss, training loop, checkpointing, evaluation."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from blossomrec.gradcheck import grad_check
 from blossomrec.model import (
     Adam,
     Model,
-    cross_entropy,
     evaluate,
     evaluate_popularity,
     item_scores,
@@ -23,7 +23,7 @@ from blossomrec.model import (
     train,
 )
 from blossomrec import model as model_mod
-from blossomrec.tensor import Tensor, no_grad, parameter, zero_grads
+from blossomrec.tensor import Tensor, linear_cross_entropy, no_grad, parameter, zero_grads
 from blossomrec.verify import LAST_ROW_BATCHES, packed_batch_error
 
 
@@ -36,6 +36,14 @@ def tiny_cfg(**kw):
 
 def tiny_model(num_items=20, layers=1, seed=0, **kw):
     return Model(num_items, tiny_cfg(), layers, seed=seed, max_len=16, **kw)
+
+
+def cross_entropy(scores, target_item):
+    """-log softmax(scores)[target_item - 1] for one (V,) row of item
+    scores (item ids start at 1): ``linear_cross_entropy`` with an
+    identity ``w``, so that ``h @ w.T`` is the scores themselves."""
+    v = scores.shape[0]
+    return linear_cross_entropy(scores.reshape((1, v)), Tensor(np.eye(v)), [target_item - 1])
 
 
 def tiny_run(**kw):
@@ -89,7 +97,7 @@ class TestCrossEntropy:
             assert float(cross_entropy(scores, int(rng.integers(1, 12))).data) >= 0.0
 
     def test_padding_target_rejected(self):
-        with pytest.raises(DataError, match="real item"):
+        with pytest.raises(ValueError, match="target -1 outside"):
             cross_entropy(Tensor(np.zeros(4)), 0)
 
     def test_gradient(self):
@@ -159,6 +167,34 @@ class TestSequenceLoss:
         for k, p in params.items():
             assert np.abs(fused[k] - p.grad).max() < 1e-10, k
 
+    def test_graph_holds_neither_logits_nor_gathered_keys(self):
+        """What ``sequence_loss`` leaves on the tape for backward holds no
+        (T, V) logit matrix and no gathered (N, K, d_head) key copy. Here
+        T = 598 transitions over 5000 items make a 23.9 MB logit matrix,
+        and the N = 600 rows' 128 selected keys of width 32 a 19.7 MB
+        gathered copy; the graph holds about 9 MB, and keeping either
+        array would lift it above 30 MB."""
+        cfg = AttentionConfig(block_size=16, stride=8, sel_block_size=16, top_k=8, win=4,
+                              blk=1, heads=2, kv_groups=1, d_model=16, d_head=32)
+        model = Model(5000, cfg, 1, seed=0, max_len=300)
+        rng = np.random.default_rng(0)
+        batch = SeqBatch.from_sequences([rng.integers(1, 5001, 300).tolist() for _ in range(2)],
+                                        max_len=300)
+        sequence_loss(model, batch)   # fills the caches that outlive a step
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loss = sequence_loss(model, batch)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        logits = 598 * 5000 * 8
+        gathered_k = 600 * cfg.top_k * cfg.sel_block_size * cfg.d_head * 8
+        bound = 12e6
+        assert bound < min(logits, gathered_k)
+        assert held < bound, held
+        assert np.isfinite(float(loss.data))
+
     def test_clamp_padding_changes_only_the_embedding_gradient(self):
         model = tiny_model(num_items=14, layers=2, seed=3)
         batch = SeqBatch.from_sequences([[3, 1, 8, 5, 2, 9, 14, 7], [2, 6, 10]], max_len=16)
@@ -195,18 +231,18 @@ class TestPacking:
         sequence has none) and are not scored; every other row is scored
         against the next row's id."""
         seen = {}
-        real_take, real_loss = model_mod.take_rows, model_mod.softmax_cross_entropy
+        real_take, real_loss = model_mod.take_rows, model_mod.linear_cross_entropy
 
         def take(table, ids):
             seen["rows"] = np.asarray(ids).tolist()
             return real_take(table, ids)
 
-        def loss(logits, targets):
+        def loss(h, w, targets):
             seen["targets"] = (np.asarray(targets) + 1).tolist()
-            return real_loss(logits, targets)
+            return real_loss(h, w, targets)
 
         monkeypatch.setattr(model_mod, "take_rows", take)
-        monkeypatch.setattr(model_mod, "softmax_cross_entropy", loss)
+        monkeypatch.setattr(model_mod, "linear_cross_entropy", loss)
         sequence_loss(tiny_model(num_items=14), SeqBatch.from_sequences(self.SEQS, max_len=16))
         assert seen["rows"] == [r for r in range(25) if r not in (11, 12, 19, 24)]
         assert seen["targets"] == [item for seq in self.SEQS for item in seq[1:]]

@@ -14,6 +14,7 @@ from blossomrec.tensor import (
     gathered_attention,
     index_mask,
     layer_norm,
+    linear_cross_entropy,
     masked_softmax,
     matmul,
     mul,
@@ -21,10 +22,15 @@ from blossomrec.tensor import (
     power,
     scatter_rows,
     sigmoid,
-    softmax_cross_entropy,
     take_rows,
     tanh,
 )
+
+
+def logits_loss(x, targets):
+    """``linear_cross_entropy`` over raw (N, V) logits: an identity ``w``
+    makes ``h @ w.T`` the logits themselves."""
+    return linear_cross_entropy(x, Tensor(np.eye(x.shape[1])), targets)
 
 
 def naive_matmul(a, b):
@@ -292,29 +298,29 @@ class TestPrimitiveGradients:
         self.check(lambda: (scatter_rows(x, slots) ** 2.0).sum(), [x])
 
     def test_take_along_last_grad(self):
-        """The picked-target term of softmax_cross_entropy, through an
+        """The picked-target term of the cross-entropy, through an
         upstream op, with a target column repeated across rows."""
         x = parameter(self.rng.normal(size=(4, 5)))
         targets = np.array([2, 0, 2, 4])
-        self.check(lambda: softmax_cross_entropy(x * x, targets) * 3.0, [x])
+        self.check(lambda: logits_loss(x * x, targets) * 3.0, [x])
 
     def test_sum_mean_axes(self):
         x = parameter(self.rng.normal(size=(3, 4, 2)))
         self.check(lambda: (x.sum(axis=1) * x.mean(axis=(0, 2), keepdims=True).sum()).sum(), [x])
 
     def test_log_sum_exp_matches_numpy(self):
-        """softmax_cross_entropy is the row-mean of log-sum-exp minus the
+        """The cross-entropy is the row-mean of log-sum-exp minus the
         target logit."""
         x = self.rng.normal(scale=10.0, size=(4, 9))
         targets = np.array([0, 8, 3, 3])
-        got = float(softmax_cross_entropy(Tensor(x), targets).data)
+        got = float(logits_loss(Tensor(x), targets).data)
         lse = np.log(np.exp(x - x.max(-1, keepdims=True)).sum(-1)) + x.max(-1)
         want = (lse - x[np.arange(4), targets]).mean()
         assert abs(got - want) < 1e-12
 
     def test_log_sum_exp_grad(self):
         x = parameter(self.rng.normal(size=(2, 5)))
-        self.check(lambda: softmax_cross_entropy(x, np.array([1, 4])), [x])
+        self.check(lambda: logits_loss(x, np.array([1, 4])), [x])
 
 
 class TestSoftmaxCrossEntropy:
@@ -324,25 +330,74 @@ class TestSoftmaxCrossEntropy:
         x.data[1] = rng.uniform(-1e3, 1e3, 7)
         x.data[3] = np.array([1e3, -1e3, 0.0, 999.0, -999.0, 1.0, 2.0])
         targets = np.array([6, 2, 0, 3, 5])
-        loss = softmax_cross_entropy(x, targets)
+        loss = logits_loss(x, targets)
         loss.backward()
         assert np.isfinite(float(loss.data)) and np.all(np.isfinite(x.grad))
-        assert grad_check(lambda: softmax_cross_entropy(x, targets), [x], h=1e-6) < 1e-6
+        assert grad_check(lambda: logits_loss(x, targets), [x], h=1e-6) < 1e-6
 
     def test_saturated_target(self):
         x = Tensor(np.array([[1e3, -1e3, 0.0, 1.0], [-1e3, 2.0, 1e3, -5.0]]))
-        loss = softmax_cross_entropy(x, np.array([0, 2]))
+        loss = logits_loss(x, np.array([0, 2]))
         assert 0.0 <= float(loss.data) < 1e-12
 
     def test_gradient_is_softmax_minus_onehot_over_n(self):
         rng = np.random.default_rng(12)
         x = parameter(rng.normal(size=(3, 6)))
         targets = np.array([5, 0, 5])
-        softmax_cross_entropy(x, targets).backward()
+        logits_loss(x, targets).backward()
         p = np.exp(x.data - x.data.max(1, keepdims=True))
         p /= p.sum(1, keepdims=True)
         p[np.arange(3), targets] -= 1.0
         assert np.abs(x.grad - p / 3.0).max() < 1e-15
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_target_outside_the_vocabulary_is_rejected(self, bad):
+        """A target of -1 would otherwise score the last item, as numpy
+        wraps a negative index; V is one past the last."""
+        with pytest.raises(ValueError, match="outside"):
+            logits_loss(Tensor([[0.0, 1.0, 5.0]]), [bad])
+
+    def test_matches_numpy_reference_at_chunk_boundaries(self):
+        """Loss and both gradients equal one (T, V) logit matrix in plain
+        numpy, for T one row, one chunk less one, one chunk, one chunk and
+        one, and three chunks and five; some rows score every item at +1e3
+        or -1e3."""
+        rng = np.random.default_rng(13)
+        vocab, d = 4096, 8
+        c = tensor_mod._chunk_rows(vocab)
+        assert c == 64
+        for n in (1, c - 1, c, c + 1, 3 * c + 5):
+            h = parameter(rng.normal(size=(n, d)))
+            w = parameter(rng.normal(size=(vocab, d)))
+            w.data[:, 0] = rng.choice([-1.0, 1.0], vocab)
+            h.data[n // 2] = h.data[-1] = 0.0
+            h.data[n // 2, 0], h.data[-1, 0] = 1e3, -1e3   # a row of ±1e3 logits
+            targets = rng.integers(0, vocab, n)
+            loss = linear_cross_entropy(h, w, targets)
+            loss.backward()
+
+            logits = h.data @ w.data.T
+            mx = logits.max(axis=1, keepdims=True)
+            lse = np.log(np.exp(logits - mx).sum(axis=1)) + mx[:, 0]
+            want = (lse - logits[np.arange(n), targets]).mean()
+            dlogits = np.exp(logits - lse[:, None])
+            dlogits[np.arange(n), targets] -= 1.0
+            dlogits /= n
+            assert abs(float(loss.data) - want) < 1e-12, n
+            assert np.abs(h.grad - dlogits @ w.data).max() < 1e-12, n
+            assert np.abs(w.grad - dlogits.T @ h.data).max() < 1e-12, n
+
+    def test_gradcheck_across_chunks(self, monkeypatch):
+        """Central differences on both operands, with chunks of two rows."""
+        rng = np.random.default_rng(14)
+        vocab = 5
+        monkeypatch.setattr(tensor_mod, "LOSS_CHUNK_BYTES", 2 * 8 * vocab)
+        assert tensor_mod._chunk_rows(vocab) == 2
+        h = parameter(rng.normal(size=(7, 3)))
+        w = parameter(rng.normal(size=(vocab, 3)))
+        targets = np.array([4, 0, 2, 2, 1, 3, 4])
+        err = grad_check(lambda: linear_cross_entropy(h, w, targets), {"h": h, "w": w}, h=1e-6)
+        assert err < 1e-6
 
 
 class TestTapeMechanics:
