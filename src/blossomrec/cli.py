@@ -1,9 +1,13 @@
 """Command-line entry point.
 
 Commands: train, eval, report, dump-mask, synth, verify. Exit codes are
-fixed so scripts can branch: 0 ok, 2 config error, 3 data error,
-4 checkpoint error, 5 io error. Every command honors --seed (env var
-BLOSSOM_SEED is the fallback) and is bit-reproducible for a fixed seed.
+fixed so scripts can branch: 0 ok, 2 config error or usage error,
+3 data error, 4 checkpoint error, 5 io error. Each command registers only
+the config flags it reads, so any other is a usage error: train takes
+them all, eval the evaluation settings and --seed, report and dump-mask
+the attention geometry, synth --seed, verify none. train, eval and synth
+fall back to BLOSSOM_SEED when no seed is set, and every command is
+bit-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -26,10 +30,11 @@ EXIT_CHECKPOINT = 4
 EXIT_IO = 5
 
 _CONFIG_FLAGS = [name for name in RunConfig.__dataclass_fields__ if name != "dataset"]
+_ATTENTION_FLAGS = list(AttentionConfig.__dataclass_fields__)
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    for name in _CONFIG_FLAGS:
+def _add_config_flags(parser: argparse.ArgumentParser, names: list[str]) -> None:
+    for name in names:
         parser.add_argument(f"--{name.replace('_', '-')}", dest=name, default=None,
                             type=_RUN_FIELD_TYPES[name])
     parser.add_argument("--config", default=None, help="flat key = value config file")
@@ -171,14 +176,14 @@ def main(argv: list[str] | None = None) -> int:
     p_train = sub.add_parser("train", help="train a model and write checkpoint + metric log")
     p_train.add_argument("--dataset", required=False, default=None)
     p_train.add_argument("--out-dir", required=True)
-    _add_config_flags(p_train)
+    _add_config_flags(p_train, _CONFIG_FLAGS)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint with sampled negatives")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--dataset", required=False, default=None)
     p_eval.add_argument("--split", choices=("valid", "test"), default="test")
-    _add_config_flags(p_eval)
+    _add_config_flags(p_eval, ["min_len", "eval_k", "negatives", "seed"])
     p_eval.set_defaults(func=cmd_eval)
 
     p_report = sub.add_parser("report", help="participating-interaction and complexity tables")
@@ -186,14 +191,14 @@ def main(argv: list[str] | None = None) -> int:
     p_report.add_argument("--paper-defaults", action="store_true",
                           help="use the published hyperparameter settings")
     p_report.add_argument("--format", choices=("table", "json"), default="table")
-    _add_config_flags(p_report)
+    _add_config_flags(p_report, _ATTENTION_FLAGS)
     p_report.set_defaults(func=cmd_report)
 
     p_dump = sub.add_parser("dump-mask",
                             help="write the causal power mask as row,visible_index CSV")
     p_dump.add_argument("--length", type=int, required=True)
     p_dump.add_argument("--out", required=True)
-    _add_config_flags(p_dump)
+    _add_config_flags(p_dump, _ATTENTION_FLAGS)
     p_dump.set_defaults(func=cmd_dump_mask)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic interaction log")
@@ -203,12 +208,11 @@ def main(argv: list[str] | None = None) -> int:
     p_synth.add_argument("--block-len", type=int, default=25)
     p_synth.add_argument("--noise", type=float, default=0.1)
     p_synth.add_argument("--out", required=True)
-    _add_config_flags(p_synth)
+    _add_config_flags(p_synth, ["seed"])
     p_synth.set_defaults(func=cmd_synth)
 
     p_verify = sub.add_parser("verify", help="run the oracle and gradient suites")
     p_verify.add_argument("--quick", action="store_true", help="smaller seeds/sizes")
-    _add_config_flags(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
     args = parser.parse_args(argv)

@@ -80,19 +80,14 @@ def apply_rope(x: Tensor, positions: np.ndarray, cache: RoPECache) -> Tensor:
     """Rotate query/key vectors by their position-dependent angles, as
     ``x * cos + (x @ rotate) * sin``: four tape ops.
 
-    x: (..., L, d_head); positions: int array of shape (L,) or (B, L) for a
-    4-D (B, heads, L, d_head) input.
+    x: (..., L, d_head); positions: int array of shape (L,), one per row.
     """
     d = x.shape[-1]
     if d != cache.d_head:
         raise ConfigError(f"rope cache built for d_head={cache.d_head}, input has {d}")
     positions = np.asarray(positions, dtype=np.int64)
+    if positions.ndim != 1:
+        raise ConfigError(f"rope positions must be 1-D, one per row; got shape {positions.shape}")
     if positions.max(initial=0) >= cache.max_len:
         raise ConfigError(f"position {positions.max()} exceeds rope cache length {cache.max_len}")
-    cos = cache.cos[positions]
-    sin = cache.sin[positions]
-    if positions.ndim == 2 and x.ndim == 4:
-        # (B, L, d) -> (B, 1, L, d) so tables broadcast across heads.
-        cos = cos[:, None, :, :]
-        sin = sin[:, None, :, :]
-    return x * cos + matmul(x, cache.rotate) * sin
+    return x * cache.cos[positions] + matmul(x, cache.rotate) * cache.sin[positions]

@@ -1,37 +1,35 @@
 """Long-term interest pathway: compress key blocks, score them against each
 query, and let attention see only the top-k selection blocks.
 
-Pipeline, all KV groups at once:
+``ltis_index`` runs the whole pipeline on a packed stream in one pass,
+with no loop over segments, all KV groups at once:
 
-  1. split keys into overlapping compression blocks (size block_size,
-     stride ``stride``);
+  1. cut every segment's keys into overlapping compression blocks (size
+     block_size, stride ``stride``), back to back; a segment shorter than
+     one block has a single block whose positions before 0 are zeros;
   2. compress each block to one vector with a fixed random MLP;
-  3. softmax importance of each compressed block per query position
-     (only blocks lying entirely at or before the query are scored);
+  3. softmax importance of each compressed block per query (only blocks
+     lying entirely at or before the query are scored); each query scores
+     its own segment's blocks, padded to the most blocks any segment has
+     with blocks the causal check drops;
   4. remap compression-block scores onto selection-block scores by summing
-     the scores of overlapping compression blocks;
+     the scores of overlapping compression blocks (``remap_matrix``);
   5. sum the per-head selection scores within each KV group so all heads of
      a group share one ranking;
   6. take the top-k causally started selection blocks per query (ties go to
-     the lower block index; fewer than k valid blocks means take them all);
-  7. expand the chosen blocks into an attention index, ``ltis_index``:
-     each query's top_k * sel_block_size key rows, causally cut, offset
-     by its segment's start in the packed stream (``fusion``). The
-     queries may be only each segment's newest rows (the last layer at
-     inference asks for one), and steps 3-6 then run on those rows
-     alone. The encoder gathers the K/V rows of this index.
-     ``build_ltis_masks`` is the index of a left-padded batch as a dense
-     mask, a reference for checks and tests that the model does not call.
+     the lower block index; fewer than k started blocks means take them
+     all);
+  7. expand the chosen blocks into each query's top_k * sel_block_size key
+     rows, causally cut and offset by its segment's start in the stream
+     (``fusion``). The queries may be only each segment's newest rows (the
+     last layer at inference asks for one); steps 3-6 then run on those
+     rows alone. The encoder gathers the K/V rows of this index.
 
-The functions of steps 1-6 each take one sequence. ``ltis_index`` runs
-them for every segment of a stream in one pass, with no loop over
-segments: it compresses all segments' blocks back to back, and each
-query scores its own segment's blocks, padded to the most blocks any
-segment has with blocks the causal check drops.
-
-A sequence with at most top_k selection blocks skips steps 1-6: every
+A segment with at most top_k selection blocks skips steps 1-6: every
 started block is selected whatever the scores, so each query sees its
-causal prefix.
+causal prefix. ``build_ltis_masks`` is the index of a left-padded batch as
+a dense mask, a reference for checks and tests that the model does not
+call. Both are checked against ``verify``'s naive per-query selection.
 
 Selection is a discrete ranking, so no gradient flows through it: by
 design the blocks are scored through a fixed random projection
@@ -49,18 +47,7 @@ from .config import AttentionConfig
 from .data import newest_slots
 from .tensor import masked_softmax, parameter
 
-__all__ = [
-    "CompressionMLP",
-    "split_blocks",
-    "compress_sequence",
-    "importance_scores",
-    "remap_matrix",
-    "remap_scores",
-    "select_topk",
-    "selection_to_visibility",
-    "ltis_index",
-    "build_ltis_masks",
-]
+__all__ = ["CompressionMLP", "remap_matrix", "ltis_index", "build_ltis_masks"]
 
 
 class CompressionMLP:
@@ -95,46 +82,6 @@ def _cmp_geometry(lengths, cfg: AttentionConfig) -> tuple[np.ndarray, np.ndarray
     return np.maximum(past // cfg.stride, 0) + 1, np.minimum(past, 0)
 
 
-def _block_starts(length: int, cfg: AttentionConfig) -> np.ndarray:
-    """(M,) first position of each compression block: i * stride after
-    the first block's start (``_cmp_geometry``)."""
-    count, shift = _cmp_geometry(length, cfg)
-    return np.arange(count) * cfg.stride + shift
-
-
-def split_blocks(keys: np.ndarray, cfg: AttentionConfig) -> np.ndarray:
-    """Cut (..., L, d_head) keys into the blocks ``_block_starts`` gives,
-    (..., M, block_size, d_head); consecutive blocks overlap by
-    block_size - stride positions."""
-    starts = _block_starts(keys.shape[-2], cfg)
-    pad = -starts[0]
-    if pad:
-        zeros = np.zeros(keys.shape[:-2] + (pad, keys.shape[-1]))
-        keys = np.concatenate([zeros, keys], axis=-2)
-    return keys[..., (starts + pad)[:, None] + np.arange(cfg.block_size), :]
-
-
-def compress_sequence(keys: np.ndarray, phi: CompressionMLP, cfg: AttentionConfig) -> np.ndarray:
-    """All compression blocks of (..., L, d_head) keys, compressed: (..., M, d_head)."""
-    return phi.apply_stack(split_blocks(keys, cfg))
-
-
-def importance_scores(q: np.ndarray, cmp_keys: np.ndarray, cfg: AttentionConfig,
-                      seq_len: int) -> np.ndarray:
-    """Softmax attention of each query over the compressed keys.
-
-    q: (..., L, d_head), cmp_keys: (..., M, d_head), leading axes
-    broadcasting. The q rows are the last L queries of a length-``seq_len``
-    sequence. Scores are scaled by 1/sqrt(d_head) and normalized over the
-    causally valid blocks only; invalid blocks (and rows with no valid
-    block) score exactly zero. Returns (..., L, M).
-    """
-    t = np.arange(seq_len)[-q.shape[-2]:, None]
-    valid = _block_starts(seq_len, cfg) + cfg.block_size - 1 <= t
-    logits = (q @ np.swapaxes(cmp_keys, -1, -2)) * (1.0 / np.sqrt(cfg.d_head))
-    return masked_softmax(logits, valid, axis=-1).data
-
-
 @functools.lru_cache(maxsize=256)
 def remap_matrix(num_cmp: int, num_sel: int, cfg: AttentionConfig) -> np.ndarray:
     """(M, N_sel) linear map from compression-block scores to selection-block
@@ -158,28 +105,6 @@ def remap_matrix(num_cmp: int, num_sel: int, cfg: AttentionConfig) -> np.ndarray
     return mat
 
 
-def remap_scores(cmp_scores: np.ndarray, cfg: AttentionConfig, num_sel: int) -> np.ndarray:
-    """Convert (..., M) compression-block scores to (..., N_sel) selection-block
-    scores; out-of-range compression indices contribute zero."""
-    return cmp_scores @ remap_matrix(cmp_scores.shape[-1], num_sel, cfg)
-
-
-def select_topk(scores: np.ndarray, cfg: AttentionConfig, seq_len: int) -> np.ndarray:
-    """Boolean (..., L, N_sel) selection of the top-k blocks per query.
-
-    ``scores`` rows are the last L queries of a length-``seq_len``
-    sequence; leading axes (KV groups) are ranked independently. A block
-    is a candidate once it has started (first position <= query). Ties
-    break toward the lower block index; when fewer than top_k blocks are
-    valid, all of them are selected.
-    """
-    cols, keep = _rank(scores, np.arange(seq_len)[-scores.shape[-2]:, None], cfg)
-    # a dropped pick lands in an extra column, cut off again
-    chosen = np.zeros(scores.shape[:-1] + (scores.shape[-1] + 1,), dtype=bool)
-    np.put_along_axis(chosen, np.where(keep, cols, scores.shape[-1]), True, axis=-1)
-    return chosen[..., :-1]
-
-
 def _rank(scores: np.ndarray, t: np.ndarray, cfg: AttentionConfig) -> tuple[np.ndarray, np.ndarray]:
     """The top-k blocks of (..., L, N_sel) scores whose rows are queries
     at positions ``t``, (L, 1): their ids, best first (..., L, top_k), and
@@ -195,14 +120,6 @@ def _rank(scores: np.ndarray, t: np.ndarray, cfg: AttentionConfig) -> tuple[np.n
         ranked[rows, cols[:, pick]] = -np.inf
     cols = cols.reshape(scores.shape[:-1] + (cfg.top_k,))
     return cols, np.arange(cfg.top_k) < valid.sum(axis=-1)[:, None]
-
-
-def selection_to_visibility(selected: np.ndarray, length: int, cfg: AttentionConfig) -> np.ndarray:
-    """Expand (L, N_sel) block choices into a causal (L, L) position mask:
-    step 7 done densely, the reference ``ltis_index`` is checked against."""
-    per_pos = np.repeat(selected, cfg.sel_block_size, axis=1)[:, :length]
-    causal = np.tril(np.ones((length, length), dtype=bool))
-    return per_pos & causal
 
 
 def ltis_index(q_data: np.ndarray, k_data: np.ndarray, lengths: np.ndarray,
@@ -286,7 +203,8 @@ def _top_blocks(q: np.ndarray, k: np.ndarray, lengths: np.ndarray, starts: np.nd
     logits = (q @ np.take(cmp_keys, own, axis=1).swapaxes(-1, -2)) * (1.0 / np.sqrt(cfg.d_head))
     cmp_scores = masked_softmax(logits, seen[:, None]).data         # (g, R, hpg, M)
     num_sel = cfg.num_sel_blocks(int(n.max()))
-    cols, keep = _rank(remap_scores(cmp_scores, cfg, num_sel).sum(axis=2), t, cfg)
+    sel_scores = cmp_scores @ remap_matrix(cmp_scores.shape[-1], num_sel, cfg)
+    cols, keep = _rank(sel_scores.sum(axis=2), t, cfg)
     # block num_sel starts past every segment's end, so nothing sees it
     return np.sort(np.where(keep, cols, num_sel), axis=-1)
 

@@ -227,17 +227,15 @@ def _linearize(root: Tensor) -> list[Tensor]:
     return order
 
 
-def parameter(data, rng: np.random.Generator | None = None, scale: float | None = None) -> Tensor:
+def parameter(data, rng: np.random.Generator | None = None) -> Tensor:
     """Learnable tensor; with ``rng`` given, ``data`` is a shape to initialize."""
     if rng is not None:
         shape = tuple(data)
-        if scale is None:
-            # Glorot uniform for >=2-D shapes, small normal otherwise.
-            if len(shape) >= 2:
-                limit = np.sqrt(6.0 / (shape[-2] + shape[-1]))
-                return Tensor(rng.uniform(-limit, limit, shape), requires_grad=True)
-            return Tensor(rng.normal(0.0, 0.02, shape), requires_grad=True)
-        return Tensor(rng.normal(0.0, scale, shape), requires_grad=True)
+        # Glorot uniform for >=2-D shapes, small normal otherwise.
+        if len(shape) >= 2:
+            limit = np.sqrt(6.0 / (shape[-2] + shape[-1]))
+            return Tensor(rng.uniform(-limit, limit, shape), requires_grad=True)
+        return Tensor(rng.normal(0.0, 0.02, shape), requires_grad=True)
     return Tensor(data, requires_grad=True)
 
 

@@ -127,9 +127,10 @@ def _stream_batch(rng: np.random.Generator, lengths: tuple[int, ...], cfg: Atten
 
 def _naive_selection(q: np.ndarray, k: np.ndarray, phi: CompressionMLP,
                      cfg: AttentionConfig) -> list[list[set[int]]]:
-    """Chosen selection blocks of every query of one unpadded sequence, per
-    KV group, computed one query at a time: q (heads, n, d), k (groups, n, d)."""
-    n, d = q.shape[1], cfg.d_head
+    """Chosen selection blocks of the newest queries of one unpadded
+    sequence, per KV group, computed one query at a time: k (groups, n, d)
+    holds the sequence's keys and q (heads, m, d) its last m <= n queries."""
+    n, d = k.shape[1], cfg.d_head
     if n < cfg.block_size:  # one block: the keys behind block_size - n zero rows
         k = np.concatenate([np.zeros((cfg.kv_groups, cfg.block_size - n, d)), k], axis=1)
         starts, ends = [0], [n - 1]
@@ -138,24 +139,26 @@ def _naive_selection(q: np.ndarray, k: np.ndarray, phi: CompressionMLP,
         ends = [start + cfg.block_size - 1 for start in starts]
     a, b = cfg.sel_block_size // cfg.stride, cfg.block_size // cfg.stride
     num_sel = -(-n // cfg.sel_block_size)
+    # how many offset pairs put compression block m into selection block j
+    pairs = np.array([[sum(1 for x in range(a) for y in range(b) if a * j - x - y == m)
+                       for j in range(num_sel)] for m in range(len(starts))])
+    first = n - q.shape[1]
     chosen = []
     for g in range(cfg.kv_groups):
         cmp = [np.tanh((k[g, start: start + cfg.block_size] + phi.pos_bias).reshape(-1) @ phi.w1)
                @ phi.w2 for start in starts]
         per_query = []
-        for t in range(n):
+        for t in range(first, n):
             seen = [m for m, end in enumerate(ends) if end <= t]
             shared = np.zeros(num_sel)
             for head in range(g * cfg.heads_per_group, (g + 1) * cfg.heads_per_group):
                 if not seen:
                     break
-                logits = np.array([cmp[m] @ q[head, t] / np.sqrt(d) for m in seen])
+                logits = np.array([cmp[m] @ q[head, t - first] / np.sqrt(d) for m in seen])
                 p = np.exp(logits - logits.max())
                 p /= p.sum()
                 for m, pm in zip(seen, p):
-                    for j in range(num_sel):
-                        pairs = sum(1 for x in range(a) for y in range(b) if a * j - x - y == m)
-                        shared[j] += pairs * pm
+                    shared += pairs[m] * pm
             started = [j for j in range(num_sel) if j * cfg.sel_block_size <= t]
             per_query.append(set(sorted(started, key=lambda j: (-shared[j], j))[: cfg.top_k]))
         chosen.append(per_query)

@@ -255,6 +255,28 @@ class TestConfigPrecedence:
         assert parse_config_file(f) == {"win": 3}
 
 
+class TestUnreadFlags:
+    """Each command registers only the config flags it reads, so any other
+    is a usage error (exit 2) instead of being ignored."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--quick", "--lr", "0"],
+        ["verify", "--quick", "--config", "run.cfg"],
+        ["synth", "--out", "log.tsv", "--lr", "0.1"],
+        ["dump-mask", "--length", "4", "--out", "mask.csv", "--lr", "0.1"],
+        ["report", "--lengths", "64", "--seed", "3"],
+        ["eval", "--checkpoint", "checkpoint.npz", "--top-k", "3"],
+    ], ids=["verify-lr", "verify-config", "synth-lr", "dump-mask-lr", "report-seed",
+            "eval-top-k"])
+    def test_unread_flag_is_a_usage_error(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + argv[-2] in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+
 class TestVerifyCommand:
     def test_quick_suite_passes(self, capsys):
         assert main(["verify", "--quick"]) == 0

@@ -1,27 +1,26 @@
-"""Long-term interest selection: block splitting, compression, scoring,
-remapping, group aggregation, top-k, and attention under the selection."""
+"""Long-term interest selection: the blocks ``ltis_index`` compresses, the
+importance and selection scores it ranks, top-k, the dense frame masks,
+and attention under the selection.
+
+Which blocks a query selects is checked against ``verify``'s naive
+per-query selection, an oracle that shares no code with ``ltis``; the
+steps between are observed on ``ltis_index`` itself, through a stand-in
+compression or by capturing what it hands to its softmax and ranking."""
+
+import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from blossomrec import ltis
 from blossomrec.config import AttentionConfig
 from blossomrec.errors import ConfigError
 from blossomrec.fusion import dense_causal_gqa, grouped_attention
 from blossomrec.gradcheck import grad_check
-from blossomrec.ltis import (
-    CompressionMLP,
-    build_ltis_masks,
-    compress_sequence,
-    importance_scores,
-    ltis_index,
-    remap_matrix,
-    remap_scores,
-    select_topk,
-    selection_to_visibility,
-    split_blocks,
-)
+from blossomrec.ltis import CompressionMLP, build_ltis_masks, ltis_index, remap_matrix
 from blossomrec.tensor import Tensor, parameter
-from blossomrec.verify import ltis_selection_error
+from blossomrec.verify import _naive_selection, ltis_selection_error
 
 
 def small_cfg(**kw):
@@ -31,39 +30,106 @@ def small_cfg(**kw):
     return AttentionConfig(**base)
 
 
+def point_cfg(**kw):
+    """Compression and selection blocks of one position each, one head:
+    each query's selection scores are its softmax of q.k over the
+    positions up to it."""
+    base = dict(block_size=1, stride=1, sel_block_size=1, top_k=1, win=1, blk=1,
+                heads=1, kv_groups=1, d_model=2, d_head=2)
+    base.update(kw)
+    return AttentionConfig(**base)
+
+
 PAPER = AttentionConfig()  # block 32, stride 16, selection 16, top-4
+SOFTMAX, RANK = ltis.masked_softmax, ltis._rank
+
+
+class LastKey:
+    """Stand-in compression that keeps each block's newest key, so a test
+    sets the compressed keys through k."""
+
+    @staticmethod
+    def apply_stack(blocks):
+        return blocks[..., -1, :]
+
+
+def one_segment(q, k, cfg, phi, rows=None):
+    """``ltis_index`` of a stream holding one segment: q (heads, m, d) its
+    newest m queries, k (kv_groups, n, d) its keys."""
+    return ltis_index(q[None], k[None], [k.shape[1]], cfg, phi, rows=rows)
+
+
+def picked_blocks(idx, valid, cfg):
+    """The selection blocks each query's valid slots fall in, for a stream
+    of one segment: per KV group, one set per query."""
+    return [[set((row[ok] // cfg.sel_block_size).tolist()) for row, ok in zip(rows, oks)]
+            for rows, oks in zip(idx[0], valid[0])]
+
+
+def compression_io(k, cfg, phi):
+    """The key blocks ``ltis_index`` hands to ``phi.apply_stack`` for one
+    segment of keys (kv_groups, n, d), and the compressed keys it gets back."""
+    seen = []
+    spy = SimpleNamespace(apply_stack=lambda blocks: seen.append((blocks, phi.apply_stack(blocks)))
+                          or seen[-1][1])
+    one_segment(np.zeros((cfg.heads, k.shape[1], cfg.d_head)), k, cfg, spy)
+    (blocks, out), = seen
+    return blocks, out
+
+
+def captured_scores(monkeypatch, q, k, cfg, phi, rows=None):
+    """``one_segment``, also returning the compression-block importance its
+    masked softmax gives, (kv_groups, R, heads_per_group, M), and the group
+    selection scores it ranks, (kv_groups, R, N_sel)."""
+    seen = {}
+    monkeypatch.setattr(ltis, "masked_softmax", lambda *a: seen.setdefault("cmp", SOFTMAX(*a)))
+    monkeypatch.setattr(ltis, "_rank", lambda scores, *a: RANK(seen.setdefault("sel", scores), *a))
+    idx, valid = one_segment(q, k, cfg, phi, rows)
+    return idx, valid, seen["cmp"].data, seen["sel"]
+
+
+def unit_keys(scales):
+    """For ``point_cfg``: keys scales[i] * e_0, and the query e_0 at every
+    position."""
+    k = np.zeros((1, len(scales), 2))
+    k[0, :, 0] = scales
+    q = np.zeros((1, len(scales), 2))
+    q[0, :, 0] = 1.0
+    return q, k
 
 
 class TestSplitBlocks:
     def test_block_count_200(self):
-        assert split_blocks(np.zeros((200, 16)), PAPER).shape == (11, 32, 16)
+        phi = CompressionMLP(32, 16, np.random.default_rng(0))
+        blocks, _ = compression_io(np.zeros((2, 200, 16)), PAPER, phi)
+        assert blocks.shape == (2, 11, 32, 16)
 
     def test_block_count_2048(self):
         assert PAPER.num_cmp_blocks(2048) == 127
 
     def test_single_block_boundary(self):
-        keys = np.arange(32 * 16, dtype=float).reshape(32, 16)
-        blocks = split_blocks(keys, PAPER)
-        assert len(blocks) == 1
-        assert np.array_equal(blocks[0], keys)
+        cfg = dataclasses.replace(PAPER, top_k=1)  # 32 keys are scored at top-1
+        keys = np.arange(2 * 32 * 16, dtype=float).reshape(2, 32, 16)
+        blocks, _ = compression_io(keys, cfg, CompressionMLP(32, 16, np.random.default_rng(0)))
+        assert blocks.shape == (2, 1, 32, 16)
+        assert np.array_equal(blocks[:, 0], keys)
 
     def test_overlap_and_coverage(self):
-        cfg = small_cfg()
+        cfg = small_cfg(kv_groups=2)
         keys = np.arange(10 * 4, dtype=float).reshape(10, 4)
-        blocks = split_blocks(keys, cfg)
-        assert len(blocks) == cfg.num_cmp_blocks(10) == 4
-        for i, block in enumerate(blocks):
-            assert np.array_equal(block, keys[i * 2: i * 2 + 4])
         # a leading (KV group) axis is split group by group
-        stacked = split_blocks(np.stack([keys, -keys]), cfg)
-        assert np.array_equal(stacked, np.stack([blocks, -blocks]))
+        blocks, _ = compression_io(np.stack([keys, -keys]), cfg, LastKey)
+        assert blocks.shape[1] == cfg.num_cmp_blocks(10) == 4
+        for i, block in enumerate(blocks[0]):
+            assert np.array_equal(block, keys[i * 2: i * 2 + 4])
+        assert np.array_equal(blocks[1], -blocks[0])
 
     def test_short_sequence_left_pad(self):
-        cfg = small_cfg()
-        blocks = split_blocks(np.ones((2, 4)), cfg)
-        assert len(blocks) == 1
-        assert np.all(blocks[0, :2] == 0.0)
-        assert np.all(blocks[0, 2:] == 1.0)
+        cfg = small_cfg(sel_block_size=2, top_k=1)  # 3 keys are scored, in one block
+        blocks, _ = compression_io(np.ones((1, 3, 4)), cfg, LastKey)
+        assert blocks.shape == (1, 1, 4, 4)
+        assert np.all(blocks[0, 0, :1] == 0.0)
+        assert np.all(blocks[0, 0, 1:] == 1.0)
 
     def test_block_count_law(self):
         for length in range(32, 2049, 61):
@@ -86,18 +152,18 @@ class TestCompression:
         same order: position bias, then w1, then w2."""
         ours, ref = np.random.default_rng(8), np.random.default_rng(8)
         phi = CompressionMLP(4, 3, ours)
-        want = [parameter((4, 3), ref, scale=0.02), parameter((12, 3), ref), parameter((3, 3), ref)]
+        want = [ref.normal(0.0, 0.02, (4, 3)), parameter((12, 3), ref).data,
+                parameter((3, 3), ref).data]
         for got, w in zip((phi.pos_bias, phi.w1, phi.w2), want):
-            assert np.array_equal(got, w.data)
+            assert np.array_equal(got, w)
         assert ours.random() == ref.random()
 
     def test_row_permutation_changes_output(self):
         rng = np.random.default_rng(1)
-        cfg = small_cfg()
         phi = CompressionMLP(4, 4, rng)
-        block = rng.normal(size=(4, 4))
-        out = compress_sequence(block, phi, cfg)
-        permuted = compress_sequence(block[::-1].copy(), phi, cfg)
+        block = rng.normal(size=(1, 4, 4))
+        out = phi.apply_stack(block)
+        permuted = phi.apply_stack(block[:, ::-1].copy())
         assert np.abs(out - permuted).max() > 1e-6
 
     def test_bad_block_shape(self):
@@ -105,66 +171,79 @@ class TestCompression:
         with pytest.raises(ValueError, match="broadcast"):
             phi.apply_stack(np.zeros((1, 3, 4)))
 
-    def test_compress_sequence_shape(self):
+    def test_compressed_key_shape(self):
+        """``ltis_index`` compresses every block of every KV group in one
+        call: (kv_groups, M, d_head) keys, each group's its own."""
         rng = np.random.default_rng(4)
-        cfg = small_cfg()
+        cfg = small_cfg(kv_groups=2)
         phi = CompressionMLP(4, 4, rng)
-        keys = rng.normal(size=(2, 10, 4))
-        out = compress_sequence(keys, phi, cfg)
+        blocks, out = compression_io(rng.normal(size=(2, 10, 4)), cfg, phi)
         assert out.shape == (2, cfg.num_cmp_blocks(10), 4) == (2, 4, 4)
-        assert np.array_equal(out[1], compress_sequence(keys[1], phi, cfg))
-        assert compress_sequence(np.ones((2, 4)), phi, cfg).shape == (1, 4)
+        assert np.array_equal(out[1], phi.apply_stack(blocks[1]))
+        short = dataclasses.replace(cfg, sel_block_size=2, top_k=1)
+        assert compression_io(np.ones((2, 3, 4)), short, phi)[1].shape == (2, 1, 4)
 
 
 class TestImportanceScores:
-    def test_orthogonal_is_uniform_over_valid(self):
-        cfg = small_cfg(block_size=4, stride=4, sel_block_size=4)
-        # blocks cover [0,4), [4,8): block 1 only fully past position 7
-        q = np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (8, 1))
-        cmp_keys = np.array([[0, 1, 0, 0], [0, 0, 1, 0]], dtype=float)
-        scores = importance_scores(q, cmp_keys, cfg, seq_len=8)
+    def test_orthogonal_is_uniform_over_valid(self, monkeypatch):
+        cfg = small_cfg(block_size=4, stride=4, sel_block_size=4, top_k=1)
+        # blocks cover [0,4), [4,8): block 1 only fully past position 7;
+        # each compresses to its newest key, at 3 and 7
+        q = np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (cfg.heads, 8, 1))
+        k = np.zeros((1, 8, 4))
+        k[0, 3, 1] = k[0, 7, 2] = 1.0
+        idx, valid, cmp_scores, _ = captured_scores(monkeypatch, q, k, cfg, LastKey)
+        scores = cmp_scores[0, :, 0]
         assert np.allclose(scores[3], [1.0, 0.0])
         assert np.allclose(scores[7], [0.5, 0.5])
         assert np.all(scores[:3] == 0.0)  # no block fully at/before queries 0..2
+        assert picked_blocks(idx, valid, cfg)[0][7] == {0}  # the tie goes to block 0
         # the last rows alone score as they do among all rows
-        assert np.array_equal(importance_scores(q[2:], cmp_keys, cfg, seq_len=8), scores[2:])
+        last = captured_scores(monkeypatch, q[:, 2:], k, cfg, LastKey, rows=6)[2]
+        assert np.array_equal(last, cmp_scores[:, 2:])
 
-    def test_dominant_key_wins(self):
-        cfg = small_cfg(block_size=4, stride=4, sel_block_size=4, d_head=8)
+    def test_dominant_key_wins(self, monkeypatch):
+        """Block 1's compressed key dominates, but only queries at or past
+        its end (7) may score it: queries 4-6 see block 1 started and
+        still take block 0."""
+        cfg = small_cfg(block_size=4, stride=4, sel_block_size=4, top_k=1, d_head=8)
         e = np.eye(8)
-        q = np.tile(e[0], (12, 1))
-        cmp_keys = np.stack([e[1], 10.0 * e[0], e[2]])
-        scores = importance_scores(q, cmp_keys, cfg, seq_len=12)
-        assert scores[11, 1] > 0.9
+        q = np.tile(e[0], (cfg.heads, 12, 1))
+        k = np.zeros((1, 12, 8))
+        k[0, 3], k[0, 7], k[0, 11] = e[1], 10.0 * e[0], e[2]
+        idx, valid, cmp_scores, _ = captured_scores(monkeypatch, q, k, cfg, LastKey)
+        assert cmp_scores[0, 11, 0, 1] > 0.9
+        assert picked_blocks(idx, valid, cfg)[0] == [{0}] * 7 + [{1}] * 5
 
-    def test_rows_sum_to_one_over_valid(self):
+    def test_rows_sum_to_one_over_valid(self, monkeypatch):
         rng = np.random.default_rng(5)
         cfg = small_cfg()
         q = rng.normal(size=(2, 10, 4))  # two heads
-        cmp_keys = rng.normal(size=(4, 4))
-        scores = importance_scores(q, cmp_keys, cfg, seq_len=10)
-        sums = scores.sum(axis=-1)
+        k = rng.normal(size=(1, 10, 4))
+        phi = CompressionMLP(4, 4, rng)
+        sums = captured_scores(monkeypatch, q, k, cfg, phi)[2].sum(axis=-1)
         has_valid = np.arange(10) >= 3  # first block ends at position 3
         assert np.abs(sums[:, has_valid] - 1.0).max() < 1e-12
         assert np.all(sums[:, ~has_valid] == 0.0)
 
 
 class TestBlockScores:
-    def test_paired_invariants(self):
+    def test_paired_invariants(self, monkeypatch):
+        """Importance rows sum to 1 (or 0 before the first complete block),
+        and each KV group ranks the sum over its heads of their importance
+        mapped through ``remap_matrix``."""
         rng = np.random.default_rng(30)
-        cfg = small_cfg()
+        cfg = small_cfg(heads=4, kv_groups=2)
         length = 12
-        q = rng.normal(size=(length, cfg.d_head))
+        q = rng.normal(size=(cfg.heads, length, cfg.d_head))
+        k = rng.normal(size=(cfg.kv_groups, length, cfg.d_head))
         phi = CompressionMLP(cfg.block_size, cfg.d_head, rng)
-        cmp_keys = compress_sequence(rng.normal(size=(length, cfg.d_head)), phi, cfg)
-        cmp_scores = importance_scores(q, cmp_keys, cfg, seq_len=length)
-        sel_scores = remap_scores(cmp_scores, cfg, num_sel=cfg.num_sel_blocks(length))
+        _, _, cmp_scores, sel_scores = captured_scores(monkeypatch, q, k, cfg, phi)
         sums = cmp_scores.sum(axis=-1)
         assert np.all((np.abs(sums - 1.0) < 1e-12) | (sums == 0.0))
         assert np.all(sel_scores >= 0.0)
-        # every selection score is a (weighted) sum of compression scores
         mat = remap_matrix(cmp_scores.shape[-1], cfg.num_sel_blocks(length), cfg)
-        want = cmp_scores @ mat
+        want = sum(cmp_scores[:, :, h] @ mat for h in range(cfg.heads_per_group))
         assert np.abs(sel_scores - want).max() < 1e-15
 
 
@@ -177,22 +256,34 @@ class TestRemap:
     def test_paper_geometry_sums_adjacent(self):
         # selection 16, compression 32, stride 16: sel[j] = cmp[j] + cmp[j-1]
         cmp_scores = np.array([[0.1, 0.2, 0.3, 0.4]])
-        out = remap_scores(cmp_scores, PAPER, num_sel=4)
+        out = cmp_scores @ remap_matrix(4, 4, PAPER)
         assert np.allclose(out, [[0.1, 0.1 + 0.2, 0.2 + 0.3, 0.3 + 0.4]])
 
     def test_zero_in_zero_out(self):
-        out = remap_scores(np.zeros((3, 7)), PAPER, num_sel=8)
-        assert np.all(out == 0.0)
-
-    def test_linearity(self):
+        """A segment padded with zero-scored blocks keeps its own selection
+        scores: a shorter segment's matrix is the top-left corner of a
+        longer one's, which is what lets ``ltis_index`` score every segment
+        against one matrix."""
         rng = np.random.default_rng(6)
-        cfg = small_cfg()
-        a = rng.normal(size=(5, 6))
-        b = rng.normal(size=(5, 6))
-        alpha, beta = 1.7, -0.4
-        lhs = remap_scores(alpha * a + beta * b, cfg, num_sel=4)
-        rhs = alpha * remap_scores(a, cfg, num_sel=4) + beta * remap_scores(b, cfg, num_sel=4)
-        assert np.abs(lhs - rhs).max() < 1e-12
+        for cfg in (small_cfg(), PAPER, AttentionConfig(block_size=8, stride=4, sel_block_size=8)):
+            big, small = remap_matrix(9, 6, cfg), remap_matrix(5, 3, cfg)
+            assert not big.flags.writeable
+            assert np.array_equal(big[:5, :3], small)
+            scores = rng.random((2, 5))
+            padded = np.concatenate([scores, np.zeros((2, 4))], axis=1)
+            assert np.abs((padded @ big)[:, :3] - scores @ small).max() < 1e-15
+
+    def test_linearity(self, monkeypatch):
+        """Remapping is linear, so a KV group's selection scores are the sum
+        of what each of its heads scores alone."""
+        rng = np.random.default_rng(6)
+        cfg, alone = small_cfg(heads=2), small_cfg(heads=1)
+        q = rng.normal(size=(2, 12, 4))
+        k = rng.normal(size=(1, 12, 4))
+        phi = CompressionMLP(4, 4, rng)
+        both = captured_scores(monkeypatch, q, k, cfg, phi)[3]
+        heads = [captured_scores(monkeypatch, q[h:h + 1], k, alone, phi)[3] for h in range(2)]
+        assert np.abs(both - (heads[0] + heads[1])).max() < 1e-15
 
     def test_multiplicity_counts_offset_pairs(self):
         # sel/stride = 2 and block/stride = 2 make the centre compression
@@ -200,6 +291,31 @@ class TestRemap:
         cfg = AttentionConfig(block_size=8, stride=4, sel_block_size=8)
         mat = remap_matrix(6, 3, cfg)
         assert mat[:, 1].tolist() == [1.0, 2.0, 1.0, 0.0, 0.0, 0.0][:6]
+
+
+def block_visibility(per_query, cfg):
+    """Causal (L, L) position mask of each query's selection blocks."""
+    length = len(per_query)
+    vis = np.zeros((length, length), dtype=bool)
+    for t, blocks in enumerate(per_query):
+        for j in blocks:
+            vis[t, j * cfg.sel_block_size:(j + 1) * cfg.sel_block_size] = True
+    return np.tril(vis)
+
+
+def oracle_masks(q, k, lengths, cfg, phi):
+    """``build_ltis_masks`` rebuilt from ``verify._naive_selection``, one
+    sequence of the left-padded frame at a time."""
+    total = q.shape[2]
+    want = np.zeros((len(lengths), cfg.kv_groups, 1, total, total), dtype=bool)
+    for b, n in enumerate(lengths):
+        if n == 0:
+            continue
+        pad = total - n
+        chosen = _naive_selection(q[b, :, pad:], k[b, :, pad:], phi, cfg)
+        for g, per_query in enumerate(chosen):
+            want[b, g, 0, pad:, pad:] = block_visibility(per_query, cfg)
+    return want
 
 
 class TestGroupAggregation:
@@ -220,20 +336,15 @@ class TestGroupAggregation:
         phi = CompressionMLP(cfg.block_size, cfg.d_head, rng)
         lengths = np.array([n])
         masks = build_ltis_masks(q, k, lengths, cfg, phi)
-
-        cmp_keys = compress_sequence(k[0, 0], phi, cfg)
-        a, b = (remap_scores(importance_scores(q[0, h], cmp_keys, cfg, n), cfg,
-                             num_sel=cfg.num_sel_blocks(n)) for h in range(2))
-        chosen = select_topk(a + b, cfg, seq_len=n)
-        assert np.array_equal(masks[0, 0, 0], selection_to_visibility(chosen, n, cfg))
+        assert np.array_equal(masks, oracle_masks(q, k, lengths, cfg, phi))
         swapped = build_ltis_masks(q[:, ::-1].copy(), k, lengths, cfg, phi)
         assert np.array_equal(swapped, masks)
 
     @pytest.mark.parametrize("heads, kv_groups", [(4, 2), (2, 2)])
     def test_build_ltis_masks_matches_per_step_rebuild(self, heads, kv_groups):
-        """Rebuild every row of a left-padded batch one head at a time: each
-        head's selection scores are summed into its KV group's ranking, and
-        the chosen blocks land in the bottom-right corner of the frame."""
+        """Rebuild every row of a left-padded batch one query at a time
+        (``oracle_masks``): the chosen blocks land in the bottom-right
+        corner of the frame."""
         rng = np.random.default_rng(30)
         cfg = small_cfg(sel_block_size=2, top_k=2, heads=heads, kv_groups=kv_groups)
         lengths, total = np.array([3, 9, 14, 0]), 14
@@ -241,11 +352,12 @@ class TestGroupAggregation:
         k = rng.normal(size=(len(lengths), kv_groups, total, cfg.d_head))
         phi = CompressionMLP(cfg.block_size, cfg.d_head, rng)
         masks = build_ltis_masks(q, k, lengths, cfg, phi)
-        assert np.array_equal(masks, per_step_masks(q, k, lengths, cfg, phi))
+        assert np.array_equal(masks, oracle_masks(q, k, lengths, cfg, phi))
 
     def test_saturated_shortcut_equals_full_pipeline(self):
         """Up to top_k * sel_block_size = 8 items every started block is
-        selected, so the shortcut (no scoring) must equal running every step."""
+        selected, so the shortcut (no scoring) must equal scoring each
+        query."""
         rng = np.random.default_rng(31)
         cfg = small_cfg(sel_block_size=4, top_k=2, heads=4, kv_groups=2)
         lengths = np.arange(0, 11)
@@ -254,7 +366,7 @@ class TestGroupAggregation:
         k = rng.normal(size=(len(lengths), cfg.kv_groups, total, cfg.d_head))
         phi = CompressionMLP(cfg.block_size, cfg.d_head, rng)
         masks = build_ltis_masks(q, k, lengths, cfg, phi)
-        assert np.array_equal(masks, per_step_masks(q, k, lengths, cfg, phi))
+        assert np.array_equal(masks, oracle_masks(q, k, lengths, cfg, phi))
         for b, n in enumerate(lengths):
             if n <= 8:  # the causal prefix, whatever the scores
                 pad = total - n
@@ -296,46 +408,34 @@ class TestQueryRows:
 
 
 def loop_ltis_index(q, k, lengths, cfg, phi, rows=None):
-    """``ltis_index`` one segment at a time, from the per-step functions:
+    """``ltis_index`` laid out one segment at a time from the per-query
+    block sets of ``verify._naive_selection``: each query's blocks in
+    ascending order, causally cut, then slots that are not valid. It is
     the reference the batched pass must equal exactly."""
-    width = min(cfg.top_k * cfg.sel_block_size, int(max(lengths, default=0)))
-    idx = np.zeros((1, cfg.kv_groups, q.shape[2], width), dtype=np.int64)
+    cap = cfg.top_k * cfg.sel_block_size
+    width = min(cap, int(max(lengths, default=0)))
+    idx = np.zeros((1, cfg.kv_groups, q.shape[2], cap), dtype=np.int64)
     valid = np.zeros(idx.shape, dtype=bool)
-    slots = np.arange(width)
     start = lo = 0                           # segment's first key row, first query row
     for n in lengths:
         m = n if rows is None else min(n, rows)
-        t = np.arange(n - m, n)[:, None]
-        out = (0, slice(None), slice(lo, lo + m))
-        num_sel = cfg.num_sel_blocks(n)
-        if num_sel <= cfg.top_k:
-            idx[out] = start + np.where(slots <= t, slots, 0)
-            valid[out] = slots <= t
-        else:
-            cmp_keys = compress_sequence(k[0, :, start:start + n], phi, cfg)
-            queries = q[0, :, lo:lo + m].reshape(cfg.kv_groups, cfg.heads_per_group, m, -1)
-            cmp_scores = importance_scores(queries, cmp_keys[:, None], cfg, n)
-            scores = remap_scores(cmp_scores, cfg, num_sel).sum(axis=1)
-            # top-k by a stable sort, apart from ltis's own ranking
-            started = np.arange(num_sel) * cfg.sel_block_size <= t
-            cols = np.argsort(-np.where(started, scores, -np.inf), axis=-1,
-                              kind="stable")[..., :cfg.top_k]
-            keep = np.arange(cfg.top_k) < started.sum(axis=1)[:, None]
-            chosen = np.zeros(scores.shape, dtype=bool)
-            np.put_along_axis(chosen, cols, np.broadcast_to(keep, cols.shape), axis=-1)
-            blocks = np.argsort(~chosen, axis=-1, kind="stable")[..., :cfg.top_k]
-            pos = (blocks[..., None] * cfg.sel_block_size
-                   + np.arange(cfg.sel_block_size)).reshape(cfg.kv_groups, m, width)
-            ok = (slots // cfg.sel_block_size < chosen.sum(axis=-1)[..., None]) & (pos <= t)
-            idx[out] = start + np.where(ok, pos, 0)
-            valid[out] = ok
+        idx[0, :, lo:lo + m] = start
+        chosen = _naive_selection(q[0, :, lo:lo + m], k[0, :, start:start + n], phi, cfg)
+        for g, per_query in enumerate(chosen):
+            for r, blocks in enumerate(per_query):
+                pos = (np.array(sorted(blocks))[:, None] * cfg.sel_block_size
+                       + np.arange(cfg.sel_block_size)).ravel()
+                ok = pos <= n - m + r
+                idx[0, g, lo + r, :len(pos)] = start + np.where(ok, pos, 0)
+                valid[0, g, lo + r, :len(pos)] = ok
         start, lo = start + n, lo + m
-    return idx, valid
+    assert not valid[..., width:].any()
+    return idx[..., :width], valid[..., :width]
 
 
 class TestBatchedSelection:
     """``ltis_index`` scores every segment in one pass; it must pick
-    exactly what scoring each segment alone picks."""
+    exactly what the naive oracle picks for each segment alone."""
 
     @pytest.mark.parametrize("rows", [None, 1])
     @pytest.mark.parametrize("cfg", [
@@ -370,75 +470,64 @@ class TestBatchedSelection:
         assert pos[valid].max() >= idx.shape[-1]
 
 
-def per_step_masks(q, k, lengths, cfg, phi):
-    """``build_ltis_masks`` rebuilt from the per-step functions, one head at
-    a time, each head's selection scores summed into its KV group."""
-    total = q.shape[2]
-    want = np.zeros((len(lengths), cfg.kv_groups, 1, total, total), dtype=bool)
-    for b, n in enumerate(lengths):
-        if n == 0:
-            continue
-        pad = total - n
-        shared = np.zeros((cfg.kv_groups, n, cfg.num_sel_blocks(n)))
-        for head in range(cfg.heads):
-            g = cfg.group_of_head(head)
-            cmp_keys = compress_sequence(k[b, g, pad:], phi, cfg)
-            cmp_scores = importance_scores(q[b, head, pad:], cmp_keys, cfg, n)
-            sums = cmp_scores.sum(axis=-1)
-            assert np.all((np.abs(sums - 1.0) < 1e-12) | (sums == 0.0))
-            shared[g] += remap_scores(cmp_scores, cfg, num_sel=cfg.num_sel_blocks(n))
-        for g in range(cfg.kv_groups):
-            chosen = select_topk(shared[g], cfg, seq_len=n)
-            want[b, g, 0, pad:, pad:] = selection_to_visibility(chosen, n, cfg)
-    return want
-
-
 class TestSelectTopK:
+    """Top-k on ``ltis_index`` at ``point_cfg`` with ``LastKey``: block i
+    is position i and compresses to k[i], so the keys set the scores."""
+
+    def picks(self, scales, cfg):
+        q, k = unit_keys(scales)
+        return picked_blocks(*one_segment(q, k, cfg, LastKey), cfg)[0]
+
     def test_ordering(self):
-        cfg = small_cfg(sel_block_size=1, stride=1, top_k=2)
-        chosen = select_topk(np.array([[0.1, 0.5, 0.3, 0.1]]), cfg, seq_len=4)
-        assert set(np.flatnonzero(chosen[0])) == {1, 2}
+        assert self.picks([0.1, 0.5, 0.3, 0.1], point_cfg(top_k=2))[3] == {1, 2}
 
     def test_tie_goes_to_lower_index(self):
-        cfg = small_cfg(sel_block_size=1, stride=1, top_k=1)
-        chosen = select_topk(np.array([[0.4, 0.4, 0.2]]), cfg, seq_len=3)
-        assert set(np.flatnonzero(chosen[0])) == {0}
+        assert self.picks([0.4, 0.4, 0.2], point_cfg())[1:] == [{0}, {0}]
+        # before the first complete 4-key compression block every score is 0
+        assert self.picks([0.0, 9.0, 9.0, 9.0, 9.0], point_cfg(block_size=4))[1:3] == [{0}, {0}]
 
     def test_saturation(self):
-        cfg = small_cfg(sel_block_size=1, stride=1, top_k=4)
-        chosen = select_topk(np.array([[0.4, 0.4, 0.2]]), cfg, seq_len=3)
-        assert chosen[0].all()
+        """A scored query with fewer than top_k started blocks takes them
+        all and leaves the other slots not valid."""
+        cfg = point_cfg(top_k=4)
+        q, k = unit_keys(np.random.default_rng(9).normal(size=6))
+        idx, valid = one_segment(q, k, cfg, LastKey)
+        for t, picked in enumerate(picked_blocks(idx, valid, cfg)[0]):
+            assert picked == set(range(t + 1)) if t < 4 else len(picked) == 4
+            assert valid[0, 0, t].sum() == min(t + 1, 4)
 
     def test_causal_validity_per_query(self):
-        cfg = small_cfg(sel_block_size=4, top_k=8)
-        scores = np.ones((8, 2))
-        chosen = select_topk(scores, cfg, seq_len=8)
-        # block 1 starts at position 4: invalid for queries 0..3
-        assert not chosen[:4, 1].any()
-        assert chosen[4:, 1].all()
-        assert chosen[:, 0].all()
+        """Selection blocks of 3: block 1's score counts compression blocks
+        1 and 2, complete by query 2, but block 1 starts at 3, so query 2
+        must take block 0."""
+        assert self.picks([0.0, 5.0, 5.0, 0.0, 0.0, 0.0],
+                          point_cfg(sel_block_size=3)) == [{0}] * 3 + [{1}] * 3
 
     def test_selected_count_is_min_k_valid(self):
         rng = np.random.default_rng(10)
-        cfg = small_cfg(sel_block_size=2, top_k=3)
+        cfg = small_cfg(sel_block_size=2, top_k=3, heads=4, kv_groups=2)
         length = 13
-        scores = rng.normal(size=(length, cfg.num_sel_blocks(length)))
-        chosen = select_topk(scores, cfg, seq_len=length)
-        for t in range(length):
-            valid = np.arange(cfg.num_sel_blocks(length)) * 2 <= t
-            assert chosen[t].sum() == min(cfg.top_k, valid.sum())
-        # leading (KV group) planes are ranked independently
-        stacked = select_topk(np.stack([scores, -scores]), cfg, seq_len=length)
-        assert np.array_equal(stacked[0], chosen)
-        assert np.array_equal(stacked[1], select_topk(-scores, cfg, seq_len=length))
+        q = rng.normal(size=(cfg.heads, length, cfg.d_head))
+        k = rng.normal(size=(cfg.kv_groups, length, cfg.d_head))
+        phi = CompressionMLP(cfg.block_size, cfg.d_head, rng)
+        picks = picked_blocks(*one_segment(q, k, cfg, phi), cfg)
+        for per_query in picks:
+            assert [len(p) for p in per_query] == [min(cfg.top_k, t // 2 + 1) for t in range(length)]
+        # KV groups are ranked independently
+        alone = small_cfg(sel_block_size=2, top_k=3, heads=2, kv_groups=1)
+        for g in range(2):
+            group = one_segment(q[2 * g:2 * g + 2], k[g:g + 1], alone, phi)
+            assert picked_blocks(*group, alone)[0] == picks[g]
 
     def test_deterministic(self):
         rng = np.random.default_rng(11)
         cfg = small_cfg(sel_block_size=2, top_k=2)
-        scores = rng.normal(size=(9, 5))
-        a = select_topk(scores, cfg, seq_len=9)
-        b = select_topk(scores.copy(), cfg, seq_len=9)
-        assert np.array_equal(a, b)
+        q = rng.normal(size=(cfg.heads, 9, cfg.d_head))
+        k = rng.normal(size=(cfg.kv_groups, 9, cfg.d_head))
+        phi = CompressionMLP(cfg.block_size, cfg.d_head, rng)
+        a = one_segment(q, k, cfg, phi)
+        b = one_segment(q.copy(), k.copy(), cfg, phi)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def gather_oracle(q, k, v, selected, cfg):
@@ -449,7 +538,7 @@ def gather_oracle(q, k, v, selected, cfg):
         group = cfg.group_of_head(head)
         for t in range(length):
             positions = []
-            for j in np.flatnonzero(selected[group, t]):
+            for j in sorted(selected[group][t]):
                 start = j * cfg.sel_block_size
                 stop = min(start + cfg.sel_block_size, length, t + 1)
                 positions.extend(range(start, stop))
@@ -466,9 +555,8 @@ def gather_oracle(q, k, v, selected, cfg):
 
 def attend_selected(q, k, v, selected, cfg):
     """The model's LTIS attention for one unpadded sequence: grouped_attention
-    under the visibility of per-group block choices (kv_groups, L, N_sel)."""
-    length = q.shape[-2]
-    vis = np.stack([selection_to_visibility(plane, length, cfg) for plane in selected])
+    under the visibility of per-group block choices, one set per query."""
+    vis = np.stack([block_visibility(per_query, cfg) for per_query in selected])
     return grouped_attention(q, k, v, cfg, vis[None, :, None])
 
 
@@ -481,7 +569,7 @@ class TestLtisAttention:
             q = rng.normal(size=(1, cfg.heads, length, cfg.d_head))
             k = rng.normal(size=(1, cfg.kv_groups, length, cfg.d_head))
             v = rng.normal(size=(1, cfg.kv_groups, length, cfg.d_head))
-            full = np.ones((cfg.kv_groups, length, cfg.num_sel_blocks(length)), dtype=bool)
+            full = [[set(range(cfg.num_sel_blocks(length)))] * length] * cfg.kv_groups
             out = attend_selected(Tensor(q), Tensor(k), Tensor(v), full, cfg)
             oracle = dense_causal_gqa(q[0], k[0], v[0], cfg)
             assert np.abs(out.data[0] - oracle).max() < 1e-10, seed
@@ -493,8 +581,7 @@ class TestLtisAttention:
         q = rng.normal(size=(1, 1, length, 4))
         k = rng.normal(size=(1, 1, length, 4))
         v = np.eye(4)[None, None]  # one-hot value rows
-        selected = np.zeros((1, length, length), dtype=bool)
-        selected[0, np.arange(length), np.arange(length)] = True  # own block only
+        selected = [[{t} for t in range(length)]]  # own block only
         out = attend_selected(Tensor(q), Tensor(k), Tensor(v), selected, cfg)
         assert np.abs(out.data[0] - v[0, 0]).max() < 1e-12
 
@@ -505,9 +592,7 @@ class TestLtisAttention:
         q = rng.normal(size=(1, cfg.heads, length, cfg.d_head))
         k = rng.normal(size=(1, cfg.kv_groups, length, cfg.d_head))
         v = rng.normal(size=(1, cfg.kv_groups, length, cfg.d_head))
-        scores = rng.normal(size=(cfg.kv_groups, length, cfg.num_sel_blocks(length)))
-        selected = np.stack([select_topk(scores[g], cfg, seq_len=length)
-                             for g in range(cfg.kv_groups)])
+        selected = _naive_selection(q[0], k[0], CompressionMLP(cfg.block_size, cfg.d_head, rng), cfg)
         out = attend_selected(Tensor(q), Tensor(k), Tensor(v), selected, cfg)
         oracle = gather_oracle(q[0], k[0], v[0], selected, cfg)
         assert np.abs(out.data[0] - oracle).max() < 1e-12
@@ -519,8 +604,8 @@ class TestLtisAttention:
         q = parameter(rng.normal(size=(1, cfg.heads, length, cfg.d_head)))
         k = parameter(rng.normal(size=(1, cfg.kv_groups, length, cfg.d_head)))
         v = parameter(rng.normal(size=(1, cfg.kv_groups, length, cfg.d_head)))
-        scores = rng.normal(size=(length, cfg.num_sel_blocks(length)))
-        selected = select_topk(scores, cfg, seq_len=length)[None]
+        phi = CompressionMLP(cfg.block_size, cfg.d_head, rng)
+        selected = _naive_selection(q.data[0], k.data[0], phi, cfg)
         w = rng.normal(size=(length, cfg.heads * cfg.d_head))
 
         def f():
@@ -530,12 +615,6 @@ class TestLtisAttention:
 
 
 class TestVisibilityAndBatchMasks:
-    def test_selection_to_visibility_is_causal(self):
-        cfg = small_cfg(sel_block_size=2)
-        selected = np.ones((5, 3), dtype=bool)
-        vis = selection_to_visibility(selected, 5, cfg)
-        assert np.array_equal(vis, np.tril(np.ones((5, 5), dtype=bool)))
-
     def test_build_ltis_masks_respects_padding(self):
         rng = np.random.default_rng(15)
         cfg = small_cfg(heads=2, kv_groups=1)
