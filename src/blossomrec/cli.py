@@ -4,10 +4,13 @@ Commands: train, eval, report, dump-mask, synth, verify. Exit codes are
 fixed so scripts can branch: 0 ok, 2 config error or usage error,
 3 data error, 4 checkpoint error, 5 io error. Each command registers only
 the config flags it reads, so any other is a usage error: train takes
-them all, eval the evaluation settings and --seed, report and dump-mask
-the attention geometry, synth --seed, verify none. train, eval and synth
-fall back to BLOSSOM_SEED when no seed is set, and every command is
-bit-reproducible for a fixed seed.
+them all, eval --dataset, the evaluation settings and --seed, report and
+dump-mask the attention geometry, synth --seed, verify none. A --config
+file is read for those same keys only: one file can serve every command,
+and a command neither reads nor checks the keys that are another
+command's. ``report --paper-defaults`` takes no geometry flag and no
+--config. train, eval and synth fall back to BLOSSOM_SEED when no seed is
+set, and every command is bit-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ EXIT_DATA = 3
 EXIT_CHECKPOINT = 4
 EXIT_IO = 5
 
-_CONFIG_FLAGS = [name for name in RunConfig.__dataclass_fields__ if name != "dataset"]
+_CONFIG_FLAGS = list(RunConfig.__dataclass_fields__)
 _ATTENTION_FLAGS = list(AttentionConfig.__dataclass_fields__)
 
 
@@ -38,18 +41,20 @@ def _add_config_flags(parser: argparse.ArgumentParser, names: list[str]) -> None
         parser.add_argument(f"--{name.replace('_', '-')}", dest=name, default=None,
                             type=_RUN_FIELD_TYPES[name])
     parser.add_argument("--config", default=None, help="flat key = value config file")
+    parser.set_defaults(config_keys=tuple(names))
 
 
-def _resolve(args: argparse.Namespace, dataset: str | None = None) -> RunConfig:
-    file_values = parse_config_file(args.config) if args.config else None
-    flag_values = {name: getattr(args, name, None) for name in _CONFIG_FLAGS}
-    if dataset is not None:
-        flag_values["dataset"] = dataset
-    return resolve_run_config(file_values, flag_values)
+def _resolve(args: argparse.Namespace) -> RunConfig:
+    """The command's config: defaults < --config < flags, over only the
+    keys the command registered; the file's other keys are not read."""
+    keys = args.config_keys
+    file_values = parse_config_file(args.config) if args.config else {}
+    return resolve_run_config({k: v for k, v in file_values.items() if k in keys},
+                              {k: getattr(args, k) for k in keys})
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    run = _resolve(args, dataset=args.dataset)
+    run = _resolve(args)
     if not run.dataset:
         raise DataError("train needs a dataset path (--dataset)")
     out_dir = Path(args.out_dir)
@@ -80,7 +85,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     model = model_mod.load_checkpoint(args.checkpoint)
-    run = _resolve(args, dataset=args.dataset)
+    run = _resolve(args)
     if not run.dataset:
         raise DataError("eval needs a dataset path (--dataset)")
     log = data_mod.load_interactions(run.dataset)
@@ -96,6 +101,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def _report_config(args: argparse.Namespace) -> AttentionConfig:
     if args.paper_defaults:
+        if args.config or any(getattr(args, k) is not None for k in args.config_keys):
+            raise ConfigError("--paper-defaults takes no attention flag and no --config")
         return AttentionConfig()
     return _resolve(args).attention()
 
@@ -174,16 +181,14 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="train a model and write checkpoint + metric log")
-    p_train.add_argument("--dataset", required=False, default=None)
     p_train.add_argument("--out-dir", required=True)
     _add_config_flags(p_train, _CONFIG_FLAGS)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint with sampled negatives")
     p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--dataset", required=False, default=None)
     p_eval.add_argument("--split", choices=("valid", "test"), default="test")
-    _add_config_flags(p_eval, ["min_len", "eval_k", "negatives", "seed"])
+    _add_config_flags(p_eval, ["dataset", "min_len", "eval_k", "negatives", "seed"])
     p_eval.set_defaults(func=cmd_eval)
 
     p_report = sub.add_parser("report", help="participating-interaction and complexity tables")

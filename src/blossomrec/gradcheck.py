@@ -6,7 +6,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .tensor import Tensor, zero_grads
+from .tensor import Tensor, no_grad, zero_grads
 
 __all__ = ["grad_check"]
 
@@ -27,12 +27,15 @@ def grad_check(
     ``f`` must rebuild a scalar loss from the current parameter values on
     every call. For each parameter entry the error is
     |analytic - numeric| / max(1, |numeric|); the max over all entries is
-    returned. Raises ValueError if any evaluation is non-finite.
+    returned. Raises ValueError if any evaluation is non-finite. The
+    perturbed evaluations need only values, so they run under ``no_grad``:
+    they build no tape, and forward values do not depend on grad mode.
     """
     named = _named(params)
 
     def evaluate() -> float:
-        out = f()
+        with no_grad():
+            out = f()
         val = float(out.data)
         if not np.isfinite(val):
             raise ValueError("grad_check: objective evaluated to a non-finite value")

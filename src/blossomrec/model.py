@@ -165,7 +165,9 @@ def sequence_loss(model: Model, batch: SeqBatch, training: bool = False,
     sequence has no in-batch successor and is skipped. Only those rows
     are scored, so no (V,) logit row is formed for anything else, and
     ``linear_cross_entropy`` forms the scored rows' logits a chunk at a
-    time, so the graph holds no (T, V) logit matrix.
+    time, once per step: when the loss will be differentiated it forms the
+    hidden-state and item-table gradients in that same pass, so the graph
+    holds no (T, V) logit matrix and backward forms none again.
     """
     hidden, ctx = model._stream(batch, training=training, rng=rng)
     ids = batch.ids[ctx.newest(None)]

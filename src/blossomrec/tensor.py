@@ -24,11 +24,12 @@ Design points:
     that operand requires a gradient, so constant tables and masks cost
     no backward work.
   * the two large ops keep for backward only what is small next to what
-    they compute, and recompute the rest: ``gathered_attention`` keeps
-    its softmax weights and key-row index, not the (B, G, L, K, d)
-    gathered K/V, which backward gathers again one at a time;
-    ``linear_cross_entropy`` keeps one log-sum-exp per row, not the
-    (N, V) logits, which both passes form a chunk of rows at a time.
+    they compute: ``gathered_attention`` keeps its softmax weights and
+    key-row index, not the (B, G, L, K, d) gathered K/V, which backward
+    gathers again one at a time; ``linear_cross_entropy`` keeps no (N, V)
+    logits at all. Its output is a scalar, so its gradients are fixed up
+    to the upstream seed: the forward forms them from each chunk of logits
+    while it has them, and the backward only scales them.
 """
 
 from __future__ import annotations
@@ -62,10 +63,14 @@ __all__ = [
 
 _STATE = threading.local()
 
-# Logit bytes ``linear_cross_entropy`` forms at a time. Over the bench's
-# train-vocab steps (about 5800 items, 64 sequences, one BLAS thread),
-# 512 KB chunks ran about 30% slower per step than 2 MB ones, and 8 MB
-# chunks took about 2200 minor page faults per step against under 100.
+# Logit bytes ``linear_cross_entropy`` forms at a time. With the gradients
+# formed in the forward (three matmuls per chunk), over 21 Adam steps per
+# size on the bench's workloads (one BLAS thread, sizes interleaved), the
+# median step took 110 / 82 / 85 ms at 512 KB / 2 MB / 8 MB on train-vocab
+# (about 5800 items), 63 / 55 / 57 ms on serve-eval and 88 / 91 / 90 ms on
+# train-long (640 items; level within noise). 8 MB chunks took about 1700
+# (train-vocab) and 900 (serve-eval) minor page faults per step, where 2 MB
+# took a median of 0 and a mean under 70.
 LOSS_CHUNK_BYTES = 2 << 20
 
 
@@ -610,10 +615,14 @@ def linear_cross_entropy(h, w, targets: Array) -> Tensor:
     ``h`` is (N, d), ``w`` is (V, d) and ``targets`` holds N column
     indices in [0, V); any other target is a ValueError. The (N, V) logit
     matrix is never formed whole: the forward works through the rows in
-    chunks of ``_chunk_rows(V)`` and keeps only each row's log-sum-exp;
-    the backward recomputes each chunk's logits, turns them into
-    ``(softmax - onehot) * g / N`` in place, writes that chunk's rows of
-    the ``h`` gradient and adds its share into the ``w`` gradient.
+    chunks of ``_chunk_rows(V)``, and each chunk's logits are formed once.
+    When a gradient is wanted (grad enabled, and ``h`` or ``w`` requires
+    one), the forward also turns the chunk in place into
+    ``(softmax - onehot) / N``, writes that chunk's rows of the ``h``
+    gradient and adds its share into the ``w`` gradient: the loss is a
+    scalar, so its gradients are these scaled by the upstream seed, and the
+    backward does no (N, V) work. It hands the two gradients on and drops
+    them, so a second backward through the same loss is a RuntimeError.
     """
     h, w = _as_tensor(h), _as_tensor(w)
     n, vocab = h.shape[0], w.shape[0]
@@ -627,37 +636,44 @@ def linear_cross_entropy(h, w, targets: Array) -> Tensor:
     if targets.min() < 0 or targets.max() >= vocab:
         bad = targets[(targets < 0) | (targets >= vocab)][0]
         raise ValueError(f"target {int(bad)} outside [0, {vocab})")
+    learn = _grad_enabled()
+    dh = np.empty_like(h.data) if learn and h.requires_grad else None
+    dw = np.zeros_like(w.data) if learn and w.requires_grad else None
     step = _chunk_rows(vocab)
-    chunks = [slice(lo, lo + step) for lo in range(0, n, step)]
     lse = np.empty(n)
     picked = np.empty(n)
-    for sl in chunks:
-        x = h.data[sl] @ w.data.T
-        picked[sl] = x[np.arange(x.shape[0]), targets[sl]]
+    for lo in range(0, n, step):
+        sl = slice(lo, lo + step)
+        hs = h.data[sl]
+        x = hs @ w.data.T
+        hit = (np.arange(x.shape[0]), targets[sl])
+        picked[sl] = x[hit]
         mx = x.max(axis=1, keepdims=True)
         x -= mx
         np.exp(x, out=x)
-        lse[sl] = np.log(x.sum(axis=1)) + mx[:, 0]
+        s = x.sum(axis=1)
+        lse[sl] = np.log(s) + mx[:, 0]
+        if dh is None and dw is None:
+            continue
+        x *= (1.0 / n) / s[:, None]
+        x[hit] -= 1.0 / n
+        if dh is not None:
+            dh[sl] = x @ w.data
+        if dw is not None:
+            dw += x.T @ hs
     loss = (lse - picked).sum() * (1.0 / n)
 
     def backward(g: Array) -> None:
-        dh = np.empty_like(h.data) if h.requires_grad else None
-        dw = np.zeros_like(w.data) if w.requires_grad else None
-        for sl in chunks:
-            hs = h.data[sl]
-            x = hs @ w.data.T
-            x -= lse[sl, None]
-            np.exp(x, out=x)
-            x[np.arange(x.shape[0]), targets[sl]] -= 1.0
-            x *= g * (1.0 / n)
-            if dh is not None:
-                dh[sl] = x @ w.data
-            if dw is not None:
-                dw += x.T @ hs
-        if dh is not None:
-            _accumulate(h, dh)
-        if dw is not None:
-            _accumulate(w, dw)
+        nonlocal dh, dw
+        if dh is None and dw is None:   # the tape holds this closure only with one of them set
+            raise RuntimeError("linear_cross_entropy: backward through the same loss a second "
+                               "time; its gradients were formed once, in the forward")
+        for t, grad in ((h, dh), (w, dw)):
+            if grad is not None:
+                if g != 1.0:
+                    grad *= g
+                _accumulate(t, grad)
+        dh = dw = None
 
     return _make(np.asarray(loss), (h, w), backward)
 

@@ -180,6 +180,18 @@ class TestReportCommand:
         assert row["selected"] == 2 * 4
 
 
+    @pytest.mark.parametrize("extra", [["--win", "2"], ["--config", "geometry.cfg"]],
+                             ids=["win", "config"])
+    def test_paper_defaults_with_geometry_exits_2(self, extra, tmp_path, monkeypatch, capsys):
+        """``--paper-defaults`` fixes the geometry, so a geometry flag or a
+        config file next to it is an error, not silently ignored."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "geometry.cfg").write_text("win = 2\n")
+        assert main(["report", "--paper-defaults", "--lengths", "256", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ") and "--paper-defaults" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("lengths", ["0", "-5", "256,0", "abc"])
     def test_bad_lengths_exit_2(self, capsys, lengths):
         assert main(["report", "--paper-defaults", "--lengths", lengths]) == 2
@@ -275,6 +287,31 @@ class TestUnreadFlags:
         assert exc.value.code == 2
         assert "unrecognized arguments: " + argv[-2] in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+
+class TestSharedConfigFile:
+    """A command reads and checks only its own keys of a --config file."""
+
+    def test_other_commands_key_is_not_read(self, synth_path, tmp_path, capsys):
+        cfg_file = tmp_path / "shared.cfg"
+        cfg_file.write_text("lr = 0\nseed = 5\n")
+        out = tmp_path / "log.tsv"
+        assert main(["synth", "--users", "5", "--items", "10", "--out", str(out),
+                     "--config", str(cfg_file)]) == 0
+        assert out.exists()
+        code = main(["train", "--dataset", str(synth_path), "--out-dir", str(tmp_path / "run"),
+                     "--config", str(cfg_file), *TINY])
+        assert code == 2
+        assert "lr must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "checkpoint.npz").exists()
+
+    def test_own_keys_are_read(self, tmp_path):
+        cfg_file = tmp_path / "shared.cfg"
+        cfg_file.write_text("lr = 0\nseed = 5\n")
+        a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+        main(["synth", "--users", "5", "--items", "10", "--out", str(a), "--config", str(cfg_file)])
+        main(["synth", "--users", "5", "--items", "10", "--out", str(b), "--seed", "5"])
+        assert a.read_bytes() == b.read_bytes()
 
 
 class TestVerifyCommand:

@@ -172,8 +172,9 @@ class TestSequenceLoss:
         (T, V) logit matrix and no gathered (N, K, d_head) key copy. Here
         T = 598 transitions over 5000 items make a 23.9 MB logit matrix,
         and the N = 600 rows' 128 selected keys of width 32 a 19.7 MB
-        gathered copy; the graph holds about 9 MB, and keeping either
-        array would lift it above 30 MB."""
+        gathered copy; the graph holds about 9.7 MB (the loss's hidden-state
+        and item-table gradients, formed in its forward, are 0.7 MB of it),
+        and keeping either array would lift it above 30 MB."""
         cfg = AttentionConfig(block_size=16, stride=8, sel_block_size=16, top_k=8, win=4,
                               blk=1, heads=2, kv_groups=1, d_model=16, d_head=32)
         model = Model(5000, cfg, 1, seed=0, max_len=300)

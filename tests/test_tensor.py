@@ -1,6 +1,8 @@
 """Numeric-core tests: forward oracles and backward checks for every
 primitive the attention stack relies on."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from blossomrec.tensor import (
     masked_softmax,
     matmul,
     mul,
+    no_grad,
     parameter,
     power,
     scatter_rows,
@@ -398,6 +401,77 @@ class TestSoftmaxCrossEntropy:
         targets = np.array([4, 0, 2, 2, 1, 3, 4])
         err = grad_check(lambda: linear_cross_entropy(h, w, targets), {"h": h, "w": w}, h=1e-6)
         assert err < 1e-6
+
+
+class TestFusedLossGradients:
+    """``linear_cross_entropy`` forms both gradients in its forward; the
+    backward only scales and hands them on."""
+
+    @staticmethod
+    def operands(rng, n=200, vocab=4096, d=6):
+        h = parameter(rng.normal(size=(n, d)))
+        w = parameter(rng.normal(size=(vocab, d)))
+        return h, w, rng.integers(0, vocab, n)
+
+    def test_backward_reads_neither_operand(self):
+        rng = np.random.default_rng(21)
+        h, w, targets = self.operands(rng)
+        assert h.shape[0] > 3 * tensor_mod._chunk_rows(w.shape[0])
+        logits = h.data @ w.data.T
+        p = np.exp(logits - logits.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        p[np.arange(len(targets)), targets] -= 1.0
+        p /= len(targets)
+        want_h, want_w = p @ w.data, p.T @ h.data
+        loss = linear_cross_entropy(h, w, targets)
+        h.data[...] = np.nan
+        w.data[...] = np.nan
+        loss.backward()
+        assert np.abs(h.grad - want_h).max() < 1e-12
+        assert np.abs(w.grad - want_w).max() < 1e-12
+
+    def test_upstream_seed_scales_both_gradients(self):
+        h, w, targets = self.operands(np.random.default_rng(22))
+        linear_cross_entropy(h, w, targets).backward()
+        unit = h.grad, w.grad
+        h.grad = w.grad = None
+        (linear_cross_entropy(h, w, targets) * 2.5).backward()
+        for got, ref in zip((h.grad, w.grad), unit):
+            assert np.abs(got - 2.5 * ref).max() <= 1e-15 * np.abs(2.5 * ref).max()
+
+    def test_second_backward_raises(self):
+        h, w, targets = self.operands(np.random.default_rng(23))
+        loss = linear_cross_entropy(h, w, targets)
+        loss.backward()
+        with pytest.raises(RuntimeError, match="second time"):
+            loss.backward()
+
+    def test_no_gradient_work_without_a_learner(self):
+        """With constant operands or under ``no_grad``, the call's peak
+        stays below one chunk of logits plus one (V, d) buffer; with
+        learning operands it allocates the (V, d) and (N, d) gradients and
+        crosses that bound."""
+        rng = np.random.default_rng(24)
+        n, vocab, d = 512, 2048, 256
+        h_data, w_data = rng.normal(size=(n, d)), rng.normal(size=(vocab, d))
+        targets = rng.integers(0, vocab, n)
+        bound = tensor_mod.LOSS_CHUNK_BYTES + vocab * d * 8
+
+        def peak(h, w):
+            tracemalloc.start()
+            try:
+                loss = linear_cross_entropy(h, w, targets)
+                return tracemalloc.get_traced_memory()[1], float(loss.data)
+            finally:
+                tracemalloc.stop()
+
+        learning, want = peak(parameter(h_data), parameter(w_data))
+        constant, got = peak(Tensor(h_data), Tensor(w_data))
+        with no_grad():
+            frozen, got_frozen = peak(parameter(h_data), parameter(w_data))
+        assert got == want == got_frozen
+        assert constant < bound and frozen < bound, (constant, frozen, bound)
+        assert learning > bound, (learning, bound)
 
 
 class TestTapeMechanics:
