@@ -49,8 +49,10 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     keys the command registered; the file's other keys are not read."""
     keys = args.config_keys
     file_values = parse_config_file(args.config) if args.config else {}
-    return resolve_run_config({k: v for k, v in file_values.items() if k in keys},
-                              {k: getattr(args, k) for k in keys})
+    flags = {k: getattr(args, k) for k in keys}
+    if "seed" not in keys:   # the seed is unused, so BLOSSOM_SEED must not fail the command
+        flags["seed"] = RunConfig.seed
+    return resolve_run_config({k: v for k, v in file_values.items() if k in keys}, flags)
 
 
 def cmd_train(args: argparse.Namespace) -> int:

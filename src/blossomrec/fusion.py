@@ -8,16 +8,17 @@ sandwich. A stack of layers ends with one affine output projection.
 
 The encoder runs on a packed stream, (1, N, d): a batch's real rows, one
 sequence's segment after another, with N the sum of the lengths, as in
-the ``cu_seqlens`` layout of varlen attention kernels. ``SeqContext``
+the ``cu_seqlens`` layout of varlen attention kernels. ``data.SeqContext``
 holds each segment's start and length and each row's position within its
 segment. No padding slot is embedded, projected, attended or normalized.
 
 Each pathway reduces to an attention index over stream rows: K key rows
 per query (``ltis.ltis_index``, ``stis.stis_index``), built once per
-layer, whose K/V rows ``_attend`` gathers (``tensor.gathered_attention``,
-O(N * K) work) on every stream, however short. ``grouped_attention`` under the index scattered into a
-dense mask computes the same thing; it is the reference ``verify`` checks
-the gather against.
+layer from the same ``SeqContext`` and query rows, whose K/V rows
+``_attend`` gathers (``tensor.gathered_attention``, O(N * K) work) on
+every stream, however short. ``grouped_attention`` under the index
+scattered into a dense mask (``SeqContext.frame_mask``) computes the same
+thing; it is the reference ``verify`` checks the gather against.
 
 Inference needs only the newest position's output. ``encode(rows=1)``
 runs every layer but the last in full, since the next layer reads all of
@@ -34,7 +35,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .config import AttentionConfig
-from .data import newest_slots
+from .data import SeqContext
 from .embedding import RoPECache, apply_rope
 from .errors import ConfigError
 from . import ltis as ltis_mod
@@ -57,7 +58,6 @@ from .tensor import (
 
 __all__ = [
     "BlossomLayerParams",
-    "SeqContext",
     "grouped_attention",
     "gated_fuse",
     "encoder_layer",
@@ -174,39 +174,6 @@ class BlossomLayerParams:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "cmp_key"}
 
 
-@dataclass
-class SeqContext:
-    """Per-batch geometry of the packed stream. Segment b holds sequence
-    b's real rows, oldest first; reading the left-padded (B, L) frame's
-    real slots row by row gives the stream's order."""
-
-    lengths: np.ndarray       # (B,) segment lengths
-    starts: np.ndarray        # (B,) stream row of each segment's oldest item
-    positions: np.ndarray     # (N,) position of each stream row within its segment
-    total_len: int            # width L of the left-padded frame
-
-    @classmethod
-    def from_lengths(cls, lengths: np.ndarray, total_len: int) -> "SeqContext":
-        lengths = np.asarray(lengths, dtype=np.int64)
-        starts = np.cumsum(lengths) - lengths
-        positions = np.arange(int(lengths.sum())) - np.repeat(starts, lengths)
-        return cls(lengths=lengths, starts=starts, positions=positions, total_len=total_len)
-
-    def newest(self, rows: int | None) -> np.ndarray:
-        """(B, Lq) bool: the real slots among the frame's newest Lq =
-        min(rows, L) slots (all L for None). Read row by row, they are the
-        stream rows ``query_rows(rows)``."""
-        return newest_slots(self.lengths, self.total_len if rows is None
-                            else min(rows, self.total_len))
-
-    def query_rows(self, rows: int | None) -> np.ndarray:
-        """Stream rows of each segment's newest ``rows`` items, in stream
-        order (every row for None)."""
-        if rows is None:
-            return np.arange(len(self.positions))
-        return np.flatnonzero(self.positions >= np.repeat(self.lengths - rows, self.lengths))
-
-
 def _dropout(x: Tensor, ctx: SeqContext, rows: int | None, rate: float,
              rng: np.random.Generator | None, training: bool) -> Tensor:
     """Inverted dropout of stream rows; identity unless training with a
@@ -237,24 +204,21 @@ def encoder_layer(h_prev: Tensor, params: BlossomLayerParams, cfg: AttentionConf
     (1, Nq, d): those rows of the full output, in stream order.
     """
     q_rows = ctx.query_rows(rows)
-    positions = ctx.positions[q_rows]
     h_q, d = h_prev, h_prev.shape[-1]
     if rows is not None:
         h_q = take_rows(h_prev.reshape((-1, d)), q_rows).reshape((1, len(q_rows), d))
     q = split_heads(matmul(h_q, params.w_q), cfg.heads)
     k = split_heads(matmul(h_prev, params.w_k), cfg.kv_groups)
     v = split_heads(matmul(h_prev, params.w_v), cfg.kv_groups)
-    q = apply_rope(q, positions, rope)
+    q = apply_rope(q, ctx.positions[q_rows], rope)
     k = apply_rope(k, ctx.positions, rope)
 
     o_ltis = o_stis = None
     if pathway in ("both", "ltis"):
-        index = ltis_mod.ltis_index(q.data, k.data, ctx.lengths, cfg, params.cmp_key, rows=rows)
+        index = ltis_mod.ltis_index(q.data, k.data, ctx, q_rows, cfg, params.cmp_key)
         o_ltis = _attend(q, k, v, index, params.w_o)
     if pathway in ("both", "stis"):
-        # a row's segment starts ``position`` rows before it
-        o_stis = _attend(q, k, v, stis_mod.stis_index(positions, q_rows - positions, cfg),
-                         params.w_o)
+        o_stis = _attend(q, k, v, stis_mod.stis_index(ctx, q_rows, cfg), params.w_o)
 
     if pathway == "both":
         fused, _ = gated_fuse(o_ltis, o_stis, params.gate_w, params.gate_b)

@@ -20,10 +20,11 @@ with no loop over segments, all KV groups at once:
      the lower block index; fewer than k started blocks means take them
      all);
   7. expand the chosen blocks into each query's top_k * sel_block_size key
-     rows, causally cut and offset by its segment's start in the stream
-     (``fusion``). The queries may be only each segment's newest rows (the
-     last layer at inference asks for one); steps 3-6 then run on those
-     rows alone. The encoder gathers the K/V rows of this index.
+     rows, causally cut and offset by its segment's start in the stream,
+     as the batch's ``data.SeqContext`` gives it. The queries may be only
+     each segment's newest rows (the last layer at inference asks for
+     one); steps 3-6 then run on those rows alone. The encoder gathers
+     the K/V rows of this index.
 
 A segment with at most top_k selection blocks skips steps 1-6: every
 started block is selected whatever the scores, so each query sees its
@@ -44,7 +45,7 @@ import functools
 import numpy as np
 
 from .config import AttentionConfig
-from .data import newest_slots
+from .data import SeqContext
 from .tensor import masked_softmax, parameter
 
 __all__ = ["CompressionMLP", "remap_matrix", "ltis_index", "build_ltis_masks"]
@@ -122,60 +123,56 @@ def _rank(scores: np.ndarray, t: np.ndarray, cfg: AttentionConfig) -> tuple[np.n
     return cols, np.arange(cfg.top_k) < valid.sum(axis=-1)[:, None]
 
 
-def ltis_index(q_data: np.ndarray, k_data: np.ndarray, lengths: np.ndarray,
-               cfg: AttentionConfig, phi_key: CompressionMLP,
-               rows: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def ltis_index(q_data: np.ndarray, k_data: np.ndarray, ctx: SeqContext, q_rows: np.ndarray,
+               cfg: AttentionConfig, phi_key: CompressionMLP) -> tuple[np.ndarray, np.ndarray]:
     """Run the whole selection pipeline on a packed stream and return the
     rows each query attends.
 
-    k_data: (1, kv_groups, N, d_head) is the stream: one segment per entry
-    of ``lengths``, back to back, each sequence's rows oldest first.
-    q_data: (1, heads, Nq, d_head) holds the queries of each segment's
-    newest ``rows`` rows (all of them for None), segment after segment.
-    Both are plain arrays: selection carries no gradient. Returns int
-    stream rows and their validity, each (1, kv_groups, Nq, K) with
-    K = top_k * sel_block_size: the chosen blocks in ascending order,
-    causally cut and offset by the segment's start (K is the longest
-    length when that is smaller).
+    k_data: (1, kv_groups, N, d_head) is the stream ``ctx`` describes: one
+    segment per sequence, back to back, each sequence's rows oldest first.
+    q_data: (1, heads, Nq, d_head) holds the queries of the stream rows
+    ``q_rows``, in stream order (``ctx.query_rows``). Both are plain
+    arrays: selection carries no gradient. Returns int stream rows and
+    their validity, each (1, kv_groups, Nq, K) with K = top_k *
+    sel_block_size: the chosen blocks in ascending order, causally cut
+    and offset by the segment's start (K is the longest length when that
+    is smaller).
 
     A sequence with at most top_k selection blocks selects every started
     block whatever the scores, so each query sees exactly its causal
     prefix; compression, scoring and top-k are skipped for it. All other
     segments are scored in one pass (``_top_blocks``).
     """
-    lengths = np.asarray(lengths, dtype=np.int64)
+    lengths = ctx.lengths
     cap = cfg.top_k * cfg.sel_block_size       # longer segments are scored
-    m = lengths if rows is None else lengths.clip(max=rows)     # queries per segment
-    starts = lengths.cumsum() - lengths
-    # each query's position: the newest m of its segment's n rows
-    t = (np.arange(m.sum()) + (lengths - m.cumsum()).repeat(m))[:, None]
+    t = ctx.positions[q_rows][:, None]         # each query's position in its segment
     longest = max(lengths.tolist(), default=0)
     width = min(cap, longest)
     # a saturated query takes every started slot: its causal prefix
     pos = np.arange(width)[None, None].repeat(cfg.kv_groups, axis=0)
     if longest > cap:
-        seg = np.arange(len(lengths)).repeat(m)                   # each query's segment
+        seg = np.arange(len(lengths)).repeat(lengths)[q_rows]    # each query's segment
         scored = (lengths[seg] > cap).nonzero()[0]
         q = np.take(q_data[0], scored, axis=1).reshape(
             cfg.kv_groups, cfg.heads_per_group, -1, cfg.d_head)
         blocks = np.empty((cfg.kv_groups, len(t), cfg.top_k), dtype=np.int64)
         blocks[:] = np.arange(cfg.top_k)
         blocks[:, scored] = _top_blocks(
-            q.swapaxes(1, 2), k_data[0], lengths, starts, seg[scored], t[scored], cfg, phi_key)
+            q.swapaxes(1, 2), k_data[0], ctx, seg[scored], t[scored], cfg, phi_key)
         pos = (blocks[..., None] * cfg.sel_block_size
                + np.arange(cfg.sel_block_size)).reshape(cfg.kv_groups, len(t), width)
     valid = pos <= t
-    return (starts.repeat(m)[:, None] + np.where(valid, pos, 0))[None], valid[None]
+    # a query's segment starts ``t`` rows before it
+    return ((q_rows[:, None] - t) + np.where(valid, pos, 0))[None], valid[None]
 
 
-def _top_blocks(q: np.ndarray, k: np.ndarray, lengths: np.ndarray, starts: np.ndarray,
-                seg: np.ndarray, t: np.ndarray, cfg: AttentionConfig,
-                phi_key: CompressionMLP) -> np.ndarray:
+def _top_blocks(q: np.ndarray, k: np.ndarray, ctx: SeqContext, seg: np.ndarray, t: np.ndarray,
+                cfg: AttentionConfig, phi_key: CompressionMLP) -> np.ndarray:
     """Steps 1-6 for the queries of many segments at once: R queries
     (kv_groups, R, heads_per_group, d_head) of segments ``seg`` at
-    positions ``t`` (R, 1), over stream keys k (kv_groups, N, d_head) whose
-    segments start at rows ``starts``. Every segment longer than top_k
-    selection blocks must have a query. Returns the chosen blocks,
+    positions ``t`` (R, 1), over the stream keys k (kv_groups, N, d_head)
+    that ``ctx`` describes. Every segment longer than top_k selection
+    blocks must have a query. Returns the chosen blocks,
     (kv_groups, R, top_k), ascending; a row with fewer than top_k started
     blocks fills its last slots with a block past every segment's end.
 
@@ -186,9 +183,9 @@ def _top_blocks(q: np.ndarray, k: np.ndarray, lengths: np.ndarray, starts: np.nd
     scores 0. ``remap_matrix`` of that many blocks holds every shorter
     segment's as its top-left corner, and N_sel is padded likewise.
     """
-    long = lengths > cfg.top_k * cfg.sel_block_size
+    long = ctx.lengths > cfg.top_k * cfg.sel_block_size
     seg = (long.cumsum() - 1)[seg]                     # among the long segments
-    n, starts = lengths[long], starts[long]
+    n, starts = ctx.lengths[long], ctx.starts[long]
     num_cmp, shift = _cmp_geometry(n, cfg)
     offset = num_cmp.cumsum() - num_cmp                # each segment's first block
     owner = np.arange(len(n)).repeat(num_cmp)
@@ -216,17 +213,11 @@ def build_ltis_masks(q_data: np.ndarray, k_data: np.ndarray, lengths: np.ndarray
 
     k_data (B, kv_groups, L, d_head) spans the frame and q_data (B, heads,
     Lq, d_head) holds the queries of its last Lq slots. Their real slots
-    are packed into a stream, and the stream index is scattered back to
-    frame slots; padding slots are neither queries nor keys.
+    are packed into a stream and the stream index is scattered back
+    (``SeqContext``); padding slots are neither queries nor keys.
     """
-    lengths = np.asarray(lengths, dtype=np.int64)
-    rows, total = q_data.shape[2], k_data.shape[2]
-    qb, q_slot = np.nonzero(newest_slots(lengths, rows))
-    kb, k_slot = np.nonzero(newest_slots(lengths, total))
-    idx, valid = ltis_index(q_data[qb, :, q_slot].transpose(1, 0, 2)[None],
-                            k_data[kb, :, k_slot].transpose(1, 0, 2)[None],
-                            lengths, cfg, phi_key, rows=rows)
-    g, r, s = np.nonzero(valid[0])
-    out = np.zeros((len(lengths), cfg.kv_groups, rows, total), dtype=bool)
-    out[qb[r], g, q_slot[r], k_slot[idx[0, g, r, s]]] = True
-    return out[:, :, None]
+    ctx = SeqContext.from_lengths(lengths, k_data.shape[2])
+    rows = q_data.shape[2]
+    index = ltis_index(ctx.pack(q_data, rows), ctx.pack(k_data), ctx, ctx.query_rows(rows),
+                       cfg, phi_key)
+    return ctx.frame_mask(*index, rows)

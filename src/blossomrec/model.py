@@ -2,7 +2,7 @@
 over the item vocabulary, with next-item cross-entropy training.
 
 Each batch runs packed: its sequences' real rows, back to back in one
-stream (``fusion.SeqContext``), so padding is never computed; ``forward``
+stream (``data.SeqContext``), so padding is never computed; ``forward``
 returns the left-padded frame with zeros in the padding slots.
 
 Scoring ties the output weights to the input embedding table: the score of
@@ -22,10 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from .config import PATHWAYS, AttentionConfig, RunConfig
-from .data import SeqBatch, SplitDataset
+from .data import SeqBatch, SeqContext, SplitDataset
 from .embedding import EmbeddingTable, RoPECache, embed
 from .errors import CheckpointError, ConfigError, DataError
-from .fusion import BlossomLayerParams, SeqContext, encode
+from .fusion import BlossomLayerParams, encode
 from .metrics import EvalResult, aggregate, rank_metrics, sample_negatives
 from .tensor import (Tensor, linear_cross_entropy, matmul, no_grad, scatter_rows, take_rows,
                      zero_grads)

@@ -14,10 +14,10 @@ the mask is stored as a per-row key index, not dense L x L bytes.
 ``power_table`` is the one construction of the mask: it holds every row
 once per (config, length), cached across batches. ``stis_index`` reads
 each query's row and shifts it by its segment's start in the packed
-stream (``fusion``), for all queries at once; the encoder gathers the
-K/V rows of that index. ``batch_stis_masks`` is the index of a
-left-padded batch as a dense mask, a reference for checks and tests
-that the model does not call.
+stream, both read from the batch's ``data.SeqContext``, for all queries
+at once; the encoder gathers the K/V rows of that index.
+``batch_stis_masks`` is the index of a left-padded batch as a dense
+mask, a reference for checks and tests that the model does not call.
 ``verify.brute_force_power_mask`` evaluates the three cases literally
 and is the table's oracle.
 """
@@ -29,7 +29,7 @@ import functools
 import numpy as np
 
 from .config import AttentionConfig
-from .data import newest_slots
+from .data import SeqContext
 
 __all__ = ["power_table", "stis_index", "batch_stis_masks"]
 
@@ -70,21 +70,22 @@ def power_table(cfg: AttentionConfig, length: int) -> tuple[np.ndarray, np.ndarr
     return idx, valid
 
 
-def stis_index(positions: np.ndarray, starts: np.ndarray,
+def stis_index(ctx: SeqContext, q_rows: np.ndarray,
                cfg: AttentionConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The causal power mask of a packed stream as an attention index.
+    """The causal power mask of the packed stream ``ctx`` describes, as an
+    attention index for the queries at stream rows ``q_rows``.
 
-    ``positions`` gives each query's position within its segment and
-    ``starts`` the row its segment starts at. A query at position p sees
-    row p of ``power_table`` shifted by its start. One table serves every
-    segment: it is built for the longest segment (the newest query of
-    the longest is at position length - 1), and the first n rows of a
-    longer table are the length-n table. Returns int rows and their
-    validity, each (1, 1, Nq, K).
+    A query at position p of its segment sees row p of ``power_table``
+    shifted by its segment's start. One table serves every segment: it is
+    built for the furthest position asked (the newest query of the longest
+    segment is at length - 1), and the first n rows of a longer table are
+    the length-n table. Returns int rows and their validity, each
+    (1, 1, Nq, K).
     """
-    positions = np.asarray(positions, dtype=np.int64)
+    positions = ctx.positions[q_rows]
     table, ok = power_table(cfg, int(positions.max(initial=0)) + 1)
-    idx = table[positions] + np.asarray(starts, dtype=np.int64)[:, None]
+    # a query's segment starts ``position`` rows before it
+    idx = table[positions] + (q_rows - positions)[:, None]
     return idx[None, None], ok[positions][None, None]
 
 
@@ -94,13 +95,7 @@ def batch_stis_masks(lengths: np.ndarray, total_len: int, cfg: AttentionConfig) 
     Returns bool (B, 1, 1, L, L): each sequence's mask sits in the bottom
     right corner of its padded frame, so padding positions are neither
     queries nor keys. It is ``stis_index`` over the frame's real slots,
-    each shifted by its sequence's padding, scattered into dense form.
+    scattered back to frame slots (``SeqContext.frame_mask``).
     """
-    lengths = np.asarray(lengths, dtype=np.int64)
-    b, slot = np.nonzero(newest_slots(lengths, total_len))
-    pad = total_len - lengths[b]
-    idx, valid = stis_index(slot - pad, pad, cfg)
-    r, s = np.nonzero(valid[0, 0])
-    out = np.zeros((len(lengths), total_len, total_len), dtype=bool)
-    out[b[r], slot[r], idx[0, 0, r, s]] = True
-    return out[:, None, None]
+    ctx = SeqContext.from_lengths(lengths, total_len)
+    return ctx.frame_mask(*stis_index(ctx, ctx.query_rows(None), cfg))

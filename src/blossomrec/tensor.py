@@ -653,14 +653,14 @@ def linear_cross_entropy(h, w, targets: Array) -> Tensor:
         np.exp(x, out=x)
         s = x.sum(axis=1)
         lse[sl] = np.log(s) + mx[:, 0]
-        if dh is None and dw is None:
-            continue
-        x *= (1.0 / n) / s[:, None]
-        x[hit] -= 1.0 / n
-        if dh is not None:
-            dh[sl] = x @ w.data
-        if dw is not None:
-            dw += x.T @ hs
+        if dh is not None or dw is not None:
+            x *= (1.0 / n) / s[:, None]
+            x[hit] -= 1.0 / n
+            if dh is not None:
+                dh[sl] = x @ w.data
+            if dw is not None:
+                dw += x.T @ hs
+        del x   # else the next chunk's logits are formed while this one is alive
     loss = (lse - picked).sum() * (1.0 / n)
 
     def backward(g: Array) -> None:

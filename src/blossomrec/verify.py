@@ -15,8 +15,8 @@ import numpy as np
 
 from .analysis import count_participating
 from .config import AttentionConfig
-from .data import SeqBatch, newest_slots
-from .fusion import SeqContext, dense_causal_gqa, gated_fuse, grouped_attention
+from .data import SeqBatch, SeqContext
+from .fusion import dense_causal_gqa, gated_fuse, grouped_attention
 from .gradcheck import grad_check
 from .ltis import CompressionMLP, build_ltis_masks, ltis_index
 from .model import Model, sequence_loss
@@ -51,12 +51,6 @@ def counts_match() -> bool:
                for length, total in PUBLISHED_TOTALS.items())
 
 
-def _stis_stream_index(lengths: np.ndarray, cfg: AttentionConfig) -> tuple[np.ndarray, np.ndarray]:
-    """``stis_index`` for every row of a packed stream, as the encoder builds it."""
-    ctx = SeqContext.from_lengths(lengths, int(np.max(lengths)))
-    return stis_index(ctx.positions, np.arange(len(ctx.positions)) - ctx.positions, cfg)
-
-
 def dense_equivalence_error(seeds: range, lengths: tuple[int, ...]) -> tuple[float, float]:
     """Fused pathway outputs vs naive dense causal attention.
 
@@ -73,8 +67,8 @@ def dense_equivalence_error(seeds: range, lengths: tuple[int, ...]) -> tuple[flo
     """
     lengths_arr = np.array(lengths)
     frame = int(lengths_arr.max())
-    real = newest_slots(lengths_arr, frame)
-    starts = SeqContext.from_lengths(lengths_arr, frame).starts
+    ctx = SeqContext.from_lengths(lengths_arr, frame)
+    every_row = ctx.query_rows(None)
     errors, padding = [0.0], [0.0]
     for seed in seeds:
         rng = np.random.default_rng(seed)
@@ -90,19 +84,19 @@ def dense_equivalence_error(seeds: range, lengths: tuple[int, ...]) -> tuple[flo
             select = (q.data, k.data, lengths_arr, cfg, phi)
             dense = [grouped_attention(q, k, v, cfg, build_ltis_masks(*select)),
                      grouped_attention(q, k, v, cfg, batch_stis_masks(lengths_arr, frame, cfg))]
-            qs, ks, vs = (Tensor(x.data.transpose(1, 0, 2, 3)[:, real][None]) for x in (q, k, v))
+            qs, ks, vs = (Tensor(ctx.pack(x.data)) for x in (q, k, v))
             stream = [gathered_attention(qs, ks, vs, *index).transpose(0, 2, 1, 3)
                       .reshape(1, -1, width)
-                      for index in (ltis_index(qs.data, ks.data, lengths_arr, cfg, phi),
-                                    _stis_stream_index(lengths_arr, cfg))]
+                      for index in (ltis_index(qs.data, ks.data, ctx, every_row, cfg, phi),
+                                    stis_index(ctx, every_row, cfg))]
             fused_dense = gated_fuse(*dense, *gate)[0].data
             fused_stream = gated_fuse(*stream, *gate)[0].data[0]
-            for b, n in enumerate(lengths):
+            for b, (n, start) in enumerate(zip(lengths, ctx.starts)):
                 pad = frame - n
                 q_b, k_b, v_b = (x.data[b, :, pad:] for x in (q, k, v))
                 oracle = dense_causal_gqa(q_b, k_b, v_b, cfg)
                 errors.append(np.abs(fused_dense[b, pad:] - oracle).max(initial=0.0))
-                errors.append(np.abs(fused_stream[starts[b]:starts[b] + n] - oracle).max(initial=0.0))
+                errors.append(np.abs(fused_stream[start:start + n] - oracle).max(initial=0.0))
                 padding.append(np.abs(fused_dense[b, :pad]).max(initial=0.0))
     return float(np.max(errors)), float(np.max(padding))
 
@@ -115,14 +109,14 @@ SPARSE_CFG = AttentionConfig(block_size=12, stride=2, sel_block_size=4, top_k=2,
 
 
 def _stream_batch(rng: np.random.Generator, lengths: tuple[int, ...], cfg: AttentionConfig):
-    """Random q, k, v for one packed stream of segments of ``lengths``:
-    each segment's neighbours hold values like any other, which a query
-    must never see."""
+    """Random q, k, v for one packed stream of segments of ``lengths``,
+    and its geometry: each segment's neighbours hold values like any
+    other, which a query must never see."""
     total = sum(lengths)
     q = rng.normal(size=(1, cfg.heads, total, cfg.d_head))
     k = rng.normal(size=(1, cfg.kv_groups, total, cfg.d_head))
     v = rng.normal(size=(1, cfg.kv_groups, total, cfg.d_head))
-    return q, k, v, np.array(lengths)
+    return q, k, v, SeqContext.from_lengths(np.array(lengths), max(lengths))
 
 
 def _naive_selection(q: np.ndarray, k: np.ndarray, phi: CompressionMLP,
@@ -177,9 +171,9 @@ def ltis_selection_error(seeds: range, lengths: tuple[int, ...]) -> int:
     bad = 0
     for seed in seeds:
         rng = np.random.default_rng(seed)
-        q, k, _, lens = _stream_batch(rng, lengths, cfg)
+        q, k, _, ctx = _stream_batch(rng, lengths, cfg)
         phi = CompressionMLP(cfg.block_size, cfg.d_head, rng)
-        idx, valid = ltis_index(q, k, lens, cfg, phi)
+        idx, valid = ltis_index(q, k, ctx, ctx.query_rows(None), cfg, phi)
         start = 0
         for n in lengths:
             rows = slice(start, start + n)
@@ -208,11 +202,12 @@ def gathered_equivalence_error(seeds: range, lengths: tuple[int, ...]) -> float:
     worst = 0.0
     for seed in seeds:
         rng = np.random.default_rng(seed)
-        q, k, v, lens = _stream_batch(rng, lengths, cfg)
-        total = q.shape[2]
+        q, k, v, ctx = _stream_batch(rng, lengths, cfg)
+        total, every_row = q.shape[2], ctx.query_rows(None)
         phi = CompressionMLP(cfg.block_size, cfg.d_head, rng)
         w = rng.normal(size=q.shape)
-        for idx, valid in (ltis_index(q, k, lens, cfg, phi), _stis_stream_index(lens, cfg)):
+        for idx, valid in (ltis_index(q, k, ctx, every_row, cfg, phi),
+                           stis_index(ctx, every_row, cfg)):
             runs = []
             for gather in (True, False):
                 qt, kt, vt = parameter(q.copy()), parameter(k.copy()), parameter(v.copy())

@@ -267,6 +267,30 @@ class TestConfigPrecedence:
         assert parse_config_file(f) == {"win": 3}
 
 
+class TestSeedFallback:
+    """BLOSSOM_SEED applies only to the commands that read a seed."""
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "--lengths", "256"],
+        ["dump-mask", "--length", "4", "--out", "mask.csv"],
+    ], ids=["report", "dump-mask"])
+    def test_command_without_seed_ignores_it(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("BLOSSOM_SEED", "abc")
+        assert main(argv) == 0
+
+    @pytest.mark.parametrize("command", ["train", "synth"])
+    def test_command_with_seed_rejects_bad_value(self, command, synth_path, tmp_path,
+                                                 monkeypatch, capsys):
+        monkeypatch.setenv("BLOSSOM_SEED", "abc")
+        argv = {"train": ["train", "--dataset", str(synth_path),
+                          "--out-dir", str(tmp_path / "run"), *TINY],
+                "synth": ["synth", "--out", str(tmp_path / "log.tsv")]}[command]
+        assert main(argv) == 2
+        assert "BLOSSOM_SEED must be an integer" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+
 class TestUnreadFlags:
     """Each command registers only the config flags it reads, so any other
     is a usage error (exit 2) instead of being ignored."""

@@ -1,7 +1,10 @@
 """Every name a module exports in ``__all__`` exists, so a deletion cannot
-leave a stale export behind."""
+leave a stale export behind; and the stream's geometry stays below the
+encoder."""
 
+import ast
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -22,3 +25,17 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+@pytest.mark.parametrize("name", ["blossomrec.data", "blossomrec.ltis", "blossomrec.stis"])
+def test_geometry_sits_below_the_encoder(name):
+    """``data`` owns the packed stream's geometry and both index builders
+    read it, so none of them may import ``fusion`` or ``model``."""
+    tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names |= set((node.module or "").split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {part for alias in node.names for part in alias.name.split(".")}
+    assert not names & {"fusion", "model"}, names

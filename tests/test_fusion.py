@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from blossomrec.config import AttentionConfig
+from blossomrec.data import SeqContext
 from blossomrec.embedding import RoPECache, apply_rope
 from blossomrec.errors import ConfigError
 from blossomrec import fusion
 from blossomrec.fusion import (
     BlossomLayerParams,
-    SeqContext,
     dense_causal_gqa,
     encode,
     encoder_layer,

@@ -15,6 +15,7 @@ import pytest
 
 from blossomrec import ltis
 from blossomrec.config import AttentionConfig
+from blossomrec.data import SeqContext
 from blossomrec.errors import ConfigError
 from blossomrec.fusion import dense_causal_gqa, grouped_attention
 from blossomrec.gradcheck import grad_check
@@ -56,7 +57,8 @@ class LastKey:
 def one_segment(q, k, cfg, phi, rows=None):
     """``ltis_index`` of a stream holding one segment: q (heads, m, d) its
     newest m queries, k (kv_groups, n, d) its keys."""
-    return ltis_index(q[None], k[None], [k.shape[1]], cfg, phi, rows=rows)
+    ctx = SeqContext.from_lengths(np.array([k.shape[1]]), k.shape[1])
+    return ltis_index(q[None], k[None], ctx, ctx.query_rows(rows), cfg, phi)
 
 
 def picked_blocks(idx, valid, cfg):
@@ -392,10 +394,11 @@ class TestQueryRows:
         q = rng.normal(size=(1, cfg.heads, lengths.sum(), cfg.d_head))
         k = rng.normal(size=(1, cfg.kv_groups, lengths.sum(), cfg.d_head))
         phi = CompressionMLP(cfg.block_size, cfg.d_head, rng)
-        full_idx, full_valid = ltis_index(q, k, lengths, cfg, phi)
+        ctx = SeqContext.from_lengths(lengths, 16)
+        full_idx, full_valid = ltis_index(q, k, ctx, np.arange(lengths.sum()), cfg, phi)
         newest = np.concatenate([np.arange(max(n - rows, 0), n) + start
                                  for start, n in zip(starts, lengths)])
-        idx, valid = ltis_index(q[:, :, newest], k, lengths, cfg, phi, rows=rows)
+        idx, valid = ltis_index(q[:, :, newest], k, ctx, newest, cfg, phi)
         assert idx.shape == (1, cfg.kv_groups, len(newest), full_idx.shape[-1])
         assert np.array_equal(valid, full_valid[:, :, newest])
         assert np.array_equal(idx, full_idx[:, :, newest])
@@ -461,7 +464,8 @@ class TestBatchedSelection:
         calls = []
         compress = phi.apply_stack
         monkeypatch.setattr(phi, "apply_stack", lambda blocks: calls.append(1) or compress(blocks))
-        idx, valid = ltis_index(q, k, lengths, cfg, phi, rows=rows)
+        ctx = SeqContext.from_lengths(np.array(lengths), max(lengths))
+        idx, valid = ltis_index(q, k, ctx, newest, cfg, phi)
         assert calls == [1]                      # every segment's blocks at once
         assert np.array_equal(valid, want[1])
         assert np.array_equal(idx, want[0])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from blossomrec.config import AttentionConfig
+from blossomrec.data import SeqContext
 from blossomrec.fusion import dense_causal_gqa, grouped_attention
 from blossomrec.gradcheck import grad_check
 from blossomrec.stis import batch_stis_masks, power_table, stis_index
@@ -163,16 +164,19 @@ class TestPowerTable:
             power_table(cfg, 40)[0][0, 0] = 1
 
     def test_index_shifts_rows_into_frame(self):
-        """Offset by each sequence's padding, the index lands in the
-        left-padded frame, as ``batch_stis_masks`` uses it."""
+        """Scattered back to the left-padded frame, as ``batch_stis_masks``
+        does (``SeqContext.frame_mask``), each sequence's index lands in
+        its bottom-right corner, offset by its padding."""
         cfg = cfg_with(blk=1, win=2)
-        positions = np.array([0, 1, 2, 0, 1, 2, 3, 4])
-        pads = np.array([2, 2, 2, 0, 0, 0, 0, 0])
-        idx, valid = stis_index(positions, pads, cfg)
+        ctx = SeqContext.from_lengths(np.array([3, 5]), 5)
+        idx, valid = stis_index(ctx, np.arange(8), cfg)
         assert idx.shape == valid.shape == (1, 1, 8, power_table(cfg, 5)[0].shape[1])
-        for row, (p, pad) in enumerate(zip(positions, pads)):
-            n = 5 - pad
-            assert (idx[0, 0, row][valid[0, 0, row]] - pad).tolist() == brute_rows(n, cfg)[p]
+        mask = ctx.frame_mask(idx, valid)[:, 0, 0]
+        for b, n in enumerate((3, 5)):
+            pad = 5 - n
+            assert not mask[b, :pad].any() and not mask[b, :, :pad].any()
+            for p in range(n):
+                assert (np.flatnonzero(mask[b, pad + p]) - pad).tolist() == brute_rows(n, cfg)[p]
 
     @pytest.mark.parametrize("blk, win", [(1, 2), (2, 3)])
     def test_stream_index_is_shifted_table_rows(self, blk, win):
@@ -184,7 +188,7 @@ class TestPowerTable:
         starts = np.cumsum(lengths) - lengths
         positions = np.concatenate([np.arange(n) for n in lengths])
         row_starts = np.repeat(starts, lengths)
-        idx, valid = stis_index(positions, row_starts, cfg)
+        idx, valid = stis_index(SeqContext.from_lengths(lengths, 9), np.arange(18), cfg)
         table, ok = power_table(cfg, 9)
         assert np.array_equal(idx[0, 0], table[positions] + row_starts[:, None])
         assert np.array_equal(valid[0, 0], ok[positions])

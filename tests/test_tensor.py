@@ -473,6 +473,24 @@ class TestFusedLossGradients:
         assert constant < bound and frozen < bound, (constant, frozen, bound)
         assert learning > bound, (learning, bound)
 
+    def test_one_chunk_of_logits_alive_at_a_time(self):
+        """Under ``no_grad``, a call over 4 chunks of 2 MB logits peaks at
+        one chunk and the small per-row buffers (2.08 MB measured), not at
+        two chunks (4.01 MB when a chunk outlived the next one's matmul)."""
+        rng = np.random.default_rng(25)
+        n, vocab, d = 512, 2048, 256
+        h, w = parameter(rng.normal(size=(n, d))), parameter(rng.normal(size=(vocab, d)))
+        targets = rng.integers(0, vocab, n)
+        assert n == 4 * tensor_mod._chunk_rows(vocab)
+        with no_grad():
+            tracemalloc.start()
+            try:
+                linear_cross_entropy(h, w, targets)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 1.25 * tensor_mod.LOSS_CHUNK_BYTES, peak
+
 
 class TestTapeMechanics:
     def test_diamond_graph_accumulates_once(self):
