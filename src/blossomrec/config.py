@@ -111,6 +111,8 @@ class RunConfig(AttentionConfig):
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
         if not self.lr > 0.0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         return self
 
 

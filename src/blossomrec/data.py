@@ -5,11 +5,19 @@ Input format: one interaction per line, ``user<TAB>item<TAB>timestamp``,
 with an optional header line starting with ``user``. Tokens are mapped to
 contiguous integer ids starting at 1 in first-seen order (0 is padding)
 and the mapping is persisted next to the log.
+
+Ingestion works on whole columns: the file is read into memory in one
+piece, split into lines, and each check, parse and token -> id mapping is
+one pass over a column. Only a malformed log is scanned line by line, to
+name its first bad line in the error.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import compress, count, repeat
+from operator import truth
 from pathlib import Path
 
 import numpy as np
@@ -54,29 +62,37 @@ class InteractionLog:
         return len(self.item_ids)
 
     def sequences(self) -> dict[int, list[int]]:
-        """Per-user item sequences in time order (stable under ties)."""
-        order = np.argsort(self.timestamps, kind="stable")
-        out: dict[int, list[int]] = {}
-        for idx in order:
-            out.setdefault(int(self.user_ids[idx]), []).append(int(self.item_ids[idx]))
-        return out
+        """Per-user item sequences in time order (stable under ties), keyed
+        in the order users first appear in time order."""
+        if not len(self):
+            return {}
+        by_time = np.argsort(self.timestamps, kind="stable")
+        # a stable sort by user keeps each user's records in time order;
+        # by_user holds their positions in time order
+        by_user = np.argsort(self.user_ids[by_time], kind="stable")
+        grouped = by_time[by_user]
+        del by_time
+        users = self.user_ids[grouped]
+        bounds = np.concatenate(([0], np.flatnonzero(users[1:] != users[:-1]) + 1, [len(users)]))
+        # a user's first position in time order is its group's first
+        order = np.argsort(by_user[bounds[:-1]])
+        keys = users[bounds[order]].tolist()
+        del by_user, users
+        # one Python int per item id, shared by every sequence that holds it
+        shared = np.arange(int(self.item_ids.max()) + 1).astype(object)
+        items = shared[self.item_ids[grouped]]
+        del grouped
+        items = items.tolist()
+        return dict(zip(keys, map(items.__getitem__, map(slice, bounds[order].tolist(),
+                                                          bounds[order + 1].tolist()))))
 
 
-def _mapping_from_records(records: list[tuple[str, str, float]]) -> InteractionLog:
-    user_map: dict[str, int] = {}
-    item_map: dict[str, int] = {}
-    users, items, times = [], [], []
-    for user, item, ts in records:
-        users.append(user_map.setdefault(user, len(user_map) + 1))
-        items.append(item_map.setdefault(item, len(item_map) + 1))
-        times.append(ts)
-    return InteractionLog(
-        user_ids=np.array(users, dtype=np.int64),
-        item_ids=np.array(items, dtype=np.int64),
-        timestamps=np.array(times, dtype=np.float64),
-        user_map=user_map,
-        item_map=item_map,
-    )
+def _first_seen_ids(tokens: list[str]) -> tuple[np.ndarray, dict[str, int]]:
+    """One pass over a token column: each token's id, 1, 2, ... in
+    first-seen order, and the token -> id map."""
+    mapping = defaultdict(count(1).__next__)
+    ids = np.fromiter(map(mapping.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+    return ids, dict(mapping)
 
 
 def _persist_mapping(mapping: dict[str, int], path: Path) -> None:
@@ -85,20 +101,23 @@ def _persist_mapping(mapping: dict[str, int], path: Path) -> None:
             fh.write(f"{token}\t{idx}\n")
 
 
-def _parses_as_record(line: str) -> bool:
-    """A first line starting with 'user' is data, not a header, if it parses."""
-    parts = line.split("\t")
-    if len(parts) != 3:
-        return False
+def _is_float(text: str) -> bool:
     try:
-        float(parts[2])
+        float(text)
     except ValueError:
         return False
     return True
 
 
+def _parses_as_record(line: str) -> bool:
+    """A first line starting with 'user' is data, not a header, if it parses."""
+    parts = line.split("\t")
+    return len(parts) == 3 and _is_float(parts[2])
+
+
 def load_interactions(path: str | Path, persist_mapping: bool = True) -> InteractionLog:
-    """Read a TSV interaction log; raises DataError on malformed lines.
+    """Read a TSV interaction log; raises DataError naming the first
+    malformed line. Blank lines are skipped but still counted.
 
     With ``persist_mapping`` (default), the token -> id maps are written
     next to the input as ``<path>.users.tsv`` and ``<path>.items.tsv``.
@@ -106,29 +125,44 @@ def load_interactions(path: str | Path, persist_mapping: bool = True) -> Interac
     path = Path(path)
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
-    records: list[tuple[str, str, float]] = []
-    with path.open() as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if lineno == 1 and line.lower().startswith("user") and not _parses_as_record(line):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataError(f"{path}:{lineno}: expected user<TAB>item<TAB>timestamp, got {line!r}")
-            try:
-                ts = float(parts[2])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: bad timestamp {parts[2]!r}") from None
-            records.append((parts[0], parts[1], ts))
-    if not records:
+    # universal newlines: CRLF and a lone CR both end a line
+    lines = path.read_text().split("\n")
+    if lines[0].lower().startswith("user") and not _parses_as_record(lines[0]):
+        lines[0] = ""                           # the header line, skipped like a blank one
+    kept = np.fromiter(map(truth, map(str.strip, lines)), dtype=bool, count=len(lines))
+    linenos = np.flatnonzero(kept) + 1
+    if len(linenos) < len(lines):
+        lines = list(compress(lines, kept.tolist()))
+    del kept
+    if not lines:
         raise DataError(f"{path}: no interaction records")
-    log = _mapping_from_records(records)
+    tabs = np.fromiter(map(str.count, lines, repeat("\t")), dtype=np.int64, count=len(lines))
+    wrong = np.flatnonzero(tabs != 2)
+    # only the records before the first line with a wrong field count are
+    # read: a bad timestamp among them is the first bad line
+    n = int(wrong[0]) if len(wrong) else len(lines)
+    bad_line = lines[n] if len(wrong) else None
+    del lines[n:], tabs, wrong
+    joined = "\t".join(lines)
+    del lines
+    tokens = joined.split("\t")
+    del joined
+    try:
+        timestamps = np.fromiter(map(float, tokens[2::3]), dtype=np.float64, count=n)
+    except ValueError:
+        row, raw = next((row, raw) for row, raw in enumerate(tokens[2::3]) if not _is_float(raw))
+        raise DataError(f"{path}:{linenos[row]}: bad timestamp {raw!r}") from None
+    if bad_line is not None:
+        raise DataError(f"{path}:{linenos[n]}: expected user<TAB>item<TAB>timestamp, "
+                        f"got {bad_line!r}")
+    user_ids, user_map = _first_seen_ids(tokens[0::3])
+    item_ids, item_map = _first_seen_ids(tokens[1::3])
+    del tokens
     if persist_mapping:
-        _persist_mapping(log.user_map, path.with_name(path.name + ".users.tsv"))
-        _persist_mapping(log.item_map, path.with_name(path.name + ".items.tsv"))
-    return log
+        _persist_mapping(user_map, path.with_name(path.name + ".users.tsv"))
+        _persist_mapping(item_map, path.with_name(path.name + ".items.tsv"))
+    return InteractionLog(user_ids=user_ids, item_ids=item_ids, timestamps=timestamps,
+                          user_map=user_map, item_map=item_map)
 
 
 def write_interactions(log: InteractionLog, path: str | Path) -> None:
@@ -184,9 +218,10 @@ def leave_one_out_split(log: InteractionLog, min_len: int = 3) -> SplitDataset:
             dropped += 1
             continue
         users.append(user)
-        train[user] = seq[:-2]
         valid_t[user] = seq[-2]
         test_t[user] = seq[-1]
+        del seq[-2:]                # the fresh list becomes the train prefix in place
+        train[user] = seq
     if not users:
         raise DataError(f"no users with at least {min_len} interactions")
     return SplitDataset(users=users, train=train, valid_target=valid_t,
@@ -289,9 +324,9 @@ def make_synthetic(num_users: int, num_items: int, blocks_per_user: int,
         raise DataError(f"noise_rate must lie in [0, 1], got {noise_rate}")
     rng = np.random.default_rng(seed)
     cluster_width = max(2, min(10, num_items // max(1, blocks_per_user * 2)))
-    records: list[tuple[str, str, float]] = []
+    users: list[str] = []
+    items: list[str] = []
     for u in range(1, num_users + 1):
-        ts = 0.0
         for _ in range(blocks_per_user):
             start = int(rng.integers(1, max(2, num_items - cluster_width + 2)))
             for _ in range(block_len):
@@ -299,6 +334,11 @@ def make_synthetic(num_users: int, num_items: int, blocks_per_user: int,
                     item = int(rng.integers(1, num_items + 1))
                 else:
                     item = start + int(rng.integers(0, cluster_width))
-                records.append((f"u{u}", f"i{item}", ts))
-                ts += 1.0
-    return _mapping_from_records(records)
+                users.append(f"u{u}")
+                items.append(f"i{item}")
+    user_ids, user_map = _first_seen_ids(users)
+    item_ids, item_map = _first_seen_ids(items)
+    # each user's clock starts at 0 and ticks once per interaction
+    timestamps = np.tile(np.arange(blocks_per_user * block_len, dtype=np.float64), num_users)
+    return InteractionLog(user_ids=user_ids, item_ids=item_ids, timestamps=timestamps,
+                          user_map=user_map, item_map=item_map)

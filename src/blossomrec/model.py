@@ -300,6 +300,7 @@ def train(model: Model, dataset: SplitDataset, run: RunConfig,
 def evaluate(model: Model, dataset: SplitDataset, split: str = "valid", k: int = 10,
              n_negatives: int = 100, seed: int = 0, batch_size: int = 128) -> EvalResult:
     """Sampled-negative ranking evaluation over every retained user."""
+    _check_eval_settings(k, n_negatives, seed, batch_size)
     scorer = _ModelScorer(model, dataset, split, batch_size)
     return _evaluate_with(scorer, dataset, split, k, n_negatives, seed)
 
@@ -307,6 +308,7 @@ def evaluate(model: Model, dataset: SplitDataset, split: str = "valid", k: int =
 def evaluate_popularity(dataset: SplitDataset, split: str = "valid", k: int = 10,
                         n_negatives: int = 100, seed: int = 0) -> EvalResult:
     """Baseline: score every item by its training-set interaction count."""
+    _check_eval_settings(k, n_negatives, seed)
     counts = np.zeros(dataset.num_items + 1)
     for seq in dataset.train.values():
         for item in seq:
@@ -316,6 +318,16 @@ def evaluate_popularity(dataset: SplitDataset, split: str = "valid", k: int = 10
         return counts[items]
 
     return _evaluate_with(scorer, dataset, split, k, n_negatives, seed)
+
+
+def _check_eval_settings(k: int, n_negatives: int, seed: int, batch_size: int = 1) -> None:
+    """Reject settings that would otherwise skip every user or score nothing:
+    with them checked, only a user with too few candidate items is skipped."""
+    for name, value in (("k", k), ("n_negatives", n_negatives), ("batch_size", batch_size)):
+        if value < 1:
+            raise ConfigError(f"{name} must be at least 1, got {value}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
 
 
 class _ModelScorer:

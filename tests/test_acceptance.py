@@ -121,6 +121,7 @@ def test_criterion_4_mask_law_suite():
     assert elapsed < 30.0
 
 
+@pytest.mark.slow
 def test_criterion_5_desk_scale_learning(desk_dataset, trained):
     model, train_time = trained
     untrained = Model(desk_dataset.num_items, AttentionConfig(**DESK_CFG), 1,
@@ -142,6 +143,7 @@ def test_criterion_5_desk_scale_learning(desk_dataset, trained):
     assert train_time < 600.0
 
 
+@pytest.mark.slow
 def test_criterion_6_ablation_direction(desk_dataset, trained):
     model, train_time = trained
     start = time.time()

@@ -291,6 +291,26 @@ class TestSeedFallback:
         assert not any(tmp_path.iterdir())
 
 
+class TestNegativeSeed:
+    """A negative seed is a config error (exit 2) on every command that
+    reads one, before any output is written."""
+
+    @pytest.mark.parametrize("command", ["train", "eval", "synth"])
+    def test_exits_2(self, command, synth_path, tmp_path, capsys):
+        checkpoint = tmp_path / "model.npz"
+        num_items = leave_one_out_split(load_interactions(synth_path)).num_items
+        save_checkpoint(Model(num_items, TINY_ATTENTION, 1, seed=0, max_len=16), checkpoint)
+        argv = {"train": ["train", "--dataset", str(synth_path),
+                          "--out-dir", str(tmp_path / "run"), *TINY],
+                "eval": ["eval", "--checkpoint", str(checkpoint), "--dataset", str(synth_path)],
+                "synth": ["synth", "--out", str(tmp_path / "log.tsv")]}[command]
+        capsys.readouterr()
+        assert main([*argv, "--seed", "-1"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "seed must be non-negative, got -1" in out.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.npz"]
+
+
 class TestUnreadFlags:
     """Each command registers only the config flags it reads, so any other
     is a usage error (exit 2) instead of being ignored."""

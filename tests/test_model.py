@@ -9,7 +9,7 @@ import pytest
 from blossomrec.config import AttentionConfig, RunConfig
 from blossomrec.data import SeqBatch, leave_one_out_split, make_synthetic
 from blossomrec.embedding import EmbeddingTable
-from blossomrec.errors import CheckpointError, DataError
+from blossomrec.errors import CheckpointError, ConfigError, DataError
 from blossomrec.gradcheck import grad_check
 from blossomrec.model import (
     Adam,
@@ -372,6 +372,20 @@ class TestEvaluate:
         res = evaluate_popularity(dataset, split="valid", k=10, n_negatives=50, seed=1)
         assert 0.0 <= res.ndcg_at_k <= 1.0
         assert res.num_users == len(dataset.users)
+
+    @pytest.mark.parametrize("setting, value", [
+        ("k", 0), ("n_negatives", 0), ("n_negatives", -1), ("batch_size", 0), ("seed", -1)])
+    def test_bad_setting_raises_before_any_forward(self, eval_setup, monkeypatch,
+                                                   setting, value):
+        """Such settings used to skip every user, score zeros or fail
+        inside the batching loop instead of naming the setting."""
+        dataset, model = eval_setup
+        monkeypatch.setattr(Model, "last_hidden", lambda *a: pytest.fail("forward pass ran"))
+        with pytest.raises(ConfigError, match=f"{setting} must be"):
+            evaluate(model, dataset, **{setting: value})
+        if setting != "batch_size":
+            with pytest.raises(ConfigError, match=f"{setting} must be"):
+                evaluate_popularity(dataset, **{setting: value})
 
     def test_skips_users_without_candidates(self, eval_setup):
         dataset, model = eval_setup
