@@ -126,7 +126,11 @@ def load_interactions(path: str | Path, persist_mapping: bool = True) -> Interac
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
     # universal newlines: CRLF and a lone CR both end a line
-    lines = path.read_text().split("\n")
+    try:
+        lines = path.read_text().split("\n")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not {exc.encoding} text: {exc.reason} "
+                        f"at byte {exc.start}") from None
     if lines[0].lower().startswith("user") and not _parses_as_record(lines[0]):
         lines[0] = ""                           # the header line, skipped like a blank one
     kept = np.fromiter(map(truth, map(str.strip, lines)), dtype=bool, count=len(lines))
@@ -196,10 +200,12 @@ class SplitDataset:
         raise ValueError(f"split must be 'valid' or 'test', got {split!r}")
 
     def target(self, user: int, split: str) -> int:
-        return self.valid_target[user] if split == "valid" else self.test_target[user]
-
-    def history(self, user: int) -> set[int]:
-        return set(self.train[user]) | {self.valid_target[user], self.test_target[user]}
+        """The held-out item the given split predicts."""
+        if split == "valid":
+            return self.valid_target[user]
+        if split == "test":
+            return self.test_target[user]
+        raise ValueError(f"split must be 'valid' or 'test', got {split!r}")
 
 
 def leave_one_out_split(log: InteractionLog, min_len: int = 3) -> SplitDataset:

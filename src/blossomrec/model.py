@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import typing
 from dataclasses import asdict, dataclass, field, fields
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from .data import SeqBatch, SeqContext, SplitDataset
 from .embedding import EmbeddingTable, RoPECache, embed
 from .errors import CheckpointError, ConfigError, DataError
 from .fusion import BlossomLayerParams, encode
-from .metrics import EvalResult, aggregate, rank_metrics, sample_negatives
+from .metrics import EvalResult, aggregate, draw_negatives, rank_batch
 from .tensor import (Tensor, linear_cross_entropy, matmul, no_grad, scatter_rows, take_rows,
                      zero_grads)
 
@@ -34,6 +35,7 @@ __all__ = ["Model", "TrainState", "Adam", "item_scores", "sequence_loss", "train
            "evaluate", "evaluate_popularity", "save_checkpoint", "load_checkpoint"]
 
 CHECKPOINT_VERSION = 2
+_EVAL_BATCH = 128   # users per evaluation batch, unless evaluate is given another
 
 
 class Model:
@@ -298,31 +300,40 @@ def train(model: Model, dataset: SplitDataset, run: RunConfig,
 
 
 def evaluate(model: Model, dataset: SplitDataset, split: str = "valid", k: int = 10,
-             n_negatives: int = 100, seed: int = 0, batch_size: int = 128) -> EvalResult:
-    """Sampled-negative ranking evaluation over every retained user."""
-    _check_eval_settings(k, n_negatives, seed, batch_size)
-    scorer = _ModelScorer(model, dataset, split, batch_size)
-    return _evaluate_with(scorer, dataset, split, k, n_negatives, seed)
+             n_negatives: int = 100, seed: int = 0, batch_size: int = _EVAL_BATCH) -> EvalResult:
+    """Sampled-negative ranking evaluation over every retained user, each
+    batch of ``batch_size`` users with one forward pass and one scoring
+    matmul."""
+    _check_eval_settings(split, k, n_negatives, seed, batch_size)
+
+    def score(chunk: list[int], rows: np.ndarray, items: np.ndarray) -> np.ndarray:
+        contexts = [dataset.context(u, split) for u in chunk]
+        hidden = model.last_hidden(SeqBatch.from_sequences(contexts, model.max_len))[rows]
+        # matmul runs each user's (n+1, d) @ (d,) product as one matrix-vector
+        # call, so the scores are bit-identical to scoring users one by one
+        vectors = np.take(model.table.weights.data, items, axis=0)
+        return np.matmul(vectors, hidden[:, :, None])[:, :, 0]
+
+    return _evaluate_with(score, dataset, split, k, n_negatives, seed, batch_size)
 
 
 def evaluate_popularity(dataset: SplitDataset, split: str = "valid", k: int = 10,
                         n_negatives: int = 100, seed: int = 0) -> EvalResult:
     """Baseline: score every item by its training-set interaction count."""
-    _check_eval_settings(k, n_negatives, seed)
-    counts = np.zeros(dataset.num_items + 1)
-    for seq in dataset.train.values():
-        for item in seq:
-            counts[item] += 1
-
-    def scorer(user: int, items: np.ndarray) -> np.ndarray:
-        return counts[items]
-
-    return _evaluate_with(scorer, dataset, split, k, n_negatives, seed)
+    _check_eval_settings(split, k, n_negatives, seed)
+    trained = np.fromiter(chain.from_iterable(dataset.train.values()), dtype=np.int64)
+    counts = np.bincount(trained, minlength=dataset.num_items + 1).astype(np.float64)
+    return _evaluate_with(lambda chunk, rows, items: counts[items], dataset, split, k,
+                          n_negatives, seed, _EVAL_BATCH)
 
 
-def _check_eval_settings(k: int, n_negatives: int, seed: int, batch_size: int = 1) -> None:
-    """Reject settings that would otherwise skip every user or score nothing:
-    with them checked, only a user with too few candidate items is skipped."""
+def _check_eval_settings(split: str, k: int, n_negatives: int, seed: int,
+                         batch_size: int = 1) -> None:
+    """Reject settings that would otherwise skip every user, score nothing
+    or score another split: with them checked, only a user with too few
+    candidate items is skipped."""
+    if split not in ("valid", "test"):
+        raise ConfigError(f"split must be 'valid' or 'test', got {split!r}")
     for name, value in (("k", k), ("n_negatives", n_negatives), ("batch_size", batch_size)):
         if value < 1:
             raise ConfigError(f"{name} must be at least 1, got {value}")
@@ -330,43 +341,34 @@ def _check_eval_settings(k: int, n_negatives: int, seed: int, batch_size: int = 
         raise ConfigError(f"seed must be non-negative, got {seed}")
 
 
-class _ModelScorer:
-    """Batches forward passes, then scores candidate items per user."""
-
-    def __init__(self, model: Model, dataset: SplitDataset, split: str, batch_size: int):
-        self.model = model
-        self.hidden: dict[int, np.ndarray] = {}
-        users = dataset.users
-        for lo in range(0, len(users), batch_size):
-            chunk = users[lo: lo + batch_size]
-            contexts = [dataset.context(u, split) for u in chunk]
-            batch = SeqBatch.from_sequences(contexts, model.max_len)
-            h = self.model.last_hidden(batch)
-            for row, u in enumerate(chunk):
-                self.hidden[u] = h[row]
-
-    def __call__(self, user: int, items: np.ndarray) -> np.ndarray:
-        vectors = self.model.table.weights.data[items]
-        return vectors @ self.hidden[user]
-
-
-def _evaluate_with(scorer, dataset: SplitDataset, split: str, k: int,
-                   n_negatives: int, seed: int) -> EvalResult:
-    per_user = []
+def _evaluate_with(score, dataset: SplitDataset, split: str, k: int, n_negatives: int,
+                   seed: int, batch_size: int) -> EvalResult:
+    """Rank each user's ``split`` target against ``n_negatives`` items
+    drawn from those the user never interacted with, ``batch_size`` users
+    at a time. ``score(chunk, rows, items)`` returns the scores (R, n+1)
+    of items (R, n+1), the target first, for the users ``chunk[rows]``.
+    A user with fewer candidates than ``n_negatives`` is skipped."""
+    per_batch = []
     skipped = 0
-    for user in dataset.users:
-        target = dataset.target(user, split)
-        history = dataset.history(user)
-        try:
-            negatives = sample_negatives(history, dataset.num_items, target,
-                                         n_negatives, seed, user)
-        except ValueError:
-            skipped += 1
-            continue
-        items = np.concatenate([[target], negatives]).astype(np.int64)
-        scores = scorer(user, items)
-        per_user.append(rank_metrics(float(scores[0]), scores[1:], k))
-    return aggregate(per_user, k, n_negatives, skipped)
+    for lo in range(0, len(dataset.users), batch_size):
+        chunk = dataset.users[lo: lo + batch_size]
+        # each user's history: the train prefix and both held-out targets
+        lengths = np.fromiter((len(dataset.train[u]) + 2 for u in chunk), dtype=np.int64,
+                              count=len(chunk))
+        history = np.fromiter(
+            chain.from_iterable(chain(dataset.train[u], (dataset.valid_target[u],
+                                                         dataset.test_target[u]))
+                                for u in chunk),
+            dtype=np.int64, count=int(lengths.sum()))
+        candidates, negatives = draw_negatives(history, lengths, dataset.num_items,
+                                               n_negatives, seed, chunk)
+        rows = np.flatnonzero(candidates >= n_negatives)
+        targets = np.fromiter((dataset.target(chunk[r], split) for r in rows.tolist()),
+                              dtype=np.int64, count=len(rows))
+        scores = score(chunk, rows, np.concatenate([targets[:, None], negatives], axis=1))
+        per_batch.append(rank_batch(scores[:, 0], scores[:, 1:], k))
+        skipped += len(chunk) - len(rows)
+    return aggregate(np.concatenate(per_batch) if per_batch else [], k, n_negatives, skipped)
 
 
 def save_checkpoint(model: Model, path: str | Path) -> None:

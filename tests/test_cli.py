@@ -75,6 +75,21 @@ class TestTrainCommand:
         assert not (out_dir / "checkpoint.npz").exists()
 
 
+    def test_log_not_utf8_is_a_data_error(self, tmp_path, capsys):
+        """A 0xff byte used to end train and eval with a UnicodeDecodeError
+        traceback (exit 1)."""
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(b"u1\ti1\t1\nu1\t\xffi2\t2\nu1\ti3\t3\n")
+        checkpoint = tmp_path / "model.npz"
+        save_checkpoint(Model(3, TINY_ATTENTION, 1, seed=0, max_len=16), checkpoint)
+        capsys.readouterr()
+        for argv in (["train", "--dataset", str(bad), "--out-dir", str(tmp_path / "x"), *TINY],
+                     ["eval", "--checkpoint", str(checkpoint), "--dataset", str(bad)]):
+            assert main(argv) == 3, argv[0]
+            err = capsys.readouterr().err
+            assert err.startswith("data error: ") and str(bad) in err, argv[0]
+
+
 class TestEvalCommand:
     def test_eval_trained_checkpoint(self, synth_path, tmp_path, capsys):
         run_train(synth_path, tmp_path / "run")

@@ -354,6 +354,16 @@ class TestLeaveOneOut:
         assert ds.test_target[1] == d
         assert ds.context(1, "valid") == [a, b]
         assert ds.context(1, "test") == [a, b, c]
+        assert (ds.target(1, "valid"), ds.target(1, "test")) == (c, d)
+
+    @pytest.mark.parametrize("split", ["Valid", "train", ""])
+    def test_unknown_split_rejected(self, tmp_path, split):
+        """``target`` used to return the test target for any split but 'valid'."""
+        log = self.make_log(tmp_path, [("u", "a", 1), ("u", "b", 2), ("u", "c", 3)])
+        ds = leave_one_out_split(log)
+        for lookup in (ds.context, ds.target):
+            with pytest.raises(ValueError, match="split must be 'valid' or 'test'"):
+                lookup(1, split)
 
     def test_short_users_dropped(self, tmp_path):
         log = self.make_log(tmp_path, [("u1", "a", 1), ("u1", "b", 2),

@@ -1,16 +1,20 @@
 """Scoring, loss, training loop, checkpointing, evaluation."""
 
+import dataclasses
 import json
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from blossomrec.config import AttentionConfig, RunConfig
-from blossomrec.data import SeqBatch, leave_one_out_split, make_synthetic
+from blossomrec.data import SeqBatch, SplitDataset, leave_one_out_split, make_synthetic
 from blossomrec.embedding import EmbeddingTable
 from blossomrec.errors import CheckpointError, ConfigError, DataError
 from blossomrec.gradcheck import grad_check
+from blossomrec.metrics import EvalResult
 from blossomrec.model import (
     Adam,
     Model,
@@ -374,11 +378,13 @@ class TestEvaluate:
         assert res.num_users == len(dataset.users)
 
     @pytest.mark.parametrize("setting, value", [
-        ("k", 0), ("n_negatives", 0), ("n_negatives", -1), ("batch_size", 0), ("seed", -1)])
+        ("k", 0), ("n_negatives", 0), ("n_negatives", -1), ("batch_size", 0), ("seed", -1),
+        ("split", "Valid"), ("split", "train")])
     def test_bad_setting_raises_before_any_forward(self, eval_setup, monkeypatch,
                                                    setting, value):
-        """Such settings used to skip every user, score zeros or fail
-        inside the batching loop instead of naming the setting."""
+        """Such settings used to skip every user, score zeros, fail inside
+        the batching loop or, for a split other than 'valid' or 'test',
+        score the test split instead of naming the setting."""
         dataset, model = eval_setup
         monkeypatch.setattr(Model, "last_hidden", lambda *a: pytest.fail("forward pass ran"))
         with pytest.raises(ConfigError, match=f"{setting} must be"):
@@ -392,6 +398,199 @@ class TestEvaluate:
         res = evaluate(model, dataset, k=10, n_negatives=200, seed=1)
         assert res.num_skipped == len(dataset.users)
         assert res.num_users == 0
+
+
+def _reference_evaluate(scorer, dataset, split, k, n_negatives, seed):
+    """The per-user evaluation loop that batched evaluation replaced: a
+    (V+1) keep-mask and one draw, one score and one rank per user."""
+    per_user = []
+    skipped = 0
+    for user in dataset.users:
+        target = dataset.valid_target[user] if split == "valid" else dataset.test_target[user]
+        history = set(dataset.train[user]) | {dataset.valid_target[user],
+                                              dataset.test_target[user]}
+        excluded = np.fromiter([*history, target], dtype=np.int64)
+        keep = np.ones(dataset.num_items + 1, dtype=bool)
+        keep[0] = False
+        keep[excluded[(excluded >= 1) & (excluded <= dataset.num_items)]] = False
+        candidates = np.flatnonzero(keep)
+        if len(candidates) < n_negatives:
+            skipped += 1
+            continue
+        negatives = np.random.default_rng([seed, user]).choice(candidates, size=n_negatives,
+                                                               replace=False)
+        scores = scorer(user, np.concatenate([[target], negatives]).astype(np.int64))
+        rank = 1 + int((~(np.asarray(scores[1:], dtype=np.float64) < float(scores[0]))).sum())
+        per_user.append((0.0, 0.0, 0.0) if rank > k
+                        else (1.0, 1.0 / rank, 1.0 / np.log2(rank + 1.0)))
+    if not per_user:
+        return EvalResult(0.0, 0.0, 0.0, k, 0, n_negatives, skipped)
+    arr = np.asarray(per_user, dtype=np.float64)
+    return EvalResult(float(arr[:, 0].mean()), float(arr[:, 1].mean()),
+                      float(arr[:, 2].mean()), k, len(per_user), n_negatives, skipped)
+
+
+def _reference_model_scorer(model, dataset, split, batch_size):
+    """Hidden states from the same forward batches, then one matrix-vector
+    product per user."""
+    hidden = {}
+    for lo in range(0, len(dataset.users), batch_size):
+        chunk = dataset.users[lo: lo + batch_size]
+        batch = SeqBatch.from_sequences([dataset.context(u, split) for u in chunk],
+                                        model.max_len)
+        h = model.last_hidden(batch)
+        for row, u in enumerate(chunk):
+            hidden[u] = h[row]
+    return lambda user, items: model.table.weights.data[items] @ hidden[user]
+
+
+def _reference_popularity_scorer(dataset):
+    counts = np.zeros(dataset.num_items + 1)
+    for seq in dataset.train.values():
+        for item in seq:
+            counts[item] += 1
+    return lambda user, items: counts[items]
+
+
+def _popularity_with_batch(dataset, split, k, n_negatives, seed, batch_size):
+    """``evaluate_popularity`` at another batch size than its own."""
+    counts = _reference_popularity_scorer(dataset)(None, np.arange(dataset.num_items + 1))
+    return model_mod._evaluate_with(lambda chunk, rows, items: counts[items], dataset, split,
+                                    k, n_negatives, seed, batch_size)
+
+
+def _spread_model(num_items, seed):
+    """A tiny model with every weight moved off its initial value."""
+    model = Model(num_items, tiny_cfg(), 1, seed=seed, max_len=16)
+    rng = np.random.default_rng(seed)
+    for p in model.parameters().values():
+        p.data += rng.normal(0.0, 0.3, p.data.shape)
+    model.table.clamp_padding()
+    return model
+
+
+class TestEvaluateMatchesReference:
+    """Batched evaluation gives the per-user loop's ``EvalResult``
+    exactly: the same draws, scores, ranks and means."""
+
+    @pytest.fixture(scope="class")
+    def desk(self):
+        # the acceptance tests' desk data: at 150 negatives 3 users are skipped
+        ds = leave_one_out_split(make_synthetic(num_users=500, num_items=200, blocks_per_user=4,
+                                                block_len=25, noise_rate=0.1, seed=42))
+        return ds, _spread_model(ds.num_items, seed=8)
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 128])
+    @pytest.mark.parametrize("split", ["valid", "test"])
+    def test_desk_data(self, desk, split, batch_size):
+        ds, model = desk
+        model_ref = _reference_model_scorer(model, ds, split, batch_size)
+        pop_ref = _reference_popularity_scorer(ds)
+        skipped = []
+        for n in (50, 100, 150):
+            got = evaluate(model, ds, split=split, k=10, n_negatives=n, seed=3,
+                           batch_size=batch_size)
+            assert got == _reference_evaluate(model_ref, ds, split, 10, n, 3), n
+            want = _reference_evaluate(pop_ref, ds, split, 10, n, 3)
+            assert _popularity_with_batch(ds, split, 10, n, 3, batch_size) == want, n
+            if batch_size == 128:
+                assert evaluate_popularity(ds, split=split, k=10, n_negatives=n, seed=3) == want
+            skipped.append(got.num_skipped)
+        assert skipped == [0, 0, 3]
+
+    @pytest.fixture(scope="class")
+    def edge(self):
+        """Twelve users over 30 items. User 4 has seen 24 items, so at 10
+        negatives it is skipped mid-batch; user 2's train prefix holds id 0
+        and user 5's test target is id 33 (> V). Item 30 has a NaN embedding row and is user 7's valid
+        target; items 11-14 share item 3's row, so they tie with it."""
+        rng = np.random.default_rng(5)
+        users = list(range(1, 13))
+        train = {u: rng.integers(1, 30, size=int(rng.integers(3, 12))).tolist() for u in users}
+        train[4] = list(range(1, 25))
+        train[2] = [0, 5, 6, 0, 7]
+        valid = {u: int(rng.integers(1, 30)) for u in users}
+        test = {u: int(rng.integers(1, 30)) for u in users}
+        valid[7], test[5] = 30, 33
+        valid[9] = 3
+        ds = SplitDataset(users=users, train=train, valid_target=valid, test_target=test,
+                          num_items=30, dropped_users=0)
+        model = _spread_model(30, seed=4)
+        model.table.weights.data[30] = np.nan
+        model.table.weights.data[11:15] = model.table.weights.data[3]
+        return ds, model
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 50])
+    @pytest.mark.parametrize("k", [1, 10, 20])
+    def test_edge_cases(self, edge, batch_size, k):
+        """k = 20 exceeds n + 1 = 11. Only the valid split: user 5's test
+        target has no embedding row or count to score."""
+        ds, model = edge
+        want = _reference_evaluate(_reference_model_scorer(model, ds, "valid", batch_size),
+                                   ds, "valid", k, 10, 2)
+        got = evaluate(model, ds, split="valid", k=k, n_negatives=10, seed=2,
+                       batch_size=batch_size)
+        assert got == want
+        assert got.num_skipped == 1
+        want = _reference_evaluate(_reference_popularity_scorer(ds), ds, "valid", k, 10, 2)
+        assert _popularity_with_batch(ds, "valid", k, 10, 2, batch_size) == want
+        assert evaluate_popularity(ds, split="valid", k=k, n_negatives=10, seed=2) == want
+
+    def test_edge_cases_are_exercised(self, edge):
+        """The NaN row reaches a target and some negatives, and ties occur."""
+        ds, model = edge
+        score = _reference_model_scorer(model, ds, "valid", 7)
+        nan_targets = nan_negatives = ties = 0
+        for user in ds.users:
+            if user == 4:
+                continue
+            history = set(ds.train[user]) | {ds.valid_target[user], ds.test_target[user]}
+            candidates = np.array([i for i in range(1, 31) if i not in history])
+            negatives = np.random.default_rng([2, user]).choice(candidates, 10, replace=False)
+            scores = score(user, np.concatenate([[ds.valid_target[user]], negatives]))
+            nan_targets += bool(np.isnan(scores[0]))
+            nan_negatives += bool(np.isnan(scores[1:]).any() and not np.isnan(scores[0]))
+            ties += bool((scores[1:] == scores[0]).any())
+        assert nan_targets and nan_negatives and ties
+
+    def test_full_catalogue_oracle(self, edge):
+        """With n equal to a user's candidate count, every candidate is
+        drawn, so the sampled rank is the rank among every item the user
+        has not seen, counted by a plain loop over the catalogue."""
+        ds, _ = edge
+        model = _spread_model(ds.num_items, seed=4)
+        hidden = model.last_hidden(SeqBatch.from_sequences(
+            [ds.context(u, "valid") for u in ds.users], model.max_len))
+        for row, user in enumerate(ds.users):
+            target = ds.valid_target[user]
+            seen = set(ds.train[user]) | {ds.valid_target[user], ds.test_target[user]}
+            unseen = [i for i in range(1, ds.num_items + 1) if i not in seen]
+            h = hidden[row].tolist()
+            score = {i: sum(a * b for a, b in zip(model.table.weights.data[i].tolist(), h))
+                     for i in [target, *unseen]}
+            rank = 1 + sum(1 for i in unseen if not score[i] < score[target])
+            got = evaluate(model, dataclasses.replace(ds, users=[user]), split="valid",
+                           k=ds.num_items, n_negatives=len(unseen), seed=6)
+            assert (got.num_users, got.recall_at_k, got.mrr_at_k) == (1, 1.0, 1.0 / rank), user
+            assert got.ndcg_at_k == 1.0 / np.log2(rank + 1.0), user
+
+    def test_numpy_ma_not_imported(self):
+        """``np.unique`` imports numpy.ma on its first call (about 36 ms in
+        numpy 2.x), which evaluation must not pay."""
+        code = ("import sys\n"
+                "from blossomrec.data import leave_one_out_split, make_synthetic\n"
+                "from blossomrec.model import evaluate, evaluate_popularity\n"
+                "from blossomrec.config import AttentionConfig\n"
+                "from blossomrec.model import Model\n"
+                "ds = leave_one_out_split(make_synthetic(8, 40, 2, 6, 0.1, seed=1))\n"
+                "cfg = AttentionConfig(block_size=4, stride=2, sel_block_size=2, top_k=2, win=2,"
+                " blk=1, heads=2, kv_groups=1, d_model=8, d_head=4)\n"
+                "evaluate(Model(ds.num_items, cfg, 1, seed=0, max_len=16), ds, n_negatives=10)\n"
+                "evaluate_popularity(ds, n_negatives=10)\n"
+                "print('numpy.ma' in sys.modules)\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestLastHidden:
