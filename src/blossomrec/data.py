@@ -3,8 +3,12 @@ packed stream's geometry, and a synthetic block-interest generator.
 
 Input format: one interaction per line, ``user<TAB>item<TAB>timestamp``,
 with an optional header line starting with ``user``. Tokens are mapped to
-contiguous integer ids starting at 1 in first-seen order (0 is padding)
+contiguous integer ids starting at 1 in first-seen order (0 is no item)
 and the mapping is persisted next to the log.
+
+A batch (``SeqBatch``) is its rows: its sequences' item ids back to back,
+with no padding, plus their lengths, from which ``SeqContext`` works out
+the packed stream's geometry.
 
 Ingestion works on whole columns: the file is read into memory in one
 piece, split into lines, and each check, parse and token -> id mapping is
@@ -16,7 +20,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import compress, count, repeat
+from itertools import chain, compress, count, repeat
 from operator import truth
 from pathlib import Path
 
@@ -236,37 +240,31 @@ def leave_one_out_split(log: InteractionLog, min_len: int = 3) -> SplitDataset:
 
 @dataclass
 class SeqBatch:
-    """Left-padded id matrix with true lengths."""
+    """A batch as its rows: each sequence's item ids, oldest first, back
+    to back in one array (the packed stream's order), plus the lengths."""
 
-    ids: np.ndarray       # (B, L) int64, 0-padded at the front
+    ids: np.ndarray       # (N,) int64, N = lengths.sum()
     lengths: np.ndarray   # (B,) int64
-
-    @property
-    def total_len(self) -> int:
-        return self.ids.shape[1]
 
     @classmethod
     def from_sequences(cls, seqs: list[list[int]], max_len: int) -> "SeqBatch":
-        """Pad/truncate sequences, keeping the most recent ``max_len`` items."""
+        """Keep the most recent ``max_len`` items of each sequence."""
+        if max_len < 1:
+            raise ConfigError(f"max_len must be at least 1, got {max_len}")
         trimmed = [s[-max_len:] for s in seqs]
-        width = max((len(s) for s in trimmed), default=1)
-        width = max(width, 1)
-        ids = np.zeros((len(trimmed), width), dtype=np.int64)
-        lengths = np.zeros(len(trimmed), dtype=np.int64)
-        for row, s in enumerate(trimmed):
-            if s:
-                ids[row, width - len(s):] = s
-            lengths[row] = len(s)
+        lengths = np.fromiter(map(len, trimmed), dtype=np.int64, count=len(trimmed))
+        ids = np.fromiter(chain.from_iterable(trimmed), dtype=np.int64, count=int(lengths.sum()))
         return cls(ids=ids, lengths=lengths)
 
 
 @dataclass
 class SeqContext:
     """Per-batch geometry of the packed stream, and the only code that
-    works it out. Segment b holds sequence b's real rows, oldest first;
-    reading the left-padded (B, L) frame's real slots row by row gives the
-    stream's order (the varlen ``cu_seqlens`` layout). ``pack`` and
-    ``frame_mask`` move arrays between the frame and the stream."""
+    works it out. Segment b holds sequence b's real rows, oldest first
+    (the varlen ``cu_seqlens`` layout). The model reads only the stream.
+    ``newest``, ``pack`` and ``frame_mask`` serve the dense references:
+    they move arrays between the stream and a left-padded (B, L) frame,
+    whose real slots read row by row give the stream's order."""
 
     lengths: np.ndarray       # (B,) segment lengths
     starts: np.ndarray        # (B,) stream row of each segment's oldest item
@@ -274,10 +272,14 @@ class SeqContext:
     total_len: int            # width L of the left-padded frame
 
     @classmethod
-    def from_lengths(cls, lengths: np.ndarray, total_len: int) -> "SeqContext":
+    def from_lengths(cls, lengths: np.ndarray, total_len: int | None = None) -> "SeqContext":
+        """The geometry of segments of ``lengths``; the frame is
+        ``total_len`` wide, by default as wide as the longest segment."""
         lengths = np.asarray(lengths, dtype=np.int64)
         starts = np.cumsum(lengths) - lengths
         positions = np.arange(int(lengths.sum())) - np.repeat(starts, lengths)
+        if total_len is None:
+            total_len = int(lengths.max(initial=0))
         return cls(lengths=lengths, starts=starts, positions=positions, total_len=total_len)
 
     def newest(self, rows: int | None) -> np.ndarray:

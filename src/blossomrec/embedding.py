@@ -1,7 +1,7 @@
 """Item-id embeddings and rotary position encoding.
 
-Id 0 is the padding token: its embedding row is pinned to zero and never
-receives gradient (the model packs batches and embeds only real ids).
+Id 0 names no item: its embedding row is pinned to zero and never
+receives gradient (batches hold no padding, and training rejects id 0).
 Positions are 0-indexed within each sequence, so they restart at every
 segment of a packed stream.
 """
@@ -17,7 +17,7 @@ __all__ = ["EmbeddingTable", "RoPECache", "embed", "apply_rope"]
 
 
 class EmbeddingTable:
-    """num_items + 1 rows of dimension d; row 0 is reserved for padding."""
+    """num_items + 1 rows of dimension d; row 0 is reserved for id 0."""
 
     def __init__(self, num_items: int, dim: int, rng: np.random.Generator):
         weights = rng.normal(0.0, 0.02, (num_items + 1, dim))
@@ -31,11 +31,11 @@ class EmbeddingTable:
         return self.num_items + 1
 
     def item_vectors(self) -> Tensor:
-        """Rows 1..num_items (padding excluded), used for scoring."""
+        """Rows 1..num_items (row 0 excluded), used for scoring."""
         return self.weights[1:]
 
     def clamp_padding(self) -> None:
-        """Re-pin the padding row: zero weights, zero pending gradient."""
+        """Re-pin row 0: zero weights, zero pending gradient."""
         self.weights.data[0] = 0.0
         if self.weights.grad is not None:
             self.weights.grad[0] = 0.0

@@ -6,11 +6,13 @@ over the same Q/K/V, fuses the two outputs through a learnable per-entry
 sigmoid gate, and finishes with the usual post-norm residual + feed-forward
 sandwich. A stack of layers ends with one affine output projection.
 
-The encoder runs on a packed stream, (1, N, d): a batch's real rows, one
+The encoder runs on a packed stream, (1, N, d): a batch's rows, one
 sequence's segment after another, with N the sum of the lengths, as in
-the ``cu_seqlens`` layout of varlen attention kernels. ``data.SeqContext``
-holds each segment's start and length and each row's position within its
-segment. No padding slot is embedded, projected, attended or normalized.
+the ``cu_seqlens`` layout of varlen attention kernels. ``data.SeqBatch``
+builds batches in that layout, so there is no padding to skip.
+``data.SeqContext`` holds each segment's start and length and each row's
+position within its segment. Dropout draws its keep-mask over the
+stream's rows.
 
 Each pathway reduces to an attention index over stream rows: K key rows
 per query (``ltis.ltis_index``, ``stis.stis_index``), built once per
@@ -174,19 +176,15 @@ class BlossomLayerParams:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "cmp_key"}
 
 
-def _dropout(x: Tensor, ctx: SeqContext, rows: int | None, rate: float,
-             rng: np.random.Generator | None, training: bool) -> Tensor:
+def _dropout(x: Tensor, rate: float, rng: np.random.Generator | None,
+             training: bool) -> Tensor:
     """Inverted dropout of stream rows; identity unless training with a
-    positive rate. The keep-mask is drawn over the left-padded frame and
-    then cut to its real slots, so a batch draws the same random numbers
-    whatever the layout."""
+    positive rate."""
     if not training or rate <= 0.0:
         return x
     if rng is None:
         raise ValueError("training-mode dropout needs an RNG")
-    slots = ctx.newest(rows)
-    keep = (rng.random(slots.shape + x.shape[-1:]) >= rate)[slots]
-    return x * Tensor(keep[None] / (1.0 - rate))
+    return x * Tensor((rng.random(x.shape) >= rate) / (1.0 - rate))
 
 
 def encoder_layer(h_prev: Tensor, params: BlossomLayerParams, cfg: AttentionConfig,
@@ -225,10 +223,10 @@ def encoder_layer(h_prev: Tensor, params: BlossomLayerParams, cfg: AttentionConf
     else:
         fused = o_ltis if pathway == "ltis" else o_stis
 
-    mixed = layer_norm(h_q + _dropout(fused, ctx, rows, dropout_rate, rng, training),
+    mixed = layer_norm(h_q + _dropout(fused, dropout_rate, rng, training),
                        params.ln1_gamma, params.ln1_beta)
     ff = affine(tanh(affine(mixed, params.ffn_w1, params.ffn_b1)), params.ffn_w2, params.ffn_b2)
-    return layer_norm(mixed + _dropout(ff, ctx, rows, dropout_rate, rng, training),
+    return layer_norm(mixed + _dropout(ff, dropout_rate, rng, training),
                       params.ln2_gamma, params.ln2_beta)
 
 

@@ -1,9 +1,10 @@
 """The full sequential recommender: embedding -> encoder stack -> scoring
 over the item vocabulary, with next-item cross-entropy training.
 
-Each batch runs packed: its sequences' real rows, back to back in one
-stream (``data.SeqContext``), so padding is never computed; ``forward``
-returns the left-padded frame with zeros in the padding slots.
+A batch is its rows (``data.SeqBatch``): its sequences' item ids back
+to back in one stream, whose geometry ``data.SeqContext`` works out.
+``forward``, the encoder's one entry point, returns the stream's hidden
+rows, so no padding is built or computed.
 
 Scoring ties the output weights to the input embedding table: the score of
 item v at step t is the dot product of the step-t hidden state with v's
@@ -28,8 +29,7 @@ from .embedding import EmbeddingTable, RoPECache, embed
 from .errors import CheckpointError, ConfigError, DataError
 from .fusion import BlossomLayerParams, encode
 from .metrics import EvalResult, aggregate, draw_negatives, rank_batch
-from .tensor import (Tensor, linear_cross_entropy, matmul, no_grad, scatter_rows, take_rows,
-                     zero_grads)
+from .tensor import Tensor, linear_cross_entropy, matmul, no_grad, take_rows, zero_grads
 
 __all__ = ["Model", "TrainState", "Adam", "item_scores", "sequence_loss", "train",
            "evaluate", "evaluate_popularity", "save_checkpoint", "load_checkpoint"]
@@ -76,39 +76,29 @@ class Model:
                 named[f"layer{i}.{name}"] = p
         return named
 
-    def _stream(self, batch: SeqBatch, training: bool = False,
-                rng: np.random.Generator | None = None,
-                rows: int | None = None) -> tuple[Tensor, SeqContext]:
-        """The encoder's output on the batch packed into one stream of real
-        rows, (1, N, d_model) (or each segment's newest ``rows`` rows,
-        (1, Nq, d_model)), and the stream's geometry."""
-        ctx = SeqContext.from_lengths(batch.lengths, batch.total_len)
-        embedded = embed(batch.ids[ctx.newest(None)][None], self.table)
-        hidden = encode(embedded, self.layers, self.w_n, self.b_n, self.cfg, ctx,
-                        self.rope, dropout_rate=self.dropout,
-                        training=training, rng=rng, pathway=self.pathway, rows=rows)
-        return hidden, ctx
-
     def forward(self, batch: SeqBatch, training: bool = False,
                 rng: np.random.Generator | None = None, rows: int | None = None) -> Tensor:
-        """Hidden states in the left-padded frame, (B, L, d_model), or with
-        ``rows`` set for the newest ``rows`` frame slots only,
-        (B, rows, d_model). The encoder runs on the packed stream of real
-        rows; padding slots are zeros."""
-        hidden, ctx = self._stream(batch, training=training, rng=rng, rows=rows)
-        return scatter_rows(hidden, ctx.newest(rows))
+        """The encoder's output on the batch's stream of rows,
+        (1, N, d_model), or with ``rows`` set on each segment's newest
+        ``rows`` rows only, (1, Nq, d_model), in stream order."""
+        return encode(embed(batch.ids[None], self.table), self.layers, self.w_n, self.b_n,
+                      self.cfg, SeqContext.from_lengths(batch.lengths), self.rope,
+                      dropout_rate=self.dropout, training=training, rng=rng,
+                      pathway=self.pathway, rows=rows)
 
     def last_hidden(self, batch: SeqBatch) -> np.ndarray:
-        """Evaluation-mode hidden state of each sequence's newest position, (B, d_model).
+        """Evaluation-mode hidden state of each sequence's newest row,
+        (B, d_model); zeros for an empty sequence.
 
-        Equal to ``forward(batch).data[:, -1]`` (left padding puts every
-        newest position in the frame's last slot; an empty sequence gets
-        zeros), but the last layer computes only each segment's newest
-        row: its keys and values span the stream, and everything else runs
-        on one row per sequence.
+        Equal to the last row of each segment of ``forward(batch)``, but
+        the last layer computes only each segment's newest row: its keys
+        and values span the stream, and everything else runs on one row
+        per sequence.
         """
+        out = np.zeros((len(batch.lengths), self.cfg.d_model))
         with no_grad():
-            return self.forward(batch, rows=1).data[:, -1, :]
+            out[batch.lengths > 0] = self.forward(batch, rows=1).data[0]
+        return out
 
     def config_dict(self) -> dict:
         return {
@@ -150,8 +140,8 @@ class Model:
 def item_scores(hidden: Tensor | np.ndarray, table: EmbeddingTable) -> Tensor:
     """Dot-product scores of one hidden vector against every real item.
 
-    Returns shape (num_items,); entry i scores item id i + 1 (the padding
-    row never participates in ranking).
+    Returns shape (num_items,); entry i scores item id i + 1 (row 0, which
+    names no item, never participates in ranking).
     """
     h = hidden if isinstance(hidden, Tensor) else Tensor(hidden)
     col = h.reshape((h.shape[-1], 1))
@@ -170,15 +160,20 @@ def sequence_loss(model: Model, batch: SeqBatch, training: bool = False,
     time, once per step: when the loss will be differentiated it forms the
     hidden-state and item-table gradients in that same pass, so the graph
     holds no (T, V) logit matrix and backward forms none again.
+
+    Item id 0 names no item, so a batch holding it is a ``DataError``:
+    training it would move the embedding table's reserved zero row.
     """
-    hidden, ctx = model._stream(batch, training=training, rng=rng)
-    ids = batch.ids[ctx.newest(None)]
+    if not batch.ids.all():
+        raise DataError("batch holds item id 0, which names no item")
+    ctx = SeqContext.from_lengths(batch.lengths)
     rows = np.flatnonzero(ctx.positions[1:] > 0)   # row r + 1 is not a segment's first
     if not rows.size:
         raise DataError("batch contains no next-item transitions")
+    hidden = model.forward(batch, training=training, rng=rng)
     d = hidden.shape[-1]
     picked = take_rows(hidden.reshape((-1, d)), rows)   # (T, d)
-    return linear_cross_entropy(picked, model.table.item_vectors(), ids[rows + 1] - 1)
+    return linear_cross_entropy(picked, model.table.item_vectors(), batch.ids[rows + 1] - 1)
 
 
 class Adam:
@@ -267,9 +262,7 @@ def train(model: Model, dataset: SplitDataset, run: RunConfig,
             if not np.isfinite(loss.data):
                 raise DataError(f"non-finite training loss at epoch {epoch}")
             loss.backward()
-            model.table.clamp_padding()
             opt.step()
-            model.table.clamp_padding()
             losses.append(float(loss.data))
         result = evaluate(model, dataset, split="valid", k=run.eval_k,
                           n_negatives=run.negatives, seed=run.seed)

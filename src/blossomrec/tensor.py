@@ -57,7 +57,6 @@ __all__ = [
     "tanh",
     "power",
     "take_rows",
-    "scatter_rows",
     "zero_grads",
 ]
 
@@ -420,21 +419,6 @@ def take_rows(table, ids: Array) -> Tensor:
         _accumulate(table, buf)
 
     return _make(table.data[ids], (table,), backward)
-
-
-def scatter_rows(x, slots: Array) -> Tensor:
-    """Write the rows of ``x`` (..., d), in order, into the set cells of the
-    boolean ``slots``: shape slots.shape + (d,), zeros elsewhere. The
-    inverse of ``y[slots]``; backward gathers those cells back."""
-    x = _as_tensor(x)
-    d = x.shape[-1]
-    out = np.zeros(slots.shape + (d,))
-    out[slots] = x.data.reshape(-1, d)
-
-    def backward(g: Array) -> None:
-        _accumulate(x, g[slots].reshape(x.shape))
-
-    return _make(out, (x,), backward)
 
 
 # ---------------------------------------------------------------------------

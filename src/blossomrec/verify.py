@@ -223,9 +223,9 @@ def gathered_equivalence_error(seeds: range, lengths: tuple[int, ...]) -> float:
 
 
 # Batches for the last-row and packing checks at ``SPARSE_CFG``, one tuple
-# of lengths each: every batch holds a length-1 sequence and one as long
-# as its frame, and the sequences longer than top_k * sel_block_size = 8
-# are scored over several selection blocks.
+# of lengths each: every batch holds a length-1 sequence, and the
+# sequences longer than top_k * sel_block_size = 8 are scored over
+# several selection blocks.
 LAST_ROW_BATCHES = ((1, 9, 20), (1, 13, 27, 40))
 
 
@@ -240,11 +240,12 @@ def _perturbed_model(rng: np.random.Generator, layers: int, seed: int) -> Model:
 
 
 def last_row_error(seeds: range, batches: tuple[tuple[int, ...], ...]) -> float:
-    """``Model.last_hidden`` vs the last row of the full forward pass.
+    """``Model.last_hidden`` vs each segment's last row of the full
+    forward pass.
 
     For each seed, perturbed models of 1 and 2 layers run each batch of
-    random item ids (one tuple of lengths per batch) both ways. Returns
-    the max abs difference; a NaN comes back as NaN.
+    random item ids (one tuple of lengths, each at least 1, per batch)
+    both ways. Returns the max abs difference; a NaN comes back as NaN.
     """
     errors = [0.0]
     for seed in seeds:
@@ -255,8 +256,9 @@ def last_row_error(seeds: range, batches: tuple[tuple[int, ...], ...]) -> float:
                 batch = SeqBatch.from_sequences([rng.integers(1, 31, n).tolist() for n in lengths],
                                                 model.max_len)
                 with no_grad():
-                    full = model.forward(batch).data[:, -1]
-                errors.append(np.abs(model.last_hidden(batch) - full).max())
+                    full = model.forward(batch).data[0]
+                last = np.cumsum(batch.lengths) - 1
+                errors.append(np.abs(model.last_hidden(batch) - full[last]).max())
     return float(np.max(errors))
 
 
@@ -265,12 +267,11 @@ def packed_batch_error(seeds: range, batches: tuple[tuple[int, ...], ...]) -> fl
 
     For each seed, perturbed models of 1 and 2 layers run each batch of
     random item ids (one tuple of lengths per batch) as one batch and
-    each sequence as a batch of one, comparing ``forward``'s real rows,
-    ``last_hidden`` and every parameter gradient of ``sequence_loss``.
-    The batch loss is the mean over all transitions, so its gradient is
-    the transition-weighted mean of the sequences' own. The frame's
-    padding rows must be zeros. Returns the max abs difference; a NaN
-    comes back as NaN.
+    each sequence as a batch of one, comparing each segment of
+    ``forward``'s stream, ``last_hidden`` and every parameter gradient of
+    ``sequence_loss``. The batch loss is the mean over all transitions, so
+    its gradient is the transition-weighted mean of the sequences' own.
+    Returns the max abs difference; a NaN comes back as NaN.
     """
     errors = [0.0]
     for seed in seeds:
@@ -288,18 +289,16 @@ def packed_batch_error(seeds: range, batches: tuple[tuple[int, ...], ...]) -> fl
                 seqs = [rng.integers(1, 31, n).tolist() for n in lengths]
                 batch = SeqBatch.from_sequences(seqs, model.max_len)
                 with no_grad():
-                    frame = model.forward(batch).data
+                    stream = model.forward(batch).data[0]
                 hidden = model.last_hidden(batch)
                 got = loss_grads(batch)
                 want = dict.fromkeys(params, 0.0)
                 transitions = sum(n - 1 for n in lengths)
-                for b, seq in enumerate(seqs):
+                for b, (seq, start) in enumerate(zip(seqs, np.cumsum(lengths) - lengths)):
                     alone = SeqBatch.from_sequences([seq], model.max_len)
                     with no_grad():
                         rows = model.forward(alone).data[0]
-                    pad = frame.shape[1] - len(seq)
-                    errors += [np.abs(frame[b, pad:] - rows).max(),
-                               np.abs(frame[b, :pad]).max(initial=0.0),
+                    errors += [np.abs(stream[start:start + len(seq)] - rows).max(initial=0.0),
                                np.abs(hidden[b] - model.last_hidden(alone)[0]).max()]
                     if len(seq) > 1:
                         for k, g in loss_grads(alone).items():
@@ -368,7 +367,7 @@ def run_verification(quick: bool = False) -> bool:
                    err < 1e-8, f"max abs err {err:.3e}"))
 
     err = last_row_error(range(2) if quick else range(10), LAST_ROW_BATCHES)
-    checks.append(("last-row inference == full forward's last row (1 and 2 layers, padded batch)",
+    checks.append(("last-row inference == full forward's last row (1 and 2 layers, ragged batch)",
                    err < 1e-10, f"max abs err {err:.3e}"))
 
     err = packed_batch_error(range(2) if quick else range(10), LAST_ROW_BATCHES)

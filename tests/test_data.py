@@ -404,14 +404,23 @@ class TestLeaveOneOut:
 
 
 class TestSeqBatch:
-    def test_left_padding(self):
-        batch = SeqBatch.from_sequences([[1, 2, 3], [7]], max_len=5)
-        assert batch.ids.tolist() == [[1, 2, 3], [0, 0, 7]]
-        assert batch.lengths.tolist() == [3, 1]
+    def test_rows_back_to_back(self):
+        batch = SeqBatch.from_sequences([[1, 2, 3], [], [7]], max_len=5)
+        assert batch.ids.tolist() == [1, 2, 3, 7]
+        assert batch.lengths.tolist() == [3, 0, 1]
+        assert batch.ids.dtype == batch.lengths.dtype == np.int64
 
     def test_truncation_keeps_most_recent(self):
-        batch = SeqBatch.from_sequences([[1, 2, 3, 4, 5, 6]], max_len=4)
-        assert batch.ids.tolist() == [[3, 4, 5, 6]]
+        batch = SeqBatch.from_sequences([[1, 2, 3, 4, 5, 6], [8, 9]], max_len=4)
+        assert batch.ids.tolist() == [3, 4, 5, 6, 8, 9]
+        assert batch.lengths.tolist() == [4, 2]
+
+    @pytest.mark.parametrize("max_len", [0, -1])
+    def test_nonpositive_max_len_rejected(self, max_len):
+        """``s[-0:]`` keeps every item and ``s[1:]`` drops the oldest, so
+        neither would be a cut to the newest ``max_len``."""
+        with pytest.raises(ConfigError, match="max_len must be at least 1"):
+            SeqBatch.from_sequences([[1, 2, 3]], max_len)
 
 
 class TestSeqContext:

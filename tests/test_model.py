@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from blossomrec.config import AttentionConfig, RunConfig
-from blossomrec.data import SeqBatch, SplitDataset, leave_one_out_split, make_synthetic
+from blossomrec.data import (SeqBatch, SeqContext, SplitDataset, leave_one_out_split,
+                             make_synthetic)
 from blossomrec.embedding import EmbeddingTable
 from blossomrec.errors import CheckpointError, ConfigError, DataError
 from blossomrec.gradcheck import grad_check
@@ -130,6 +131,15 @@ class TestSequenceLoss:
         with pytest.raises(DataError, match="transition"):
             sequence_loss(model, SeqBatch.from_sequences([[5]], max_len=4))
 
+    @pytest.mark.parametrize("seq", [[0, 3, 5], [3, 0, 5], [3, 5, 0]])
+    def test_item_id_zero_rejected(self, seq):
+        """Id 0 names no item: as a history item it would train the table's
+        reserved zero row, and as a target it has no item to score."""
+        model = tiny_model()
+        batch = SeqBatch.from_sequences([[4, 2, 7], seq], max_len=8)
+        with pytest.raises(DataError, match="item id 0"):
+            sequence_loss(model, batch, training=True, rng=np.random.default_rng(0))
+
     def test_two_layer_stack_gradient(self):
         model = Model(7, tiny_cfg(d_model=6, heads=2, kv_groups=1, d_head=4),
                       num_layers=2, seed=8, max_len=10)
@@ -160,10 +170,12 @@ class TestSequenceLoss:
         fused = {k: p.grad.copy() for k, p in params.items()}
 
         zero_grads(params)
-        hidden, ids = model.forward(batch), batch.ids
-        terms = [cross_entropy(item_scores(hidden[b, p], model.table), int(ids[b, p + 1]))
-                 for b in range(ids.shape[0]) for p in range(ids.shape[1] - 1)
-                 if ids[b, p] > 0 and ids[b, p + 1] > 0]
+        hidden = model.forward(batch)
+        terms, start = [], 0
+        for seq in seqs:
+            terms += [cross_entropy(item_scores(hidden[0, start + p], model.table), seq[p + 1])
+                      for p in range(len(seq) - 1)]
+            start += len(seq)
         assert len(terms) == sum(len(s) - 1 for s in seqs)
         naive = sum(terms) * (1.0 / len(terms))
         naive.backward()
@@ -252,32 +264,51 @@ class TestPacking:
         assert seen["rows"] == [r for r in range(25) if r not in (11, 12, 19, 24)]
         assert seen["targets"] == [item for seq in self.SEQS for item in seq[1:]]
 
-    def test_dropout_mask_is_drawn_over_the_frame(self):
-        """Two layers draw four (B, L, d) masks, the padded frame's shape,
-        so the RNG ends where a padded run's would."""
+    def test_dropout_mask_is_drawn_over_stream_rows(self):
+        """Two layers draw four (1, N, d) masks over the N = 25 stream
+        rows, and nothing else."""
         model = tiny_model(num_items=14, layers=2, dropout=0.3)
         batch = SeqBatch.from_sequences(self.SEQS, max_len=16)
         rng, ref = np.random.default_rng(5), np.random.default_rng(5)
         sequence_loss(model, batch, training=True, rng=rng)
         for _ in range(4):
-            ref.random(batch.ids.shape + (model.cfg.d_model,))
+            ref.random((1, 25, model.cfg.d_model))
         assert rng.random() == ref.random()
 
-    def test_padding_slots_and_empty_sequences_are_zero(self):
+    def test_forward_returns_stream_rows_and_empty_sequences_get_zeros(self):
         """With every weight moved off its initial value (the norms'
-        shifts too), padding slots are still exact zeros."""
+        shifts too), ``forward`` returns one row per item, and
+        ``last_hidden`` gives an empty sequence exact zeros."""
         model = tiny_model(num_items=14, layers=2)
         rng = np.random.default_rng(6)
         for p in model.parameters().values():
             p.data += rng.normal(0.0, 0.3, p.data.shape)
         batch = SeqBatch.from_sequences(self.SEQS, max_len=16)
-        frame = model.forward(batch).data
-        for b, seq in enumerate(self.SEQS):
-            assert not frame[b, : frame.shape[1] - len(seq)].any()
-            assert frame[b, frame.shape[1] - len(seq):].all(axis=-1).all()
-        assert not model.last_hidden(batch)[3].any()
+        stream = model.forward(batch).data
+        assert stream.shape == (1, 25, model.cfg.d_model)
+        assert stream.all()
+        hidden = model.last_hidden(batch)
+        assert not hidden[3].any() and np.delete(hidden, 3, axis=0).all()
         empty = SeqBatch.from_sequences([[], []], max_len=16)
-        assert not model.last_hidden(empty).any() and not model.forward(empty).data.any()
+        assert not model.last_hidden(empty).any()
+        assert model.forward(empty).shape == (1, 0, model.cfg.d_model)
+
+    def test_model_path_never_touches_the_frame(self, monkeypatch, eval_setup):
+        """A dropout training step with its backward, ``last_hidden`` and
+        ``evaluate`` run without the left-padded frame, which only the
+        dense references read."""
+        def frame(*args, **kwargs):
+            raise AssertionError("the model path read the left-padded frame")
+
+        for name in ("newest", "pack", "frame_mask"):
+            monkeypatch.setattr(SeqContext, name, frame)
+        model = tiny_model(num_items=14, layers=2, dropout=0.3)
+        batch = SeqBatch.from_sequences(self.SEQS, max_len=16)
+        sequence_loss(model, batch, training=True, rng=np.random.default_rng(7)).backward()
+        assert model.w_n.grad.any()
+        assert model.last_hidden(batch).shape == (len(self.SEQS), model.cfg.d_model)
+        dataset, trained = eval_setup
+        assert evaluate(trained, dataset, k=10, n_negatives=10, seed=1).num_users
 
 
 class TestAdam:
@@ -597,7 +628,8 @@ class TestLastHidden:
     @pytest.mark.parametrize("layers", [1, 2])
     @pytest.mark.parametrize("pathway", ["both", "ltis", "stis"])
     def test_equals_last_row_of_full_forward(self, pathway, layers):
-        """On frames where both pathways attend densely (10) and gather
+        """Each segment's last row of the full forward pass, on batches
+        whose longest sequence both pathways see whole (10) and sample
         (40; LTIS from 16 slots, STIS from 28), with every weight moved
         off its initial value."""
         rng = np.random.default_rng(4)
@@ -609,10 +641,10 @@ class TestLastHidden:
             batch = SeqBatch.from_sequences([rng.integers(1, 21, n).tolist() for n in lengths],
                                             model.max_len)
             with no_grad():
-                full = model.forward(batch).data
+                full = model.forward(batch).data[0]
             hidden = model.last_hidden(batch)
             assert hidden.shape == (len(lengths), model.cfg.d_model)
-            assert np.abs(hidden - full[:, -1]).max() < 1e-10
+            assert np.abs(hidden - full[np.cumsum(lengths) - 1]).max() < 1e-10
 
 
 class TestCheckpoint:

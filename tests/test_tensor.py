@@ -23,7 +23,6 @@ from blossomrec.tensor import (
     no_grad,
     parameter,
     power,
-    scatter_rows,
     sigmoid,
     take_rows,
     tanh,
@@ -288,17 +287,6 @@ class TestPrimitiveGradients:
         # rows 2, 3, 5 never looked up -> zero gradient
         assert np.all(table.grad[[2, 3, 5]] == 0.0)
         assert np.any(table.grad[1] != 0.0)
-
-    def test_scatter_rows_grad_and_placement(self):
-        """Rows land in the set cells in row-major order, zeros elsewhere,
-        and ``y[slots]`` of the result gives the rows back."""
-        x = parameter(self.rng.normal(size=(1, 4, 3)))
-        slots = np.array([[False, True, True], [False, False, False], [True, False, True]])
-        out = scatter_rows(x, slots)
-        assert out.shape == (3, 3, 3)
-        assert np.array_equal(out.data[slots], x.data[0])
-        assert not out.data[~slots].any()
-        self.check(lambda: (scatter_rows(x, slots) ** 2.0).sum(), [x])
 
     def test_take_along_last_grad(self):
         """The picked-target term of the cross-entropy, through an
