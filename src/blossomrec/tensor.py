@@ -23,13 +23,19 @@ Design points:
   * ``mul`` and ``matmul`` form an operand's gradient product only when
     that operand requires a gradient, so constant tables and masks cost
     no backward work.
-  * the two large ops keep for backward only what is small next to what
-    they compute: ``gathered_attention`` keeps its softmax weights and
-    key-row index, not the (B, G, L, K, d) gathered K/V, which backward
-    gathers again one at a time; ``linear_cross_entropy`` keeps no (N, V)
-    logits at all. Its output is a scalar, so its gradients are fixed up
-    to the upstream seed: the forward forms them from each chunk of logits
-    while it has them, and the backward only scales them.
+  * the two large ops work through their rows in chunks of about
+    ``CHUNK_BYTES`` (2 MB) of the block they form per row, and keep for
+    backward only what is small next to what they compute.
+    ``gathered_attention`` forms the gathered K or V of a chunk of query
+    rows at a time and keeps its softmax weights and key-row index; its
+    backward gathers each chunk's V and then K again and scatters the K/V
+    gradients with one ``np.bincount`` per contiguous feature column.
+    ``linear_cross_entropy`` forms a chunk of logits at a time and keeps
+    none. Its output is a scalar, so its gradients are fixed up to the
+    upstream seed: the forward forms them from each chunk of logits while
+    it has them, and the backward only scales them.
+  * the one scatter-add, ``_scatter_add``, is a ``np.bincount`` per
+    feature column; it adds in index order, as ``np.add.at`` does.
 """
 
 from __future__ import annotations
@@ -62,15 +68,32 @@ __all__ = [
 
 _STATE = threading.local()
 
-# Logit bytes ``linear_cross_entropy`` forms at a time. With the gradients
-# formed in the forward (three matmuls per chunk), over 21 Adam steps per
-# size on the bench's workloads (one BLAS thread, sizes interleaved), the
-# median step took 110 / 82 / 85 ms at 512 KB / 2 MB / 8 MB on train-vocab
-# (about 5800 items), 63 / 55 / 57 ms on serve-eval and 88 / 91 / 90 ms on
-# train-long (640 items; level within noise). 8 MB chunks took about 1700
-# (train-vocab) and 900 (serve-eval) minor page faults per step, where 2 MB
-# took a median of 0 and a mean under 70.
-LOSS_CHUNK_BYTES = 2 << 20
+# Bytes of the block either chunked op forms per chunk of rows: the logits
+# of ``linear_cross_entropy`` and the gathered K or V of
+# ``gathered_attention``. One bound serves both.
+#
+# Loss head: with the gradients formed in the forward (three matmuls per
+# chunk), over 21 Adam steps per size on the bench's workloads (one BLAS
+# thread, sizes interleaved), the median step took 110 / 82 / 85 ms at
+# 512 KB / 2 MB / 8 MB on train-vocab (about 5800 items), 63 / 55 / 57 ms
+# on serve-eval and 88 / 91 / 90 ms on train-long (640 items; level within
+# noise). 8 MB chunks took about 1700 (train-vocab) and 900 (serve-eval)
+# minor page faults per step, where 2 MB took a median of 0 and a mean
+# under 70.
+#
+# Attention: one forward + backward call on the inputs a bench training
+# step gives it (median of 30, sizes interleaved, one BLAS thread) took
+# 23.9 / 23.8 / 25.4 / 30.7 / 33.0 ms at 512 KB / 1 MB / 2 MB / 4 MB /
+# 8 MB, and 39.4 ms in one chunk, on the train-long LTIS index (K=64,
+# 1326 rows); 12.0 / 11.8 / 12.8 / 13.9 / 14.3 and 14.2 ms on train-vocab's
+# (K=50, 752 rows). The STIS index (K=14) and serve-eval's LTIS index
+# (451 rows) sit at 7-10 ms for every size, level within noise. Below
+# 2 MB the attention gains at most 8%, while the loss head's step took 34%
+# longer at 512 KB.
+CHUNK_BYTES = 2 << 20
+
+
+_LOWEST = np.finfo(np.float64).min
 
 
 def _grad_enabled() -> bool:
@@ -406,6 +429,14 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _make(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
 
 
+def _scatter_add(acc: Array, rows: Array, cols: Array) -> None:
+    """``acc[:, rows[j]] += cols[:, j]`` for every j, in the order of j:
+    ``acc`` is (d, n) and ``cols`` (d, m), and each of the d
+    ``np.bincount`` calls reads one contiguous row of ``cols``."""
+    for c in range(acc.shape[0]):
+        acc[c] += np.bincount(rows, weights=cols[c], minlength=acc.shape[1])
+
+
 def take_rows(table, ids: Array) -> Tensor:
     """Gather rows of a 2-D table by integer id; scatter-add on backward."""
     table = _as_tensor(table)
@@ -414,9 +445,10 @@ def take_rows(table, ids: Array) -> Tensor:
     def backward(g: Array) -> None:
         if not table.requires_grad:
             return
-        buf = np.zeros_like(table.data)
-        np.add.at(buf, ids, g)
-        _accumulate(table, buf)
+        d = table.shape[1]
+        acc = np.zeros((d, table.shape[0]))
+        _scatter_add(acc, ids.reshape(-1), np.ascontiguousarray(g.reshape(-1, d).T))
+        _accumulate(table, np.ascontiguousarray(acc.T))
 
     return _make(table.data[ids], (table,), backward)
 
@@ -522,57 +554,90 @@ def gathered_attention(q, k, v, idx: Array, valid: Array) -> Tensor:
     the valid slots only, and a query with no valid slot comes back as
     exact zeros. Returns (B, heads, L, d), equal to scaled dot-product
     attention under ``index_mask(idx, valid, Lk)`` at O(L * K * d) cost.
+    An index outside [0, Lk), in a valid slot or not, and a head count
+    that is not a multiple of the group count are ValueErrors.
 
-    Only the softmax weights (B, G, L, heads per group, K) and the index
-    stay on the tape. Each gathered (B, G, L, K, d) copy lives inside one
-    step: the forward frees gathered K before it gathers V, and the
-    backward gathers V again for the weights' gradient, then K for the
-    query gradient. K/V gradients are scattered back onto their rows with
-    one ``np.bincount`` per feature column.
+    The query rows are worked through in chunks whose gathered
+    (B, G, rows, K, d) block is about ``CHUNK_BYTES`` (at least one row),
+    and one such block is alive at a time. The forward gathers a chunk's
+    K, fills its rows of the softmax weights, then gathers its V and
+    fills its rows of the output. Only the softmax weights
+    (B, G, L, heads per group, K) and the key-row index stay on the tape;
+    the backward, chunk by chunk, gathers V again for the weights'
+    gradient, then K for the query rows' gradient, and forms the chunk's
+    K/V gradient terms feature-major, (d, B, G, rows, K), so that each of
+    the d ``np.bincount`` calls that scatters them onto their key rows
+    reads one contiguous column.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     b, h, length, d = q.shape
     g, lk = k.shape[1], k.shape[2]
-    hpg = h // g
-    idx = np.broadcast_to(idx, (b, g, length, idx.shape[-1]))
-    mask = np.broadcast_to(valid, idx.shape)[:, :, :, None, :]   # (b, g, L, 1, K)
-    rows = idx + (np.arange(b * g) * lk).reshape(b, g, 1, 1)       # row of k.reshape(-1, d)
+    if h % g:
+        raise ValueError(f"{h} query heads do not split into {g} K/V groups")
+    idx = np.asarray(idx)
+    if idx.size and (idx.min() < 0 or idx.max() >= lk):
+        bad = idx[(idx < 0) | (idx >= lk)][0]
+        raise ValueError(f"key index {int(bad)} outside [0, {lk})")
+    hpg, slots = h // g, idx.shape[-1]
+    hidden = ~np.asarray(valid, dtype=bool)[:, :, :, None, :]   # (b, g or 1, L, 1, K)
+    rows = idx + (np.arange(b * g) * lk).reshape(b, g, 1, 1)   # (b, g, L, K)
+    step = _chunk_rows(b * g * slots * d)
+    # (lo, hi, the chunk's key rows of k.reshape(-1, d), flat in (B, G, rows, K) order)
+    chunks = [(lo, min(lo + step, length), rows[:, :, lo: lo + step].reshape(-1))
+              for lo in range(0, length, step)]
+    del rows   # with more than one chunk, they hold copies
 
-    def gather(x: Array) -> Array:
-        return np.take(x.reshape(b * g * lk, d), rows, axis=0)   # (b, g, L, K, d)
+    def gather(table: Array, r: Array, n: int) -> Array:
+        return np.take(table, r, axis=0).reshape(b, g, n, slots, d)
 
     def by_head(x: Array) -> Array:
         return x.reshape(b, g, hpg, length, d).transpose(0, 1, 3, 2, 4)   # (b, g, L, hpg, d)
 
-    def scatter(x: Array) -> Array:
-        flat, x = rows.reshape(-1), x.reshape(-1, d)
-        cols = [np.bincount(flat, weights=x[:, c], minlength=b * g * lk) for c in range(d)]
-        return np.stack(cols, axis=1).reshape(b, g, lk, d)
-
     scale = 1.0 / np.sqrt(d)
     qd, kd, vd = q.data, k.data, v.data   # the arrays backward gathers from again
-    p = by_head(qd) @ gather(kd).swapaxes(-1, -2)   # (b, g, L, hpg, K); gathered K dies here
-    p *= scale
-    np.copyto(p, -np.inf, where=~mask)
-    mx = p.max(axis=-1, keepdims=True, initial=-np.inf)   # K may be 0
-    p -= np.where(np.isfinite(mx), mx, 0.0)
-    np.exp(p, out=p)
-    s = p.sum(axis=-1, keepdims=True)
-    np.divide(p, s, out=p, where=s > 0)   # a row with nothing visible is already zeros
-    out = (p @ gather(vd)).transpose(0, 1, 3, 2, 4).reshape(b, h, length, d)
+    qh = by_head(qd)
+    p = np.empty((b, g, length, hpg, slots))
+    out = np.empty((b, g, hpg, length, d))
+    kf, vf = kd.reshape(-1, d), vd.reshape(-1, d)
+    for lo, hi, r in chunks:
+        pc = p[:, :, lo:hi]
+        np.matmul(qh[:, :, lo:hi], gather(kf, r, hi - lo).swapaxes(-1, -2), out=pc)
+        pc *= scale
+        np.copyto(pc, -np.inf, where=hidden[:, :, lo:hi])
+        # A finite floor: a row with nothing visible subtracts it from -inf
+        # and stays -inf; K may be 0.
+        pc -= pc.max(axis=-1, keepdims=True, initial=_LOWEST)
+        np.exp(pc, out=pc)
+        s = pc.sum(axis=-1, keepdims=True)
+        np.divide(pc, s, out=pc, where=s > 0)   # a row with nothing visible is already zeros
+        np.matmul(pc, gather(vf, r, hi - lo), out=out[:, :, :, lo:hi].transpose(0, 1, 3, 2, 4))
 
     def backward(grad: Array) -> None:
         go = by_head(grad)
-        dp = go @ gather(vd).swapaxes(-1, -2)
-        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * scale
-        if q.requires_grad:
-            _accumulate(q, (ds @ gather(kd)).transpose(0, 1, 3, 2, 4).reshape(b, h, length, d))
-        if k.requires_grad:
-            _accumulate(k, scatter(ds.swapaxes(-1, -2) @ by_head(qd)))
-        if v.requires_grad:
-            _accumulate(v, scatter(p.swapaxes(-1, -2) @ go))
+        kf, vf = kd.reshape(-1, d), vd.reshape(-1, d)
+        dq = np.empty((b, g, hpg, length, d)) if q.requires_grad else None
+        dk, dv = (np.zeros((d, b * g * lk)) if t.requires_grad else None for t in (k, v))
+        terms = np.empty(d * b * g * min(step, length) * slots)
+        for lo, hi, r in chunks:
+            pc, goc = p[:, :, lo:hi], go[:, :, lo:hi]
+            ds = goc @ gather(vf, r, hi - lo).swapaxes(-1, -2)
+            ds -= (ds * pc).sum(axis=-1, keepdims=True)
+            ds *= pc
+            ds *= scale
+            if dq is not None:
+                np.matmul(ds, gather(kf, r, hi - lo), out=dq[:, :, :, lo:hi].transpose(0, 1, 3, 2, 4))
+            cols = terms[: d * r.size].reshape(d, b, g, hi - lo, slots)
+            for acc, left, right in ((dv, goc, pc), (dk, qh[:, :, lo:hi], ds)):
+                if acc is not None:
+                    np.matmul(left.swapaxes(-1, -2), right, out=cols.transpose(1, 2, 3, 0, 4))
+                    _scatter_add(acc, r, cols.reshape(d, -1))
+        if dq is not None:
+            _accumulate(q, dq.reshape(b, h, length, d))
+        for t, acc in ((k, dk), (v, dv)):
+            if acc is not None:
+                _accumulate(t, np.ascontiguousarray(acc.T).reshape(b, g, lk, d))
 
-    return _make(out, (q, k, v), backward)
+    return _make(out.reshape(b, h, length, d), (q, k, v), backward)
 
 
 def index_mask(idx: Array, valid: Array, length: int) -> Array:
@@ -587,10 +652,11 @@ def index_mask(idx: Array, valid: Array, length: int) -> Array:
     return out[:, :, None]
 
 
-def _chunk_rows(vocab: int) -> int:
-    """Logit rows per chunk of ``linear_cross_entropy``: about
-    ``LOSS_CHUNK_BYTES`` of float64 logits, and at least one row."""
-    return max(1, LOSS_CHUNK_BYTES // (8 * vocab))
+def _chunk_rows(width: int) -> int:
+    """Rows per chunk when one row's block holds ``width`` float64 values:
+    about ``CHUNK_BYTES``, and at least one row (all of them when a row
+    holds none)."""
+    return max(1, CHUNK_BYTES // max(1, 8 * width))
 
 
 def linear_cross_entropy(h, w, targets: Array) -> Tensor:

@@ -148,9 +148,24 @@ def random_index(rng, batch, groups, pads, length, width):
     return idx, valid
 
 
+def one_row_per_chunk(monkeypatch, q, k, idx):
+    """Shrink ``CHUNK_BYTES`` to one query row's gathered block, so
+    ``gathered_attention`` runs a chunk per query row."""
+    b, _, _, d = q.shape
+    monkeypatch.setattr(tensor_mod, "CHUNK_BYTES", 8 * b * k.shape[1] * idx.shape[-1] * d)
+
+
+def attention_and_grads(q, k, v, idx, valid, w):
+    qt, kt, vt = parameter(q), parameter(k), parameter(v)
+    out = gathered_attention(qt, kt, vt, idx, valid)
+    out.backward(w)
+    return out.data, qt.grad, kt.grad, vt.grad
+
+
 class TestGatheredAttention:
     @pytest.mark.parametrize("groups", [1, 2])  # one index for all groups (STIS), or one each (LTIS)
-    def test_gradient(self, groups):
+    def test_gradient(self, groups, monkeypatch):
+        """Central differences agree in one chunk and in a chunk per query row."""
         rng = np.random.default_rng(40)
         q = parameter(rng.normal(size=(2, 4, 6, 2)))
         k = parameter(rng.normal(size=(2, 2, 6, 2)))
@@ -161,6 +176,8 @@ class TestGatheredAttention:
         def f():
             return (gathered_attention(q, k, v, idx, valid) * Tensor(w)).sum()
 
+        assert grad_check(f, {"q": q, "k": k, "v": v}) < 1e-6
+        one_row_per_chunk(monkeypatch, q, k, idx)
         assert grad_check(f, {"q": q, "k": k, "v": v}) < 1e-6
 
     def test_matches_dense_masked_softmax(self):
@@ -187,6 +204,94 @@ class TestGatheredAttention:
         assert empty[0, :3].all() and empty[1, 0]
         assert np.all(out.data.transpose(0, 2, 1, 3)[empty] == 0.0)
         assert np.all(q.grad.transpose(0, 2, 1, 3)[empty] == 0.0)
+
+    def test_chunks_match_one_chunk(self, monkeypatch):
+        """Five chunks of 5, 5, 5, 5 and 3 query rows give the one-chunk
+        output and query gradient bit for bit, and K/V gradients that
+        differ only by the order of the chunks' sums; row 7, which sees
+        nothing, sits inside the second chunk and stays exact zeros."""
+        rng = np.random.default_rng(43)
+        b, h, g, length, width, d = 2, 4, 2, 23, 5, 3
+        q = rng.normal(size=(b, h, length, d))
+        k, v = rng.normal(size=(2, b, g, length, d))
+        idx, valid = random_index(rng, b, g, (4, 0), length, width)
+        valid[:, :, 7] = False
+        w = rng.normal(size=q.shape)
+        whole = attention_and_grads(q, k, v, idx, valid, w)
+        row_bytes = 8 * b * g * width * d
+        monkeypatch.setattr(tensor_mod, "CHUNK_BYTES", 5 * row_bytes + row_bytes // 2)
+        assert tensor_mod._chunk_rows(b * g * width * d) == 5
+        chunked = attention_and_grads(q, k, v, idx, valid, w)
+        for got, want in zip(chunked[:2], whole[:2]):
+            assert np.array_equal(got, want)
+        for got, want in zip(chunked[2:], whole[2:]):
+            assert np.abs(got - want).max() < 1e-12
+        out, dq = chunked[:2]
+        assert np.all(out[:, :, 7] == 0.0) and np.all(dq[:, :, 7] == 0.0)
+        assert np.any(out[:, :, 6] != 0.0) and np.any(out[:, :, 8] != 0.0)
+
+    @pytest.mark.parametrize("length,width", [(0, 3), (5, 0)])
+    def test_no_query_rows_or_no_slots(self, length, width, monkeypatch):
+        """Zero query rows give empty outputs; K = 0 gives exact zeros; both
+        give zero K/V gradients, at one chunk and at a chunk per row."""
+        rng = np.random.default_rng(44)
+        q = rng.normal(size=(1, 2, length, 4))
+        k, v = rng.normal(size=(2, 1, 1, 5, 4))
+        idx = np.zeros((1, 1, length, width), dtype=np.int64)
+        valid = np.ones(idx.shape, dtype=bool)
+        for chunked in (False, True):
+            if chunked:
+                monkeypatch.setattr(tensor_mod, "CHUNK_BYTES", 1)
+            out, dq, dk, dv = attention_and_grads(q, k, v, idx, valid, np.ones(q.shape))
+            assert out.shape == dq.shape == q.shape
+            assert np.all(out == 0.0) and np.all(dq == 0.0)
+            assert np.all(dk == 0.0) and np.all(dv == 0.0)
+
+    @pytest.mark.parametrize("bad", [5, -1])
+    @pytest.mark.parametrize("slot_valid", [True, False])
+    def test_index_outside_the_keys_is_rejected(self, bad, slot_valid):
+        """Key 5 of 5 on group 0 would be row 0 of group 1 in the flat K/V
+        table; it is an error whether or not its slot is valid."""
+        rng = np.random.default_rng(45)
+        q = Tensor(rng.normal(size=(1, 4, 3, 2)))
+        k, v = (Tensor(x) for x in rng.normal(size=(2, 1, 2, 5, 2)))
+        idx = np.zeros((1, 2, 3, 2), dtype=np.int64)
+        valid = np.ones(idx.shape, dtype=bool)
+        idx[0, 0, 1, 1] = bad
+        valid[0, 0, 1, 1] = slot_valid
+        with pytest.raises(ValueError, match=f"key index {bad} outside"):
+            gathered_attention(q, k, v, idx, valid)
+
+    def test_heads_must_split_into_groups(self):
+        rng = np.random.default_rng(46)
+        q = Tensor(rng.normal(size=(1, 3, 4, 2)))
+        k, v = (Tensor(x) for x in rng.normal(size=(2, 1, 2, 4, 2)))
+        idx = np.zeros((1, 2, 4, 1), dtype=np.int64)
+        with pytest.raises(ValueError, match="3 query heads do not split into 2"):
+            gathered_attention(q, k, v, idx, np.ones(idx.shape, dtype=bool))
+
+    def test_one_gathered_chunk_alive_at_a_time(self):
+        """Forward and backward over 16 chunks of 2 MB gathered K/V peak
+        at what the call keeps (softmax weights, key-row index, output,
+        seed and the three gradients: 10.5 MB) plus 4.7 MB, not at the
+        33.5 MB of one gathered (B, G, L, K, d) block (54.5 MB when the
+        whole block was gathered)."""
+        rng = np.random.default_rng(47)
+        b, h, g, length, width, d = 1, 4, 2, 2048, 64, 16
+        q, k, v = (parameter(rng.normal(size=(b, n, length, d))) for n in (h, g, g))
+        idx = rng.integers(0, length, size=(b, g, length, width))
+        valid = rng.random(idx.shape) < 0.9
+        w = rng.normal(size=q.shape)
+        assert length == 16 * tensor_mod._chunk_rows(b * g * width * d)
+        kept = (8 * b * g * length * width * (h // g + 1)   # weights and key-row index
+                + 8 * (3 * q.size + k.size + v.size))       # output, seed, gradients
+        tracemalloc.start()
+        try:
+            gathered_attention(q, k, v, idx, valid).backward(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < kept + 3 * tensor_mod.CHUNK_BYTES, (peak, kept)
 
     def test_index_mask(self):
         idx = np.array([[[[0, 0], [0, 1], [2, 0]]]])
@@ -288,6 +393,18 @@ class TestPrimitiveGradients:
         assert np.all(table.grad[[2, 3, 5]] == 0.0)
         assert np.any(table.grad[1] != 0.0)
 
+    def test_take_rows_scatter_matches_add_at(self):
+        """The per-column ``np.bincount`` scatter adds in index order, as
+        ``np.add.at`` does, so repeated ids give the same gradient bit for
+        bit."""
+        table = parameter(self.rng.normal(size=(50, 8)))
+        ids = self.rng.integers(0, 20, size=(40, 30))   # rows 20-49 never looked up
+        g = self.rng.normal(size=(40, 30, 8))
+        take_rows(table, ids).backward(g)
+        want = np.zeros_like(table.data)
+        np.add.at(want, ids, g)
+        assert np.array_equal(table.grad, want)
+
     def test_take_along_last_grad(self):
         """The picked-target term of the cross-entropy, through an
         upstream op, with a target column repeated across rows."""
@@ -382,7 +499,7 @@ class TestSoftmaxCrossEntropy:
         """Central differences on both operands, with chunks of two rows."""
         rng = np.random.default_rng(14)
         vocab = 5
-        monkeypatch.setattr(tensor_mod, "LOSS_CHUNK_BYTES", 2 * 8 * vocab)
+        monkeypatch.setattr(tensor_mod, "CHUNK_BYTES", 2 * 8 * vocab)
         assert tensor_mod._chunk_rows(vocab) == 2
         h = parameter(rng.normal(size=(7, 3)))
         w = parameter(rng.normal(size=(vocab, 3)))
@@ -443,7 +560,7 @@ class TestFusedLossGradients:
         n, vocab, d = 512, 2048, 256
         h_data, w_data = rng.normal(size=(n, d)), rng.normal(size=(vocab, d))
         targets = rng.integers(0, vocab, n)
-        bound = tensor_mod.LOSS_CHUNK_BYTES + vocab * d * 8
+        bound = tensor_mod.CHUNK_BYTES + vocab * d * 8
 
         def peak(h, w):
             tracemalloc.start()
@@ -477,7 +594,7 @@ class TestFusedLossGradients:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak < 1.25 * tensor_mod.LOSS_CHUNK_BYTES, peak
+        assert peak < 1.25 * tensor_mod.CHUNK_BYTES, peak
 
 
 class TestTapeMechanics:
