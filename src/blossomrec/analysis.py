@@ -39,7 +39,7 @@ class SparsityReport:
 
 
 def _dedup_union(length: int, cfg: AttentionConfig) -> int:
-    """Distinct participants for the newest query position.
+    """Distinct participants for the last query position.
 
     Position-level union of the short-term mask's last row with the top-k
     most recent selection blocks (the deterministic stand-in for a

@@ -261,61 +261,26 @@ class SeqBatch:
 class SeqContext:
     """Per-batch geometry of the packed stream, and the only code that
     works it out. Segment b holds sequence b's real rows, oldest first
-    (the varlen ``cu_seqlens`` layout). The model reads only the stream.
-    ``newest``, ``pack`` and ``frame_mask`` serve the dense references:
-    they move arrays between the stream and a left-padded (B, L) frame,
-    whose real slots read row by row give the stream's order."""
+    (the varlen ``cu_seqlens`` layout)."""
 
     lengths: np.ndarray       # (B,) segment lengths
     starts: np.ndarray        # (B,) stream row of each segment's oldest item
     positions: np.ndarray     # (N,) position of each stream row within its segment
-    total_len: int            # width L of the left-padded frame
 
     @classmethod
-    def from_lengths(cls, lengths: np.ndarray, total_len: int | None = None) -> "SeqContext":
-        """The geometry of segments of ``lengths``; the frame is
-        ``total_len`` wide, by default as wide as the longest segment."""
+    def from_lengths(cls, lengths: np.ndarray) -> "SeqContext":
+        """The geometry of segments of ``lengths``."""
         lengths = np.asarray(lengths, dtype=np.int64)
         starts = np.cumsum(lengths) - lengths
         positions = np.arange(int(lengths.sum())) - np.repeat(starts, lengths)
-        if total_len is None:
-            total_len = int(lengths.max(initial=0))
-        return cls(lengths=lengths, starts=starts, positions=positions, total_len=total_len)
-
-    def newest(self, rows: int | None) -> np.ndarray:
-        """(B, Lq) bool: the real slots among the frame's newest Lq =
-        min(rows, L) slots (all L for None). Read row by row, they are the
-        stream rows ``query_rows(rows)``."""
-        width = self.total_len if rows is None else min(rows, self.total_len)
-        return np.arange(width) >= width - np.minimum(self.lengths, width)[:, None]
+        return cls(lengths=lengths, starts=starts, positions=positions)
 
     def query_rows(self, rows: int | None) -> np.ndarray:
-        """Stream rows of each segment's newest ``rows`` items, in stream
+        """Stream rows of each segment's last ``rows`` items, in stream
         order (every row for None)."""
         if rows is None:
             return np.arange(len(self.positions))
         return np.flatnonzero(self.positions >= np.repeat(self.lengths - rows, self.lengths))
-
-    def pack(self, frame: np.ndarray, rows: int | None = None) -> np.ndarray:
-        """The real slots of frame values (B, C, Lq, ...) over the frame's
-        newest Lq slots (``newest(rows)``) as the stream rows
-        ``query_rows(rows)``, (1, C, Nq, ...)."""
-        return frame.swapaxes(0, 1)[:, self.newest(rows)][None]
-
-    def frame_mask(self, idx: np.ndarray, valid: np.ndarray,
-                   rows: int | None = None) -> np.ndarray:
-        """An attention index over stream rows, idx and valid (1, G, Nq, K)
-        for the queries ``query_rows(rows)``, scattered into a dense frame
-        mask, bool (B, G, 1, Lq, L): query slot by key slot over the
-        newest Lq slots. Padding slots are neither queries nor keys."""
-        queries = self.newest(rows)
-        qb, q_slot = np.nonzero(queries)
-        k_slot = np.nonzero(self.newest(None))[1]   # the frame slot of each stream row
-        g, r, s = np.nonzero(valid[0])
-        out = np.zeros((len(self.lengths), valid.shape[1], 1, queries.shape[1], self.total_len),
-                       dtype=bool)
-        out[qb[r], g, 0, q_slot[r], k_slot[idx[0, g, r, s]]] = True
-        return out
 
 
 def make_synthetic(num_users: int, num_items: int, blocks_per_user: int,

@@ -19,14 +19,14 @@ per query (``ltis.ltis_index``, ``stis.stis_index``), built once per
 layer from the same ``SeqContext`` and query rows, whose K/V rows
 ``_attend`` gathers (``tensor.gathered_attention``, O(N * K) work) on
 every stream, however short. ``grouped_attention`` under the index
-scattered into a dense mask (``SeqContext.frame_mask``) computes the same
+scattered into a dense mask (``tensor.index_mask``) computes the same
 thing; it is the reference ``verify`` checks the gather against.
 
-Inference needs only the newest position's output. ``encode(rows=1)``
+Inference needs only the last position's output. ``encode(rows=1)``
 runs every layer but the last in full, since the next layer reads all of
 their rows as K/V; the last layer projects K/V over the whole stream but
 Q, both indices, both attentions, the gate, the residuals, the layer
-norms, the FFN and the output affine over each segment's newest row
+norms, the FFN and the output affine over each segment's last row
 alone, through the same ``_attend``.
 """
 
@@ -197,7 +197,7 @@ def encoder_layer(h_prev: Tensor, params: BlossomLayerParams, cfg: AttentionConf
 
     Each pathway's index goes to ``_attend``, which gathers its K/V rows.
     Dropout is identity unless ``training`` is set. K/V always span the
-    stream; with ``rows`` set, only each segment's newest ``rows`` rows
+    stream; with ``rows`` set, only each segment's last ``rows`` rows
     are queries and every later step runs on them alone, so the output is
     (1, Nq, d): those rows of the full output, in stream order.
     """
@@ -239,7 +239,7 @@ def encode(embedded: Tensor, layers: list[BlossomLayerParams], w_n: Tensor, b_n:
     stream, (1, N, d) -> (1, N, d).
 
     With ``rows`` set, the last layer and the projection compute only each
-    segment's newest ``rows`` rows, (1, N, d) -> (1, Nq, d); earlier layers
+    segment's last ``rows`` rows, (1, N, d) -> (1, Nq, d); earlier layers
     run every row, because the next layer reads them all as K/V.
     """
     if not layers:

@@ -22,15 +22,16 @@ with no loop over segments, all KV groups at once:
   7. expand the chosen blocks into each query's top_k * sel_block_size key
      rows, causally cut and offset by its segment's start in the stream,
      as the batch's ``data.SeqContext`` gives it. The queries may be only
-     each segment's newest rows (the last layer at inference asks for
+     each segment's last rows (the last layer at inference asks for
      one); steps 3-6 then run on those rows alone. The encoder gathers
      the K/V rows of this index.
 
 A segment with at most top_k selection blocks skips steps 1-6: every
 started block is selected whatever the scores, so each query sees its
-causal prefix. ``build_ltis_masks`` is the index of a left-padded batch as
-a dense mask, a reference for checks and tests that the model does not
-call. Both are checked against ``verify``'s naive per-query selection.
+causal prefix. ``build_ltis_masks`` runs ``ltis_index`` on each sequence
+of a left-padded batch alone and returns dense masks, a reference for
+checks and tests that the model does not call. Both are checked against
+``verify``'s naive per-query selection.
 
 Selection is a discrete ranking, so no gradient flows through it: by
 design the blocks are scored through a fixed random projection
@@ -46,7 +47,7 @@ import numpy as np
 
 from .config import AttentionConfig
 from .data import SeqContext
-from .tensor import masked_softmax, parameter
+from .tensor import index_mask, masked_softmax, parameter
 
 __all__ = ["CompressionMLP", "remap_matrix", "ltis_index", "build_ltis_masks"]
 
@@ -211,13 +212,19 @@ def build_ltis_masks(q_data: np.ndarray, k_data: np.ndarray, lengths: np.ndarray
     """``ltis_index`` of a left-padded batch as dense visibility masks,
     bool (B, kv_groups, 1, Lq, L).
 
-    k_data (B, kv_groups, L, d_head) spans the frame and q_data (B, heads,
-    Lq, d_head) holds the queries of its last Lq slots. Their real slots
-    are packed into a stream and the stream index is scattered back
-    (``SeqContext``); padding slots are neither queries nor keys.
+    k_data (B, kv_groups, L, d_head) holds each sequence's keys in its
+    last ``lengths[b]`` slots, and q_data (B, heads, Lq, d_head) the
+    queries of the last Lq slots. Each sequence runs alone as a stream of
+    one segment, and its index (``index_mask``) fills the bottom-right
+    corner of its mask; padding slots are neither queries nor keys.
     """
-    ctx = SeqContext.from_lengths(lengths, k_data.shape[2])
-    rows = q_data.shape[2]
-    index = ltis_index(ctx.pack(q_data, rows), ctx.pack(k_data), ctx, ctx.query_rows(rows),
-                       cfg, phi_key)
-    return ctx.frame_mask(*index, rows)
+    rows, width = q_data.shape[2], k_data.shape[2]
+    out = np.zeros((len(lengths), cfg.kv_groups, 1, rows, width), dtype=bool)
+    for b, n in enumerate(lengths):
+        ctx = SeqContext.from_lengths([n])
+        queries = ctx.query_rows(rows)
+        first = rows - len(queries)          # the sequence's first query slot
+        index = ltis_index(q_data[b:b + 1, :, first:], k_data[b:b + 1, :, width - n:], ctx,
+                           queries, cfg, phi_key)
+        out[b, :, :, first:, width - n:] = index_mask(*index, n)[0]
+    return out

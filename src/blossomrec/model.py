@@ -79,7 +79,7 @@ class Model:
     def forward(self, batch: SeqBatch, training: bool = False,
                 rng: np.random.Generator | None = None, rows: int | None = None) -> Tensor:
         """The encoder's output on the batch's stream of rows,
-        (1, N, d_model), or with ``rows`` set on each segment's newest
+        (1, N, d_model), or with ``rows`` set on each segment's last
         ``rows`` rows only, (1, Nq, d_model), in stream order."""
         return encode(embed(batch.ids[None], self.table), self.layers, self.w_n, self.b_n,
                       self.cfg, SeqContext.from_lengths(batch.lengths), self.rope,
@@ -87,11 +87,11 @@ class Model:
                       pathway=self.pathway, rows=rows)
 
     def last_hidden(self, batch: SeqBatch) -> np.ndarray:
-        """Evaluation-mode hidden state of each sequence's newest row,
+        """Evaluation-mode hidden state of each sequence's last row,
         (B, d_model); zeros for an empty sequence.
 
         Equal to the last row of each segment of ``forward(batch)``, but
-        the last layer computes only each segment's newest row: its keys
+        the last layer computes only each segment's last row: its keys
         and values span the stream, and everything else runs on one row
         per sequence.
         """

@@ -16,8 +16,9 @@ once per (config, length), cached across batches. ``stis_index`` reads
 each query's row and shifts it by its segment's start in the packed
 stream, both read from the batch's ``data.SeqContext``, for all queries
 at once; the encoder gathers the K/V rows of that index.
-``batch_stis_masks`` is the index of a left-padded batch as a dense
-mask, a reference for checks and tests that the model does not call.
+``batch_stis_masks`` runs ``stis_index`` on each sequence of a left-padded
+batch alone and returns dense masks, a reference for checks and tests
+that the model does not call.
 ``verify.brute_force_power_mask`` evaluates the three cases literally
 and is the table's oracle.
 """
@@ -30,6 +31,7 @@ import numpy as np
 
 from .config import AttentionConfig
 from .data import SeqContext
+from .tensor import index_mask
 
 __all__ = ["power_table", "stis_index", "batch_stis_masks"]
 
@@ -77,7 +79,7 @@ def stis_index(ctx: SeqContext, q_rows: np.ndarray,
 
     A query at position p of its segment sees row p of ``power_table``
     shifted by its segment's start. One table serves every segment: it is
-    built for the furthest position asked (the newest query of the longest
+    built for the furthest position asked (the last query of the longest
     segment is at length - 1), and the first n rows of a longer table are
     the length-n table. Returns int rows and their validity, each
     (1, 1, Nq, K).
@@ -89,13 +91,17 @@ def stis_index(ctx: SeqContext, q_rows: np.ndarray,
     return idx[None, None], ok[positions][None, None]
 
 
-def batch_stis_masks(lengths: np.ndarray, total_len: int, cfg: AttentionConfig) -> np.ndarray:
-    """Causal power masks for a left-padded batch.
+def batch_stis_masks(lengths: np.ndarray, width: int, cfg: AttentionConfig) -> np.ndarray:
+    """Causal power masks for a left-padded batch ``width`` slots wide.
 
-    Returns bool (B, 1, 1, L, L): each sequence's mask sits in the bottom
-    right corner of its padded frame, so padding positions are neither
-    queries nor keys. It is ``stis_index`` over the frame's real slots,
-    scattered back to frame slots (``SeqContext.frame_mask``).
+    Returns bool (B, 1, 1, L, L): each sequence runs alone as a stream of
+    one segment, and its ``stis_index`` (``index_mask``) fills the bottom
+    right corner of its mask, so padding slots are neither queries nor
+    keys.
     """
-    ctx = SeqContext.from_lengths(lengths, total_len)
-    return ctx.frame_mask(*stis_index(ctx, ctx.query_rows(None), cfg))
+    out = np.zeros((len(lengths), 1, 1, width, width), dtype=bool)
+    for b, n in enumerate(lengths):
+        ctx = SeqContext.from_lengths([n])
+        out[b, :, :, width - n:, width - n:] = index_mask(
+            *stis_index(ctx, ctx.query_rows(None), cfg), n)[0]
+    return out

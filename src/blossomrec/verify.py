@@ -1,11 +1,12 @@
 """The oracle checks, shared by ``blossomrec verify`` and the acceptance tests.
 
-Each check runs the code the model runs and compares it with an oracle
-that is deliberately independent of it: the published totals, naive
-per-head dense attention, naive per-query block selection, the dense
-masked form of the gathered attention, the full forward pass that
-last-row inference shortcuts, each sequence of a packed batch run
-alone, central differences, brute-force mask evaluation.
+Each check runs the code the model runs, on packed streams, and compares
+it with an oracle that is deliberately independent of it: the published
+totals, naive per-head dense attention on each segment alone, naive
+per-query block selection, the dense masked form (``index_mask``) of the
+gathered attention, the full forward pass that last-row inference
+shortcuts, each sequence of a packed batch run alone, central
+differences, brute-force mask evaluation.
 ``run_verification`` prints one PASS/FAIL line per check.
 """
 
@@ -18,9 +19,9 @@ from .config import AttentionConfig
 from .data import SeqBatch, SeqContext
 from .fusion import dense_causal_gqa, gated_fuse, grouped_attention
 from .gradcheck import grad_check
-from .ltis import CompressionMLP, build_ltis_masks, ltis_index
+from .ltis import CompressionMLP, ltis_index
 from .model import Model, sequence_loss
-from .stis import batch_stis_masks, stis_index
+from .stis import stis_index
 from .tensor import Tensor, gathered_attention, index_mask, no_grad, parameter, zero_grads
 
 __all__ = ["brute_force_power_mask", "counts_match", "dense_equivalence_error",
@@ -51,54 +52,39 @@ def counts_match() -> bool:
                for length, total in PUBLISHED_TOTALS.items())
 
 
-def dense_equivalence_error(seeds: range, lengths: tuple[int, ...]) -> tuple[float, float]:
+def dense_equivalence_error(seeds: range, lengths: tuple[int, ...]) -> float:
     """Fused pathway outputs vs naive dense causal attention.
 
     With top_k and win saturated both pathways see the whole causal prefix,
-    so their gated fusion must equal dense attention for any gate, in both
-    forms: the model's, ``gathered_attention`` over ``ltis_index`` and
-    ``stis_index`` on the packed stream, and the reference,
-    ``grouped_attention`` under the dense masks of the left-padded frame
-    (``build_ltis_masks``, ``batch_stis_masks``). Each seed and head width
-    (4 and 8) runs one batch holding every length, with random values in
-    the frame's padding slots. Returns the max abs error over the real
-    rows and the max abs value over the frame's padding query rows, which
-    must be exactly zero. A NaN anywhere comes back as NaN.
+    so their gated fusion must equal dense attention for any gate. Each
+    seed and head width (4 and 8) runs one packed stream holding every
+    length through the model's form, ``gathered_attention`` over
+    ``ltis_index`` and ``stis_index``, and compares each segment with
+    ``dense_causal_gqa`` on that segment alone. Returns the max abs error;
+    a NaN anywhere comes back as NaN.
     """
-    lengths_arr = np.array(lengths)
-    frame = int(lengths_arr.max())
-    ctx = SeqContext.from_lengths(lengths_arr, frame)
-    every_row = ctx.query_rows(None)
-    errors, padding = [0.0], [0.0]
+    errors = [0.0]
     for seed in seeds:
         rng = np.random.default_rng(seed)
         for d_head in (4, 8):
             cfg = AttentionConfig(block_size=8, stride=4, sel_block_size=4, top_k=10_000,
                                   win=10_000, blk=1, heads=4, kv_groups=2,
                                   d_model=16, d_head=d_head)
-            q, k, v = (Tensor(rng.normal(size=(len(lengths), n, frame, d_head)))
-                       for n in (cfg.heads, cfg.kv_groups, cfg.kv_groups))
+            q, k, v, ctx = _stream_batch(rng, lengths, cfg)
+            every_row = ctx.query_rows(None)
             phi = CompressionMLP(cfg.block_size, d_head, rng)
             width = cfg.heads * d_head
             gate = (Tensor(rng.normal(size=(2 * width, width))), Tensor(rng.normal(size=width)))
-            select = (q.data, k.data, lengths_arr, cfg, phi)
-            dense = [grouped_attention(q, k, v, cfg, build_ltis_masks(*select)),
-                     grouped_attention(q, k, v, cfg, batch_stis_masks(lengths_arr, frame, cfg))]
-            qs, ks, vs = (Tensor(ctx.pack(x.data)) for x in (q, k, v))
-            stream = [gathered_attention(qs, ks, vs, *index).transpose(0, 2, 1, 3)
-                      .reshape(1, -1, width)
-                      for index in (ltis_index(qs.data, ks.data, ctx, every_row, cfg, phi),
+            stream = [gathered_attention(Tensor(q), Tensor(k), Tensor(v), *index)
+                      .transpose(0, 2, 1, 3).reshape(1, -1, width)
+                      for index in (ltis_index(q, k, ctx, every_row, cfg, phi),
                                     stis_index(ctx, every_row, cfg))]
-            fused_dense = gated_fuse(*dense, *gate)[0].data
-            fused_stream = gated_fuse(*stream, *gate)[0].data[0]
-            for b, (n, start) in enumerate(zip(lengths, ctx.starts)):
-                pad = frame - n
-                q_b, k_b, v_b = (x.data[b, :, pad:] for x in (q, k, v))
-                oracle = dense_causal_gqa(q_b, k_b, v_b, cfg)
-                errors.append(np.abs(fused_dense[b, pad:] - oracle).max(initial=0.0))
-                errors.append(np.abs(fused_stream[start:start + n] - oracle).max(initial=0.0))
-                padding.append(np.abs(fused_dense[b, :pad]).max(initial=0.0))
-    return float(np.max(errors)), float(np.max(padding))
+            fused = gated_fuse(*stream, *gate)[0].data[0]
+            for n, start in zip(lengths, ctx.starts):
+                rows = slice(start, start + n)
+                oracle = dense_causal_gqa(q[0, :, rows], k[0, :, rows], v[0, :, rows], cfg)
+                errors.append(np.abs(fused[rows] - oracle).max(initial=0.0))
+    return float(np.max(errors))
 
 
 # Unsaturated geometry for the selection and gather checks: two of up to
@@ -116,12 +102,12 @@ def _stream_batch(rng: np.random.Generator, lengths: tuple[int, ...], cfg: Atten
     q = rng.normal(size=(1, cfg.heads, total, cfg.d_head))
     k = rng.normal(size=(1, cfg.kv_groups, total, cfg.d_head))
     v = rng.normal(size=(1, cfg.kv_groups, total, cfg.d_head))
-    return q, k, v, SeqContext.from_lengths(np.array(lengths), max(lengths))
+    return q, k, v, SeqContext.from_lengths(np.array(lengths))
 
 
 def _naive_selection(q: np.ndarray, k: np.ndarray, phi: CompressionMLP,
                      cfg: AttentionConfig) -> list[list[set[int]]]:
-    """Chosen selection blocks of the newest queries of one unpadded
+    """Chosen selection blocks of the last queries of one unpadded
     sequence, per KV group, computed one query at a time: k (groups, n, d)
     holds the sequence's keys and q (heads, m, d) its last m <= n queries."""
     n, d = k.shape[1], cfg.d_head
@@ -235,7 +221,6 @@ def _perturbed_model(rng: np.random.Generator, layers: int, seed: int) -> Model:
     model = Model(num_items=30, cfg=SPARSE_CFG, num_layers=layers, seed=seed, max_len=64)
     for p in model.parameters().values():
         p.data += rng.normal(0.0, 0.3, p.data.shape)
-    model.table.clamp_padding()
     return model
 
 
@@ -329,15 +314,17 @@ def gradient_error() -> tuple[float, list[str], list[str]]:
 
 
 def mask_law_holds(num_cases: int) -> bool:
-    """The model's dense STIS mask, built from ``power_table``, vs brute-force
-    case evaluation on random configs (lengths below 120, blk and win up
-    to 5) drawn from rng 1234."""
+    """The model's STIS index (``stis_index`` on a stream of one segment,
+    read from ``power_table``) as a dense mask, vs brute-force case
+    evaluation on random configs (lengths below 120, blk and win up to 5)
+    drawn from rng 1234."""
     rng = np.random.default_rng(1234)
     for _ in range(num_cases):
         length = int(rng.integers(1, 120))
         cfg = AttentionConfig(blk=int(rng.integers(1, 6)), win=int(rng.integers(1, 6)))
         rng.integers(0, 2)  # unused draw; it keeps the 50 drawn configs fixed
-        fast = batch_stis_masks(np.array([length]), length, cfg)[0, 0, 0]
+        ctx = SeqContext.from_lengths([length])
+        fast = index_mask(*stis_index(ctx, ctx.query_rows(None), cfg), length)[0, 0, 0]
         if not np.array_equal(fast, brute_force_power_mask(length, cfg)):
             return False
     return True
@@ -349,12 +336,11 @@ def run_verification(quick: bool = False) -> bool:
     checks.append(("participating-interaction totals (103/120/153/218)", counts_match(), ""))
 
     if quick:
-        err, pad = dense_equivalence_error(range(3), (16, 32))
+        err = dense_equivalence_error(range(3), (16, 32))
     else:
-        err, pad = dense_equivalence_error(range(20), (16, 32, 64))
-    checks.append(("fused output == dense causal attention, packed gathered path and "
-                   "padded dense masks (saturated selection)",
-                   err < 1e-8 and pad == 0.0, f"max abs err {err:.3e}, padding rows {pad:.1e}"))
+        err = dense_equivalence_error(range(20), (16, 32, 64))
+    checks.append(("fused output == dense causal attention, packed gathered path "
+                   "(saturated selection)", err < 1e-8, f"max abs err {err:.3e}"))
 
     seeds, lengths = (range(3), (0, 10, 24, 32)) if quick else (range(10), (0, 6, 10, 19, 40))
     bad = ltis_selection_error(seeds, lengths)

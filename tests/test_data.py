@@ -13,7 +13,6 @@ from scipy import stats
 from blossomrec.data import (
     InteractionLog,
     SeqBatch,
-    SeqContext,
     leave_one_out_split,
     load_interactions,
     make_synthetic,
@@ -418,60 +417,9 @@ class TestSeqBatch:
     @pytest.mark.parametrize("max_len", [0, -1])
     def test_nonpositive_max_len_rejected(self, max_len):
         """``s[-0:]`` keeps every item and ``s[1:]`` drops the oldest, so
-        neither would be a cut to the newest ``max_len``."""
+        neither would be a cut to the most recent ``max_len``."""
         with pytest.raises(ConfigError, match="max_len must be at least 1"):
             SeqBatch.from_sequences([[1, 2, 3]], max_len)
-
-
-class TestSeqContext:
-    """``pack`` and ``frame_mask`` move arrays between a left-padded frame
-    and the packed stream; checked against a loop over the sequences."""
-
-    LENGTHS = np.array([3, 0, 5, 1, 4])
-    TOTAL = 6       # wider than the longest, so every frame row has padding
-
-    def newest(self, rows):
-        """Per sequence: its query count m and the frame width Lq."""
-        width = self.TOTAL if rows is None else min(rows, self.TOTAL)
-        return [min(n, width) for n in self.LENGTHS], width
-
-    @pytest.mark.parametrize("rows", [None, 1, 3])
-    def test_pack_equals_per_sequence_loop(self, rows):
-        ctx = SeqContext.from_lengths(self.LENGTHS, self.TOTAL)
-        m, width = self.newest(rows)
-        frame = np.random.default_rng(40).normal(size=(len(m), 2, width, 3))
-        want = np.concatenate([frame[b, :, width - mb:] for b, mb in enumerate(m)], axis=1)
-        assert np.array_equal(ctx.pack(frame, rows), want[None])
-        # its rows are the stream rows ``query_rows`` names
-        positions = np.concatenate([np.arange(n - mb, n) for n, mb in zip(self.LENGTHS, m)])
-        assert np.array_equal(ctx.positions[ctx.query_rows(rows)], positions)
-
-    @pytest.mark.parametrize("rows", [None, 1, 3])
-    def test_frame_mask_equals_per_sequence_loop(self, rows):
-        """A random index of 4 slots over each query's own segment, 2 KV
-        groups, some slots not valid."""
-        ctx = SeqContext.from_lengths(self.LENGTHS, self.TOTAL)
-        m, width = self.newest(rows)
-        rng = np.random.default_rng(41)
-        starts = np.cumsum(self.LENGTHS) - self.LENGTHS
-        seg = np.repeat(np.arange(len(m)), m)
-        pos = rng.integers(0, self.LENGTHS[seg][:, None], size=(1, 2, len(seg), 4))
-        idx, valid = starts[seg][:, None] + pos, rng.random(pos.shape) < 0.7
-        want = np.zeros((len(m), 2, 1, width, self.TOTAL), dtype=bool)
-        r = 0
-        for b, (n, mb) in enumerate(zip(self.LENGTHS, m)):
-            for j in range(mb):
-                for g in range(2):
-                    for p, ok in zip(pos[0, g, r], valid[0, g, r]):
-                        want[b, g, 0, width - mb + j, self.TOTAL - n + p] |= ok
-                r += 1
-        got = ctx.frame_mask(idx, valid, rows)
-        assert np.array_equal(got, want)
-        assert got.sum() > 10
-        # padding slots are neither queries nor keys
-        for b, (n, mb) in enumerate(zip(self.LENGTHS, m)):
-            assert not got[b, :, :, :width - mb].any()
-            assert not got[b, ..., :self.TOTAL - n].any()
 
 
 class TestSynthetic:

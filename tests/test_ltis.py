@@ -46,7 +46,7 @@ SOFTMAX, RANK = ltis.masked_softmax, ltis._rank
 
 
 class LastKey:
-    """Stand-in compression that keeps each block's newest key, so a test
+    """Stand-in compression that keeps each block's last key, so a test
     sets the compressed keys through k."""
 
     @staticmethod
@@ -56,8 +56,8 @@ class LastKey:
 
 def one_segment(q, k, cfg, phi, rows=None):
     """``ltis_index`` of a stream holding one segment: q (heads, m, d) its
-    newest m queries, k (kv_groups, n, d) its keys."""
-    ctx = SeqContext.from_lengths(np.array([k.shape[1]]), k.shape[1])
+    last m queries, k (kv_groups, n, d) its keys."""
+    ctx = SeqContext.from_lengths(np.array([k.shape[1]]))
     return ltis_index(q[None], k[None], ctx, ctx.query_rows(rows), cfg, phi)
 
 
@@ -190,7 +190,7 @@ class TestImportanceScores:
     def test_orthogonal_is_uniform_over_valid(self, monkeypatch):
         cfg = small_cfg(block_size=4, stride=4, sel_block_size=4, top_k=1)
         # blocks cover [0,4), [4,8): block 1 only fully past position 7;
-        # each compresses to its newest key, at 3 and 7
+        # each compresses to its last key, at 3 and 7
         q = np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (cfg.heads, 8, 1))
         k = np.zeros((1, 8, 4))
         k[0, 3, 1] = k[0, 7, 2] = 1.0
@@ -380,7 +380,7 @@ class TestGroupAggregation:
 
 
 class TestQueryRows:
-    """``ltis_index`` given only each segment's newest query rows."""
+    """``ltis_index`` given only each segment's last query rows."""
 
     @pytest.mark.parametrize("rows", [1, 3, 7])
     def test_last_rows_equal_last_rows_of_full_index(self, rows):
@@ -394,14 +394,14 @@ class TestQueryRows:
         q = rng.normal(size=(1, cfg.heads, lengths.sum(), cfg.d_head))
         k = rng.normal(size=(1, cfg.kv_groups, lengths.sum(), cfg.d_head))
         phi = CompressionMLP(cfg.block_size, cfg.d_head, rng)
-        ctx = SeqContext.from_lengths(lengths, 16)
+        ctx = SeqContext.from_lengths(lengths)
         full_idx, full_valid = ltis_index(q, k, ctx, np.arange(lengths.sum()), cfg, phi)
-        newest = np.concatenate([np.arange(max(n - rows, 0), n) + start
-                                 for start, n in zip(starts, lengths)])
-        idx, valid = ltis_index(q[:, :, newest], k, ctx, newest, cfg, phi)
-        assert idx.shape == (1, cfg.kv_groups, len(newest), full_idx.shape[-1])
-        assert np.array_equal(valid, full_valid[:, :, newest])
-        assert np.array_equal(idx, full_idx[:, :, newest])
+        last = np.concatenate([np.arange(max(n - rows, 0), n) + start
+                               for start, n in zip(starts, lengths)])
+        idx, valid = ltis_index(q[:, :, last], k, ctx, last, cfg, phi)
+        assert idx.shape == (1, cfg.kv_groups, len(last), full_idx.shape[-1])
+        assert np.array_equal(valid, full_valid[:, :, last])
+        assert np.array_equal(idx, full_idx[:, :, last])
         assert valid.any(axis=-1).all()
         for start, n in zip(starts, lengths):
             rows_of = (full_idx >= start) & (full_idx < start + n)
@@ -447,7 +447,9 @@ class TestBatchedSelection:
         # segments of up to 63 rows take the single left-padded block
         AttentionConfig(block_size=64, stride=8, sel_block_size=16, top_k=1,
                         heads=4, kv_groups=1, d_model=16, d_head=4),
-    ], ids=["desk", "long-block"])
+        # one head per group: each group ranks its one head's scores
+        AttentionConfig(heads=2, kv_groups=2, d_model=16, d_head=8),
+    ], ids=["desk", "long-block", "head-per-group"])
     def test_equals_per_segment_loop(self, monkeypatch, cfg, rows):
         """Lengths 1, 31, 64, 65, 200 and 512, shuffled: saturated and
         scored segments interleave, and 512 pads every other segment's
@@ -455,17 +457,17 @@ class TestBatchedSelection:
         rng = np.random.default_rng(33)
         lengths = rng.permutation([1, 31, 64, 65, 200, 512]).tolist()
         starts = np.cumsum(lengths) - lengths
-        newest = np.concatenate([np.arange(n - min(n, rows or n), n) + s
-                                 for s, n in zip(starts, lengths)])
-        q = rng.normal(size=(1, cfg.heads, sum(lengths), cfg.d_head))[:, :, newest]
+        last = np.concatenate([np.arange(n - min(n, rows or n), n) + s
+                               for s, n in zip(starts, lengths)])
+        q = rng.normal(size=(1, cfg.heads, sum(lengths), cfg.d_head))[:, :, last]
         k = rng.normal(size=(1, cfg.kv_groups, sum(lengths), cfg.d_head))
         phi = CompressionMLP(cfg.block_size, cfg.d_head, rng)
         want = loop_ltis_index(q, k, lengths, cfg, phi, rows=rows)
         calls = []
         compress = phi.apply_stack
         monkeypatch.setattr(phi, "apply_stack", lambda blocks: calls.append(1) or compress(blocks))
-        ctx = SeqContext.from_lengths(np.array(lengths), max(lengths))
-        idx, valid = ltis_index(q, k, ctx, newest, cfg, phi)
+        ctx = SeqContext.from_lengths(np.array(lengths))
+        idx, valid = ltis_index(q, k, ctx, last, cfg, phi)
         assert calls == [1]                      # every segment's blocks at once
         assert np.array_equal(valid, want[1])
         assert np.array_equal(idx, want[0])

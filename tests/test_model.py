@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 from blossomrec.config import AttentionConfig, RunConfig
-from blossomrec.data import (SeqBatch, SeqContext, SplitDataset, leave_one_out_split,
-                             make_synthetic)
+from blossomrec.data import SeqBatch, SplitDataset, leave_one_out_split, make_synthetic
 from blossomrec.embedding import EmbeddingTable
 from blossomrec.errors import CheckpointError, ConfigError, DataError
 from blossomrec.gradcheck import grad_check
@@ -27,6 +26,7 @@ from blossomrec.model import (
     sequence_loss,
     train,
 )
+from blossomrec import fusion, ltis, stis, tensor
 from blossomrec import model as model_mod
 from blossomrec.tensor import Tensor, linear_cross_entropy, no_grad, parameter, zero_grads
 from blossomrec.verify import LAST_ROW_BATCHES, packed_batch_error
@@ -293,15 +293,20 @@ class TestPacking:
         assert not model.last_hidden(empty).any()
         assert model.forward(empty).shape == (1, 0, model.cfg.d_model)
 
-    def test_model_path_never_touches_the_frame(self, monkeypatch, eval_setup):
+    def test_model_path_never_builds_a_dense_mask(self, monkeypatch, eval_setup):
         """A dropout training step with its backward, ``last_hidden`` and
-        ``evaluate`` run without the left-padded frame, which only the
-        dense references read."""
-        def frame(*args, **kwargs):
-            raise AssertionError("the model path read the left-padded frame")
+        ``evaluate`` only gather: no dense mask is built and no dense
+        attention runs, which only the references do."""
+        def dense(*args, **kwargs):
+            raise AssertionError("the model path built a dense mask")
 
-        for name in ("newest", "pack", "frame_mask"):
-            monkeypatch.setattr(SeqContext, name, frame)
+        monkeypatch.setattr(ltis, "build_ltis_masks", dense)
+        monkeypatch.setattr(stis, "batch_stis_masks", dense)
+        monkeypatch.setattr(fusion, "grouped_attention", dense)
+        scatter = tensor.index_mask
+        for name, module in list(sys.modules.items()):
+            if name.startswith("blossomrec") and getattr(module, "index_mask", None) is scatter:
+                monkeypatch.setattr(module, "index_mask", dense)
         model = tiny_model(num_items=14, layers=2, dropout=0.3)
         batch = SeqBatch.from_sequences(self.SEQS, max_len=16)
         sequence_loss(model, batch, training=True, rng=np.random.default_rng(7)).backward()
@@ -496,7 +501,6 @@ def _spread_model(num_items, seed):
     rng = np.random.default_rng(seed)
     for p in model.parameters().values():
         p.data += rng.normal(0.0, 0.3, p.data.shape)
-    model.table.clamp_padding()
     return model
 
 
@@ -636,7 +640,6 @@ class TestLastHidden:
         model = Model(20, tiny_cfg(), layers, seed=1, max_len=40, pathway=pathway)
         for p in model.parameters().values():
             p.data += rng.normal(0.0, 0.3, p.data.shape)
-        model.table.clamp_padding()
         for lengths in ((1, 6, 10), (1, 6, 17, 40)):
             batch = SeqBatch.from_sequences([rng.integers(1, 21, n).tolist() for n in lengths],
                                             model.max_len)

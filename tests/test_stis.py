@@ -147,8 +147,8 @@ class TestBatchMasks:
 class TestPowerTable:
     @pytest.mark.parametrize("blk, win", [(1, 1), (1, 2), (1, 8), (2, 2), (3, 1), (4, 3)])
     def test_table_rows_equal_mask_rows(self, blk, win):
-        """Causal rows depend only on the query position, so the table for a
-        length-n frame holds the brute-force mask rows for every n."""
+        """Causal rows depend only on the query position, so the table for
+        length n holds the brute-force mask rows for every n."""
         cfg = cfg_with(blk=blk, win=win)
         for n in range(1, 131):
             idx, valid = power_table(cfg, n)
@@ -163,21 +163,6 @@ class TestPowerTable:
         with pytest.raises(ValueError):
             power_table(cfg, 40)[0][0, 0] = 1
 
-    def test_index_shifts_rows_into_frame(self):
-        """Scattered back to the left-padded frame, as ``batch_stis_masks``
-        does (``SeqContext.frame_mask``), each sequence's index lands in
-        its bottom-right corner, offset by its padding."""
-        cfg = cfg_with(blk=1, win=2)
-        ctx = SeqContext.from_lengths(np.array([3, 5]), 5)
-        idx, valid = stis_index(ctx, np.arange(8), cfg)
-        assert idx.shape == valid.shape == (1, 1, 8, power_table(cfg, 5)[0].shape[1])
-        mask = ctx.frame_mask(idx, valid)[:, 0, 0]
-        for b, n in enumerate((3, 5)):
-            pad = 5 - n
-            assert not mask[b, :pad].any() and not mask[b, :, :pad].any()
-            for p in range(n):
-                assert (np.flatnonzero(mask[b, pad + p]) - pad).tolist() == brute_rows(n, cfg)[p]
-
     @pytest.mark.parametrize("blk, win", [(1, 2), (2, 3)])
     def test_stream_index_is_shifted_table_rows(self, blk, win):
         """Packed segments of lengths 3, 1, 9, 0 and 5: each row's index is
@@ -188,7 +173,7 @@ class TestPowerTable:
         starts = np.cumsum(lengths) - lengths
         positions = np.concatenate([np.arange(n) for n in lengths])
         row_starts = np.repeat(starts, lengths)
-        idx, valid = stis_index(SeqContext.from_lengths(lengths, 9), np.arange(18), cfg)
+        idx, valid = stis_index(SeqContext.from_lengths(lengths), np.arange(18), cfg)
         table, ok = power_table(cfg, 9)
         assert np.array_equal(idx[0, 0], table[positions] + row_starts[:, None])
         assert np.array_equal(valid[0, 0], ok[positions])
