@@ -77,10 +77,10 @@ class AttentionConfig:
 @dataclass(frozen=True)
 class RunConfig(AttentionConfig):
     """Flat key-value configuration for the CLI: ``AttentionConfig``'s
-    fields and checks plus the run settings below. Defaults follow the
-    published training setup where one is stated (embedding dim 128, two
-    layers, eight heads, Adam lr 1e-3, batch 2048, dropout 0.2, patience 15,
-    max length 200)."""
+    fields plus the run settings below, all checked when it is built.
+    Defaults follow the published training setup where one is stated
+    (embedding dim 128, two layers, eight heads, Adam lr 1e-3, batch 2048,
+    dropout 0.2, patience 15, max length 200)."""
 
     dataset: str = ""
     layers: int = 2
@@ -101,7 +101,8 @@ class RunConfig(AttentionConfig):
         return AttentionConfig(**{f.name: getattr(self, f.name)
                                   for f in dataclasses.fields(AttentionConfig)})
 
-    def validate(self) -> "RunConfig":
+    def __post_init__(self):
+        super().__post_init__()
         if self.pathway not in PATHWAYS:
             raise ConfigError(f"pathway must be {'|'.join(PATHWAYS)}, got {self.pathway!r}")
         if not 0.0 <= self.dropout < 1.0:
@@ -113,7 +114,6 @@ class RunConfig(AttentionConfig):
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        return self
 
 
 # Field name -> type, which also parses a config-file or command-line value.
@@ -165,4 +165,4 @@ def resolve_run_config(file_values: dict | None = None, flag_values: dict | None
             merged["seed"] = int(os.environ["BLOSSOM_SEED"])
         except ValueError as exc:
             raise ConfigError(f"BLOSSOM_SEED must be an integer, got {os.environ['BLOSSOM_SEED']!r}") from exc
-    return RunConfig(**merged).validate()
+    return RunConfig(**merged)

@@ -54,21 +54,22 @@ class RoPECache:
     """Precomputed tables for rotary position encoding.
 
     The head dimension is split in halves; coordinate pair (j, j + d/2)
-    rotates by angle position * base**(-2j/d). Rotations are orthogonal, so
+    rotates by angle position * BASE**(-2j/d). Rotations are orthogonal, so
     vector norms are preserved and post-rotation dot products depend only on
     the position difference. ``cos`` and ``sin`` are (max_len, d_head), each
     pair's angle written at both of its coordinates, and ``rotate`` is the
     signed permutation with ``x @ rotate == concat(-x[d/2:], x[:d/2])``.
     """
 
-    def __init__(self, d_head: int, max_len: int, base: float = 10000.0):
+    BASE = 10000.0
+
+    def __init__(self, d_head: int, max_len: int):
         if d_head % 2 != 0:
             raise ConfigError(f"rotary encoding needs an even head dimension, got {d_head}")
         self.d_head = d_head
         self.max_len = max_len
-        self.base = base
         half = d_head // 2
-        inv_freq = base ** (-np.arange(half, dtype=np.float64) * 2.0 / d_head)
+        inv_freq = self.BASE ** (-np.arange(half, dtype=np.float64) * 2.0 / d_head)
         angles = np.arange(max_len, dtype=np.float64)[:, None] * inv_freq[None, :]
         self.cos = np.tile(np.cos(angles), 2)
         self.sin = np.tile(np.sin(angles), 2)

@@ -78,14 +78,13 @@ def split_heads(x: Tensor, num: int) -> Tensor:
 
 
 def grouped_attention(q: Tensor, k: Tensor, v: Tensor, cfg: AttentionConfig,
-                      mask: np.ndarray | None = None, w_o: Tensor | None = None) -> Tensor:
+                      mask: np.ndarray) -> Tensor:
     """Scaled dot-product attention with K/V shared across head groups.
 
     q: (B, heads, L, d_head); k, v: (B, kv_groups, Lk, d_head). ``mask`` is
     a boolean array broadcastable to (B, kv_groups, heads_per_group, L, Lk);
-    queries with nothing visible yield zero rows. Heads are concatenated
-    into (B, L, heads * d_head) and, when ``w_o`` is given, projected back
-    to model width.
+    a query with nothing visible yields a zero row, one with a visible NaN
+    logit a NaN row. Heads are concatenated into (B, L, heads * d_head).
     """
     b, h, length, dk = q.shape
     g = k.shape[1]
@@ -98,22 +97,21 @@ def grouped_attention(q: Tensor, k: Tensor, v: Tensor, cfg: AttentionConfig,
     k5 = reshape(k, (b, g, 1, lk, dk))
     v5 = reshape(v, (b, g, 1, lk, dk))
     logits = matmul(q5, transpose(k5, (0, 1, 2, 4, 3))) * (1.0 / np.sqrt(dk))
-    weights = masked_softmax(logits, mask, axis=-1)
-    ctxv = matmul(weights, v5)  # (b, g, hpg, L, dk)
-    return _merge_heads(reshape(ctxv, (b, h, length, dk)), w_o)
+    ctxv = matmul(masked_softmax(logits, mask), v5)  # (b, g, hpg, L, dk)
+    return _merge_heads(reshape(ctxv, (b, h, length, dk)))
 
 
-def _merge_heads(x: Tensor, w_o: Tensor | None) -> Tensor:
-    """(B, heads, L, d_head) -> (B, L, heads * d_head), then ``w_o`` if given."""
+def _merge_heads(x: Tensor) -> Tensor:
+    """(B, heads, L, d_head) -> (B, L, heads * d_head)."""
     b, h, length, dk = x.shape
-    merged = reshape(transpose(x, (0, 2, 1, 3)), (b, length, h * dk))
-    return merged if w_o is None else matmul(merged, w_o)
+    return reshape(transpose(x, (0, 2, 1, 3)), (b, length, h * dk))
 
 
 def _attend(q: Tensor, k: Tensor, v: Tensor, index: tuple[np.ndarray, np.ndarray],
             w_o: Tensor) -> Tensor:
-    """Attend over an (idx, valid) index by gathering its K/V rows."""
-    return _merge_heads(gathered_attention(q, k, v, *index), w_o)
+    """Attend over an (idx, valid) index by gathering its K/V rows, merge
+    the heads and project them back to model width with ``w_o``."""
+    return matmul(_merge_heads(gathered_attention(q, k, v, *index)), w_o)
 
 
 def gated_fuse(o_ltis: Tensor, o_stis: Tensor, gate_w: Tensor, gate_b: Tensor) -> tuple[Tensor, Tensor]:
@@ -253,11 +251,12 @@ def encode(embedded: Tensor, layers: list[BlossomLayerParams], w_n: Tensor, b_n:
     return affine(hidden, w_n, b_n)
 
 
-def dense_causal_gqa(q: np.ndarray, k: np.ndarray, v: np.ndarray, cfg: AttentionConfig,
-                     w_o: np.ndarray | None = None) -> np.ndarray:
-    """Reference oracle: dense causal grouped attention, head by head.
+def dense_causal_gqa(q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                     cfg: AttentionConfig) -> np.ndarray:
+    """Reference oracle: dense causal grouped attention, head by head,
+    (heads, L, d_head) queries -> (L, heads * d_head) merged heads.
 
-    Deliberately naive (python loops, explicit per-row softmax) and
+    Deliberately naive (python loops, its own per-row softmax) and
     tape-free, so the sparse pathways can be validated against it.
     """
     q = np.asarray(q, dtype=np.float64)
@@ -272,4 +271,4 @@ def dense_causal_gqa(q: np.ndarray, k: np.ndarray, v: np.ndarray, cfg: Attention
             weights = np.exp(logits - logits.max())
             weights /= weights.sum()
             out[i, head * dk: (head + 1) * dk] = weights @ v[group, : i + 1]
-    return out if w_o is None else out @ np.asarray(w_o)
+    return out

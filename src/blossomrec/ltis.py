@@ -36,7 +36,8 @@ checks and tests that the model does not call. Both are checked against
 Selection is a discrete ranking, so no gradient flows through it: by
 design the blocks are scored through a fixed random projection
 (``CompressionMLP``), drawn once from the model's seed and never trained.
-The whole pipeline runs on plain arrays.
+The whole pipeline runs on plain arrays: step 3 is the row softmax kernel
+the tape's ops share (``tensor._exp_shifted``), in place on the logits.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import numpy as np
 
 from .config import AttentionConfig
 from .data import SeqContext
-from .tensor import index_mask, masked_softmax, parameter
+from .tensor import _exp_shifted, index_mask, parameter
 
 __all__ = ["CompressionMLP", "remap_matrix", "ltis_index", "build_ltis_masks"]
 
@@ -198,8 +199,9 @@ def _top_blocks(q: np.ndarray, k: np.ndarray, ctx: SeqContext, seg: np.ndarray, 
     block = np.arange(num_cmp.max())
     seen = block * cfg.stride + shift[seg, None] + cfg.block_size - 1 <= t   # (R, M)
     own = offset[seg, None] + np.minimum(block, num_cmp[seg, None] - 1)
-    logits = (q @ np.take(cmp_keys, own, axis=1).swapaxes(-1, -2)) * (1.0 / np.sqrt(cfg.d_head))
-    cmp_scores = masked_softmax(logits, seen[:, None]).data         # (g, R, hpg, M)
+    cmp_scores = (q @ np.take(cmp_keys, own, axis=1).swapaxes(-1, -2)) * (1.0 / np.sqrt(cfg.d_head))
+    _, total = _exp_shifted(cmp_scores, ~seen[:, None])            # (g, R, hpg, M), in place
+    np.divide(cmp_scores, total, out=cmp_scores, where=total > 0)
     num_sel = cfg.num_sel_blocks(int(n.max()))
     sel_scores = cmp_scores @ remap_matrix(cmp_scores.shape[-1], num_sel, cfg)
     cols, keep = _rank(sel_scores.sum(axis=2), t, cfg)

@@ -177,15 +177,15 @@ def sequence_loss(model: Model, batch: SeqBatch, training: bool = False,
 
 
 class Adam:
-    """Adam with bias correction and global-norm gradient clipping."""
+    """Adam with bias correction and global-norm gradient clipping, at
+    the constants below."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 0.001,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
-                 clip_norm: float = 5.0):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+    CLIP_NORM = 5.0
+
+    def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.clip_norm = clip_norm
         self.step_count = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -193,21 +193,20 @@ class Adam:
     def step(self) -> None:
         grads = {k: (p.grad if p.grad is not None else np.zeros_like(p.data))
                  for k, p in self.params.items()}
-        if self.clip_norm > 0:
-            total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-            if total > self.clip_norm:
-                scale = self.clip_norm / total
-                grads = {k: g * scale for k, g in grads.items()}
+        total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+        if total > self.CLIP_NORM:
+            scale = self.CLIP_NORM / total
+            grads = {k: g * scale for k, g in grads.items()}
         self.step_count += 1
-        b1t = 1.0 - self.beta1**self.step_count
-        b2t = 1.0 - self.beta2**self.step_count
+        b1t = 1.0 - self.BETA1**self.step_count
+        b2t = 1.0 - self.BETA2**self.step_count
         for k, p in self.params.items():
             g = grads[k]
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * (g * g)
+            self.m[k] = self.BETA1 * self.m[k] + (1.0 - self.BETA1) * g
+            self.v[k] = self.BETA2 * self.v[k] + (1.0 - self.BETA2) * (g * g)
             m_hat = self.m[k] / b1t
             v_hat = self.v[k] / b2t
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
 @dataclass

@@ -8,8 +8,9 @@ reverse accumulates gradients into every reachable parameter.
 
 Design points:
   * float64 only, so finite-difference checks are decisive.
-  * a fully masked softmax slice yields zeros, not NaN (a query with no
-    visible keys contributes nothing).
+  * one in-place kernel, ``_exp_shifted``, is the row softmax of every op
+    that normalizes rows and of LTIS block scoring: a row with nothing
+    visible yields zeros, and a row with a visible NaN yields NaN.
   * sparse attention has two equivalent forms: ``gathered_attention``
     over a per-query index of key positions, and ``masked_softmax`` under
     the dense mask ``index_mask`` builds from that same index.
@@ -94,6 +95,7 @@ CHUNK_BYTES = 2 << 20
 
 
 _LOWEST = np.finfo(np.float64).min
+_LAYER_NORM_EPS = 1e-5   # added to the variance ``layer_norm`` divides by
 
 
 def _grad_enabled() -> bool:
@@ -507,36 +509,38 @@ def matmul(a, b) -> Tensor:
 # composite / specialty ops
 
 
-def masked_softmax(logits, mask: Array | None = None, axis: int = -1) -> Tensor:
-    """Softmax along ``axis`` with an optional boolean visibility mask.
+def _exp_shifted(x: Array, hidden: Array | None = None) -> tuple[Array, Array]:
+    """The row softmax every op shares, in place on ``x``: -inf at the
+    ``hidden`` entries (bool, broadcasting to ``x``), minus the last-axis
+    row max, exponentiated. Returns the row max and sum, with keepdims;
+    the softmax is ``x / sum`` where the sum is above 0. The max has a
+    finite floor, so a row with nothing visible (or K = 0) is zeros with
+    sum 0; a row with a visible NaN is NaN throughout."""
+    if hidden is not None:
+        np.copyto(x, -np.inf, where=hidden)
+    mx = x.max(axis=-1, keepdims=True, initial=_LOWEST)
+    x -= mx
+    np.exp(x, out=x)
+    return mx, x.sum(axis=-1, keepdims=True)
 
-    Masked-out entries behave as logit -inf: they get probability zero and
-    receive no gradient. A slice with nothing visible comes back as all
-    zeros rather than NaN.
-    """
+
+def masked_softmax(logits, mask: Array) -> Tensor:
+    """Softmax along the last axis under a boolean mask that broadcasts to
+    ``logits``. Masked-out entries get probability zero and no gradient; a
+    row with nothing visible is zeros, and one with a visible NaN is NaN."""
     logits = _as_tensor(logits)
-    x = logits.data
-    if mask is None:
-        mx = x.max(axis=axis, keepdims=True)
-        z = np.exp(x - mx)
-        s = z.sum(axis=axis, keepdims=True)
-        p = z / s
-    else:
-        try:
-            m = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
-        except ValueError:
-            raise ValueError(
-                f"mask shape {np.asarray(mask).shape} does not broadcast to logits {x.shape}"
-            ) from None
-        shifted = np.where(m, x, -np.inf)
-        mx = shifted.max(axis=axis, keepdims=True)
-        mx = np.where(np.isfinite(mx), mx, 0.0)
-        z = np.exp(shifted - mx)
-        s = z.sum(axis=axis, keepdims=True)
-        p = np.divide(z, s, out=np.zeros_like(z), where=s > 0)
+    try:
+        hidden = ~np.broadcast_to(np.asarray(mask, dtype=bool), logits.shape)
+    except ValueError:
+        raise ValueError(
+            f"mask shape {np.asarray(mask).shape} does not broadcast to logits {logits.shape}"
+        ) from None
+    p = logits.data.copy()
+    _, s = _exp_shifted(p, hidden)
+    np.divide(p, s, out=p, where=s > 0)
 
     def backward(g: Array) -> None:
-        inner = (g * p).sum(axis=axis, keepdims=True)
+        inner = (g * p).sum(axis=-1, keepdims=True)
         _accumulate(logits, p * (g - inner))
 
     return _make(p, (logits,), backward)
@@ -550,10 +554,11 @@ def gathered_attention(q, k, v, idx: Array, valid: Array) -> Tensor:
     [0, Lk)) and ``valid`` (bool) are (B, groups or 1, L, K): slot s of
     query i holds key ``idx[..., i, s]`` when ``valid[..., i, s]``; a
     leading group axis of 1 gives every group the same positions. K/V are
-    gathered once per group and shared by its heads, the softmax runs over
-    the valid slots only, and a query with no valid slot comes back as
-    exact zeros. Returns (B, heads, L, d), equal to scaled dot-product
-    attention under ``index_mask(idx, valid, Lk)`` at O(L * K * d) cost.
+    gathered once per group and shared by its heads, the softmax
+    (``_exp_shifted``) runs over the valid slots only, a query with no
+    valid slot comes back as exact zeros and one with a NaN logit as NaN.
+    Returns (B, heads, L, d), equal to scaled dot-product attention under
+    ``index_mask(idx, valid, Lk)`` at O(L * K * d) cost.
     An index outside [0, Lk), in a valid slot or not, and a head count
     that is not a multiple of the group count are ValueErrors.
 
@@ -603,13 +608,8 @@ def gathered_attention(q, k, v, idx: Array, valid: Array) -> Tensor:
         pc = p[:, :, lo:hi]
         np.matmul(qh[:, :, lo:hi], gather(kf, r, hi - lo).swapaxes(-1, -2), out=pc)
         pc *= scale
-        np.copyto(pc, -np.inf, where=hidden[:, :, lo:hi])
-        # A finite floor: a row with nothing visible subtracts it from -inf
-        # and stays -inf; K may be 0.
-        pc -= pc.max(axis=-1, keepdims=True, initial=_LOWEST)
-        np.exp(pc, out=pc)
-        s = pc.sum(axis=-1, keepdims=True)
-        np.divide(pc, s, out=pc, where=s > 0)   # a row with nothing visible is already zeros
+        _, s = _exp_shifted(pc, hidden[:, :, lo:hi])
+        np.divide(pc, s, out=pc, where=s > 0)
         np.matmul(pc, gather(vf, r, hi - lo), out=out[:, :, :, lo:hi].transpose(0, 1, 3, 2, 4))
 
     def backward(grad: Array) -> None:
@@ -698,13 +698,10 @@ def linear_cross_entropy(h, w, targets: Array) -> Tensor:
         x = hs @ w.data.T
         hit = (np.arange(x.shape[0]), targets[sl])
         picked[sl] = x[hit]
-        mx = x.max(axis=1, keepdims=True)
-        x -= mx
-        np.exp(x, out=x)
-        s = x.sum(axis=1)
-        lse[sl] = np.log(s) + mx[:, 0]
+        mx, s = _exp_shifted(x)
+        lse[sl] = (np.log(s) + mx)[:, 0]
         if dh is not None or dw is not None:
-            x *= (1.0 / n) / s[:, None]
+            x *= (1.0 / n) / s
             x[hit] -= 1.0 / n
             if dh is not None:
                 dh[sl] = x @ w.data
@@ -728,7 +725,7 @@ def linear_cross_entropy(h, w, targets: Array) -> Tensor:
     return _make(np.asarray(loss), (h, w), backward)
 
 
-def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
+def layer_norm(x, gamma, beta) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale-shift."""
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     if gamma.shape != x.shape[-1:] or beta.shape != x.shape[-1:]:
@@ -736,10 +733,9 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     mu = tmean(x, axis=-1, keepdims=True)
     centered = sub(x, mu)
     var = tmean(mul(centered, centered), axis=-1, keepdims=True)
-    inv = power(add(var, eps), -0.5)
+    inv = power(add(var, _LAYER_NORM_EPS), -0.5)
     return add(mul(mul(centered, inv), gamma), beta)
 
 
-def affine(x, w, b=None) -> Tensor:
-    out = matmul(x, w)
-    return out if b is None else add(out, b)
+def affine(x, w, b) -> Tensor:
+    return add(matmul(x, w), b)

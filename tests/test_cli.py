@@ -276,6 +276,14 @@ class TestConfigPrecedence:
         with pytest.raises(ConfigError, match="key = value"):
             parse_config_file(bad)
 
+    @pytest.mark.parametrize("bad", [{"lr": -1.0}, {"epochs": 0}, {"batch_size": 0},
+                                     {"pathway": "dense"}], ids=lambda bad: next(iter(bad)))
+    def test_run_config_checks_itself(self, bad):
+        """A RunConfig built directly, as ``train`` may be handed one, is
+        checked as one ``resolve_run_config`` merges is."""
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            RunConfig(**bad)
+
     def test_comments_and_blanks(self, tmp_path):
         f = tmp_path / "ok.cfg"
         f.write_text("# comment\n\nwin = 3  # trailing\n")

@@ -21,7 +21,7 @@ from blossomrec.gradcheck import grad_check
 from blossomrec.ltis import CompressionMLP, build_ltis_masks
 from blossomrec.stis import batch_stis_masks
 from blossomrec.tensor import (
-    Tensor, gathered_attention, index_mask, layer_norm, parameter, zero_grads,
+    Tensor, gathered_attention, index_mask, layer_norm, matmul, parameter, zero_grads,
 )
 from blossomrec.verify import gathered_equivalence_error
 
@@ -71,9 +71,9 @@ class TestGqa:
         k = rng.normal(size=(1, 2, length, 4))
         v = rng.normal(size=(1, 2, length, 4))
         w_o = rng.normal(size=(16, cfg.d_model))
-        out = grouped_attention(Tensor(q), Tensor(k), Tensor(v), cfg, causal_mask(length),
-                                w_o=Tensor(w_o))
-        want = dense_causal_gqa(q[0], k[0], v[0], cfg, w_o=w_o)
+        out = matmul(grouped_attention(Tensor(q), Tensor(k), Tensor(v), cfg, causal_mask(length)),
+                     Tensor(w_o))
+        want = dense_causal_gqa(q[0], k[0], v[0], cfg) @ w_o
         assert np.abs(out.data[0] - want).max() < 1e-10
 
     def test_band_config_rejected(self):
@@ -81,7 +81,7 @@ class TestGqa:
         q = Tensor(np.zeros((1, 3, 5, 4)))
         kv = Tensor(np.zeros((1, 2, 5, 4)))
         with pytest.raises(ConfigError, match="heads"):
-            grouped_attention(q, kv, kv, cfg)
+            grouped_attention(q, kv, kv, cfg, causal_mask(5))
 
 
 class TestGatedFuse:
@@ -289,7 +289,7 @@ def reference_layer(h, params, cfg, rope_base=10000.0):
         return centered / np.sqrt((centered ** 2).mean(axis=-1, keepdims=True) + 1e-5) * gamma + beta
 
     q, k = rope(heads(h @ p["w_q"], cfg.heads)), rope(heads(h @ p["w_k"], cfg.kv_groups))
-    o = dense_causal_gqa(q, k, heads(h @ p["w_v"], cfg.kv_groups), cfg, p["w_o"])
+    o = dense_causal_gqa(q, k, heads(h @ p["w_v"], cfg.kv_groups), cfg) @ p["w_o"]
     alpha = 1.0 / (1.0 + np.exp(-(np.concatenate([o, o], axis=-1) @ p["gate_w"] + p["gate_b"])))
     mixed = norm(h + alpha * o + (1.0 - alpha) * o, p["ln1_gamma"], p["ln1_beta"])
     ff = np.tanh(mixed @ p["ffn_w1"] + p["ffn_b1"]) @ p["ffn_w2"] + p["ffn_b2"]
@@ -335,7 +335,7 @@ class TestGatherOrDense:
         cfg = self.CFG
         if dense:
             def masked(q, k, v, index, w_o):
-                return grouped_attention(q, k, v, cfg, index_mask(*index, k.shape[2]), w_o)
+                return matmul(grouped_attention(q, k, v, cfg, index_mask(*index, k.shape[2])), w_o)
 
             monkeypatch.setattr(fusion, "_attend", masked)
         rng = np.random.default_rng(seed)
@@ -367,7 +367,7 @@ class TestGatherOrDense:
         cfg = self.CFG
         if dense:
             def masked(q, k, v, index, w_o):
-                return grouped_attention(q, k, v, cfg, index_mask(*index, k.shape[2]), w_o)
+                return matmul(grouped_attention(q, k, v, cfg, index_mask(*index, k.shape[2])), w_o)
 
             monkeypatch.setattr(fusion, "_attend", masked)
         rng = np.random.default_rng(18)

@@ -42,7 +42,7 @@ def point_cfg(**kw):
 
 
 PAPER = AttentionConfig()  # block 32, stride 16, selection 16, top-4
-SOFTMAX, RANK = ltis.masked_softmax, ltis._rank
+EXP_SHIFTED, RANK = ltis._exp_shifted, ltis._rank
 
 
 class LastKey:
@@ -81,13 +81,16 @@ def compression_io(k, cfg, phi):
 
 def captured_scores(monkeypatch, q, k, cfg, phi, rows=None):
     """``one_segment``, also returning the compression-block importance its
-    masked softmax gives, (kv_groups, R, heads_per_group, M), and the group
-    selection scores it ranks, (kv_groups, R, N_sel)."""
+    softmax gives, (kv_groups, R, heads_per_group, M), and the group
+    selection scores it ranks, (kv_groups, R, N_sel). The softmax kernel
+    works in place, so the array it is handed ends up holding the
+    importance."""
     seen = {}
-    monkeypatch.setattr(ltis, "masked_softmax", lambda *a: seen.setdefault("cmp", SOFTMAX(*a)))
+    monkeypatch.setattr(ltis, "_exp_shifted",
+                        lambda x, *a: EXP_SHIFTED(seen.setdefault("cmp", x), *a))
     monkeypatch.setattr(ltis, "_rank", lambda scores, *a: RANK(seen.setdefault("sel", scores), *a))
     idx, valid = one_segment(q, k, cfg, phi, rows)
-    return idx, valid, seen["cmp"].data, seen["sel"]
+    return idx, valid, seen["cmp"], seen["sel"]
 
 
 def unit_keys(scales):

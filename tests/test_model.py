@@ -334,10 +334,10 @@ class TestAdam:
 
     def test_clipping_bounds_update(self):
         p = parameter(np.zeros(4))
-        opt = Adam({"p": p}, lr=1.0, clip_norm=1.0)
+        opt = Adam({"p": p}, lr=1.0)
         p.grad = np.full(4, 1e6)
         opt.step()
-        # clipped to unit norm then normalized by Adam: finite, modest step
+        # clipped to norm 5 then normalized by Adam: finite, modest step
         assert np.abs(p.data).max() <= 1.0 + 1e-9
 
 
@@ -371,17 +371,21 @@ class TestTrain:
         for k in runs[0][1]:
             assert np.array_equal(runs[0][1][k], runs[1][1][k]), k
 
-    def test_zero_lr_leaves_parameters(self, dataset):
+    def test_zero_lr_leaves_parameters(self, dataset, monkeypatch):
+        """Only the optimizer step moves a parameter. A run's lr must be
+        positive, so the step is stubbed out rather than given lr = 0."""
+        monkeypatch.setattr(model_mod.Adam, "step", lambda self: None)
         model = Model(dataset.num_items, tiny_cfg(), 1, seed=3, max_len=16)
         before = {k: p.data.copy() for k, p in model.parameters().items()}
-        train(model, dataset, tiny_run(epochs=1, lr=0.0))
+        train(model, dataset, tiny_run(epochs=1))
         after = model.parameters()
         for k in before:
             assert np.array_equal(before[k], after[k].data), k
 
-    def test_early_stopping(self, dataset):
+    def test_early_stopping(self, dataset, monkeypatch):
+        monkeypatch.setattr(model_mod.Adam, "step", lambda self: None)   # as lr = 0 would
         model = Model(dataset.num_items, tiny_cfg(), 1, seed=5, max_len=16)
-        state = train(model, dataset, tiny_run(epochs=50, patience=1, lr=0.0))
+        state = train(model, dataset, tiny_run(epochs=50, patience=1))
         # constant parameters -> constant metric -> stop after patience runs out
         assert state.stopped_early
         assert state.epoch == 2

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blossomrec import tensor as tensor_mod
+from blossomrec.config import AttentionConfig
+from blossomrec.fusion import grouped_attention
 from blossomrec.gradcheck import grad_check
 from blossomrec.tensor import (
     Tensor,
@@ -76,7 +78,7 @@ class TestMatmul:
 
 class TestMaskedSoftmax:
     def test_uniform(self):
-        out = masked_softmax(Tensor([0.0, 0.0, 0.0]))
+        out = masked_softmax(Tensor([0.0, 0.0, 0.0]), np.ones(3, dtype=bool))
         assert np.allclose(out.data, [1 / 3] * 3, atol=1e-15)
 
     def test_single_survivor(self):
@@ -86,7 +88,7 @@ class TestMaskedSoftmax:
     def test_against_exp_sum_oracle(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=9)
-        got = masked_softmax(Tensor(x)).data
+        got = masked_softmax(Tensor(x), np.ones(9, dtype=bool)).data
         want = np.exp(x) / np.exp(x).sum()
         assert np.abs(got - want).max() < 1e-12
 
@@ -113,13 +115,6 @@ class TestMaskedSoftmax:
     def test_mask_shape_mismatch(self):
         with pytest.raises(ValueError, match="mask shape"):
             masked_softmax(Tensor(np.ones((2, 3))), np.ones((2, 4), dtype=bool))
-
-    def test_non_default_axis(self):
-        rng = np.random.default_rng(8)
-        x = rng.normal(size=(4, 3))
-        got = masked_softmax(Tensor(x), axis=0).data
-        want = np.exp(x) / np.exp(x).sum(axis=0, keepdims=True)
-        assert np.abs(got - want).max() < 1e-12
 
     def test_gradient(self):
         rng = np.random.default_rng(3)
@@ -300,6 +295,53 @@ class TestGatheredAttention:
         assert mask.shape == (1, 1, 1, 3, 3)
         assert mask[0, 0, 0].tolist() == [[False, False, False], [True, True, False],
                                           [False, False, True]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 2), st.integers(1, 2), st.integers(1, 4), st.integers(1, 5),
+       st.integers(0, 5), st.integers(0, 2**32 - 1),
+       st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                          st.sampled_from([np.nan, np.inf, -np.inf])), max_size=3))
+def test_row_softmax_ops_share_one_contract(groups, hpg, length, lk, slots, seed, faults):
+    """Every op that normalizes rows runs one kernel, so none hides a fault
+    another shows. With NaN, +inf and -inf placed among finite logits (in
+    ``masked_softmax``'s logits, and in the q and k that attention's come
+    from), random masks, rows with nothing visible, and K = 0:
+    ``gathered_attention`` equals ``grouped_attention`` under
+    ``index_mask`` of the same index, NaN in the same places; and a
+    ``masked_softmax`` row sums to 1, is all zeros (nothing finite
+    visible), or, with a visible NaN, is NaN throughout."""
+    rng = np.random.default_rng(seed)
+    slots = min(slots, lk)
+    h, d = groups * hpg, 2
+    q = rng.normal(size=(1, h, length, d))
+    k, v = rng.normal(size=(2, 1, groups, lk, d))
+    idx = np.stack([rng.permutation(lk)[:slots] for _ in range(groups * length)])
+    idx = idx.reshape(1, groups, length, slots)
+    valid = rng.random(idx.shape) < 0.7
+    valid[..., rng.random(length) < 0.2, :] = False      # queries with nothing visible
+    x = rng.normal(scale=3.0, size=(6, lk))
+    mask = rng.random(x.shape) < 0.7
+    mask[rng.random(6) < 0.2] = False
+    qk = np.concatenate([q.reshape(-1), k.reshape(-1)])
+    for at, value in faults:
+        qk[int(at * qk.size)] = value
+        x.flat[int(at * x.size)] = value
+    q, k = qk[:q.size].reshape(q.shape), qk[q.size:].reshape(k.shape)
+
+    cfg = AttentionConfig(heads=h, kv_groups=groups, d_head=d)
+    with np.errstate(invalid="ignore"):   # inf - inf and 0 * inf are the point
+        got = gathered_attention(Tensor(q), Tensor(k), Tensor(v), idx, valid).data
+        want = grouped_attention(Tensor(q), Tensor(k), Tensor(v), cfg,
+                                 index_mask(idx, valid, lk)).data
+        p = masked_softmax(Tensor(x), mask).data
+    np.testing.assert_allclose(got.transpose(0, 2, 1, 3).reshape(want.shape), want,
+                               rtol=1e-12, atol=1e-12, equal_nan=True)
+    visible_nan = (mask & np.isnan(x)).any(axis=-1)
+    assert np.isnan(p[visible_nan]).all()
+    clean = ~(mask & (np.isnan(x) | (x == np.inf))).any(axis=-1)
+    sums = p[clean].sum(axis=-1)
+    assert np.all((np.abs(sums - 1.0) < 1e-12) | (p[clean] == 0.0).all(axis=-1))
 
 
 class TestLayerNorm:
