@@ -107,9 +107,12 @@ class RunConfig(AttentionConfig):
             raise ConfigError(f"pathway must be {'|'.join(PATHWAYS)}, got {self.pathway!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
-        for name in ("batch_size", "epochs", "max_len", "layers", "eval_k", "negatives"):
+        for name in ("batch_size", "epochs", "max_len", "layers", "eval_k", "negatives",
+                     "patience"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.min_len < 2:   # the two held-out items
+            raise ConfigError(f"min_len must be at least 2, got {self.min_len}")
         if not self.lr > 0.0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.seed < 0:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .tensor import Tensor, matmul, take_rows
+from .tensor import Tensor, rope, take_rows
 
 __all__ = ["EmbeddingTable", "RoPECache", "embed", "apply_rope"]
 
@@ -74,12 +74,12 @@ class RoPECache:
         self.cos = np.tile(np.cos(angles), 2)
         self.sin = np.tile(np.sin(angles), 2)
         eye = np.eye(half)
-        self.rotate = Tensor(np.block([[0 * eye, eye], [-eye, 0 * eye]]))
+        self.rotate = np.block([[0 * eye, eye], [-eye, 0 * eye]])
 
 
 def apply_rope(x: Tensor, positions: np.ndarray, cache: RoPECache) -> Tensor:
     """Rotate query/key vectors by their position-dependent angles, as
-    ``x * cos + (x @ rotate) * sin``: four tape ops.
+    ``x * cos + (x @ rotate) * sin``: one tape op (``tensor.rope``).
 
     x: (..., L, d_head); positions: int array of shape (L,), one per row.
     """
@@ -91,4 +91,4 @@ def apply_rope(x: Tensor, positions: np.ndarray, cache: RoPECache) -> Tensor:
         raise ConfigError(f"rope positions must be 1-D, one per row; got shape {positions.shape}")
     if positions.max(initial=0) >= cache.max_len:
         raise ConfigError(f"position {positions.max()} exceeds rope cache length {cache.max_len}")
-    return x * cache.cos[positions] + matmul(x, cache.rotate) * cache.sin[positions]
+    return rope(x, cache.cos[positions], cache.sin[positions], cache.rotate)

@@ -45,14 +45,13 @@ from . import stis as stis_mod
 from .tensor import (
     Tensor,
     affine,
-    concat,
     gathered_attention,
     layer_norm,
     masked_softmax,
     matmul,
     parameter,
     reshape,
-    sigmoid,
+    sigmoid_gate,
     take_rows,
     tanh,
     transpose,
@@ -118,13 +117,14 @@ def gated_fuse(o_ltis: Tensor, o_stis: Tensor, gate_w: Tensor, gate_b: Tensor) -
     """Sigmoid-gated convex combination of the two pathway outputs.
 
     alpha = sigmoid(affine([o_ltis; o_stis])), elementwise output
-    alpha * o_ltis + (1 - alpha) * o_stis. Returns (fused, alpha).
+    alpha * o_ltis + (1 - alpha) * o_stis, one tape op
+    (``tensor.sigmoid_gate``). Returns (fused, alpha); alpha is a Tensor
+    with no tape node, so no gradient flows through it.
     """
     if o_ltis.shape != o_stis.shape:
         raise ValueError(f"pathway outputs disagree: {o_ltis.shape} vs {o_stis.shape}")
-    alpha = sigmoid(affine(concat([o_ltis, o_stis], axis=o_ltis.ndim - 1), gate_w, gate_b))
-    fused = alpha * o_ltis + (1.0 - alpha) * o_stis
-    return fused, alpha
+    fused, alpha = sigmoid_gate(o_ltis, o_stis, gate_w, gate_b)
+    return fused, Tensor(alpha)
 
 
 @dataclass

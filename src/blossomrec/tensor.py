@@ -21,16 +21,26 @@ Design points:
     handed to two parents (``add`` gives both the same ``g``) is never
     written through, and no backward closure writes into an array it
     received.
-  * ``mul`` and ``matmul`` form an operand's gradient product only when
-    that operand requires a gradient, so constant tables and masks cost
-    no backward work.
+  * ``mul``, ``matmul`` and the fused ops below form an operand's
+    gradient product only when that operand requires a gradient, so
+    constant tables and masks cost no backward work.
+  * the encoder's composites are one op each, with a hand-written
+    backward: ``affine`` (``x @ w + b``; keeps only its inputs),
+    ``layer_norm`` (keeps the normalized input and 1/sigma),
+    ``sigmoid_gate`` (concat, affine, sigmoid and the gated mix; keeps the
+    concat and the gate) and ``rope`` (``x * cos + (x @ R) * sin``; keeps
+    only its constant tables). Each forms its output with the numpy
+    expressions, in the order, of the chain of elementwise ops it stands
+    for, so the output is bit-identical to that chain's, and the tape
+    holds one node and none of the chain's intermediates.
   * the two large ops work through their rows in chunks of about
     ``CHUNK_BYTES`` (2 MB) of the block they form per row, and keep for
     backward only what is small next to what they compute.
     ``gathered_attention`` forms the gathered K or V of a chunk of query
-    rows at a time and keeps its softmax weights and key-row index; its
-    backward gathers each chunk's V and then K again and scatters the K/V
-    gradients with one ``np.bincount`` per contiguous feature column.
+    rows at a time and keeps its softmax weights and key index (none
+    under ``no_grad``); its backward gathers each chunk's V and then K
+    again and scatters the K/V gradients with one ``np.bincount`` per
+    contiguous feature column.
     ``linear_cross_entropy`` forms a chunk of logits at a time and keeps
     none. Its output is a scalar, so its gradients are fixed up to the
     upstream seed: the forward forms them from each chunk of logits while
@@ -59,7 +69,10 @@ __all__ = [
     "gathered_attention",
     "index_mask",
     "linear_cross_entropy",
+    "affine",
     "layer_norm",
+    "sigmoid_gate",
+    "rope",
     "sigmoid",
     "tanh",
     "power",
@@ -368,12 +381,15 @@ def tanh(a) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
+def _sigmoid(x: Array) -> Array:
+    """The logistic function, branching on sign so that exp cannot overflow."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
-    x = a.data
-    # Branch on sign to avoid overflow in exp.
-    e = np.exp(-np.abs(x))
-    out_data = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out_data = _sigmoid(a.data)
 
     def backward(g: Array) -> None:
         _accumulate(a, g * out_data * (1.0 - out_data))
@@ -564,11 +580,13 @@ def gathered_attention(q, k, v, idx: Array, valid: Array) -> Tensor:
 
     The query rows are worked through in chunks whose gathered
     (B, G, rows, K, d) block is about ``CHUNK_BYTES`` (at least one row),
-    and one such block is alive at a time. The forward gathers a chunk's
-    K, fills its rows of the softmax weights, then gathers its V and
-    fills its rows of the output. Only the softmax weights
-    (B, G, L, heads per group, K) and the key-row index stay on the tape;
-    the backward, chunk by chunk, gathers V again for the weights'
+    and one such block is alive at a time. The forward works out a
+    chunk's key rows from ``idx``, gathers its K, fills its rows of the
+    softmax weights, then gathers its V and fills its rows of the output.
+    Only the softmax weights (B, G, L, heads per group, K) and ``idx``
+    stay on the tape, and only when a gradient is to come; without one,
+    the weights live in one chunk-sized buffer. The backward, chunk by
+    chunk, works out the key rows again, gathers V for the weights'
     gradient, then K for the query rows' gradient, and forms the chunk's
     K/V gradient terms feature-major, (d, B, G, rows, K), so that each of
     the d ``np.bincount`` calls that scatters them onto their key rows
@@ -584,13 +602,14 @@ def gathered_attention(q, k, v, idx: Array, valid: Array) -> Tensor:
         bad = idx[(idx < 0) | (idx >= lk)][0]
         raise ValueError(f"key index {int(bad)} outside [0, {lk})")
     hpg, slots = h // g, idx.shape[-1]
-    hidden = ~np.asarray(valid, dtype=bool)[:, :, :, None, :]   # (b, g or 1, L, 1, K)
-    rows = idx + (np.arange(b * g) * lk).reshape(b, g, 1, 1)   # (b, g, L, K)
+    valid = np.asarray(valid, dtype=bool)
     step = _chunk_rows(b * g * slots * d)
-    # (lo, hi, the chunk's key rows of k.reshape(-1, d), flat in (B, G, rows, K) order)
-    chunks = [(lo, min(lo + step, length), rows[:, :, lo: lo + step].reshape(-1))
-              for lo in range(0, length, step)]
-    del rows   # with more than one chunk, they hold copies
+    chunks = [(lo, min(lo + step, length)) for lo in range(0, length, step)]
+    offsets = (np.arange(b * g) * lk).reshape(b, g, 1, 1)
+
+    def key_rows(lo: int, hi: int) -> Array:
+        """Query rows lo:hi's key rows of k.reshape(-1, d), flat in (B, G, rows, K) order."""
+        return (idx[:, :, lo:hi] + offsets).reshape(-1)
 
     def gather(table: Array, r: Array, n: int) -> Array:
         return np.take(table, r, axis=0).reshape(b, g, n, slots, d)
@@ -601,14 +620,19 @@ def gathered_attention(q, k, v, idx: Array, valid: Array) -> Tensor:
     scale = 1.0 / np.sqrt(d)
     qd, kd, vd = q.data, k.data, v.data   # the arrays backward gathers from again
     qh = by_head(qd)
-    p = np.empty((b, g, length, hpg, slots))
+    # With a gradient to come, the softmax weights of every row stay for
+    # backward; without one, each chunk's go into one reused buffer.
+    learn = _grad_enabled() and (q.requires_grad or k.requires_grad or v.requires_grad)
+    p = np.empty((b, g, length, hpg, slots)) if learn else None
+    buf = None if learn else np.empty(b * g * min(step, length) * hpg * slots)
     out = np.empty((b, g, hpg, length, d))
     kf, vf = kd.reshape(-1, d), vd.reshape(-1, d)
-    for lo, hi, r in chunks:
-        pc = p[:, :, lo:hi]
+    for lo, hi in chunks:
+        r = key_rows(lo, hi)
+        pc = p[:, :, lo:hi] if learn else buf[: r.size * hpg].reshape(b, g, hi - lo, hpg, slots)
         np.matmul(qh[:, :, lo:hi], gather(kf, r, hi - lo).swapaxes(-1, -2), out=pc)
         pc *= scale
-        _, s = _exp_shifted(pc, hidden[:, :, lo:hi])
+        _, s = _exp_shifted(pc, ~valid[:, :, lo:hi, None, :])
         np.divide(pc, s, out=pc, where=s > 0)
         np.matmul(pc, gather(vf, r, hi - lo), out=out[:, :, :, lo:hi].transpose(0, 1, 3, 2, 4))
 
@@ -618,7 +642,8 @@ def gathered_attention(q, k, v, idx: Array, valid: Array) -> Tensor:
         dq = np.empty((b, g, hpg, length, d)) if q.requires_grad else None
         dk, dv = (np.zeros((d, b * g * lk)) if t.requires_grad else None for t in (k, v))
         terms = np.empty(d * b * g * min(step, length) * slots)
-        for lo, hi, r in chunks:
+        for lo, hi in chunks:
+            r = key_rows(lo, hi)
             pc, goc = p[:, :, lo:hi], go[:, :, lo:hi]
             ds = goc @ gather(vf, r, hi - lo).swapaxes(-1, -2)
             ds -= (ds * pc).sum(axis=-1, keepdims=True)
@@ -725,17 +750,99 @@ def linear_cross_entropy(h, w, targets: Array) -> Tensor:
     return _make(np.asarray(loss), (h, w), backward)
 
 
+def affine(x, w, b) -> Tensor:
+    """``x @ w + b``: ``x`` is (..., d_in), ``w`` (d_in, d_out) and ``b``
+    (d_out,). One op, which keeps only its inputs for backward."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ValueError(f"affine needs (..., d_in), (d_in, d_out) and (d_out,) operands, "
+                         f"got {x.shape}, {w.shape} and {b.shape}")
+    out = x.data @ w.data
+    out += b.data
+
+    def backward(g: Array) -> None:
+        if x.requires_grad:
+            _accumulate(x, g @ w.data.T)
+        if w.requires_grad:
+            _accumulate(w, _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.shape))
+        _accumulate(b, _unbroadcast(g, b.shape))
+
+    return _make(out, (x, w, b), backward)
+
+
 def layer_norm(x, gamma, beta) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale-shift."""
+    """Normalize the last axis to zero mean / unit variance, then scale-shift.
+
+    One op. It keeps the normalized input and the per-row 1/sigma for
+    backward, and forms its output with the same numpy expressions, in the
+    same order, as the chain of elementwise ops it stands for."""
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     if gamma.shape != x.shape[-1:] or beta.shape != x.shape[-1:]:
         raise ValueError(f"layer_norm affine params must match last axis {x.shape[-1:]}")
-    mu = tmean(x, axis=-1, keepdims=True)
-    centered = sub(x, mu)
-    var = tmean(mul(centered, centered), axis=-1, keepdims=True)
-    inv = power(add(var, _LAYER_NORM_EPS), -0.5)
-    return add(mul(mul(centered, inv), gamma), beta)
+    n = x.shape[-1]
+    xhat = x.data - x.data.sum(axis=-1, keepdims=True) * (1.0 / n)
+    inv = ((xhat * xhat).sum(axis=-1, keepdims=True) * (1.0 / n) + _LAYER_NORM_EPS) ** -0.5
+    xhat *= inv
+    out = xhat * gamma.data
+    out += beta.data
+
+    def backward(g: Array) -> None:
+        if gamma.requires_grad:
+            _accumulate(gamma, _unbroadcast(g * xhat, gamma.shape))
+        _accumulate(beta, _unbroadcast(g, beta.shape))
+        if x.requires_grad:
+            dxhat = g * gamma.data
+            dx = dxhat - dxhat.sum(axis=-1, keepdims=True) * (1.0 / n)
+            dx -= xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) * (1.0 / n))
+            dx *= inv
+            _accumulate(x, dx)
+
+    return _make(out, (x, gamma, beta), backward)
 
 
-def affine(x, w, b) -> Tensor:
-    return add(matmul(x, w), b)
+def sigmoid_gate(a, b, w, bias) -> tuple[Tensor, Array]:
+    """The sigmoid-gated mix ``alpha * a + (1 - alpha) * b`` with
+    ``alpha = sigmoid([a; b] @ w + bias)``: ``a`` and ``b`` are (..., d),
+    ``w`` (2d, d) and ``bias`` (d,). Returns the mix and alpha, a plain
+    array with no node of its own.
+
+    One op: the concat, the affine, the sigmoid and the mix, which keeps
+    the concat and alpha for backward."""
+    a, b, w, bias = _as_tensor(a), _as_tensor(b), _as_tensor(w), _as_tensor(bias)
+    d = a.shape[-1]
+    cat = np.concatenate([a.data, b.data], axis=-1)
+    z = cat @ w.data
+    z += bias.data
+    alpha = _sigmoid(z)
+    del z
+
+    def backward(g: Array) -> None:
+        dz = g * cat[..., :d]
+        dz -= g * cat[..., d:]
+        dz *= alpha
+        dz *= 1.0 - alpha
+        if w.requires_grad:
+            _accumulate(w, _unbroadcast(np.swapaxes(cat, -1, -2) @ dz, w.shape))
+        _accumulate(bias, _unbroadcast(dz, bias.shape))
+        if a.requires_grad or b.requires_grad:
+            dcat = dz @ w.data.T
+            if a.requires_grad:
+                _accumulate(a, g * alpha + dcat[..., :d])
+            if b.requires_grad:
+                _accumulate(b, g * (1.0 - alpha) + dcat[..., d:])
+
+    return _make(alpha * a.data + (1.0 - alpha) * b.data, (a, b, w, bias), backward), alpha
+
+
+def rope(x, cos: Array, sin: Array, rotate: Array) -> Tensor:
+    """Rotary encoding ``x * cos + (x @ rotate) * sin`` as one op; the
+    angle tables ``cos`` and ``sin`` broadcast to ``x`` and, with the
+    (d, d) ``rotate``, are constants that get no gradient."""
+    x = _as_tensor(x)
+    out = x.data * cos
+    out += (x.data @ rotate) * sin
+
+    def backward(g: Array) -> None:
+        _accumulate(x, g * cos + (g * sin) @ rotate.T)
+
+    return _make(out, (x,), backward)

@@ -277,7 +277,8 @@ class TestConfigPrecedence:
             parse_config_file(bad)
 
     @pytest.mark.parametrize("bad", [{"lr": -1.0}, {"epochs": 0}, {"batch_size": 0},
-                                     {"pathway": "dense"}], ids=lambda bad: next(iter(bad)))
+                                     {"pathway": "dense"}, {"patience": -5}, {"min_len": 0}],
+                             ids=lambda bad: next(iter(bad)))
     def test_run_config_checks_itself(self, bad):
         """A RunConfig built directly, as ``train`` may be handed one, is
         checked as one ``resolve_run_config`` merges is."""

@@ -121,8 +121,8 @@ class TestGatedFuse:
 
     def test_gate_gradient(self):
         rng = np.random.default_rng(6)
-        a = Tensor(rng.normal(size=(3, 4)))
-        b = Tensor(rng.normal(size=(3, 4)))
+        a = parameter(rng.normal(size=(3, 4)))
+        b = parameter(rng.normal(size=(3, 4)))
         gate_w = parameter(rng.normal(size=(8, 4)))
         gate_b = parameter(rng.normal(size=4))
         w = rng.normal(size=(3, 4))
@@ -131,7 +131,14 @@ class TestGatedFuse:
             fused, _ = gated_fuse(a, b, gate_w, gate_b)
             return (fused * Tensor(w)).sum()
 
-        assert grad_check(f, {"gate_w": gate_w, "gate_b": gate_b}) < 1e-4
+        assert grad_check(f, {"o_ltis": a, "o_stis": b, "gate_w": gate_w, "gate_b": gate_b}) < 1e-6
+
+    def test_alpha_carries_no_node(self):
+        """alpha is reported, not differentiated: it has no tape node."""
+        rng = np.random.default_rng(7)
+        a, b = parameter(rng.normal(size=(3, 4))), parameter(rng.normal(size=(3, 4)))
+        _, alpha = gated_fuse(a, b, parameter(rng.normal(size=(8, 4))), parameter(np.zeros(4)))
+        assert alpha._backward is None and not alpha.requires_grad
 
 
 def layer_inputs(cfg, lengths, rng, total=None):

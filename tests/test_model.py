@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from collections import Counter
 import subprocess
 import sys
 import tracemalloc
@@ -183,12 +184,31 @@ class TestSequenceLoss:
         for k, p in params.items():
             assert np.abs(fused[k] - p.grad).max() < 1e-10, k
 
+    def test_tape_holds_one_node_per_fused_op(self):
+        """A one-layer training step at desk width (the benchmark's model)
+        records 35 tape nodes, each fused composite one per call: three
+        affines (the FFN's two and the output projection), two layer norms,
+        one gate and two RoPEs. Their chains of elementwise ops made it 71."""
+        cfg = AttentionConfig(heads=4, kv_groups=2, d_model=32, d_head=8)
+        model = Model(40, cfg, 1, seed=0, max_len=64, dropout=0.1)
+        rng = np.random.default_rng(0)
+        batch = SeqBatch.from_sequences([rng.integers(1, 41, n).tolist() for n in (64, 37, 5)],
+                                        max_len=64)
+        loss = sequence_loss(model, batch, training=True, rng=rng)
+        ops = Counter(node._backward.__qualname__.split(".")[0]
+                      for node in tensor.GradTape(loss).ops)
+        assert ops == Counter(
+            reshape=6, matmul=5, transpose=5, affine=3, take_rows=2, rope=2,
+            gathered_attention=2, mul=2, add=2, layer_norm=2, sigmoid_gate=1, tanh=1,
+            getitem=1, linear_cross_entropy=1)
+        assert sum(ops.values()) == 35
+
     def test_graph_holds_neither_logits_nor_gathered_keys(self):
         """What ``sequence_loss`` leaves on the tape for backward holds no
         (T, V) logit matrix and no gathered (N, K, d_head) key copy. Here
         T = 598 transitions over 5000 items make a 23.9 MB logit matrix,
         and the N = 600 rows' 128 selected keys of width 32 a 19.7 MB
-        gathered copy; the graph holds about 9.7 MB (the loss's hidden-state
+        gathered copy; the graph holds about 7.5 MB (the loss's hidden-state
         and item-table gradients, formed in its forward, are 0.7 MB of it),
         and keeping either array would lift it above 30 MB."""
         cfg = AttentionConfig(block_size=16, stride=8, sel_block_size=16, top_k=8, win=4,

@@ -14,6 +14,7 @@ from blossomrec.fusion import grouped_attention
 from blossomrec.gradcheck import grad_check
 from blossomrec.tensor import (
     Tensor,
+    affine,
     concat,
     gathered_attention,
     index_mask,
@@ -25,7 +26,9 @@ from blossomrec.tensor import (
     no_grad,
     parameter,
     power,
+    rope,
     sigmoid,
+    sigmoid_gate,
     take_rows,
     tanh,
 )
@@ -267,10 +270,10 @@ class TestGatheredAttention:
 
     def test_one_gathered_chunk_alive_at_a_time(self):
         """Forward and backward over 16 chunks of 2 MB gathered K/V peak
-        at what the call keeps (softmax weights, key-row index, output,
-        seed and the three gradients: 10.5 MB) plus 4.7 MB, not at the
-        33.5 MB of one gathered (B, G, L, K, d) block (54.5 MB when the
-        whole block was gathered)."""
+        at what the call keeps (softmax weights, output, seed and the
+        three gradients: 8.4 MB) plus 4.9 MB, not at the 33.5 MB of one
+        gathered (B, G, L, K, d) block (54.5 MB when the whole block was
+        gathered)."""
         rng = np.random.default_rng(47)
         b, h, g, length, width, d = 1, 4, 2, 2048, 64, 16
         q, k, v = (parameter(rng.normal(size=(b, n, length, d))) for n in (h, g, g))
@@ -278,8 +281,8 @@ class TestGatheredAttention:
         valid = rng.random(idx.shape) < 0.9
         w = rng.normal(size=q.shape)
         assert length == 16 * tensor_mod._chunk_rows(b * g * width * d)
-        kept = (8 * b * g * length * width * (h // g + 1)   # weights and key-row index
-                + 8 * (3 * q.size + k.size + v.size))       # output, seed, gradients
+        kept = (8 * b * g * length * width * (h // g)   # weights
+                + 8 * (3 * q.size + k.size + v.size))   # output, seed, gradients
         tracemalloc.start()
         try:
             gathered_attention(q, k, v, idx, valid).backward(w)
@@ -287,6 +290,48 @@ class TestGatheredAttention:
         finally:
             tracemalloc.stop()
         assert peak < kept + 3 * tensor_mod.CHUNK_BYTES, (peak, kept)
+
+    @pytest.mark.parametrize("groups", [1, 2])
+    @pytest.mark.parametrize("chunk_rows", [None, 1, 5])
+    def test_no_grad_output_equals_grad_enabled(self, groups, chunk_rows, monkeypatch):
+        """Without a gradient to come the weights go through a reused
+        chunk buffer, and the output is the grad-enabled call's bit for
+        bit, in one chunk, a chunk per row and chunks of 5 rows."""
+        rng = np.random.default_rng(48)
+        b, h, length, width, d = 2, 4, 23, 5, 3
+        q = rng.normal(size=(b, h, length, d))
+        k, v = rng.normal(size=(2, b, 2, length, d))
+        idx, valid = random_index(rng, b, groups, (4, 0), length, width)
+        if chunk_rows:
+            monkeypatch.setattr(tensor_mod, "CHUNK_BYTES", 8 * b * 2 * width * d * chunk_rows)
+        learning = gathered_attention(parameter(q), parameter(k), parameter(v), idx, valid)
+        with no_grad():
+            frozen = gathered_attention(parameter(q), parameter(k), parameter(v), idx, valid)
+        constant = gathered_attention(Tensor(q), Tensor(k), Tensor(v), idx, valid)
+        assert learning._backward is not None
+        assert frozen._backward is None and constant._backward is None
+        assert np.array_equal(frozen.data, learning.data)
+        assert np.array_equal(constant.data, learning.data)
+
+    def test_no_grad_keeps_one_chunk_of_weights(self):
+        """Under ``no_grad``, 16 chunks of 2 MB gathered K/V peak at the
+        1 MB output plus about one chunk (3.6 MB in all), where keeping
+        every row's softmax weights (4.2 MB) and key rows (2.1 MB) took
+        9.7 MB."""
+        rng = np.random.default_rng(49)
+        b, h, g, length, width, d = 1, 4, 2, 2048, 64, 16
+        q, k, v = (Tensor(rng.normal(size=(b, n, length, d))) for n in (h, g, g))
+        idx = rng.integers(0, length, size=(b, g, length, width))
+        valid = rng.random(idx.shape) < 0.9
+        assert length == 16 * tensor_mod._chunk_rows(b * g * width * d)
+        tracemalloc.start()
+        try:
+            with no_grad():
+                gathered_attention(q, k, v, idx, valid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * q.size + 3 * tensor_mod.CHUNK_BYTES // 2, peak
 
     def test_index_mask(self):
         idx = np.array([[[[0, 0], [0, 1], [2, 0]]]])
@@ -377,6 +422,122 @@ class TestLayerNorm:
         assert grad_check(f, {"x": x, "gamma": gamma, "beta": beta}) < 1e-6
 
 
+def chain_affine(x, w, b):
+    """``affine`` as the matmul and add it stands for."""
+    return matmul(x, w) + b
+
+
+def chain_layer_norm(x, gamma, beta):
+    """``layer_norm`` as the chain of elementwise ops it stands for."""
+    centered = x - x.mean(axis=-1, keepdims=True)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    return centered * power(var + tensor_mod._LAYER_NORM_EPS, -0.5) * gamma + beta
+
+
+def chain_gate(a, b, w, bias):
+    """``sigmoid_gate`` as concat, matmul, add, sigmoid and the mix."""
+    alpha = sigmoid(matmul(concat([a, b], axis=a.ndim - 1), w) + bias)
+    return alpha * a + (1.0 - alpha) * b, alpha
+
+
+def rope_tables(rng, length, d):
+    """Angle tables of a (length, d) RoPE cache and its (d, d) rotation."""
+    half = d // 2
+    angles = rng.uniform(0.0, 2.0 * np.pi, size=(length, half))
+    eye = np.eye(half)
+    return (np.tile(np.cos(angles), 2), np.tile(np.sin(angles), 2),
+            np.block([[0 * eye, eye], [-eye, 0 * eye]]))
+
+
+def chain_rope(x, cos, sin, rotate):
+    """``rope`` as its two products, its matmul and its sum."""
+    return x * cos + matmul(x, Tensor(rotate)) * sin
+
+
+def fused_cases():
+    """(name, fused op, its chain, input shapes): each op takes the
+    inputs as tensors; RoPE's angle tables and rotation are constants."""
+    cos, sin, rotate = rope_tables(np.random.default_rng(12), 5, 6)
+    return [
+        ("affine", affine, chain_affine, [(2, 5, 4), (4, 3), (3,)]),
+        ("layer_norm", layer_norm, chain_layer_norm, [(2, 5, 6), (6,), (6,)]),
+        ("gate", lambda *t: sigmoid_gate(*t)[0], lambda *t: chain_gate(*t)[0],
+         [(2, 5, 3), (2, 5, 3), (6, 3), (3,)]),
+        ("rope", lambda x: rope(x, cos, sin, rotate), lambda x: chain_rope(x, cos, sin, rotate),
+         [(2, 3, 5, 6)]),
+    ]
+
+
+FUSED = fused_cases()
+
+
+class TestFusedOps:
+    """Each fused op against the chain of ops it replaces, kept here as
+    the reference: the same forward bit for bit, one tape node, and the
+    same gradients for every input."""
+
+    @staticmethod
+    def inputs(shapes, seed):
+        rng = np.random.default_rng(seed)
+        return [parameter(rng.normal(size=shape)) for shape in shapes]
+
+    @pytest.mark.parametrize("name, fused, chain, shapes", FUSED, ids=[c[0] for c in FUSED])
+    def test_forward_bit_identical_to_chain(self, name, fused, chain, shapes):
+        for seed in range(3):
+            xs = self.inputs(shapes, seed)
+            out = fused(*xs)
+            assert np.array_equal(out.data, chain(*xs).data)
+            # one node, whose parents are the inputs themselves
+            assert len(out._parents) == len(xs)
+            assert all(p is x for p, x in zip(out._parents, xs))
+
+    @pytest.mark.parametrize("name, fused, chain, shapes", FUSED, ids=[c[0] for c in FUSED])
+    def test_gradient_check(self, name, fused, chain, shapes):
+        xs = self.inputs(shapes, 4)
+        w = Tensor(np.random.default_rng(5).normal(size=fused(*xs).shape))
+        assert grad_check(lambda: (fused(*xs) * w).sum(), xs) < 1e-6
+
+    @pytest.mark.parametrize("name, fused, chain, shapes", FUSED, ids=[c[0] for c in FUSED])
+    def test_gradients_match_chain(self, name, fused, chain, shapes):
+        xs = self.inputs(shapes, 6)
+        seed = np.random.default_rng(7).normal(size=fused(*xs).shape)
+        grads = []
+        for op in (fused, chain):
+            for x in xs:
+                x.grad = None
+            op(*xs).backward(seed)
+            grads.append([x.grad for x in xs])
+        for got, want in zip(*grads):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("name, fused, chain, shapes", FUSED, ids=[c[0] for c in FUSED])
+    def test_constant_inputs_get_no_gradient(self, name, fused, chain, shapes):
+        """With only the first input learning, only it gets a gradient,
+        equal to the one it gets when every input learns."""
+        xs = self.inputs(shapes, 8)
+        seed = np.random.default_rng(9).normal(size=fused(*xs).shape)
+        fused(*xs).backward(seed)
+        want = xs[0].grad
+        consts = [Tensor(x.data) for x in xs[1:]]
+        x0 = parameter(xs[0].data)
+        fused(x0, *consts).backward(seed)
+        assert np.array_equal(x0.grad, want)
+        assert all(c.grad is None for c in consts)
+
+    def test_gate_alpha_matches_chain_and_has_no_node(self):
+        a, b, w, bias = self.inputs([(4, 3), (4, 3), (6, 3), (3,)], 10)
+        _, alpha = sigmoid_gate(a, b, w, bias)
+        assert isinstance(alpha, np.ndarray)
+        assert np.array_equal(alpha, chain_gate(a, b, w, bias)[1].data)
+
+    def test_affine_rejects_bad_shapes(self):
+        with pytest.raises(ValueError, match="affine"):
+            affine(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(3)))
+        with pytest.raises(ValueError, match="affine"):
+            affine(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))), Tensor(np.ones(4)))
+
+
 class TestPrimitiveGradients:
     """Every primitive against central differences, through odd compositions."""
 
@@ -392,7 +553,7 @@ class TestPrimitiveGradients:
         self.check(lambda: (tanh(x) * sigmoid(y) - (x - y)).sum(), [x, y])
 
     def test_power(self):
-        """Fractional and negative exponents; layer_norm takes power(var, -0.5)."""
+        """Fractional and negative exponents; layer_norm's chain takes power(var, -0.5)."""
         x = parameter(np.abs(self.rng.normal(size=5)) + 1.0)
         self.check(lambda: (power(x, 1.7) + power(x, -0.5) * x).sum(), [x])
 
