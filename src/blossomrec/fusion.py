@@ -45,15 +45,15 @@ from . import stis as stis_mod
 from .tensor import (
     Tensor,
     affine,
+    ffn,
     gathered_attention,
-    layer_norm,
     masked_softmax,
     matmul,
     parameter,
     reshape,
+    residual_norm,
     sigmoid_gate,
     take_rows,
-    tanh,
     transpose,
 )
 
@@ -97,20 +97,14 @@ def grouped_attention(q: Tensor, k: Tensor, v: Tensor, cfg: AttentionConfig,
     v5 = reshape(v, (b, g, 1, lk, dk))
     logits = matmul(q5, transpose(k5, (0, 1, 2, 4, 3))) * (1.0 / np.sqrt(dk))
     ctxv = matmul(masked_softmax(logits, mask), v5)  # (b, g, hpg, L, dk)
-    return _merge_heads(reshape(ctxv, (b, h, length, dk)))
-
-
-def _merge_heads(x: Tensor) -> Tensor:
-    """(B, heads, L, d_head) -> (B, L, heads * d_head)."""
-    b, h, length, dk = x.shape
-    return reshape(transpose(x, (0, 2, 1, 3)), (b, length, h * dk))
+    return reshape(transpose(ctxv, (0, 3, 1, 2, 4)), (b, length, h * dk))
 
 
 def _attend(q: Tensor, k: Tensor, v: Tensor, index: tuple[np.ndarray, np.ndarray],
             w_o: Tensor) -> Tensor:
-    """Attend over an (idx, valid) index by gathering its K/V rows, merge
-    the heads and project them back to model width with ``w_o``."""
-    return matmul(_merge_heads(gathered_attention(q, k, v, *index)), w_o)
+    """Attend over an (idx, valid) index by gathering its K/V rows (the
+    heads come back merged) and project back to model width with ``w_o``."""
+    return matmul(gathered_attention(q, k, v, *index), w_o)
 
 
 def gated_fuse(o_ltis: Tensor, o_stis: Tensor, gate_w: Tensor, gate_b: Tensor) -> tuple[Tensor, Tensor]:
@@ -118,8 +112,10 @@ def gated_fuse(o_ltis: Tensor, o_stis: Tensor, gate_w: Tensor, gate_b: Tensor) -
 
     alpha = sigmoid(affine([o_ltis; o_stis])), elementwise output
     alpha * o_ltis + (1 - alpha) * o_stis, one tape op
-    (``tensor.sigmoid_gate``). Returns (fused, alpha); alpha is a Tensor
-    with no tape node, so no gradient flows through it.
+    (``tensor.sigmoid_gate``) that keeps alpha alone for backward: the
+    concat is formed again there, from the two outputs the graph already
+    holds. Returns (fused, alpha); alpha is a Tensor with no tape node, so
+    no gradient flows through it.
     """
     if o_ltis.shape != o_stis.shape:
         raise ValueError(f"pathway outputs disagree: {o_ltis.shape} vs {o_stis.shape}")
@@ -174,15 +170,15 @@ class BlossomLayerParams:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "cmp_key"}
 
 
-def _dropout(x: Tensor, rate: float, rng: np.random.Generator | None,
-             training: bool) -> Tensor:
-    """Inverted dropout of stream rows; identity unless training with a
-    positive rate."""
+def _keep_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator | None,
+               training: bool) -> np.ndarray | None:
+    """Inverted dropout's bool keep-mask over stream rows, or None (no
+    dropout) unless training with a positive rate."""
     if not training or rate <= 0.0:
-        return x
+        return None
     if rng is None:
         raise ValueError("training-mode dropout needs an RNG")
-    return x * Tensor((rng.random(x.shape) >= rate) / (1.0 - rate))
+    return rng.random(shape) >= rate
 
 
 def encoder_layer(h_prev: Tensor, params: BlossomLayerParams, cfg: AttentionConfig,
@@ -194,6 +190,8 @@ def encoder_layer(h_prev: Tensor, params: BlossomLayerParams, cfg: AttentionConf
     the packed stream, (1, N, d) -> (1, N, d).
 
     Each pathway's index goes to ``_attend``, which gathers its K/V rows.
+    Each residual site, with its dropout and layer norm, is one tape op
+    (``tensor.residual_norm``), and so is the FFN (``tensor.ffn``).
     Dropout is identity unless ``training`` is set. K/V always span the
     stream; with ``rows`` set, only each segment's last ``rows`` rows
     are queries and every later step runs on them alone, so the output is
@@ -221,11 +219,11 @@ def encoder_layer(h_prev: Tensor, params: BlossomLayerParams, cfg: AttentionConf
     else:
         fused = o_ltis if pathway == "ltis" else o_stis
 
-    mixed = layer_norm(h_q + _dropout(fused, dropout_rate, rng, training),
-                       params.ln1_gamma, params.ln1_beta)
-    ff = affine(tanh(affine(mixed, params.ffn_w1, params.ffn_b1)), params.ffn_w2, params.ffn_b2)
-    return layer_norm(mixed + _dropout(ff, dropout_rate, rng, training),
-                      params.ln2_gamma, params.ln2_beta)
+    mixed = residual_norm(h_q, fused, params.ln1_gamma, params.ln1_beta,
+                          _keep_mask(fused.shape, dropout_rate, rng, training), dropout_rate)
+    ff = ffn(mixed, params.ffn_w1, params.ffn_b1, params.ffn_w2, params.ffn_b2)
+    return residual_norm(mixed, ff, params.ln2_gamma, params.ln2_beta,
+                         _keep_mask(ff.shape, dropout_rate, rng, training), dropout_rate)
 
 
 def encode(embedded: Tensor, layers: list[BlossomLayerParams], w_n: Tensor, b_n: Tensor,

@@ -25,20 +25,24 @@ Design points:
     gradient product only when that operand requires a gradient, so
     constant tables and masks cost no backward work.
   * the encoder's composites are one op each, with a hand-written
-    backward: ``affine`` (``x @ w + b``; keeps only its inputs),
-    ``layer_norm`` (keeps the normalized input and 1/sigma),
-    ``sigmoid_gate`` (concat, affine, sigmoid and the gated mix; keeps the
-    concat and the gate) and ``rope`` (``x * cos + (x @ R) * sin``; keeps
-    only its constant tables). Each forms its output with the numpy
+    backward that keeps only what it reads: ``affine`` (``x @ w + b``;
+    keeps only its inputs), ``ffn`` (``tanh(x @ w1 + b1) @ w2 + b2``;
+    keeps the tanh output), ``residual_norm`` (the residual sum, inverted
+    dropout and layer norm; keeps the normalized sum, 1/sigma and a bool
+    keep-mask), ``sigmoid_gate`` (concat, affine, sigmoid and the gated
+    mix; keeps the gate alone) and ``rope`` (``x * cos + (x @ R) * sin``;
+    keeps only its constant tables). Each forms its output with the numpy
     expressions, in the order, of the chain of elementwise ops it stands
     for, so the output is bit-identical to that chain's, and the tape
-    holds one node and none of the chain's intermediates.
+    holds one node and none of the chain's intermediates or their
+    gradients.
   * the two large ops work through their rows in chunks of about
     ``CHUNK_BYTES`` (2 MB) of the block they form per row, and keep for
     backward only what is small next to what they compute.
     ``gathered_attention`` forms the gathered K or V of a chunk of query
-    rows at a time and keeps its softmax weights and key index (none
-    under ``no_grad``); its backward gathers each chunk's V and then K
+    rows at a time, writes its output with the heads already merged, and
+    keeps its softmax weights and key index (none under ``no_grad``); its
+    backward gathers each chunk's V and then K
     again and scatters the K/V gradients with one ``np.bincount`` per
     contiguous feature column.
     ``linear_cross_entropy`` forms a chunk of logits at a time and keeps
@@ -70,11 +74,11 @@ __all__ = [
     "index_mask",
     "linear_cross_entropy",
     "affine",
-    "layer_norm",
+    "ffn",
+    "residual_norm",
     "sigmoid_gate",
     "rope",
     "sigmoid",
-    "tanh",
     "power",
     "take_rows",
     "zero_grads",
@@ -108,7 +112,7 @@ CHUNK_BYTES = 2 << 20
 
 
 _LOWEST = np.finfo(np.float64).min
-_LAYER_NORM_EPS = 1e-5   # added to the variance ``layer_norm`` divides by
+_LAYER_NORM_EPS = 1e-5   # added to the variance ``residual_norm`` divides by
 
 
 def _grad_enabled() -> bool:
@@ -371,16 +375,6 @@ def power(a, p: float) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
-def tanh(a) -> Tensor:
-    a = _as_tensor(a)
-    out_data = np.tanh(a.data)
-
-    def backward(g: Array) -> None:
-        _accumulate(a, g * (1.0 - out_data * out_data))
-
-    return _make(out_data, (a,), backward)
-
-
 def _sigmoid(x: Array) -> Array:
     """The logistic function, branching on sign so that exp cannot overflow."""
     e = np.exp(-np.abs(x))
@@ -573,7 +567,9 @@ def gathered_attention(q, k, v, idx: Array, valid: Array) -> Tensor:
     gathered once per group and shared by its heads, the softmax
     (``_exp_shifted``) runs over the valid slots only, a query with no
     valid slot comes back as exact zeros and one with a NaN logit as NaN.
-    Returns (B, heads, L, d), equal to scaled dot-product attention under
+    Returns the heads merged, (B, L, heads * d) with head j's output in
+    columns j*d to (j+1)*d, the layout ``fusion.grouped_attention``
+    returns; it equals scaled dot-product attention under
     ``index_mask(idx, valid, Lk)`` at O(L * K * d) cost.
     An index outside [0, Lk), in a valid slot or not, and a head count
     that is not a multiple of the group count are ValueErrors.
@@ -582,9 +578,10 @@ def gathered_attention(q, k, v, idx: Array, valid: Array) -> Tensor:
     (B, G, rows, K, d) block is about ``CHUNK_BYTES`` (at least one row),
     and one such block is alive at a time. The forward works out a
     chunk's key rows from ``idx``, gathers its K, fills its rows of the
-    softmax weights, then gathers its V and fills its rows of the output.
-    Only the softmax weights (B, G, L, heads per group, K) and ``idx``
-    stay on the tape, and only when a gradient is to come; without one,
+    softmax weights, then gathers its V and writes its rows of the output
+    through a (B, G, rows, heads per group, d) view of them. Only the
+    softmax weights (B, G, L, heads per group, K) and ``idx`` stay on the
+    tape, and only when a gradient is to come; without one,
     the weights live in one chunk-sized buffer. The backward, chunk by
     chunk, works out the key rows again, gathers V for the weights'
     gradient, then K for the query rows' gradient, and forms the chunk's
@@ -614,18 +611,19 @@ def gathered_attention(q, k, v, idx: Array, valid: Array) -> Tensor:
     def gather(table: Array, r: Array, n: int) -> Array:
         return np.take(table, r, axis=0).reshape(b, g, n, slots, d)
 
-    def by_head(x: Array) -> Array:
-        return x.reshape(b, g, hpg, length, d).transpose(0, 1, 3, 2, 4)   # (b, g, L, hpg, d)
+    def merged(x: Array, rows: slice) -> Array:
+        """Rows of a (b, L, heads * d) array as (b, g, rows, hpg, d)."""
+        return x.reshape(b, length, g, hpg, d)[:, rows].transpose(0, 2, 1, 3, 4)
 
     scale = 1.0 / np.sqrt(d)
     qd, kd, vd = q.data, k.data, v.data   # the arrays backward gathers from again
-    qh = by_head(qd)
+    qh = qd.reshape(b, g, hpg, length, d).transpose(0, 1, 3, 2, 4)   # (b, g, L, hpg, d)
     # With a gradient to come, the softmax weights of every row stay for
     # backward; without one, each chunk's go into one reused buffer.
     learn = _grad_enabled() and (q.requires_grad or k.requires_grad or v.requires_grad)
     p = np.empty((b, g, length, hpg, slots)) if learn else None
     buf = None if learn else np.empty(b * g * min(step, length) * hpg * slots)
-    out = np.empty((b, g, hpg, length, d))
+    out = np.empty((b, length, h * d))
     kf, vf = kd.reshape(-1, d), vd.reshape(-1, d)
     for lo, hi in chunks:
         r = key_rows(lo, hi)
@@ -634,17 +632,16 @@ def gathered_attention(q, k, v, idx: Array, valid: Array) -> Tensor:
         pc *= scale
         _, s = _exp_shifted(pc, ~valid[:, :, lo:hi, None, :])
         np.divide(pc, s, out=pc, where=s > 0)
-        np.matmul(pc, gather(vf, r, hi - lo), out=out[:, :, :, lo:hi].transpose(0, 1, 3, 2, 4))
+        np.matmul(pc, gather(vf, r, hi - lo), out=merged(out, slice(lo, hi)))
 
     def backward(grad: Array) -> None:
-        go = by_head(grad)
         kf, vf = kd.reshape(-1, d), vd.reshape(-1, d)
         dq = np.empty((b, g, hpg, length, d)) if q.requires_grad else None
         dk, dv = (np.zeros((d, b * g * lk)) if t.requires_grad else None for t in (k, v))
         terms = np.empty(d * b * g * min(step, length) * slots)
         for lo, hi in chunks:
             r = key_rows(lo, hi)
-            pc, goc = p[:, :, lo:hi], go[:, :, lo:hi]
+            pc, goc = p[:, :, lo:hi], merged(grad, slice(lo, hi))
             ds = goc @ gather(vf, r, hi - lo).swapaxes(-1, -2)
             ds -= (ds * pc).sum(axis=-1, keepdims=True)
             ds *= pc
@@ -662,7 +659,7 @@ def gathered_attention(q, k, v, idx: Array, valid: Array) -> Tensor:
             if acc is not None:
                 _accumulate(t, np.ascontiguousarray(acc.T).reshape(b, g, lk, d))
 
-    return _make(out.reshape(b, h, length, d), (q, k, v), backward)
+    return _make(out, (q, k, v), backward)
 
 
 def index_mask(idx: Array, valid: Array, length: int) -> Array:
@@ -770,17 +767,66 @@ def affine(x, w, b) -> Tensor:
     return _make(out, (x, w, b), backward)
 
 
-def layer_norm(x, gamma, beta) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale-shift.
+def ffn(x, w1, b1, w2, b2) -> Tensor:
+    """The feed-forward block ``tanh(x @ w1 + b1) @ w2 + b2``: ``x`` is
+    (..., d), ``w1`` (d, m), ``b1`` (m,), ``w2`` (m, d_out) and ``b2``
+    (d_out,). One op, which keeps only the tanh output y for backward
+    (tanh' = 1 - y * y): neither the (..., m) pre-activation nor the
+    gradients of the chain's interior nodes."""
+    x, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
+    if (x.ndim < 2 or w1.ndim != 2 or w2.ndim != 2 or x.shape[-1] != w1.shape[0]
+            or b1.shape != w1.shape[1:] or w2.shape[0] != w1.shape[1] or b2.shape != w2.shape[1:]):
+        raise ValueError(f"ffn needs (..., d), (d, m), (m,), (m, d_out) and (d_out,) operands, "
+                         f"got {x.shape}, {w1.shape}, {b1.shape}, {w2.shape} and {b2.shape}")
+    y = x.data @ w1.data
+    y += b1.data
+    np.tanh(y, out=y)
+    out = y @ w2.data
+    out += b2.data
 
-    One op. It keeps the normalized input and the per-row 1/sigma for
-    backward, and forms its output with the same numpy expressions, in the
-    same order, as the chain of elementwise ops it stands for."""
-    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
+    def backward(g: Array) -> None:
+        if w2.requires_grad:
+            _accumulate(w2, _unbroadcast(np.swapaxes(y, -1, -2) @ g, w2.shape))
+        if b2.requires_grad:
+            _accumulate(b2, _unbroadcast(g, b2.shape))
+        if not (x.requires_grad or w1.requires_grad or b1.requires_grad):
+            return
+        dpre = g @ w2.data.T
+        dpre *= 1.0 - y * y
+        if x.requires_grad:
+            _accumulate(x, dpre @ w1.data.T)
+        if w1.requires_grad:
+            _accumulate(w1, _unbroadcast(np.swapaxes(x.data, -1, -2) @ dpre, w1.shape))
+        if b1.requires_grad:
+            _accumulate(b1, _unbroadcast(dpre, b1.shape))
+
+    return _make(out, (x, w1, b1, w2, b2), backward)
+
+
+def residual_norm(x, y, gamma, beta, keep: Array | None = None, rate: float = 0.0) -> Tensor:
+    """Layer norm of the residual sum ``x + y`` over the last axis, with
+    inverted dropout on ``y``: ``x + y * (keep / (1 - rate))`` is
+    normalized to zero mean and unit variance, then scaled by ``gamma``
+    and shifted by ``beta``. ``keep`` is the bool keep-mask, of y's
+    shape; without one there is no dropout.
+
+    One op. It keeps the normalized sum, the per-row 1/sigma and the bool
+    mask for backward: no float mask, no dropped ``y`` and no sum. It forms
+    its output with the numpy expressions, in the order, of the chain of
+    elementwise ops it stands for, so the output is bit-identical to it."""
+    x, y, gamma, beta = _as_tensor(x), _as_tensor(y), _as_tensor(gamma), _as_tensor(beta)
+    if x.shape != y.shape:
+        raise ValueError(f"residual_norm operands disagree: {x.shape} vs {y.shape}")
     if gamma.shape != x.shape[-1:] or beta.shape != x.shape[-1:]:
-        raise ValueError(f"layer_norm affine params must match last axis {x.shape[-1:]}")
+        raise ValueError(f"residual_norm affine params must match last axis {x.shape[-1:]}")
+    if keep is not None:
+        keep = np.asarray(keep, dtype=bool)
+        if keep.shape != y.shape or not 0.0 <= rate < 1.0:
+            raise ValueError(f"keep-mask of shape {keep.shape} and rate {rate} do not fit "
+                             f"operands of shape {y.shape}")
     n = x.shape[-1]
-    xhat = x.data - x.data.sum(axis=-1, keepdims=True) * (1.0 / n)
+    xhat = x.data + (y.data if keep is None else y.data * (keep / (1.0 - rate)))
+    xhat -= xhat.sum(axis=-1, keepdims=True) * (1.0 / n)
     inv = ((xhat * xhat).sum(axis=-1, keepdims=True) * (1.0 / n) + _LAYER_NORM_EPS) ** -0.5
     xhat *= inv
     out = xhat * gamma.data
@@ -789,15 +835,19 @@ def layer_norm(x, gamma, beta) -> Tensor:
     def backward(g: Array) -> None:
         if gamma.requires_grad:
             _accumulate(gamma, _unbroadcast(g * xhat, gamma.shape))
-        _accumulate(beta, _unbroadcast(g, beta.shape))
-        if x.requires_grad:
-            dxhat = g * gamma.data
-            dx = dxhat - dxhat.sum(axis=-1, keepdims=True) * (1.0 / n)
-            dx -= xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) * (1.0 / n))
-            dx *= inv
-            _accumulate(x, dx)
+        if beta.requires_grad:
+            _accumulate(beta, _unbroadcast(g, beta.shape))
+        if not (x.requires_grad or y.requires_grad):
+            return
+        dxhat = g * gamma.data
+        ds = dxhat - dxhat.sum(axis=-1, keepdims=True) * (1.0 / n)
+        ds -= xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) * (1.0 / n))
+        ds *= inv
+        _accumulate(x, ds)
+        if y.requires_grad:
+            _accumulate(y, ds if keep is None else ds * (keep / (1.0 - rate)))
 
-    return _make(out, (x, gamma, beta), backward)
+    return _make(out, (x, y, gamma, beta), backward)
 
 
 def sigmoid_gate(a, b, w, bias) -> tuple[Tensor, Array]:
@@ -807,25 +857,27 @@ def sigmoid_gate(a, b, w, bias) -> tuple[Tensor, Array]:
     array with no node of its own.
 
     One op: the concat, the affine, the sigmoid and the mix, which keeps
-    the concat and alpha for backward."""
+    alpha alone for backward. It reads ``a`` and ``b`` from their tensors,
+    and forms the concat again only for ``w``'s gradient."""
     a, b, w, bias = _as_tensor(a), _as_tensor(b), _as_tensor(w), _as_tensor(bias)
-    d = a.shape[-1]
-    cat = np.concatenate([a.data, b.data], axis=-1)
-    z = cat @ w.data
+    z = np.concatenate([a.data, b.data], axis=-1) @ w.data
     z += bias.data
     alpha = _sigmoid(z)
     del z
 
     def backward(g: Array) -> None:
-        dz = g * cat[..., :d]
-        dz -= g * cat[..., d:]
+        dz = g * a.data
+        dz -= g * b.data
         dz *= alpha
         dz *= 1.0 - alpha
         if w.requires_grad:
+            cat = np.concatenate([a.data, b.data], axis=-1)
             _accumulate(w, _unbroadcast(np.swapaxes(cat, -1, -2) @ dz, w.shape))
+            del cat
         _accumulate(bias, _unbroadcast(dz, bias.shape))
         if a.requires_grad or b.requires_grad:
             dcat = dz @ w.data.T
+            d = a.shape[-1]
             if a.requires_grad:
                 _accumulate(a, g * alpha + dcat[..., :d])
             if b.requires_grad:

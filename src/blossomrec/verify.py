@@ -76,7 +76,6 @@ def dense_equivalence_error(seeds: range, lengths: tuple[int, ...]) -> float:
             width = cfg.heads * d_head
             gate = (Tensor(rng.normal(size=(2 * width, width))), Tensor(rng.normal(size=width)))
             stream = [gathered_attention(Tensor(q), Tensor(k), Tensor(v), *index)
-                      .transpose(0, 2, 1, 3).reshape(1, -1, width)
                       for index in (ltis_index(q, k, ctx, every_row, cfg, phi),
                                     stis_index(ctx, every_row, cfg))]
             fused = gated_fuse(*stream, *gate)[0].data[0]
@@ -191,7 +190,9 @@ def gathered_equivalence_error(seeds: range, lengths: tuple[int, ...]) -> float:
         q, k, v, ctx = _stream_batch(rng, lengths, cfg)
         total, every_row = q.shape[2], ctx.query_rows(None)
         phi = CompressionMLP(cfg.block_size, cfg.d_head, rng)
-        w = rng.normal(size=q.shape)
+        # one weight per output entry, drawn head-major and laid out as the
+        # merged (1, total, heads * d_head) output
+        w = rng.normal(size=q.shape).transpose(0, 2, 1, 3).reshape(1, total, -1)
         for idx, valid in (ltis_index(q, k, ctx, every_row, cfg, phi),
                            stis_index(ctx, every_row, cfg)):
             runs = []
@@ -200,8 +201,7 @@ def gathered_equivalence_error(seeds: range, lengths: tuple[int, ...]) -> float:
                 if gather:
                     out = gathered_attention(qt, kt, vt, idx, valid)
                 else:
-                    merged = grouped_attention(qt, kt, vt, cfg, index_mask(idx, valid, total))
-                    out = merged.reshape(1, total, cfg.heads, cfg.d_head).transpose(0, 2, 1, 3)
+                    out = grouped_attention(qt, kt, vt, cfg, index_mask(idx, valid, total))
                 (out * Tensor(w)).sum().backward()
                 runs.append([out.data, qt.grad, kt.grad, vt.grad])
             worst = max([worst] + [float(np.abs(x - y).max()) for x, y in zip(*runs)])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from blossomrec import tensor as tensor_mod
 from blossomrec.config import AttentionConfig
 from blossomrec.data import SeqContext
 from blossomrec.embedding import RoPECache, apply_rope
@@ -18,10 +19,11 @@ from blossomrec.fusion import (
     split_heads,
 )
 from blossomrec.gradcheck import grad_check
-from blossomrec.ltis import CompressionMLP, build_ltis_masks
-from blossomrec.stis import batch_stis_masks
+from blossomrec.ltis import CompressionMLP, build_ltis_masks, ltis_index
+from blossomrec.stis import batch_stis_masks, stis_index
 from blossomrec.tensor import (
-    Tensor, gathered_attention, index_mask, layer_norm, matmul, parameter, zero_grads,
+    Tensor, affine, concat, gathered_attention, index_mask, matmul, parameter, power, sigmoid,
+    take_rows, zero_grads,
 )
 from blossomrec.verify import gathered_equivalence_error
 
@@ -35,6 +37,12 @@ def make_cfg(**kw):
 
 def causal_mask(length):
     return np.tril(np.ones((length, length), dtype=bool))
+
+
+def numpy_norm(x, gamma=1.0, beta=0.0):
+    """Textbook layer norm over the last axis, in plain numpy."""
+    centered = x - x.mean(axis=-1, keepdims=True)
+    return centered / np.sqrt((centered ** 2).mean(axis=-1, keepdims=True) + 1e-5) * gamma + beta
 
 
 class TestGqa:
@@ -133,6 +141,26 @@ class TestGatedFuse:
 
         assert grad_check(f, {"o_ltis": a, "o_stis": b, "gate_w": gate_w, "gate_b": gate_b}) < 1e-6
 
+    @pytest.mark.parametrize("learner", ["o_ltis", "o_stis", "gate_w", "gate_b"])
+    def test_backward_keeps_alpha_alone(self, learner):
+        """With each input the only learner in turn, the gate's tape node
+        holds alpha and no other array (no concat of the two outputs), and
+        the learner's gradient equals the one it gets when all four learn."""
+        rng = np.random.default_rng(8)
+        data = {"o_ltis": rng.normal(size=(2, 5, 4)), "o_stis": rng.normal(size=(2, 5, 4)),
+                "gate_w": rng.normal(size=(8, 4)), "gate_b": rng.normal(size=4)}
+        w = Tensor(rng.normal(size=(2, 5, 4)))
+        everyone = {name: parameter(x) for name, x in data.items()}
+        (gated_fuse(*everyone.values())[0] * w).sum().backward()
+        ts = {name: parameter(x) if name == learner else Tensor(x) for name, x in data.items()}
+        fused, alpha = gated_fuse(*ts.values())
+        held = [c.cell_contents for c in fused._backward.__closure__
+                if isinstance(c.cell_contents, np.ndarray)]
+        assert len(held) == 1 and held[0] is alpha.data
+        (fused * w).sum().backward()
+        assert np.array_equal(ts[learner].grad, everyone[learner].grad)
+        assert all(t.grad is None for name, t in ts.items() if name != learner)
+
     def test_alpha_carries_no_node(self):
         """alpha is reported, not differentiated: it has no tape node."""
         rng = np.random.default_rng(7)
@@ -160,9 +188,7 @@ class TestEncoderLayer:
         params.ffn_b2.data[:] = 0.0
         h, ctx, rope = layer_inputs(cfg, [8, 8], rng)
         out = encoder_layer(h, params, cfg, ctx, rope)
-        ones, zeros = Tensor(np.ones(cfg.d_model)), Tensor(np.zeros(cfg.d_model))
-        want = layer_norm(layer_norm(h, ones, zeros), ones, zeros)
-        assert np.abs(out.data - want.data).max() < 1e-12
+        assert np.abs(out.data - numpy_norm(numpy_norm(h.data))).max() < 1e-12
 
     def test_evaluation_determinism(self):
         rng = np.random.default_rng(8)
@@ -273,6 +299,102 @@ class TestPackedStream:
         assert calls == [(1, 2, 3, 3), (1, 1, 3, 3)]
 
 
+def chain_tanh(a):
+    """The elementwise tanh tape op the FFN's chain was made of."""
+    y = np.tanh(a.data)
+
+    def backward(g):
+        tensor_mod._accumulate(a, g * (1.0 - y * y))
+
+    return tensor_mod._make(y, (a,), backward)
+
+
+def chain_norm(x, gamma, beta):
+    """Layer norm as the chain of elementwise ops it stands for."""
+    centered = x - x.mean(axis=-1, keepdims=True)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    return centered * power(var + tensor_mod._LAYER_NORM_EPS, -0.5) * gamma + beta
+
+
+def chain_layer(h_prev, params, cfg, ctx, rope, rng, rate, pathway, rows):
+    """``encoder_layer`` in training mode as the chain of ops its fused
+    ones stand for: the gate as concat, matmul, add, sigmoid and the mix;
+    dropout as a product with a float mask drawn by the same
+    ``rng.random(shape) >= rate`` call; each residual an add and each layer
+    norm the chain above; the FFN as affine, tanh and affine."""
+    q_rows = ctx.query_rows(rows)
+    h_q, d = h_prev, h_prev.shape[-1]
+    if rows is not None:
+        h_q = take_rows(h_prev.reshape((-1, d)), q_rows).reshape((1, len(q_rows), d))
+    q = apply_rope(split_heads(matmul(h_q, params.w_q), cfg.heads), ctx.positions[q_rows], rope)
+    k = apply_rope(split_heads(matmul(h_prev, params.w_k), cfg.kv_groups), ctx.positions, rope)
+    v = split_heads(matmul(h_prev, params.w_v), cfg.kv_groups)
+    indices = []
+    if pathway in ("both", "ltis"):
+        indices.append(ltis_index(q.data, k.data, ctx, q_rows, cfg, params.cmp_key))
+    if pathway in ("both", "stis"):
+        indices.append(stis_index(ctx, q_rows, cfg))
+    outs = [matmul(gathered_attention(q, k, v, *index), params.w_o) for index in indices]
+    fused = outs[0]
+    if pathway == "both":
+        a, b = outs
+        alpha = sigmoid(matmul(concat([a, b], axis=2), params.gate_w) + params.gate_b)
+        fused = alpha * a + (1.0 - alpha) * b
+
+    def dropout(x):
+        return x * Tensor((rng.random(x.shape) >= rate) / (1.0 - rate))
+
+    mixed = chain_norm(h_q + dropout(fused), params.ln1_gamma, params.ln1_beta)
+    ff = affine(chain_tanh(affine(mixed, params.ffn_w1, params.ffn_b1)),
+                params.ffn_w2, params.ffn_b2)
+    return chain_norm(mixed + dropout(ff), params.ln2_gamma, params.ln2_beta)
+
+
+class TestFusedChain:
+    """The training layer against ``chain_layer``, fed the same RNG."""
+
+    CFG = make_cfg(block_size=8, stride=4, sel_block_size=4, top_k=2, win=2,
+                   heads=4, kv_groups=2, d_model=8, d_head=4)
+
+    @pytest.mark.parametrize("rows", [None, 1])
+    @pytest.mark.parametrize("pathway", ["both", "ltis", "stis"])
+    def test_dropout_layer_equals_its_chain(self, pathway, rows):
+        """At dropout 0.3, on segments of 1, 13, 27 and 40 rows (the
+        longer ones scored over several selection blocks): the output is
+        bit for bit the chain's, both draw the same masks (the generators
+        end in the same state), and every gradient, the input's too, is
+        within 1e-12 of the chain's."""
+        cfg = self.CFG
+        rng = np.random.default_rng(22)
+        params = BlossomLayerParams.init(cfg, rng)
+        for p in params.parameters().values():   # no zero bias or unit gain
+            p.data += rng.normal(0.0, 0.3, p.shape)
+        h, ctx, rope = layer_inputs(cfg, [1, 13, 27, 40], rng)
+        h = parameter(h.data)
+        learners = {"h": h, **params.parameters()}
+        runs = []
+        for fused in (True, False):
+            zero_grads(learners)
+            draws = np.random.default_rng(23)
+            if fused:
+                out = encoder_layer(h, params, cfg, ctx, rope, dropout_rate=0.3, training=True,
+                                    rng=draws, pathway=pathway, rows=rows)
+            else:
+                out = chain_layer(h, params, cfg, ctx, rope, draws, 0.3, pathway, rows)
+            w = np.random.default_rng(24).normal(size=out.shape)
+            (out * Tensor(w)).sum().backward()
+            runs.append((out.data, draws.random(),
+                         {name: t.grad for name, t in learners.items() if t.grad is not None}))
+        (out_f, next_f, grads_f), (out_c, next_c, grads_c) = runs
+        assert out_f.shape == (1, 81 if rows is None else 4, cfg.d_model)
+        assert np.array_equal(out_f, out_c)
+        assert next_f == next_c
+        assert grads_f.keys() == grads_c.keys()
+        assert ("gate_w" in grads_f) == (pathway == "both")
+        for name, want in grads_c.items():
+            assert np.abs(grads_f[name] - want).max() <= 1e-12 * np.abs(want).max(), name
+
+
 def reference_layer(h, params, cfg, rope_base=10000.0):
     """One encoder layer on one sequence, h (n, d_model), dense and
     tape-free: the textbook half-split RoPE at positions 0..n-1,
@@ -291,16 +413,12 @@ def reference_layer(h, params, cfg, rope_base=10000.0):
         return np.concatenate([x1 * np.cos(angle) - x2 * np.sin(angle),
                                x1 * np.sin(angle) + x2 * np.cos(angle)], axis=-1)
 
-    def norm(x, gamma, beta):
-        centered = x - x.mean(axis=-1, keepdims=True)
-        return centered / np.sqrt((centered ** 2).mean(axis=-1, keepdims=True) + 1e-5) * gamma + beta
-
     q, k = rope(heads(h @ p["w_q"], cfg.heads)), rope(heads(h @ p["w_k"], cfg.kv_groups))
     o = dense_causal_gqa(q, k, heads(h @ p["w_v"], cfg.kv_groups), cfg) @ p["w_o"]
     alpha = 1.0 / (1.0 + np.exp(-(np.concatenate([o, o], axis=-1) @ p["gate_w"] + p["gate_b"])))
-    mixed = norm(h + alpha * o + (1.0 - alpha) * o, p["ln1_gamma"], p["ln1_beta"])
+    mixed = numpy_norm(h + alpha * o + (1.0 - alpha) * o, p["ln1_gamma"], p["ln1_beta"])
     ff = np.tanh(mixed @ p["ffn_w1"] + p["ffn_b1"]) @ p["ffn_w2"] + p["ffn_b2"]
-    return norm(mixed + ff, p["ln2_gamma"], p["ln2_beta"])
+    return numpy_norm(mixed + ff, p["ln2_gamma"], p["ln2_beta"])
 
 
 class TestDenseReference:

@@ -184,24 +184,78 @@ class TestSequenceLoss:
         for k, p in params.items():
             assert np.abs(fused[k] - p.grad).max() < 1e-10, k
 
-    def test_tape_holds_one_node_per_fused_op(self):
-        """A one-layer training step at desk width (the benchmark's model)
-        records 35 tape nodes, each fused composite one per call: three
-        affines (the FFN's two and the output projection), two layer norms,
-        one gate and two RoPEs. Their chains of elementwise ops made it 71."""
+    @staticmethod
+    def desk_step(rng):
+        """A one-layer training step at desk width (the benchmark's model),
+        dropout 0.1, on N = 106 stream rows."""
         cfg = AttentionConfig(heads=4, kv_groups=2, d_model=32, d_head=8)
         model = Model(40, cfg, 1, seed=0, max_len=64, dropout=0.1)
-        rng = np.random.default_rng(0)
         batch = SeqBatch.from_sequences([rng.integers(1, 41, n).tolist() for n in (64, 37, 5)],
                                         max_len=64)
+        return model, batch
+
+    def test_tape_holds_one_node_per_fused_op(self):
+        """The desk step records 25 tape nodes, each fused composite one
+        per call: the FFN, the two residual sites (residual, dropout and
+        layer norm), the gate, the output projection and two RoPEs, and
+        the attention ops return merged heads. The chains of elementwise
+        ops made it 71, and 35 with layer norm, the gate and RoPE fused."""
+        rng = np.random.default_rng(0)
+        model, batch = self.desk_step(rng)
         loss = sequence_loss(model, batch, training=True, rng=rng)
         ops = Counter(node._backward.__qualname__.split(".")[0]
                       for node in tensor.GradTape(loss).ops)
         assert ops == Counter(
-            reshape=6, matmul=5, transpose=5, affine=3, take_rows=2, rope=2,
-            gathered_attention=2, mul=2, add=2, layer_norm=2, sigmoid_gate=1, tanh=1,
-            getitem=1, linear_cross_entropy=1)
-        assert sum(ops.values()) == 35
+            matmul=5, reshape=4, transpose=3, take_rows=2, rope=2, gathered_attention=2,
+            residual_norm=2, sigmoid_gate=1, ffn=1, affine=1, getitem=1, linear_cross_entropy=1)
+        assert sum(ops.values()) == 25
+
+    def test_tape_holds_what_backward_reads(self):
+        """On the desk step (N = 106, d = 32), the only (N, 4d) array the
+        tape holds is the FFN's tanh output, and the two dropout masks are
+        bool: no float64 (N, d) array holds a mask's 0 and 1 / (1 - rate).
+        The forward graph holds 1.05 MB and, with every interior gradient
+        after backward, 1.60 MB; the bounds are 1.2 and 1.8 MB. The
+        chains of the FFN, the residual sites and the head merge kept
+        1.43 and 2.25 MB."""
+        rng = np.random.default_rng(0)
+        model, batch = self.desk_step(rng)
+        sequence_loss(model, batch, training=True, rng=np.random.default_rng(1))   # fills caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loss = sequence_loss(model, batch, training=True, rng=rng)
+            held = tracemalloc.get_traced_memory()[0] - base
+            loss.backward()
+            after = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        n, d = 106, model.cfg.d_model
+        arrays = {}
+
+        def collect(x):
+            if isinstance(x, np.ndarray):
+                arrays[id(x)] = x
+            elif isinstance(x, Tensor):
+                collect(x.data)
+            elif isinstance(x, (tuple, list)):
+                for item in x:
+                    collect(item)
+            elif callable(x) and getattr(x, "__closure__", None):
+                for cell in x.__closure__:
+                    collect(cell.cell_contents)
+
+        for node in tensor.GradTape(loss).ops:
+            collect(node.data)
+            collect(node._backward)
+        wide = [a for a in arrays.values() if a.size == n * 4 * d and a.shape[-1] == 4 * d]
+        assert len(wide) == 1 and np.abs(wide[0]).max() <= 1.0   # tanh's range
+        rows = [a for a in arrays.values() if a.size == n * d]
+        masks = [a for a in rows if a.dtype == bool]
+        assert len(masks) == 2 and all(m.shape == (1, n, d) for m in masks)
+        assert not any(np.isin(a, (0.0, 1.0 / 0.9)).all() for a in rows if a.dtype != bool)
+        assert held < 1.2e6, held
+        assert after < 1.8e6, after
 
     def test_graph_holds_neither_logits_nor_gathered_keys(self):
         """What ``sequence_loss`` leaves on the tape for backward holds no

@@ -16,9 +16,9 @@ from blossomrec.tensor import (
     Tensor,
     affine,
     concat,
+    ffn,
     gathered_attention,
     index_mask,
-    layer_norm,
     linear_cross_entropy,
     masked_softmax,
     matmul,
@@ -26,11 +26,11 @@ from blossomrec.tensor import (
     no_grad,
     parameter,
     power,
+    residual_norm,
     rope,
     sigmoid,
     sigmoid_gate,
     take_rows,
-    tanh,
 )
 
 
@@ -153,6 +153,12 @@ def one_row_per_chunk(monkeypatch, q, k, idx):
     monkeypatch.setattr(tensor_mod, "CHUNK_BYTES", 8 * b * k.shape[1] * idx.shape[-1] * d)
 
 
+def merged_shape(q):
+    """The (B, L, heads * d) shape of ``gathered_attention``'s output."""
+    b, h, length, d = q.shape
+    return b, length, h * d
+
+
 def attention_and_grads(q, k, v, idx, valid, w):
     qt, kt, vt = parameter(q), parameter(k), parameter(v)
     out = gathered_attention(qt, kt, vt, idx, valid)
@@ -169,7 +175,7 @@ class TestGatheredAttention:
         k = parameter(rng.normal(size=(2, 2, 6, 2)))
         v = parameter(rng.normal(size=(2, 2, 6, 2)))
         idx, valid = random_index(rng, 2, groups, (2, 0), 6, 3)
-        w = rng.normal(size=q.shape)
+        w = rng.normal(size=merged_shape(q))
 
         def f():
             return (gathered_attention(q, k, v, idx, valid) * Tensor(w)).sum()
@@ -179,6 +185,8 @@ class TestGatheredAttention:
         assert grad_check(f, {"q": q, "k": k, "v": v}) < 1e-6
 
     def test_matches_dense_masked_softmax(self):
+        """Head j of group g is head g * 2 + j, in columns 3 * head to
+        3 * head + 3 of the merged output."""
         rng = np.random.default_rng(41)
         q = rng.normal(size=(2, 4, 7, 3))
         k = rng.normal(size=(2, 2, 7, 3))
@@ -186,9 +194,12 @@ class TestGatheredAttention:
         idx, valid = random_index(rng, 2, 2, (3, 0), 7, 4)
         mask = index_mask(idx, valid, 7)  # (2, 2, 1, 7, 7)
         logits = q.reshape(2, 2, 2, 7, 3) @ k[:, :, None].swapaxes(-1, -2) / np.sqrt(3)
-        want = masked_softmax(Tensor(logits), mask).data @ v[:, :, None]
+        want = masked_softmax(Tensor(logits), mask).data @ v[:, :, None]   # (2, 2, 2, 7, 3)
         got = gathered_attention(Tensor(q), Tensor(k), Tensor(v), idx, valid).data
-        assert np.abs(got - want.reshape(2, 4, 7, 3)).max() < 1e-12
+        assert got.shape == (2, 7, 12)
+        for head in range(4):
+            cols = got[:, :, 3 * head: 3 * head + 3]
+            assert np.abs(cols - want[:, head // 2, head % 2]).max() < 1e-12
 
     def test_rows_with_nothing_visible_are_exact_zeros(self):
         rng = np.random.default_rng(42)
@@ -200,7 +211,7 @@ class TestGatheredAttention:
         out.sum().backward()
         empty = ~valid.any(axis=-1)[:, 0]  # (batch, length)
         assert empty[0, :3].all() and empty[1, 0]
-        assert np.all(out.data.transpose(0, 2, 1, 3)[empty] == 0.0)
+        assert np.all(out.data[empty] == 0.0)
         assert np.all(q.grad.transpose(0, 2, 1, 3)[empty] == 0.0)
 
     def test_chunks_match_one_chunk(self, monkeypatch):
@@ -214,7 +225,7 @@ class TestGatheredAttention:
         k, v = rng.normal(size=(2, b, g, length, d))
         idx, valid = random_index(rng, b, g, (4, 0), length, width)
         valid[:, :, 7] = False
-        w = rng.normal(size=q.shape)
+        w = rng.normal(size=merged_shape(q))
         whole = attention_and_grads(q, k, v, idx, valid, w)
         row_bytes = 8 * b * g * width * d
         monkeypatch.setattr(tensor_mod, "CHUNK_BYTES", 5 * row_bytes + row_bytes // 2)
@@ -225,8 +236,8 @@ class TestGatheredAttention:
         for got, want in zip(chunked[2:], whole[2:]):
             assert np.abs(got - want).max() < 1e-12
         out, dq = chunked[:2]
-        assert np.all(out[:, :, 7] == 0.0) and np.all(dq[:, :, 7] == 0.0)
-        assert np.any(out[:, :, 6] != 0.0) and np.any(out[:, :, 8] != 0.0)
+        assert np.all(out[:, 7] == 0.0) and np.all(dq[:, :, 7] == 0.0)
+        assert np.any(out[:, 6] != 0.0) and np.any(out[:, 8] != 0.0)
 
     @pytest.mark.parametrize("length,width", [(0, 3), (5, 0)])
     def test_no_query_rows_or_no_slots(self, length, width, monkeypatch):
@@ -240,8 +251,8 @@ class TestGatheredAttention:
         for chunked in (False, True):
             if chunked:
                 monkeypatch.setattr(tensor_mod, "CHUNK_BYTES", 1)
-            out, dq, dk, dv = attention_and_grads(q, k, v, idx, valid, np.ones(q.shape))
-            assert out.shape == dq.shape == q.shape
+            out, dq, dk, dv = attention_and_grads(q, k, v, idx, valid, np.ones(merged_shape(q)))
+            assert out.shape == merged_shape(q) and dq.shape == q.shape
             assert np.all(out == 0.0) and np.all(dq == 0.0)
             assert np.all(dk == 0.0) and np.all(dv == 0.0)
 
@@ -279,7 +290,7 @@ class TestGatheredAttention:
         q, k, v = (parameter(rng.normal(size=(b, n, length, d))) for n in (h, g, g))
         idx = rng.integers(0, length, size=(b, g, length, width))
         valid = rng.random(idx.shape) < 0.9
-        w = rng.normal(size=q.shape)
+        w = rng.normal(size=merged_shape(q))
         assert length == 16 * tensor_mod._chunk_rows(b * g * width * d)
         kept = (8 * b * g * length * width * (h // g)   # weights
                 + 8 * (3 * q.size + k.size + v.size))   # output, seed, gradients
@@ -380,8 +391,7 @@ def test_row_softmax_ops_share_one_contract(groups, hpg, length, lk, slots, seed
         want = grouped_attention(Tensor(q), Tensor(k), Tensor(v), cfg,
                                  index_mask(idx, valid, lk)).data
         p = masked_softmax(Tensor(x), mask).data
-    np.testing.assert_allclose(got.transpose(0, 2, 1, 3).reshape(want.shape), want,
-                               rtol=1e-12, atol=1e-12, equal_nan=True)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12, equal_nan=True)
     visible_nan = (mask & np.isnan(x)).any(axis=-1)
     assert np.isnan(p[visible_nan]).all()
     clean = ~(mask & (np.isnan(x) | (x == np.inf))).any(axis=-1)
@@ -389,37 +399,90 @@ def test_row_softmax_ops_share_one_contract(groups, hpg, length, lk, slots, seed
     assert np.all((np.abs(sums - 1.0) < 1e-12) | (p[clean] == 0.0).all(axis=-1))
 
 
+def zeros_like(x):
+    return Tensor(np.zeros_like(np.asarray(x)))
+
+
 class TestLayerNorm:
+    """``residual_norm`` is layer norm of a residual sum; with a zero
+    residual branch it normalizes its first operand."""
+
+    @staticmethod
+    def norm(x):
+        x = Tensor(x)
+        n = x.shape[-1]
+        return residual_norm(x, zeros_like(x.data), Tensor(np.ones(n)), Tensor(np.zeros(n)))
+
     def test_constant_row_is_zero(self):
-        out = layer_norm(Tensor([[2.0, 2.0, 2.0]]), Tensor(np.ones(3)), Tensor(np.zeros(3)))
-        assert np.abs(out.data).max() < 1e-6
+        assert np.abs(self.norm([[2.0, 2.0, 2.0]]).data).max() < 1e-6
 
     def test_two_point_row(self):
-        out = layer_norm(Tensor([[1.0, 3.0]]), Tensor(np.ones(2)), Tensor(np.zeros(2)))
-        assert np.abs(out.data - np.array([[-1.0, 1.0]])).max() < 1e-4
+        assert np.abs(self.norm([[1.0, 3.0]]).data - np.array([[-1.0, 1.0]])).max() < 1e-4
 
     def test_moments(self):
         rng = np.random.default_rng(4)
-        x = rng.normal(size=(6, 17))
-        out = layer_norm(Tensor(x), Tensor(np.ones(17)), Tensor(np.zeros(17))).data
+        out = self.norm(rng.normal(size=(6, 17))).data
         assert np.abs(out.mean(axis=-1)).max() < 1e-12
         assert np.abs(out.var(axis=-1) - 1.0).max() < 1e-4
 
+    def test_matches_numpy_layer_norm(self):
+        """Against the textbook form: the mean and variance of the sum,
+        the keep-mask scaled by 1 / (1 - rate)."""
+        rng = np.random.default_rng(5)
+        x, y = rng.normal(size=(2, 4, 7))
+        gamma, beta = rng.normal(size=(2, 7))
+        keep = rng.random(y.shape) >= 0.25
+        out = residual_norm(Tensor(x), Tensor(y), Tensor(gamma), Tensor(beta), keep, 0.25).data
+        s = x + np.where(keep, y / 0.75, 0.0)
+        centered = s - s.mean(axis=-1, keepdims=True)
+        sigma = np.sqrt((centered ** 2).mean(axis=-1, keepdims=True) + 1e-5)
+        want = centered / sigma * gamma + beta
+        assert np.abs(out - want).max() < 1e-12
+
     def test_bad_affine_shape(self):
-        with pytest.raises(ValueError):
-            layer_norm(Tensor(np.ones((2, 3))), Tensor(np.ones(4)), Tensor(np.zeros(4)))
+        x = Tensor(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="affine params"):
+            residual_norm(x, x, Tensor(np.ones(4)), Tensor(np.zeros(4)))
+
+    def test_bad_operand_shapes(self):
+        ones, x = Tensor(np.ones(3)), Tensor(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="disagree"):
+            residual_norm(x, Tensor(np.ones((1, 3))), ones, ones)
+        with pytest.raises(ValueError, match="keep-mask"):
+            residual_norm(x, x, ones, ones, np.ones((1, 3), dtype=bool), 0.1)
+        with pytest.raises(ValueError, match="keep-mask"):
+            residual_norm(x, x, ones, ones, np.ones((2, 3), dtype=bool), 1.0)
 
     def test_gradient(self):
+        """Central differences on all four inputs, under a keep-mask."""
         rng = np.random.default_rng(5)
-        x = parameter(rng.normal(size=(2, 6)))
-        gamma = parameter(rng.normal(size=6))
-        beta = parameter(rng.normal(size=6))
+        x, y = parameter(rng.normal(size=(2, 6))), parameter(rng.normal(size=(2, 6)))
+        gamma, beta = parameter(rng.normal(size=6)), parameter(rng.normal(size=6))
+        keep = rng.random((2, 6)) >= 0.3
         w = rng.normal(size=(2, 6))
 
         def f():
-            return (layer_norm(x, gamma, beta) * Tensor(w)).sum()
+            return (residual_norm(x, y, gamma, beta, keep, 0.3) * Tensor(w)).sum()
 
-        assert grad_check(f, {"x": x, "gamma": gamma, "beta": beta}) < 1e-6
+        assert grad_check(f, {"x": x, "y": y, "gamma": gamma, "beta": beta}) < 1e-6
+
+
+class TestFfn:
+    def test_matches_numpy(self):
+        rng = np.random.default_rng(30)
+        x, w1, b1, w2, b2 = (rng.normal(size=s) for s in [(2, 3, 4), (4, 8), (8,), (8, 5), (5,)])
+        out = ffn(*(Tensor(t) for t in (x, w1, b1, w2, b2))).data
+        assert out.shape == (2, 3, 5)
+        assert np.abs(out - (np.tanh(x @ w1 + b1) @ w2 + b2)).max() < 1e-12
+
+    def test_rejects_bad_shapes(self):
+        x, w1, b1, w2, b2 = (Tensor(np.ones(s)) for s in [(2, 4), (4, 8), (8,), (8, 4), (4,)])
+        with pytest.raises(ValueError, match="ffn"):
+            ffn(x, w1, b1, Tensor(np.ones((7, 4))), b2)
+        with pytest.raises(ValueError, match="ffn"):
+            ffn(x, w1, Tensor(np.ones(4)), w2, b2)
+        with pytest.raises(ValueError, match="ffn"):
+            ffn(Tensor(np.ones(4)), w1, b1, w2, b2)
 
 
 def chain_affine(x, w, b):
@@ -427,11 +490,33 @@ def chain_affine(x, w, b):
     return matmul(x, w) + b
 
 
+def chain_tanh(a):
+    """The elementwise tanh tape op the FFN's chain was made of."""
+    y = np.tanh(a.data)
+
+    def backward(g):
+        tensor_mod._accumulate(a, g * (1.0 - y * y))
+
+    return tensor_mod._make(y, (a,), backward)
+
+
+def chain_ffn(x, w1, b1, w2, b2):
+    """``ffn`` as the affine, tanh and affine it stands for."""
+    return affine(chain_tanh(affine(x, w1, b1)), w2, b2)
+
+
 def chain_layer_norm(x, gamma, beta):
-    """``layer_norm`` as the chain of elementwise ops it stands for."""
+    """Layer norm as the chain of elementwise ops it stands for."""
     centered = x - x.mean(axis=-1, keepdims=True)
     var = (centered * centered).mean(axis=-1, keepdims=True)
     return centered * power(var + tensor_mod._LAYER_NORM_EPS, -0.5) * gamma + beta
+
+
+def chain_residual_norm(x, y, gamma, beta, keep=None, rate=0.0):
+    """``residual_norm`` as inverted dropout (a product with a float
+    mask), the residual add and the layer norm chain."""
+    dropped = y if keep is None else y * Tensor(keep / (1.0 - rate))
+    return chain_layer_norm(x + dropped, gamma, beta)
 
 
 def chain_gate(a, b, w, bias):
@@ -456,11 +541,18 @@ def chain_rope(x, cos, sin, rotate):
 
 def fused_cases():
     """(name, fused op, its chain, input shapes): each op takes the
-    inputs as tensors; RoPE's angle tables and rotation are constants."""
+    inputs as tensors; RoPE's angle tables and rotation, and the dropout
+    keep-mask at rate 0.3, are constants."""
     cos, sin, rotate = rope_tables(np.random.default_rng(12), 5, 6)
+    keep = np.random.default_rng(13).random((2, 5, 6)) >= 0.3
     return [
         ("affine", affine, chain_affine, [(2, 5, 4), (4, 3), (3,)]),
-        ("layer_norm", layer_norm, chain_layer_norm, [(2, 5, 6), (6,), (6,)]),
+        ("ffn", ffn, chain_ffn, [(2, 5, 4), (4, 16), (16,), (16, 3), (3,)]),
+        ("layer_norm", lambda x, gamma, beta: residual_norm(x, zeros_like(x.data), gamma, beta),
+         chain_layer_norm, [(2, 5, 6), (6,), (6,)]),
+        ("residual_norm", residual_norm, chain_residual_norm, [(2, 5, 6), (2, 5, 6), (6,), (6,)]),
+        ("residual_norm_dropout", lambda *t: residual_norm(*t, keep, 0.3),
+         lambda *t: chain_residual_norm(*t, keep, 0.3), [(2, 5, 6), (2, 5, 6), (6,), (6,)]),
         ("gate", lambda *t: sigmoid_gate(*t)[0], lambda *t: chain_gate(*t)[0],
          [(2, 5, 3), (2, 5, 3), (6, 3), (3,)]),
         ("rope", lambda x: rope(x, cos, sin, rotate), lambda x: chain_rope(x, cos, sin, rotate),
@@ -487,9 +579,10 @@ class TestFusedOps:
             xs = self.inputs(shapes, seed)
             out = fused(*xs)
             assert np.array_equal(out.data, chain(*xs).data)
-            # one node, whose parents are the inputs themselves
-            assert len(out._parents) == len(xs)
-            assert all(p is x for p, x in zip(out._parents, xs))
+            # one node, whose parents are the inputs themselves (and, for
+            # layer norm, the constant zero residual branch)
+            assert all(any(p is x for p in out._parents) for x in xs)
+            assert all(p._backward is None for p in out._parents)
 
     @pytest.mark.parametrize("name, fused, chain, shapes", FUSED, ids=[c[0] for c in FUSED])
     def test_gradient_check(self, name, fused, chain, shapes):
@@ -513,17 +606,17 @@ class TestFusedOps:
 
     @pytest.mark.parametrize("name, fused, chain, shapes", FUSED, ids=[c[0] for c in FUSED])
     def test_constant_inputs_get_no_gradient(self, name, fused, chain, shapes):
-        """With only the first input learning, only it gets a gradient,
-        equal to the one it gets when every input learns."""
+        """With one input learning, only it gets a gradient, equal to the
+        one it gets when every input learns; for each input in turn."""
         xs = self.inputs(shapes, 8)
         seed = np.random.default_rng(9).normal(size=fused(*xs).shape)
         fused(*xs).backward(seed)
-        want = xs[0].grad
-        consts = [Tensor(x.data) for x in xs[1:]]
-        x0 = parameter(xs[0].data)
-        fused(x0, *consts).backward(seed)
-        assert np.array_equal(x0.grad, want)
-        assert all(c.grad is None for c in consts)
+        for i, x in enumerate(xs):
+            ts = [Tensor(t.data) for t in xs]
+            ts[i] = parameter(x.data)
+            fused(*ts).backward(seed)
+            assert np.array_equal(ts[i].grad, x.grad), i
+            assert all(t.grad is None for j, t in enumerate(ts) if j != i)
 
     def test_gate_alpha_matches_chain_and_has_no_node(self):
         a, b, w, bias = self.inputs([(4, 3), (4, 3), (6, 3), (3,)], 10)
@@ -550,10 +643,10 @@ class TestPrimitiveGradients:
     def test_elementwise_chain(self):
         x = parameter(self.rng.normal(size=(3, 4)))
         y = parameter(self.rng.normal(size=(3, 4)) + 3.0)
-        self.check(lambda: (tanh(x) * sigmoid(y) - (x - y)).sum(), [x, y])
+        self.check(lambda: (x * x * sigmoid(y) - (x - y)).sum(), [x, y])
 
     def test_power(self):
-        """Fractional and negative exponents; layer_norm's chain takes power(var, -0.5)."""
+        """Fractional and negative exponents; the layer norm chain takes power(var, -0.5)."""
         x = parameter(np.abs(self.rng.normal(size=5)) + 1.0)
         self.check(lambda: (power(x, 1.7) + power(x, -0.5) * x).sum(), [x])
 
