@@ -758,13 +758,20 @@ def affine(x, w, b) -> Tensor:
     out += b.data
 
     def backward(g: Array) -> None:
-        if x.requires_grad:
-            _accumulate(x, g @ w.data.T)
-        if w.requires_grad:
-            _accumulate(w, _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
+        _accumulate(x, _affine_grads(x.data, w, b, g, x.requires_grad))
 
     return _make(out, (x, w, b), backward)
+
+
+def _affine_grads(x: Array, w: Tensor, b: Tensor, g: Array, need_dx: bool) -> Array | None:
+    """Backward of ``x @ w + b`` for the output gradient ``g``: adds the
+    gradients of ``w`` and ``b`` to them, and returns x's, ``g @ w.T``, if
+    ``need_dx`` (else None)."""
+    if w.requires_grad:
+        _accumulate(w, _unbroadcast(np.swapaxes(x, -1, -2) @ g, w.shape))
+    if b.requires_grad:
+        _accumulate(b, _unbroadcast(g, b.shape))
+    return g @ w.data.T if need_dx else None
 
 
 def ffn(x, w1, b1, w2, b2) -> Tensor:
@@ -785,20 +792,11 @@ def ffn(x, w1, b1, w2, b2) -> Tensor:
     out += b2.data
 
     def backward(g: Array) -> None:
-        if w2.requires_grad:
-            _accumulate(w2, _unbroadcast(np.swapaxes(y, -1, -2) @ g, w2.shape))
-        if b2.requires_grad:
-            _accumulate(b2, _unbroadcast(g, b2.shape))
-        if not (x.requires_grad or w1.requires_grad or b1.requires_grad):
+        dpre = _affine_grads(y, w2, b2, g, x.requires_grad or w1.requires_grad or b1.requires_grad)
+        if dpre is None:
             return
-        dpre = g @ w2.data.T
         dpre *= 1.0 - y * y
-        if x.requires_grad:
-            _accumulate(x, dpre @ w1.data.T)
-        if w1.requires_grad:
-            _accumulate(w1, _unbroadcast(np.swapaxes(x.data, -1, -2) @ dpre, w1.shape))
-        if b1.requires_grad:
-            _accumulate(b1, _unbroadcast(dpre, b1.shape))
+        _accumulate(x, _affine_grads(x.data, w1, b1, dpre, x.requires_grad))
 
     return _make(out, (x, w1, b1, w2, b2), backward)
 

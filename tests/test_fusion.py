@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from blossomrec import tensor as tensor_mod
 from blossomrec.config import AttentionConfig
 from blossomrec.data import SeqContext
 from blossomrec.embedding import RoPECache, apply_rope
@@ -22,10 +21,11 @@ from blossomrec.gradcheck import grad_check
 from blossomrec.ltis import CompressionMLP, build_ltis_masks, ltis_index
 from blossomrec.stis import batch_stis_masks, stis_index
 from blossomrec.tensor import (
-    Tensor, affine, concat, gathered_attention, index_mask, matmul, parameter, power, sigmoid,
-    take_rows, zero_grads,
+    Tensor, gathered_attention, index_mask, matmul, parameter, take_rows, zero_grads,
 )
 from blossomrec.verify import gathered_equivalence_error
+
+from chains import chain_ffn, chain_gate, chain_residual_norm
 
 
 def make_cfg(**kw):
@@ -299,29 +299,12 @@ class TestPackedStream:
         assert calls == [(1, 2, 3, 3), (1, 1, 3, 3)]
 
 
-def chain_tanh(a):
-    """The elementwise tanh tape op the FFN's chain was made of."""
-    y = np.tanh(a.data)
-
-    def backward(g):
-        tensor_mod._accumulate(a, g * (1.0 - y * y))
-
-    return tensor_mod._make(y, (a,), backward)
-
-
-def chain_norm(x, gamma, beta):
-    """Layer norm as the chain of elementwise ops it stands for."""
-    centered = x - x.mean(axis=-1, keepdims=True)
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered * power(var + tensor_mod._LAYER_NORM_EPS, -0.5) * gamma + beta
-
-
 def chain_layer(h_prev, params, cfg, ctx, rope, rng, rate, pathway, rows):
-    """``encoder_layer`` in training mode as the chain of ops its fused
-    ones stand for: the gate as concat, matmul, add, sigmoid and the mix;
-    dropout as a product with a float mask drawn by the same
-    ``rng.random(shape) >= rate`` call; each residual an add and each layer
-    norm the chain above; the FFN as affine, tanh and affine."""
+    """``encoder_layer`` in training mode with each fused op replaced by
+    its chain from ``chains``: the gate as concat, matmul, add, sigmoid
+    and the mix; each residual site as dropout (a product with a float
+    mask drawn by the same ``rng.random(shape) >= rate`` call), an add and
+    the layer norm chain; the FFN as affine, tanh and affine."""
     q_rows = ctx.query_rows(rows)
     h_q, d = h_prev, h_prev.shape[-1]
     if rows is not None:
@@ -335,19 +318,12 @@ def chain_layer(h_prev, params, cfg, ctx, rope, rng, rate, pathway, rows):
     if pathway in ("both", "stis"):
         indices.append(stis_index(ctx, q_rows, cfg))
     outs = [matmul(gathered_attention(q, k, v, *index), params.w_o) for index in indices]
-    fused = outs[0]
-    if pathway == "both":
-        a, b = outs
-        alpha = sigmoid(matmul(concat([a, b], axis=2), params.gate_w) + params.gate_b)
-        fused = alpha * a + (1.0 - alpha) * b
-
-    def dropout(x):
-        return x * Tensor((rng.random(x.shape) >= rate) / (1.0 - rate))
-
-    mixed = chain_norm(h_q + dropout(fused), params.ln1_gamma, params.ln1_beta)
-    ff = affine(chain_tanh(affine(mixed, params.ffn_w1, params.ffn_b1)),
-                params.ffn_w2, params.ffn_b2)
-    return chain_norm(mixed + dropout(ff), params.ln2_gamma, params.ln2_beta)
+    fused = outs[0] if pathway != "both" else chain_gate(*outs, params.gate_w, params.gate_b)[0]
+    mixed = chain_residual_norm(h_q, fused, params.ln1_gamma, params.ln1_beta,
+                                rng.random(fused.shape) >= rate, rate)
+    ff = chain_ffn(mixed, params.ffn_w1, params.ffn_b1, params.ffn_w2, params.ffn_b2)
+    return chain_residual_norm(mixed, ff, params.ln2_gamma, params.ln2_beta,
+                               rng.random(ff.shape) >= rate, rate)
 
 
 class TestFusedChain:

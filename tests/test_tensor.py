@@ -33,6 +33,8 @@ from blossomrec.tensor import (
     take_rows,
 )
 
+from chains import chain_affine, chain_ffn, chain_gate, chain_residual_norm, chain_rope
+
 
 def logits_loss(x, targets):
     """``linear_cross_entropy`` over raw (N, V) logits: an identity ``w``
@@ -485,46 +487,6 @@ class TestFfn:
             ffn(Tensor(np.ones(4)), w1, b1, w2, b2)
 
 
-def chain_affine(x, w, b):
-    """``affine`` as the matmul and add it stands for."""
-    return matmul(x, w) + b
-
-
-def chain_tanh(a):
-    """The elementwise tanh tape op the FFN's chain was made of."""
-    y = np.tanh(a.data)
-
-    def backward(g):
-        tensor_mod._accumulate(a, g * (1.0 - y * y))
-
-    return tensor_mod._make(y, (a,), backward)
-
-
-def chain_ffn(x, w1, b1, w2, b2):
-    """``ffn`` as the affine, tanh and affine it stands for."""
-    return affine(chain_tanh(affine(x, w1, b1)), w2, b2)
-
-
-def chain_layer_norm(x, gamma, beta):
-    """Layer norm as the chain of elementwise ops it stands for."""
-    centered = x - x.mean(axis=-1, keepdims=True)
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered * power(var + tensor_mod._LAYER_NORM_EPS, -0.5) * gamma + beta
-
-
-def chain_residual_norm(x, y, gamma, beta, keep=None, rate=0.0):
-    """``residual_norm`` as inverted dropout (a product with a float
-    mask), the residual add and the layer norm chain."""
-    dropped = y if keep is None else y * Tensor(keep / (1.0 - rate))
-    return chain_layer_norm(x + dropped, gamma, beta)
-
-
-def chain_gate(a, b, w, bias):
-    """``sigmoid_gate`` as concat, matmul, add, sigmoid and the mix."""
-    alpha = sigmoid(matmul(concat([a, b], axis=a.ndim - 1), w) + bias)
-    return alpha * a + (1.0 - alpha) * b, alpha
-
-
 def rope_tables(rng, length, d):
     """Angle tables of a (length, d) RoPE cache and its (d, d) rotation."""
     half = d // 2
@@ -534,22 +496,22 @@ def rope_tables(rng, length, d):
             np.block([[0 * eye, eye], [-eye, 0 * eye]]))
 
 
-def chain_rope(x, cos, sin, rotate):
-    """``rope`` as its two products, its matmul and its sum."""
-    return x * cos + matmul(x, Tensor(rotate)) * sin
+class Zeros(tuple):
+    """The shape of a fused op's input that is all zeros."""
 
 
 def fused_cases():
     """(name, fused op, its chain, input shapes): each op takes the
-    inputs as tensors; RoPE's angle tables and rotation, and the dropout
-    keep-mask at rate 0.3, are constants."""
+    inputs as tensors, drawn from N(0, 1) (a ``Zeros`` shape is an
+    all-zero input); RoPE's angle tables and rotation, and the dropout
+    keep-mask at rate 0.3, are constants. Layer norm is ``residual_norm``
+    on a zero residual branch."""
     cos, sin, rotate = rope_tables(np.random.default_rng(12), 5, 6)
     keep = np.random.default_rng(13).random((2, 5, 6)) >= 0.3
     return [
         ("affine", affine, chain_affine, [(2, 5, 4), (4, 3), (3,)]),
         ("ffn", ffn, chain_ffn, [(2, 5, 4), (4, 16), (16,), (16, 3), (3,)]),
-        ("layer_norm", lambda x, gamma, beta: residual_norm(x, zeros_like(x.data), gamma, beta),
-         chain_layer_norm, [(2, 5, 6), (6,), (6,)]),
+        ("layer_norm", residual_norm, chain_residual_norm, [(2, 5, 6), Zeros((2, 5, 6)), (6,), (6,)]),
         ("residual_norm", residual_norm, chain_residual_norm, [(2, 5, 6), (2, 5, 6), (6,), (6,)]),
         ("residual_norm_dropout", lambda *t: residual_norm(*t, keep, 0.3),
          lambda *t: chain_residual_norm(*t, keep, 0.3), [(2, 5, 6), (2, 5, 6), (6,), (6,)]),
@@ -571,7 +533,8 @@ class TestFusedOps:
     @staticmethod
     def inputs(shapes, seed):
         rng = np.random.default_rng(seed)
-        return [parameter(rng.normal(size=shape)) for shape in shapes]
+        return [parameter(np.zeros(shape) if isinstance(shape, Zeros) else rng.normal(size=shape))
+                for shape in shapes]
 
     @pytest.mark.parametrize("name, fused, chain, shapes", FUSED, ids=[c[0] for c in FUSED])
     def test_forward_bit_identical_to_chain(self, name, fused, chain, shapes):
@@ -579,10 +542,9 @@ class TestFusedOps:
             xs = self.inputs(shapes, seed)
             out = fused(*xs)
             assert np.array_equal(out.data, chain(*xs).data)
-            # one node, whose parents are the inputs themselves (and, for
-            # layer norm, the constant zero residual branch)
-            assert all(any(p is x for p in out._parents) for x in xs)
-            assert all(p._backward is None for p in out._parents)
+            # one node, whose parents are the inputs themselves
+            assert len(out._parents) == len(xs)
+            assert all(p is x for p, x in zip(out._parents, xs))
 
     @pytest.mark.parametrize("name, fused, chain, shapes", FUSED, ids=[c[0] for c in FUSED])
     def test_gradient_check(self, name, fused, chain, shapes):
