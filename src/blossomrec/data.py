@@ -119,12 +119,12 @@ def _parses_as_record(line: str) -> bool:
     return len(parts) == 3 and _is_float(parts[2])
 
 
-def load_interactions(path: str | Path, persist_mapping: bool = True) -> InteractionLog:
+def load_interactions(path: str | Path) -> InteractionLog:
     """Read a TSV interaction log; raises DataError naming the first
     malformed line. Blank lines are skipped but still counted.
 
-    With ``persist_mapping`` (default), the token -> id maps are written
-    next to the input as ``<path>.users.tsv`` and ``<path>.items.tsv``.
+    The token -> id maps are written next to the input as
+    ``<path>.users.tsv`` and ``<path>.items.tsv``.
     """
     path = Path(path)
     if not path.exists():
@@ -166,9 +166,8 @@ def load_interactions(path: str | Path, persist_mapping: bool = True) -> Interac
     user_ids, user_map = _first_seen_ids(tokens[0::3])
     item_ids, item_map = _first_seen_ids(tokens[1::3])
     del tokens
-    if persist_mapping:
-        _persist_mapping(user_map, path.with_name(path.name + ".users.tsv"))
-        _persist_mapping(item_map, path.with_name(path.name + ".items.tsv"))
+    _persist_mapping(user_map, path.with_name(path.name + ".users.tsv"))
+    _persist_mapping(item_map, path.with_name(path.name + ".items.tsv"))
     return InteractionLog(user_ids=user_ids, item_ids=item_ids, timestamps=timestamps,
                           user_map=user_map, item_map=item_map)
 

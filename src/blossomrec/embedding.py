@@ -24,7 +24,6 @@ class EmbeddingTable:
         weights[0] = 0.0
         self.weights = Tensor(weights, requires_grad=True)
         self.num_items = num_items
-        self.dim = dim
 
     @property
     def rows(self) -> int:

@@ -6,6 +6,13 @@ arrays; any op that touches a differentiable input records a backward
 closure, and ``GradTape`` linearizes the recorded ops so replaying them in
 reverse accumulates gradients into every reachable parameter.
 
+The ops: the primitives ``mul``, ``matmul``, ``reshape``, ``transpose``,
+``getitem``, ``take_rows`` and the full sum ``tsum``; the row softmax
+``masked_softmax``; and the fused ops below, ``gathered_attention``,
+``linear_cross_entropy``, ``affine``, ``ffn``, ``residual_norm``,
+``sigmoid_gate`` and ``rope``. Each is one that the model, its training
+or ``verify`` runs.
+
 Design points:
   * float64 only, so finite-difference checks are decisive.
   * one in-place kernel, ``_exp_shifted``, is the row softmax of every op
@@ -18,9 +25,9 @@ Design points:
     outputs.
   * a tensor owns the first gradient it receives (no zeroed buffer is
     allocated); later contributions are added out of place, so an array
-    handed to two parents (``add`` gives both the same ``g``) is never
-    written through, and no backward closure writes into an array it
-    received.
+    handed to two parents (``residual_norm`` without dropout gives x and
+    y the same one) is never written through, and no backward closure
+    writes into an array it received.
   * ``mul``, ``matmul`` and the fused ops below form an operand's
     gradient product only when that operand requires a gradient, so
     constant tables and masks cost no backward work.
@@ -68,7 +75,6 @@ __all__ = [
     "no_grad",
     "parameter",
     "matmul",
-    "concat",
     "masked_softmax",
     "gathered_attention",
     "index_mask",
@@ -78,8 +84,6 @@ __all__ = [
     "residual_norm",
     "sigmoid_gate",
     "rope",
-    "sigmoid",
-    "power",
     "take_rows",
     "zero_grads",
 ]
@@ -162,9 +166,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
@@ -176,41 +177,20 @@ class Tensor:
 
     # -- operators -------------------------------------------------------
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     def __rmul__(self, other):
         return mul(other, self)
 
-    def __neg__(self):
-        return mul(self, -1.0)
-
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __pow__(self, p):
-        return power(self, p)
 
     def __getitem__(self, idx):
         return getitem(self, idx)
 
-    def sum(self, axis=None, keepdims: bool = False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        return tmean(self, axis=axis, keepdims=keepdims)
+    def sum(self):
+        return tsum(self)
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -332,26 +312,6 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
 # elementwise ops
 
 
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-
-    def backward(g: Array) -> None:
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
-
-    return _make(a.data + b.data, (a, b), backward)
-
-
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-
-    def backward(g: Array) -> None:
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(-g, b.shape))
-
-    return _make(a.data - b.data, (a, b), backward)
-
-
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
 
@@ -364,31 +324,10 @@ def mul(a, b) -> Tensor:
     return _make(a.data * b.data, (a, b), backward)
 
 
-def power(a, p: float) -> Tensor:
-    a = _as_tensor(a)
-    p = float(p)
-    out_data = a.data**p
-
-    def backward(g: Array) -> None:
-        _accumulate(a, g * p * a.data ** (p - 1.0))
-
-    return _make(out_data, (a,), backward)
-
-
 def _sigmoid(x: Array) -> Array:
     """The logistic function, branching on sign so that exp cannot overflow."""
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def sigmoid(a) -> Tensor:
-    a = _as_tensor(a)
-    out_data = _sigmoid(a.data)
-
-    def backward(g: Array) -> None:
-        _accumulate(a, g * out_data * (1.0 - out_data))
-
-    return _make(out_data, (a,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -427,20 +366,6 @@ def getitem(a, idx) -> Tensor:
     return _make(a.data[idx], (a,), backward)
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g: Array) -> None:
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            _accumulate(t, g[tuple(sl)])
-
-    return _make(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
-
-
 def _scatter_add(acc: Array, rows: Array, cols: Array) -> None:
     """``acc[:, rows[j]] += cols[:, j]`` for every j, in the order of j:
     ``acc`` is (d, n) and ``cols`` (d, m), and each of the d
@@ -469,29 +394,14 @@ def take_rows(table, ids: Array) -> Tensor:
 # reductions
 
 
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a) -> Tensor:
+    """The sum of every entry, a 0-d tensor."""
     a = _as_tensor(a)
 
     def backward(g: Array) -> None:
-        if axis is None:
-            _accumulate(a, np.broadcast_to(g, a.shape).copy())
-            return
-        if not keepdims:
-            g = np.expand_dims(g, axis)
         _accumulate(a, np.broadcast_to(g, a.shape).copy())
 
-    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
-
-
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
-    if axis is None:
-        n = a.size
-    elif isinstance(axis, tuple):
-        n = int(np.prod([a.shape[i] for i in axis]))
-    else:
-        n = a.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
+    return _make(a.data.sum(), (a,), backward)
 
 
 # ---------------------------------------------------------------------------

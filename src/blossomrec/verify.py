@@ -202,7 +202,7 @@ def gathered_equivalence_error(seeds: range, lengths: tuple[int, ...]) -> float:
                     out = gathered_attention(qt, kt, vt, idx, valid)
                 else:
                     out = grouped_attention(qt, kt, vt, cfg, index_mask(idx, valid, total))
-                (out * Tensor(w)).sum().backward()
+                out.backward(w)
                 runs.append([out.data, qt.grad, kt.grad, vt.grad])
             worst = max([worst] + [float(np.abs(x - y).max()) for x, y in zip(*runs)])
     return worst

@@ -1,53 +1,91 @@
-"""Reference chains for the fused tape ops: each fused op in ``tensor.py``
-written as the chain of smaller ops it stands for. The fused ops are
-checked against these, forward bit for bit and backward to 1e-12."""
+"""Tape-free references for the fused tape ops: each fused op in
+``tensor.py`` written in plain numpy as the chain of elementwise
+expressions it stands for, in the same order, so that on real inputs a
+fused op's output equals its chain's bit for bit.
+
+Every chain is also analytic in its array inputs, so the same function
+evaluated at complex points gives its derivatives by the complex step
+(``complex_step_grads``): f(x + i*h*e) = f(x) + i*h*f'(x)e + O(h^2), and
+the imaginary part involves no subtraction, so a step of 1e-30 gives the
+derivative exact to rounding. The fused ops' gradients are checked
+against these to 1e-12."""
 
 import numpy as np
 
 from blossomrec import tensor as tensor_mod
-from blossomrec.tensor import Tensor, affine, concat, matmul, power, sigmoid
+
+STEP = 1e-30
+
+
+def sigmoid(z):
+    """``tensor._sigmoid``'s formula, branching on the sign of the real
+    part: bit for bit ``_sigmoid`` on real ``z``, and analytic on complex
+    ``z`` (exp(-|z|) is not)."""
+    e = np.exp(np.where(z.real >= 0, -z, z))
+    return np.where(z.real >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def chain_affine(x, w, b):
-    """``affine`` as the matmul and add it stands for."""
-    return matmul(x, w) + b
-
-
-def chain_tanh(a):
-    """The elementwise tanh tape op the FFN's chain was made of."""
-    y = np.tanh(a.data)
-
-    def backward(g):
-        tensor_mod._accumulate(a, g * (1.0 - y * y))
-
-    return tensor_mod._make(y, (a,), backward)
+    """``affine``: the matmul, then the bias."""
+    return x @ w + b
 
 
 def chain_ffn(x, w1, b1, w2, b2):
-    """``ffn`` as the affine, tanh and affine it stands for."""
-    return affine(chain_tanh(affine(x, w1, b1)), w2, b2)
-
-
-def chain_layer_norm(x, gamma, beta):
-    """Layer norm as the chain of elementwise ops it stands for."""
-    centered = x - x.mean(axis=-1, keepdims=True)
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered * power(var + tensor_mod._LAYER_NORM_EPS, -0.5) * gamma + beta
+    """``ffn``: affine, tanh, affine."""
+    return np.tanh(x @ w1 + b1) @ w2 + b2
 
 
 def chain_residual_norm(x, y, gamma, beta, keep=None, rate=0.0):
-    """``residual_norm`` as inverted dropout (a product with a float
-    mask), the residual add and the layer norm chain."""
-    dropped = y if keep is None else y * Tensor(keep / (1.0 - rate))
-    return chain_layer_norm(x + dropped, gamma, beta)
+    """``residual_norm``: inverted dropout as a product with a float mask,
+    the residual sum, and layer norm with the mean as sum times 1/n."""
+    s = x + (y if keep is None else y * (keep / (1.0 - rate)))
+    n = s.shape[-1]
+    centered = s - s.sum(axis=-1, keepdims=True) * (1.0 / n)
+    var = (centered * centered).sum(axis=-1, keepdims=True) * (1.0 / n)
+    return centered * (var + tensor_mod._LAYER_NORM_EPS) ** -0.5 * gamma + beta
 
 
 def chain_gate(a, b, w, bias):
-    """``sigmoid_gate`` as concat, matmul, add, sigmoid and the mix."""
-    alpha = sigmoid(matmul(concat([a, b], axis=a.ndim - 1), w) + bias)
+    """``sigmoid_gate``: concat, matmul, bias, sigmoid and the mix;
+    returns the mix and alpha."""
+    alpha = sigmoid(np.concatenate([a, b], axis=-1) @ w + bias)
     return alpha * a + (1.0 - alpha) * b, alpha
 
 
 def chain_rope(x, cos, sin, rotate):
-    """``rope`` as its two products, its matmul and its sum."""
-    return x * cos + matmul(x, Tensor(rotate)) * sin
+    """``rope``: its two products, its matmul and its sum."""
+    return x * cos + (x @ rotate) * sin
+
+
+def chain_gathered_attention(q, k, v, idx, valid):
+    """``gathered_attention``'s forward in one chunk: each query's K and V
+    rows gathered by ``idx``, the scaled logits, the softmax over the
+    valid slots (a row with none is zeros), and the heads merged. The
+    softmax subtracts the row max of the logits' real part, so the chain
+    stays analytic."""
+    b, h, n, d = q.shape
+    g = k.shape[1]
+    at = np.arange(b)[:, None, None, None], np.arange(g)[None, :, None, None], idx
+    x = q.reshape(b, g, h // g, n, d).transpose(0, 1, 3, 2, 4) @ k[at].swapaxes(-1, -2)
+    x *= 1.0 / np.sqrt(d)
+    x = np.where(valid[:, :, :, None], x, -np.inf)
+    e = np.exp(x - x.real.max(axis=-1, keepdims=True, initial=tensor_mod._LOWEST))
+    s = e.sum(axis=-1, keepdims=True)
+    out = (e / np.where(s.real > 0, s, 1.0)) @ v[at]
+    return out.transpose(0, 2, 1, 3, 4).reshape(b, n, h * d)
+
+
+def complex_step_derivative(f, xs, k, v, seed):
+    """The derivative of ``(f(*xs) * seed).sum()`` along direction ``v``
+    of input ``k``, by one complex step."""
+    zs = list(xs)
+    zs[k] = xs[k] + STEP * 1j * v
+    return (f(*zs).imag / STEP * seed).sum()
+
+
+def complex_step_grads(f, xs, seed):
+    """The gradient of ``(f(*xs) * seed).sum()`` for each array in
+    ``xs``: one complex step along each input entry."""
+    return [np.array([complex_step_derivative(f, xs, k, e.reshape(x.shape), seed)
+                      for e in np.eye(x.size)]).reshape(x.shape)
+            for k, x in enumerate(xs)]

@@ -281,7 +281,7 @@ class TestLoadInteractions:
     def test_first_line_user_token_is_data(self, tmp_path):
         # a token that merely starts with "user" must not be eaten as a header
         p = write(tmp_path, "user123\titemA\t3.5\nuser123\titemB\t4\n")
-        assert len(load_interactions(p, persist_mapping=False)) == 2
+        assert len(load_interactions(p)) == 2
 
     def test_malformed_line_reports_number(self, tmp_path):
         p = write(tmp_path, "u1\ti1\t1\nu2 bad line\n")
@@ -324,7 +324,7 @@ class TestLoadInteractions:
         log = make_synthetic(5, 20, 2, 6, 0.2, seed=3)
         out = tmp_path / "rt.tsv"
         write_interactions(log, out)
-        reloaded = load_interactions(out, persist_mapping=False)
+        reloaded = load_interactions(out)
         assert np.array_equal(log.user_ids, reloaded.user_ids)
         assert np.array_equal(log.item_ids, reloaded.item_ids)
         assert np.array_equal(log.timestamps, reloaded.timestamps)
@@ -332,17 +332,17 @@ class TestLoadInteractions:
     def test_round_trip_epoch_timestamps(self, tmp_path):
         src = tmp_path / "epoch.tsv"
         src.write_text("u\ta\t1317642061.0\nu\tb\t1317642061.25\nu\tc\t1317699999.5\n")
-        log = load_interactions(src, persist_mapping=False)
+        log = load_interactions(src)
         out = tmp_path / "epoch_rt.tsv"
         write_interactions(log, out)
-        again = load_interactions(out, persist_mapping=False)
+        again = load_interactions(out)
         assert np.array_equal(log.timestamps, again.timestamps)
 
 
 class TestLeaveOneOut:
     def make_log(self, tmp_path, rows):
         text = "".join(f"{u}\t{i}\t{t}\n" for u, i, t in rows)
-        return load_interactions(write(tmp_path, text), persist_mapping=False)
+        return load_interactions(write(tmp_path, text))
 
     def test_split_definition(self, tmp_path):
         log = self.make_log(tmp_path, [("u", "a", 1), ("u", "b", 2), ("u", "c", 3), ("u", "d", 4)])
@@ -492,8 +492,8 @@ class TestIngestionMemory:
         return peak / self.LINES
 
     def test_load(self, log_path):
-        assert self.peak_per_line(lambda: load_interactions(log_path, persist_mapping=False)) < 250
+        assert self.peak_per_line(lambda: load_interactions(log_path)) < 250
 
     def test_split(self, log_path):
-        log = load_interactions(log_path, persist_mapping=False)
+        log = load_interactions(log_path)
         assert self.peak_per_line(lambda: leave_one_out_split(log)) < 36

@@ -21,11 +21,14 @@ from blossomrec.gradcheck import grad_check
 from blossomrec.ltis import CompressionMLP, build_ltis_masks, ltis_index
 from blossomrec.stis import batch_stis_masks, stis_index
 from blossomrec.tensor import (
-    Tensor, gathered_attention, index_mask, matmul, parameter, take_rows, zero_grads,
+    Tensor, gathered_attention, index_mask, matmul, parameter, zero_grads,
 )
 from blossomrec.verify import gathered_equivalence_error
 
-from chains import chain_ffn, chain_gate, chain_residual_norm
+from chains import (
+    chain_ffn, chain_gate, chain_gathered_attention, chain_residual_norm, chain_rope,
+    complex_step_derivative,
+)
 
 
 def make_cfg(**kw):
@@ -299,35 +302,41 @@ class TestPackedStream:
         assert calls == [(1, 2, 3, 3), (1, 1, 3, 3)]
 
 
-def chain_layer(h_prev, params, cfg, ctx, rope, rng, rate, pathway, rows):
-    """``encoder_layer`` in training mode with each fused op replaced by
-    its chain from ``chains``: the gate as concat, matmul, add, sigmoid
-    and the mix; each residual site as dropout (a product with a float
-    mask drawn by the same ``rng.random(shape) >= rate`` call), an add and
-    the layer norm chain; the FFN as affine, tanh and affine."""
+def chain_qkv(p, cfg, ctx, rope, q_rows):
+    """The layer's rotated queries (of the stream rows ``q_rows``),
+    rotated keys and values, in numpy from the arrays ``p`` by name."""
+    def heads(x, num):
+        b, n, total = x.shape
+        return x.reshape(b, n, num, total // num).transpose(0, 2, 1, 3)
+
+    def rotate(x, positions):
+        return chain_rope(x, rope.cos[positions], rope.sin[positions], rope.rotate)
+
+    h = p["h"]
+    return (rotate(heads(h[:, q_rows] @ p["w_q"], cfg.heads), ctx.positions[q_rows]),
+            rotate(heads(h @ p["w_k"], cfg.kv_groups), ctx.positions),
+            heads(h @ p["w_v"], cfg.kv_groups))
+
+
+def chain_layer(p, cfg, ctx, rope, rows, indices, keeps, rate):
+    """``encoder_layer`` in training mode as plain numpy on the arrays
+    ``p`` by name (the input ``h`` and the parameters), real or complex:
+    attention over each (idx, valid) of ``indices`` (LTIS, then STIS) as
+    ``chain_gathered_attention``, the gate when there are two, and each
+    residual site and the FFN as their chains from ``chains``, with
+    dropout by the two keep-masks ``keeps``."""
     q_rows = ctx.query_rows(rows)
-    h_q, d = h_prev, h_prev.shape[-1]
-    if rows is not None:
-        h_q = take_rows(h_prev.reshape((-1, d)), q_rows).reshape((1, len(q_rows), d))
-    q = apply_rope(split_heads(matmul(h_q, params.w_q), cfg.heads), ctx.positions[q_rows], rope)
-    k = apply_rope(split_heads(matmul(h_prev, params.w_k), cfg.kv_groups), ctx.positions, rope)
-    v = split_heads(matmul(h_prev, params.w_v), cfg.kv_groups)
-    indices = []
-    if pathway in ("both", "ltis"):
-        indices.append(ltis_index(q.data, k.data, ctx, q_rows, cfg, params.cmp_key))
-    if pathway in ("both", "stis"):
-        indices.append(stis_index(ctx, q_rows, cfg))
-    outs = [matmul(gathered_attention(q, k, v, *index), params.w_o) for index in indices]
-    fused = outs[0] if pathway != "both" else chain_gate(*outs, params.gate_w, params.gate_b)[0]
-    mixed = chain_residual_norm(h_q, fused, params.ln1_gamma, params.ln1_beta,
-                                rng.random(fused.shape) >= rate, rate)
-    ff = chain_ffn(mixed, params.ffn_w1, params.ffn_b1, params.ffn_w2, params.ffn_b2)
-    return chain_residual_norm(mixed, ff, params.ln2_gamma, params.ln2_beta,
-                               rng.random(ff.shape) >= rate, rate)
+    q, k, v = chain_qkv(p, cfg, ctx, rope, q_rows)
+    outs = [chain_gathered_attention(q, k, v, *index) @ p["w_o"] for index in indices]
+    fused = outs[0] if len(outs) == 1 else chain_gate(*outs, p["gate_w"], p["gate_b"])[0]
+    mixed = chain_residual_norm(p["h"][:, q_rows], fused, p["ln1_gamma"], p["ln1_beta"],
+                                keeps[0], rate)
+    ff = chain_ffn(mixed, p["ffn_w1"], p["ffn_b1"], p["ffn_w2"], p["ffn_b2"])
+    return chain_residual_norm(mixed, ff, p["ln2_gamma"], p["ln2_beta"], keeps[1], rate)
 
 
 class TestFusedChain:
-    """The training layer against ``chain_layer``, fed the same RNG."""
+    """The training layer against ``chain_layer``."""
 
     CFG = make_cfg(block_size=8, stride=4, sel_block_size=4, top_k=2, win=2,
                    heads=4, kv_groups=2, d_model=8, d_head=4)
@@ -336,39 +345,51 @@ class TestFusedChain:
     @pytest.mark.parametrize("pathway", ["both", "ltis", "stis"])
     def test_dropout_layer_equals_its_chain(self, pathway, rows):
         """At dropout 0.3, on segments of 1, 13, 27 and 40 rows (the
-        longer ones scored over several selection blocks): the output is
-        bit for bit the chain's, both draw the same masks (the generators
-        end in the same state), and every gradient, the input's too, is
-        within 1e-12 of the chain's."""
+        longer ones scored over several selection blocks): the layer draws
+        two keep-masks of its output's shape and nothing more (the
+        generators end in the same state), its output is bit for bit the
+        chain's on the same selection and masks, and for each learner, the
+        input's too, the gradient along a random direction is the chain's
+        complex-step derivative along it, within 1e-12 of the norms."""
         cfg = self.CFG
         rng = np.random.default_rng(22)
         params = BlossomLayerParams.init(cfg, rng)
         for p in params.parameters().values():   # no zero bias or unit gain
             p.data += rng.normal(0.0, 0.3, p.shape)
         h, ctx, rope = layer_inputs(cfg, [1, 13, 27, 40], rng)
-        h = parameter(h.data)
-        learners = {"h": h, **params.parameters()}
-        runs = []
-        for fused in (True, False):
-            zero_grads(learners)
-            draws = np.random.default_rng(23)
-            if fused:
-                out = encoder_layer(h, params, cfg, ctx, rope, dropout_rate=0.3, training=True,
-                                    rng=draws, pathway=pathway, rows=rows)
-            else:
-                out = chain_layer(h, params, cfg, ctx, rope, draws, 0.3, pathway, rows)
-            w = np.random.default_rng(24).normal(size=out.shape)
-            (out * Tensor(w)).sum().backward()
-            runs.append((out.data, draws.random(),
-                         {name: t.grad for name, t in learners.items() if t.grad is not None}))
-        (out_f, next_f, grads_f), (out_c, next_c, grads_c) = runs
-        assert out_f.shape == (1, 81 if rows is None else 4, cfg.d_model)
-        assert np.array_equal(out_f, out_c)
-        assert next_f == next_c
-        assert grads_f.keys() == grads_c.keys()
-        assert ("gate_w" in grads_f) == (pathway == "both")
-        for name, want in grads_c.items():
-            assert np.abs(grads_f[name] - want).max() <= 1e-12 * np.abs(want).max(), name
+        learners = {"h": parameter(h.data), **params.parameters()}
+        draws = np.random.default_rng(23)
+        out = encoder_layer(learners["h"], params, cfg, ctx, rope, dropout_rate=0.3,
+                            training=True, rng=draws, pathway=pathway, rows=rows)
+        seed = np.random.default_rng(24).normal(size=out.shape)
+        out.backward(seed)
+        grads = {name: t.grad for name, t in learners.items() if t.grad is not None}
+        assert out.shape == (1, 81 if rows is None else 4, cfg.d_model)
+        assert ("gate_w" in grads) == (pathway == "both")
+
+        chain_draws = np.random.default_rng(23)
+        keeps = [chain_draws.random(out.shape) >= 0.3 for _ in range(2)]
+        assert draws.random() == chain_draws.random()
+        xs = [t.data for t in learners.values()]
+        q_rows = ctx.query_rows(rows)
+        q, k, _ = chain_qkv(dict(zip(learners, xs)), cfg, ctx, rope, q_rows)
+        indices = []
+        if pathway != "stis":
+            indices.append(ltis_index(q, k, ctx, q_rows, cfg, params.cmp_key))
+        if pathway != "ltis":
+            indices.append(stis_index(ctx, q_rows, cfg))
+
+        def chain(*arrays):
+            return chain_layer(dict(zip(learners, arrays)), cfg, ctx, rope, rows, indices,
+                               keeps, 0.3)
+
+        assert np.array_equal(out.data, chain(*xs))
+        directions = np.random.default_rng(25)
+        for i, name in enumerate(learners):
+            grad = grads.get(name, np.zeros(xs[i].shape))
+            v = directions.normal(size=grad.shape)
+            err = abs(complex_step_derivative(chain, xs, i, v, seed) - (grad * v).sum())
+            assert err <= 1e-12 * np.linalg.norm(grad) * np.linalg.norm(v), name
 
 
 def reference_layer(h, params, cfg, rope_base=10000.0):

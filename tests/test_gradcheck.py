@@ -30,11 +30,9 @@ def test_rejects_nonscalar():
 
 
 def test_rejects_nonfinite():
-    w = parameter(np.array([0.0]))
-    from blossomrec.tensor import power
-
-    with np.errstate(divide="ignore"), pytest.raises(ValueError, match="non-finite"):
-        grad_check(lambda: power(w, -1.0).sum(), {"w": w})
+    w = parameter(np.array([1e200]))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        grad_check(lambda: (w * w).sum(), {"w": w})
 
 
 def test_reports_wrong_gradient():

@@ -160,7 +160,8 @@ class TestSequenceLoss:
 
     def test_matches_per_transition_loop(self):
         """Loss and every parameter gradient equal a naive loop of
-        single-row cross-entropies over the real transitions."""
+        single-row cross-entropies over the real transitions, each
+        differentiated on its own with seed 1/T into the same parameters."""
         model = tiny_model(num_items=14, layers=2, seed=3)
         seqs = [[3, 1, 8, 5, 2, 9, 14, 7, 6, 11, 4, 12], [2, 6], [2, 6, 10, 13, 1, 7, 3],
                 [9, 4, 4, 12, 1]]
@@ -171,16 +172,18 @@ class TestSequenceLoss:
         fused = {k: p.grad.copy() for k, p in params.items()}
 
         zero_grads(params)
-        hidden = model.forward(batch)
-        terms, start = [], 0
+        transitions, start = [], 0
         for seq in seqs:
-            terms += [cross_entropy(item_scores(hidden[0, start + p], model.table), seq[p + 1])
-                      for p in range(len(seq) - 1)]
+            transitions += [(start + p, seq[p + 1]) for p in range(len(seq) - 1)]
             start += len(seq)
-        assert len(terms) == sum(len(s) - 1 for s in seqs)
-        naive = sum(terms) * (1.0 / len(terms))
-        naive.backward()
-        assert abs(float(loss.data) - float(naive.data)) < 1e-12
+        assert len(transitions) == sum(len(s) - 1 for s in seqs)
+        terms = []
+        for row, target in transitions:
+            # a forward of its own per row, so no interior gradient carries over
+            term = cross_entropy(item_scores(model.forward(batch)[0, row], model.table), target)
+            term.backward(1.0 / len(transitions))
+            terms.append(float(term.data))
+        assert abs(float(loss.data) - sum(terms) * (1.0 / len(terms))) < 1e-12
         for k, p in params.items():
             assert np.abs(fused[k] - p.grad).max() < 1e-10, k
 
