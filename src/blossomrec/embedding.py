@@ -76,18 +76,22 @@ class RoPECache:
         self.rotate = np.block([[0 * eye, eye], [-eye, 0 * eye]])
 
 
-def apply_rope(x: Tensor, positions: np.ndarray, cache: RoPECache) -> Tensor:
-    """Rotate query/key vectors by their position-dependent angles, as
-    ``x * cos + (x @ rotate) * sin``: one tape op (``tensor.rope``).
+def apply_rope(x: Tensor, w: Tensor, heads: int, positions: np.ndarray,
+               cache: RoPECache) -> Tensor:
+    """Project rows to query or key heads and rotate each head's vectors
+    by their position-dependent angles: ``x @ w`` split into ``heads``
+    heads, then ``y * cos + (y @ rotate) * sin``, one tape op
+    (``tensor.rope``) that keeps no pre-rotation projection.
 
-    x: (..., L, d_head); positions: int array of shape (L,), one per row.
+    x: (..., L, d_in) rows; w: (d_in, heads * d_head); positions: int
+    array of shape (L,), one per row. Returns (..., heads, L, d_head).
     """
-    d = x.shape[-1]
-    if d != cache.d_head:
-        raise ConfigError(f"rope cache built for d_head={cache.d_head}, input has {d}")
+    if w.shape[-1] != heads * cache.d_head:
+        raise ConfigError(f"rope cache built for d_head={cache.d_head}, a weight of width "
+                          f"{w.shape[-1]} does not split into {heads} such heads")
     positions = np.asarray(positions, dtype=np.int64)
     if positions.ndim != 1:
         raise ConfigError(f"rope positions must be 1-D, one per row; got shape {positions.shape}")
     if positions.max(initial=0) >= cache.max_len:
         raise ConfigError(f"position {positions.max()} exceeds rope cache length {cache.max_len}")
-    return rope(x, cache.cos[positions], cache.sin[positions], cache.rotate)
+    return rope(x, w, heads, cache.cos[positions], cache.sin[positions], cache.rotate)

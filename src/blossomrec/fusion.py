@@ -201,11 +201,9 @@ def encoder_layer(h_prev: Tensor, params: BlossomLayerParams, cfg: AttentionConf
     h_q, d = h_prev, h_prev.shape[-1]
     if rows is not None:
         h_q = take_rows(h_prev.reshape((-1, d)), q_rows).reshape((1, len(q_rows), d))
-    q = split_heads(matmul(h_q, params.w_q), cfg.heads)
-    k = split_heads(matmul(h_prev, params.w_k), cfg.kv_groups)
+    q = apply_rope(h_q, params.w_q, cfg.heads, ctx.positions[q_rows], rope)
+    k = apply_rope(h_prev, params.w_k, cfg.kv_groups, ctx.positions, rope)
     v = split_heads(matmul(h_prev, params.w_v), cfg.kv_groups)
-    q = apply_rope(q, ctx.positions[q_rows], rope)
-    k = apply_rope(k, ctx.positions, rope)
 
     o_ltis = o_stis = None
     if pathway in ("both", "ltis"):

@@ -9,9 +9,12 @@ with no loop over segments, all KV groups at once:
      one block has a single block whose positions before 0 are zeros;
   2. compress each block to one vector with a fixed random MLP;
   3. softmax importance of each compressed block per query (only blocks
-     lying entirely at or before the query are scored); each query scores
-     its own segment's blocks, padded to the most blocks any segment has
-     with blocks the causal check drops;
+     lying entirely at or before the query are scored): each segment's
+     queries are scored against that segment's compressed keys alone, one
+     batched product over all segments, with the keys padded to the most
+     blocks any segment has (by blocks the causal check drops) and the
+     queries to the most any segment has, so no query gets a copy of its
+     segment's keys;
   4. remap compression-block scores onto selection-block scores by summing
      the scores of overlapping compression blocks (``remap_matrix``);
   5. sum the per-head selection scores within each KV group so all heads of
@@ -23,8 +26,8 @@ with no loop over segments, all KV groups at once:
      rows, causally cut and offset by its segment's start in the stream,
      as the batch's ``data.SeqContext`` gives it. The queries may be only
      each segment's last rows (the last layer at inference asks for
-     one); steps 3-6 then run on those rows alone. The encoder gathers
-     the K/V rows of this index.
+     one); steps 3-6 then run on those rows alone. The rows are int32,
+     and the encoder gathers the K/V rows of this index.
 
 A segment with at most top_k selection blocks skips steps 1-6: every
 started block is selected whatever the scores, so each query sees its
@@ -120,7 +123,8 @@ def _rank(scores: np.ndarray, t: np.ndarray, cfg: AttentionConfig) -> tuple[np.n
     for pick in range(cfg.top_k):
         # argmax takes the first of equal maxima: ties go to the lower block
         cols[:, pick] = ranked.argmax(axis=-1)
-        ranked[rows, cols[:, pick]] = -np.inf
+        if pick < cfg.top_k - 1:
+            ranked[rows, cols[:, pick]] = -np.inf
     cols = cols.reshape(scores.shape[:-1] + (cfg.top_k,))
     return cols, np.arange(cfg.top_k) < valid.sum(axis=-1)[:, None]
 
@@ -134,7 +138,7 @@ def ltis_index(q_data: np.ndarray, k_data: np.ndarray, ctx: SeqContext, q_rows: 
     segment per sequence, back to back, each sequence's rows oldest first.
     q_data: (1, heads, Nq, d_head) holds the queries of the stream rows
     ``q_rows``, in stream order (``ctx.query_rows``). Both are plain
-    arrays: selection carries no gradient. Returns int stream rows and
+    arrays: selection carries no gradient. Returns int32 stream rows and
     their validity, each (1, kv_groups, Nq, K) with K = top_k *
     sel_block_size: the chosen blocks in ascending order, causally cut
     and offset by the segment's start (K is the longest length when that
@@ -150,40 +154,46 @@ def ltis_index(q_data: np.ndarray, k_data: np.ndarray, ctx: SeqContext, q_rows: 
     t = ctx.positions[q_rows][:, None]         # each query's position in its segment
     longest = max(lengths.tolist(), default=0)
     width = min(cap, longest)
-    # a saturated query takes every started slot: its causal prefix
-    pos = np.arange(width)[None, None].repeat(cfg.kv_groups, axis=0)
     if longest > cap:
         seg = np.arange(len(lengths)).repeat(lengths)[q_rows]    # each query's segment
         scored = (lengths[seg] > cap).nonzero()[0]
-        q = np.take(q_data[0], scored, axis=1).reshape(
-            cfg.kv_groups, cfg.heads_per_group, -1, cfg.d_head)
-        blocks = np.empty((cfg.kv_groups, len(t), cfg.top_k), dtype=np.int64)
+        heads = q_data[0].reshape(cfg.kv_groups, cfg.heads_per_group, -1, cfg.d_head)
+        q = np.take(heads.swapaxes(1, 2), scored, axis=1)     # (g, R, hpg, d_head)
+        blocks = np.empty((cfg.kv_groups, len(t), cfg.top_k), dtype=np.int32)
         blocks[:] = np.arange(cfg.top_k)
-        blocks[:, scored] = _top_blocks(
-            q.swapaxes(1, 2), k_data[0], ctx, seg[scored], t[scored], cfg, phi_key)
-        pos = (blocks[..., None] * cfg.sel_block_size
-               + np.arange(cfg.sel_block_size)).reshape(cfg.kv_groups, len(t), width)
+        blocks[:, scored] = _top_blocks(q, k_data[0], ctx, seg[scored], t[scored], cfg, phi_key)
+        pos = blocks[..., None] * cfg.sel_block_size + np.arange(cfg.sel_block_size, dtype=np.int32)
+        pos = pos.reshape(cfg.kv_groups, len(t), width)
+    else:   # a saturated query takes every started slot: its causal prefix
+        pos = np.arange(width, dtype=np.int32)[None, None].repeat(cfg.kv_groups, axis=0)
     valid = pos <= t
-    # a query's segment starts ``t`` rows before it
-    return ((q_rows[:, None] - t) + np.where(valid, pos, 0))[None], valid[None]
+    rows = np.where(valid, pos, 0)
+    rows += q_rows[:, None] - t                # a query's segment starts ``t`` rows before it
+    return rows[None], valid[None]
 
 
 def _top_blocks(q: np.ndarray, k: np.ndarray, ctx: SeqContext, seg: np.ndarray, t: np.ndarray,
                 cfg: AttentionConfig, phi_key: CompressionMLP) -> np.ndarray:
     """Steps 1-6 for the queries of many segments at once: R queries
-    (kv_groups, R, heads_per_group, d_head) of segments ``seg`` at
-    positions ``t`` (R, 1), over the stream keys k (kv_groups, N, d_head)
-    that ``ctx`` describes. Every segment longer than top_k selection
-    blocks must have a query. Returns the chosen blocks,
-    (kv_groups, R, top_k), ascending; a row with fewer than top_k started
-    blocks fills its last slots with a block past every segment's end.
+    (kv_groups, R, heads_per_group, d_head) of segments ``seg`` (in
+    stream order) at positions ``t`` (R, 1), over the stream keys k
+    (kv_groups, N, d_head) that ``ctx`` describes. Every segment longer
+    than top_k selection blocks must have a query. Returns the chosen
+    blocks, (kv_groups, R, top_k), ascending; a row with fewer than top_k
+    started blocks fills its last slots with a block past every segment's
+    end.
 
     Every segment's compression blocks are cut and compressed back to
-    back. Each query then scores its own segment's blocks, padded to the
-    most any segment has by repeating its last block: a padding block
-    would end past its segment's end, so the causal check drops it and it
-    scores 0. ``remap_matrix`` of that many blocks holds every shorter
-    segment's as its top-left corner, and N_sel is padded likewise.
+    back. Each segment's queries are then scored against its own
+    compressed keys, all segments in one batched product: the keys padded
+    to the most blocks any segment has by repeating its last block (a
+    padding block would end past its segment's end, so the causal check
+    drops it and it scores 0), the queries to the most any segment has
+    (a padding query is zeros, and its scores are dropped). When every
+    segment has as many queries, as in a batch of equal lengths or one
+    query per segment, the queries need no padding. ``remap_matrix`` of
+    that many blocks holds every shorter segment's as its top-left corner,
+    and N_sel is padded likewise.
     """
     long = ctx.lengths > cfg.top_k * cfg.sel_block_size
     seg = (long.cumsum() - 1)[seg]                     # among the long segments
@@ -197,13 +207,29 @@ def _top_blocks(q: np.ndarray, k: np.ndarray, ctx: SeqContext, seg: np.ndarray, 
     blocks = np.take(k, np.where(inside, starts[owner, None] + at, 0), axis=1)
     cmp_keys = phi_key.apply_stack(np.where(inside[..., None], blocks, 0.0))
     block = np.arange(num_cmp.max())
-    seen = block * cfg.stride + shift[seg, None] + cfg.block_size - 1 <= t   # (R, M)
-    own = offset[seg, None] + np.minimum(block, num_cmp[seg, None] - 1)
-    cmp_scores = (q @ np.take(cmp_keys, own, axis=1).swapaxes(-1, -2)) * (1.0 / np.sqrt(cfg.d_head))
-    _, total = _exp_shifted(cmp_scores, ~seen[:, None])            # (g, R, hpg, M), in place
+    own = offset[:, None] + np.minimum(block, num_cmp[:, None] - 1)     # (S, M)
+    keys = np.take(cmp_keys, own, axis=1).swapaxes(-1, -2)             # (g, S, d_head, M)
+    g, rows, hpg, d = q.shape
+    count = np.bincount(seg) if rows > len(n) else None   # each segment's queries, if not one
+    most = 1 if count is None else int(count.max())
+    if rows == most * len(n):    # no segment has fewer queries than another
+        cmp_scores = q.reshape(g, len(n), most * hpg, d) @ keys
+        cmp_scores = cmp_scores.reshape(g, rows, hpg, -1)
+    else:
+        slot = np.arange(rows) - (count.cumsum() - count)[seg]   # each query's place in its segment
+        padded = np.zeros((g, len(n), most, hpg, d))
+        padded[:, seg, slot] = q
+        cmp_scores = (padded.reshape(g, len(n), most * hpg, d) @ keys).reshape(
+            g, len(n), most, hpg, -1)[:, seg, slot]
+        del padded
+    cmp_scores *= 1.0 / np.sqrt(cfg.d_head)                        # (g, R, hpg, M)
+    # block m ends at m * stride + shift + block_size - 1, at or before t
+    seen = block * cfg.stride <= t - (shift[seg, None] + cfg.block_size - 1)   # (R, M)
+    _, total = _exp_shifted(cmp_scores, ~seen[:, None])            # in place
     np.divide(cmp_scores, total, out=cmp_scores, where=total > 0)
     num_sel = cfg.num_sel_blocks(int(n.max()))
     sel_scores = cmp_scores @ remap_matrix(cmp_scores.shape[-1], num_sel, cfg)
+    del cmp_scores
     cols, keep = _rank(sel_scores.sum(axis=2), t, cfg)
     # block num_sel starts past every segment's end, so nothing sees it
     return np.sort(np.where(keep, cols, num_sel), axis=-1)

@@ -191,22 +191,34 @@ class Adam:
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
 
     def step(self) -> None:
+        """One update of every parameter, in place: the moments, the
+        weights and two scratch arrays per parameter, with the products
+        and sums of the textbook update in its order, so the weights are
+        the out-of-place update's bit for bit."""
         grads = {k: (p.grad if p.grad is not None else np.zeros_like(p.data))
                  for k, p in self.params.items()}
         total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-        if total > self.CLIP_NORM:
-            scale = self.CLIP_NORM / total
-            grads = {k: g * scale for k, g in grads.items()}
+        scale = self.CLIP_NORM / total if total > self.CLIP_NORM else None
         self.step_count += 1
         b1t = 1.0 - self.BETA1**self.step_count
         b2t = 1.0 - self.BETA2**self.step_count
         for k, p in self.params.items():
-            g = grads[k]
-            self.m[k] = self.BETA1 * self.m[k] + (1.0 - self.BETA1) * g
-            self.v[k] = self.BETA2 * self.v[k] + (1.0 - self.BETA2) * (g * g)
-            m_hat = self.m[k] / b1t
-            v_hat = self.v[k] / b2t
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
+            g = grads[k] if scale is None else grads[k] * scale
+            m, v = self.m[k], self.v[k]
+            buf = g * g
+            buf *= 1.0 - self.BETA2
+            v *= self.BETA2
+            v += buf                                   # beta2 * v + (1 - beta2) * g^2
+            np.multiply(g, 1.0 - self.BETA1, out=buf)
+            m *= self.BETA1
+            m += buf                                   # beta1 * m + (1 - beta1) * g
+            np.divide(v, b2t, out=buf)
+            np.sqrt(buf, out=buf)
+            buf += self.EPS                            # sqrt(v_hat) + eps
+            update = m / b1t
+            update *= self.lr
+            update /= buf                              # lr * m_hat / (sqrt(v_hat) + eps)
+            p.data -= update
 
 
 @dataclass

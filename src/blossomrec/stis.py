@@ -81,13 +81,13 @@ def stis_index(ctx: SeqContext, q_rows: np.ndarray,
     shifted by its segment's start. One table serves every segment: it is
     built for the furthest position asked (the last query of the longest
     segment is at length - 1), and the first n rows of a longer table are
-    the length-n table. Returns int rows and their validity, each
+    the length-n table. Returns int32 rows and their validity, each
     (1, 1, Nq, K).
     """
     positions = ctx.positions[q_rows]
     table, ok = power_table(cfg, int(positions.max(initial=0)) + 1)
     # a query's segment starts ``position`` rows before it
-    idx = table[positions] + (q_rows - positions)[:, None]
+    idx = np.add(table[positions], (q_rows - positions)[:, None], dtype=np.int32)
     return idx[None, None], ok[positions][None, None]
 
 

@@ -4,7 +4,11 @@ Everything downstream (both attention pathways, the gate, the recommender)
 runs on this substrate. Forward arithmetic is plain numpy on float64
 arrays; any op that touches a differentiable input records a backward
 closure, and ``GradTape`` linearizes the recorded ops so replaying them in
-reverse accumulates gradients into every reachable parameter.
+reverse accumulates gradients into every reachable parameter. Replay
+drops each interior node's gradient as soon as that node's backward has
+run: no later backward reads it, so it is not held to the end of the
+pass, and a second backward through part of the same graph starts from
+nothing. Parameters, which have no backward, keep theirs.
 
 The ops: the primitives ``mul``, ``matmul``, ``reshape``, ``transpose``,
 ``getitem``, ``take_rows`` and the full sum ``tsum``; the row softmax
@@ -37,10 +41,11 @@ Design points:
     keeps the tanh output), ``residual_norm`` (the residual sum, inverted
     dropout and layer norm; keeps the normalized sum, 1/sigma and a bool
     keep-mask), ``sigmoid_gate`` (concat, affine, sigmoid and the gated
-    mix; keeps the gate alone) and ``rope`` (``x * cos + (x @ R) * sin``;
-    keeps only its constant tables). Each forms its output with the numpy
-    expressions, in the order, of the chain of elementwise ops it stands
-    for, so the output is bit-identical to that chain's, and the tape
+    mix; keeps the gate alone) and ``rope`` (the q or k projection
+    ``x @ w``, its split into heads y and ``y * cos + (y @ R) * sin``;
+    keeps only its inputs, not the projection). Each forms its output
+    with the numpy expressions, in the order, of the chain of ops it
+    stands for, so the output is bit-identical to that chain's, and the tape
     holds one node and none of the chain's intermediates or their
     gradients.
   * the two large ops work through their rows in chunks of about
@@ -48,7 +53,8 @@ Design points:
     backward only what is small next to what they compute.
     ``gathered_attention`` forms the gathered K or V of a chunk of query
     rows at a time, writes its output with the heads already merged, and
-    keeps its softmax weights and key index (none under ``no_grad``); its
+    keeps its softmax weights and key index (none under ``no_grad``; the
+    index as it is handed in, which both index builders make int32); its
     backward gathers each chunk's V and then K
     again and scatters the K/V gradients with one ``np.bincount`` per
     contiguous feature column.
@@ -227,9 +233,10 @@ class GradTape:
         # A copy: the root owns its seed, which may reach a parameter's .grad.
         _accumulate(root, np.array(grad, dtype=np.float64))
         for node in reversed(self.ops):
-            if node.grad is None or node._backward is None:
+            if node.grad is None:
                 continue
             node._backward(node.grad)
+            node.grad = None   # spent: no later backward reads an interior gradient
 
 
 def _linearize(root: Tensor) -> list[Tensor]:
@@ -673,13 +680,14 @@ def affine(x, w, b) -> Tensor:
     return _make(out, (x, w, b), backward)
 
 
-def _affine_grads(x: Array, w: Tensor, b: Tensor, g: Array, need_dx: bool) -> Array | None:
-    """Backward of ``x @ w + b`` for the output gradient ``g``: adds the
-    gradients of ``w`` and ``b`` to them, and returns x's, ``g @ w.T``, if
-    ``need_dx`` (else None)."""
+def _affine_grads(x: Array, w: Tensor, b: Tensor | None, g: Array,
+                  need_dx: bool) -> Array | None:
+    """Backward of ``x @ w + b`` (``x @ w`` when ``b`` is None) for the
+    output gradient ``g``: adds the gradients of ``w`` and ``b`` to them,
+    and returns x's, ``g @ w.T``, if ``need_dx`` (else None)."""
     if w.requires_grad:
         _accumulate(w, _unbroadcast(np.swapaxes(x, -1, -2) @ g, w.shape))
-    if b.requires_grad:
+    if b is not None and b.requires_grad:
         _accumulate(b, _unbroadcast(g, b.shape))
     return g @ w.data.T if need_dx else None
 
@@ -705,7 +713,10 @@ def ffn(x, w1, b1, w2, b2) -> Tensor:
         dpre = _affine_grads(y, w2, b2, g, x.requires_grad or w1.requires_grad or b1.requires_grad)
         if dpre is None:
             return
-        dpre *= 1.0 - y * y
+        slope = y * y          # 1 - y * y in one (..., m) buffer, not two
+        np.subtract(1.0, slope, out=slope)
+        dpre *= slope
+        del slope
         _accumulate(x, _affine_grads(x.data, w1, b1, dpre, x.requires_grad))
 
     return _make(out, (x, w1, b1, w2, b2), backward)
@@ -794,15 +805,24 @@ def sigmoid_gate(a, b, w, bias) -> tuple[Tensor, Array]:
     return _make(alpha * a.data + (1.0 - alpha) * b.data, (a, b, w, bias), backward), alpha
 
 
-def rope(x, cos: Array, sin: Array, rotate: Array) -> Tensor:
-    """Rotary encoding ``x * cos + (x @ rotate) * sin`` as one op; the
-    angle tables ``cos`` and ``sin`` broadcast to ``x`` and, with the
-    (d, d) ``rotate``, are constants that get no gradient."""
-    x = _as_tensor(x)
-    out = x.data * cos
-    out += (x.data @ rotate) * sin
+def rope(x, w, heads: int, cos: Array, sin: Array, rotate: Array) -> Tensor:
+    """The head projection and rotary encoding as one op: ``x @ w`` split
+    into ``heads`` heads, then ``y * cos + (y @ rotate) * sin`` on each
+    head's rows ``y``. ``x`` is (..., L, d_in) and ``w`` (d_in, heads *
+    d); the output is (..., heads, L, d). The angle tables ``cos`` and
+    ``sin`` broadcast to it and, with the (d, d) ``rotate``, are constants
+    that get no gradient. It keeps only its inputs for backward, not the
+    projection, and forms its output with the expressions, in the order,
+    of the projection, the head split and the rotation."""
+    x, w = _as_tensor(x), _as_tensor(w)
+    y = x.data @ w.data
+    shape = y.shape
+    y = y.reshape(shape[:-1] + (heads, shape[-1] // heads)).swapaxes(-2, -3)
+    out = y * cos
+    out += (y @ rotate) * sin
 
     def backward(g: Array) -> None:
-        _accumulate(x, g * cos + (g * sin) @ rotate.T)
+        dy = (g * cos + (g * sin) @ rotate.T).swapaxes(-2, -3).reshape(shape)
+        _accumulate(x, _affine_grads(x.data, w, None, dy, x.requires_grad))
 
-    return _make(out, (x,), backward)
+    return _make(out, (x, w), backward)

@@ -52,9 +52,12 @@ def chain_gate(a, b, w, bias):
     return alpha * a + (1.0 - alpha) * b, alpha
 
 
-def chain_rope(x, cos, sin, rotate):
-    """``rope``: its two products, its matmul and its sum."""
-    return x * cos + (x @ rotate) * sin
+def chain_rope(x, w, heads, cos, sin, rotate):
+    """``rope``: the projection, the split of its columns into ``heads``
+    heads, then the rotation's two products, its matmul and its sum."""
+    y = x @ w
+    y = y.reshape(y.shape[:-1] + (heads, y.shape[-1] // heads)).swapaxes(-2, -3)
+    return y * cos + (y @ rotate) * sin
 
 
 def chain_gathered_attention(q, k, v, idx, valid):

@@ -55,19 +55,26 @@ class TestEmbed:
         assert np.all(table.weights.grad[1:] == 1.0)
 
 
+def rotate(x, positions, cache):
+    """``apply_rope`` of (..., L, d_head) rows on their own: one head
+    through an identity projection, which passes them through exactly."""
+    eye = Tensor(np.eye(cache.d_head))
+    return apply_rope(x, eye, 1, positions, cache)[..., 0, :, :]
+
+
 class TestRope:
     def test_position_zero_is_identity(self):
         cache = RoPECache(d_head=8, max_len=16)
         x = np.random.default_rng(1).normal(size=(1, 3, 8))
         x[:, 1:] = 0.0
-        out = apply_rope(Tensor(x), np.array([0, 0, 0]), cache)
+        out = rotate(Tensor(x), np.array([0, 0, 0]), cache)
         assert np.abs(out.data - x).max() < 1e-15
 
     def test_norm_preserved(self):
         cache = RoPECache(d_head=8, max_len=64)
         rng = np.random.default_rng(2)
         x = rng.normal(size=(2, 10, 8))
-        out = apply_rope(Tensor(x), np.arange(10), cache).data
+        out = rotate(Tensor(x), np.arange(10), cache).data
         assert np.abs(np.linalg.norm(out, axis=-1) - np.linalg.norm(x, axis=-1)).max() < 1e-10
 
     def test_relative_position_property(self):
@@ -81,8 +88,8 @@ class TestRope:
             offset = int(rng.integers(0, 16))
             dots = []
             for base in rng.integers(0, 200, size=10):
-                rq = apply_rope(Tensor(q), np.array([int(base) + offset]), cache).data[0, 0]
-                rk = apply_rope(Tensor(k), np.array([int(base)]), cache).data[0, 0]
+                rq = rotate(Tensor(q), np.array([int(base) + offset]), cache).data[0, 0]
+                rk = rotate(Tensor(k), np.array([int(base)]), cache).data[0, 0]
                 dots.append(rq @ rk)
             assert np.abs(np.diff(dots)).max() < 1e-10
 
@@ -108,18 +115,24 @@ class TestRope:
             return np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
 
         x = parameter(data)
-        out = apply_rope(x, positions, cache)
+        out = rotate(x, positions, cache)
         out.backward(seed)
         assert np.array_equal(out.data, half_split(data, sin))
         assert np.array_equal(x.grad, half_split(seed, -sin))
 
     def test_positions_must_be_one_dimensional(self):
         """A (B, L) position array would broadcast over the heads axis of a
-        (B, heads, L, d) input when B equals the head count."""
+        (B, heads, L, d) output when B equals the head count."""
         cache = RoPECache(d_head=4, max_len=32)
-        x = Tensor(np.zeros((2, 2, 5, 4)))
+        x, w = Tensor(np.zeros((2, 5, 8))), Tensor(np.zeros((8, 8)))
         with pytest.raises(ConfigError, match="1-D"):
-            apply_rope(x, np.zeros((2, 5), dtype=np.int64), cache)
+            apply_rope(x, w, 2, np.zeros((2, 5), dtype=np.int64), cache)
+
+    def test_weight_must_split_into_cached_heads(self):
+        cache = RoPECache(d_head=4, max_len=32)
+        x = Tensor(np.zeros((1, 5, 8)))
+        with pytest.raises(ConfigError, match="d_head=4"):
+            apply_rope(x, Tensor(np.zeros((8, 12))), 2, np.arange(5), cache)
 
     def test_gradient_flows(self):
         from blossomrec.gradcheck import grad_check
@@ -129,7 +142,7 @@ class TestRope:
         x = parameter(np.random.default_rng(5).normal(size=(1, 6, 4)))
 
         def f():
-            y = apply_rope(x, np.arange(6), cache)
+            y = rotate(x, np.arange(6), cache)
             return (y * y).sum()
 
         assert grad_check(f, [x]) < 1e-7

@@ -241,9 +241,9 @@ class TestPackedStream:
         assert ctx.query_rows(2).tolist() == [1, 2, 3, 4, 7, 8]
         seen = []
 
-        def spy(x, positions, cache):
+        def spy(x, w, heads, positions, cache):
             seen.append(np.asarray(positions).tolist())
-            return apply_rope(x, positions, cache)
+            return apply_rope(x, w, heads, positions, cache)
 
         monkeypatch.setattr(fusion, "apply_rope", spy)
         rng = np.random.default_rng(16)
@@ -309,12 +309,12 @@ def chain_qkv(p, cfg, ctx, rope, q_rows):
         b, n, total = x.shape
         return x.reshape(b, n, num, total // num).transpose(0, 2, 1, 3)
 
-    def rotate(x, positions):
-        return chain_rope(x, rope.cos[positions], rope.sin[positions], rope.rotate)
+    def rotate(x, w, num, positions):
+        return chain_rope(x, w, num, rope.cos[positions], rope.sin[positions], rope.rotate)
 
     h = p["h"]
-    return (rotate(heads(h[:, q_rows] @ p["w_q"], cfg.heads), ctx.positions[q_rows]),
-            rotate(heads(h @ p["w_k"], cfg.kv_groups), ctx.positions),
+    return (rotate(h[:, q_rows], p["w_q"], cfg.heads, ctx.positions[q_rows]),
+            rotate(h, p["w_k"], cfg.kv_groups, ctx.positions),
             heads(h @ p["w_v"], cfg.kv_groups))
 
 

@@ -8,6 +8,7 @@ steps between are observed on ``ltis_index`` itself, through a stand-in
 compression or by capturing what it hands to its softmax and ranking."""
 
 import dataclasses
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -477,6 +478,36 @@ class TestBatchedSelection:
         # not vacuous: some query picks a block past its first top_k
         pos = idx - np.repeat(starts, [min(n, rows or n) for n in lengths])[:, None]
         assert pos[valid].max() >= idx.shape[-1]
+
+    def test_published_stream_peak_holds_no_per_query_keys(self):
+        """Published settings, four sequences of 512 (R = 2048 queries,
+        M = 31 compression blocks): the call peaks at 12.0 MB, under a
+        13 MB bound that a (kv_groups, R, M, d_head) copy of each query's
+        compressed keys (16.3 MB; the call peaked at 24.3 MB with it)
+        cannot fit in. Its selection is the naive oracle's, and its key
+        rows are int32."""
+        cfg, n, b = PAPER, 512, 4
+        rng = np.random.default_rng(34)
+        q = rng.normal(size=(1, cfg.heads, b * n, cfg.d_head))
+        k = rng.normal(size=(1, cfg.kv_groups, b * n, cfg.d_head))
+        phi = CompressionMLP(cfg.block_size, cfg.d_head, rng)
+        ctx = SeqContext.from_lengths(np.full(b, n))
+        rows = ctx.query_rows(None)
+        ltis_index(q, k, ctx, rows, cfg, phi)   # fills the remap cache
+        tracemalloc.start()
+        try:
+            idx, valid = ltis_index(q, k, ctx, rows, cfg, phi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        key_copy = 8 * cfg.kv_groups * b * n * cfg.num_cmp_blocks(n) * cfg.d_head
+        bound = 13e6
+        assert bound < key_copy
+        assert peak < bound, peak
+        assert idx.dtype == np.int32
+        want = loop_ltis_index(q, k, [n] * b, cfg, phi)
+        assert np.array_equal(valid, want[1])
+        assert np.array_equal(idx, want[0])
 
 
 class TestSelectTopK:

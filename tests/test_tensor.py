@@ -516,8 +516,8 @@ def fused_cases():
          lambda *t: chain_residual_norm(*t, keep, 0.3), [(2, 5, 6), (2, 5, 6), (6,), (6,)]),
         ("gate", lambda *t: sigmoid_gate(*t)[0], lambda *t: chain_gate(*t)[0],
          [(2, 5, 3), (2, 5, 3), (6, 3), (3,)]),
-        ("rope", lambda x: rope(x, cos, sin, rotate), lambda x: chain_rope(x, cos, sin, rotate),
-         [(2, 3, 5, 6)]),
+        ("rope", lambda x, w: rope(x, w, 3, cos, sin, rotate),
+         lambda x, w: chain_rope(x, w, 3, cos, sin, rotate), [(2, 5, 4), (4, 18)]),
     ]
 
 
