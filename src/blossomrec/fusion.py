@@ -6,7 +6,7 @@ over the same Q/K/V, fuses the two outputs through a learnable per-entry
 sigmoid gate, and finishes with the usual post-norm residual + feed-forward
 sandwich. A stack of layers ends with one affine output projection.
 
-The encoder runs on a packed stream, (1, N, d): a batch's rows, one
+The encoder runs on a packed stream, (N, d): a batch's rows, one
 sequence's segment after another, with N the sum of the lengths, as in
 the ``cu_seqlens`` layout of varlen attention kernels. ``data.SeqBatch``
 builds batches in that layout, so there is no padding to skip.
@@ -69,11 +69,11 @@ __all__ = [
 
 
 def split_heads(x: Tensor, num: int) -> Tensor:
-    """(B, L, num*d) -> (B, num, L, d)."""
-    b, length, total = x.shape
+    """(N, num*d) -> (num, N, d)."""
+    length, total = x.shape
     if total % num != 0:
         raise ConfigError(f"cannot split width {total} into {num} heads")
-    return transpose(reshape(x, (b, length, num, total // num)), (0, 2, 1, 3))
+    return transpose(reshape(x, (length, num, total // num)), (1, 0, 2))
 
 
 def grouped_attention(q: Tensor, k: Tensor, v: Tensor, cfg: AttentionConfig,
@@ -187,7 +187,7 @@ def encoder_layer(h_prev: Tensor, params: BlossomLayerParams, cfg: AttentionConf
                   rng: np.random.Generator | None = None, pathway: str = "both",
                   rows: int | None = None) -> Tensor:
     """One post-norm encoder layer with gated dual-pathway attention on
-    the packed stream, (1, N, d) -> (1, N, d).
+    the packed stream, (N, d) -> (N, d).
 
     Each pathway's index goes to ``_attend``, which gathers its K/V rows.
     Each residual site, with its dropout and layer norm, is one tape op
@@ -195,12 +195,10 @@ def encoder_layer(h_prev: Tensor, params: BlossomLayerParams, cfg: AttentionConf
     Dropout is identity unless ``training`` is set. K/V always span the
     stream; with ``rows`` set, only each segment's last ``rows`` rows
     are queries and every later step runs on them alone, so the output is
-    (1, Nq, d): those rows of the full output, in stream order.
+    (Nq, d): those rows of the full output, in stream order.
     """
     q_rows = ctx.query_rows(rows)
-    h_q, d = h_prev, h_prev.shape[-1]
-    if rows is not None:
-        h_q = take_rows(h_prev.reshape((-1, d)), q_rows).reshape((1, len(q_rows), d))
+    h_q = h_prev if rows is None else take_rows(h_prev, q_rows)
     q = apply_rope(h_q, params.w_q, cfg.heads, ctx.positions[q_rows], rope)
     k = apply_rope(h_prev, params.w_k, cfg.kv_groups, ctx.positions, rope)
     v = split_heads(matmul(h_prev, params.w_v), cfg.kv_groups)
@@ -230,10 +228,10 @@ def encode(embedded: Tensor, layers: list[BlossomLayerParams], w_n: Tensor, b_n:
            rng: np.random.Generator | None = None, pathway: str = "both",
            rows: int | None = None) -> Tensor:
     """Run the layer stack and the final affine projection on the packed
-    stream, (1, N, d) -> (1, N, d).
+    stream, (N, d) -> (N, d).
 
     With ``rows`` set, the last layer and the projection compute only each
-    segment's last ``rows`` rows, (1, N, d) -> (1, Nq, d); earlier layers
+    segment's last ``rows`` rows, (N, d) -> (Nq, d); earlier layers
     run every row, because the next layer reads them all as K/V.
     """
     if not layers:

@@ -134,12 +134,12 @@ def ltis_index(q_data: np.ndarray, k_data: np.ndarray, ctx: SeqContext, q_rows: 
     """Run the whole selection pipeline on a packed stream and return the
     rows each query attends.
 
-    k_data: (1, kv_groups, N, d_head) is the stream ``ctx`` describes: one
+    k_data: (kv_groups, N, d_head) is the stream ``ctx`` describes: one
     segment per sequence, back to back, each sequence's rows oldest first.
-    q_data: (1, heads, Nq, d_head) holds the queries of the stream rows
+    q_data: (heads, Nq, d_head) holds the queries of the stream rows
     ``q_rows``, in stream order (``ctx.query_rows``). Both are plain
     arrays: selection carries no gradient. Returns int32 stream rows and
-    their validity, each (1, kv_groups, Nq, K) with K = top_k *
+    their validity, each (kv_groups, Nq, K) with K = top_k *
     sel_block_size: the chosen blocks in ascending order, causally cut
     and offset by the segment's start (K is the longest length when that
     is smaller).
@@ -157,11 +157,11 @@ def ltis_index(q_data: np.ndarray, k_data: np.ndarray, ctx: SeqContext, q_rows: 
     if longest > cap:
         seg = np.arange(len(lengths)).repeat(lengths)[q_rows]    # each query's segment
         scored = (lengths[seg] > cap).nonzero()[0]
-        heads = q_data[0].reshape(cfg.kv_groups, cfg.heads_per_group, -1, cfg.d_head)
+        heads = q_data.reshape(cfg.kv_groups, cfg.heads_per_group, -1, cfg.d_head)
         q = np.take(heads.swapaxes(1, 2), scored, axis=1)     # (g, R, hpg, d_head)
         blocks = np.empty((cfg.kv_groups, len(t), cfg.top_k), dtype=np.int32)
         blocks[:] = np.arange(cfg.top_k)
-        blocks[:, scored] = _top_blocks(q, k_data[0], ctx, seg[scored], t[scored], cfg, phi_key)
+        blocks[:, scored] = _top_blocks(q, k_data, ctx, seg[scored], t[scored], cfg, phi_key)
         pos = blocks[..., None] * cfg.sel_block_size + np.arange(cfg.sel_block_size, dtype=np.int32)
         pos = pos.reshape(cfg.kv_groups, len(t), width)
     else:   # a saturated query takes every started slot: its causal prefix
@@ -169,7 +169,7 @@ def ltis_index(q_data: np.ndarray, k_data: np.ndarray, ctx: SeqContext, q_rows: 
     valid = pos <= t
     rows = np.where(valid, pos, 0)
     rows += q_rows[:, None] - t                # a query's segment starts ``t`` rows before it
-    return rows[None], valid[None]
+    return rows, valid
 
 
 def _top_blocks(q: np.ndarray, k: np.ndarray, ctx: SeqContext, seg: np.ndarray, t: np.ndarray,
@@ -252,7 +252,7 @@ def build_ltis_masks(q_data: np.ndarray, k_data: np.ndarray, lengths: np.ndarray
         ctx = SeqContext.from_lengths([n])
         queries = ctx.query_rows(rows)
         first = rows - len(queries)          # the sequence's first query slot
-        index = ltis_index(q_data[b:b + 1, :, first:], k_data[b:b + 1, :, width - n:], ctx,
-                           queries, cfg, phi_key)
-        out[b, :, :, first:, width - n:] = index_mask(*index, n)[0]
+        index = ltis_index(q_data[b, :, first:], k_data[b, :, width - n:], ctx, queries, cfg,
+                           phi_key)
+        out[b, :, :, first:, width - n:] = index_mask(*index, n)
     return out

@@ -79,9 +79,9 @@ class Model:
     def forward(self, batch: SeqBatch, training: bool = False,
                 rng: np.random.Generator | None = None, rows: int | None = None) -> Tensor:
         """The encoder's output on the batch's stream of rows,
-        (1, N, d_model), or with ``rows`` set on each segment's last
-        ``rows`` rows only, (1, Nq, d_model), in stream order."""
-        return encode(embed(batch.ids[None], self.table), self.layers, self.w_n, self.b_n,
+        (N, d_model), or with ``rows`` set on each segment's last
+        ``rows`` rows only, (Nq, d_model), in stream order."""
+        return encode(embed(batch.ids, self.table), self.layers, self.w_n, self.b_n,
                       self.cfg, SeqContext.from_lengths(batch.lengths), self.rope,
                       dropout_rate=self.dropout, training=training, rng=rng,
                       pathway=self.pathway, rows=rows)
@@ -97,7 +97,7 @@ class Model:
         """
         out = np.zeros((len(batch.lengths), self.cfg.d_model))
         with no_grad():
-            out[batch.lengths > 0] = self.forward(batch, rows=1).data[0]
+            out[batch.lengths > 0] = self.forward(batch, rows=1).data
         return out
 
     def config_dict(self) -> dict:
@@ -170,9 +170,7 @@ def sequence_loss(model: Model, batch: SeqBatch, training: bool = False,
     rows = np.flatnonzero(ctx.positions[1:] > 0)   # row r + 1 is not a segment's first
     if not rows.size:
         raise DataError("batch contains no next-item transitions")
-    hidden = model.forward(batch, training=training, rng=rng)
-    d = hidden.shape[-1]
-    picked = take_rows(hidden.reshape((-1, d)), rows)   # (T, d)
+    picked = take_rows(model.forward(batch, training=training, rng=rng), rows)   # (T, d)
     return linear_cross_entropy(picked, model.table.item_vectors(), batch.ids[rows + 1] - 1)
 
 

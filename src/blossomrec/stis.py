@@ -82,13 +82,13 @@ def stis_index(ctx: SeqContext, q_rows: np.ndarray,
     built for the furthest position asked (the last query of the longest
     segment is at length - 1), and the first n rows of a longer table are
     the length-n table. Returns int32 rows and their validity, each
-    (1, 1, Nq, K).
+    (1, Nq, K): one index every KV group shares.
     """
     positions = ctx.positions[q_rows]
     table, ok = power_table(cfg, int(positions.max(initial=0)) + 1)
     # a query's segment starts ``position`` rows before it
     idx = np.add(table[positions], (q_rows - positions)[:, None], dtype=np.int32)
-    return idx[None, None], ok[positions][None, None]
+    return idx[None], ok[positions][None]
 
 
 def batch_stis_masks(lengths: np.ndarray, width: int, cfg: AttentionConfig) -> np.ndarray:
@@ -103,5 +103,5 @@ def batch_stis_masks(lengths: np.ndarray, width: int, cfg: AttentionConfig) -> n
     for b, n in enumerate(lengths):
         ctx = SeqContext.from_lengths([n])
         out[b, :, :, width - n:, width - n:] = index_mask(
-            *stis_index(ctx, ctx.query_rows(None), cfg), n)[0]
+            *stis_index(ctx, ctx.query_rows(None), cfg), n)
     return out

@@ -476,119 +476,123 @@ def masked_softmax(logits, mask: Array) -> Tensor:
 def gathered_attention(q, k, v, idx: Array, valid: Array) -> Tensor:
     """Grouped attention of each query over its own gathered key slots.
 
-    q: (B, heads, L, d); k, v: (B, groups, Lk, d), with the heads of a
-    group consecutive and sharing its K/V. ``idx`` (int, key positions in
-    [0, Lk)) and ``valid`` (bool) are (B, groups or 1, L, K): slot s of
+    q: (heads, L, d); k, v: (groups, Lk, d), with the heads of a group
+    consecutive and sharing its K/V. ``idx`` (int, key positions in
+    [0, Lk)) and ``valid`` (bool) are (groups or 1, L, K): slot s of
     query i holds key ``idx[..., i, s]`` when ``valid[..., i, s]``; a
     leading group axis of 1 gives every group the same positions. K/V are
     gathered once per group and shared by its heads, the softmax
     (``_exp_shifted``) runs over the valid slots only, a query with no
     valid slot comes back as exact zeros and one with a NaN logit as NaN.
-    Returns the heads merged, (B, L, heads * d) with head j's output in
+    Returns the heads merged, (L, heads * d) with head j's output in
     columns j*d to (j+1)*d, the layout ``fusion.grouped_attention``
     returns; it equals scaled dot-product attention under
     ``index_mask(idx, valid, Lk)`` at O(L * K * d) cost.
-    An index outside [0, Lk), in a valid slot or not, and a head count
-    that is not a multiple of the group count are ValueErrors.
+    Shapes that disagree (k, v; idx, valid, (groups or 1, L, K)), any key
+    index outside [0, Lk) and heads not split into groups are ValueErrors.
 
     The query rows are worked through in chunks whose gathered
-    (B, G, rows, K, d) block is about ``CHUNK_BYTES`` (at least one row),
+    (G, rows, K, d) block is about ``CHUNK_BYTES`` (at least one row),
     and one such block is alive at a time. The forward works out a
     chunk's key rows from ``idx``, gathers its K, fills its rows of the
     softmax weights, then gathers its V and writes its rows of the output
-    through a (B, G, rows, heads per group, d) view of them. Only the
-    softmax weights (B, G, L, heads per group, K) and ``idx`` stay on the
+    through a (G, rows, heads per group, d) view of them. Only the
+    softmax weights (G, L, heads per group, K) and ``idx`` stay on the
     tape, and only when a gradient is to come; without one,
     the weights live in one chunk-sized buffer. The backward, chunk by
     chunk, works out the key rows again, gathers V for the weights'
     gradient, then K for the query rows' gradient, and forms the chunk's
-    K/V gradient terms feature-major, (d, B, G, rows, K), so that each of
+    K/V gradient terms feature-major, (d, G, rows, K), so that each of
     the d ``np.bincount`` calls that scatters them onto their key rows
     reads one contiguous column.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    b, h, length, d = q.shape
-    g, lk = k.shape[1], k.shape[2]
+    h, length, d = q.shape
+    g, lk, _ = k.shape
+    if k.shape != v.shape:
+        raise ValueError(f"k and v disagree: {k.shape} vs {v.shape}")
     if h % g:
         raise ValueError(f"{h} query heads do not split into {g} K/V groups")
     idx = np.asarray(idx)
+    valid = np.asarray(valid, dtype=bool)
+    if idx.shape != valid.shape or idx.ndim != 3 or idx.shape[:2] not in ((1, length), (g, length)):
+        raise ValueError(f"index {idx.shape}, validity {valid.shape}: not ({g} or 1, {length}, K)")
     if idx.size and (idx.min() < 0 or idx.max() >= lk):
         bad = idx[(idx < 0) | (idx >= lk)][0]
         raise ValueError(f"key index {int(bad)} outside [0, {lk})")
     hpg, slots = h // g, idx.shape[-1]
-    valid = np.asarray(valid, dtype=bool)
-    step = _chunk_rows(b * g * slots * d)
+    step = _chunk_rows(g * slots * d)
     chunks = [(lo, min(lo + step, length)) for lo in range(0, length, step)]
-    offsets = (np.arange(b * g) * lk).reshape(b, g, 1, 1)
+    offsets = (np.arange(g) * lk).reshape(g, 1, 1)
 
     def key_rows(lo: int, hi: int) -> Array:
-        """Query rows lo:hi's key rows of k.reshape(-1, d), flat in (B, G, rows, K) order."""
-        return (idx[:, :, lo:hi] + offsets).reshape(-1)
+        """Query rows lo:hi's key rows of k.reshape(-1, d), flat in (G, rows, K) order."""
+        return (idx[:, lo:hi] + offsets).reshape(-1)
 
     def gather(table: Array, r: Array, n: int) -> Array:
-        return np.take(table, r, axis=0).reshape(b, g, n, slots, d)
+        return np.take(table, r, axis=0).reshape(g, n, slots, d)
 
     def merged(x: Array, rows: slice) -> Array:
-        """Rows of a (b, L, heads * d) array as (b, g, rows, hpg, d)."""
-        return x.reshape(b, length, g, hpg, d)[:, rows].transpose(0, 2, 1, 3, 4)
+        """Rows of an (L, heads * d) array as (g, rows, hpg, d)."""
+        return x.reshape(length, g, hpg, d)[rows].transpose(1, 0, 2, 3)
 
     scale = 1.0 / np.sqrt(d)
     qd, kd, vd = q.data, k.data, v.data   # the arrays backward gathers from again
-    qh = qd.reshape(b, g, hpg, length, d).transpose(0, 1, 3, 2, 4)   # (b, g, L, hpg, d)
+    qh = qd.reshape(g, hpg, length, d).transpose(0, 2, 1, 3)   # (g, L, hpg, d)
     # With a gradient to come, the softmax weights of every row stay for
     # backward; without one, each chunk's go into one reused buffer.
     learn = _grad_enabled() and (q.requires_grad or k.requires_grad or v.requires_grad)
-    p = np.empty((b, g, length, hpg, slots)) if learn else None
-    buf = None if learn else np.empty(b * g * min(step, length) * hpg * slots)
-    out = np.empty((b, length, h * d))
+    p = np.empty((g, length, hpg, slots)) if learn else None
+    buf = None if learn else np.empty(g * min(step, length) * hpg * slots)
+    out = np.empty((length, h * d))
     kf, vf = kd.reshape(-1, d), vd.reshape(-1, d)
     for lo, hi in chunks:
         r = key_rows(lo, hi)
-        pc = p[:, :, lo:hi] if learn else buf[: r.size * hpg].reshape(b, g, hi - lo, hpg, slots)
-        np.matmul(qh[:, :, lo:hi], gather(kf, r, hi - lo).swapaxes(-1, -2), out=pc)
+        pc = p[:, lo:hi] if learn else buf[: r.size * hpg].reshape(g, hi - lo, hpg, slots)
+        np.matmul(qh[:, lo:hi], gather(kf, r, hi - lo).swapaxes(-1, -2), out=pc)
         pc *= scale
-        _, s = _exp_shifted(pc, ~valid[:, :, lo:hi, None, :])
+        _, s = _exp_shifted(pc, ~valid[:, lo:hi, None, :])
         np.divide(pc, s, out=pc, where=s > 0)
         np.matmul(pc, gather(vf, r, hi - lo), out=merged(out, slice(lo, hi)))
 
     def backward(grad: Array) -> None:
         kf, vf = kd.reshape(-1, d), vd.reshape(-1, d)
-        dq = np.empty((b, g, hpg, length, d)) if q.requires_grad else None
-        dk, dv = (np.zeros((d, b * g * lk)) if t.requires_grad else None for t in (k, v))
-        terms = np.empty(d * b * g * min(step, length) * slots)
+        dq = np.empty((g, hpg, length, d)) if q.requires_grad else None
+        dk, dv = (np.zeros((d, g * lk)) if t.requires_grad else None for t in (k, v))
+        terms = np.empty(d * g * min(step, length) * slots)
         for lo, hi in chunks:
             r = key_rows(lo, hi)
-            pc, goc = p[:, :, lo:hi], merged(grad, slice(lo, hi))
+            pc, goc = p[:, lo:hi], merged(grad, slice(lo, hi))
             ds = goc @ gather(vf, r, hi - lo).swapaxes(-1, -2)
             ds -= (ds * pc).sum(axis=-1, keepdims=True)
             ds *= pc
             ds *= scale
             if dq is not None:
-                np.matmul(ds, gather(kf, r, hi - lo), out=dq[:, :, :, lo:hi].transpose(0, 1, 3, 2, 4))
-            cols = terms[: d * r.size].reshape(d, b, g, hi - lo, slots)
-            for acc, left, right in ((dv, goc, pc), (dk, qh[:, :, lo:hi], ds)):
+                np.matmul(ds, gather(kf, r, hi - lo), out=dq[:, :, lo:hi].transpose(0, 2, 1, 3))
+            cols = terms[: d * r.size].reshape(d, g, hi - lo, slots)
+            for acc, left, right in ((dv, goc, pc), (dk, qh[:, lo:hi], ds)):
                 if acc is not None:
-                    np.matmul(left.swapaxes(-1, -2), right, out=cols.transpose(1, 2, 3, 0, 4))
+                    np.matmul(left.swapaxes(-1, -2), right, out=cols.transpose(1, 2, 0, 3))
                     _scatter_add(acc, r, cols.reshape(d, -1))
         if dq is not None:
-            _accumulate(q, dq.reshape(b, h, length, d))
+            _accumulate(q, dq.reshape(h, length, d))
         for t, acc in ((k, dk), (v, dv)):
             if acc is not None:
-                _accumulate(t, np.ascontiguousarray(acc.T).reshape(b, g, lk, d))
+                _accumulate(t, np.ascontiguousarray(acc.T).reshape(g, lk, d))
 
     return _make(out, (q, k, v), backward)
 
 
 def index_mask(idx: Array, valid: Array, length: int) -> Array:
-    """The dense visibility an attention index stands for: bool
-    (B, G, 1, L, length) with entry [b, g, 0, i, j] set when some valid
-    slot of query i holds key j. It broadcasts over the heads of a group
-    as a ``masked_softmax`` mask."""
-    b, groups, rows, _ = idx.shape
-    out = np.zeros((b, groups, rows, length), dtype=bool)
-    bb, gg, ii, ss = np.nonzero(valid)
-    out[bb, gg, ii, idx[bb, gg, ii, ss]] = True
-    return out[:, :, None]
+    """The dense visibility an attention index (G, L, K) stands for: bool
+    (G, 1, L, length) with entry [g, 0, i, j] set when some valid slot
+    of query i holds key j. It broadcasts over the heads of a group as a
+    ``masked_softmax`` mask."""
+    groups, rows, _ = idx.shape
+    out = np.zeros((groups, rows, length), dtype=bool)
+    gg, ii, ss = np.nonzero(valid)
+    out[gg, ii, idx[gg, ii, ss]] = True
+    return out[:, None]
 
 
 def _chunk_rows(width: int) -> int:

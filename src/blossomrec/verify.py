@@ -78,10 +78,10 @@ def dense_equivalence_error(seeds: range, lengths: tuple[int, ...]) -> float:
             stream = [gathered_attention(Tensor(q), Tensor(k), Tensor(v), *index)
                       for index in (ltis_index(q, k, ctx, every_row, cfg, phi),
                                     stis_index(ctx, every_row, cfg))]
-            fused = gated_fuse(*stream, *gate)[0].data[0]
+            fused = gated_fuse(*stream, *gate)[0].data
             for n, start in zip(lengths, ctx.starts):
                 rows = slice(start, start + n)
-                oracle = dense_causal_gqa(q[0, :, rows], k[0, :, rows], v[0, :, rows], cfg)
+                oracle = dense_causal_gqa(q[:, rows], k[:, rows], v[:, rows], cfg)
                 errors.append(np.abs(fused[rows] - oracle).max(initial=0.0))
     return float(np.max(errors))
 
@@ -98,9 +98,8 @@ def _stream_batch(rng: np.random.Generator, lengths: tuple[int, ...], cfg: Atten
     and its geometry: each segment's neighbours hold values like any
     other, which a query must never see."""
     total = sum(lengths)
-    q = rng.normal(size=(1, cfg.heads, total, cfg.d_head))
-    k = rng.normal(size=(1, cfg.kv_groups, total, cfg.d_head))
-    v = rng.normal(size=(1, cfg.kv_groups, total, cfg.d_head))
+    q, k, v = (rng.normal(size=(n, total, cfg.d_head))
+               for n in (cfg.heads, cfg.kv_groups, cfg.kv_groups))
     return q, k, v, SeqContext.from_lengths(np.array(lengths))
 
 
@@ -162,12 +161,12 @@ def ltis_selection_error(seeds: range, lengths: tuple[int, ...]) -> int:
         start = 0
         for n in lengths:
             rows = slice(start, start + n)
-            outside = valid[0, :, rows] & ((idx[0, :, rows] < start) | (idx[0, :, rows] >= start + n))
+            outside = valid[:, rows] & ((idx[:, rows] < start) | (idx[:, rows] >= start + n))
             bad += int(outside.any(axis=-1).sum())
-            want = _naive_selection(q[0, :, rows], k[0, :, rows], phi, cfg) if n else []
+            want = _naive_selection(q[:, rows], k[:, rows], phi, cfg) if n else []
             for g in range(cfg.kv_groups):
                 for t in range(n):
-                    got = set(((idx[0, g, start + t][valid[0, g, start + t]] - start)
+                    got = set(((idx[g, start + t][valid[g, start + t]] - start)
                                // cfg.sel_block_size).tolist())
                     bad += got != want[g][t]
             start += n
@@ -188,11 +187,10 @@ def gathered_equivalence_error(seeds: range, lengths: tuple[int, ...]) -> float:
     for seed in seeds:
         rng = np.random.default_rng(seed)
         q, k, v, ctx = _stream_batch(rng, lengths, cfg)
-        total, every_row = q.shape[2], ctx.query_rows(None)
+        total, every_row = q.shape[1], ctx.query_rows(None)
         phi = CompressionMLP(cfg.block_size, cfg.d_head, rng)
-        # one weight per output entry, drawn head-major and laid out as the
-        # merged (1, total, heads * d_head) output
-        w = rng.normal(size=q.shape).transpose(0, 2, 1, 3).reshape(1, total, -1)
+        # one weight per output entry, drawn head-major, as the merged (total, heads * d) output
+        w = rng.normal(size=q.shape).transpose(1, 0, 2).reshape(total, -1)
         for idx, valid in (ltis_index(q, k, ctx, every_row, cfg, phi),
                            stis_index(ctx, every_row, cfg)):
             runs = []
@@ -200,8 +198,9 @@ def gathered_equivalence_error(seeds: range, lengths: tuple[int, ...]) -> float:
                 qt, kt, vt = parameter(q.copy()), parameter(k.copy()), parameter(v.copy())
                 if gather:
                     out = gathered_attention(qt, kt, vt, idx, valid)
-                else:
-                    out = grouped_attention(qt, kt, vt, cfg, index_mask(idx, valid, total))
+                else:   # on the stream as a batch of one
+                    out = grouped_attention(*(t.reshape((1,) + t.shape) for t in (qt, kt, vt)), cfg,
+                                            index_mask(idx, valid, total)).reshape(w.shape)
                 out.backward(w)
                 runs.append([out.data, qt.grad, kt.grad, vt.grad])
             worst = max([worst] + [float(np.abs(x - y).max()) for x, y in zip(*runs)])
@@ -241,7 +240,7 @@ def last_row_error(seeds: range, batches: tuple[tuple[int, ...], ...]) -> float:
                 batch = SeqBatch.from_sequences([rng.integers(1, 31, n).tolist() for n in lengths],
                                                 model.max_len)
                 with no_grad():
-                    full = model.forward(batch).data[0]
+                    full = model.forward(batch).data
                 last = np.cumsum(batch.lengths) - 1
                 errors.append(np.abs(model.last_hidden(batch) - full[last]).max())
     return float(np.max(errors))
@@ -274,7 +273,7 @@ def packed_batch_error(seeds: range, batches: tuple[tuple[int, ...], ...]) -> fl
                 seqs = [rng.integers(1, 31, n).tolist() for n in lengths]
                 batch = SeqBatch.from_sequences(seqs, model.max_len)
                 with no_grad():
-                    stream = model.forward(batch).data[0]
+                    stream = model.forward(batch).data
                 hidden = model.last_hidden(batch)
                 got = loss_grads(batch)
                 want = dict.fromkeys(params, 0.0)
@@ -282,7 +281,7 @@ def packed_batch_error(seeds: range, batches: tuple[tuple[int, ...], ...]) -> fl
                 for b, (seq, start) in enumerate(zip(seqs, np.cumsum(lengths) - lengths)):
                     alone = SeqBatch.from_sequences([seq], model.max_len)
                     with no_grad():
-                        rows = model.forward(alone).data[0]
+                        rows = model.forward(alone).data
                     errors += [np.abs(stream[start:start + len(seq)] - rows).max(initial=0.0),
                                np.abs(hidden[b] - model.last_hidden(alone)[0]).max()]
                     if len(seq) > 1:
@@ -324,7 +323,7 @@ def mask_law_holds(num_cases: int) -> bool:
         cfg = AttentionConfig(blk=int(rng.integers(1, 6)), win=int(rng.integers(1, 6)))
         rng.integers(0, 2)  # unused draw; it keeps the 50 drawn configs fixed
         ctx = SeqContext.from_lengths([length])
-        fast = index_mask(*stis_index(ctx, ctx.query_rows(None), cfg), length)[0, 0, 0]
+        fast = index_mask(*stis_index(ctx, ctx.query_rows(None), cfg), length)[0, 0]
         if not np.array_equal(fast, brute_force_power_mask(length, cfg)):
             return False
     return True

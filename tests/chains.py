@@ -66,16 +66,16 @@ def chain_gathered_attention(q, k, v, idx, valid):
     valid slots (a row with none is zeros), and the heads merged. The
     softmax subtracts the row max of the logits' real part, so the chain
     stays analytic."""
-    b, h, n, d = q.shape
-    g = k.shape[1]
-    at = np.arange(b)[:, None, None, None], np.arange(g)[None, :, None, None], idx
-    x = q.reshape(b, g, h // g, n, d).transpose(0, 1, 3, 2, 4) @ k[at].swapaxes(-1, -2)
+    h, n, d = q.shape
+    g = k.shape[0]
+    at = np.arange(g)[:, None, None], idx
+    x = q.reshape(g, h // g, n, d).transpose(0, 2, 1, 3) @ k[at].swapaxes(-1, -2)
     x *= 1.0 / np.sqrt(d)
-    x = np.where(valid[:, :, :, None], x, -np.inf)
+    x = np.where(valid[:, :, None], x, -np.inf)
     e = np.exp(x - x.real.max(axis=-1, keepdims=True, initial=tensor_mod._LOWEST))
     s = e.sum(axis=-1, keepdims=True)
     out = (e / np.where(s.real > 0, s, 1.0)) @ v[at]
-    return out.transpose(0, 2, 1, 3, 4).reshape(b, n, h * d)
+    return out.transpose(1, 0, 2, 3).reshape(n, h * d)
 
 
 def complex_step_derivative(f, xs, k, v, seed):

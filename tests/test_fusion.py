@@ -173,11 +173,11 @@ class TestGatedFuse:
 
 
 def layer_inputs(cfg, lengths, rng, total=None):
-    """A packed stream of segments of ``lengths``, (1, N, d_model)."""
+    """A packed stream of segments of ``lengths``, (N, d_model)."""
     total = total or int(max(lengths))
     ctx = SeqContext.from_lengths(np.array(lengths))
     rope = RoPECache(cfg.d_head, total + 1)
-    h = Tensor(rng.normal(size=(1, sum(lengths), cfg.d_model)))
+    h = Tensor(rng.normal(size=(sum(lengths), cfg.d_model)))
     return h, ctx, rope
 
 
@@ -207,7 +207,7 @@ class TestEncoderLayer:
         cfg = make_cfg()
         params = BlossomLayerParams.init(cfg, rng)
         h, ctx, rope = layer_inputs(cfg, [7], rng)
-        w = rng.normal(size=(1, 7, cfg.d_model))
+        w = rng.normal(size=(7, cfg.d_model))
 
         def f():
             return (encoder_layer(h, params, cfg, ctx, rope) * Tensor(w)).sum()
@@ -248,7 +248,7 @@ class TestPackedStream:
         monkeypatch.setattr(fusion, "apply_rope", spy)
         rng = np.random.default_rng(16)
         params = BlossomLayerParams.init(self.CFG, rng)
-        h = Tensor(rng.normal(size=(1, 9, self.CFG.d_model)))
+        h = Tensor(rng.normal(size=(9, self.CFG.d_model)))
         rope = RoPECache(self.CFG.d_head, 5)
         encoder_layer(h, params, self.CFG, ctx, rope)
         encoder_layer(h, params, self.CFG, ctx, rope, rows=1)
@@ -278,8 +278,8 @@ class TestPackedStream:
         for start, n in zip(ctx.starts, lengths):
             rows = slice(start, start + n)
             alone = SeqContext.from_lengths(np.array([n]))
-            out, part = run(Tensor(h.data[:, rows]), alone, w[:, rows])
-            assert np.abs(packed[:, rows] - out).max() < 1e-12
+            out, part = run(Tensor(h.data[rows]), alone, w[rows])
+            assert np.abs(packed[rows] - out).max() < 1e-12
             for k, g in part.items():
                 summed[k] = summed.get(k, 0.0) + g
         assert grads.keys() == summed.keys()
@@ -299,21 +299,21 @@ class TestPackedStream:
         params = BlossomLayerParams.init(self.CFG, rng)
         h, ctx, rope = layer_inputs(self.CFG, [3], rng)
         encoder_layer(h, params, self.CFG, ctx, rope)
-        assert calls == [(1, 2, 3, 3), (1, 1, 3, 3)]
+        assert calls == [(2, 3, 3), (1, 3, 3)]
 
 
 def chain_qkv(p, cfg, ctx, rope, q_rows):
     """The layer's rotated queries (of the stream rows ``q_rows``),
     rotated keys and values, in numpy from the arrays ``p`` by name."""
     def heads(x, num):
-        b, n, total = x.shape
-        return x.reshape(b, n, num, total // num).transpose(0, 2, 1, 3)
+        n, total = x.shape
+        return x.reshape(n, num, total // num).transpose(1, 0, 2)
 
     def rotate(x, w, num, positions):
         return chain_rope(x, w, num, rope.cos[positions], rope.sin[positions], rope.rotate)
 
     h = p["h"]
-    return (rotate(h[:, q_rows], p["w_q"], cfg.heads, ctx.positions[q_rows]),
+    return (rotate(h[q_rows], p["w_q"], cfg.heads, ctx.positions[q_rows]),
             rotate(h, p["w_k"], cfg.kv_groups, ctx.positions),
             heads(h @ p["w_v"], cfg.kv_groups))
 
@@ -329,7 +329,7 @@ def chain_layer(p, cfg, ctx, rope, rows, indices, keeps, rate):
     q, k, v = chain_qkv(p, cfg, ctx, rope, q_rows)
     outs = [chain_gathered_attention(q, k, v, *index) @ p["w_o"] for index in indices]
     fused = outs[0] if len(outs) == 1 else chain_gate(*outs, p["gate_w"], p["gate_b"])[0]
-    mixed = chain_residual_norm(p["h"][:, q_rows], fused, p["ln1_gamma"], p["ln1_beta"],
+    mixed = chain_residual_norm(p["h"][q_rows], fused, p["ln1_gamma"], p["ln1_beta"],
                                 keeps[0], rate)
     ff = chain_ffn(mixed, p["ffn_w1"], p["ffn_b1"], p["ffn_w2"], p["ffn_b2"])
     return chain_residual_norm(mixed, ff, p["ln2_gamma"], p["ln2_beta"], keeps[1], rate)
@@ -364,7 +364,7 @@ class TestFusedChain:
         seed = np.random.default_rng(24).normal(size=out.shape)
         out.backward(seed)
         grads = {name: t.grad for name, t in learners.items() if t.grad is not None}
-        assert out.shape == (1, 81 if rows is None else 4, cfg.d_model)
+        assert out.shape == (81 if rows is None else 4, cfg.d_model)
         assert ("gate_w" in grads) == (pathway == "both")
 
         chain_draws = np.random.default_rng(23)
@@ -436,11 +436,22 @@ class TestDenseReference:
             p.data += rng.normal(0.0, 0.3, p.shape)
         lengths = [5, 1, 8]
         h, ctx, rope = layer_inputs(cfg, lengths, rng)
-        out = encoder_layer(h, params, cfg, ctx, rope, rows=rows).data[0]
-        want = np.concatenate([reference_layer(h.data[0, s:s + n], params, cfg)[-(rows or n):]
+        out = encoder_layer(h, params, cfg, ctx, rope, rows=rows).data
+        want = np.concatenate([reference_layer(h.data[s:s + n], params, cfg)[-(rows or n):]
                                for s, n in zip(ctx.starts, lengths)])
         assert out.shape == want.shape
         assert np.abs(out - want).max() < 1e-10
+
+
+def dense_attend(cfg):
+    """``fusion._attend`` as ``grouped_attention`` under the index as a
+    dense mask (``index_mask``), on the stream as a batch of one."""
+    def masked(q, k, v, index, w_o):
+        batch = [t.reshape((1,) + t.shape) for t in (q, k, v)]
+        out = grouped_attention(*batch, cfg, index_mask(*index, k.shape[1]))
+        return matmul(out.reshape(out.shape[1:]), w_o)
+
+    return masked
 
 
 class TestGatherOrDense:
@@ -456,10 +467,7 @@ class TestGatherOrDense:
         the dense-mask form when ``dense``."""
         cfg = self.CFG
         if dense:
-            def masked(q, k, v, index, w_o):
-                return matmul(grouped_attention(q, k, v, cfg, index_mask(*index, k.shape[2])), w_o)
-
-            monkeypatch.setattr(fusion, "_attend", masked)
+            monkeypatch.setattr(fusion, "_attend", dense_attend(cfg))
         rng = np.random.default_rng(seed)
         params = BlossomLayerParams.init(cfg, rng)
         h, ctx, rope = layer_inputs(cfg, lengths, rng)
@@ -488,17 +496,14 @@ class TestGatherOrDense:
         mask; an empty segment contributes no row."""
         cfg = self.CFG
         if dense:
-            def masked(q, k, v, index, w_o):
-                return matmul(grouped_attention(q, k, v, cfg, index_mask(*index, k.shape[2])), w_o)
-
-            monkeypatch.setattr(fusion, "_attend", masked)
+            monkeypatch.setattr(fusion, "_attend", dense_attend(cfg))
         rng = np.random.default_rng(18)
         params = BlossomLayerParams.init(cfg, rng)
         h, ctx, rope = layer_inputs(cfg, [frame, frame // 2, 1, 0, 9], rng)
         full = encoder_layer(h, params, cfg, ctx, rope).data
         one = encoder_layer(h, params, cfg, ctx, rope, rows=1).data
-        assert one.shape == (1, 4, cfg.d_model)
-        assert np.abs(one[0] - full[0, ctx.query_rows(1)]).max() < 1e-12
+        assert one.shape == (4, cfg.d_model)
+        assert np.abs(one - full[ctx.query_rows(1)]).max() < 1e-12
 
     @pytest.mark.parametrize("lengths", [(0, 3, 17, 20), (0, 3, 17, 40)])
     def test_gathered_equivalence_check(self, lengths):
@@ -537,10 +542,10 @@ class TestEncode:
         h, ctx, rope = layer_inputs(cfg, [16, 12], rng, total=16)
         out = encode(h, layers, parameter(rng.normal(size=(8, 8))),
                      Tensor(np.zeros(8)), cfg, ctx, rope)
-        assert out.shape == (1, 28, 8)
+        assert out.shape == (28, 8)
         last = encode(h, layers, parameter(rng.normal(size=(8, 8))),
                       Tensor(np.zeros(8)), cfg, ctx, rope, rows=1)
-        assert last.shape == (1, 2, 8)
+        assert last.shape == (2, 8)
 
     def test_empty_stack_rejected(self):
         cfg = make_cfg()
@@ -578,7 +583,7 @@ class TestFullDensityCollapse:
 
 def test_split_heads_round_trip():
     rng = np.random.default_rng(15)
-    x = rng.normal(size=(2, 5, 12))
+    x = rng.normal(size=(5, 12))
     split = split_heads(Tensor(x), 3)
-    assert split.shape == (2, 3, 5, 4)
-    assert np.array_equal(split.data[:, 1], x[:, :, 4:8])
+    assert split.shape == (3, 5, 4)
+    assert np.array_equal(split.data[1], x[:, 4:8])

@@ -59,14 +59,14 @@ def one_segment(q, k, cfg, phi, rows=None):
     """``ltis_index`` of a stream holding one segment: q (heads, m, d) its
     last m queries, k (kv_groups, n, d) its keys."""
     ctx = SeqContext.from_lengths(np.array([k.shape[1]]))
-    return ltis_index(q[None], k[None], ctx, ctx.query_rows(rows), cfg, phi)
+    return ltis_index(q, k, ctx, ctx.query_rows(rows), cfg, phi)
 
 
 def picked_blocks(idx, valid, cfg):
     """The selection blocks each query's valid slots fall in, for a stream
     of one segment: per KV group, one set per query."""
     return [[set((row[ok] // cfg.sel_block_size).tolist()) for row, ok in zip(rows, oks)]
-            for rows, oks in zip(idx[0], valid[0])]
+            for rows, oks in zip(idx, valid)]
 
 
 def compression_io(k, cfg, phi):
@@ -395,23 +395,23 @@ class TestQueryRows:
         cfg = small_cfg(block_size=8, stride=2, sel_block_size=2, top_k=2, heads=4, kv_groups=2)
         lengths = np.array([16, 9, 6, 4, 2, 0])
         starts = np.cumsum(lengths) - lengths
-        q = rng.normal(size=(1, cfg.heads, lengths.sum(), cfg.d_head))
-        k = rng.normal(size=(1, cfg.kv_groups, lengths.sum(), cfg.d_head))
+        q = rng.normal(size=(cfg.heads, lengths.sum(), cfg.d_head))
+        k = rng.normal(size=(cfg.kv_groups, lengths.sum(), cfg.d_head))
         phi = CompressionMLP(cfg.block_size, cfg.d_head, rng)
         ctx = SeqContext.from_lengths(lengths)
         full_idx, full_valid = ltis_index(q, k, ctx, np.arange(lengths.sum()), cfg, phi)
         last = np.concatenate([np.arange(max(n - rows, 0), n) + start
                                for start, n in zip(starts, lengths)])
-        idx, valid = ltis_index(q[:, :, last], k, ctx, last, cfg, phi)
-        assert idx.shape == (1, cfg.kv_groups, len(last), full_idx.shape[-1])
-        assert np.array_equal(valid, full_valid[:, :, last])
-        assert np.array_equal(idx, full_idx[:, :, last])
+        idx, valid = ltis_index(q[:, last], k, ctx, last, cfg, phi)
+        assert idx.shape == (cfg.kv_groups, len(last), full_idx.shape[-1])
+        assert np.array_equal(valid, full_valid[:, last])
+        assert np.array_equal(idx, full_idx[:, last])
         assert valid.any(axis=-1).all()
         for start, n in zip(starts, lengths):
             rows_of = (full_idx >= start) & (full_idx < start + n)
-            segment = full_valid[:, :, start:start + n]
+            segment = full_valid[:, start:start + n]
             # every valid slot holds a row of the query's own segment
-            assert np.array_equal(segment & rows_of[:, :, start:start + n], segment)
+            assert np.array_equal(segment & rows_of[:, start:start + n], segment)
 
 
 def loop_ltis_index(q, k, lengths, cfg, phi, rows=None):
@@ -421,20 +421,20 @@ def loop_ltis_index(q, k, lengths, cfg, phi, rows=None):
     the reference the batched pass must equal exactly."""
     cap = cfg.top_k * cfg.sel_block_size
     width = min(cap, int(max(lengths, default=0)))
-    idx = np.zeros((1, cfg.kv_groups, q.shape[2], cap), dtype=np.int64)
+    idx = np.zeros((cfg.kv_groups, q.shape[1], cap), dtype=np.int64)
     valid = np.zeros(idx.shape, dtype=bool)
     start = lo = 0                           # segment's first key row, first query row
     for n in lengths:
         m = n if rows is None else min(n, rows)
-        idx[0, :, lo:lo + m] = start
-        chosen = _naive_selection(q[0, :, lo:lo + m], k[0, :, start:start + n], phi, cfg)
+        idx[:, lo:lo + m] = start
+        chosen = _naive_selection(q[:, lo:lo + m], k[:, start:start + n], phi, cfg)
         for g, per_query in enumerate(chosen):
             for r, blocks in enumerate(per_query):
                 pos = (np.array(sorted(blocks))[:, None] * cfg.sel_block_size
                        + np.arange(cfg.sel_block_size)).ravel()
                 ok = pos <= n - m + r
-                idx[0, g, lo + r, :len(pos)] = start + np.where(ok, pos, 0)
-                valid[0, g, lo + r, :len(pos)] = ok
+                idx[g, lo + r, :len(pos)] = start + np.where(ok, pos, 0)
+                valid[g, lo + r, :len(pos)] = ok
         start, lo = start + n, lo + m
     assert not valid[..., width:].any()
     return idx[..., :width], valid[..., :width]
@@ -463,8 +463,8 @@ class TestBatchedSelection:
         starts = np.cumsum(lengths) - lengths
         last = np.concatenate([np.arange(n - min(n, rows or n), n) + s
                                for s, n in zip(starts, lengths)])
-        q = rng.normal(size=(1, cfg.heads, sum(lengths), cfg.d_head))[:, :, last]
-        k = rng.normal(size=(1, cfg.kv_groups, sum(lengths), cfg.d_head))
+        q = rng.normal(size=(cfg.heads, sum(lengths), cfg.d_head))[:, last]
+        k = rng.normal(size=(cfg.kv_groups, sum(lengths), cfg.d_head))
         phi = CompressionMLP(cfg.block_size, cfg.d_head, rng)
         want = loop_ltis_index(q, k, lengths, cfg, phi, rows=rows)
         calls = []
@@ -488,8 +488,8 @@ class TestBatchedSelection:
         rows are int32."""
         cfg, n, b = PAPER, 512, 4
         rng = np.random.default_rng(34)
-        q = rng.normal(size=(1, cfg.heads, b * n, cfg.d_head))
-        k = rng.normal(size=(1, cfg.kv_groups, b * n, cfg.d_head))
+        q = rng.normal(size=(cfg.heads, b * n, cfg.d_head))
+        k = rng.normal(size=(cfg.kv_groups, b * n, cfg.d_head))
         phi = CompressionMLP(cfg.block_size, cfg.d_head, rng)
         ctx = SeqContext.from_lengths(np.full(b, n))
         rows = ctx.query_rows(None)
@@ -534,7 +534,7 @@ class TestSelectTopK:
         idx, valid = one_segment(q, k, cfg, LastKey)
         for t, picked in enumerate(picked_blocks(idx, valid, cfg)[0]):
             assert picked == set(range(t + 1)) if t < 4 else len(picked) == 4
-            assert valid[0, 0, t].sum() == min(t + 1, 4)
+            assert valid[0, t].sum() == min(t + 1, 4)
 
     def test_causal_validity_per_query(self):
         """Selection blocks of 3: block 1's score counts compression blocks

@@ -180,7 +180,7 @@ class TestSequenceLoss:
         hidden = model.forward(batch)   # one forward, differentiated once per term
         terms = []
         for row, target in transitions:
-            term = cross_entropy(item_scores(hidden[0, row], model.table), target)
+            term = cross_entropy(item_scores(hidden[row], model.table), target)
             term.backward(1.0 / len(transitions))
             terms.append(float(term.data))
         assert abs(float(loss.data) - sum(terms) * (1.0 / len(terms))) < 1e-12
@@ -204,7 +204,7 @@ class TestSequenceLoss:
             hidden = model.forward(batch) if shared else None
             for row, target in terms:
                 h = hidden if shared else model.forward(batch)
-                cross_entropy(item_scores(h[0, row], model.table), target).backward(0.5)
+                cross_entropy(item_scores(h[row], model.table), target).backward(0.5)
             return {k: p.grad.copy() for k, p in params.items()}
 
         separate, shared = grads(False), grads(True)
@@ -222,22 +222,24 @@ class TestSequenceLoss:
         return model, batch
 
     def test_tape_holds_one_node_per_fused_op(self):
-        """The desk step records 19 tape nodes, each fused composite one
+        """The desk step records 18 tape nodes, each fused composite one
         per call: the FFN, the two residual sites (residual, dropout and
         layer norm), the gate, the output projection, and the q and k
         projections each with its RoPE; the attention ops return merged
         heads. The chains of elementwise ops made it 71, 35 with layer
         norm, the gate and RoPE fused, and 25 with the projections and
-        their head splits apart from RoPE."""
+        their head splits apart from RoPE.
+        With the stream's leading axis of one, the loss's reshape to rows
+        made it 19."""
         rng = np.random.default_rng(0)
         model, batch = self.desk_step(rng)
         loss = sequence_loss(model, batch, training=True, rng=rng)
         ops = Counter(node._backward.__qualname__.split(".")[0]
                       for node in tensor.GradTape(loss).ops)
         assert ops == Counter(
-            matmul=3, reshape=2, transpose=1, take_rows=2, rope=2, gathered_attention=2,
+            matmul=3, reshape=1, transpose=1, take_rows=2, rope=2, gathered_attention=2,
             residual_norm=2, sigmoid_gate=1, ffn=1, affine=1, getitem=1, linear_cross_entropy=1)
-        assert sum(ops.values()) == 19
+        assert sum(ops.values()) == 18
 
     def test_tape_holds_what_backward_reads(self):
         """On the desk step (N = 106, d = 32), the only (N, 4d) array the
@@ -287,7 +289,7 @@ class TestSequenceLoss:
         assert len(wide) == 1 and np.abs(wide[0]).max() <= 1.0   # tanh's range
         rows = [a for a in arrays.values() if a.size == n * d]
         masks = [a for a in rows if a.dtype == bool]
-        assert len(masks) == 2 and all(m.shape == (1, n, d) for m in masks)
+        assert len(masks) == 2 and all(m.shape == (n, d) for m in masks)
         assert not any(np.isin(a, (0.0, 1.0 / 0.9)).all() for a in rows if a.dtype != bool)
         assert held < 1.0e6, held
         assert after < 1.1e6, after
@@ -398,14 +400,14 @@ class TestPacking:
         assert seen["targets"] == [item for seq in self.SEQS for item in seq[1:]]
 
     def test_dropout_mask_is_drawn_over_stream_rows(self):
-        """Two layers draw four (1, N, d) masks over the N = 25 stream
+        """Two layers draw four (N, d) masks over the N = 25 stream
         rows, and nothing else."""
         model = tiny_model(num_items=14, layers=2, dropout=0.3)
         batch = SeqBatch.from_sequences(self.SEQS, max_len=16)
         rng, ref = np.random.default_rng(5), np.random.default_rng(5)
         sequence_loss(model, batch, training=True, rng=rng)
         for _ in range(4):
-            ref.random((1, 25, model.cfg.d_model))
+            ref.random((25, model.cfg.d_model))
         assert rng.random() == ref.random()
 
     def test_forward_returns_stream_rows_and_empty_sequences_get_zeros(self):
@@ -418,13 +420,13 @@ class TestPacking:
             p.data += rng.normal(0.0, 0.3, p.data.shape)
         batch = SeqBatch.from_sequences(self.SEQS, max_len=16)
         stream = model.forward(batch).data
-        assert stream.shape == (1, 25, model.cfg.d_model)
+        assert stream.shape == (25, model.cfg.d_model)
         assert stream.all()
         hidden = model.last_hidden(batch)
         assert not hidden[3].any() and np.delete(hidden, 3, axis=0).all()
         empty = SeqBatch.from_sequences([[], []], max_len=16)
         assert not model.last_hidden(empty).any()
-        assert model.forward(empty).shape == (1, 0, model.cfg.d_model)
+        assert model.forward(empty).shape == (0, model.cfg.d_model)
 
     def test_model_path_never_builds_a_dense_mask(self, monkeypatch, eval_setup):
         """A dropout training step with its backward, ``last_hidden`` and
@@ -811,10 +813,35 @@ class TestLastHidden:
             batch = SeqBatch.from_sequences([rng.integers(1, 21, n).tolist() for n in lengths],
                                             model.max_len)
             with no_grad():
-                full = model.forward(batch).data[0]
+                full = model.forward(batch).data
             hidden = model.last_hidden(batch)
             assert hidden.shape == (len(lengths), model.cfg.d_model)
             assert np.abs(hidden - full[np.cumsum(lengths) - 1]).max() < 1e-10
+
+    def test_batch_of_one_makes_one_tensor_per_op(self, monkeypatch):
+        """Serving one sequence on the one-layer desk model makes 16 op
+        outputs (``tensor._make`` calls): the embedding and query-row
+        lookups, the q and k projections with RoPE, the v projection and
+        its head split, the two attentions and their output projections,
+        the gate, the two residual sites, the FFN and the output affine.
+        With the stream's leading axis of one, the query-row lookup's two
+        reshapes made it 18."""
+        cfg = AttentionConfig(heads=4, kv_groups=2, d_model=32, d_head=8)
+        model = Model(40, cfg, 1, seed=0, max_len=64)
+        batch = SeqBatch.from_sequences([list(range(1, 31))], max_len=64)
+        made = Counter()
+        make = tensor._make
+
+        def counted(data, parents, backward):
+            made[backward.__qualname__.split(".")[0]] += 1
+            return make(data, parents, backward)
+
+        monkeypatch.setattr(tensor, "_make", counted)
+        assert model.last_hidden(batch).shape == (1, cfg.d_model)
+        assert made == Counter(
+            take_rows=2, rope=2, matmul=3, reshape=1, transpose=1, gathered_attention=2,
+            sigmoid_gate=1, residual_norm=2, ffn=1, affine=1)
+        assert sum(made.values()) == 16
 
 
 class TestCheckpoint:

@@ -175,9 +175,10 @@ class TestPowerTable:
         row_starts = np.repeat(starts, lengths)
         idx, valid = stis_index(SeqContext.from_lengths(lengths), np.arange(18), cfg)
         table, ok = power_table(cfg, 9)
-        assert np.array_equal(idx[0, 0], table[positions] + row_starts[:, None])
-        assert np.array_equal(valid[0, 0], ok[positions])
+        assert idx.shape == valid.shape == (1, 18, table.shape[1])   # one index for every group
+        assert np.array_equal(idx[0], table[positions] + row_starts[:, None])
+        assert np.array_equal(valid[0], ok[positions])
         for row, (p, start) in enumerate(zip(positions, row_starts)):
             n = lengths[np.searchsorted(starts, start, side="right") - 1]
-            seen = idx[0, 0, row][valid[0, 0, row]] - start
+            seen = idx[0, row][valid[0, row]] - start
             assert seen.tolist() == brute_rows(n, cfg)[p]

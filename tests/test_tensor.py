@@ -132,32 +132,35 @@ class TestMaskedSoftmax:
         assert grad_check(f, [x]) < 1e-7
 
 
-def random_index(rng, batch, groups, pads, length, width):
-    """Distinct causal key slots for a left-padded batch, (batch, groups,
-    length, width): padding queries and one real query per sequence see
-    nothing, the others up to ``width`` random keys at or before them."""
-    idx = np.zeros((batch, groups, length, width), dtype=np.int64)
+def random_index(rng, groups, pads, length, width):
+    """Distinct causal key slots for a packed stream of ``len(pads)``
+    segments of ``length`` rows each, (groups, len(pads) * length,
+    width): segment b's first ``pads[b]`` rows stand where padding would
+    in a left-padded batch, so no query sees them, and they and its row
+    ``pads[b]`` see nothing; its other rows see up to ``width`` random
+    keys of their own segment at or before them."""
+    idx = np.zeros((groups, len(pads) * length, width), dtype=np.int64)
     valid = np.zeros(idx.shape, dtype=bool)
     for b, pad in enumerate(pads):
+        start = b * length
         for g in range(groups):
-            for i in range(pad + 1, length):  # query ``pad`` sees nothing
+            for i in range(pad + 1, length):  # row ``pad`` sees nothing
                 keys = rng.permutation(np.arange(pad, i + 1))[: rng.integers(1, width + 1)]
-                idx[b, g, i, : len(keys)] = keys
-                valid[b, g, i, : len(keys)] = True
+                idx[g, start + i, : len(keys)] = start + keys
+                valid[g, start + i, : len(keys)] = True
     return idx, valid
 
 
 def one_row_per_chunk(monkeypatch, q, k, idx):
     """Shrink ``CHUNK_BYTES`` to one query row's gathered block, so
     ``gathered_attention`` runs a chunk per query row."""
-    b, _, _, d = q.shape
-    monkeypatch.setattr(tensor_mod, "CHUNK_BYTES", 8 * b * k.shape[1] * idx.shape[-1] * d)
+    monkeypatch.setattr(tensor_mod, "CHUNK_BYTES", 8 * k.shape[0] * idx.shape[-1] * q.shape[-1])
 
 
 def merged_shape(q):
-    """The (B, L, heads * d) shape of ``gathered_attention``'s output."""
-    b, h, length, d = q.shape
-    return b, length, h * d
+    """The (L, heads * d) shape of ``gathered_attention``'s output."""
+    h, length, d = q.shape
+    return length, h * d
 
 
 def attention_and_grads(q, k, v, idx, valid, w):
@@ -172,10 +175,10 @@ class TestGatheredAttention:
     def test_gradient(self, groups, monkeypatch):
         """Central differences agree in one chunk and in a chunk per query row."""
         rng = np.random.default_rng(40)
-        q = parameter(rng.normal(size=(2, 4, 6, 2)))
-        k = parameter(rng.normal(size=(2, 2, 6, 2)))
-        v = parameter(rng.normal(size=(2, 2, 6, 2)))
-        idx, valid = random_index(rng, 2, groups, (2, 0), 6, 3)
+        q = parameter(rng.normal(size=(4, 12, 2)))
+        k = parameter(rng.normal(size=(2, 12, 2)))
+        v = parameter(rng.normal(size=(2, 12, 2)))
+        idx, valid = random_index(rng, groups, (2, 0), 6, 3)
         w = rng.normal(size=merged_shape(q))
 
         def f():
@@ -189,65 +192,65 @@ class TestGatheredAttention:
         """Head j of group g is head g * 2 + j, in columns 3 * head to
         3 * head + 3 of the merged output."""
         rng = np.random.default_rng(41)
-        q = rng.normal(size=(2, 4, 7, 3))
-        k = rng.normal(size=(2, 2, 7, 3))
-        v = rng.normal(size=(2, 2, 7, 3))
-        idx, valid = random_index(rng, 2, 2, (3, 0), 7, 4)
-        mask = index_mask(idx, valid, 7)  # (2, 2, 1, 7, 7)
-        logits = q.reshape(2, 2, 2, 7, 3) @ k[:, :, None].swapaxes(-1, -2) / np.sqrt(3)
-        want = masked_softmax(Tensor(logits), mask).data @ v[:, :, None]   # (2, 2, 2, 7, 3)
+        q = rng.normal(size=(4, 14, 3))
+        k = rng.normal(size=(2, 14, 3))
+        v = rng.normal(size=(2, 14, 3))
+        idx, valid = random_index(rng, 2, (3, 0), 7, 4)
+        mask = index_mask(idx, valid, 14)  # (2, 1, 14, 14)
+        logits = q.reshape(2, 2, 14, 3) @ k[:, None].swapaxes(-1, -2) / np.sqrt(3)
+        want = masked_softmax(Tensor(logits), mask).data @ v[:, None]   # (2, 2, 14, 3)
         got = gathered_attention(Tensor(q), Tensor(k), Tensor(v), idx, valid).data
-        assert got.shape == (2, 7, 12)
+        assert got.shape == (14, 12)
         for head in range(4):
-            cols = got[:, :, 3 * head: 3 * head + 3]
-            assert np.abs(cols - want[:, head // 2, head % 2]).max() < 1e-12
+            cols = got[:, 3 * head: 3 * head + 3]
+            assert np.abs(cols - want[head // 2, head % 2]).max() < 1e-12
 
     def test_rows_with_nothing_visible_are_exact_zeros(self):
         rng = np.random.default_rng(42)
-        q = parameter(rng.normal(size=(2, 2, 5, 4)))
-        k = parameter(rng.normal(size=(2, 1, 5, 4)))
-        v = parameter(rng.normal(size=(2, 1, 5, 4)))
-        idx, valid = random_index(rng, 2, 1, (2, 0), 5, 2)
+        q = parameter(rng.normal(size=(2, 10, 4)))
+        k = parameter(rng.normal(size=(1, 10, 4)))
+        v = parameter(rng.normal(size=(1, 10, 4)))
+        idx, valid = random_index(rng, 1, (2, 0), 5, 2)
         out = gathered_attention(q, k, v, idx, valid)
         out.sum().backward()
-        empty = ~valid.any(axis=-1)[:, 0]  # (batch, length)
-        assert empty[0, :3].all() and empty[1, 0]
+        empty = ~valid.any(axis=-1)[0]  # (rows,)
+        assert empty[:3].all() and empty[5]
         assert np.all(out.data[empty] == 0.0)
-        assert np.all(q.grad.transpose(0, 2, 1, 3)[empty] == 0.0)
+        assert np.all(q.grad.transpose(1, 0, 2)[empty] == 0.0)
 
     def test_chunks_match_one_chunk(self, monkeypatch):
-        """Five chunks of 5, 5, 5, 5 and 3 query rows give the one-chunk
-        output and query gradient bit for bit, and K/V gradients that
-        differ only by the order of the chunks' sums; row 7, which sees
-        nothing, sits inside the second chunk and stays exact zeros."""
+        """Ten chunks, nine of 5 query rows and one of 1, give the
+        one-chunk output and query gradient bit for bit, and K/V gradients
+        that differ only by the order of the chunks' sums; row 7, which
+        sees nothing, sits inside the second chunk and stays exact zeros."""
         rng = np.random.default_rng(43)
-        b, h, g, length, width, d = 2, 4, 2, 23, 5, 3
-        q = rng.normal(size=(b, h, length, d))
-        k, v = rng.normal(size=(2, b, g, length, d))
-        idx, valid = random_index(rng, b, g, (4, 0), length, width)
-        valid[:, :, 7] = False
+        h, g, length, width, d = 4, 2, 23, 5, 3
+        q = rng.normal(size=(h, 2 * length, d))
+        k, v = rng.normal(size=(2, g, 2 * length, d))
+        idx, valid = random_index(rng, g, (4, 0), length, width)
+        valid[:, 7] = False
         w = rng.normal(size=merged_shape(q))
         whole = attention_and_grads(q, k, v, idx, valid, w)
-        row_bytes = 8 * b * g * width * d
+        row_bytes = 8 * g * width * d
         monkeypatch.setattr(tensor_mod, "CHUNK_BYTES", 5 * row_bytes + row_bytes // 2)
-        assert tensor_mod._chunk_rows(b * g * width * d) == 5
+        assert tensor_mod._chunk_rows(g * width * d) == 5
         chunked = attention_and_grads(q, k, v, idx, valid, w)
         for got, want in zip(chunked[:2], whole[:2]):
             assert np.array_equal(got, want)
         for got, want in zip(chunked[2:], whole[2:]):
             assert np.abs(got - want).max() < 1e-12
         out, dq = chunked[:2]
-        assert np.all(out[:, 7] == 0.0) and np.all(dq[:, :, 7] == 0.0)
-        assert np.any(out[:, 6] != 0.0) and np.any(out[:, 8] != 0.0)
+        assert np.all(out[7] == 0.0) and np.all(dq[:, 7] == 0.0)
+        assert np.any(out[6] != 0.0) and np.any(out[8] != 0.0)
 
     @pytest.mark.parametrize("length,width", [(0, 3), (5, 0)])
     def test_no_query_rows_or_no_slots(self, length, width, monkeypatch):
         """Zero query rows give empty outputs; K = 0 gives exact zeros; both
         give zero K/V gradients, at one chunk and at a chunk per row."""
         rng = np.random.default_rng(44)
-        q = rng.normal(size=(1, 2, length, 4))
-        k, v = rng.normal(size=(2, 1, 1, 5, 4))
-        idx = np.zeros((1, 1, length, width), dtype=np.int64)
+        q = rng.normal(size=(2, length, 4))
+        k, v = rng.normal(size=(2, 1, 5, 4))
+        idx = np.zeros((1, length, width), dtype=np.int64)
         valid = np.ones(idx.shape, dtype=bool)
         for chunked in (False, True):
             if chunked:
@@ -263,37 +266,70 @@ class TestGatheredAttention:
         """Key 5 of 5 on group 0 would be row 0 of group 1 in the flat K/V
         table; it is an error whether or not its slot is valid."""
         rng = np.random.default_rng(45)
-        q = Tensor(rng.normal(size=(1, 4, 3, 2)))
-        k, v = (Tensor(x) for x in rng.normal(size=(2, 1, 2, 5, 2)))
-        idx = np.zeros((1, 2, 3, 2), dtype=np.int64)
+        q = Tensor(rng.normal(size=(4, 3, 2)))
+        k, v = (Tensor(x) for x in rng.normal(size=(2, 2, 5, 2)))
+        idx = np.zeros((2, 3, 2), dtype=np.int64)
         valid = np.ones(idx.shape, dtype=bool)
-        idx[0, 0, 1, 1] = bad
-        valid[0, 0, 1, 1] = slot_valid
+        idx[0, 1, 1] = bad
+        valid[0, 1, 1] = slot_valid
         with pytest.raises(ValueError, match=f"key index {bad} outside"):
             gathered_attention(q, k, v, idx, valid)
 
     def test_heads_must_split_into_groups(self):
         rng = np.random.default_rng(46)
-        q = Tensor(rng.normal(size=(1, 3, 4, 2)))
-        k, v = (Tensor(x) for x in rng.normal(size=(2, 1, 2, 4, 2)))
-        idx = np.zeros((1, 2, 4, 1), dtype=np.int64)
+        q = Tensor(rng.normal(size=(3, 4, 2)))
+        k, v = (Tensor(x) for x in rng.normal(size=(2, 2, 4, 2)))
+        idx = np.zeros((2, 4, 1), dtype=np.int64)
         with pytest.raises(ValueError, match="3 query heads do not split into 2"):
             gathered_attention(q, k, v, idx, np.ones(idx.shape, dtype=bool))
+
+    def test_keys_and_values_must_match(self):
+        """Keys of 6 rows and values of 4: group 1's value rows would be
+        read at the keys' offsets in the flat table, so an index naming
+        v[1, 0] would read v[1, 2]."""
+        rng = np.random.default_rng(50)
+        q = Tensor(rng.normal(size=(4, 3, 2)))
+        k, v = Tensor(rng.normal(size=(2, 6, 2))), Tensor(rng.normal(size=(2, 4, 2)))
+        idx = np.zeros((2, 3, 1), dtype=np.int64)
+        with pytest.raises(ValueError, match="k and v disagree"):
+            gathered_attention(q, k, v, idx, np.ones(idx.shape, dtype=bool))
+
+    def test_index_and_validity_must_match(self):
+        """A validity of one group for an index of two would be
+        broadcast over the groups."""
+        rng = np.random.default_rng(51)
+        q = Tensor(rng.normal(size=(4, 3, 2)))
+        k, v = (Tensor(x) for x in rng.normal(size=(2, 2, 5, 2)))
+        idx = np.zeros((2, 3, 1), dtype=np.int64)
+        with pytest.raises(ValueError, match=r"index \(2, 3, 1\), validity \(1, 3, 1\): not"):
+            gathered_attention(q, k, v, idx, np.ones((1, 3, 1), dtype=bool))
+
+    @pytest.mark.parametrize("shape", [(2, 7, 1), (2, 4, 1), (3, 5, 1), (5, 1)],
+                             ids=["7-rows", "4-rows", "3-groups", "no-group-axis"])
+    def test_index_must_have_a_row_per_query(self, shape):
+        """An index of 7 (or 4) rows for 5 queries, of 3 groups for 2, or
+        without a group axis; 7 rows would be cut to the first 5."""
+        rng = np.random.default_rng(52)
+        q = Tensor(rng.normal(size=(4, 5, 2)))
+        k, v = (Tensor(x) for x in rng.normal(size=(2, 2, 5, 2)))
+        idx = np.zeros(shape, dtype=np.int64)
+        with pytest.raises(ValueError, match=r"index .*: not \(2 or 1, 5, K\)"):
+            gathered_attention(q, k, v, idx, np.ones(shape, dtype=bool))
 
     def test_one_gathered_chunk_alive_at_a_time(self):
         """Forward and backward over 16 chunks of 2 MB gathered K/V peak
         at what the call keeps (softmax weights, output, seed and the
         three gradients: 8.4 MB) plus 4.9 MB, not at the 33.5 MB of one
-        gathered (B, G, L, K, d) block (54.5 MB when the whole block was
+        gathered (G, L, K, d) block (54.5 MB when the whole block was
         gathered)."""
         rng = np.random.default_rng(47)
-        b, h, g, length, width, d = 1, 4, 2, 2048, 64, 16
-        q, k, v = (parameter(rng.normal(size=(b, n, length, d))) for n in (h, g, g))
-        idx = rng.integers(0, length, size=(b, g, length, width))
+        h, g, length, width, d = 4, 2, 2048, 64, 16
+        q, k, v = (parameter(rng.normal(size=(n, length, d))) for n in (h, g, g))
+        idx = rng.integers(0, length, size=(g, length, width))
         valid = rng.random(idx.shape) < 0.9
         w = rng.normal(size=merged_shape(q))
-        assert length == 16 * tensor_mod._chunk_rows(b * g * width * d)
-        kept = (8 * b * g * length * width * (h // g)   # weights
+        assert length == 16 * tensor_mod._chunk_rows(g * width * d)
+        kept = (8 * g * length * width * (h // g)   # weights
                 + 8 * (3 * q.size + k.size + v.size))   # output, seed, gradients
         tracemalloc.start()
         try:
@@ -310,12 +346,12 @@ class TestGatheredAttention:
         chunk buffer, and the output is the grad-enabled call's bit for
         bit, in one chunk, a chunk per row and chunks of 5 rows."""
         rng = np.random.default_rng(48)
-        b, h, length, width, d = 2, 4, 23, 5, 3
-        q = rng.normal(size=(b, h, length, d))
-        k, v = rng.normal(size=(2, b, 2, length, d))
-        idx, valid = random_index(rng, b, groups, (4, 0), length, width)
+        h, length, width, d = 4, 23, 5, 3
+        q = rng.normal(size=(h, 2 * length, d))
+        k, v = rng.normal(size=(2, 2, 2 * length, d))
+        idx, valid = random_index(rng, groups, (4, 0), length, width)
         if chunk_rows:
-            monkeypatch.setattr(tensor_mod, "CHUNK_BYTES", 8 * b * 2 * width * d * chunk_rows)
+            monkeypatch.setattr(tensor_mod, "CHUNK_BYTES", 8 * 2 * width * d * chunk_rows)
         learning = gathered_attention(parameter(q), parameter(k), parameter(v), idx, valid)
         with no_grad():
             frozen = gathered_attention(parameter(q), parameter(k), parameter(v), idx, valid)
@@ -331,11 +367,11 @@ class TestGatheredAttention:
         every row's softmax weights (4.2 MB) and key rows (2.1 MB) took
         9.7 MB."""
         rng = np.random.default_rng(49)
-        b, h, g, length, width, d = 1, 4, 2, 2048, 64, 16
-        q, k, v = (Tensor(rng.normal(size=(b, n, length, d))) for n in (h, g, g))
-        idx = rng.integers(0, length, size=(b, g, length, width))
+        h, g, length, width, d = 4, 2, 2048, 64, 16
+        q, k, v = (Tensor(rng.normal(size=(n, length, d))) for n in (h, g, g))
+        idx = rng.integers(0, length, size=(g, length, width))
         valid = rng.random(idx.shape) < 0.9
-        assert length == 16 * tensor_mod._chunk_rows(b * g * width * d)
+        assert length == 16 * tensor_mod._chunk_rows(g * width * d)
         tracemalloc.start()
         try:
             with no_grad():
@@ -346,12 +382,12 @@ class TestGatheredAttention:
         assert peak < 8 * q.size + 3 * tensor_mod.CHUNK_BYTES // 2, peak
 
     def test_index_mask(self):
-        idx = np.array([[[[0, 0], [0, 1], [2, 0]]]])
-        valid = np.array([[[[False, False], [True, True], [True, False]]]])
+        idx = np.array([[[0, 0], [0, 1], [2, 0]]])
+        valid = np.array([[[False, False], [True, True], [True, False]]])
         mask = index_mask(idx, valid, 3)
-        assert mask.shape == (1, 1, 1, 3, 3)
-        assert mask[0, 0, 0].tolist() == [[False, False, False], [True, True, False],
-                                          [False, False, True]]
+        assert mask.shape == (1, 1, 3, 3)
+        assert mask[0, 0].tolist() == [[False, False, False], [True, True, False],
+                                       [False, False, True]]
 
 
 @settings(max_examples=150, deadline=None)
@@ -364,17 +400,17 @@ def test_row_softmax_ops_share_one_contract(groups, hpg, length, lk, slots, seed
     another shows. With NaN, +inf and -inf placed among finite logits (in
     ``masked_softmax``'s logits, and in the q and k that attention's come
     from), random masks, rows with nothing visible, and K = 0:
-    ``gathered_attention`` equals ``grouped_attention`` under
-    ``index_mask`` of the same index, NaN in the same places; and a
-    ``masked_softmax`` row sums to 1, is all zeros (nothing finite
+    ``gathered_attention`` equals ``grouped_attention`` (on a batch of
+    one) under ``index_mask`` of the same index, NaN in the same places;
+    and a ``masked_softmax`` row sums to 1, is all zeros (nothing finite
     visible), or, with a visible NaN, is NaN throughout."""
     rng = np.random.default_rng(seed)
     slots = min(slots, lk)
     h, d = groups * hpg, 2
-    q = rng.normal(size=(1, h, length, d))
-    k, v = rng.normal(size=(2, 1, groups, lk, d))
+    q = rng.normal(size=(h, length, d))
+    k, v = rng.normal(size=(2, groups, lk, d))
     idx = np.stack([rng.permutation(lk)[:slots] for _ in range(groups * length)])
-    idx = idx.reshape(1, groups, length, slots)
+    idx = idx.reshape(groups, length, slots)
     valid = rng.random(idx.shape) < 0.7
     valid[..., rng.random(length) < 0.2, :] = False      # queries with nothing visible
     x = rng.normal(scale=3.0, size=(6, lk))
@@ -389,8 +425,8 @@ def test_row_softmax_ops_share_one_contract(groups, hpg, length, lk, slots, seed
     cfg = AttentionConfig(heads=h, kv_groups=groups, d_head=d)
     with np.errstate(invalid="ignore"):   # inf - inf and 0 * inf are the point
         got = gathered_attention(Tensor(q), Tensor(k), Tensor(v), idx, valid).data
-        want = grouped_attention(Tensor(q), Tensor(k), Tensor(v), cfg,
-                                 index_mask(idx, valid, lk)).data
+        want = grouped_attention(Tensor(q[None]), Tensor(k[None]), Tensor(v[None]), cfg,
+                                 index_mask(idx, valid, lk)).data[0]
         p = masked_softmax(Tensor(x), mask).data
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12, equal_nan=True)
     visible_nan = (mask & np.isnan(x)).any(axis=-1)
