@@ -4,8 +4,10 @@
 totals with a category-sum convention (compressed keys + selected
 positions + window + one-sided power positions + last block, no
 deduplication across categories). That convention was reverse-engineered
-from the published totals, so the honest deduplicated union of the last
-query's actually visible positions is always reported alongside it.
+from the published totals, so a deduplicated count (``dedup_union``) is
+reported alongside it. It takes the top_k most recent blocks in place of
+the real selection, so it under-counts: 196 at L = 2048, where the
+model's indices touch up to 207.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ class SparsityReport:
     power: int
     last_block: int
     total: int            # category sum (no cross-category dedup)
-    dedup_union: int      # union of the last query's visible positions + compressed keys
+    dedup_union: int      # last query's union with a stand-in selection: an under-count
     reduction: float      # 1 - total / length
     flops_dense: int
     flops_blossom: int

@@ -84,14 +84,15 @@ def apply_rope(x: Tensor, w: Tensor, heads: int, positions: np.ndarray,
     (``tensor.rope``) that keeps no pre-rotation projection.
 
     x: (..., L, d_in) rows; w: (d_in, heads * d_head); positions: int
-    array of shape (L,), one per row. Returns (..., heads, L, d_head).
+    array of shape (L,), one per row. Returns (..., L, heads, d_head).
     """
     if w.shape[-1] != heads * cache.d_head:
         raise ConfigError(f"rope cache built for d_head={cache.d_head}, a weight of width "
                           f"{w.shape[-1]} does not split into {heads} such heads")
     positions = np.asarray(positions, dtype=np.int64)
-    if positions.ndim != 1:
-        raise ConfigError(f"rope positions must be 1-D, one per row; got shape {positions.shape}")
+    if positions.shape != x.shape[-2:-1]:
+        raise ConfigError(f"rope positions must be 1-D, one per row of {x.shape[-2]}; "
+                          f"got shape {positions.shape}")
     if positions.max(initial=0) >= cache.max_len:
         raise ConfigError(f"position {positions.max()} exceeds rope cache length {cache.max_len}")
-    return rope(x, w, heads, cache.cos[positions], cache.sin[positions], cache.rotate)
+    return rope(x, w, heads, cache.cos[positions, None], cache.sin[positions, None], cache.rotate)

@@ -12,7 +12,8 @@ the ``cu_seqlens`` layout of varlen attention kernels. ``data.SeqBatch``
 builds batches in that layout, so there is no padding to skip.
 ``data.SeqContext`` holds each segment's start and length and each row's
 position within its segment. Dropout draws its keep-mask over the
-stream's rows.
+stream's rows. Q, K and V stay rows first, (N, heads or kv_groups,
+d_head), from projection to gather, as varlen kernels take them.
 
 Each pathway reduces to an attention index over stream rows: K key rows
 per query (``ltis.ltis_index``, ``stis.stis_index``), built once per
@@ -64,16 +65,7 @@ __all__ = [
     "encoder_layer",
     "encode",
     "dense_causal_gqa",
-    "split_heads",
 ]
-
-
-def split_heads(x: Tensor, num: int) -> Tensor:
-    """(N, num*d) -> (num, N, d)."""
-    length, total = x.shape
-    if total % num != 0:
-        raise ConfigError(f"cannot split width {total} into {num} heads")
-    return transpose(reshape(x, (length, num, total // num)), (1, 0, 2))
 
 
 def grouped_attention(q: Tensor, k: Tensor, v: Tensor, cfg: AttentionConfig,
@@ -201,7 +193,7 @@ def encoder_layer(h_prev: Tensor, params: BlossomLayerParams, cfg: AttentionConf
     h_q = h_prev if rows is None else take_rows(h_prev, q_rows)
     q = apply_rope(h_q, params.w_q, cfg.heads, ctx.positions[q_rows], rope)
     k = apply_rope(h_prev, params.w_k, cfg.kv_groups, ctx.positions, rope)
-    v = split_heads(matmul(h_prev, params.w_v), cfg.kv_groups)
+    v = reshape(matmul(h_prev, params.w_v), (h_prev.shape[0], cfg.kv_groups, cfg.d_head))
 
     o_ltis = o_stis = None
     if pathway in ("both", "ltis"):

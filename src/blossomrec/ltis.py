@@ -1,8 +1,8 @@
 """Long-term interest pathway: compress key blocks, score them against each
 query, and let attention see only the top-k selection blocks.
 
-``ltis_index`` runs the whole pipeline on a packed stream in one pass,
-with no loop over segments, all KV groups at once:
+``ltis_index`` runs the whole pipeline on a packed stream, rows first, in
+one pass, with no loop over segments, all KV groups at once:
 
   1. cut every segment's keys into overlapping compression blocks (size
      block_size, stride ``stride``), back to back; a segment shorter than
@@ -134,9 +134,9 @@ def ltis_index(q_data: np.ndarray, k_data: np.ndarray, ctx: SeqContext, q_rows: 
     """Run the whole selection pipeline on a packed stream and return the
     rows each query attends.
 
-    k_data: (kv_groups, N, d_head) is the stream ``ctx`` describes: one
+    k_data: (N, kv_groups, d_head) is the stream ``ctx`` describes: one
     segment per sequence, back to back, each sequence's rows oldest first.
-    q_data: (heads, Nq, d_head) holds the queries of the stream rows
+    q_data: (Nq, heads, d_head) holds the queries of the stream rows
     ``q_rows``, in stream order (``ctx.query_rows``). Both are plain
     arrays: selection carries no gradient. Returns int32 stream rows and
     their validity, each (kv_groups, Nq, K) with K = top_k *
@@ -157,8 +157,8 @@ def ltis_index(q_data: np.ndarray, k_data: np.ndarray, ctx: SeqContext, q_rows: 
     if longest > cap:
         seg = np.arange(len(lengths)).repeat(lengths)[q_rows]    # each query's segment
         scored = (lengths[seg] > cap).nonzero()[0]
-        heads = q_data.reshape(cfg.kv_groups, cfg.heads_per_group, -1, cfg.d_head)
-        q = np.take(heads.swapaxes(1, 2), scored, axis=1)     # (g, R, hpg, d_head)
+        heads = q_data.reshape(-1, cfg.kv_groups, cfg.heads_per_group, cfg.d_head)
+        q = np.take(heads.swapaxes(0, 1), scored, axis=1)     # (g, R, hpg, d_head)
         blocks = np.empty((cfg.kv_groups, len(t), cfg.top_k), dtype=np.int32)
         blocks[:] = np.arange(cfg.top_k)
         blocks[:, scored] = _top_blocks(q, k_data, ctx, seg[scored], t[scored], cfg, phi_key)
@@ -177,7 +177,7 @@ def _top_blocks(q: np.ndarray, k: np.ndarray, ctx: SeqContext, seg: np.ndarray, 
     """Steps 1-6 for the queries of many segments at once: R queries
     (kv_groups, R, heads_per_group, d_head) of segments ``seg`` (in
     stream order) at positions ``t`` (R, 1), over the stream keys k
-    (kv_groups, N, d_head) that ``ctx`` describes. Every segment longer
+    (N, kv_groups, d_head) that ``ctx`` describes. Every segment longer
     than top_k selection blocks must have a query. Returns the chosen
     blocks, (kv_groups, R, top_k), ascending; a row with fewer than top_k
     started blocks fills its last slots with a block past every segment's
@@ -204,7 +204,7 @@ def _top_blocks(q: np.ndarray, k: np.ndarray, ctx: SeqContext, seg: np.ndarray, 
     first = (np.arange(num_cmp.sum()) - offset[owner]) * cfg.stride + shift[owner]
     at = first[:, None] + np.arange(cfg.block_size)    # (blocks, block_size) positions
     inside = at >= 0
-    blocks = np.take(k, np.where(inside, starts[owner, None] + at, 0), axis=1)
+    blocks = np.take(k.swapaxes(0, 1), np.where(inside, starts[owner, None] + at, 0), axis=1)
     cmp_keys = phi_key.apply_stack(np.where(inside[..., None], blocks, 0.0))
     block = np.arange(num_cmp.max())
     own = offset[:, None] + np.minimum(block, num_cmp[:, None] - 1)     # (S, M)
@@ -242,9 +242,10 @@ def build_ltis_masks(q_data: np.ndarray, k_data: np.ndarray, lengths: np.ndarray
 
     k_data (B, kv_groups, L, d_head) holds each sequence's keys in its
     last ``lengths[b]`` slots, and q_data (B, heads, Lq, d_head) the
-    queries of the last Lq slots. Each sequence runs alone as a stream of
-    one segment, and its index (``index_mask``) fills the bottom-right
-    corner of its mask; padding slots are neither queries nor keys.
+    queries of the last Lq slots, heads first. Each runs alone, rows
+    first, as a stream of one segment, and its index (``index_mask``)
+    fills its mask's bottom-right corner; padding slots are neither
+    queries nor keys.
     """
     rows, width = q_data.shape[2], k_data.shape[2]
     out = np.zeros((len(lengths), cfg.kv_groups, 1, rows, width), dtype=bool)
@@ -252,7 +253,7 @@ def build_ltis_masks(q_data: np.ndarray, k_data: np.ndarray, lengths: np.ndarray
         ctx = SeqContext.from_lengths([n])
         queries = ctx.query_rows(rows)
         first = rows - len(queries)          # the sequence's first query slot
-        index = ltis_index(q_data[b, :, first:], k_data[b, :, width - n:], ctx, queries, cfg,
-                           phi_key)
+        index = ltis_index(q_data[b, :, first:].swapaxes(0, 1),
+                           k_data[b, :, width - n:].swapaxes(0, 1), ctx, queries, cfg, phi_key)
         out[b, :, :, first:, width - n:] = index_mask(*index, n)
     return out

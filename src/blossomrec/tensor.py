@@ -51,13 +51,13 @@ Design points:
   * the two large ops work through their rows in chunks of about
     ``CHUNK_BYTES`` (2 MB) of the block they form per row, and keep for
     backward only what is small next to what they compute.
-    ``gathered_attention`` forms the gathered K or V of a chunk of query
-    rows at a time, writes its output with the heads already merged, and
-    keeps its softmax weights and key index (none under ``no_grad``; the
-    index as it is handed in, which both index builders make int32); its
-    backward gathers each chunk's V and then K
-    again and scatters the K/V gradients with one ``np.bincount`` per
-    contiguous feature column.
+    ``gathered_attention`` gathers from rows-first K and V viewed as one
+    table of rows, forms the gathered K or V of a chunk of query rows at
+    a time, writes its output with the heads already merged, and keeps
+    its softmax weights and key index (none under ``no_grad``; the index
+    as it is handed in, which both index builders make int32); its
+    backward gathers each chunk's V and then K again and scatters the K/V
+    gradients with one ``np.bincount`` per contiguous feature column.
     ``linear_cross_entropy`` forms a chunk of logits at a time and keeps
     none. Its output is a scalar, so its gradients are fixed up to the
     upstream seed: the forward forms them from each chunk of logits while
@@ -476,7 +476,7 @@ def masked_softmax(logits, mask: Array) -> Tensor:
 def gathered_attention(q, k, v, idx: Array, valid: Array) -> Tensor:
     """Grouped attention of each query over its own gathered key slots.
 
-    q: (heads, L, d); k, v: (groups, Lk, d), with the heads of a group
+    q: (L, heads, d); k, v: (Lk, groups, d), with the heads of a group
     consecutive and sharing its K/V. ``idx`` (int, key positions in
     [0, Lk)) and ``valid`` (bool) are (groups or 1, L, K): slot s of
     query i holds key ``idx[..., i, s]`` when ``valid[..., i, s]``; a
@@ -487,9 +487,9 @@ def gathered_attention(q, k, v, idx: Array, valid: Array) -> Tensor:
     Returns the heads merged, (L, heads * d) with head j's output in
     columns j*d to (j+1)*d, the layout ``fusion.grouped_attention``
     returns; it equals scaled dot-product attention under
-    ``index_mask(idx, valid, Lk)`` at O(L * K * d) cost.
-    Shapes that disagree (k, v; idx, valid, (groups or 1, L, K)), any key
-    index outside [0, Lk) and heads not split into groups are ValueErrors.
+    ``index_mask(idx, valid, Lk)`` at O(L * K * d) cost. Shapes that
+    disagree (k, v; q's and k's widths; idx, valid, (groups or 1, L, K)),
+    keys outside [0, Lk) and heads not split into groups are ValueErrors.
 
     The query rows are worked through in chunks whose gathered
     (G, rows, K, d) block is about ``CHUNK_BYTES`` (at least one row),
@@ -507,10 +507,12 @@ def gathered_attention(q, k, v, idx: Array, valid: Array) -> Tensor:
     reads one contiguous column.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    h, length, d = q.shape
-    g, lk, _ = k.shape
+    length, h, d = q.shape
+    lk, g, dk = k.shape
     if k.shape != v.shape:
         raise ValueError(f"k and v disagree: {k.shape} vs {v.shape}")
+    if dk != d:
+        raise ValueError(f"query heads of width {d}, K/V heads of width {dk}")
     if h % g:
         raise ValueError(f"{h} query heads do not split into {g} K/V groups")
     idx = np.asarray(idx)
@@ -523,22 +525,22 @@ def gathered_attention(q, k, v, idx: Array, valid: Array) -> Tensor:
     hpg, slots = h // g, idx.shape[-1]
     step = _chunk_rows(g * slots * d)
     chunks = [(lo, min(lo + step, length)) for lo in range(0, length, step)]
-    offsets = (np.arange(g) * lk).reshape(g, 1, 1)
+    group = np.arange(g).reshape(g, 1, 1)
 
     def key_rows(lo: int, hi: int) -> Array:
-        """Query rows lo:hi's key rows of k.reshape(-1, d), flat in (G, rows, K) order."""
-        return (idx[:, lo:hi] + offsets).reshape(-1)
+        """Query rows lo:hi's key rows of k.reshape(-1, d) (a view for row-major K), where
+        key i of group j is row i * g + j, flat in (G, rows, K) order."""
+        return (idx[:, lo:hi] * g + group).reshape(-1)
 
     def gather(table: Array, r: Array, n: int) -> Array:
         return np.take(table, r, axis=0).reshape(g, n, slots, d)
 
-    def merged(x: Array, rows: slice) -> Array:
-        """Rows of an (L, heads * d) array as (g, rows, hpg, d)."""
-        return x.reshape(length, g, hpg, d)[rows].transpose(1, 0, 2, 3)
+    def merged(x: Array, lo: int, hi: int) -> Array:
+        """Rows lo:hi of an (L, heads, d) or (L, heads * d) array as (g, rows, hpg, d)."""
+        return x.reshape(length, g, hpg, d)[lo:hi].transpose(1, 0, 2, 3)
 
     scale = 1.0 / np.sqrt(d)
     qd, kd, vd = q.data, k.data, v.data   # the arrays backward gathers from again
-    qh = qd.reshape(g, hpg, length, d).transpose(0, 2, 1, 3)   # (g, L, hpg, d)
     # With a gradient to come, the softmax weights of every row stay for
     # backward; without one, each chunk's go into one reused buffer.
     learn = _grad_enabled() and (q.requires_grad or k.requires_grad or v.requires_grad)
@@ -549,36 +551,36 @@ def gathered_attention(q, k, v, idx: Array, valid: Array) -> Tensor:
     for lo, hi in chunks:
         r = key_rows(lo, hi)
         pc = p[:, lo:hi] if learn else buf[: r.size * hpg].reshape(g, hi - lo, hpg, slots)
-        np.matmul(qh[:, lo:hi], gather(kf, r, hi - lo).swapaxes(-1, -2), out=pc)
+        np.matmul(merged(qd, lo, hi), gather(kf, r, hi - lo).swapaxes(-1, -2), out=pc)
         pc *= scale
         _, s = _exp_shifted(pc, ~valid[:, lo:hi, None, :])
         np.divide(pc, s, out=pc, where=s > 0)
-        np.matmul(pc, gather(vf, r, hi - lo), out=merged(out, slice(lo, hi)))
+        np.matmul(pc, gather(vf, r, hi - lo), out=merged(out, lo, hi))
 
     def backward(grad: Array) -> None:
         kf, vf = kd.reshape(-1, d), vd.reshape(-1, d)
-        dq = np.empty((g, hpg, length, d)) if q.requires_grad else None
-        dk, dv = (np.zeros((d, g * lk)) if t.requires_grad else None for t in (k, v))
+        dq = np.empty((length, h, d)) if q.requires_grad else None
+        dk, dv = (np.zeros((d, lk * g)) if t.requires_grad else None for t in (k, v))
         terms = np.empty(d * g * min(step, length) * slots)
         for lo, hi in chunks:
             r = key_rows(lo, hi)
-            pc, goc = p[:, lo:hi], merged(grad, slice(lo, hi))
+            pc, goc = p[:, lo:hi], merged(grad, lo, hi)
             ds = goc @ gather(vf, r, hi - lo).swapaxes(-1, -2)
             ds -= (ds * pc).sum(axis=-1, keepdims=True)
             ds *= pc
             ds *= scale
             if dq is not None:
-                np.matmul(ds, gather(kf, r, hi - lo), out=dq[:, :, lo:hi].transpose(0, 2, 1, 3))
+                np.matmul(ds, gather(kf, r, hi - lo), out=merged(dq, lo, hi))
             cols = terms[: d * r.size].reshape(d, g, hi - lo, slots)
-            for acc, left, right in ((dv, goc, pc), (dk, qh[:, lo:hi], ds)):
+            for acc, left, right in ((dv, goc, pc), (dk, merged(qd, lo, hi), ds)):
                 if acc is not None:
                     np.matmul(left.swapaxes(-1, -2), right, out=cols.transpose(1, 2, 0, 3))
                     _scatter_add(acc, r, cols.reshape(d, -1))
         if dq is not None:
-            _accumulate(q, dq.reshape(h, length, d))
+            _accumulate(q, dq)
         for t, acc in ((k, dk), (v, dv)):
             if acc is not None:
-                _accumulate(t, np.ascontiguousarray(acc.T).reshape(g, lk, d))
+                _accumulate(t, np.ascontiguousarray(acc.T).reshape(lk, g, d))
 
     return _make(out, (q, k, v), backward)
 
@@ -812,8 +814,8 @@ def sigmoid_gate(a, b, w, bias) -> tuple[Tensor, Array]:
 def rope(x, w, heads: int, cos: Array, sin: Array, rotate: Array) -> Tensor:
     """The head projection and rotary encoding as one op: ``x @ w`` split
     into ``heads`` heads, then ``y * cos + (y @ rotate) * sin`` on each
-    head's rows ``y``. ``x`` is (..., L, d_in) and ``w`` (d_in, heads *
-    d); the output is (..., heads, L, d). The angle tables ``cos`` and
+    head's vectors ``y``. ``x`` is (..., L, d_in) and ``w`` (d_in, heads *
+    d); the output is (..., L, heads, d). The angle tables ``cos`` and
     ``sin`` broadcast to it and, with the (d, d) ``rotate``, are constants
     that get no gradient. It keeps only its inputs for backward, not the
     projection, and forms its output with the expressions, in the order,
@@ -821,12 +823,12 @@ def rope(x, w, heads: int, cos: Array, sin: Array, rotate: Array) -> Tensor:
     x, w = _as_tensor(x), _as_tensor(w)
     y = x.data @ w.data
     shape = y.shape
-    y = y.reshape(shape[:-1] + (heads, shape[-1] // heads)).swapaxes(-2, -3)
+    y = y.reshape(shape[:-1] + (heads, shape[-1] // heads))
     out = y * cos
     out += (y @ rotate) * sin
 
     def backward(g: Array) -> None:
-        dy = (g * cos + (g * sin) @ rotate.T).swapaxes(-2, -3).reshape(shape)
+        dy = (g * cos + (g * sin) @ rotate.T).reshape(shape)
         _accumulate(x, _affine_grads(x.data, w, None, dy, x.requires_grad))
 
     return _make(out, (x, w), backward)

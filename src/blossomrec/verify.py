@@ -81,7 +81,7 @@ def dense_equivalence_error(seeds: range, lengths: tuple[int, ...]) -> float:
             fused = gated_fuse(*stream, *gate)[0].data
             for n, start in zip(lengths, ctx.starts):
                 rows = slice(start, start + n)
-                oracle = dense_causal_gqa(q[:, rows], k[:, rows], v[:, rows], cfg)
+                oracle = dense_causal_gqa(*(x[rows].swapaxes(0, 1) for x in (q, k, v)), cfg)
                 errors.append(np.abs(fused[rows] - oracle).max(initial=0.0))
     return float(np.max(errors))
 
@@ -95,10 +95,10 @@ SPARSE_CFG = AttentionConfig(block_size=12, stride=2, sel_block_size=4, top_k=2,
 
 def _stream_batch(rng: np.random.Generator, lengths: tuple[int, ...], cfg: AttentionConfig):
     """Random q, k, v for one packed stream of segments of ``lengths``,
-    and its geometry: each segment's neighbours hold values like any
-    other, which a query must never see."""
+    rows first (drawn heads first), and its geometry: each segment's
+    neighbours hold values like any other, which a query must never see."""
     total = sum(lengths)
-    q, k, v = (rng.normal(size=(n, total, cfg.d_head))
+    q, k, v = (rng.normal(size=(n, total, cfg.d_head)).swapaxes(0, 1)
                for n in (cfg.heads, cfg.kv_groups, cfg.kv_groups))
     return q, k, v, SeqContext.from_lengths(np.array(lengths))
 
@@ -163,7 +163,8 @@ def ltis_selection_error(seeds: range, lengths: tuple[int, ...]) -> int:
             rows = slice(start, start + n)
             outside = valid[:, rows] & ((idx[:, rows] < start) | (idx[:, rows] >= start + n))
             bad += int(outside.any(axis=-1).sum())
-            want = _naive_selection(q[:, rows], k[:, rows], phi, cfg) if n else []
+            want = (_naive_selection(q[rows].swapaxes(0, 1), k[rows].swapaxes(0, 1), phi, cfg)
+                    if n else [])
             for g in range(cfg.kv_groups):
                 for t in range(n):
                     got = set(((idx[g, start + t][valid[g, start + t]] - start)
@@ -187,10 +188,10 @@ def gathered_equivalence_error(seeds: range, lengths: tuple[int, ...]) -> float:
     for seed in seeds:
         rng = np.random.default_rng(seed)
         q, k, v, ctx = _stream_batch(rng, lengths, cfg)
-        total, every_row = q.shape[1], ctx.query_rows(None)
+        total, every_row = len(q), ctx.query_rows(None)
         phi = CompressionMLP(cfg.block_size, cfg.d_head, rng)
         # one weight per output entry, drawn head-major, as the merged (total, heads * d) output
-        w = rng.normal(size=q.shape).transpose(1, 0, 2).reshape(total, -1)
+        w = rng.normal(size=(cfg.heads, total, cfg.d_head)).transpose(1, 0, 2).reshape(total, -1)
         for idx, valid in (ltis_index(q, k, ctx, every_row, cfg, phi),
                            stis_index(ctx, every_row, cfg)):
             runs = []
@@ -198,8 +199,10 @@ def gathered_equivalence_error(seeds: range, lengths: tuple[int, ...]) -> float:
                 qt, kt, vt = parameter(q.copy()), parameter(k.copy()), parameter(v.copy())
                 if gather:
                     out = gathered_attention(qt, kt, vt, idx, valid)
-                else:   # on the stream as a batch of one
-                    out = grouped_attention(*(t.reshape((1,) + t.shape) for t in (qt, kt, vt)), cfg,
+                else:   # on the stream as a batch of one, heads first
+                    heads_first = (t.transpose(1, 0, 2).reshape(1, -1, total, cfg.d_head)
+                                   for t in (qt, kt, vt))
+                    out = grouped_attention(*heads_first, cfg,
                                             index_mask(idx, valid, total)).reshape(w.shape)
                 out.backward(w)
                 runs.append([out.data, qt.grad, kt.grad, vt.grad])

@@ -54,22 +54,24 @@ def chain_gate(a, b, w, bias):
 
 def chain_rope(x, w, heads, cos, sin, rotate):
     """``rope``: the projection, the split of its columns into ``heads``
-    heads, then the rotation's two products, its matmul and its sum."""
+    heads (rows first), then the rotation's two products, its matmul and
+    its sum."""
     y = x @ w
-    y = y.reshape(y.shape[:-1] + (heads, y.shape[-1] // heads)).swapaxes(-2, -3)
+    y = y.reshape(y.shape[:-1] + (heads, y.shape[-1] // heads))
     return y * cos + (y @ rotate) * sin
 
 
 def chain_gathered_attention(q, k, v, idx, valid):
     """``gathered_attention``'s forward in one chunk: each query's K and V
     rows gathered by ``idx``, the scaled logits, the softmax over the
-    valid slots (a row with none is zeros), and the heads merged. The
+    valid slots (a row with none is zeros), and the heads merged; q is
+    (n, heads, d) and k, v (Lk, groups, d), rows first. The
     softmax subtracts the row max of the logits' real part, so the chain
     stays analytic."""
-    h, n, d = q.shape
-    g = k.shape[0]
-    at = np.arange(g)[:, None, None], idx
-    x = q.reshape(g, h // g, n, d).transpose(0, 2, 1, 3) @ k[at].swapaxes(-1, -2)
+    n, h, d = q.shape
+    g = k.shape[1]
+    at = idx, np.arange(g)[:, None, None]
+    x = q.reshape(n, g, h // g, d).transpose(1, 0, 2, 3) @ k[at].swapaxes(-1, -2)
     x *= 1.0 / np.sqrt(d)
     x = np.where(valid[:, :, None], x, -np.inf)
     e = np.exp(x - x.real.max(axis=-1, keepdims=True, initial=tensor_mod._LOWEST))

@@ -59,7 +59,7 @@ def rotate(x, positions, cache):
     """``apply_rope`` of (..., L, d_head) rows on their own: one head
     through an identity projection, which passes them through exactly."""
     eye = Tensor(np.eye(cache.d_head))
-    return apply_rope(x, eye, 1, positions, cache)[..., 0, :, :]
+    return apply_rope(x, eye, 1, positions, cache)[..., 0, :]
 
 
 class TestRope:
@@ -121,12 +121,20 @@ class TestRope:
         assert np.array_equal(x.grad, half_split(seed, -sin))
 
     def test_positions_must_be_one_dimensional(self):
-        """A (B, L) position array would broadcast over the heads axis of a
-        (B, heads, L, d) output when B equals the head count."""
+        """A (B, L) position array, one row per sequence of a padded batch,
+        is refused: positions are one per row of a stream."""
         cache = RoPECache(d_head=4, max_len=32)
         x, w = Tensor(np.zeros((2, 5, 8))), Tensor(np.zeros((8, 8)))
         with pytest.raises(ConfigError, match="1-D"):
             apply_rope(x, w, 2, np.zeros((2, 5), dtype=np.int64), cache)
+
+    def test_positions_must_match_rows(self):
+        """One position for 5 rows would broadcast, rotating every row by
+        position 3."""
+        cache = RoPECache(d_head=4, max_len=32)
+        x, w = Tensor(np.zeros((5, 8))), Tensor(np.zeros((8, 8)))
+        with pytest.raises(ConfigError, match=r"one per row of 5; got shape \(1,\)"):
+            apply_rope(x, w, 2, np.array([3]), cache)
 
     def test_weight_must_split_into_cached_heads(self):
         cache = RoPECache(d_head=4, max_len=32)

@@ -15,7 +15,6 @@ from blossomrec.fusion import (
     encoder_layer,
     gated_fuse,
     grouped_attention,
-    split_heads,
 )
 from blossomrec.gradcheck import grad_check
 from blossomrec.ltis import CompressionMLP, build_ltis_masks, ltis_index
@@ -304,18 +303,16 @@ class TestPackedStream:
 
 def chain_qkv(p, cfg, ctx, rope, q_rows):
     """The layer's rotated queries (of the stream rows ``q_rows``),
-    rotated keys and values, in numpy from the arrays ``p`` by name."""
-    def heads(x, num):
-        n, total = x.shape
-        return x.reshape(n, num, total // num).transpose(1, 0, 2)
-
+    rotated keys and values, in numpy from the arrays ``p`` by name, rows
+    first: (rows, heads or groups, d_head)."""
     def rotate(x, w, num, positions):
-        return chain_rope(x, w, num, rope.cos[positions], rope.sin[positions], rope.rotate)
+        return chain_rope(x, w, num, rope.cos[positions, None], rope.sin[positions, None],
+                          rope.rotate)
 
     h = p["h"]
     return (rotate(h[q_rows], p["w_q"], cfg.heads, ctx.positions[q_rows]),
             rotate(h, p["w_k"], cfg.kv_groups, ctx.positions),
-            heads(h @ p["w_v"], cfg.kv_groups))
+            (h @ p["w_v"]).reshape(len(h), cfg.kv_groups, -1))
 
 
 def chain_layer(p, cfg, ctx, rope, rows, indices, keeps, rate):
@@ -445,10 +442,12 @@ class TestDenseReference:
 
 def dense_attend(cfg):
     """``fusion._attend`` as ``grouped_attention`` under the index as a
-    dense mask (``index_mask``), on the stream as a batch of one."""
+    dense mask (``index_mask``), on the stream as a batch of one with its
+    heads first."""
     def masked(q, k, v, index, w_o):
-        batch = [t.reshape((1,) + t.shape) for t in (q, k, v)]
-        out = grouped_attention(*batch, cfg, index_mask(*index, k.shape[1]))
+        batch = [t.transpose(1, 0, 2).reshape((1, t.shape[1], t.shape[0], t.shape[2]))
+                 for t in (q, k, v)]
+        out = grouped_attention(*batch, cfg, index_mask(*index, k.shape[0]))
         return matmul(out.reshape(out.shape[1:]), w_o)
 
     return masked
@@ -580,10 +579,3 @@ class TestFullDensityCollapse:
             oracle = dense_causal_gqa(q[0], k[0], v[0], cfg)
             assert np.abs(fused.data[0] - oracle).max() < 1e-8
 
-
-def test_split_heads_round_trip():
-    rng = np.random.default_rng(15)
-    x = rng.normal(size=(5, 12))
-    split = split_heads(Tensor(x), 3)
-    assert split.shape == (3, 5, 4)
-    assert np.array_equal(split.data[1], x[:, 4:8])

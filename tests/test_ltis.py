@@ -56,9 +56,9 @@ class LastKey:
 
 
 def one_segment(q, k, cfg, phi, rows=None):
-    """``ltis_index`` of a stream holding one segment: q (heads, m, d) its
-    last m queries, k (kv_groups, n, d) its keys."""
-    ctx = SeqContext.from_lengths(np.array([k.shape[1]]))
+    """``ltis_index`` of a stream holding one segment: q (m, heads, d) its
+    last m queries, k (n, kv_groups, d) its keys."""
+    ctx = SeqContext.from_lengths(np.array([len(k)]))
     return ltis_index(q, k, ctx, ctx.query_rows(rows), cfg, phi)
 
 
@@ -71,11 +71,12 @@ def picked_blocks(idx, valid, cfg):
 
 def compression_io(k, cfg, phi):
     """The key blocks ``ltis_index`` hands to ``phi.apply_stack`` for one
-    segment of keys (kv_groups, n, d), and the compressed keys it gets back."""
+    segment of keys (n, kv_groups, d), group by group (kv_groups, M,
+    block_size, d), and the compressed keys it gets back."""
     seen = []
     spy = SimpleNamespace(apply_stack=lambda blocks: seen.append((blocks, phi.apply_stack(blocks)))
                           or seen[-1][1])
-    one_segment(np.zeros((cfg.heads, k.shape[1], cfg.d_head)), k, cfg, spy)
+    one_segment(np.zeros((len(k), cfg.heads, cfg.d_head)), k, cfg, spy)
     (blocks, out), = seen
     return blocks, out
 
@@ -97,17 +98,17 @@ def captured_scores(monkeypatch, q, k, cfg, phi, rows=None):
 def unit_keys(scales):
     """For ``point_cfg``: keys scales[i] * e_0, and the query e_0 at every
     position."""
-    k = np.zeros((1, len(scales), 2))
-    k[0, :, 0] = scales
-    q = np.zeros((1, len(scales), 2))
-    q[0, :, 0] = 1.0
+    k = np.zeros((len(scales), 1, 2))
+    k[:, 0, 0] = scales
+    q = np.zeros((len(scales), 1, 2))
+    q[:, 0, 0] = 1.0
     return q, k
 
 
 class TestSplitBlocks:
     def test_block_count_200(self):
         phi = CompressionMLP(32, 16, np.random.default_rng(0))
-        blocks, _ = compression_io(np.zeros((2, 200, 16)), PAPER, phi)
+        blocks, _ = compression_io(np.zeros((200, 2, 16)), PAPER, phi)
         assert blocks.shape == (2, 11, 32, 16)
 
     def test_block_count_2048(self):
@@ -115,16 +116,16 @@ class TestSplitBlocks:
 
     def test_single_block_boundary(self):
         cfg = dataclasses.replace(PAPER, top_k=1)  # 32 keys are scored at top-1
-        keys = np.arange(2 * 32 * 16, dtype=float).reshape(2, 32, 16)
+        keys = np.arange(32 * 2 * 16, dtype=float).reshape(32, 2, 16)
         blocks, _ = compression_io(keys, cfg, CompressionMLP(32, 16, np.random.default_rng(0)))
         assert blocks.shape == (2, 1, 32, 16)
-        assert np.array_equal(blocks[:, 0], keys)
+        assert np.array_equal(blocks[:, 0], keys.swapaxes(0, 1))
 
     def test_overlap_and_coverage(self):
         cfg = small_cfg(kv_groups=2)
         keys = np.arange(10 * 4, dtype=float).reshape(10, 4)
-        # a leading (KV group) axis is split group by group
-        blocks, _ = compression_io(np.stack([keys, -keys]), cfg, LastKey)
+        # each KV group's keys are split on their own
+        blocks, _ = compression_io(np.stack([keys, -keys], axis=1), cfg, LastKey)
         assert blocks.shape[1] == cfg.num_cmp_blocks(10) == 4
         for i, block in enumerate(blocks[0]):
             assert np.array_equal(block, keys[i * 2: i * 2 + 4])
@@ -132,7 +133,7 @@ class TestSplitBlocks:
 
     def test_short_sequence_left_pad(self):
         cfg = small_cfg(sel_block_size=2, top_k=1)  # 3 keys are scored, in one block
-        blocks, _ = compression_io(np.ones((1, 3, 4)), cfg, LastKey)
+        blocks, _ = compression_io(np.ones((3, 1, 4)), cfg, LastKey)
         assert blocks.shape == (1, 1, 4, 4)
         assert np.all(blocks[0, 0, :1] == 0.0)
         assert np.all(blocks[0, 0, 1:] == 1.0)
@@ -183,11 +184,11 @@ class TestCompression:
         rng = np.random.default_rng(4)
         cfg = small_cfg(kv_groups=2)
         phi = CompressionMLP(4, 4, rng)
-        blocks, out = compression_io(rng.normal(size=(2, 10, 4)), cfg, phi)
+        blocks, out = compression_io(rng.normal(size=(10, 2, 4)), cfg, phi)
         assert out.shape == (2, cfg.num_cmp_blocks(10), 4) == (2, 4, 4)
         assert np.array_equal(out[1], phi.apply_stack(blocks[1]))
         short = dataclasses.replace(cfg, sel_block_size=2, top_k=1)
-        assert compression_io(np.ones((2, 3, 4)), short, phi)[1].shape == (2, 1, 4)
+        assert compression_io(np.ones((3, 2, 4)), short, phi)[1].shape == (2, 1, 4)
 
 
 class TestImportanceScores:
@@ -195,9 +196,9 @@ class TestImportanceScores:
         cfg = small_cfg(block_size=4, stride=4, sel_block_size=4, top_k=1)
         # blocks cover [0,4), [4,8): block 1 only fully past position 7;
         # each compresses to its last key, at 3 and 7
-        q = np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (cfg.heads, 8, 1))
-        k = np.zeros((1, 8, 4))
-        k[0, 3, 1] = k[0, 7, 2] = 1.0
+        q = np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (8, cfg.heads, 1))
+        k = np.zeros((8, 1, 4))
+        k[3, 0, 1] = k[7, 0, 2] = 1.0
         idx, valid, cmp_scores, _ = captured_scores(monkeypatch, q, k, cfg, LastKey)
         scores = cmp_scores[0, :, 0]
         assert np.allclose(scores[3], [1.0, 0.0])
@@ -205,7 +206,7 @@ class TestImportanceScores:
         assert np.all(scores[:3] == 0.0)  # no block fully at/before queries 0..2
         assert picked_blocks(idx, valid, cfg)[0][7] == {0}  # the tie goes to block 0
         # the last rows alone score as they do among all rows
-        last = captured_scores(monkeypatch, q[:, 2:], k, cfg, LastKey, rows=6)[2]
+        last = captured_scores(monkeypatch, q[2:], k, cfg, LastKey, rows=6)[2]
         assert np.array_equal(last, cmp_scores[:, 2:])
 
     def test_dominant_key_wins(self, monkeypatch):
@@ -214,9 +215,9 @@ class TestImportanceScores:
         still take block 0."""
         cfg = small_cfg(block_size=4, stride=4, sel_block_size=4, top_k=1, d_head=8)
         e = np.eye(8)
-        q = np.tile(e[0], (cfg.heads, 12, 1))
-        k = np.zeros((1, 12, 8))
-        k[0, 3], k[0, 7], k[0, 11] = e[1], 10.0 * e[0], e[2]
+        q = np.tile(e[0], (12, cfg.heads, 1))
+        k = np.zeros((12, 1, 8))
+        k[3, 0], k[7, 0], k[11, 0] = e[1], 10.0 * e[0], e[2]
         idx, valid, cmp_scores, _ = captured_scores(monkeypatch, q, k, cfg, LastKey)
         assert cmp_scores[0, 11, 0, 1] > 0.9
         assert picked_blocks(idx, valid, cfg)[0] == [{0}] * 7 + [{1}] * 5
@@ -224,8 +225,8 @@ class TestImportanceScores:
     def test_rows_sum_to_one_over_valid(self, monkeypatch):
         rng = np.random.default_rng(5)
         cfg = small_cfg()
-        q = rng.normal(size=(2, 10, 4))  # two heads
-        k = rng.normal(size=(1, 10, 4))
+        q = rng.normal(size=(10, 2, 4))  # two heads
+        k = rng.normal(size=(10, 1, 4))
         phi = CompressionMLP(4, 4, rng)
         sums = captured_scores(monkeypatch, q, k, cfg, phi)[2].sum(axis=-1)
         has_valid = np.arange(10) >= 3  # first block ends at position 3
@@ -241,8 +242,8 @@ class TestBlockScores:
         rng = np.random.default_rng(30)
         cfg = small_cfg(heads=4, kv_groups=2)
         length = 12
-        q = rng.normal(size=(cfg.heads, length, cfg.d_head))
-        k = rng.normal(size=(cfg.kv_groups, length, cfg.d_head))
+        q = rng.normal(size=(length, cfg.heads, cfg.d_head))
+        k = rng.normal(size=(length, cfg.kv_groups, cfg.d_head))
         phi = CompressionMLP(cfg.block_size, cfg.d_head, rng)
         _, _, cmp_scores, sel_scores = captured_scores(monkeypatch, q, k, cfg, phi)
         sums = cmp_scores.sum(axis=-1)
@@ -284,11 +285,11 @@ class TestRemap:
         of what each of its heads scores alone."""
         rng = np.random.default_rng(6)
         cfg, alone = small_cfg(heads=2), small_cfg(heads=1)
-        q = rng.normal(size=(2, 12, 4))
-        k = rng.normal(size=(1, 12, 4))
+        q = rng.normal(size=(12, 2, 4))
+        k = rng.normal(size=(12, 1, 4))
         phi = CompressionMLP(4, 4, rng)
         both = captured_scores(monkeypatch, q, k, cfg, phi)[3]
-        heads = [captured_scores(monkeypatch, q[h:h + 1], k, alone, phi)[3] for h in range(2)]
+        heads = [captured_scores(monkeypatch, q[:, h:h + 1], k, alone, phi)[3] for h in range(2)]
         assert np.abs(both - (heads[0] + heads[1])).max() < 1e-15
 
     def test_multiplicity_counts_offset_pairs(self):
@@ -395,14 +396,14 @@ class TestQueryRows:
         cfg = small_cfg(block_size=8, stride=2, sel_block_size=2, top_k=2, heads=4, kv_groups=2)
         lengths = np.array([16, 9, 6, 4, 2, 0])
         starts = np.cumsum(lengths) - lengths
-        q = rng.normal(size=(cfg.heads, lengths.sum(), cfg.d_head))
-        k = rng.normal(size=(cfg.kv_groups, lengths.sum(), cfg.d_head))
+        q = rng.normal(size=(lengths.sum(), cfg.heads, cfg.d_head))
+        k = rng.normal(size=(lengths.sum(), cfg.kv_groups, cfg.d_head))
         phi = CompressionMLP(cfg.block_size, cfg.d_head, rng)
         ctx = SeqContext.from_lengths(lengths)
         full_idx, full_valid = ltis_index(q, k, ctx, np.arange(lengths.sum()), cfg, phi)
         last = np.concatenate([np.arange(max(n - rows, 0), n) + start
                                for start, n in zip(starts, lengths)])
-        idx, valid = ltis_index(q[:, last], k, ctx, last, cfg, phi)
+        idx, valid = ltis_index(q[last], k, ctx, last, cfg, phi)
         assert idx.shape == (cfg.kv_groups, len(last), full_idx.shape[-1])
         assert np.array_equal(valid, full_valid[:, last])
         assert np.array_equal(idx, full_idx[:, last])
@@ -418,16 +419,18 @@ def loop_ltis_index(q, k, lengths, cfg, phi, rows=None):
     """``ltis_index`` laid out one segment at a time from the per-query
     block sets of ``verify._naive_selection``: each query's blocks in
     ascending order, causally cut, then slots that are not valid. It is
-    the reference the batched pass must equal exactly."""
+    the reference the batched pass must equal exactly. q (Nq, heads, d)
+    and k (N, kv_groups, d) are rows first, as ``ltis_index`` takes them."""
     cap = cfg.top_k * cfg.sel_block_size
     width = min(cap, int(max(lengths, default=0)))
-    idx = np.zeros((cfg.kv_groups, q.shape[1], cap), dtype=np.int64)
+    idx = np.zeros((cfg.kv_groups, len(q), cap), dtype=np.int64)
     valid = np.zeros(idx.shape, dtype=bool)
     start = lo = 0                           # segment's first key row, first query row
     for n in lengths:
         m = n if rows is None else min(n, rows)
         idx[:, lo:lo + m] = start
-        chosen = _naive_selection(q[:, lo:lo + m], k[:, start:start + n], phi, cfg)
+        chosen = _naive_selection(q[lo:lo + m].swapaxes(0, 1), k[start:start + n].swapaxes(0, 1),
+                                  phi, cfg)
         for g, per_query in enumerate(chosen):
             for r, blocks in enumerate(per_query):
                 pos = (np.array(sorted(blocks))[:, None] * cfg.sel_block_size
@@ -463,8 +466,8 @@ class TestBatchedSelection:
         starts = np.cumsum(lengths) - lengths
         last = np.concatenate([np.arange(n - min(n, rows or n), n) + s
                                for s, n in zip(starts, lengths)])
-        q = rng.normal(size=(cfg.heads, sum(lengths), cfg.d_head))[:, last]
-        k = rng.normal(size=(cfg.kv_groups, sum(lengths), cfg.d_head))
+        q = rng.normal(size=(sum(lengths), cfg.heads, cfg.d_head))[last]
+        k = rng.normal(size=(sum(lengths), cfg.kv_groups, cfg.d_head))
         phi = CompressionMLP(cfg.block_size, cfg.d_head, rng)
         want = loop_ltis_index(q, k, lengths, cfg, phi, rows=rows)
         calls = []
@@ -488,8 +491,8 @@ class TestBatchedSelection:
         rows are int32."""
         cfg, n, b = PAPER, 512, 4
         rng = np.random.default_rng(34)
-        q = rng.normal(size=(cfg.heads, b * n, cfg.d_head))
-        k = rng.normal(size=(cfg.kv_groups, b * n, cfg.d_head))
+        q = rng.normal(size=(b * n, cfg.heads, cfg.d_head))
+        k = rng.normal(size=(b * n, cfg.kv_groups, cfg.d_head))
         phi = CompressionMLP(cfg.block_size, cfg.d_head, rng)
         ctx = SeqContext.from_lengths(np.full(b, n))
         rows = ctx.query_rows(None)
@@ -547,8 +550,8 @@ class TestSelectTopK:
         rng = np.random.default_rng(10)
         cfg = small_cfg(sel_block_size=2, top_k=3, heads=4, kv_groups=2)
         length = 13
-        q = rng.normal(size=(cfg.heads, length, cfg.d_head))
-        k = rng.normal(size=(cfg.kv_groups, length, cfg.d_head))
+        q = rng.normal(size=(length, cfg.heads, cfg.d_head))
+        k = rng.normal(size=(length, cfg.kv_groups, cfg.d_head))
         phi = CompressionMLP(cfg.block_size, cfg.d_head, rng)
         picks = picked_blocks(*one_segment(q, k, cfg, phi), cfg)
         for per_query in picks:
@@ -556,14 +559,14 @@ class TestSelectTopK:
         # KV groups are ranked independently
         alone = small_cfg(sel_block_size=2, top_k=3, heads=2, kv_groups=1)
         for g in range(2):
-            group = one_segment(q[2 * g:2 * g + 2], k[g:g + 1], alone, phi)
+            group = one_segment(q[:, 2 * g:2 * g + 2], k[:, g:g + 1], alone, phi)
             assert picked_blocks(*group, alone)[0] == picks[g]
 
     def test_deterministic(self):
         rng = np.random.default_rng(11)
         cfg = small_cfg(sel_block_size=2, top_k=2)
-        q = rng.normal(size=(cfg.heads, 9, cfg.d_head))
-        k = rng.normal(size=(cfg.kv_groups, 9, cfg.d_head))
+        q = rng.normal(size=(9, cfg.heads, cfg.d_head))
+        k = rng.normal(size=(9, cfg.kv_groups, cfg.d_head))
         phi = CompressionMLP(cfg.block_size, cfg.d_head, rng)
         a = one_segment(q, k, cfg, phi)
         b = one_segment(q.copy(), k.copy(), cfg, phi)

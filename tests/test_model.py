@@ -222,24 +222,49 @@ class TestSequenceLoss:
         return model, batch
 
     def test_tape_holds_one_node_per_fused_op(self):
-        """The desk step records 18 tape nodes, each fused composite one
+        """The desk step records 17 tape nodes, each fused composite one
         per call: the FFN, the two residual sites (residual, dropout and
         layer norm), the gate, the output projection, and the q and k
-        projections each with its RoPE; the attention ops return merged
-        heads. The chains of elementwise ops made it 71, 35 with layer
-        norm, the gate and RoPE fused, and 25 with the projections and
-        their head splits apart from RoPE.
+        projections each with its RoPE; the v projection's split into
+        heads is one reshape, and the attention ops return merged heads.
+        The chains of elementwise ops made it 71, 35 with layer norm, the
+        gate and RoPE fused, and 25 with the projections and their head
+        splits apart from RoPE.
         With the stream's leading axis of one, the loss's reshape to rows
-        made it 19."""
+        made it 19, and with the heads first, the v heads' transpose 18."""
         rng = np.random.default_rng(0)
         model, batch = self.desk_step(rng)
         loss = sequence_loss(model, batch, training=True, rng=rng)
         ops = Counter(node._backward.__qualname__.split(".")[0]
                       for node in tensor.GradTape(loss).ops)
         assert ops == Counter(
-            matmul=3, reshape=1, transpose=1, take_rows=2, rope=2, gathered_attention=2,
+            matmul=3, reshape=1, take_rows=2, rope=2, gathered_attention=2,
             residual_norm=2, sigmoid_gate=1, ffn=1, affine=1, getitem=1, linear_cross_entropy=1)
-        assert sum(ops.values()) == 18
+        assert sum(ops.values()) == 17
+
+    def test_keys_and_values_reach_attention_without_a_copy(self, monkeypatch):
+        """On the desk step, K and V reach both attentions as C-contiguous
+        (N, kv_groups, d_head) arrays, so the flat table each gathers
+        from, ``reshape(-1, d_head)``, is a view of them. With the heads
+        first, both were transposed views, and every call copied them in
+        its forward and again in its backward."""
+        seen = []
+
+        def spy(q, k, v, idx, valid):
+            seen.append((k.data, v.data))
+            return tensor.gathered_attention(q, k, v, idx, valid)
+
+        monkeypatch.setattr(fusion, "gathered_attention", spy)
+        rng = np.random.default_rng(0)
+        model, batch = self.desk_step(rng)
+        sequence_loss(model, batch, training=True, rng=rng)
+        d_head = model.cfg.d_head
+        assert len(seen) == 2
+        for k, v in seen:
+            for x in (k, v):
+                assert x.shape == (batch.lengths.sum(), model.cfg.kv_groups, d_head)
+                assert x.flags.c_contiguous
+                assert np.shares_memory(x.reshape(-1, d_head), x)
 
     def test_tape_holds_what_backward_reads(self):
         """On the desk step (N = 106, d = 32), the only (N, 4d) array the
@@ -819,13 +844,14 @@ class TestLastHidden:
             assert np.abs(hidden - full[np.cumsum(lengths) - 1]).max() < 1e-10
 
     def test_batch_of_one_makes_one_tensor_per_op(self, monkeypatch):
-        """Serving one sequence on the one-layer desk model makes 16 op
+        """Serving one sequence on the one-layer desk model makes 15 op
         outputs (``tensor._make`` calls): the embedding and query-row
         lookups, the q and k projections with RoPE, the v projection and
-        its head split, the two attentions and their output projections,
-        the gate, the two residual sites, the FFN and the output affine.
-        With the stream's leading axis of one, the query-row lookup's two
-        reshapes made it 18."""
+        its reshape into heads, the two attentions and their output
+        projections, the gate, the two residual sites, the FFN and the
+        output affine. With the stream's leading axis of one, the
+        query-row lookup's two reshapes made it 18, and with the heads
+        first, the v heads' transpose 16."""
         cfg = AttentionConfig(heads=4, kv_groups=2, d_model=32, d_head=8)
         model = Model(40, cfg, 1, seed=0, max_len=64)
         batch = SeqBatch.from_sequences([list(range(1, 31))], max_len=64)
@@ -839,9 +865,9 @@ class TestLastHidden:
         monkeypatch.setattr(tensor, "_make", counted)
         assert model.last_hidden(batch).shape == (1, cfg.d_model)
         assert made == Counter(
-            take_rows=2, rope=2, matmul=3, reshape=1, transpose=1, gathered_attention=2,
+            take_rows=2, rope=2, matmul=3, reshape=1, gathered_attention=2,
             sigmoid_gate=1, residual_norm=2, ffn=1, affine=1)
-        assert sum(made.values()) == 16
+        assert sum(made.values()) == 15
 
 
 class TestCheckpoint:

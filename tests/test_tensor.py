@@ -154,12 +154,12 @@ def random_index(rng, groups, pads, length, width):
 def one_row_per_chunk(monkeypatch, q, k, idx):
     """Shrink ``CHUNK_BYTES`` to one query row's gathered block, so
     ``gathered_attention`` runs a chunk per query row."""
-    monkeypatch.setattr(tensor_mod, "CHUNK_BYTES", 8 * k.shape[0] * idx.shape[-1] * q.shape[-1])
+    monkeypatch.setattr(tensor_mod, "CHUNK_BYTES", 8 * k.shape[1] * idx.shape[-1] * q.shape[-1])
 
 
 def merged_shape(q):
     """The (L, heads * d) shape of ``gathered_attention``'s output."""
-    h, length, d = q.shape
+    length, h, d = q.shape
     return length, h * d
 
 
@@ -175,9 +175,9 @@ class TestGatheredAttention:
     def test_gradient(self, groups, monkeypatch):
         """Central differences agree in one chunk and in a chunk per query row."""
         rng = np.random.default_rng(40)
-        q = parameter(rng.normal(size=(4, 12, 2)))
-        k = parameter(rng.normal(size=(2, 12, 2)))
-        v = parameter(rng.normal(size=(2, 12, 2)))
+        q = parameter(rng.normal(size=(12, 4, 2)))
+        k = parameter(rng.normal(size=(12, 2, 2)))
+        v = parameter(rng.normal(size=(12, 2, 2)))
         idx, valid = random_index(rng, groups, (2, 0), 6, 3)
         w = rng.normal(size=merged_shape(q))
 
@@ -192,13 +192,14 @@ class TestGatheredAttention:
         """Head j of group g is head g * 2 + j, in columns 3 * head to
         3 * head + 3 of the merged output."""
         rng = np.random.default_rng(41)
-        q = rng.normal(size=(4, 14, 3))
-        k = rng.normal(size=(2, 14, 3))
-        v = rng.normal(size=(2, 14, 3))
+        q = rng.normal(size=(14, 4, 3))
+        k = rng.normal(size=(14, 2, 3))
+        v = rng.normal(size=(14, 2, 3))
         idx, valid = random_index(rng, 2, (3, 0), 7, 4)
         mask = index_mask(idx, valid, 14)  # (2, 1, 14, 14)
-        logits = q.reshape(2, 2, 14, 3) @ k[:, None].swapaxes(-1, -2) / np.sqrt(3)
-        want = masked_softmax(Tensor(logits), mask).data @ v[:, None]   # (2, 2, 14, 3)
+        qh, kh, vh = (x.transpose(1, 0, 2) for x in (q, k, v))   # heads first
+        logits = qh.reshape(2, 2, 14, 3) @ kh[:, None].swapaxes(-1, -2) / np.sqrt(3)
+        want = masked_softmax(Tensor(logits), mask).data @ vh[:, None]   # (2, 2, 14, 3)
         got = gathered_attention(Tensor(q), Tensor(k), Tensor(v), idx, valid).data
         assert got.shape == (14, 12)
         for head in range(4):
@@ -207,16 +208,16 @@ class TestGatheredAttention:
 
     def test_rows_with_nothing_visible_are_exact_zeros(self):
         rng = np.random.default_rng(42)
-        q = parameter(rng.normal(size=(2, 10, 4)))
-        k = parameter(rng.normal(size=(1, 10, 4)))
-        v = parameter(rng.normal(size=(1, 10, 4)))
+        q = parameter(rng.normal(size=(10, 2, 4)))
+        k = parameter(rng.normal(size=(10, 1, 4)))
+        v = parameter(rng.normal(size=(10, 1, 4)))
         idx, valid = random_index(rng, 1, (2, 0), 5, 2)
         out = gathered_attention(q, k, v, idx, valid)
         out.sum().backward()
         empty = ~valid.any(axis=-1)[0]  # (rows,)
         assert empty[:3].all() and empty[5]
         assert np.all(out.data[empty] == 0.0)
-        assert np.all(q.grad.transpose(1, 0, 2)[empty] == 0.0)
+        assert np.all(q.grad[empty] == 0.0)
 
     def test_chunks_match_one_chunk(self, monkeypatch):
         """Ten chunks, nine of 5 query rows and one of 1, give the
@@ -225,8 +226,8 @@ class TestGatheredAttention:
         sees nothing, sits inside the second chunk and stays exact zeros."""
         rng = np.random.default_rng(43)
         h, g, length, width, d = 4, 2, 23, 5, 3
-        q = rng.normal(size=(h, 2 * length, d))
-        k, v = rng.normal(size=(2, g, 2 * length, d))
+        q = rng.normal(size=(2 * length, h, d))
+        k, v = rng.normal(size=(2, 2 * length, g, d))
         idx, valid = random_index(rng, g, (4, 0), length, width)
         valid[:, 7] = False
         w = rng.normal(size=merged_shape(q))
@@ -240,7 +241,7 @@ class TestGatheredAttention:
         for got, want in zip(chunked[2:], whole[2:]):
             assert np.abs(got - want).max() < 1e-12
         out, dq = chunked[:2]
-        assert np.all(out[7] == 0.0) and np.all(dq[:, 7] == 0.0)
+        assert np.all(out[7] == 0.0) and np.all(dq[7] == 0.0)
         assert np.any(out[6] != 0.0) and np.any(out[8] != 0.0)
 
     @pytest.mark.parametrize("length,width", [(0, 3), (5, 0)])
@@ -248,8 +249,8 @@ class TestGatheredAttention:
         """Zero query rows give empty outputs; K = 0 gives exact zeros; both
         give zero K/V gradients, at one chunk and at a chunk per row."""
         rng = np.random.default_rng(44)
-        q = rng.normal(size=(2, length, 4))
-        k, v = rng.normal(size=(2, 1, 5, 4))
+        q = rng.normal(size=(length, 2, 4))
+        k, v = rng.normal(size=(2, 5, 1, 4))
         idx = np.zeros((1, length, width), dtype=np.int64)
         valid = np.ones(idx.shape, dtype=bool)
         for chunked in (False, True):
@@ -263,11 +264,12 @@ class TestGatheredAttention:
     @pytest.mark.parametrize("bad", [5, -1])
     @pytest.mark.parametrize("slot_valid", [True, False])
     def test_index_outside_the_keys_is_rejected(self, bad, slot_valid):
-        """Key 5 of 5 on group 0 would be row 0 of group 1 in the flat K/V
-        table; it is an error whether or not its slot is valid."""
+        """Key -1 of group 0 would wrap round to key 4's row of the flat
+        K/V table, and key 5 of 5 would read past key 4; either is an
+        error whether or not its slot is valid."""
         rng = np.random.default_rng(45)
-        q = Tensor(rng.normal(size=(4, 3, 2)))
-        k, v = (Tensor(x) for x in rng.normal(size=(2, 2, 5, 2)))
+        q = Tensor(rng.normal(size=(3, 4, 2)))
+        k, v = (Tensor(x) for x in rng.normal(size=(2, 5, 2, 2)))
         idx = np.zeros((2, 3, 2), dtype=np.int64)
         valid = np.ones(idx.shape, dtype=bool)
         idx[0, 1, 1] = bad
@@ -277,19 +279,28 @@ class TestGatheredAttention:
 
     def test_heads_must_split_into_groups(self):
         rng = np.random.default_rng(46)
-        q = Tensor(rng.normal(size=(3, 4, 2)))
-        k, v = (Tensor(x) for x in rng.normal(size=(2, 2, 4, 2)))
+        q = Tensor(rng.normal(size=(4, 3, 2)))
+        k, v = (Tensor(x) for x in rng.normal(size=(2, 4, 2, 2)))
         idx = np.zeros((2, 4, 1), dtype=np.int64)
         with pytest.raises(ValueError, match="3 query heads do not split into 2"):
             gathered_attention(q, k, v, idx, np.ones(idx.shape, dtype=bool))
 
+    def test_query_and_key_heads_must_have_one_width(self):
+        """Queries of width 4 against K/V of width 8 would read each K row
+        as two half-rows and return an output of the wrong width."""
+        rng = np.random.default_rng(53)
+        q = Tensor(rng.normal(size=(5, 2, 4)))
+        k, v = (Tensor(x) for x in rng.normal(size=(2, 6, 1, 8)))
+        idx = np.zeros((1, 5, 1), dtype=np.int64)
+        with pytest.raises(ValueError, match="query heads of width 4, K/V heads of width 8"):
+            gathered_attention(q, k, v, idx, np.ones(idx.shape, dtype=bool))
+
     def test_keys_and_values_must_match(self):
-        """Keys of 6 rows and values of 4: group 1's value rows would be
-        read at the keys' offsets in the flat table, so an index naming
-        v[1, 0] would read v[1, 2]."""
+        """Keys of 6 rows and values of 4: an index checked against the
+        keys could name value rows that do not exist."""
         rng = np.random.default_rng(50)
-        q = Tensor(rng.normal(size=(4, 3, 2)))
-        k, v = Tensor(rng.normal(size=(2, 6, 2))), Tensor(rng.normal(size=(2, 4, 2)))
+        q = Tensor(rng.normal(size=(3, 4, 2)))
+        k, v = Tensor(rng.normal(size=(6, 2, 2))), Tensor(rng.normal(size=(4, 2, 2)))
         idx = np.zeros((2, 3, 1), dtype=np.int64)
         with pytest.raises(ValueError, match="k and v disagree"):
             gathered_attention(q, k, v, idx, np.ones(idx.shape, dtype=bool))
@@ -298,8 +309,8 @@ class TestGatheredAttention:
         """A validity of one group for an index of two would be
         broadcast over the groups."""
         rng = np.random.default_rng(51)
-        q = Tensor(rng.normal(size=(4, 3, 2)))
-        k, v = (Tensor(x) for x in rng.normal(size=(2, 2, 5, 2)))
+        q = Tensor(rng.normal(size=(3, 4, 2)))
+        k, v = (Tensor(x) for x in rng.normal(size=(2, 5, 2, 2)))
         idx = np.zeros((2, 3, 1), dtype=np.int64)
         with pytest.raises(ValueError, match=r"index \(2, 3, 1\), validity \(1, 3, 1\): not"):
             gathered_attention(q, k, v, idx, np.ones((1, 3, 1), dtype=bool))
@@ -310,8 +321,8 @@ class TestGatheredAttention:
         """An index of 7 (or 4) rows for 5 queries, of 3 groups for 2, or
         without a group axis; 7 rows would be cut to the first 5."""
         rng = np.random.default_rng(52)
-        q = Tensor(rng.normal(size=(4, 5, 2)))
-        k, v = (Tensor(x) for x in rng.normal(size=(2, 2, 5, 2)))
+        q = Tensor(rng.normal(size=(5, 4, 2)))
+        k, v = (Tensor(x) for x in rng.normal(size=(2, 5, 2, 2)))
         idx = np.zeros(shape, dtype=np.int64)
         with pytest.raises(ValueError, match=r"index .*: not \(2 or 1, 5, K\)"):
             gathered_attention(q, k, v, idx, np.ones(shape, dtype=bool))
@@ -324,7 +335,7 @@ class TestGatheredAttention:
         gathered)."""
         rng = np.random.default_rng(47)
         h, g, length, width, d = 4, 2, 2048, 64, 16
-        q, k, v = (parameter(rng.normal(size=(n, length, d))) for n in (h, g, g))
+        q, k, v = (parameter(rng.normal(size=(length, n, d))) for n in (h, g, g))
         idx = rng.integers(0, length, size=(g, length, width))
         valid = rng.random(idx.shape) < 0.9
         w = rng.normal(size=merged_shape(q))
@@ -347,8 +358,8 @@ class TestGatheredAttention:
         bit, in one chunk, a chunk per row and chunks of 5 rows."""
         rng = np.random.default_rng(48)
         h, length, width, d = 4, 23, 5, 3
-        q = rng.normal(size=(h, 2 * length, d))
-        k, v = rng.normal(size=(2, 2, 2 * length, d))
+        q = rng.normal(size=(2 * length, h, d))
+        k, v = rng.normal(size=(2, 2 * length, 2, d))
         idx, valid = random_index(rng, groups, (4, 0), length, width)
         if chunk_rows:
             monkeypatch.setattr(tensor_mod, "CHUNK_BYTES", 8 * 2 * width * d * chunk_rows)
@@ -368,7 +379,7 @@ class TestGatheredAttention:
         9.7 MB."""
         rng = np.random.default_rng(49)
         h, g, length, width, d = 4, 2, 2048, 64, 16
-        q, k, v = (Tensor(rng.normal(size=(n, length, d))) for n in (h, g, g))
+        q, k, v = (Tensor(rng.normal(size=(length, n, d))) for n in (h, g, g))
         idx = rng.integers(0, length, size=(g, length, width))
         valid = rng.random(idx.shape) < 0.9
         assert length == 16 * tensor_mod._chunk_rows(g * width * d)
@@ -407,8 +418,8 @@ def test_row_softmax_ops_share_one_contract(groups, hpg, length, lk, slots, seed
     rng = np.random.default_rng(seed)
     slots = min(slots, lk)
     h, d = groups * hpg, 2
-    q = rng.normal(size=(h, length, d))
-    k, v = rng.normal(size=(2, groups, lk, d))
+    q = rng.normal(size=(length, h, d))
+    k, v = rng.normal(size=(2, lk, groups, d))
     idx = np.stack([rng.permutation(lk)[:slots] for _ in range(groups * length)])
     idx = idx.reshape(groups, length, slots)
     valid = rng.random(idx.shape) < 0.7
@@ -425,7 +436,7 @@ def test_row_softmax_ops_share_one_contract(groups, hpg, length, lk, slots, seed
     cfg = AttentionConfig(heads=h, kv_groups=groups, d_head=d)
     with np.errstate(invalid="ignore"):   # inf - inf and 0 * inf are the point
         got = gathered_attention(Tensor(q), Tensor(k), Tensor(v), idx, valid).data
-        want = grouped_attention(Tensor(q[None]), Tensor(k[None]), Tensor(v[None]), cfg,
+        want = grouped_attention(*(Tensor(x.transpose(1, 0, 2)[None]) for x in (q, k, v)), cfg,
                                  index_mask(idx, valid, lk)).data[0]
         p = masked_softmax(Tensor(x), mask).data
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12, equal_nan=True)
@@ -523,9 +534,10 @@ class TestFfn:
 
 
 def rope_tables(rng, length, d):
-    """Angle tables of a (length, d) RoPE cache and its (d, d) rotation."""
+    """Angle tables of a (length, d) RoPE cache, one (1, d) row per row
+    shared by its heads, and its (d, d) rotation."""
     half = d // 2
-    angles = rng.uniform(0.0, 2.0 * np.pi, size=(length, half))
+    angles = rng.uniform(0.0, 2.0 * np.pi, size=(length, 1, half))
     eye = np.eye(half)
     return (np.tile(np.cos(angles), 2), np.tile(np.sin(angles), 2),
             np.block([[0 * eye, eye], [-eye, 0 * eye]]))
