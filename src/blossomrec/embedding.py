@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .tensor import Tensor, rope, take_rows
+from .tensor import Tensor, getitem, parameter, rope, take_rows
 
 __all__ = ["EmbeddingTable", "RoPECache", "embed", "apply_rope"]
 
@@ -22,7 +22,7 @@ class EmbeddingTable:
     def __init__(self, num_items: int, dim: int, rng: np.random.Generator):
         weights = rng.normal(0.0, 0.02, (num_items + 1, dim))
         weights[0] = 0.0
-        self.weights = Tensor(weights, requires_grad=True)
+        self.weights = parameter(weights)
         self.num_items = num_items
 
     @property
@@ -31,7 +31,7 @@ class EmbeddingTable:
 
     def item_vectors(self) -> Tensor:
         """Rows 1..num_items (row 0 excluded), used for scoring."""
-        return self.weights[1:]
+        return getitem(self.weights, slice(1, None))
 
     def clamp_padding(self) -> None:
         """Re-pin row 0: zero weights, zero pending gradient."""
@@ -84,7 +84,8 @@ def apply_rope(x: Tensor, w: Tensor, heads: int, positions: np.ndarray,
     (``tensor.rope``) that keeps no pre-rotation projection.
 
     x: (..., L, d_in) rows; w: (d_in, heads * d_head); positions: int
-    array of shape (L,), one per row. Returns (..., L, heads, d_head).
+    array of shape (L,), one per row, each in [0, cache.max_len).
+    Returns (..., L, heads, d_head).
     """
     if w.shape[-1] != heads * cache.d_head:
         raise ConfigError(f"rope cache built for d_head={cache.d_head}, a weight of width "
@@ -93,6 +94,8 @@ def apply_rope(x: Tensor, w: Tensor, heads: int, positions: np.ndarray,
     if positions.shape != x.shape[-2:-1]:
         raise ConfigError(f"rope positions must be 1-D, one per row of {x.shape[-2]}; "
                           f"got shape {positions.shape}")
+    if positions.min(initial=0) < 0:
+        raise ConfigError(f"position {positions.min()} is negative")
     if positions.max(initial=0) >= cache.max_len:
         raise ConfigError(f"position {positions.max()} exceeds rope cache length {cache.max_len}")
     return rope(x, w, heads, cache.cos[positions, None], cache.sin[positions, None], cache.rotate)

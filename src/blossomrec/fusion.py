@@ -48,8 +48,10 @@ from .tensor import (
     affine,
     ffn,
     gathered_attention,
+    glorot,
     masked_softmax,
     matmul,
+    mul,
     parameter,
     reshape,
     residual_norm,
@@ -87,7 +89,7 @@ def grouped_attention(q: Tensor, k: Tensor, v: Tensor, cfg: AttentionConfig,
     q5 = reshape(q, (b, g, hpg, length, dk))
     k5 = reshape(k, (b, g, 1, lk, dk))
     v5 = reshape(v, (b, g, 1, lk, dk))
-    logits = matmul(q5, transpose(k5, (0, 1, 2, 4, 3))) * (1.0 / np.sqrt(dk))
+    logits = mul(matmul(q5, transpose(k5, (0, 1, 2, 4, 3))), 1.0 / np.sqrt(dk))
     ctxv = matmul(masked_softmax(logits, mask), v5)  # (b, g, hpg, L, dk)
     return reshape(transpose(ctxv, (0, 3, 1, 2, 4)), (b, length, h * dk))
 
@@ -140,20 +142,20 @@ class BlossomLayerParams:
     def init(cls, cfg: AttentionConfig, rng: np.random.Generator) -> "BlossomLayerParams":
         d, dk = cfg.d_model, cfg.d_head
         return cls(
-            w_q=parameter((d, cfg.heads * dk), rng),
-            w_k=parameter((d, cfg.kv_groups * dk), rng),
-            w_v=parameter((d, cfg.kv_groups * dk), rng),
-            w_o=parameter((cfg.heads * dk, d), rng),
-            gate_w=parameter((2 * d, d), rng),
-            gate_b=Tensor(np.zeros(d), requires_grad=True),
-            ffn_w1=parameter((d, 4 * d), rng),
-            ffn_b1=Tensor(np.zeros(4 * d), requires_grad=True),
-            ffn_w2=parameter((4 * d, d), rng),
-            ffn_b2=Tensor(np.zeros(d), requires_grad=True),
-            ln1_gamma=Tensor(np.ones(d), requires_grad=True),
-            ln1_beta=Tensor(np.zeros(d), requires_grad=True),
-            ln2_gamma=Tensor(np.ones(d), requires_grad=True),
-            ln2_beta=Tensor(np.zeros(d), requires_grad=True),
+            w_q=parameter(glorot((d, cfg.heads * dk), rng)),
+            w_k=parameter(glorot((d, cfg.kv_groups * dk), rng)),
+            w_v=parameter(glorot((d, cfg.kv_groups * dk), rng)),
+            w_o=parameter(glorot((cfg.heads * dk, d), rng)),
+            gate_w=parameter(glorot((2 * d, d), rng)),
+            gate_b=parameter(np.zeros(d)),
+            ffn_w1=parameter(glorot((d, 4 * d), rng)),
+            ffn_b1=parameter(np.zeros(4 * d)),
+            ffn_w2=parameter(glorot((4 * d, d), rng)),
+            ffn_b2=parameter(np.zeros(d)),
+            ln1_gamma=parameter(np.ones(d)),
+            ln1_beta=parameter(np.zeros(d)),
+            ln2_gamma=parameter(np.ones(d)),
+            ln2_beta=parameter(np.zeros(d)),
             cmp_key=ltis_mod.CompressionMLP(cfg.block_size, dk, rng),
         )
 

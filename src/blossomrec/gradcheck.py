@@ -27,7 +27,8 @@ def grad_check(
     ``f`` must rebuild a scalar loss from the current parameter values on
     every call. For each parameter entry the error is
     |analytic - numeric| / max(1, |numeric|); the max over all entries is
-    returned. Raises ValueError if any evaluation is non-finite. The
+    returned. Raises ValueError if any evaluation is non-finite, with
+    every parameter entry back at its value. The
     perturbed evaluations need only values, so they run under ``no_grad``:
     they build no tape, and forward values do not depend on grad mode.
     """
@@ -56,11 +57,13 @@ def grad_check(
         a_flat = analytic[name].reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + h
-            f_plus = evaluate()
-            flat[i] = orig - h
-            f_minus = evaluate()
-            flat[i] = orig
+            try:
+                flat[i] = orig + h
+                f_plus = evaluate()
+                flat[i] = orig - h
+                f_minus = evaluate()
+            finally:
+                flat[i] = orig
             numeric = (f_plus - f_minus) / (2.0 * h)
             err = abs(a_flat[i] - numeric) / max(1.0, abs(numeric))
             if err > worst:

@@ -51,7 +51,7 @@ import numpy as np
 
 from .config import AttentionConfig
 from .data import SeqContext
-from .tensor import _exp_shifted, index_mask, parameter
+from .tensor import _exp_shifted, glorot, index_mask
 
 __all__ = ["CompressionMLP", "remap_matrix", "ltis_index", "build_ltis_masks"]
 
@@ -63,15 +63,14 @@ class CompressionMLP:
     A random intra-block position bias is added before flattening, so the
     compression is sensitive to the order of rows within a block, then a
     single tanh hidden layer of width d_head produces the compressed key.
-    The weights are drawn from ``rng`` as ``tensor.parameter`` draws
-    learnable ones (Glorot uniform; the bias small normal) and never
-    trained.
+    The weights are drawn from ``rng`` as the encoder's learnable ones
+    are (``tensor.glorot``), the bias small normal, and never trained.
     """
 
     def __init__(self, block_size: int, d_head: int, rng: np.random.Generator):
         self.pos_bias = rng.normal(0.0, 0.02, (block_size, d_head))
-        self.w1 = parameter((block_size * d_head, d_head), rng).data
-        self.w2 = parameter((d_head, d_head), rng).data
+        self.w1 = glorot((block_size * d_head, d_head), rng)
+        self.w2 = glorot((d_head, d_head), rng)
 
     def apply_stack(self, blocks: np.ndarray) -> np.ndarray:
         """Compress stacked blocks, (..., M, block_size, d_head) -> (..., M, d_head)."""
@@ -177,8 +176,7 @@ def _top_blocks(q: np.ndarray, k: np.ndarray, ctx: SeqContext, seg: np.ndarray, 
     """Steps 1-6 for the queries of many segments at once: R queries
     (kv_groups, R, heads_per_group, d_head) of segments ``seg`` (in
     stream order) at positions ``t`` (R, 1), over the stream keys k
-    (N, kv_groups, d_head) that ``ctx`` describes. Every segment longer
-    than top_k selection blocks must have a query. Returns the chosen
+    (N, kv_groups, d_head) that ``ctx`` describes. Returns the chosen
     blocks, (kv_groups, R, top_k), ascending; a row with fewer than top_k
     started blocks fills its last slots with a block past every segment's
     end.
@@ -210,8 +208,8 @@ def _top_blocks(q: np.ndarray, k: np.ndarray, ctx: SeqContext, seg: np.ndarray, 
     own = offset[:, None] + np.minimum(block, num_cmp[:, None] - 1)     # (S, M)
     keys = np.take(cmp_keys, own, axis=1).swapaxes(-1, -2)             # (g, S, d_head, M)
     g, rows, hpg, d = q.shape
-    count = np.bincount(seg) if rows > len(n) else None   # each segment's queries, if not one
-    most = 1 if count is None else int(count.max())
+    count = np.bincount(seg, minlength=len(n))        # each segment's queries
+    most = int(count.max())
     if rows == most * len(n):    # no segment has fewer queries than another
         cmp_scores = q.reshape(g, len(n), most * hpg, d) @ keys
         cmp_scores = cmp_scores.reshape(g, rows, hpg, -1)

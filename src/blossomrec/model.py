@@ -29,7 +29,8 @@ from .embedding import EmbeddingTable, RoPECache, embed
 from .errors import CheckpointError, ConfigError, DataError
 from .fusion import BlossomLayerParams, encode
 from .metrics import EvalResult, aggregate, draw_negatives, rank_batch
-from .tensor import Tensor, linear_cross_entropy, matmul, no_grad, take_rows, zero_grads
+from .tensor import (Tensor, linear_cross_entropy, matmul, no_grad, parameter, reshape, take_rows,
+                     zero_grads)
 
 __all__ = ["Model", "TrainState", "Adam", "item_scores", "sequence_loss", "train",
            "evaluate", "evaluate_popularity", "save_checkpoint", "load_checkpoint"]
@@ -65,8 +66,8 @@ class Model:
         self.seed = seed
         self.table = EmbeddingTable(num_items, cfg.d_model, rng)
         self.layers = [BlossomLayerParams.init(cfg, rng) for _ in range(num_layers)]
-        self.w_n = Tensor(np.eye(cfg.d_model), requires_grad=True)
-        self.b_n = Tensor(np.zeros(cfg.d_model), requires_grad=True)
+        self.w_n = parameter(np.eye(cfg.d_model))
+        self.b_n = parameter(np.zeros(cfg.d_model))
         self.rope = RoPECache(cfg.d_head, max_len + 1)
 
     def parameters(self) -> dict[str, Tensor]:
@@ -144,8 +145,8 @@ def item_scores(hidden: Tensor | np.ndarray, table: EmbeddingTable) -> Tensor:
     names no item, never participates in ranking).
     """
     h = hidden if isinstance(hidden, Tensor) else Tensor(hidden)
-    col = h.reshape((h.shape[-1], 1))
-    return matmul(table.item_vectors(), col).reshape((table.num_items,))
+    col = reshape(h, (h.shape[-1], 1))
+    return reshape(matmul(table.item_vectors(), col), (table.num_items,))
 
 
 def sequence_loss(model: Model, batch: SeqBatch, training: bool = False,
@@ -374,11 +375,13 @@ def _evaluate_with(score, dataset: SplitDataset, split: str, k: int, n_negatives
 
 
 def save_checkpoint(model: Model, path: str | Path) -> None:
-    """Write parameters + config as a versioned npz archive. The fixed LTIS
-    selection projection is not stored: loading redraws it from the seed."""
+    """Write parameters + config as a versioned npz archive at ``path``,
+    exactly as given (no ".npz" is appended). The fixed LTIS selection
+    projection is not stored: loading redraws it from the seed."""
     arrays = {f"param:{k}": p.data for k, p in model.parameters().items()}
     meta = {"version": CHECKPOINT_VERSION, "config": model.config_dict()}
-    np.savez(Path(path), __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+    with open(path, "wb") as fh:   # np.savez appends ".npz" to a path, not to a file
+        np.savez(fh, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
 
 
 def load_checkpoint(path: str | Path) -> Model:

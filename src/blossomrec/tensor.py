@@ -10,12 +10,14 @@ run: no later backward reads it, so it is not held to the end of the
 pass, and a second backward through part of the same graph starts from
 nothing. Parameters, which have no backward, keep theirs.
 
-The ops: the primitives ``mul``, ``matmul``, ``reshape``, ``transpose``,
-``getitem``, ``take_rows`` and the full sum ``tsum``; the row softmax
-``masked_softmax``; and the fused ops below, ``gathered_attention``,
-``linear_cross_entropy``, ``affine``, ``ffn``, ``residual_norm``,
-``sigmoid_gate`` and ``rope``. Each is one that the model, its training
-or ``verify`` runs.
+The ops are functions, one spelling each: the primitives ``mul``,
+``matmul``, ``reshape``, ``transpose``, ``getitem`` and ``take_rows``;
+the row softmax ``masked_softmax``; and the fused ops below,
+``gathered_attention``, ``linear_cross_entropy``, ``affine``, ``ffn``,
+``residual_norm``, ``sigmoid_gate`` and ``rope``. Each is one that the
+model, its training or ``verify`` runs. A ``Tensor`` is its data and its
+tape node, with no operators; ``parameter`` makes the learnable ones,
+from an array (``glorot`` draws one).
 
 Design points:
   * float64 only, so finite-difference checks are decisive.
@@ -80,6 +82,7 @@ __all__ = [
     "GradTape",
     "no_grad",
     "parameter",
+    "glorot",
     "matmul",
     "masked_softmax",
     "gathered_attention",
@@ -151,10 +154,10 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         self.data: Array = np.asarray(data, dtype=np.float64)
         self.grad: Array | None = None
-        self.requires_grad = bool(requires_grad)
+        self.requires_grad = False
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[Array], None] | None = None
 
@@ -173,40 +176,13 @@ class Tensor:
         return self.data.size
 
     def __repr__(self) -> str:
-        flag = ", requires_grad=True" if self.requires_grad else ""
+        flag = ", requires_grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
 
     # -- graph plumbing --------------------------------------------------
 
     def backward(self, grad: Array | None = None) -> None:
         GradTape(self).replay(grad)
-
-    # -- operators -------------------------------------------------------
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, idx):
-        return getitem(self, idx)
-
-    def sum(self):
-        return tsum(self)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return transpose(self, axes)
 
 
 class GradTape:
@@ -260,16 +236,18 @@ def _linearize(root: Tensor) -> list[Tensor]:
     return order
 
 
-def parameter(data, rng: np.random.Generator | None = None) -> Tensor:
-    """Learnable tensor; with ``rng`` given, ``data`` is a shape to initialize."""
-    if rng is not None:
-        shape = tuple(data)
-        # Glorot uniform for >=2-D shapes, small normal otherwise.
-        if len(shape) >= 2:
-            limit = np.sqrt(6.0 / (shape[-2] + shape[-1]))
-            return Tensor(rng.uniform(-limit, limit, shape), requires_grad=True)
-        return Tensor(rng.normal(0.0, 0.02, shape), requires_grad=True)
-    return Tensor(data, requires_grad=True)
+def parameter(data) -> Tensor:
+    """A learnable tensor holding ``data``."""
+    p = Tensor(data)
+    p.requires_grad = True
+    return p
+
+
+def glorot(shape: tuple[int, int], rng: np.random.Generator) -> Array:
+    """A Glorot-uniform draw of a (fan_in, fan_out) weight from ``rng``."""
+    fan_in, fan_out = shape
+    limit = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-limit, limit, shape)
 
 
 def zero_grads(params: Iterable[Tensor] | dict[str, Tensor]) -> None:
@@ -395,20 +373,6 @@ def take_rows(table, ids: Array) -> Tensor:
         _accumulate(table, np.ascontiguousarray(acc.T))
 
     return _make(table.data[ids], (table,), backward)
-
-
-# ---------------------------------------------------------------------------
-# reductions
-
-
-def tsum(a) -> Tensor:
-    """The sum of every entry, a 0-d tensor."""
-    a = _as_tensor(a)
-
-    def backward(g: Array) -> None:
-        _accumulate(a, np.broadcast_to(g, a.shape).copy())
-
-    return _make(a.data.sum(), (a,), backward)
 
 
 # ---------------------------------------------------------------------------

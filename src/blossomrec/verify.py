@@ -22,7 +22,8 @@ from .gradcheck import grad_check
 from .ltis import CompressionMLP, ltis_index
 from .model import Model, sequence_loss
 from .stis import stis_index
-from .tensor import Tensor, gathered_attention, index_mask, no_grad, parameter, zero_grads
+from .tensor import (Tensor, gathered_attention, index_mask, no_grad, parameter, reshape, transpose,
+                     zero_grads)
 
 __all__ = ["brute_force_power_mask", "counts_match", "dense_equivalence_error",
            "ltis_selection_error", "gathered_equivalence_error", "last_row_error",
@@ -200,10 +201,10 @@ def gathered_equivalence_error(seeds: range, lengths: tuple[int, ...]) -> float:
                 if gather:
                     out = gathered_attention(qt, kt, vt, idx, valid)
                 else:   # on the stream as a batch of one, heads first
-                    heads_first = (t.transpose(1, 0, 2).reshape(1, -1, total, cfg.d_head)
+                    heads_first = (reshape(transpose(t, (1, 0, 2)), (1, -1, total, cfg.d_head))
                                    for t in (qt, kt, vt))
-                    out = grouped_attention(*heads_first, cfg,
-                                            index_mask(idx, valid, total)).reshape(w.shape)
+                    out = reshape(grouped_attention(*heads_first, cfg, index_mask(idx, valid, total)),
+                                  w.shape)
                 out.backward(w)
                 runs.append([out.data, qt.grad, kt.grad, vt.grad])
             worst = max([worst] + [float(np.abs(x - y).max()) for x, y in zip(*runs)])

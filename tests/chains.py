@@ -80,6 +80,13 @@ def chain_gathered_attention(q, k, v, idx, valid):
     return out.transpose(1, 0, 2, 3).reshape(n, h * d)
 
 
+def weighted_sum(out, w=None):
+    """``(out * w).sum()``, or without ``w`` the plain sum, as a 0-d tape
+    node made of ``matmul`` and ``reshape``: a ``grad_check`` objective."""
+    col = np.ones((out.size, 1)) if w is None else np.reshape(w, (-1, 1))
+    return tensor_mod.reshape(tensor_mod.matmul(tensor_mod.reshape(out, (1, -1)), col), ())
+
+
 def complex_step_derivative(f, xs, k, v, seed):
     """The derivative of ``(f(*xs) * seed).sum()`` along direction ``v``
     of input ``k``, by one complex step."""

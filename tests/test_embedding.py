@@ -5,7 +5,9 @@ import pytest
 
 from blossomrec.embedding import EmbeddingTable, RoPECache, apply_rope, embed
 from blossomrec.errors import ConfigError, DataError
-from blossomrec.tensor import Tensor
+from blossomrec.tensor import Tensor, mul, reshape
+
+from chains import weighted_sum
 
 
 @pytest.fixture
@@ -59,7 +61,7 @@ def rotate(x, positions, cache):
     """``apply_rope`` of (..., L, d_head) rows on their own: one head
     through an identity projection, which passes them through exactly."""
     eye = Tensor(np.eye(cache.d_head))
-    return apply_rope(x, eye, 1, positions, cache)[..., 0, :]
+    return reshape(apply_rope(x, eye, 1, positions, cache), x.shape)
 
 
 class TestRope:
@@ -136,6 +138,14 @@ class TestRope:
         with pytest.raises(ConfigError, match=r"one per row of 5; got shape \(1,\)"):
             apply_rope(x, w, 2, np.array([3]), cache)
 
+    def test_negative_positions_are_rejected(self):
+        """Position -1 would index the last row of the cache, rotating
+        like position max_len - 1."""
+        cache = RoPECache(d_head=4, max_len=32)
+        x, w = Tensor(np.zeros((2, 8))), Tensor(np.zeros((8, 8)))
+        with pytest.raises(ConfigError, match="position -1 is negative"):
+            apply_rope(x, w, 2, np.array([0, -1]), cache)
+
     def test_weight_must_split_into_cached_heads(self):
         cache = RoPECache(d_head=4, max_len=32)
         x = Tensor(np.zeros((1, 5, 8)))
@@ -151,6 +161,6 @@ class TestRope:
 
         def f():
             y = rotate(x, np.arange(6), cache)
-            return (y * y).sum()
+            return weighted_sum(mul(y, y))
 
         assert grad_check(f, [x]) < 1e-7

@@ -34,14 +34,15 @@ def test_all_names_resolve(name):
 
 
 def test_every_tensor_op_runs_outside_tests():
-    """Each function ``tensor`` exports is called by the library itself,
-    traced with ``sys.setprofile``: one epoch of training (a single Adam
-    step of a 2-layer model with dropout, then ``evaluate`` and with it
-    ``last_hidden``) on tiny data at desk width, and ``verify``'s
-    gathered-against-dense attention check. An op only tests call is not
-    exported."""
+    """Each public function ``tensor`` defines, exported or not, is called
+    by the library itself, traced with ``sys.setprofile``: one epoch of
+    training (a single Adam step of a 2-layer model with dropout, then
+    ``evaluate`` and with it ``last_hidden``) on tiny data at desk width,
+    and ``verify``'s gathered-against-dense attention check. An op only
+    tests call does not belong in ``tensor``."""
     wanted = {obj.__code__: name for name, obj in vars(tensor).items()
-              if name in tensor.__all__ and inspect.isfunction(obj)}
+              if inspect.isfunction(obj) and obj.__module__ == tensor.__name__
+              and not name.startswith("_")}
     called = set()
 
     def profile(frame, event, arg):

@@ -20,13 +20,13 @@ from blossomrec.gradcheck import grad_check
 from blossomrec.ltis import CompressionMLP, build_ltis_masks, ltis_index
 from blossomrec.stis import batch_stis_masks, stis_index
 from blossomrec.tensor import (
-    Tensor, gathered_attention, index_mask, matmul, parameter, zero_grads,
+    Tensor, gathered_attention, index_mask, matmul, parameter, reshape, transpose, zero_grads,
 )
 from blossomrec.verify import gathered_equivalence_error
 
 from chains import (
     chain_ffn, chain_gate, chain_gathered_attention, chain_residual_norm, chain_rope,
-    complex_step_derivative,
+    complex_step_derivative, weighted_sum,
 )
 
 
@@ -139,7 +139,7 @@ class TestGatedFuse:
 
         def f():
             fused, _ = gated_fuse(a, b, gate_w, gate_b)
-            return (fused * Tensor(w)).sum()
+            return weighted_sum(fused, w)
 
         assert grad_check(f, {"o_ltis": a, "o_stis": b, "gate_w": gate_w, "gate_b": gate_b}) < 1e-6
 
@@ -151,15 +151,15 @@ class TestGatedFuse:
         rng = np.random.default_rng(8)
         data = {"o_ltis": rng.normal(size=(2, 5, 4)), "o_stis": rng.normal(size=(2, 5, 4)),
                 "gate_w": rng.normal(size=(8, 4)), "gate_b": rng.normal(size=4)}
-        w = Tensor(rng.normal(size=(2, 5, 4)))
+        w = rng.normal(size=(2, 5, 4))
         everyone = {name: parameter(x) for name, x in data.items()}
-        (gated_fuse(*everyone.values())[0] * w).sum().backward()
+        gated_fuse(*everyone.values())[0].backward(w)
         ts = {name: parameter(x) if name == learner else Tensor(x) for name, x in data.items()}
         fused, alpha = gated_fuse(*ts.values())
         held = [c.cell_contents for c in fused._backward.__closure__
                 if isinstance(c.cell_contents, np.ndarray)]
         assert len(held) == 1 and held[0] is alpha.data
-        (fused * w).sum().backward()
+        fused.backward(w)
         assert np.array_equal(ts[learner].grad, everyone[learner].grad)
         assert all(t.grad is None for name, t in ts.items() if name != learner)
 
@@ -209,7 +209,7 @@ class TestEncoderLayer:
         w = rng.normal(size=(7, cfg.d_model))
 
         def f():
-            return (encoder_layer(h, params, cfg, ctx, rope) * Tensor(w)).sum()
+            return weighted_sum(encoder_layer(h, params, cfg, ctx, rope), w)
 
         assert grad_check(f, params.parameters(), h=1e-5) < 1e-4
 
@@ -269,7 +269,7 @@ class TestPackedStream:
         def run(x, context, weights):
             zero_grads(named)
             out = encoder_layer(x, params, cfg, context, rope, pathway=pathway)
-            (out * Tensor(weights)).sum().backward()
+            out.backward(weights)
             return out.data, {k: p.grad for k, p in named.items() if p.grad is not None}
 
         packed, grads = run(h, ctx, w)
@@ -445,10 +445,10 @@ def dense_attend(cfg):
     dense mask (``index_mask``), on the stream as a batch of one with its
     heads first."""
     def masked(q, k, v, index, w_o):
-        batch = [t.transpose(1, 0, 2).reshape((1, t.shape[1], t.shape[0], t.shape[2]))
+        batch = [reshape(transpose(t, (1, 0, 2)), (1, t.shape[1], t.shape[0], t.shape[2]))
                  for t in (q, k, v)]
         out = grouped_attention(*batch, cfg, index_mask(*index, k.shape[0]))
-        return matmul(out.reshape(out.shape[1:]), w_o)
+        return matmul(reshape(out, out.shape[1:]), w_o)
 
     return masked
 
@@ -474,7 +474,7 @@ class TestGatherOrDense:
         named = params.parameters()
         zero_grads(named)
         out = encoder_layer(h, params, cfg, ctx, rope)
-        (out * Tensor(w)).sum().backward()
+        out.backward(w)
         monkeypatch.undo()
         grads = {name: p.grad for name, p in named.items() if p.grad is not None}
         return out.data, grads

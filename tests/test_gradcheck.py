@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from blossomrec.gradcheck import grad_check
-from blossomrec.tensor import Tensor, linear_cross_entropy, parameter
+from blossomrec.tensor import Tensor, linear_cross_entropy, mul, parameter, reshape
+
+from chains import weighted_sum
 
 
 def test_quadratic():
     w = parameter(np.array([3.0]))
-    err = grad_check(lambda: (w * w).reshape(()), {"w": w})
+    err = grad_check(lambda: reshape(mul(w, w), ()), {"w": w})
     assert err < 1e-8
     # analytic derivative of w^2 at 3 is 6
-    (w * w).reshape(()).backward()
+    reshape(mul(w, w), ()).backward()
     assert abs(w.grad[0] - 6.0) < 1e-12
 
 
@@ -26,13 +28,26 @@ def test_three_item_vocabulary_loss():
 def test_rejects_nonscalar():
     w = parameter(np.ones(3))
     with pytest.raises(ValueError, match="scalar"):
-        grad_check(lambda: w * 2.0, {"w": w})
+        grad_check(lambda: mul(w, 2.0), {"w": w})
 
 
 def test_rejects_nonfinite():
     w = parameter(np.array([1e200]))
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
-        grad_check(lambda: (w * w).sum(), {"w": w})
+        grad_check(lambda: weighted_sum(mul(w, w)), {"w": w})
+
+
+def test_nonfinite_step_leaves_parameters_as_they_were():
+    """The objective is NaN below w[0] = 1, so the step to w[0] - h
+    raises; the entry it moved must be put back."""
+    w = parameter(np.array([1.0, 2.0]))
+
+    def f():
+        return weighted_sum(mul(w, np.where(w.data[0] < 1.0, np.nan, 1.0)))
+
+    with pytest.raises(ValueError, match="non-finite"):
+        grad_check(f, {"w": w})
+    assert w.data.tolist() == [1.0, 2.0]
 
 
 def test_reports_wrong_gradient():
@@ -50,6 +65,6 @@ def test_reports_wrong_gradient():
             w.grad += g * 7.0  # wrong: true derivative is 2w
 
         out._backward = bad_backward
-        return out.reshape(())
+        return reshape(out, ())
 
     assert grad_check(f, {"w": w}) > 0.5

@@ -21,8 +21,10 @@ from blossomrec.errors import ConfigError
 from blossomrec.fusion import dense_causal_gqa, grouped_attention
 from blossomrec.gradcheck import grad_check
 from blossomrec.ltis import CompressionMLP, build_ltis_masks, ltis_index, remap_matrix
-from blossomrec.tensor import Tensor, parameter
+from blossomrec.tensor import Tensor, glorot, parameter
 from blossomrec.verify import _naive_selection, ltis_selection_error
+
+from chains import weighted_sum
 
 
 def small_cfg(**kw):
@@ -159,8 +161,7 @@ class TestCompression:
         same order: position bias, then w1, then w2."""
         ours, ref = np.random.default_rng(8), np.random.default_rng(8)
         phi = CompressionMLP(4, 3, ours)
-        want = [ref.normal(0.0, 0.02, (4, 3)), parameter((12, 3), ref).data,
-                parameter((3, 3), ref).data]
+        want = [ref.normal(0.0, 0.02, (4, 3)), glorot((12, 3), ref), glorot((3, 3), ref)]
         for got, w in zip((phi.pos_bias, phi.w1, phi.w2), want):
             assert np.array_equal(got, w)
         assert ours.random() == ref.random()
@@ -414,6 +415,25 @@ class TestQueryRows:
             # every valid slot holds a row of the query's own segment
             assert np.array_equal(segment & rows_of[:, start:start + n], segment)
 
+    @pytest.mark.parametrize("queries", [[38, 39], [37, 38, 39], [39, 79]])
+    def test_queries_of_one_segment_among_several(self, queries):
+        """Two scored segments of 40, with the queries all in the first
+        (as many as there are segments, or not) or one in each: each query
+        is scored against its own segment's compressed keys, so the index
+        equals those rows of the full index."""
+        rng = np.random.default_rng(33)
+        cfg = small_cfg(block_size=8, stride=4, sel_block_size=4, top_k=2, win=2,
+                        heads=4, kv_groups=2, d_head=4)
+        ctx = SeqContext.from_lengths(np.array([40, 40]))
+        q = rng.normal(size=(80, cfg.heads, cfg.d_head))
+        k = rng.normal(size=(80, cfg.kv_groups, cfg.d_head))
+        phi = CompressionMLP(cfg.block_size, cfg.d_head, rng)
+        full_idx, full_valid = ltis_index(q, k, ctx, np.arange(80), cfg, phi)
+        rows = np.array(queries)
+        idx, valid = ltis_index(q[rows], k, ctx, rows, cfg, phi)
+        assert np.array_equal(valid, full_valid[:, rows])
+        assert np.array_equal(idx, full_idx[:, rows])
+
 
 def loop_ltis_index(q, k, lengths, cfg, phi, rows=None):
     """``ltis_index`` laid out one segment at a time from the per-query
@@ -652,7 +672,7 @@ class TestLtisAttention:
         w = rng.normal(size=(length, cfg.heads * cfg.d_head))
 
         def f():
-            return (attend_selected(q, k, v, selected, cfg) * Tensor(w)).sum()
+            return weighted_sum(attend_selected(q, k, v, selected, cfg), w)
 
         assert grad_check(f, {"q": q, "k": k, "v": v}) < 1e-4
 

@@ -29,7 +29,9 @@ from blossomrec.model import (
 )
 from blossomrec import fusion, ltis, stis, tensor
 from blossomrec import model as model_mod
-from blossomrec.tensor import Tensor, linear_cross_entropy, no_grad, parameter, zero_grads
+from blossomrec.tensor import (
+    Tensor, getitem, linear_cross_entropy, no_grad, parameter, reshape, zero_grads,
+)
 from blossomrec.verify import LAST_ROW_BATCHES, packed_batch_error
 
 
@@ -49,7 +51,7 @@ def cross_entropy(scores, target_item):
     scores (item ids start at 1): ``linear_cross_entropy`` with an
     identity ``w``, so that ``h @ w.T`` is the scores themselves."""
     v = scores.shape[0]
-    return linear_cross_entropy(scores.reshape((1, v)), Tensor(np.eye(v)), [target_item - 1])
+    return linear_cross_entropy(reshape(scores, (1, v)), Tensor(np.eye(v)), [target_item - 1])
 
 
 def tiny_run(**kw):
@@ -180,7 +182,7 @@ class TestSequenceLoss:
         hidden = model.forward(batch)   # one forward, differentiated once per term
         terms = []
         for row, target in transitions:
-            term = cross_entropy(item_scores(hidden[row], model.table), target)
+            term = cross_entropy(item_scores(getitem(hidden, row), model.table), target)
             term.backward(1.0 / len(transitions))
             terms.append(float(term.data))
         assert abs(float(loss.data) - sum(terms) * (1.0 / len(terms))) < 1e-12
@@ -204,7 +206,7 @@ class TestSequenceLoss:
             hidden = model.forward(batch) if shared else None
             for row, target in terms:
                 h = hidden if shared else model.forward(batch)
-                cross_entropy(item_scores(h[row], model.table), target).backward(0.5)
+                cross_entropy(item_scores(getitem(h, row), model.table), target).backward(0.5)
             return {k: p.grad.copy() for k, p in params.items()}
 
         separate, shared = grads(False), grads(True)
@@ -888,6 +890,16 @@ class TestCheckpoint:
             assert np.array_equal(p.data, loaded.parameters()[k].data), k
         batch = SeqBatch.from_sequences([[3, 1, 8, 5, 2, 9, 14, 7, 6, 11, 4, 12]], max_len=16)
         assert np.array_equal(model.forward(batch).data, loaded.forward(batch).data)
+
+    @pytest.mark.parametrize("name", ["ckpt", "model.weights"])
+    def test_written_to_the_path_as_given(self, tmp_path, name):
+        """No ".npz" is appended, so a path without that suffix loads back."""
+        model = tiny_model(seed=2)
+        save_checkpoint(model, str(tmp_path / name))
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+        loaded = load_checkpoint(tmp_path / name)
+        for k, p in model.parameters().items():
+            assert np.array_equal(p.data, loaded.parameters()[k].data), k
 
     def test_version_1_refused(self, tmp_path):
         path = tmp_path / "v1.npz"

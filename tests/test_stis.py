@@ -11,6 +11,8 @@ from blossomrec.stis import batch_stis_masks, power_table, stis_index
 from blossomrec.tensor import Tensor, parameter
 from blossomrec.verify import brute_force_power_mask
 
+from chains import weighted_sum
+
 
 def cfg_with(blk=1, win=2, **kw):
     base = dict(block_size=8, stride=4, sel_block_size=4, top_k=2,
@@ -127,7 +129,7 @@ class TestStisAttention:
         w = rng.normal(size=(length, cfg.heads * cfg.d_head))
 
         def f():
-            return (grouped_attention(q, k, v, cfg, mask) * Tensor(w)).sum()
+            return weighted_sum(grouped_attention(q, k, v, cfg, mask), w)
 
         assert grad_check(f, {"q": q, "k": k, "v": v}) < 1e-4
 
