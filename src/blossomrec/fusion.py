@@ -119,15 +119,18 @@ def gated_fuse(o_ltis: Tensor, o_stis: Tensor, gate_w: Tensor, gate_b: Tensor) -
 
 @dataclass
 class BlossomLayerParams:
-    """Weights of one encoder layer: the learnable tensors ``parameters()``
-    names, plus the fixed random projection LTIS selection scores with."""
+    """Weights of one encoder layer, for the pathway it was built for:
+    the learnable tensors ``parameters()`` names, plus the fixed random
+    projection LTIS selection scores with. The gate (``gate_w``,
+    ``gate_b``) exists only where both pathways run and ``cmp_key`` only
+    where LTIS runs; a pathway that does not run them holds None."""
 
     w_q: Tensor
     w_k: Tensor
     w_v: Tensor
     w_o: Tensor
-    gate_w: Tensor
-    gate_b: Tensor
+    gate_w: Tensor | None
+    gate_b: Tensor | None
     ffn_w1: Tensor
     ffn_b1: Tensor
     ffn_w2: Tensor
@@ -136,12 +139,16 @@ class BlossomLayerParams:
     ln1_beta: Tensor
     ln2_gamma: Tensor
     ln2_beta: Tensor
-    cmp_key: ltis_mod.CompressionMLP
+    cmp_key: ltis_mod.CompressionMLP | None
 
     @classmethod
-    def init(cls, cfg: AttentionConfig, rng: np.random.Generator) -> "BlossomLayerParams":
+    def init(cls, cfg: AttentionConfig, rng: np.random.Generator,
+             pathway: str = "both") -> "BlossomLayerParams":
+        """Draw every weight, in declaration order, whatever the pathway,
+        so each weight a pathway keeps is the same draw in every pathway's
+        model; then drop what ``pathway`` does not run."""
         d, dk = cfg.d_model, cfg.d_head
-        return cls(
+        layer = cls(
             w_q=parameter(glorot((d, cfg.heads * dk), rng)),
             w_k=parameter(glorot((d, cfg.kv_groups * dk), rng)),
             w_v=parameter(glorot((d, cfg.kv_groups * dk), rng)),
@@ -158,39 +165,46 @@ class BlossomLayerParams:
             ln2_beta=parameter(np.zeros(d)),
             cmp_key=ltis_mod.CompressionMLP(cfg.block_size, dk, rng),
         )
+        if pathway != "both":
+            layer.gate_w = layer.gate_b = None
+        if pathway == "stis":
+            layer.cmp_key = None
+        return layer
 
     def parameters(self) -> dict[str, Tensor]:
-        """Every field but ``cmp_key``, in declaration order."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "cmp_key"}
+        """The learnable tensors the layer holds, in declaration order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if isinstance(getattr(self, f.name), Tensor)}
 
 
-def _keep_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator | None,
-               training: bool) -> np.ndarray | None:
-    """Inverted dropout's bool keep-mask over stream rows, or None (no
-    dropout) unless training with a positive rate."""
-    if not training or rate <= 0.0:
+def _keep_mask(shape: tuple[int, ...], rate: float,
+               rng: np.random.Generator | None) -> np.ndarray | None:
+    """Inverted dropout's bool keep-mask over stream rows, drawn from
+    ``rng``, or None (no dropout) without an RNG or a positive rate."""
+    if rng is None or rate <= 0.0:
         return None
-    if rng is None:
-        raise ValueError("training-mode dropout needs an RNG")
     return rng.random(shape) >= rate
 
 
 def encoder_layer(h_prev: Tensor, params: BlossomLayerParams, cfg: AttentionConfig,
                   ctx: SeqContext, rope: RoPECache,
-                  dropout_rate: float = 0.0, training: bool = False,
-                  rng: np.random.Generator | None = None, pathway: str = "both",
-                  rows: int | None = None) -> Tensor:
+                  dropout_rate: float = 0.0, rng: np.random.Generator | None = None,
+                  pathway: str = "both", rows: int | None = None) -> Tensor:
     """One post-norm encoder layer with gated dual-pathway attention on
     the packed stream, (N, d) -> (N, d).
 
     Each pathway's index goes to ``_attend``, which gathers its K/V rows.
     Each residual site, with its dropout and layer norm, is one tape op
     (``tensor.residual_norm``), and so is the FFN (``tensor.ffn``).
-    Dropout is identity unless ``training`` is set. K/V always span the
+    Dropout draws its keep-masks from ``rng``, and is identity without
+    one. ``params`` must hold what ``pathway`` runs. K/V always span the
     stream; with ``rows`` set, only each segment's last ``rows`` rows
     are queries and every later step runs on them alone, so the output is
     (Nq, d): those rows of the full output, in stream order.
     """
+    if (pathway == "both" and params.gate_w is None
+            or pathway != "stis" and params.cmp_key is None):
+        raise ConfigError(f"layer weights built for one pathway cannot run pathway {pathway!r}")
     q_rows = ctx.query_rows(rows)
     h_q = h_prev if rows is None else take_rows(h_prev, q_rows)
     q = apply_rope(h_q, params.w_q, cfg.heads, ctx.positions[q_rows], rope)
@@ -210,17 +224,16 @@ def encoder_layer(h_prev: Tensor, params: BlossomLayerParams, cfg: AttentionConf
         fused = o_ltis if pathway == "ltis" else o_stis
 
     mixed = residual_norm(h_q, fused, params.ln1_gamma, params.ln1_beta,
-                          _keep_mask(fused.shape, dropout_rate, rng, training), dropout_rate)
+                          _keep_mask(fused.shape, dropout_rate, rng), dropout_rate)
     ff = ffn(mixed, params.ffn_w1, params.ffn_b1, params.ffn_w2, params.ffn_b2)
     return residual_norm(mixed, ff, params.ln2_gamma, params.ln2_beta,
-                         _keep_mask(ff.shape, dropout_rate, rng, training), dropout_rate)
+                         _keep_mask(ff.shape, dropout_rate, rng), dropout_rate)
 
 
 def encode(embedded: Tensor, layers: list[BlossomLayerParams], w_n: Tensor, b_n: Tensor,
            cfg: AttentionConfig, ctx: SeqContext, rope: RoPECache,
-           dropout_rate: float = 0.0, training: bool = False,
-           rng: np.random.Generator | None = None, pathway: str = "both",
-           rows: int | None = None) -> Tensor:
+           dropout_rate: float = 0.0, rng: np.random.Generator | None = None,
+           pathway: str = "both", rows: int | None = None) -> Tensor:
     """Run the layer stack and the final affine projection on the packed
     stream, (N, d) -> (N, d).
 
@@ -233,8 +246,7 @@ def encode(embedded: Tensor, layers: list[BlossomLayerParams], w_n: Tensor, b_n:
     hidden = embedded
     for depth, params in enumerate(layers, start=1):
         hidden = encoder_layer(hidden, params, cfg, ctx, rope,
-                               dropout_rate=dropout_rate, training=training,
-                               rng=rng, pathway=pathway,
+                               dropout_rate=dropout_rate, rng=rng, pathway=pathway,
                                rows=rows if depth == len(layers) else None)
     return affine(hidden, w_n, b_n)
 

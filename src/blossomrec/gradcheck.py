@@ -37,7 +37,7 @@ def grad_check(
     def evaluate() -> float:
         with no_grad():
             out = f()
-        val = float(out.data)
+        val = out.data.item()
         if not np.isfinite(val):
             raise ValueError("grad_check: objective evaluated to a non-finite value")
         return val
@@ -46,7 +46,7 @@ def grad_check(
     out = f()
     if out.size != 1:
         raise ValueError(f"grad_check needs a scalar objective, got shape {out.shape}")
-    if not np.isfinite(float(out.data)):
+    if not np.isfinite(out.data.item()):
         raise ValueError("grad_check: objective evaluated to a non-finite value")
     out.backward()
     analytic = {name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data)) for name, p in named}

@@ -65,7 +65,7 @@ class Model:
         self.pathway = pathway
         self.seed = seed
         self.table = EmbeddingTable(num_items, cfg.d_model, rng)
-        self.layers = [BlossomLayerParams.init(cfg, rng) for _ in range(num_layers)]
+        self.layers = [BlossomLayerParams.init(cfg, rng, pathway) for _ in range(num_layers)]
         self.w_n = parameter(np.eye(cfg.d_model))
         self.b_n = parameter(np.zeros(cfg.d_model))
         self.rope = RoPECache(cfg.d_head, max_len + 1)
@@ -77,15 +77,15 @@ class Model:
                 named[f"layer{i}.{name}"] = p
         return named
 
-    def forward(self, batch: SeqBatch, training: bool = False,
-                rng: np.random.Generator | None = None, rows: int | None = None) -> Tensor:
+    def forward(self, batch: SeqBatch, rng: np.random.Generator | None = None,
+                rows: int | None = None) -> Tensor:
         """The encoder's output on the batch's stream of rows,
         (N, d_model), or with ``rows`` set on each segment's last
-        ``rows`` rows only, (Nq, d_model), in stream order."""
+        ``rows`` rows only, (Nq, d_model), in stream order. Dropout draws
+        from ``rng``, and is off without one."""
         return encode(embed(batch.ids, self.table), self.layers, self.w_n, self.b_n,
                       self.cfg, SeqContext.from_lengths(batch.lengths), self.rope,
-                      dropout_rate=self.dropout, training=training, rng=rng,
-                      pathway=self.pathway, rows=rows)
+                      dropout_rate=self.dropout, rng=rng, pathway=self.pathway, rows=rows)
 
     def last_hidden(self, batch: SeqBatch) -> np.ndarray:
         """Evaluation-mode hidden state of each sequence's last row,
@@ -118,7 +118,13 @@ class Model:
         name every ``AttentionConfig`` field and nothing else. A value of
         another type than the constructor's or the config's annotation (an
         int passes as a float), or one their checks reject, is a
-        checkpoint error."""
+        checkpoint error, and so is a config or attention config that is
+        not a JSON object."""
+        if not isinstance(meta, dict):
+            raise CheckpointError(f"checkpoint config is not a JSON object: {meta!r}")
+        if not isinstance(meta["attention"], dict):
+            raise CheckpointError(f"checkpoint attention config is not a JSON object: "
+                                  f"{meta['attention']!r}")
         given = set(meta["attention"])
         names = {f.name for f in fields(AttentionConfig)}
         if given != names:
@@ -162,6 +168,9 @@ def sequence_loss(model: Model, batch: SeqBatch, training: bool = False,
     hidden-state and item-table gradients in that same pass, so the graph
     holds no (T, V) logit matrix and backward forms none again.
 
+    Dropout runs only with ``training`` set, drawing from ``rng``, which
+    a model with dropout then needs.
+
     Item id 0 names no item, so a batch holding it is a ``DataError``:
     training it would move the embedding table's reserved zero row.
     """
@@ -171,7 +180,9 @@ def sequence_loss(model: Model, batch: SeqBatch, training: bool = False,
     rows = np.flatnonzero(ctx.positions[1:] > 0)   # row r + 1 is not a segment's first
     if not rows.size:
         raise DataError("batch contains no next-item transitions")
-    picked = take_rows(model.forward(batch, training=training, rng=rng), rows)   # (T, d)
+    if training and model.dropout > 0.0 and rng is None:
+        raise ValueError("training-mode dropout needs an RNG")
+    picked = take_rows(model.forward(batch, rng if training else None), rows)   # (T, d)
     return linear_cross_entropy(picked, model.table.item_vectors(), batch.ids[rows + 1] - 1)
 
 
@@ -251,6 +262,11 @@ def train(model: Model, dataset: SplitDataset, run: RunConfig,
     ``log_line``, when given, receives one dict per epoch (epoch number,
     mean train loss, validation metrics). The model is left holding the
     best-validation parameters. Fully deterministic for a fixed seed.
+    Batches keep each sequence's newest ``model.max_len`` items, as
+    evaluation does. ``run``'s model fields (``max_len``, ``layers``,
+    ``dropout``, ``pathway`` and the attention fields) size the model the
+    CLI builds; ``train`` reads only its optimizer, batching, stopping
+    and evaluation settings.
     """
     if not dataset.users:
         raise DataError("cannot train on an empty dataset")
@@ -262,7 +278,7 @@ def train(model: Model, dataset: SplitDataset, run: RunConfig,
     patience_left = run.patience
     for epoch in range(1, run.epochs + 1):
         order = rng.permutation(len(dataset.users))
-        batches = _train_batches(dataset, order, run.batch_size, run.max_len)
+        batches = _train_batches(dataset, order, run.batch_size, model.max_len)
         if not batches:
             raise DataError("no training sequence holds a next-item transition")
         losses = []
@@ -376,8 +392,10 @@ def _evaluate_with(score, dataset: SplitDataset, split: str, k: int, n_negatives
 
 def save_checkpoint(model: Model, path: str | Path) -> None:
     """Write parameters + config as a versioned npz archive at ``path``,
-    exactly as given (no ".npz" is appended). The fixed LTIS selection
-    projection is not stored: loading redraws it from the seed."""
+    exactly as given (no ".npz" is appended). Only the parameters the
+    model holds are stored, so a single-pathway model stores no gate. The
+    fixed LTIS selection projection is not stored: loading redraws it
+    from the seed."""
     arrays = {f"param:{k}": p.data for k, p in model.parameters().items()}
     meta = {"version": CHECKPOINT_VERSION, "config": model.config_dict()}
     with open(path, "wb") as fh:   # np.savez appends ".npz" to a path, not to a file
@@ -385,6 +403,11 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Model:
+    """Rebuild the model ``save_checkpoint`` wrote at ``path``. The archive
+    must hold every parameter the configured model holds, as real numbers
+    of its shape; arrays it does not hold, such as the gate a
+    single-pathway model once stored, are ignored. Anything else wrong
+    with the file is a ``CheckpointError``."""
     path = Path(path)
     if not path.exists():
         raise CheckpointError(f"checkpoint not found: {path}")
@@ -412,7 +435,13 @@ def load_checkpoint(path: str | Path) -> Model:
             key = f"param:{name}"
             if key not in archive:
                 raise CheckpointError(f"checkpoint missing parameter {name}")
-            stored = archive[key]
+            try:
+                stored = archive[key]
+            except ValueError as exc:   # an object array, which would need pickle
+                raise CheckpointError(f"parameter {name} is unreadable: {exc}") from exc
+            if stored.dtype.kind not in "iuf":
+                raise CheckpointError(f"parameter {name} has dtype {stored.dtype}, "
+                                      f"not real numbers")
             if stored.shape != p.data.shape:
                 raise CheckpointError(f"parameter {name} has shape {stored.shape}, expected {p.data.shape}")
             p.data = stored.astype(np.float64).copy()

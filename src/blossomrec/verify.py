@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .analysis import count_participating
-from .config import AttentionConfig
+from .config import PATHWAYS, AttentionConfig
 from .data import SeqBatch, SeqContext
 from .fusion import dense_causal_gqa, gated_fuse, grouped_attention
 from .gradcheck import grad_check
@@ -296,24 +296,30 @@ def packed_batch_error(seeds: range, batches: tuple[tuple[int, ...], ...]) -> fl
 
 
 def gradient_error() -> tuple[float, list[str], list[str]]:
-    """Tape gradients of a whole model's loss vs central differences.
+    """Tape gradients of a whole model's loss vs central differences, for
+    a model of each pathway.
 
     Selection block of 2 with top-1 and a width-1 window make the two
     pathways disagree at loss-bearing positions, so the gate gets signal.
-    Returns the max relative error, the names of the parameters checked,
-    and the names of those whose tape gradient is missing or all zero: a
-    parameter the loss never reaches would pass the comparison vacuously.
+    Returns the max relative error over the three models, the names of
+    the parameters checked, and the names of those whose tape gradient is
+    missing or all zero, each as "pathway:name": a parameter the loss
+    never reaches would pass the comparison vacuously.
     """
     cfg = AttentionConfig(block_size=4, stride=2, sel_block_size=2, top_k=1,
                           win=1, blk=1, heads=2, kv_groups=1, d_model=6, d_head=4)
-    model = Model(num_items=9, cfg=cfg, num_layers=1, seed=5, max_len=16)
     batch = SeqBatch.from_sequences([[1, 4, 2, 7, 3, 5, 9, 6, 4, 8],
                                      [2, 2, 8, 1, 7, 5]], max_len=16)
-    params = model.parameters()
-    sequence_loss(model, batch).backward()
-    dead = [name for name, p in params.items() if p.grad is None or not p.grad.any()]
-    err = grad_check(lambda: sequence_loss(model, batch), params, h=1e-5)
-    return err, list(params), dead
+    worst, names, dead = 0.0, [], []
+    for pathway in PATHWAYS:
+        model = Model(num_items=9, cfg=cfg, num_layers=1, seed=5, max_len=16, pathway=pathway)
+        params = model.parameters()
+        sequence_loss(model, batch).backward()
+        names += [f"{pathway}:{name}" for name in params]
+        dead += [f"{pathway}:{name}" for name, p in params.items()
+                 if p.grad is None or not p.grad.any()]
+        worst = max(worst, grad_check(lambda: sequence_loss(model, batch), params, h=1e-5))
+    return worst, names, dead
 
 
 def mask_law_holds(num_cases: int) -> bool:
@@ -364,7 +370,8 @@ def run_verification(quick: bool = False) -> bool:
                    "gradients; 1 and 2 layers)", err < 1e-10, f"max abs err {err:.3e}"))
 
     err, _, dead = gradient_error()
-    checks.append(("tape gradients vs central differences, every parameter reached",
+    checks.append(("tape gradients vs central differences, every parameter reached, "
+                   "each pathway",
                    err < 1e-6 and not dead, f"max rel err {err:.3e}, unreached {dead or 'none'}"))
 
     ok = mask_law_holds(10 if quick else 50)

@@ -11,7 +11,7 @@ import pytest
 
 from blossomrec.analysis import count_participating
 from blossomrec.cli import main
-from blossomrec.config import AttentionConfig, RunConfig
+from blossomrec.config import PATHWAYS, AttentionConfig, RunConfig
 from blossomrec.data import leave_one_out_split, make_synthetic, write_interactions
 from blossomrec.model import Model, evaluate, evaluate_popularity, train
 from blossomrec.stis import power_table
@@ -87,16 +87,23 @@ def test_criterion_2_dense_oracle_equivalence():
 
 
 def test_criterion_3_gradient_correctness():
+    """Tape gradients against central differences for a model of each
+    pathway, every parameter group checked and reached; only the fused
+    model holds a gate."""
     start = time.time()
     err, names, dead = gradient_error()
     groups = {"embedding", "w_q", "w_k", "w_v", "gate",
               "ffn", "ln1", "ln2", "w_n", "b_n", "w_o"}
-    covered = {g for g in groups if any(g in name for name in names)}
+    covered = {pathway: {g for g in groups if any(g in name for name in names
+                                                  if name.startswith(f"{pathway}:"))}
+               for pathway in PATHWAYS}
+    wanted = {pathway: groups if pathway == "both" else groups - {"gate"} for pathway in PATHWAYS}
     elapsed = time.time() - start
-    ok = err <= 1e-6 and covered == groups and not dead and elapsed < 120.0
+    ok = err <= 1e-6 and covered == wanted and not dead and elapsed < 120.0
     _report(3, "gradient correctness", ok,
-            f"max rel err {err:.3e} over {len(names)} groups, unreached {dead}, {elapsed:.1f}s")
-    assert covered == groups, "a parameter group is missing from the check"
+            f"max rel err {err:.3e} over {len(names)} parameters of {len(PATHWAYS)} pathways, "
+            f"unreached {dead}, {elapsed:.1f}s")
+    assert covered == wanted, "a parameter group is missing from the check, or held in vain"
     assert dead == [], "the loss reaches no gradient to these parameters"
     assert err <= 1e-6
     assert elapsed < 120.0

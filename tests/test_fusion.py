@@ -213,6 +213,34 @@ class TestEncoderLayer:
 
         assert grad_check(f, params.parameters(), h=1e-5) < 1e-4
 
+    def test_layer_holds_only_what_its_pathway_runs(self):
+        """Only the fused layer holds the gate, and only a layer that runs
+        LTIS its fixed projection; each weight a pathway keeps is the same
+        draw in every pathway's layer."""
+        cfg = make_cfg()
+        layers = {p: BlossomLayerParams.init(cfg, np.random.default_rng(11), p)
+                  for p in ("both", "ltis", "stis")}
+        full = layers["both"].parameters()
+        assert {"gate_w", "gate_b"} < full.keys()
+        for pathway, layer in layers.items():
+            held = layer.parameters()
+            assert held.keys() == (full.keys() if pathway == "both"
+                                   else full.keys() - {"gate_w", "gate_b"})
+            for name, p in held.items():
+                assert np.array_equal(p.data, full[name].data), (pathway, name)
+            assert (layer.cmp_key is None) == (pathway == "stis")
+        assert np.array_equal(layers["ltis"].cmp_key.w1, layers["both"].cmp_key.w1)
+
+    @pytest.mark.parametrize("built, run", [("ltis", "both"), ("stis", "both"),
+                                            ("stis", "ltis")])
+    def test_layer_runs_no_pathway_it_was_not_built_for(self, built, run):
+        rng = np.random.default_rng(12)
+        cfg = make_cfg()
+        params = BlossomLayerParams.init(cfg, rng, built)
+        h, ctx, rope = layer_inputs(cfg, [8], rng)
+        with pytest.raises(ConfigError, match="cannot run pathway"):
+            encoder_layer(h, params, cfg, ctx, rope, pathway=run)
+
     def test_pathway_ablation_modes(self):
         rng = np.random.default_rng(10)
         cfg = make_cfg()
@@ -316,7 +344,7 @@ def chain_qkv(p, cfg, ctx, rope, q_rows):
 
 
 def chain_layer(p, cfg, ctx, rope, rows, indices, keeps, rate):
-    """``encoder_layer`` in training mode as plain numpy on the arrays
+    """``encoder_layer`` with dropout as plain numpy on the arrays
     ``p`` by name (the input ``h`` and the parameters), real or complex:
     attention over each (idx, valid) of ``indices`` (LTIS, then STIS) as
     ``chain_gathered_attention``, the gate when there are two, and each
@@ -347,22 +375,25 @@ class TestFusedChain:
         generators end in the same state), its output is bit for bit the
         chain's on the same selection and masks, and for each learner, the
         input's too, the gradient along a random direction is the chain's
-        complex-step derivative along it, within 1e-12 of the norms."""
+        complex-step derivative along it, within 1e-12 of the norms. The
+        layer holds only what its pathway runs, and every learner gets a
+        gradient."""
         cfg = self.CFG
         rng = np.random.default_rng(22)
-        params = BlossomLayerParams.init(cfg, rng)
+        params = BlossomLayerParams.init(cfg, rng, pathway)
         for p in params.parameters().values():   # no zero bias or unit gain
             p.data += rng.normal(0.0, 0.3, p.shape)
         h, ctx, rope = layer_inputs(cfg, [1, 13, 27, 40], rng)
         learners = {"h": parameter(h.data), **params.parameters()}
         draws = np.random.default_rng(23)
         out = encoder_layer(learners["h"], params, cfg, ctx, rope, dropout_rate=0.3,
-                            training=True, rng=draws, pathway=pathway, rows=rows)
+                            rng=draws, pathway=pathway, rows=rows)
         seed = np.random.default_rng(24).normal(size=out.shape)
         out.backward(seed)
         grads = {name: t.grad for name, t in learners.items() if t.grad is not None}
         assert out.shape == (81 if rows is None else 4, cfg.d_model)
-        assert ("gate_w" in grads) == (pathway == "both")
+        assert ("gate_w" in learners) == (pathway == "both")
+        assert grads.keys() == learners.keys()
 
         chain_draws = np.random.default_rng(23)
         keeps = [chain_draws.random(out.shape) >= 0.3 for _ in range(2)]

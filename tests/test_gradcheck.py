@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from blossomrec.gradcheck import grad_check
-from blossomrec.tensor import Tensor, linear_cross_entropy, mul, parameter, reshape
+from blossomrec.tensor import Tensor, linear_cross_entropy, matmul, mul, parameter, reshape
 
 from chains import weighted_sum
 
@@ -29,6 +29,15 @@ def test_rejects_nonscalar():
     w = parameter(np.ones(3))
     with pytest.raises(ValueError, match="scalar"):
         grad_check(lambda: mul(w, 2.0), {"w": w})
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1,), (1, 1, 1)], ids=["1x1", "1", "1x1x1"])
+def test_size_one_objective_of_any_shape(shape):
+    """A size-1 objective need not be 0-d: (1, 2) @ (2, 1) checks like
+    its scalar, whose gradient is the ones vector."""
+    w = parameter(np.array([[0.5, -2.0]]))
+    err = grad_check(lambda: reshape(matmul(w, np.ones((2, 1))), shape), {"w": w})
+    assert err < 1e-8
 
 
 def test_rejects_nonfinite():

@@ -143,6 +143,22 @@ class TestSequenceLoss:
         with pytest.raises(DataError, match="item id 0"):
             sequence_loss(model, batch, training=True, rng=np.random.default_rng(0))
 
+    def test_dropout_draws_only_in_training(self):
+        """The RNG switches dropout on, and only ``training`` passes it
+        down: training a model with dropout needs one, and evaluation
+        leaves it untouched. Without dropout, training needs none."""
+        model = tiny_model(num_items=10, dropout=0.3)
+        batch = SeqBatch.from_sequences([[4, 9, 2, 7]], max_len=8)
+        with pytest.raises(ValueError, match="needs an RNG"):
+            sequence_loss(model, batch, training=True)
+        rng = np.random.default_rng(5)
+        evaluated = sequence_loss(model, batch, rng=rng).data
+        assert rng.random() == np.random.default_rng(5).random()
+        assert evaluated == sequence_loss(model, batch).data
+        assert sequence_loss(model, batch, training=True, rng=rng).data != evaluated
+        model.dropout = 0.0
+        assert sequence_loss(model, batch, training=True).data == evaluated
+
     def test_two_layer_stack_gradient(self):
         model = Model(7, tiny_cfg(d_model=6, heads=2, kv_groups=1, d_head=4),
                       num_layers=2, seed=8, max_len=10)
@@ -582,6 +598,23 @@ class TestTrain:
         assert state.stopped_early
         assert state.epoch == 2
 
+    @pytest.mark.parametrize("run_max_len", [8, 32])
+    def test_batches_cut_at_the_models_max_len(self, run_max_len):
+        """Training cuts each history to the model's max_len, the length it
+        is evaluated at, whatever the run's: a run's longer max_len once
+        overran the model's RoPE cache, and a shorter one trained on
+        shorter windows than evaluation read."""
+        dataset = leave_one_out_split(make_synthetic(8, 40, 3, 12, 0.1, seed=13))
+        assert max(len(s) for s in dataset.train.values()) > 16
+        runs = []
+        for max_len in (16, run_max_len):
+            model = Model(dataset.num_items, tiny_cfg(), 1, seed=4, max_len=16)
+            state = train(model, dataset, tiny_run(epochs=2, max_len=max_len))
+            runs.append((state.history, model.parameters()))
+        assert runs[0][0] == runs[1][0]
+        for k, p in runs[0][1].items():
+            assert np.array_equal(p.data, runs[1][1][k].data), k
+
     def test_best_checkpoint_restored(self, dataset):
         model = Model(dataset.num_items, tiny_cfg(), 1, seed=9, max_len=16)
         state = train(model, dataset, tiny_run(epochs=3))
@@ -900,6 +933,63 @@ class TestCheckpoint:
         loaded = load_checkpoint(tmp_path / name)
         for k, p in model.parameters().items():
             assert np.array_equal(p.data, loaded.parameters()[k].data), k
+
+    @pytest.mark.parametrize("pathway", ["both", "ltis", "stis"])
+    def test_stores_only_what_the_pathway_holds(self, tmp_path, pathway):
+        """Only the fused model stores a gate. A single-pathway checkpoint
+        of the earlier layout, which also stored the gate its model never
+        trained, loads to the same weights: the extra arrays are ignored."""
+        model = tiny_model(num_items=14, layers=2, seed=6, pathway=pathway)
+        for p in model.parameters().values():
+            p.data += 0.01
+        path = tmp_path / "model.npz"
+        save_checkpoint(model, path)
+        with np.load(path) as archive:
+            arrays = dict(archive)
+        assert any("gate_" in k for k in arrays) == (pathway == "both")
+        assert sorted(arrays) == sorted(["__meta__", *(f"param:{k}" for k in model.parameters())])
+        for i in range(2):
+            arrays.setdefault(f"param:layer{i}.gate_w", np.ones((16, 8)))
+            arrays.setdefault(f"param:layer{i}.gate_b", np.ones(8))
+        np.savez(path, **arrays)
+        loaded = load_checkpoint(path)
+        assert loaded.parameters().keys() == model.parameters().keys()
+        for k, p in model.parameters().items():
+            assert np.array_equal(p.data, loaded.parameters()[k].data), k
+        batch = SeqBatch.from_sequences([[3, 1, 8, 5, 2, 9, 14, 7, 6, 11, 4, 12]], max_len=16)
+        assert np.array_equal(model.forward(batch).data, loaded.forward(batch).data)
+
+    MALFORMED = {"config-string": "config is not a JSON object: 'x'",
+                 "attention-int": "attention config is not a JSON object: 5",
+                 "param-strings": "layer0.w_q has dtype <U",
+                 "param-objects": "layer0.w_q is unreadable",
+                 "param-complex": "layer0.w_q has dtype complex128"}
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_malformed_is_a_checkpoint_error(self, tmp_path, case):
+        """Each case, made from a valid file, is a checkpoint error that
+        names the problem, not a TypeError, a ValueError or a parameter
+        loaded with its imaginary part dropped."""
+        path = tmp_path / "model.npz"
+        save_checkpoint(tiny_model(), path)
+        with np.load(path) as archive:
+            arrays = dict(archive)
+        meta = json.loads(arrays["__meta__"].tobytes().decode())
+        w_q = arrays["param:layer0.w_q"]
+        if case == "config-string":
+            meta["config"] = "x"
+        elif case == "attention-int":
+            meta["config"]["attention"] = 5
+        elif case == "param-strings":
+            arrays["param:layer0.w_q"] = w_q.astype(str)
+        elif case == "param-objects":
+            arrays["param:layer0.w_q"] = w_q.astype(object)
+        else:
+            arrays["param:layer0.w_q"] = w_q + 1j
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(path, **arrays)
+        with pytest.raises(CheckpointError, match=self.MALFORMED[case]):
+            load_checkpoint(path)
 
     def test_version_1_refused(self, tmp_path):
         path = tmp_path / "v1.npz"
