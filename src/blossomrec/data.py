@@ -295,7 +295,7 @@ def make_synthetic(num_users: int, num_items: int, blocks_per_user: int,
     if not 0.0 <= noise_rate <= 1.0:
         raise DataError(f"noise_rate must lie in [0, 1], got {noise_rate}")
     rng = np.random.default_rng(seed)
-    cluster_width = max(2, min(10, num_items // max(1, blocks_per_user * 2)))
+    cluster_width = min(num_items, max(2, min(10, num_items // max(1, blocks_per_user * 2))))
     users: list[str] = []
     items: list[str] = []
     for u in range(1, num_users + 1):

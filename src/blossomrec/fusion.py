@@ -4,7 +4,8 @@ One encoder layer projects its input to Q/K/V, applies rotary encoding,
 runs the long-term (block selection) and short-term (power mask) pathways
 over the same Q/K/V, fuses the two outputs through a learnable per-entry
 sigmoid gate, and finishes with the usual post-norm residual + feed-forward
-sandwich. A stack of layers ends with one affine output projection.
+sandwich. A layer built for one pathway alone holds no gate and runs that
+pathway only. A stack of layers ends with one affine output projection.
 
 The encoder runs on a packed stream, (N, d): a batch's rows, one
 sequence's segment after another, with N the sum of the lengths, as in
@@ -123,7 +124,9 @@ class BlossomLayerParams:
     the learnable tensors ``parameters()`` names, plus the fixed random
     projection LTIS selection scores with. The gate (``gate_w``,
     ``gate_b``) exists only where both pathways run and ``cmp_key`` only
-    where LTIS runs; a pathway that does not run them holds None."""
+    where LTIS runs; a pathway that does not run them holds None.
+    ``encoder_layer`` runs what the layer holds, so ``init`` is the one
+    place a pathway name becomes weights."""
 
     w_q: Tensor
     w_k: Tensor
@@ -189,22 +192,22 @@ def _keep_mask(shape: tuple[int, ...], rate: float,
 def encoder_layer(h_prev: Tensor, params: BlossomLayerParams, cfg: AttentionConfig,
                   ctx: SeqContext, rope: RoPECache,
                   dropout_rate: float = 0.0, rng: np.random.Generator | None = None,
-                  pathway: str = "both", rows: int | None = None) -> Tensor:
+                  rows: int | None = None) -> Tensor:
     """One post-norm encoder layer with gated dual-pathway attention on
     the packed stream, (N, d) -> (N, d).
 
+    The layer runs the pathway its weights hold: LTIS where ``params``
+    holds ``cmp_key``, STIS where it holds no ``cmp_key`` or holds the
+    gate, and the gate where it holds ``gate_w``.
     Each pathway's index goes to ``_attend``, which gathers its K/V rows.
     Each residual site, with its dropout and layer norm, is one tape op
     (``tensor.residual_norm``), and so is the FFN (``tensor.ffn``).
     Dropout draws its keep-masks from ``rng``, and is identity without
-    one. ``params`` must hold what ``pathway`` runs. K/V always span the
-    stream; with ``rows`` set, only each segment's last ``rows`` rows
-    are queries and every later step runs on them alone, so the output is
-    (Nq, d): those rows of the full output, in stream order.
+    one. K/V always span the stream; with ``rows`` set, only each
+    segment's last ``rows`` rows are queries and every later step runs
+    on them alone, so the output is (Nq, d): those rows of the full
+    output, in stream order.
     """
-    if (pathway == "both" and params.gate_w is None
-            or pathway != "stis" and params.cmp_key is None):
-        raise ConfigError(f"layer weights built for one pathway cannot run pathway {pathway!r}")
     q_rows = ctx.query_rows(rows)
     h_q = h_prev if rows is None else take_rows(h_prev, q_rows)
     q = apply_rope(h_q, params.w_q, cfg.heads, ctx.positions[q_rows], rope)
@@ -212,16 +215,16 @@ def encoder_layer(h_prev: Tensor, params: BlossomLayerParams, cfg: AttentionConf
     v = reshape(matmul(h_prev, params.w_v), (h_prev.shape[0], cfg.kv_groups, cfg.d_head))
 
     o_ltis = o_stis = None
-    if pathway in ("both", "ltis"):
+    if params.cmp_key is not None:
         index = ltis_mod.ltis_index(q.data, k.data, ctx, q_rows, cfg, params.cmp_key)
         o_ltis = _attend(q, k, v, index, params.w_o)
-    if pathway in ("both", "stis"):
+    if params.cmp_key is None or params.gate_w is not None:
         o_stis = _attend(q, k, v, stis_mod.stis_index(ctx, q_rows, cfg), params.w_o)
 
-    if pathway == "both":
+    if params.gate_w is not None:
         fused, _ = gated_fuse(o_ltis, o_stis, params.gate_w, params.gate_b)
     else:
-        fused = o_ltis if pathway == "ltis" else o_stis
+        fused = o_ltis if o_stis is None else o_stis
 
     mixed = residual_norm(h_q, fused, params.ln1_gamma, params.ln1_beta,
                           _keep_mask(fused.shape, dropout_rate, rng), dropout_rate)
@@ -233,9 +236,10 @@ def encoder_layer(h_prev: Tensor, params: BlossomLayerParams, cfg: AttentionConf
 def encode(embedded: Tensor, layers: list[BlossomLayerParams], w_n: Tensor, b_n: Tensor,
            cfg: AttentionConfig, ctx: SeqContext, rope: RoPECache,
            dropout_rate: float = 0.0, rng: np.random.Generator | None = None,
-           pathway: str = "both", rows: int | None = None) -> Tensor:
+           rows: int | None = None) -> Tensor:
     """Run the layer stack and the final affine projection on the packed
-    stream, (N, d) -> (N, d).
+    stream, (N, d) -> (N, d). Each layer runs the pathway its weights
+    hold.
 
     With ``rows`` set, the last layer and the projection compute only each
     segment's last ``rows`` rows, (N, d) -> (Nq, d); earlier layers
@@ -246,7 +250,7 @@ def encode(embedded: Tensor, layers: list[BlossomLayerParams], w_n: Tensor, b_n:
     hidden = embedded
     for depth, params in enumerate(layers, start=1):
         hidden = encoder_layer(hidden, params, cfg, ctx, rope,
-                               dropout_rate=dropout_rate, rng=rng, pathway=pathway,
+                               dropout_rate=dropout_rate, rng=rng,
                                rows=rows if depth == len(layers) else None)
     return affine(hidden, w_n, b_n)
 

@@ -85,7 +85,7 @@ class Model:
         from ``rng``, and is off without one."""
         return encode(embed(batch.ids, self.table), self.layers, self.w_n, self.b_n,
                       self.cfg, SeqContext.from_lengths(batch.lengths), self.rope,
-                      dropout_rate=self.dropout, rng=rng, pathway=self.pathway, rows=rows)
+                      dropout_rate=self.dropout, rng=rng, rows=rows)
 
     def last_hidden(self, batch: SeqBatch) -> np.ndarray:
         """Evaluation-mode hidden state of each sequence's last row,
@@ -262,6 +262,9 @@ def train(model: Model, dataset: SplitDataset, run: RunConfig,
     ``log_line``, when given, receives one dict per epoch (epoch number,
     mean train loss, validation metrics). The model is left holding the
     best-validation parameters. Fully deterministic for a fixed seed.
+    A validation pass that ranks no user (each has fewer unseen items
+    than ``run.negatives``) is a ``DataError``, since it cannot choose an
+    epoch.
     Batches keep each sequence's newest ``model.max_len`` items, as
     evaluation does. ``run``'s model fields (``max_len``, ``layers``,
     ``dropout``, ``pathway`` and the attention fields) size the model the
@@ -292,6 +295,9 @@ def train(model: Model, dataset: SplitDataset, run: RunConfig,
             losses.append(float(loss.data))
         result = evaluate(model, dataset, split="valid", k=run.eval_k,
                           n_negatives=run.negatives, seed=run.seed)
+        if result.num_users == 0:
+            raise DataError(f"validation ranked no user: all {result.num_skipped} have fewer "
+                            f"than {run.negatives} unseen items to draw as negatives")
         record = {
             "epoch": epoch,
             "train_loss": float(np.mean(losses)),

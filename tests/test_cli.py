@@ -55,6 +55,18 @@ class TestTrainCommand:
         log_b = (tmp_path / "b" / "metrics.jsonl").read_bytes()
         assert log_a == log_b
 
+    def test_validation_that_ranks_no_user_exits_3(self, synth_path, tmp_path, capsys):
+        """With 100 negatives over 40 items, no user has enough unseen
+        items to be ranked. Training once logged every validation metric
+        as 0.0 and wrote the first epoch's checkpoint."""
+        out_dir = tmp_path / "none"
+        assert run_train(synth_path, out_dir, extra=("--negatives", "100")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: validation ranked no user: all 50 ")
+        assert "fewer than 100 unseen items" in err
+        assert (out_dir / "metrics.jsonl").read_text() == ""
+        assert not (out_dir / "checkpoint.npz").exists()
+
     def test_bad_config_key_exits_2(self, synth_path, tmp_path):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text("warp_speed = 9\n")

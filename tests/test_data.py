@@ -460,6 +460,13 @@ class TestSynthetic:
             digest.update(repr(list(mapping.items())).encode())
         assert digest.hexdigest() == "2ca25ad952c8896e269041580a47552ee1a693da5493e9c584b3b699d593cb58"
 
+    def test_one_item_catalogue(self):
+        """A cluster is at most the catalogue wide: with one item, every
+        draw is that item (the width's floor of 2 once made ``i2``)."""
+        log = make_synthetic(3, 1, 2, 5, 0.3, seed=4)
+        assert log.item_map == {"i1": 1}
+        assert log.item_ids.tolist() == [1] * 30
+
     def test_bad_noise_rate(self):
         with pytest.raises(DataError, match="noise_rate"):
             make_synthetic(1, 10, 1, 5, 1.5, seed=0)

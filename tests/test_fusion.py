@@ -231,23 +231,16 @@ class TestEncoderLayer:
             assert (layer.cmp_key is None) == (pathway == "stis")
         assert np.array_equal(layers["ltis"].cmp_key.w1, layers["both"].cmp_key.w1)
 
-    @pytest.mark.parametrize("built, run", [("ltis", "both"), ("stis", "both"),
-                                            ("stis", "ltis")])
-    def test_layer_runs_no_pathway_it_was_not_built_for(self, built, run):
-        rng = np.random.default_rng(12)
-        cfg = make_cfg()
-        params = BlossomLayerParams.init(cfg, rng, built)
-        h, ctx, rope = layer_inputs(cfg, [8], rng)
-        with pytest.raises(ConfigError, match="cannot run pathway"):
-            encoder_layer(h, params, cfg, ctx, rope, pathway=run)
-
     def test_pathway_ablation_modes(self):
-        rng = np.random.default_rng(10)
+        """One layer per pathway from the same seed, so each weight they
+        share is the same draw, on the same input."""
         cfg = make_cfg()
-        params = BlossomLayerParams.init(cfg, rng)
-        h, ctx, rope = layer_inputs(cfg, [8], rng)
-        outs = {p: encoder_layer(h, params, cfg, ctx, rope, pathway=p).data
-                for p in ("both", "ltis", "stis")}
+        outs = {}
+        for p in ("both", "ltis", "stis"):
+            rng = np.random.default_rng(10)
+            params = BlossomLayerParams.init(cfg, rng, p)
+            h, ctx, rope = layer_inputs(cfg, [8], rng)
+            outs[p] = encoder_layer(h, params, cfg, ctx, rope).data
         assert not np.array_equal(outs["ltis"], outs["stis"])
         assert not np.array_equal(outs["both"], outs["ltis"])
 
@@ -288,7 +281,7 @@ class TestPackedStream:
         every parameter gradient equal the sequence run alone."""
         cfg = self.CFG
         rng = np.random.default_rng(17)
-        params = BlossomLayerParams.init(cfg, rng)
+        params = BlossomLayerParams.init(cfg, rng, pathway)
         named = params.parameters()
         lengths = [1, 13, 27, 40]
         h, ctx, rope = layer_inputs(cfg, lengths, rng)
@@ -296,7 +289,7 @@ class TestPackedStream:
 
         def run(x, context, weights):
             zero_grads(named)
-            out = encoder_layer(x, params, cfg, context, rope, pathway=pathway)
+            out = encoder_layer(x, params, cfg, context, rope)
             out.backward(weights)
             return out.data, {k: p.grad for k, p in named.items() if p.grad is not None}
 
@@ -313,8 +306,10 @@ class TestPackedStream:
         for k in grads:
             assert np.abs(grads[k] - summed[k]).max() < 1e-12, k
 
-    def test_both_pathways_gather_on_short_streams(self, monkeypatch):
-        """Even a 3-row stream, narrower than either index, gathers."""
+    @pytest.mark.parametrize("pathway", ["both", "ltis", "stis"])
+    def test_each_pathway_gathers_on_short_streams(self, monkeypatch, pathway):
+        """Even a 3-row stream, narrower than either index, gathers, once
+        per pathway the layer runs: LTIS's index first, then STIS's."""
         calls = []
 
         def spy(*args):
@@ -323,10 +318,12 @@ class TestPackedStream:
 
         monkeypatch.setattr(fusion, "gathered_attention", spy)
         rng = np.random.default_rng(19)
-        params = BlossomLayerParams.init(self.CFG, rng)
+        params = BlossomLayerParams.init(self.CFG, rng, pathway)
         h, ctx, rope = layer_inputs(self.CFG, [3], rng)
         encoder_layer(h, params, self.CFG, ctx, rope)
-        assert calls == [(2, 3, 3), (1, 3, 3)]
+        ltis_idx, stis_idx = (2, 3, 3), (1, 3, 3)
+        assert calls == {"both": [ltis_idx, stis_idx], "ltis": [ltis_idx],
+                         "stis": [stis_idx]}[pathway]
 
 
 def chain_qkv(p, cfg, ctx, rope, q_rows):
@@ -387,7 +384,7 @@ class TestFusedChain:
         learners = {"h": parameter(h.data), **params.parameters()}
         draws = np.random.default_rng(23)
         out = encoder_layer(learners["h"], params, cfg, ctx, rope, dropout_rate=0.3,
-                            rng=draws, pathway=pathway, rows=rows)
+                            rng=draws, rows=rows)
         seed = np.random.default_rng(24).normal(size=out.shape)
         out.backward(seed)
         grads = {name: t.grad for name, t in learners.items() if t.grad is not None}

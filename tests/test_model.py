@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import os
 from collections import Counter
+from pathlib import Path
 import subprocess
 import sys
 import tracemalloc
@@ -230,35 +232,40 @@ class TestSequenceLoss:
             assert np.abs(shared[k] - separate[k]).max() <= 1e-12 * np.abs(separate[k]).max(), k
 
     @staticmethod
-    def desk_step(rng):
+    def desk_step(rng, pathway="both"):
         """A one-layer training step at desk width (the benchmark's model),
         dropout 0.1, on N = 106 stream rows."""
         cfg = AttentionConfig(heads=4, kv_groups=2, d_model=32, d_head=8)
-        model = Model(40, cfg, 1, seed=0, max_len=64, dropout=0.1)
+        model = Model(40, cfg, 1, seed=0, max_len=64, dropout=0.1, pathway=pathway)
         batch = SeqBatch.from_sequences([rng.integers(1, 41, n).tolist() for n in (64, 37, 5)],
                                         max_len=64)
         return model, batch
 
-    def test_tape_holds_one_node_per_fused_op(self):
-        """The desk step records 17 tape nodes, each fused composite one
-        per call: the FFN, the two residual sites (residual, dropout and
-        layer norm), the gate, the output projection, and the q and k
+    @pytest.mark.parametrize("pathway, total", [("both", 17), ("ltis", 14), ("stis", 14)])
+    def test_tape_holds_one_node_per_fused_op(self, pathway, total):
+        """The fused desk step records 17 tape nodes, each fused composite
+        one per call: the FFN, the two residual sites (residual, dropout
+        and layer norm), the gate, the output projection, and the q and k
         projections each with its RoPE; the v projection's split into
         heads is one reshape, and the attention ops return merged heads.
+        A single pathway's step records 14: one attention and its output
+        projection, and no gate.
         The chains of elementwise ops made it 71, 35 with layer norm, the
         gate and RoPE fused, and 25 with the projections and their head
         splits apart from RoPE.
         With the stream's leading axis of one, the loss's reshape to rows
         made it 19, and with the heads first, the v heads' transpose 18."""
         rng = np.random.default_rng(0)
-        model, batch = self.desk_step(rng)
+        model, batch = self.desk_step(rng, pathway)
         loss = sequence_loss(model, batch, training=True, rng=rng)
         ops = Counter(node._backward.__qualname__.split(".")[0]
                       for node in tensor.GradTape(loss).ops)
-        assert ops == Counter(
+        fused = Counter(
             matmul=3, reshape=1, take_rows=2, rope=2, gathered_attention=2,
             residual_norm=2, sigmoid_gate=1, ffn=1, affine=1, getitem=1, linear_cross_entropy=1)
-        assert sum(ops.values()) == 17
+        assert ops == (fused if pathway == "both" else
+                       fused - Counter(matmul=1, gathered_attention=1, sigmoid_gate=1))
+        assert sum(ops.values()) == total
 
     def test_keys_and_values_reach_attention_without_a_copy(self, monkeypatch):
         """On the desk step, K and V reach both attentions as C-contiguous
@@ -840,7 +847,8 @@ class TestEvaluateMatchesReference:
 
     def test_numpy_ma_not_imported(self):
         """``np.unique`` imports numpy.ma on its first call (about 36 ms in
-        numpy 2.x), which evaluation must not pay."""
+        numpy 2.x), which evaluation must not pay. The fresh interpreter
+        imports the library from this checkout's ``src``."""
         code = ("import sys\n"
                 "from blossomrec.data import leave_one_out_split, make_synthetic\n"
                 "from blossomrec.model import evaluate, evaluate_popularity\n"
@@ -852,8 +860,10 @@ class TestEvaluateMatchesReference:
                 "evaluate(Model(ds.num_items, cfg, 1, seed=0, max_len=16), ds, n_negatives=10)\n"
                 "evaluate_popularity(ds, n_negatives=10)\n"
                 "print('numpy.ma' in sys.modules)\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True)
+                             check=True, env={**os.environ, "PYTHONPATH": path})
         assert out.stdout.strip() == "False"
 
 
